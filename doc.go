@@ -22,9 +22,11 @@
 //   - internal/hashlocate, internal/lighthouse — §5 and §4 variants
 //   - internal/service — the Amoeba-style service model of §1.3
 //   - internal/cluster — sharded match-making service layer: a Transport
-//     seam with three backends (the paper-exact simulator, a lock-free
-//     in-process fast path, and a real-socket multi-process cluster of
-//     NodeServer processes), probe-validated address hints with a
+//     seam with the paper-exact simulator on one side and, on the other,
+//     one coordinator (the model and its pass accounting, written once)
+//     over a row substrate — an in-process sharded store (MemTransport)
+//     or a real-socket multi-process cluster of NodeServer processes
+//     (NetTransport) — probe-validated address hints with a
 //     generation-based invalidation protocol, batched locate/post
 //     operations, a frequency-weighted hot-port strategy (E16/M3′
 //     live), r-fold replicated rendezvous with crash-tolerant replica

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -224,13 +225,6 @@ func contains(s []graph.NodeID, v graph.NodeID) bool {
 	return false
 }
 
-// expectedPosting is one ground-truth entry of a node's expected row:
-// the (instance, address) a live registration should have cached there.
-type expectedPosting struct {
-	id   uint64
-	addr graph.NodeID
-}
-
 // expectedRow is a node's ground-truth posting row keyed by (port,
 // instance): what reconciliation diffs a dumped actual row against.
 type expectedRow map[core.Port]map[uint64]graph.NodeID
@@ -367,3 +361,130 @@ func (r *reconciler) haltLocked() {
 		r.stop = nil
 	}
 }
+
+// ReconcileRound implements AntiEntropyTransport: it snapshots the live
+// registration table, predicts every node's posting row from the
+// current (possibly dual-epoch) set tables, asks the substrate for the
+// per-node digests (free — §5 maintenance metadata), and dumps, diffs
+// and repairs only the rows that disagree — orphans and wrong entries
+// expire in place for free, missing honest postings are re-posted per
+// server at the diff targets' multicast-tree cost. Nodes the substrate
+// cannot read (a dead process's range) are left to the repair loop.
+// Taking resizeMu serializes the round against Resize/FinishResize, so
+// the ground truth never shifts epochs mid-diff.
+func (c *coordinator) ReconcileRound() (int, error) {
+	c.lifeMu.RLock()
+	defer c.lifeMu.RUnlock()
+	c.resizeMu.Lock()
+	defer c.resizeMu.Unlock()
+
+	srvs := make(map[expectedPair]liveServer)
+	expected := make(map[graph.NodeID]expectedRow)
+	for _, ls := range c.liveServers() {
+		srvs[expectedPair{port: ls.srv.port, id: ls.srv.id}] = ls
+		targets, _ := c.postSets(ls.srv, ls.node)
+		for _, v := range targets {
+			if c.crashed[v].Load() {
+				continue
+			}
+			row := expected[v]
+			if row == nil {
+				row = make(expectedRow)
+				expected[v] = row
+			}
+			row.add(ls.srv.port, ls.srv.id, ls.node)
+		}
+	}
+
+	n := c.g.N()
+	dg, readable := make([]uint64, n), make([]bool, n)
+	c.sub.digests(dg, readable)
+	var mismatched []graph.NodeID
+	for v := 0; v < n; v++ {
+		node := graph.NodeID(v)
+		if readable[v] && !c.crashed[v].Load() && dg[v] != expected[node].digest() {
+			mismatched = append(mismatched, node)
+		}
+	}
+
+	repaired := 0
+	reposts := make(map[expectedPair][]graph.NodeID)
+	ports := make(map[core.Port]struct{})
+	var expires []rowID
+	rows := c.sub.dump(mismatched)
+	for _, v := range mismatched {
+		actual, ok := rows[v]
+		if !ok {
+			continue
+		}
+		drops, reps := rowDiff(expected[v], actual)
+		for _, p := range drops {
+			expires = append(expires, rowID{node: v, port: p.port, id: p.id})
+			ports[p.port] = struct{}{}
+			repaired++
+		}
+		for _, p := range reps {
+			reposts[p] = append(reposts[p], v)
+		}
+	}
+	c.sub.expire(expires)
+	for p, vs := range reposts {
+		ls, ok := srvs[p]
+		if !ok {
+			continue
+		}
+		// A crashed honest origin cannot re-post; the posting heals
+		// after restore.
+		placed, _ := c.repostLocked(ls.srv, ls.node, func(graph.NodeID) []graph.NodeID { return vs })
+		if placed > 0 {
+			ports[p.port] = struct{}{}
+			repaired += placed
+		}
+	}
+	for port := range ports {
+		c.gens.bump(port)
+	}
+	c.recon.rounds.Add(1)
+	c.recon.repaired.Add(int64(repaired))
+	return repaired, nil
+}
+
+// corruptRegs snapshots the registration ground truth the corruption
+// and forgery plan builders draw from, ordered by instance id so equal
+// seeds build identical plans on every transport.
+func (c *coordinator) corruptRegs() []corruptReg {
+	live := c.liveServers()
+	regs := make([]corruptReg, 0, len(live))
+	for _, ls := range live {
+		if c.crashed[ls.node].Load() {
+			continue
+		}
+		targets, _ := c.postSets(ls.srv, ls.node)
+		regs = append(regs, corruptReg{port: ls.srv.port, id: ls.srv.id, node: ls.node, targets: targets})
+	}
+	slices.SortFunc(regs, func(a, b corruptReg) int { return int(a.id) - int(b.id) })
+	return regs
+}
+
+// Corrupt implements AntiEntropyTransport: the deterministic
+// adversarial plan goes straight to the rows, bypassing the §2.1 merge
+// rule, and every hint generation is bumped — corrupted rendezvous rows
+// may have changed any port's freshest winner.
+func (c *coordinator) Corrupt(opts CorruptOptions) (int, error) {
+	plan := buildCorruptPlan(opts, c.corruptRegs(), c.g.N())
+	if len(plan) == 0 {
+		return 0, nil
+	}
+	err := c.sub.corrupt(plan)
+	c.recon.injected.Add(int64(len(plan)))
+	c.gens.bumpAll()
+	return len(plan), err
+}
+
+// StartReconcile implements AntiEntropyTransport.
+func (c *coordinator) StartReconcile(interval time.Duration) {
+	c.recon.startLoop(interval, c.ReconcileRound)
+}
+
+// ReconcileStats implements AntiEntropyTransport.
+func (c *coordinator) ReconcileStats() ReconcileStats { return c.recon.stats() }

@@ -143,8 +143,8 @@ func TestAntiEntropyConvergence(t *testing.T) {
 
 			simAlpha := simRefs["alpha"].(simServer).srv.ID()
 			simBeta := simRefs["beta"].(simServer).srv.ID()
-			memAlpha := memRefs["alpha"].(*memServer).id
-			memBeta := memRefs["beta"].(*memServer).id
+			memAlpha := memRefs["alpha"].(*server).id
+			memBeta := memRefs["beta"].(*server).id
 
 			// Seed the identical five-way corruption on both transports
 			// through their raw state backdoors. Corruption is silent: it
@@ -173,7 +173,7 @@ func TestAntiEntropyConvergence(t *testing.T) {
 					ServerID: alphaID, Time: 2, Active: true})
 			}
 			seed(simT.sys.ExpireEntry, simT.sys.InjectEntry, simAlpha, simBeta)
-			seed(memT.store.Drop, memT.store.Inject, memAlpha, memBeta)
+			seed(memT.mem.store.Drop, memT.mem.store.Inject, memAlpha, memBeta)
 			if simT.Passes() != simBefore || memT.Passes() != memBefore {
 				t.Fatalf("corruption seeding charged passes: sim %d mem %d",
 					simT.Passes()-simBefore, memT.Passes()-memBefore)
@@ -221,7 +221,7 @@ func TestAntiEntropyConvergence(t *testing.T) {
 			// Ground truth restored: every alpha target holds the honest
 			// address again, the orphan and the wrong-port duplicate are
 			// gone everywhere.
-			for _, ne := range memT.store.DumpRange(0, n) {
+			for _, ne := range memT.mem.store.DumpRange(0, n) {
 				if !ne.E.Active {
 					continue
 				}
@@ -388,7 +388,7 @@ func TestAntiEntropyBackgroundLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id := ref.(*memServer).id
+	id := ref.(*server).id
 
 	memT.StartReconcile(time.Millisecond)
 	if _, err := memT.Corrupt(CorruptOptions{Seed: 9, Count: 4}); err != nil {

@@ -292,3 +292,42 @@ type ByzantineTransport interface {
 	// anti-entropy re-verifies the node's rows).
 	Quarantine(node graph.NodeID)
 }
+
+// Arm implements ByzantineTransport: it derives the deterministic
+// forgery plan from the live registration table (the same ground truth,
+// in the same order, as the anti-entropy corruption injector uses) and
+// hands it to the substrate, whose armed nodes answer floods with the
+// forged entry — or silence — instead of consulting their rows. Every
+// hint generation is bumped — cached addresses must re-verify against
+// the newly hostile cluster.
+func (c *coordinator) Arm(opts ArmOptions) (int, error) {
+	plan := buildForgePlan(opts, c.corruptRegs(), c.g.N(), c.rp)
+	err := c.sub.arm(plan)
+	ft := buildForgeTable(plan)
+	c.forge.Store(&ft)
+	c.gens.bumpAll()
+	return len(plan), err
+}
+
+// Disarm implements ByzantineTransport.
+func (c *coordinator) Disarm() error {
+	err := c.sub.arm(nil)
+	c.forge.Store(nil)
+	c.gens.bumpAll()
+	return err
+}
+
+// ArmedNodes implements ByzantineTransport.
+func (c *coordinator) ArmedNodes() []graph.NodeID {
+	if p := c.forge.Load(); p != nil {
+		return p.nodes()
+	}
+	return nil
+}
+
+// Quarantine implements ByzantineTransport: hint invalidation only —
+// the node keeps serving (and keeps lying if armed); the cluster's
+// suspect set is what steers votes and re-quarantines repeat offenders.
+func (c *coordinator) Quarantine(graph.NodeID) {
+	c.gens.bumpAll()
+}

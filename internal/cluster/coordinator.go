@@ -1,0 +1,1082 @@
+package cluster
+
+import (
+	"errors"
+	"fmt"
+	"slices"
+	"sync"
+	"sync/atomic"
+
+	"matchmake/internal/core"
+	"matchmake/internal/graph"
+	"matchmake/internal/rendezvous"
+	"matchmake/internal/sim"
+	"matchmake/internal/stats"
+	"matchmake/internal/strategy"
+)
+
+// coordinator is the one implementation of everything the paper's model
+// defines off the simulator, written once over a substrate that only
+// moves rows: which nodes a posting or a query flood reaches (static
+// strategy tables or epoch tables, never both), what each message costs
+// (multicast-tree edges for floods, hop distance for replies — what the
+// simulator would count on a healthy network), the registration table
+// and its ServerRef handles, the logical posting clock and server ids,
+// crash marks, the hint generation index, replica and dual-epoch
+// fallthrough, hot-port promotion, epoch migration, anti-entropy and
+// the Byzantine harness. MemTransport and NetTransport embed it and
+// differ only in the substrate they plug in, so mem = net holds by
+// construction above that seam.
+//
+// Crashes are modelled at the endpoints (a crashed origin cannot post or
+// query — sim.ErrCrashed, as on the simulator — and a crashed rendezvous
+// node drops postings and does not answer); unlike the simulator,
+// in-flight traffic is not charged partial paths through crashed
+// interior nodes — the one place the accounting can diverge from
+// SimTransport (see equivalence_test.go). Timestamps and server ids are
+// allocated here, so all registrations, migrations and crash events of
+// a cluster must flow through one coordinator for the freshest-entry
+// tie-break to stay globally ordered.
+//
+// Lock order, outermost first:
+//
+//	lifeMu (shared) → resizeMu → regMu → server.mu
+//
+// lifeMu fences every write — register, post, tombstone, migrate,
+// deregister, repair, resize, reconcile, promotion — against a wire
+// substrate's Rescale, which holds it exclusively across the partition
+// transfer and the process-set swap: no write can land on an old
+// process after its partition was snapshotted and silently vanish from
+// the new set (a lost tombstone would resurrect a deregistered server).
+// Reads — locates, probes — take no lock: a read racing a swap at worst
+// misses transiently, which fallthrough and hint re-resolution absorb.
+// resizeMu serializes the Resize/FinishResize state machine and
+// reconciliation rounds (the ground truth must not shift epochs
+// mid-diff). regMu guards the registration table and linearizes
+// registration class decisions against reclassification and epoch
+// installs. A server's mu guards its home and liveness; system-driven
+// re-posts hold it across their re-check and post (see repostLocked),
+// while the owner's Migrate/Deregister/Repost only mark under it, so it
+// is never held while waiting for regMu. Substrate calls are made under
+// any of these; a substrate calls back only from its own goroutines.
+type coordinator struct {
+	// passes leads the struct so its cacheline-padded stripes stay
+	// line-aligned: behind the read-mostly fields below, a stripe shares
+	// a line with crash marks and generations that every probe reads.
+	passes stats.StripedCounter
+
+	g       *graph.Graph
+	routing *graph.Routing
+	sub     substrate
+
+	// hot holds the precomputed P/Q set/cost tables, the weighted-mode
+	// strategy (nil when disabled) and the published hot-port
+	// classification (see setcosts.go). Unused on elastic transports.
+	hot hotTables
+
+	// rp is the replicated strategy when the transport runs r-fold
+	// replicated rendezvous with r > 1 (nil otherwise): reads are then
+	// family-scoped through it (see scope).
+	rp *strategy.Replicated
+
+	// elastic is the epoch-versioned membership state (nil on
+	// transports built without it): the serving epoch's set/cost
+	// tables, chained to the retiring epoch's during a dual-epoch
+	// migration. When non-nil it replaces hot and rp everywhere.
+	elastic     atomic.Pointer[epochTables]
+	resizeMu    sync.Mutex
+	migrated    atomic.Int64
+	dualLocates atomic.Int64
+
+	lifeMu sync.RWMutex
+
+	// byPort is the live registration table: the ground truth repair,
+	// reconciliation, promotion and epoch migration re-post from. (The
+	// liveness records probes answer from are the substrate's.)
+	regMu  sync.Mutex
+	byPort map[core.Port]map[uint64]*server
+
+	gens     *genIndex
+	crashed  []atomic.Bool
+	clock    atomic.Uint64 // logical posting timestamps
+	serverID atomic.Uint64
+	events   eventSink
+
+	recon reconciler // anti-entropy counters and loop (antientropy.go)
+
+	// forge mirrors the Byzantine lie plan last handed to the substrate
+	// (byzantine.go) — only for ArmedNodes; the lies are told where the
+	// rows are.
+	forge atomic.Pointer[forgeTable]
+
+	// coal merges concurrent single locates into shared floods: nil on
+	// the in-process substrate, where a flood is not a round trip.
+	coal *netCoalescer
+
+	floods sync.Pool // *flood
+}
+
+// coordinated is everything a transport gets by embedding the
+// coordinator: the Transport contract plus every capability interface
+// the cluster type-asserts for.
+type coordinated interface {
+	Transport
+	HotReclassifier
+	ElasticTransport
+	AntiEntropyTransport
+	ByzantineTransport // embeds ReplicatedTransport
+	EventSource
+	genSlotter
+}
+
+var _, _ coordinated = (*MemTransport)(nil), (*NetTransport)(nil)
+
+// newCoordinator builds the model state over g: the epoch tables when
+// initial is non-nil (elastic membership, replication coming from the
+// epoch itself), otherwise the static tables of strat with the optional
+// weighted or replicated mode. The caller plugs in the substrate.
+func newCoordinator(g *graph.Graph, strat rendezvous.Strategy, w *strategy.Weighted, rp *strategy.Replicated, initial *strategy.Epoch) (*coordinator, error) {
+	n := g.N()
+	if initial == nil && strat.N() != n {
+		return nil, fmt.Errorf("cluster: strategy universe %d != graph size %d", strat.N(), n)
+	}
+	routing, err := graph.NewRouting(g)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
+	}
+	c := &coordinator{
+		g:       g,
+		routing: routing,
+		byPort:  make(map[core.Port]map[uint64]*server),
+		gens:    newGenIndex(),
+		crashed: make([]atomic.Bool, n),
+	}
+	c.floods.New = func() any { return &flood{} }
+	if initial != nil {
+		et, err := newEpochTables(g, routing, initial, nil)
+		if err != nil {
+			return nil, err
+		}
+		c.elastic.Store(et)
+		return c, nil
+	}
+	c.hot.sets, err = newStratSets(g, routing, rendezvous.Precompute(strat), w, rp)
+	if err != nil {
+		return nil, err
+	}
+	c.hot.weighted = w
+	if rp != nil && rp.Replicas() > 1 {
+		c.rp = rp
+	}
+	return c, nil
+}
+
+// Name implements Transport.
+func (c *coordinator) Name() string {
+	kind := c.sub.kind()
+	if c.elastic.Load() != nil {
+		return kind + "-elastic"
+	}
+	if c.hot.weighted != nil {
+		return kind + "-weighted"
+	}
+	if r := c.hot.replicas(); r > 1 {
+		return fmt.Sprintf("%s-r%d", kind, r)
+	}
+	return kind
+}
+
+// Replicas implements ReplicatedTransport: the replication factor of
+// the strategy in use (1 when unreplicated). On an elastic transport
+// mid-migration it is the dual-epoch family count — the serving
+// epoch's families plus the retiring epoch's appended after them — so
+// the ordinary fallthrough loop visits both epochs.
+func (c *coordinator) Replicas() int {
+	if et := c.elastic.Load(); et != nil {
+		return et.replicas()
+	}
+	return c.hot.replicas()
+}
+
+// N implements Transport.
+func (c *coordinator) N() int { return c.g.N() }
+
+// Gen implements Transport: bumped on register, migrate, deregister and
+// crash, and when a substrate sees a node process die.
+func (c *coordinator) Gen(port core.Port) uint64 { return c.gens.gen(port) }
+
+func (c *coordinator) genSlot(port core.Port) *atomic.Uint64 { return c.gens.slot(port) }
+
+// canReclassify reports whether SetHotPorts can succeed — i.e. the
+// transport was built with a weighted strategy. The cluster checks it
+// before starting a reclassification loop, so HotPorts on a plain
+// transport fails loudly instead of ticking in vain.
+func (c *coordinator) canReclassify() bool { return c.hot.weighted != nil }
+
+// HotPorts returns the currently published hot classification (for
+// tests and reports).
+func (c *coordinator) HotPorts() []core.Port { return c.hot.hotPorts() }
+
+// postSets returns the posting targets and multicast cost for srv
+// posting from node: the elastic epoch tables (widened to both epochs'
+// union during a migration) when elastic membership is on, else the
+// static tables with the sticky posted-under-union rule (see
+// hotTables.postSets).
+func (c *coordinator) postSets(srv *server, node graph.NodeID) ([]graph.NodeID, int64) {
+	if et := c.elastic.Load(); et != nil {
+		return et.postFor(node)
+	}
+	return c.hot.postSets(&srv.postedHot, srv.port, node)
+}
+
+// server is the coordinator's ServerRef: one live registration, the
+// ground truth its postings are (re)derived from.
+type server struct {
+	c    *coordinator
+	port core.Port
+	id   uint64
+
+	// postedHot is set the first time the server posts under the union
+	// sets and never cleared; see hotTables.postSets.
+	postedHot atomic.Bool
+
+	mu   sync.Mutex
+	node graph.NodeID
+	gone bool
+}
+
+// newServer allocates a registration and publishes it in the table.
+// Under regMu the class decision is linearized against SetHotPorts:
+// either srv reads the new classification here, or SetHotPorts finds
+// srv in byPort and reposts it.
+func (c *coordinator) newServer(port core.Port, node graph.NodeID) *server {
+	srv := &server{c: c, port: port, id: c.serverID.Add(1), node: node}
+	c.regMu.Lock()
+	m := c.byPort[port]
+	if m == nil {
+		m = make(map[uint64]*server, 2)
+		c.byPort[port] = m
+	}
+	m[srv.id] = srv
+	if c.hot.weighted != nil && c.hot.isHot(port) {
+		srv.postedHot.Store(true)
+	}
+	c.regMu.Unlock()
+	return srv
+}
+
+func (c *coordinator) dropServer(srv *server) {
+	c.regMu.Lock()
+	if m := c.byPort[srv.port]; m != nil {
+		delete(m, srv.id)
+		if len(m) == 0 {
+			delete(c.byPort, srv.port)
+		}
+	}
+	c.regMu.Unlock()
+}
+
+// liveServer is one live registration and its home when snapshotted.
+type liveServer struct {
+	srv  *server
+	node graph.NodeID
+}
+
+// liveServersLocked snapshots every non-gone registration with its
+// current home node; the caller holds regMu.
+func (c *coordinator) liveServersLocked() []liveServer {
+	var out []liveServer
+	for _, m := range c.byPort {
+		for _, srv := range m {
+			srv.mu.Lock()
+			node, gone := srv.node, srv.gone
+			srv.mu.Unlock()
+			if !gone {
+				out = append(out, liveServer{srv: srv, node: node})
+			}
+		}
+	}
+	return out
+}
+
+func (c *coordinator) liveServers() []liveServer {
+	c.regMu.Lock()
+	defer c.regMu.Unlock()
+	return c.liveServersLocked()
+}
+
+// checkHome validates a server home for op ("register at", "migrate
+// to"): a graph node and, on an elastic transport, a member of the
+// serving epoch.
+func (c *coordinator) checkHome(op string, port core.Port, node graph.NodeID) error {
+	if !c.g.Valid(node) {
+		return fmt.Errorf("cluster: %s %d: %w", op, node, graph.ErrNodeRange)
+	}
+	if et := c.elastic.Load(); et != nil && !et.ep.Contains(node) {
+		return errOutsideMembership(port, node, et.ep)
+	}
+	return nil
+}
+
+// Register implements Transport: the liveness record lands where
+// probes of node are answered, the postings at the posting set, and the
+// posting multicast is charged its tree cost. On an elastic transport
+// the node must be a member of the serving epoch.
+func (c *coordinator) Register(port core.Port, node graph.NodeID) (ServerRef, error) {
+	refs, err := c.PostBatch([]Registration{{Port: port, Node: node}})
+	if err != nil {
+		return nil, err
+	}
+	return refs[0], nil
+}
+
+// PostBatch implements Transport: registrations are validated up
+// front, liveness records land with their hosts, and the whole batch's
+// postings go to the substrate in one call with the summed multicast
+// cost charged in one add — the same totals as the equivalent sequence
+// of Registers.
+func (c *coordinator) PostBatch(regs []Registration) ([]ServerRef, error) {
+	for _, r := range regs {
+		if err := c.checkHome("register at", r.Port, r.Node); err != nil {
+			return nil, err
+		}
+		if c.crashed[r.Node].Load() {
+			return nil, fmt.Errorf("cluster: post %q from %d: %w", r.Port, r.Node, sim.ErrCrashed)
+		}
+	}
+	c.lifeMu.RLock()
+	defer c.lifeMu.RUnlock()
+	refs := make([]ServerRef, len(regs))
+	servers := make([]*server, 0, len(regs))
+	undo := func(err error) ([]ServerRef, error) {
+		for _, srv := range servers {
+			c.dropServer(srv)
+			c.sub.deregister(srv.id, srv.node)
+		}
+		return nil, err
+	}
+	for i, r := range regs {
+		srv := c.newServer(r.Port, r.Node)
+		servers = append(servers, srv)
+		refs[i] = srv
+		if err := c.sub.register(srv.id, r.Port, r.Node, noNode); err != nil {
+			return undo(err)
+		}
+	}
+	// Re-check membership now that the registrations are published:
+	// newServer and Resize's snapshot+publish both hold regMu, so either
+	// these servers made the snapshot (and Resize validated them) or the
+	// epoch loaded here is the post-resize one — a registration racing a
+	// shrink cannot slip outside the membership unvalidated.
+	for _, r := range regs {
+		if err := c.checkHome("register at", r.Port, r.Node); err != nil {
+			return undo(err)
+		}
+	}
+	fl := c.floods.Get().(*flood)
+	fl.keys = fl.keys[:0]
+	entries := make([]core.Entry, len(regs))
+	var bulk int64
+	for i, r := range regs {
+		targets, cost := c.postSets(servers[i], r.Node)
+		bulk += cost
+		entries[i] = core.Entry{Port: r.Port, Addr: r.Node, ServerID: servers[i].id, Time: c.clock.Add(1), Active: true}
+		fl.keys = c.appendLive(fl.keys, int32(i), targets)
+	}
+	c.sub.post(entries, fl.keys)
+	c.floods.Put(fl)
+	c.passes.Add(0, bulk)
+	// A fresh registration can change the freshest-entry winner for the
+	// port, so cached hints must re-resolve.
+	for _, r := range regs {
+		c.gens.bump(r.Port)
+	}
+	return refs, nil
+}
+
+// appendLive appends a row key for request req at every target that is
+// not marked crashed. Each include/skip decision is taken exactly once,
+// here, so a concurrent Crash can never make what a substrate encodes
+// disagree with what it later decodes.
+func (c *coordinator) appendLive(keys []rowKey, req int32, targets []graph.NodeID) []rowKey {
+	for _, v := range targets {
+		if !c.crashed[v].Load() {
+			keys = append(keys, rowKey{req: req, node: v})
+		}
+	}
+	return keys
+}
+
+// post delivers a posting (or tombstone) for srv from-and-about node to
+// its posting set.
+func (c *coordinator) post(srv *server, node graph.NodeID, active bool) error {
+	targets, cost := c.postSets(srv, node)
+	return c.postTo(srv, node, active, targets, cost)
+}
+
+// postTo multicasts a freshly timestamped entry for srv from node to an
+// explicit target set at a pre-computed multicast cost — the primitive
+// ordinary postings, epoch-migration deltas and repairs share. The full
+// cost is charged up front: targets on crashed nodes or unreachable
+// processes are skipped silently but still paid for — the flood was
+// sent. A crashed origin cannot post, matching the simulator's
+// multicast.
+func (c *coordinator) postTo(srv *server, node graph.NodeID, active bool, targets []graph.NodeID, cost int64) error {
+	if c.crashed[node].Load() {
+		return fmt.Errorf("cluster: post %q from %d: %w", srv.port, node, sim.ErrCrashed)
+	}
+	fl := c.floods.Get().(*flood)
+	fl.oneEntry[0] = core.Entry{Port: srv.port, Addr: node, ServerID: srv.id, Time: c.clock.Add(1), Active: active}
+	fl.keys = c.appendLive(fl.keys[:0], 0, targets)
+	c.passes.Add(int(node), cost)
+	c.sub.post(fl.oneEntry[:], fl.keys)
+	c.floods.Put(fl)
+	return nil
+}
+
+// repostLocked is the one way the system — as opposed to the server's
+// owner — re-posts a live registration (epoch-migration delta, range
+// repair, reconciliation, hot-port promotion). It holds srv.mu across
+// the liveness re-check AND the post: a system re-post carries a fresh
+// timestamp, so letting it race a concurrent Deregister or Migrate
+// could stamp an Active entry fresher than the lifecycle operation's
+// tombstone and resurrect a gone (or moved-away) server at every
+// rendezvous node. at, when not noNode, is the home the caller planned
+// against; a server that has since moved is skipped. plan runs under
+// srv.mu and picks the targets for the server's current home (none
+// means nothing to do); the post is charged their multicast-tree cost
+// from there. It returns the number of (server, node) postings placed.
+func (c *coordinator) repostLocked(srv *server, at graph.NodeID, plan func(node graph.NodeID) []graph.NodeID) (int, error) {
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	if srv.gone || (at != noNode && srv.node != at) {
+		return 0, nil
+	}
+	targets := plan(srv.node)
+	if len(targets) == 0 {
+		return 0, nil
+	}
+	cost, err := c.routing.MulticastCost(srv.node, targets)
+	if err == nil {
+		err = c.postTo(srv, srv.node, true, targets, int64(cost))
+	}
+	if err != nil {
+		return 0, err
+	}
+	return len(targets), nil
+}
+
+// family is one flood's resolved replica family: which tables its
+// query sets come from and how its reads are scoped.
+type family struct {
+	et    *epochTables // the installed epoch state; nil on static tables
+	tab   *epochTables // the epoch owning the family (et, or et.prev mid-migration)
+	k     int          // family index within tab, or the static replica
+	scope scope
+	valid bool
+}
+
+// family resolves replica. On an elastic transport the index spans both
+// live epochs' families (the retiring epoch's appended after the
+// serving one's), so the ordinary fallthrough is also the dual-epoch
+// locate; an index past them means FinishResize raced an in-flight
+// fallthrough.
+func (c *coordinator) family(replica int) family {
+	f := family{et: c.elastic.Load(), k: replica}
+	if f.et != nil {
+		if tab, fam, ok := f.et.resolve(replica); ok {
+			f.tab, f.k, f.valid = tab, fam, true
+			f.scope = scope{in: tab.ep, fam: fam}
+		}
+		return f
+	}
+	f.valid = replica >= 0 && replica < c.hot.replicas()
+	if c.rp != nil {
+		f.scope = scope{in: c.rp, fam: replica}
+	}
+	return f
+}
+
+// querySet returns the flood targets and multicast cost of family f for
+// a locate of port from client, or the reason no flood is sent: an
+// invalid or crashed client fails hard, a retired family or a client
+// outside the family's epoch is a silent miss that costs nothing.
+func (c *coordinator) querySet(f family, what string, client graph.NodeID, port core.Port, replica int) ([]graph.NodeID, int64, error) {
+	if !c.g.Valid(client) {
+		return nil, 0, fmt.Errorf("cluster: %s from %d: %w", what, client, graph.ErrNodeRange)
+	}
+	if c.crashed[client].Load() {
+		return nil, 0, fmt.Errorf("cluster: %s from %d: %w", what, client, sim.ErrCrashed)
+	}
+	if f.et == nil {
+		if !f.valid {
+			return nil, 0, fmt.Errorf("cluster: replica %d out of [0,%d)", replica, c.hot.replicas())
+		}
+		targets, cost := c.hot.replicaQuerySets(client, port, f.k)
+		return targets, cost, nil
+	}
+	if !f.valid {
+		return nil, 0, errRetiredReplica(port, client, replica)
+	}
+	targets := f.tab.query[f.k][client]
+	if len(targets) == 0 {
+		return nil, 0, errMissingEpochFlood(port, client)
+	}
+	return targets, f.tab.queryCost[f.k][client], nil
+}
+
+// Locate implements Transport: it charges the query multicast flood,
+// reads every live rendezvous node's cache, charges each hit's reply
+// path, and returns the freshest active entry — the same winner the
+// engine's collect-window logic converges to. On a replicated transport
+// a rendezvous miss — crashed meeting nodes, a killed node process —
+// falls through the replica families in order, each attempt charged its
+// own flood.
+func (c *coordinator) Locate(client graph.NodeID, port core.Port) (core.Entry, error) {
+	e, _, err := locateFallthrough(c, client, port, 0)
+	return e, err
+}
+
+// LocateReplica implements ReplicatedTransport: one query flood over
+// replica k's query set only. With a coalescer the flood is merged with
+// concurrent ones into shared substrate calls, which changes neither
+// answers nor charges.
+func (c *coordinator) LocateReplica(client graph.NodeID, port core.Port, replica int) (core.Entry, error) {
+	if co := c.coal; co != nil {
+		return co.locate(client, port, replica)
+	}
+	e, _, err := c.LocateReplicaAt(client, port, replica)
+	return e, err
+}
+
+// LocateReplicaAt implements ByzantineTransport: one uncoalesced replica
+// flood — merged floods do not carry answerer identity — that also
+// returns the rendezvous node whose entry won the freshest reduction,
+// which the cluster's voting mode needs to know whom to quarantine. It
+// is a batch of one, run in the pooled flood's one-element arrays.
+func (c *coordinator) LocateReplicaAt(client graph.NodeID, port core.Port, replica int) (core.Entry, graph.NodeID, error) {
+	fl := c.floods.Get().(*flood)
+	fl.oneReq[0], fl.oneFrom[0] = LocateReq{Client: client, Port: port}, 0
+	c.flood(fl, fl.oneReq[:], fl.oneRes[:], fl.oneFrom[:], replica)
+	e, from, err := fl.oneRes[0].Entry, fl.oneFrom[0], fl.oneRes[0].Err
+	fl.oneRes[0].Err = nil
+	c.floods.Put(fl)
+	return e, from, err
+}
+
+// LocateBatch implements Transport: the whole batch's row reads go to
+// the substrate in one call per replica pass, and the batch's passes
+// land in one add. Answers and total cost are identical to the
+// equivalent sequence of Locate calls — including, on a replicated
+// transport, the per-request replica fallthrough: misses of one pass
+// re-flood the next family as a sub-batch.
+func (c *coordinator) LocateBatch(reqs []LocateReq, res []LocateRes) {
+	n := min(len(reqs), len(res))
+	c.locateBatchReplica(reqs[:n], res[:n], 0)
+	if r := c.Replicas(); r > 1 {
+		batchFallthrough(reqs[:n], res[:n], r, c.locateBatchReplica)
+	}
+}
+
+// locateBatchReplica runs one batch pass over replica k's query sets;
+// reqs and res have equal length.
+func (c *coordinator) locateBatchReplica(reqs []LocateReq, res []LocateRes, replica int) {
+	if len(reqs) == 0 {
+		return
+	}
+	fl := c.floods.Get().(*flood)
+	c.flood(fl, reqs, res, nil, replica)
+	c.floods.Put(fl)
+}
+
+// flood is the one locate primitive: for every request it charges the
+// family's query multicast, asks the substrate — in a single call — for
+// the freshest row at every live rendezvous node, charges each reply its
+// hop distance back to the client, and reduces to the freshest entry per
+// request (ties keep the earlier node of the query set, on every
+// substrate). from, when non-nil, receives the winning node per request.
+func (c *coordinator) flood(fl *flood, reqs []LocateReq, res []LocateRes, from []graph.NodeID, replica int) {
+	f := c.family(replica)
+	fl.reqs, fl.scope, fl.keys = reqs, f.scope, fl.keys[:0]
+	var bulk int64
+	for i := range reqs {
+		res[i] = LocateRes{}
+		targets, cost, err := c.querySet(f, "locate", reqs[i].Client, reqs[i].Port, replica)
+		if err != nil {
+			res[i].Err = err
+			continue
+		}
+		bulk += cost
+		fl.keys = c.appendLive(fl.keys, int32(i), targets)
+	}
+	fl.ans = slices.Grow(fl.ans[:0], len(fl.keys))[:len(fl.keys)]
+	clear(fl.ans)
+	fl.found = slices.Grow(fl.found[:0], len(reqs))[:len(reqs)]
+	clear(fl.found)
+	if len(fl.keys) > 0 {
+		c.sub.readFreshest(fl)
+	}
+	for i, k := range fl.keys {
+		a := &fl.ans[i]
+		if !a.ok {
+			continue // misses are silent, as in §1.5
+		}
+		bulk += int64(c.routing.Dist(k.node, reqs[k.req].Client))
+		if !fl.found[k.req] || a.e.Time > res[k.req].Entry.Time {
+			res[k.req].Entry, fl.found[k.req] = a.e, true
+			if from != nil {
+				from[k.req] = k.node
+			}
+		}
+	}
+	var dual int64
+	for i := range reqs {
+		switch {
+		case res[i].Err != nil:
+		case !fl.found[i]:
+			res[i].Err = fmt.Errorf("cluster: locate %q from %d: %w", reqs[i].Port, reqs[i].Client, core.ErrNotFound)
+		case f.tab != f.et:
+			dual++ // resolved by the retiring epoch's family
+		}
+	}
+	if dual > 0 {
+		c.dualLocates.Add(dual)
+	}
+	fl.reqs = nil
+	if bulk != 0 {
+		c.passes.Add(int(reqs[0].Client), bulk)
+	}
+}
+
+// batchFallthrough re-runs the not-found requests of a batch against
+// each remaining replica family in order, scattering the sub-batch
+// results back — the batched form of locateFallthrough.
+func batchFallthrough(reqs []LocateReq, res []LocateRes, replicas int, pass func([]LocateReq, []LocateRes, int)) {
+	var (
+		retryReqs []LocateReq
+		retryIdx  []int
+		retryRes  []LocateRes
+	)
+	for k := 1; k < replicas; k++ {
+		retryReqs, retryIdx = retryReqs[:0], retryIdx[:0]
+		for i := range res {
+			if res[i].Err != nil && errors.Is(res[i].Err, core.ErrNotFound) {
+				retryReqs = append(retryReqs, reqs[i])
+				retryIdx = append(retryIdx, i)
+			}
+		}
+		if len(retryReqs) == 0 {
+			return
+		}
+		if cap(retryRes) < len(retryReqs) {
+			retryRes = make([]LocateRes, len(retryReqs))
+		}
+		rr := retryRes[:len(retryReqs)]
+		pass(retryReqs, rr, k)
+		for j, i := range retryIdx {
+			res[i] = rr[j]
+		}
+	}
+}
+
+// Probe implements Transport: one direct request to the hinted address
+// and one reply back, 2×Dist(client, e.Addr) passes — against a full
+// query flood for a locate. The answer comes from the liveness record
+// the address's host keeps: hit iff the probed instance is live and
+// still resides at e.Addr. A crashed address — or a host that cannot be
+// reached — swallows the request (one-way charge only, fail-stop at the
+// endpoint, like every other crash interaction).
+func (c *coordinator) Probe(client graph.NodeID, e core.Entry) (core.Entry, error) {
+	if !c.g.Valid(client) {
+		return core.Entry{}, fmt.Errorf("cluster: probe from %d: %w", client, graph.ErrNodeRange)
+	}
+	if !c.g.Valid(e.Addr) {
+		return core.Entry{}, fmt.Errorf("cluster: probe at %d: %w", e.Addr, graph.ErrNodeRange)
+	}
+	if c.crashed[client].Load() {
+		return core.Entry{}, fmt.Errorf("cluster: probe from %d: %w", client, sim.ErrCrashed)
+	}
+	d := int64(c.routing.Dist(client, e.Addr))
+	ans := probeSilent
+	if !c.crashed[e.Addr].Load() {
+		ans = c.sub.probe(e.Port, e.Addr, e.ServerID)
+	}
+	switch ans {
+	case probeSilent:
+		c.passes.Add(int(client), d) // the request was swallowed; no answer came back
+		return core.Entry{}, fmt.Errorf("cluster: probe %q at %d: %w", e.Port, e.Addr, sim.ErrCrashed)
+	case probeHit:
+		c.passes.Add(int(client), 2*d)
+		return core.Entry{Port: e.Port, Addr: e.Addr, ServerID: e.ServerID, Time: e.Time, Active: true}, nil
+	}
+	c.passes.Add(int(client), 2*d) // request + negative reply
+	return core.Entry{}, fmt.Errorf("cluster: probe %q at %d: %w", e.Port, e.Addr, core.ErrNotFound)
+}
+
+// LocateAll implements Transport, falling through the replica families
+// like Locate when no rendezvous node of a family answers.
+func (c *coordinator) LocateAll(client graph.NodeID, port core.Port) ([]core.Entry, error) {
+	return locateAllFallthrough(c.Replicas(), func(k int) ([]core.Entry, error) {
+		return c.locateAllReplica(client, port, k)
+	})
+}
+
+// locateAllReplica is one locate-all flood over replica k's query set:
+// the flood cost plus each answering node's reply distance per entry it
+// returns, reduced to the freshest entry per server instance.
+func (c *coordinator) locateAllReplica(client graph.NodeID, port core.Port, replica int) ([]core.Entry, error) {
+	f := c.family(replica)
+	targets, cost, err := c.querySet(f, "locate-all", client, port, replica)
+	if err != nil {
+		return nil, err
+	}
+	fl := c.floods.Get().(*flood)
+	fl.oneReq[0] = LocateReq{Client: client, Port: port}
+	fl.reqs, fl.scope, fl.all = fl.oneReq[:], f.scope, fl.all[:0]
+	fl.keys = c.appendLive(fl.keys[:0], 0, targets)
+	c.sub.readAll(fl)
+	freshest := make(map[uint64]core.Entry, 4)
+	for _, ke := range fl.all {
+		cost += int64(c.routing.Dist(fl.keys[ke.key].node, client))
+		if cur, ok := freshest[ke.e.ServerID]; !ok || ke.e.Time > cur.Time {
+			freshest[ke.e.ServerID] = ke.e
+		}
+	}
+	fl.reqs = nil
+	c.floods.Put(fl)
+	c.passes.Add(int(client), cost)
+	var out []core.Entry
+	for _, e := range freshest {
+		if e.Active {
+			out = append(out, e)
+		}
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("cluster: locate-all %q from %d: %w", port, client, core.ErrNotFound)
+	}
+	return out, nil
+}
+
+// SetHotPorts implements HotReclassifier on a weighted transport: the
+// listed ports are promoted to the post-heavy hot split and all others
+// demoted to the base strategy. Newly hot ports have their live servers
+// reposted under the union sets *before* the classification is
+// published, so a hot query never races ahead of the postings it needs;
+// demoted ports are safe immediately because union ⊇ base. The repost
+// traffic is charged like any other posting.
+func (c *coordinator) SetHotPorts(ports []core.Port) error {
+	if c.hot.weighted == nil {
+		return fmt.Errorf("cluster: transport %q has no weighted strategy", c.Name())
+	}
+	newHot := make(map[core.Port]bool, len(ports))
+	for _, p := range ports {
+		newHot[p] = true
+	}
+	c.lifeMu.RLock()
+	defer c.lifeMu.RUnlock()
+	c.regMu.Lock()
+	defer c.regMu.Unlock()
+	var errs []error
+	for p := range newHot {
+		if c.hot.isHot(p) {
+			continue // already hot; servers already post union
+		}
+		for _, srv := range c.byPort[p] {
+			_, err := c.repostLocked(srv, noNode, func(node graph.NodeID) []graph.NodeID {
+				srv.postedHot.Store(true)
+				targets, _ := c.postSets(srv, node)
+				return targets
+			})
+			if err != nil {
+				// A crashed origin cannot repost; its stale base-set
+				// postings stay visible to base queries only, exactly as
+				// if the port had stayed cold for that server.
+				errs = append(errs, err)
+			}
+		}
+	}
+	c.hot.publish(&newHot)
+	return errors.Join(errs...)
+}
+
+// Elastic implements ElasticTransport.
+func (c *coordinator) Elastic() bool { return c.elastic.Load() != nil }
+
+// Epoch implements ElasticTransport: the serving epoch's sequence
+// number (0 when elastic membership is off).
+func (c *coordinator) Epoch() uint64 {
+	if et := c.elastic.Load(); et != nil {
+		return et.ep.Seq()
+	}
+	return 0
+}
+
+// Resizing implements ElasticTransport.
+func (c *coordinator) Resizing() bool {
+	et := c.elastic.Load()
+	return et != nil && et.prev != nil
+}
+
+// MigratedPosts implements ElasticTransport.
+func (c *coordinator) MigratedPosts() int64 { return c.migrated.Load() }
+
+// DualEpochLocates implements ElasticTransport.
+func (c *coordinator) DualEpochLocates() int64 { return c.dualLocates.Load() }
+
+// Resize implements ElasticTransport: it installs next as the serving
+// epoch, widens the posting tables to both epochs' union, and re-posts
+// every live server's entry to exactly the rendezvous nodes the
+// minimal-movement remap added — each delta charged its multicast-tree
+// cost, the honest price of the migration. Hint generations are bumped
+// only for the ports whose postings moved. The registration lock is
+// held across the server snapshot and the table publish, so a racing
+// Register either lands in the snapshot (and is migrated) or posts
+// under the new tables.
+func (c *coordinator) Resize(next *strategy.Epoch) (int, error) {
+	if c.elastic.Load() == nil {
+		return 0, ErrNotElastic
+	}
+	c.lifeMu.RLock()
+	defer c.lifeMu.RUnlock()
+	c.resizeMu.Lock()
+	defer c.resizeMu.Unlock()
+	cur := c.elastic.Load()
+	if cur.prev != nil {
+		return 0, fmt.Errorf("cluster: resize to epoch %d: migration from epoch %d still draining", next.Seq(), cur.prev.ep.Seq())
+	}
+	if err := validateNextEpoch(cur.ep, next, c.g.N()); err != nil {
+		return 0, err
+	}
+	nt, err := newEpochTables(c.g, c.routing, next, cur)
+	if err != nil {
+		return 0, err
+	}
+	c.regMu.Lock()
+	live := c.liveServersLocked()
+	for _, ls := range live {
+		if !next.Contains(ls.node) {
+			c.regMu.Unlock()
+			return 0, errServerOutsideEpoch(ls.srv.port, ls.node, next)
+		}
+	}
+	c.elastic.Store(nt)
+	c.regMu.Unlock()
+
+	moved := 0
+	movedPorts := make(map[core.Port]bool)
+	for _, ls := range live {
+		n, _ := c.repostLocked(ls.srv, noNode, nt.rm.Added) // a crashed origin cannot migrate its postings
+		if n > 0 {
+			moved += n
+			movedPorts[ls.srv.port] = true
+		}
+	}
+	for port := range movedPorts {
+		c.gens.bump(port)
+	}
+	c.migrated.Add(int64(moved))
+	return moved, nil
+}
+
+// FinishResize implements ElasticTransport: the dual-epoch phase ends —
+// new locates stop falling through to the old epoch — and every live
+// server's postings at old-epoch-only rendezvous nodes expire in place,
+// a local garbage collection that costs no message passes.
+func (c *coordinator) FinishResize() error {
+	if c.elastic.Load() == nil {
+		return ErrNotElastic
+	}
+	c.lifeMu.RLock()
+	defer c.lifeMu.RUnlock()
+	c.resizeMu.Lock()
+	defer c.resizeMu.Unlock()
+	cur := c.elastic.Load()
+	if cur.prev == nil {
+		return fmt.Errorf("cluster: no resize in progress")
+	}
+	c.regMu.Lock()
+	c.elastic.Store(cur.retired())
+	c.regMu.Unlock()
+	var rows []rowID
+	for _, ls := range c.liveServers() {
+		for _, v := range cur.rm.Removed(ls.node) {
+			rows = append(rows, rowID{node: v, port: ls.srv.port, id: ls.srv.id})
+		}
+	}
+	c.sub.expire(rows)
+	return nil
+}
+
+// repairRange rebuilds the lost rows of node range [lo, hi) from the
+// registration table: liveness records for servers homed in the range,
+// then a fresh posting multicast for every live server whose posting
+// set reaches into it, charged like any other posting (the paper's §5
+// "services regularly poll their rendezvous nodes" maintenance). It
+// serves a substrate whose process for the range restarted empty, or
+// died while donating the range to a rescale. Every hint generation is
+// bumped afterwards so cached addresses re-resolve against the repaired
+// rows. The caller holds lifeMu.
+func (c *coordinator) repairRange(lo, hi int) {
+	in := func(v graph.NodeID) bool { return int(v) >= lo && int(v) < hi }
+	for _, ls := range c.liveServers() {
+		srv := ls.srv
+		_, _ = c.repostLocked(srv, noNode, func(node graph.NodeID) []graph.NodeID {
+			if in(node) && !c.crashed[node].Load() {
+				_ = c.sub.register(srv.id, srv.port, node, noNode)
+			}
+			// One set-table read serves both the in-range check and the
+			// re-post: re-resolving the posting set for the post could
+			// observe a newer epoch than the one checked here if a Resize
+			// (also under the shared lifeMu fence) installs its tables
+			// between the two loads, re-posting a mid-migration server to
+			// the wrong epoch's rendezvous nodes at the wrong charge.
+			targets, _ := c.postSets(srv, node)
+			if slices.ContainsFunc(targets, in) {
+				return targets
+			}
+			return nil
+		})
+	}
+	c.gens.bumpAll()
+}
+
+// repairRecovered is the wire substrate's repair-loop callback: the
+// process owning [lo, hi) answers again after an observed death, empty.
+func (c *coordinator) repairRecovered(lo, hi int) {
+	// Fence the repair's re-posts like any lifecycle write so they
+	// cannot vanish into a mid-rescale snapshot.
+	c.lifeMu.RLock()
+	c.repairRange(lo, hi)
+	c.lifeMu.RUnlock()
+	c.events.emit(Event{Type: EvProcUp, Lo: lo, Hi: hi})
+}
+
+// procDown is the wire substrate's health callback: the process owning
+// [lo, hi) failed a call after a healthy period. It may have hosted
+// servers of any port, so every hint generation is bumped and cached
+// addresses re-resolve by flooding instead of probing a black hole.
+func (c *coordinator) procDown(lo, hi int) {
+	c.gens.bumpAll()
+	c.events.emit(Event{Type: EvProcDown, Lo: lo, Hi: hi})
+}
+
+// Crash implements Transport: the node stops accepting postings and
+// answering queries, and its volatile cache is lost. Every hint
+// generation is bumped — the crashed node may have hosted any port.
+func (c *coordinator) Crash(node graph.NodeID) error {
+	if !c.g.Valid(node) {
+		return fmt.Errorf("cluster: crash %d: %w", node, graph.ErrNodeRange)
+	}
+	c.crashed[node].Store(true)
+	c.sub.crash(node)
+	c.gens.bumpAll()
+	c.events.emit(Event{Type: EvCrash, Node: node})
+	return nil
+}
+
+// Restore implements Transport.
+func (c *coordinator) Restore(node graph.NodeID) error {
+	if !c.g.Valid(node) {
+		return fmt.Errorf("cluster: restore %d: %w", node, graph.ErrNodeRange)
+	}
+	c.crashed[node].Store(false)
+	c.sub.restore(node)
+	c.events.emit(Event{Type: EvRestore, Node: node})
+	return nil
+}
+
+// SetEventSink implements EventSource: explicit crash/restore marks are
+// pushed as EvCrash/EvRestore, and a wire substrate's health tracking
+// raises EvProcDown on the first failed call against a node process
+// (the kill -9 signal) and EvProcUp when its range has been rebuilt.
+func (c *coordinator) SetEventSink(fn EventSink) { c.events.set(fn) }
+
+// Passes implements Transport: the routing-derived pass total; what a
+// substrate does to move rows is a vehicle and is never counted.
+func (c *coordinator) Passes() int64 { return c.passes.Load() }
+
+// ResetPasses implements Transport.
+func (c *coordinator) ResetPasses() { c.passes.Reset() }
+
+// Close implements Transport: it stops reconciliation and the substrate.
+func (c *coordinator) Close() error {
+	c.recon.halt()
+	c.sub.close()
+	return nil
+}
+
+// Port implements ServerRef.
+func (s *server) Port() core.Port { return s.port }
+
+// Node implements ServerRef.
+func (s *server) Node() graph.NodeID {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.node
+}
+
+// Repost implements ServerRef: a fresh posting multicast, charged at
+// the posting-set cost.
+func (s *server) Repost() error {
+	s.c.lifeMu.RLock()
+	defer s.c.lifeMu.RUnlock()
+	s.mu.Lock()
+	node, gone := s.node, s.gone
+	s.mu.Unlock()
+	if gone {
+		return core.ErrServerGone
+	}
+	return s.c.post(s, node, true)
+}
+
+// Migrate implements ServerRef: the liveness record moves first (so
+// probes at the old address answer negatively), then tombstone at the
+// old posting set (the stale address must lose) and a fresher posting
+// at the new one. As in the engine, a crashed old host cannot
+// tombstone, but the fresh posting's newer timestamp still wins
+// wherever both are seen. The port's hint generation is bumped so
+// cached addresses re-resolve.
+func (s *server) Migrate(to graph.NodeID) error {
+	c := s.c
+	if err := c.checkHome("migrate to", s.port, to); err != nil {
+		return err
+	}
+	c.lifeMu.RLock()
+	defer c.lifeMu.RUnlock()
+	s.mu.Lock()
+	if s.gone {
+		s.mu.Unlock()
+		return core.ErrServerGone
+	}
+	from := s.node
+	s.node = to
+	s.mu.Unlock()
+	regErr := c.sub.register(s.id, s.port, to, from)
+	defer c.gens.bump(s.port)
+	tombErr := c.post(s, from, false)
+	if err := c.post(s, to, true); err != nil {
+		return errors.Join(regErr, tombErr, err)
+	}
+	return regErr
+}
+
+// Deregister implements ServerRef. The registration and its liveness
+// record go before the tombstone posts, so a probe can never confirm a
+// deregistered instance.
+func (s *server) Deregister() error {
+	c := s.c
+	c.lifeMu.RLock()
+	defer c.lifeMu.RUnlock()
+	s.mu.Lock()
+	if s.gone {
+		s.mu.Unlock()
+		return core.ErrServerGone
+	}
+	s.gone = true
+	node := s.node
+	s.mu.Unlock()
+	c.dropServer(s)
+	c.sub.deregister(s.id, node)
+	c.gens.bump(s.port)
+	return c.post(s, node, false)
+}

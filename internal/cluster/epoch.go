@@ -181,19 +181,6 @@ func (et *epochTables) resolve(k int) (tab *epochTables, fam int, ok bool) {
 	return nil, 0, false
 }
 
-// queryFor returns dual family k's flood targets and multicast cost for
-// client, plus the resolved epoch tables (for family scoping) and
-// whether k resolved at all. Empty targets mean the client is not a
-// member of that family's epoch: the flood is vacuous and costs
-// nothing.
-func (et *epochTables) queryFor(client graph.NodeID, k int) (targets []graph.NodeID, cost int64, tab *epochTables, fam int, ok bool) {
-	tab, fam, ok = et.resolve(k)
-	if !ok {
-		return nil, 0, nil, 0, false
-	}
-	return tab.query[fam][client], tab.queryCost[fam][client], tab, fam, true
-}
-
 // postFor returns the posting targets and multicast cost for a server
 // at node under the current phase: the serving epoch's sets normally,
 // widened to both epochs' union during a migration.

@@ -12,8 +12,8 @@ import (
 // merely invalidates an unrelated port's hints early, which is safe.
 const genShards = 256
 
-// genIndex is the sharded hint-invalidation index both transports
-// maintain: one generation counter per port-hash shard. Registrations,
+// genIndex is the sharded hint-invalidation index every transport
+// maintains: one generation counter per port-hash shard. Registrations,
 // migrations and deregistrations bump the owning shard; crashes bump
 // every shard (a crashed node may have hosted servers of any port).
 // Cached address hints record the generation they were resolved under
@@ -29,10 +29,7 @@ func newGenIndex() *genIndex {
 }
 
 func (g *genIndex) idx(port core.Port) int {
-	var h maphash.Hash
-	h.SetSeed(g.seed)
-	h.WriteString(string(port))
-	return int(h.Sum64() % genShards)
+	return int(maphash.String(g.seed, string(port)) % genShards)
 }
 
 // gen returns port's current generation.

@@ -1,8 +1,9 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
+	"maps"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -10,117 +11,23 @@ import (
 	"matchmake/internal/core"
 	"matchmake/internal/graph"
 	"matchmake/internal/rendezvous"
-	"matchmake/internal/sim"
-	"matchmake/internal/stats"
 	"matchmake/internal/strategy"
 )
 
-// MemTransport is the in-process fast path: postings and queries apply
-// directly to a sharded Store, with no per-message goroutines, channels
-// or timeouts. It still charges the exact message-pass cost the
-// simulator would on a healthy network — the posting and query sets of
-// every node are fixed by the strategy, so their spanning-tree multicast
-// costs are precomputed once from the routing tables, and each
-// rendezvous reply is charged its hop distance back to the client.
-//
-// Beyond single operations it implements the hot-path acceleration
-// seam: Probe (direct hint validation at 2×Dist), a sharded generation
-// index for hint invalidation, LocateBatch/PostBatch (shard-grouped
-// store access with bulk pass accounting), and an optional
-// frequency-weighted mode (strategy.Weighted) in which observed-hot
-// ports query a small post-heavy split while their servers post to the
-// union of the base and hot posting sets.
-//
-// Crashes are modelled at the endpoints (a crashed origin cannot post
-// or query — sim.ErrCrashed, as on the simulator — and a crashed
-// rendezvous node drops postings and does not answer); unlike the
-// simulator, in-flight traffic is not charged partial paths through
-// crashed interior nodes. That partial-path charging is the one place
-// the two transports' accounting can diverge — see the package comment
-// and equivalence_test.go.
+// MemTransport is the in-process fast path: the coordinator over a
+// sharded Store, with no per-message goroutines, channels or timeouts.
+// It still charges the exact message-pass cost the simulator would on a
+// healthy network — see coordinator; this file only holds the rows.
 type MemTransport struct {
-	g       *graph.Graph
-	routing *graph.Routing
-	strat   rendezvous.Strategy
-	store   *Store
-
-	// hot holds the precomputed P/Q set/cost tables, the weighted-mode
-	// strategy (nil when disabled) and the published hot-port
-	// classification — the set-selection logic shared with NetTransport
-	// (see setcosts.go).
-	hot hotTables
-
-	// rp is the replicated strategy when the transport runs r-fold
-	// replicated rendezvous with r > 1 (nil otherwise): reads are then
-	// family-scoped through rp.InPost, so the replica families stay
-	// independent channels even where their node sets overlap.
-	rp *strategy.Replicated
-
-	// The live registration table probes answer from. byID is a
-	// copy-on-write snapshot (rebuilt under regMu on every add/drop, a
-	// rare heavyweight event) so the probe hot path is one atomic load
-	// and a map read — no lock, no allocation, no reader contention.
-	// byPort is walked by SetHotPorts to repost newly hot ports; regMu
-	// also linearizes registration class decisions against
-	// reclassification.
-	regMu    sync.Mutex
-	byID     atomic.Pointer[map[uint64]*memServer]
-	byPort   map[core.Port]map[uint64]*memServer
-	gens     *genIndex
-	crashed  []atomic.Bool
-	passes   stats.StripedCounter
-	serverID atomic.Uint64
-	events   eventSink
-
-	// elastic is the epoch-versioned membership state (nil on
-	// transports built without it — see NewElasticMemTransport): the
-	// serving epoch's set/cost tables, chained to the retiring epoch's
-	// during a dual-epoch migration. When non-nil it replaces the
-	// static hot/rp tables for every set-selection decision; resizeMu
-	// serializes the Resize/FinishResize state machine.
-	elastic     atomic.Pointer[epochTables]
-	resizeMu    sync.Mutex
-	migrated    atomic.Int64
-	dualLocates atomic.Int64
-
-	// recon holds the anti-entropy counters and the background
-	// reconciliation loop (see antientropy.go / antientropy_mem.go).
-	recon reconciler
-
-	// forge is the armed Byzantine lie table (nil when disarmed): locate
-	// floods consult it per answering node, so an armed node forges or
-	// suppresses its answer instead of reading its (healthy) store. See
-	// byzantine.go / byzantine_mem.go.
-	forge atomic.Pointer[forgeTable]
-
-	scratch sync.Pool // *memScratch, reused by LocateBatch/PostBatch
-}
-
-var _ Transport = (*MemTransport)(nil)
-var _ HotReclassifier = (*MemTransport)(nil)
-var _ ReplicatedTransport = (*MemTransport)(nil)
-var _ ElasticTransport = (*MemTransport)(nil)
-
-// memScratch is the reusable workspace of a batched operation: keys
-// grouped by store shard plus per-request found flags. Pooled so a
-// steady stream of batches allocates nothing.
-type memScratch struct {
-	keys  []memBatchKey
-	found []bool
-}
-
-// memBatchKey locates one (rendezvous node, request) store access.
-type memBatchKey struct {
-	shard uint32
-	req   int32
-	node  graph.NodeID
+	*coordinator
+	mem *memSubstrate
 }
 
 // NewMemTransport builds the fast path over g with strategy strat. The
 // strategy's universe must match the graph size; shards sizes the
 // backing store (0 picks a default).
 func NewMemTransport(g *graph.Graph, strat rendezvous.Strategy, shards int) (*MemTransport, error) {
-	return newMemTransport(g, strat, nil, nil, shards)
+	return newMemTransport(g, strat, nil, nil, nil, shards)
 }
 
 // NewReplicatedMemTransport builds the fast path in r-fold replicated
@@ -134,7 +41,19 @@ func NewReplicatedMemTransport(g *graph.Graph, rp *strategy.Replicated, shards i
 	if rp == nil {
 		return nil, fmt.Errorf("cluster: replicated transport needs a strategy.Replicated")
 	}
-	return newMemTransport(g, rp.Base(), nil, rp, shards)
+	return newMemTransport(g, rp.Base(), nil, rp, nil, shards)
+}
+
+// NewWeightedMemTransport builds the fast path in frequency-weighted
+// mode: cold ports run w.Base(), and ports promoted by SetHotPorts run
+// the post-heavy split w.Hot() on the query side while their servers
+// post to the union sets — the (M3′) trade executed live. The serving
+// layer drives promotion from its port-popularity counters.
+func NewWeightedMemTransport(g *graph.Graph, w *strategy.Weighted, shards int) (*MemTransport, error) {
+	if w == nil {
+		return nil, fmt.Errorf("cluster: weighted transport needs a strategy.Weighted")
+	}
+	return newMemTransport(g, w.Base(), w, nil, nil, shards)
 }
 
 // NewElasticMemTransport builds the fast path with epoch-versioned
@@ -148,1123 +67,285 @@ func NewElasticMemTransport(g *graph.Graph, initial *strategy.Epoch, shards int)
 	if initial == nil {
 		return nil, fmt.Errorf("cluster: elastic transport needs an initial epoch")
 	}
-	n := g.N()
-	routing, err := graph.NewRouting(g)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: %w", err)
-	}
-	et, err := newEpochTables(g, routing, initial, nil)
-	if err != nil {
-		return nil, err
-	}
-	t := &MemTransport{
-		g:       g,
-		routing: routing,
-		strat:   epochStrategyView(initial, n),
-		store:   NewStore(n, shards),
-		byPort:  make(map[core.Port]map[uint64]*memServer),
-		gens:    newGenIndex(),
-		crashed: make([]atomic.Bool, n),
-	}
-	empty := make(map[uint64]*memServer)
-	t.byID.Store(&empty)
-	t.scratch.New = func() any { return &memScratch{} }
-	t.elastic.Store(et)
-	return t, nil
+	return newMemTransport(g, nil, nil, nil, initial, shards)
 }
 
-// epochStrategyView adapts an epoch's family-0 geometry to the
-// rendezvous.Strategy interface over the full physical universe, for
-// Strategy() reporting on elastic transports.
-func epochStrategyView(ep *strategy.Epoch, universe int) rendezvous.Strategy {
-	return rendezvous.Funcs{
-		StrategyName: ep.Name(),
-		Universe:     universe,
-		PostFunc:     ep.PostSet,
-		QueryFunc:    func(j graph.NodeID) []graph.NodeID { return ep.QuerySet(j, 0) },
-	}
-}
-
-// NewWeightedMemTransport builds the fast path in frequency-weighted
-// mode: cold ports run w.Base(), and ports promoted by SetHotPorts run
-// the post-heavy split w.Hot() on the query side while their servers
-// post to the union sets — the (M3′) trade executed live. The serving
-// layer drives promotion from its port-popularity counters.
-func NewWeightedMemTransport(g *graph.Graph, w *strategy.Weighted, shards int) (*MemTransport, error) {
-	if w == nil {
-		return nil, fmt.Errorf("cluster: weighted transport needs a strategy.Weighted")
-	}
-	return newMemTransport(g, w.Base(), w, nil, shards)
-}
-
-func newMemTransport(g *graph.Graph, strat rendezvous.Strategy, w *strategy.Weighted, rp *strategy.Replicated, shards int) (*MemTransport, error) {
-	n := g.N()
-	if strat.N() != n {
-		return nil, fmt.Errorf("cluster: strategy universe %d != graph size %d", strat.N(), n)
-	}
-	routing, err := graph.NewRouting(g)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: %w", err)
-	}
-	strat = rendezvous.Precompute(strat)
-	sets, err := newStratSets(g, routing, strat, w, rp)
+func newMemTransport(g *graph.Graph, strat rendezvous.Strategy, w *strategy.Weighted, rp *strategy.Replicated, initial *strategy.Epoch, shards int) (*MemTransport, error) {
+	c, err := newCoordinator(g, strat, w, rp, initial)
 	if err != nil {
 		return nil, err
 	}
-	t := &MemTransport{
-		g:       g,
-		routing: routing,
-		strat:   strat,
-		store:   NewStore(n, shards),
-		hot:     hotTables{sets: sets, weighted: w},
-		byPort:  make(map[core.Port]map[uint64]*memServer),
-		gens:    newGenIndex(),
-		crashed: make([]atomic.Bool, n),
-	}
-	if rp != nil && rp.Replicas() > 1 {
-		t.rp = rp
-	}
-	empty := make(map[uint64]*memServer)
-	t.byID.Store(&empty)
-	t.scratch.New = func() any { return &memScratch{} }
-	return t, nil
+	m := newMemSubstrate(g.N(), shards)
+	c.sub = m
+	return &MemTransport{coordinator: c, mem: m}, nil
 }
-
-// Name implements Transport.
-func (t *MemTransport) Name() string {
-	if t.elastic.Load() != nil {
-		return "mem-elastic"
-	}
-	if t.hot.weighted != nil {
-		return "mem-weighted"
-	}
-	if r := t.hot.replicas(); r > 1 {
-		return fmt.Sprintf("mem-r%d", r)
-	}
-	return "mem"
-}
-
-// Replicas implements ReplicatedTransport: the replication factor of
-// the strategy in use (1 when unreplicated). On an elastic transport
-// mid-migration it is the dual-epoch family count — the serving
-// epoch's families plus the retiring epoch's appended after them — so
-// the ordinary fallthrough loop visits both epochs.
-func (t *MemTransport) Replicas() int {
-	if et := t.elastic.Load(); et != nil {
-		return et.replicas()
-	}
-	return t.hot.replicas()
-}
-
-// N implements Transport.
-func (t *MemTransport) N() int { return t.g.N() }
 
 // Store exposes the backing rendezvous cache (for tests and reports).
-func (t *MemTransport) Store() *Store { return t.store }
+func (t *MemTransport) Store() *Store { return t.mem.store }
 
-// Strategy returns the (precomputed) base strategy in use.
-func (t *MemTransport) Strategy() rendezvous.Strategy { return t.strat }
+// memSubstrate is the in-process substrate: rows in a sharded Store,
+// liveness records in a copy-on-write table, armed lies in an atomically
+// swapped table consulted on every read.
+type memSubstrate struct {
+	store *Store
 
-// Gen implements Transport.
-func (t *MemTransport) Gen(port core.Port) uint64 { return t.gens.gen(port) }
+	// live is the table probes answer from: a copy-on-write snapshot
+	// (rebuilt under liveMu when an instance appears or disappears, a
+	// rare heavyweight event) whose records republish their home
+	// atomically, so the probe hot path is one atomic load and a map
+	// read — no lock, no allocation, no reader contention — and a
+	// migration costs one atomic store.
+	liveMu sync.Mutex
+	live   atomic.Pointer[map[uint64]*memLive]
 
-func (t *MemTransport) genSlot(port core.Port) *atomic.Uint64 { return t.gens.slot(port) }
+	// forge is the armed Byzantine lie table (nil when disarmed): an
+	// armed node forges or suppresses its answer instead of reading its
+	// (healthy) rows.
+	forge atomic.Pointer[forgeTable]
 
-// isHot reports whether port currently runs the hot split.
-func (t *MemTransport) isHot(port core.Port) bool { return t.hot.isHot(port) }
-
-// canReclassify reports whether SetHotPorts can succeed — i.e. the
-// transport was built with a weighted strategy. The cluster checks it
-// before starting a reclassification loop, so HotPorts on a plain
-// transport fails loudly instead of ticking in vain.
-func (t *MemTransport) canReclassify() bool { return t.hot.weighted != nil }
-
-// HotPorts returns the currently published hot classification (for
-// tests and reports).
-func (t *MemTransport) HotPorts() []core.Port { return t.hot.hotPorts() }
-
-// querySets returns the query flood targets and multicast cost for a
-// locate of port from client under the current classification.
-func (t *MemTransport) querySets(client graph.NodeID, port core.Port) ([]graph.NodeID, int64) {
-	if et := t.elastic.Load(); et != nil {
-		targets, cost, _, _, _ := et.queryFor(client, 0)
-		return targets, cost
-	}
-	return t.hot.querySets(client, port)
+	scratch sync.Pool // *memScratch
 }
 
-// postSets returns the posting targets and multicast cost for srv
-// posting from node: the elastic epoch tables (widened to both epochs'
-// union during a migration) when elastic membership is on, else the
-// static tables with the shared sticky posted-under-union rule (see
-// hotTables.postSets).
-func (t *MemTransport) postSets(srv *memServer, node graph.NodeID) ([]graph.NodeID, int64) {
-	if et := t.elastic.Load(); et != nil {
-		return et.postFor(node)
-	}
-	return t.hot.postSets(&srv.postedHot, srv.port, node)
-}
-
-// memServer is a ServerRef on the fast path.
-type memServer struct {
-	t    *MemTransport
+// memLive is one instance's liveness record.
+type memLive struct {
 	port core.Port
-	id   uint64
-
-	// postedHot is set the first time the server posts under the union
-	// sets and never cleared; see postSets.
-	postedHot atomic.Bool
-
-	// state packs (gone << 32 | node) so the probe hot path reads the
-	// server's whereabouts with one atomic load; mu serializes writers,
-	// which refresh state before releasing it.
-	state atomic.Uint64
-
-	mu   sync.Mutex
-	node graph.NodeID
-	gone bool
+	node atomic.Int64
 }
 
-func newMemServer(t *MemTransport, port core.Port, node graph.NodeID) *memServer {
-	srv := &memServer{t: t, port: port, id: t.serverID.Add(1), node: node}
-	srv.state.Store(uint64(uint32(node)))
-	return srv
+// memScratch is the pooled workspace of a batched store access: the
+// batch's keys tagged with their store shard, sorted by it.
+type memScratch struct {
+	keys []memKey
 }
 
-// loadState returns (node, gone) without taking the server mutex.
-func (s *memServer) loadState() (graph.NodeID, bool) {
-	st := s.state.Load()
-	return graph.NodeID(int32(uint32(st))), st>>32 != 0
+// memKey locates one row access: the store shard its slot hashes to and
+// its position in the caller's key list.
+type memKey struct {
+	shard uint32
+	idx   int32
 }
 
-// storeState republishes state; the caller holds s.mu.
-func (s *memServer) storeState() {
-	st := uint64(uint32(s.node))
-	if s.gone {
-		st |= 1 << 32
-	}
-	s.state.Store(st)
+func newMemSubstrate(n, shards int) *memSubstrate {
+	m := &memSubstrate{store: NewStore(n, shards)}
+	empty := make(map[uint64]*memLive)
+	m.live.Store(&empty)
+	m.scratch.New = func() any { return &memScratch{} }
+	return m
 }
 
-// Register implements Transport. On an elastic transport the node must
-// be a member of the serving epoch.
-func (t *MemTransport) Register(port core.Port, node graph.NodeID) (ServerRef, error) {
-	if !t.g.Valid(node) {
-		return nil, fmt.Errorf("cluster: register at %d: %w", node, graph.ErrNodeRange)
+func (m *memSubstrate) kind() string { return "mem" }
+
+func (m *memSubstrate) close() {}
+
+// sortByShard orders a batch's keys by store shard, so the caller takes
+// each shard lock once per batch. Batches are small and mostly
+// pre-clustered, where insertion sort wins and stays allocation-free;
+// large ones (a PostBatch registering thousands of services) fall back
+// to the O(k log k) generic sort, which is also allocation-free.
+func sortByShard(ks []memKey) {
+	if len(ks) > 128 {
+		slices.SortFunc(ks, func(a, b memKey) int { return int(a.shard) - int(b.shard) })
+		return
 	}
-	if et := t.elastic.Load(); et != nil && !et.ep.Contains(node) {
-		return nil, errOutsideMembership(port, node, et.ep)
+	for i := 1; i < len(ks); i++ {
+		k := ks[i]
+		j := i - 1
+		for j >= 0 && ks[j].shard > k.shard {
+			ks[j+1] = ks[j]
+			j--
+		}
+		ks[j+1] = k
 	}
-	srv := newMemServer(t, port, node)
-	t.addRegistration(srv)
-	// Re-check membership now that the registration is published:
-	// addRegistration and Resize's snapshot+publish both hold regMu, so
-	// either this server made the snapshot (and Resize validated it) or
-	// the epoch loaded here is the post-resize one — a registration
-	// racing a shrink cannot slip outside the membership unvalidated.
-	if et := t.elastic.Load(); et != nil && !et.ep.Contains(node) {
-		t.dropRegistration(srv)
-		return nil, errOutsideMembership(port, node, et.ep)
-	}
-	if err := t.postEntry(srv, node, true); err != nil {
-		t.dropRegistration(srv)
-		return nil, err
-	}
-	// A fresh registration can change the freshest-entry winner for the
-	// port, so cached hints must re-resolve.
-	t.gens.bump(port)
-	return srv, nil
 }
 
-// addRegistration publishes srv in the live table. Under regMu the
-// class decision is linearized against SetHotPorts: either srv reads
-// the new classification here, or SetHotPorts finds srv in byPort and
-// reposts it.
-func (t *MemTransport) addRegistration(srv *memServer) {
-	t.regMu.Lock()
-	next := cloneByID(*t.byID.Load(), 1)
-	next[srv.id] = srv
-	t.byID.Store(&next)
-	m := t.byPort[srv.port]
-	if m == nil {
-		m = make(map[uint64]*memServer, 2)
-		t.byPort[srv.port] = m
+// shardRun returns the end of the maximal run of ks starting at lo that
+// shares one shard.
+func shardRun(ks []memKey, lo int) int {
+	hi := lo + 1
+	for hi < len(ks) && ks[hi].shard == ks[lo].shard {
+		hi++
 	}
-	m[srv.id] = srv
-	if t.hot.weighted != nil && t.isHot(srv.port) {
-		srv.postedHot.Store(true)
-	}
-	t.regMu.Unlock()
+	return hi
 }
 
-func (t *MemTransport) dropRegistration(srv *memServer) {
-	t.regMu.Lock()
-	next := cloneByID(*t.byID.Load(), 0)
-	delete(next, srv.id)
-	t.byID.Store(&next)
-	if m := t.byPort[srv.port]; m != nil {
-		delete(m, srv.id)
-		if len(m) == 0 {
-			delete(t.byPort, srv.port)
-		}
+func (m *memSubstrate) post(entries []core.Entry, rows []rowKey) {
+	sc := m.scratch.Get().(*memScratch)
+	ks := sc.keys[:0]
+	for i, r := range rows {
+		ks = append(ks, memKey{shard: m.store.shardIndex(storeKey{node: r.node, port: entries[r.req].Port}), idx: int32(i)})
 	}
-	t.regMu.Unlock()
-}
-
-func cloneByID(cur map[uint64]*memServer, extra int) map[uint64]*memServer {
-	next := make(map[uint64]*memServer, len(cur)+extra)
-	for k, v := range cur {
-		next[k] = v
-	}
-	return next
-}
-
-// PostBatch implements Transport: it validates every registration up
-// front, then applies all postings with each store shard locked once
-// and charges the summed multicast cost with one atomic add.
-func (t *MemTransport) PostBatch(regs []Registration) ([]ServerRef, error) {
-	et := t.elastic.Load()
-	for _, r := range regs {
-		if !t.g.Valid(r.Node) {
-			return nil, fmt.Errorf("cluster: register at %d: %w", r.Node, graph.ErrNodeRange)
-		}
-		if et != nil && !et.ep.Contains(r.Node) {
-			return nil, errOutsideMembership(r.Port, r.Node, et.ep)
-		}
-		if t.crashed[r.Node].Load() {
-			return nil, fmt.Errorf("cluster: post %q from %d: %w", r.Port, r.Node, sim.ErrCrashed)
-		}
-	}
-	refs := make([]ServerRef, len(regs))
-	servers := make([]*memServer, len(regs))
-	entries := make([]core.Entry, len(regs))
-	for i, r := range regs {
-		servers[i] = newMemServer(t, r.Port, r.Node)
-		t.addRegistration(servers[i])
-		refs[i] = servers[i]
-	}
-	// Re-check membership after publishing (see Register): a shrink
-	// Resize racing this batch either snapshotted these servers (and
-	// validated them) or its epoch is visible here.
-	if et := t.elastic.Load(); et != nil {
-		for _, r := range regs {
-			if !et.ep.Contains(r.Node) {
-				for _, srv := range servers {
-					t.dropRegistration(srv)
-				}
-				return nil, errOutsideMembership(r.Port, r.Node, et.ep)
-			}
-		}
-	}
-	sc := t.scratch.Get().(*memScratch)
-	sc.keys = sc.keys[:0]
-	var bulk int64
-	for i, r := range regs {
-		targets, cost := t.postSets(servers[i], r.Node)
-		bulk += cost
-		entries[i] = core.Entry{
-			Port:     r.Port,
-			Addr:     r.Node,
-			ServerID: servers[i].id,
-			Time:     t.store.NextTime(),
-			Active:   true,
-		}
-		for _, v := range targets {
-			if t.crashed[v].Load() {
-				continue
-			}
-			k := storeKey{node: v, port: r.Port}
-			sc.keys = append(sc.keys, memBatchKey{shard: t.store.shardIndex(k), req: int32(i), node: v})
-		}
-	}
-	sortBatchKeys(sc.keys)
-	for lo := 0; lo < len(sc.keys); {
-		hi := lo
-		for hi < len(sc.keys) && sc.keys[hi].shard == sc.keys[lo].shard {
-			hi++
-		}
-		sh := &t.store.shards[sc.keys[lo].shard]
+	sortByShard(ks)
+	for lo, hi := 0, 0; lo < len(ks); lo = hi {
+		hi = shardRun(ks, lo)
+		sh := &m.store.shards[ks[lo].shard]
 		sh.mu.Lock()
-		for _, k := range sc.keys[lo:hi] {
-			sh.slotCreateLocked(storeKey{node: k.node, port: regs[k.req].Port}).merge(entries[k.req])
+		for _, mk := range ks[lo:hi] {
+			r := rows[mk.idx]
+			sh.slotCreateLocked(storeKey{node: r.node, port: entries[r.req].Port}).merge(entries[r.req])
 		}
 		sh.mu.Unlock()
-		lo = hi
 	}
-	t.scratch.Put(sc)
-	t.passes.Add(0, bulk)
-	for _, r := range regs {
-		t.gens.bump(r.Port)
-	}
-	return refs, nil
+	sc.keys = ks
+	m.scratch.Put(sc)
 }
 
-// postEntry delivers a posting (or tombstone) for srv from-and-about
-// node to every live node of its posting set, charging the
-// multicast-tree cost. A crashed origin cannot post, matching the
-// simulator's multicast.
-func (t *MemTransport) postEntry(srv *memServer, node graph.NodeID, active bool) error {
-	if t.crashed[node].Load() {
-		return fmt.Errorf("cluster: post %q from %d: %w", srv.port, node, sim.ErrCrashed)
+func (m *memSubstrate) readFreshest(fl *flood) {
+	ft := m.lies()
+	sc := m.scratch.Get().(*memScratch)
+	ks := sc.keys[:0]
+	for i, k := range fl.keys {
+		ks = append(ks, memKey{shard: m.store.shardIndex(storeKey{node: k.node, port: fl.reqs[k.req].Port}), idx: int32(i)})
 	}
-	targets, cost := t.postSets(srv, node)
-	e := core.Entry{
-		Port:     srv.port,
-		Addr:     node,
-		ServerID: srv.id,
-		Time:     t.store.NextTime(),
-		Active:   active,
-	}
-	t.passes.Add(int(node), cost)
-	for _, v := range targets {
-		if t.crashed[v].Load() {
-			continue
-		}
-		t.store.Put(v, e)
-	}
-	return nil
-}
-
-// Locate implements Transport: it charges the query multicast flood,
-// reads every live rendezvous node's cache, charges each hit's reply
-// path, and returns the freshest active entry — the same winner the
-// engine's collect-window logic converges to. On a replicated transport
-// a rendezvous miss falls through the replica families in order, each
-// attempt charged its own flood.
-func (t *MemTransport) Locate(client graph.NodeID, port core.Port) (core.Entry, error) {
-	e, _, err := locateFallthrough(t, client, port, 0)
-	return e, err
-}
-
-// LocateReplica implements ReplicatedTransport: one query flood over
-// replica k's query set only. On an elastic transport the replica index
-// spans both live epochs' families (the retiring epoch's appended after
-// the serving one's), so the ordinary fallthrough is also the
-// dual-epoch locate.
-func (t *MemTransport) LocateReplica(client graph.NodeID, port core.Port, replica int) (core.Entry, error) {
-	e, _, err := t.locateReplicaFrom(client, port, replica)
-	return e, err
-}
-
-// locateReplicaFrom is LocateReplica plus answer attribution: it also
-// returns the rendezvous node whose entry won the freshest reduction,
-// which the cluster's voting mode needs to know whom to quarantine.
-func (t *MemTransport) locateReplicaFrom(client graph.NodeID, port core.Port, replica int) (core.Entry, graph.NodeID, error) {
-	if !t.g.Valid(client) {
-		return core.Entry{}, 0, fmt.Errorf("cluster: locate from %d: %w", client, graph.ErrNodeRange)
-	}
-	if t.crashed[client].Load() {
-		return core.Entry{}, 0, fmt.Errorf("cluster: locate from %d: %w", client, sim.ErrCrashed)
-	}
-	var (
-		targets []graph.NodeID
-		cost    int64
-		at      graph.NodeID
-		keep    func(core.Entry) bool
-		dual    bool
-	)
-	if et := t.elastic.Load(); et != nil {
-		etargets, ecost, tab, fam, ok := et.queryFor(client, replica)
-		if !ok {
-			// FinishResize raced an in-flight fallthrough: the family's
-			// epoch is retired — a silent miss, not a hard failure.
-			return core.Entry{}, 0, errRetiredReplica(port, client, replica)
-		}
-		if len(etargets) == 0 {
-			// The client is outside this family's epoch: nothing to
-			// flood, nothing to charge.
-			return core.Entry{}, 0, errMissingEpochFlood(port, client)
-		}
-		targets, cost, dual = etargets, ecost, tab != et
-		keep = func(e core.Entry) bool { return tab.ep.InPost(fam, e.Addr, at) }
-	} else {
-		if replica < 0 || replica >= t.Replicas() {
-			return core.Entry{}, 0, fmt.Errorf("cluster: replica %d out of [0,%d)", replica, t.Replicas())
-		}
-		targets, cost = t.hot.replicaQuerySets(client, port, replica)
-		if t.rp != nil {
-			// Family-scope the read: node at only answers a family-k query
-			// with postings it holds as a member of Pₖ(origin).
-			keep = func(e core.Entry) bool { return t.rp.InPost(replica, e.Addr, at) }
-		}
-	}
-	t.passes.Add(int(client), cost)
-	ft := t.forgeLoad()
-	var (
-		best  core.Entry
-		from  graph.NodeID
-		found bool
-	)
-	for _, v := range targets {
-		if t.crashed[v].Load() {
-			continue
-		}
-		at = v
-		var (
-			e  core.Entry
-			ok bool
-		)
-		if rec, armed := ft.lieFor(v, port); armed {
-			// An armed node never consults its store: it forges or
-			// suppresses. The forged entry faces the same family filter an
-			// honest answer would.
-			if rec.silent {
-				continue
-			}
-			e, ok = rec.e, keep == nil || keep(rec.e)
-		} else {
-			e, ok = t.store.GetWhere(v, port, keep)
-		}
-		if !ok {
-			continue // misses are silent, as in §1.5
-		}
-		t.passes.Add(int(client), int64(t.routing.Dist(v, client)))
-		if !found || e.Time > best.Time {
-			best, from, found = e, v, true
-		}
-	}
-	if !found {
-		return core.Entry{}, 0, fmt.Errorf("cluster: locate %q from %d: %w", port, client, core.ErrNotFound)
-	}
-	if dual {
-		t.dualLocates.Add(1)
-	}
-	return best, from, nil
-}
-
-// LocateBatch implements Transport: the batch's store accesses are
-// grouped by shard so each shard lock is taken once, and the whole
-// batch's passes land in one atomic add. Answers and total cost are
-// identical to the equivalent sequence of Locate calls — including, on
-// a replicated transport, the per-request replica fallthrough: misses
-// of one pass are re-floods over the next family as a sub-batch.
-func (t *MemTransport) LocateBatch(reqs []LocateReq, res []LocateRes) {
-	n := len(reqs)
-	if len(res) < n {
-		n = len(res)
-	}
-	t.locateBatchReplica(reqs[:n], res[:n], 0)
-	if r := t.Replicas(); r > 1 {
-		batchFallthrough(reqs[:n], res[:n], r, t.locateBatchReplica)
-	}
-}
-
-// batchFallthrough re-runs the not-found requests of a batch against
-// each remaining replica family in order, scattering the sub-batch
-// results back — the batched form of locateFallthrough, shared by the
-// mem and net transports.
-func batchFallthrough(reqs []LocateReq, res []LocateRes, replicas int, pass func([]LocateReq, []LocateRes, int)) {
-	var (
-		retryReqs []LocateReq
-		retryIdx  []int
-		retryRes  []LocateRes
-	)
-	for k := 1; k < replicas; k++ {
-		retryReqs, retryIdx = retryReqs[:0], retryIdx[:0]
-		for i := range res {
-			if res[i].Err != nil && errors.Is(res[i].Err, core.ErrNotFound) {
-				retryReqs = append(retryReqs, reqs[i])
-				retryIdx = append(retryIdx, i)
-			}
-		}
-		if len(retryReqs) == 0 {
-			return
-		}
-		if cap(retryRes) < len(retryReqs) {
-			retryRes = make([]LocateRes, len(retryReqs))
-		}
-		rr := retryRes[:len(retryReqs)]
-		pass(retryReqs, rr, k)
-		for j, i := range retryIdx {
-			res[i] = rr[j]
-		}
-	}
-}
-
-// locateBatchReplica runs one shard-grouped batch pass over replica k's
-// query sets (dual-epoch family indexing on elastic transports); reqs
-// and res have equal length.
-func (t *MemTransport) locateBatchReplica(reqs []LocateReq, res []LocateRes, replica int) {
-	n := len(reqs)
-	et := t.elastic.Load()
-	var (
-		etab *epochTables
-		efam int
-	)
-	if et != nil {
-		tab, fam, ok := et.resolve(replica)
-		if !ok {
-			// The family's epoch retired mid-batch: every request of this
-			// pass is a silent miss.
-			for i := 0; i < n; i++ {
-				res[i] = LocateRes{Err: errRetiredReplica(reqs[i].Port, reqs[i].Client, replica)}
-			}
-			return
-		}
-		etab, efam = tab, fam
-	}
-	sc := t.scratch.Get().(*memScratch)
-	sc.keys = sc.keys[:0]
-	if cap(sc.found) < n {
-		sc.found = make([]bool, n)
-	}
-	sc.found = sc.found[:n]
-	for i := range sc.found {
-		sc.found[i] = false
-	}
-	var bulk int64
-	for i := 0; i < n; i++ {
-		r := reqs[i]
-		res[i] = LocateRes{}
-		if !t.g.Valid(r.Client) {
-			res[i].Err = fmt.Errorf("cluster: locate from %d: %w", r.Client, graph.ErrNodeRange)
-			continue
-		}
-		if t.crashed[r.Client].Load() {
-			res[i].Err = fmt.Errorf("cluster: locate from %d: %w", r.Client, sim.ErrCrashed)
-			continue
-		}
-		var (
-			targets []graph.NodeID
-			cost    int64
-		)
-		if etab != nil {
-			targets, cost = etab.query[efam][r.Client], etab.queryCost[efam][r.Client]
-			if len(targets) == 0 {
-				res[i].Err = errMissingEpochFlood(r.Port, r.Client)
-				continue
-			}
-		} else {
-			targets, cost = t.hot.replicaQuerySets(r.Client, r.Port, replica)
-		}
-		bulk += cost
-		for _, v := range targets {
-			if t.crashed[v].Load() {
-				continue
-			}
-			k := storeKey{node: v, port: r.Port}
-			sc.keys = append(sc.keys, memBatchKey{shard: t.store.shardIndex(k), req: int32(i), node: v})
-		}
-	}
-	sortBatchKeys(sc.keys)
-	ft := t.forgeLoad()
-	var (
-		at   graph.NodeID
-		keep func(core.Entry) bool
-	)
-	if etab != nil {
-		keep = func(e core.Entry) bool { return etab.ep.InPost(efam, e.Addr, at) }
-	} else if t.rp != nil {
-		keep = func(e core.Entry) bool { return t.rp.InPost(replica, e.Addr, at) }
-	}
-	for lo := 0; lo < len(sc.keys); {
-		hi := lo
-		for hi < len(sc.keys) && sc.keys[hi].shard == sc.keys[lo].shard {
-			hi++
-		}
-		sh := &t.store.shards[sc.keys[lo].shard]
+	sortByShard(ks)
+	for lo, hi := 0, 0; lo < len(ks); lo = hi {
+		hi = shardRun(ks, lo)
+		sh := &m.store.shards[ks[lo].shard]
 		sh.mu.RLock()
-		for _, k := range sc.keys[lo:hi] {
-			var (
-				e  core.Entry
-				ok bool
-			)
-			if rec, armed := ft.lieFor(k.node, reqs[k.req].Port); armed {
-				// Armed node: forge or suppress instead of reading the
-				// store, exactly as on the single-locate path.
-				if rec.silent {
-					continue
+		for _, mk := range ks[lo:hi] {
+			k := fl.keys[mk.idx]
+			port := fl.reqs[k.req].Port
+			a := &fl.ans[mk.idx]
+			if rec, armed := ft.lieFor(k.node, port); armed {
+				// An armed node never consults its rows: it forges or
+				// suppresses. The forged entry faces the same family
+				// filter an honest answer would.
+				if !rec.silent {
+					a.e, a.ok = rec.e, fl.scope.admits(rec.e.Addr, k.node)
 				}
-				at = k.node
-				e, ok = rec.e, keep == nil || keep(rec.e)
-			} else {
-				sl := sh.slotLocked(storeKey{node: k.node, port: reqs[k.req].Port})
-				if sl == nil {
-					continue
-				}
-				at = k.node
-				e, ok = sl.readFreshestWhere(keep)
-			}
-			if !ok {
-				continue
-			}
-			bulk += int64(t.routing.Dist(k.node, reqs[k.req].Client))
-			if !sc.found[k.req] || e.Time > res[k.req].Entry.Time {
-				res[k.req].Entry = e
-				sc.found[k.req] = true
+			} else if sl := sh.slotLocked(storeKey{node: k.node, port: port}); sl != nil {
+				a.e, a.ok = sl.readFreshestIn(fl.scope, k.node)
 			}
 		}
 		sh.mu.RUnlock()
-		lo = hi
 	}
-	var dual int64
-	for i := 0; i < n; i++ {
-		if res[i].Err == nil && !sc.found[i] {
-			res[i].Err = fmt.Errorf("cluster: locate %q from %d: %w", reqs[i].Port, reqs[i].Client, core.ErrNotFound)
-		} else if res[i].Err == nil && etab != nil && etab != et {
-			dual++
-		}
-	}
-	if dual > 0 {
-		t.dualLocates.Add(dual)
-	}
-	t.scratch.Put(sc)
-	t.passes.Add(0, bulk)
+	sc.keys = ks
+	m.scratch.Put(sc)
 }
 
-// sortBatchKeys orders keys by shard. Locate batches are small and
-// mostly pre-clustered, where insertion sort wins and stays
-// allocation-free; large batches (a PostBatch registering thousands of
-// services) fall back to the O(k log k) generic sort, which is also
-// allocation-free.
-func sortBatchKeys(keys []memBatchKey) {
-	if len(keys) > 128 {
-		slices.SortFunc(keys, func(a, b memBatchKey) int {
-			return int(a.shard) - int(b.shard)
-		})
-		return
-	}
-	for i := 1; i < len(keys); i++ {
-		k := keys[i]
-		j := i - 1
-		for j >= 0 && keys[j].shard > k.shard {
-			keys[j+1] = keys[j]
-			j--
-		}
-		keys[j+1] = k
-	}
-}
-
-// Probe implements Transport: one direct request to the hinted address
-// and one reply back, 2×Dist(client, e.Addr) passes — against a full
-// query flood for a locate. The answer comes from the live registration
-// table, the way a real host knows its own processes: hit iff the
-// probed instance is live and still resides at e.Addr. A crashed
-// address swallows the request (one-way charge only, fail-stop at the
-// endpoint, like every other mem-path crash interaction).
-func (t *MemTransport) Probe(client graph.NodeID, e core.Entry) (core.Entry, error) {
-	if !t.g.Valid(client) {
-		return core.Entry{}, fmt.Errorf("cluster: probe from %d: %w", client, graph.ErrNodeRange)
-	}
-	if !t.g.Valid(e.Addr) {
-		return core.Entry{}, fmt.Errorf("cluster: probe at %d: %w", e.Addr, graph.ErrNodeRange)
-	}
-	if t.crashed[client].Load() {
-		return core.Entry{}, fmt.Errorf("cluster: probe from %d: %w", client, sim.ErrCrashed)
-	}
-	d := int64(t.routing.Dist(client, e.Addr))
-	if t.crashed[e.Addr].Load() {
-		t.passes.Add(int(client), d) // request swallowed by the crash
-		return core.Entry{}, fmt.Errorf("cluster: probe %q at %d: %w", e.Port, e.Addr, sim.ErrCrashed)
-	}
-	t.passes.Add(int(client), 2*d) // request + reply (positive or negative)
-	srv := (*t.byID.Load())[e.ServerID]
-	if srv != nil && srv.port == e.Port {
-		if node, gone := srv.loadState(); !gone && node == e.Addr {
-			return core.Entry{Port: e.Port, Addr: e.Addr, ServerID: e.ServerID, Time: e.Time, Active: true}, nil
-		}
-	}
-	return core.Entry{}, fmt.Errorf("cluster: probe %q at %d: %w", e.Port, e.Addr, core.ErrNotFound)
-}
-
-// LocateAll implements Transport, falling through the replica families
-// like Locate when no rendezvous node of a family answers.
-func (t *MemTransport) LocateAll(client graph.NodeID, port core.Port) ([]core.Entry, error) {
-	return locateAllFallthrough(t.Replicas(), func(k int) ([]core.Entry, error) {
-		return t.locateAllReplica(client, port, k)
-	})
-}
-
-// locateAllReplica is one locate-all flood over replica k's query set
-// (dual-epoch family indexing on elastic transports).
-func (t *MemTransport) locateAllReplica(client graph.NodeID, port core.Port, replica int) ([]core.Entry, error) {
-	if !t.g.Valid(client) {
-		return nil, fmt.Errorf("cluster: locate-all from %d: %w", client, graph.ErrNodeRange)
-	}
-	if t.crashed[client].Load() {
-		return nil, fmt.Errorf("cluster: locate-all from %d: %w", client, sim.ErrCrashed)
-	}
-	var (
-		targets []graph.NodeID
-		cost    int64
-		etab    *epochTables
-		efam    int
-	)
-	if et := t.elastic.Load(); et != nil {
-		etargets, ecost, tab, fam, ok := et.queryFor(client, replica)
-		if !ok {
-			return nil, errRetiredReplica(port, client, replica)
-		}
-		if len(etargets) == 0 {
-			return nil, errMissingEpochFlood(port, client)
-		}
-		targets, cost, etab, efam = etargets, ecost, tab, fam
-	} else {
-		targets, cost = t.hot.replicaQuerySets(client, port, replica)
-	}
-	t.passes.Add(int(client), cost)
-	ft := t.forgeLoad()
-	freshest := make(map[uint64]core.Entry, 4)
+func (m *memSubstrate) readAll(fl *flood) {
+	ft := m.lies()
 	var buf [8]core.Entry
-	for _, v := range targets {
-		if t.crashed[v].Load() {
-			continue
-		}
+	for i, k := range fl.keys {
+		port := fl.reqs[k.req].Port
 		var entries []core.Entry
-		if rec, armed := ft.lieFor(v, port); armed {
-			// Armed node: its locate-all answer is the single forged entry
-			// (or nothing under selective silence), never its real rows.
+		if rec, armed := ft.lieFor(k.node, port); armed {
+			// Armed node: its locate-all answer is the single forged
+			// entry (or nothing under selective silence), never its rows.
 			if rec.silent {
 				continue
 			}
 			entries = append(buf[:0], rec.e)
 		} else {
-			entries = t.store.GetAllInto(v, port, buf[:0])
+			entries = m.store.GetAllInto(k.node, port, buf[:0])
 		}
-		if etab != nil {
-			// Family-scope the replies to the resolved epoch's family.
-			kept := entries[:0]
-			for _, e := range entries {
-				if etab.ep.InPost(efam, e.Addr, v) {
-					kept = append(kept, e)
-				}
-			}
-			entries = kept
-		} else if t.rp != nil {
-			// Family-scope the replies: only entries posted here as part
-			// of this replica family answer (and are charged).
-			kept := entries[:0]
-			for _, e := range entries {
-				if t.rp.InPost(replica, e.Addr, v) {
-					kept = append(kept, e)
-				}
-			}
-			entries = kept
-		}
-		if len(entries) == 0 {
-			continue
-		}
-		t.passes.Add(int(client), int64(t.routing.Dist(v, client))*int64(len(entries)))
 		for _, e := range entries {
-			if cur, ok := freshest[e.ServerID]; !ok || e.Time > cur.Time {
-				freshest[e.ServerID] = e
+			if fl.scope.admits(e.Addr, k.node) {
+				fl.all = append(fl.all, keyedEntry{key: int32(i), e: e})
 			}
 		}
 	}
-	var out []core.Entry
-	for _, e := range freshest {
-		if e.Active {
-			out = append(out, e)
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("cluster: locate-all %q from %d: %w", port, client, core.ErrNotFound)
-	}
-	return out, nil
 }
 
-// SetHotPorts implements HotReclassifier on a weighted transport: the
-// listed ports are promoted to the post-heavy hot split and all others
-// demoted to the base strategy. Newly hot ports have their live servers
-// reposted under the union sets *before* the classification is
-// published, so a hot query never races ahead of the postings it needs;
-// demoted ports are safe immediately because union ⊇ base. The repost
-// traffic is charged like any other posting.
-func (t *MemTransport) SetHotPorts(ports []core.Port) error {
-	if t.hot.weighted == nil {
-		return fmt.Errorf("cluster: transport %q has no weighted strategy", t.Name())
+func (m *memSubstrate) probe(port core.Port, addr graph.NodeID, id uint64) probeAnswer {
+	if rec := (*m.live.Load())[id]; rec != nil && rec.port == port && graph.NodeID(rec.node.Load()) == addr {
+		return probeHit
 	}
-	newHot := make(map[core.Port]bool, len(ports))
-	for _, p := range ports {
-		newHot[p] = true
-	}
-	t.regMu.Lock()
-	defer t.regMu.Unlock()
-	var errs []error
-	for p := range newHot {
-		if t.isHot(p) {
-			continue // already hot; servers already post union
-		}
-		for _, srv := range t.byPort[p] {
-			node, gone := srv.loadState()
-			if gone {
-				continue
-			}
-			srv.postedHot.Store(true)
-			if err := t.postEntry(srv, node, true); err != nil {
-				// A crashed origin cannot repost; its stale base-set
-				// postings stay visible to base queries only, exactly as
-				// if the port had stayed cold for that server.
-				errs = append(errs, err)
-			}
-		}
-	}
-	t.hot.publish(&newHot)
-	return errors.Join(errs...)
+	return probeMiss
 }
 
-// Elastic implements ElasticTransport.
-func (t *MemTransport) Elastic() bool { return t.elastic.Load() != nil }
-
-// Epoch implements ElasticTransport: the serving epoch's sequence
-// number (0 when elastic membership is off).
-func (t *MemTransport) Epoch() uint64 {
-	if et := t.elastic.Load(); et != nil {
-		return et.ep.Seq()
+func (m *memSubstrate) register(id uint64, port core.Port, node, _ graph.NodeID) error {
+	m.liveMu.Lock()
+	defer m.liveMu.Unlock()
+	cur := *m.live.Load()
+	if rec := cur[id]; rec != nil {
+		rec.node.Store(int64(node))
+		return nil
 	}
-	return 0
-}
-
-// Resizing implements ElasticTransport.
-func (t *MemTransport) Resizing() bool {
-	et := t.elastic.Load()
-	return et != nil && et.prev != nil
-}
-
-// MigratedPosts implements ElasticTransport.
-func (t *MemTransport) MigratedPosts() int64 { return t.migrated.Load() }
-
-// DualEpochLocates implements ElasticTransport.
-func (t *MemTransport) DualEpochLocates() int64 { return t.dualLocates.Load() }
-
-// Resize implements ElasticTransport: it installs next as the serving
-// epoch, widens the posting tables to both epochs' union, and re-posts
-// every live server's entry to exactly the rendezvous nodes the
-// minimal-movement remap added — each delta charged its multicast-tree
-// cost, the honest price of the migration. Hint generations are bumped
-// only for the ports whose postings moved. The registration lock is
-// held across the server snapshot and the table publish, so a racing
-// Register either lands in the snapshot (and is migrated) or posts
-// under the new tables.
-func (t *MemTransport) Resize(next *strategy.Epoch) (int, error) {
-	if t.elastic.Load() == nil {
-		return 0, ErrNotElastic
-	}
-	t.resizeMu.Lock()
-	defer t.resizeMu.Unlock()
-	cur := t.elastic.Load()
-	if cur.prev != nil {
-		return 0, fmt.Errorf("cluster: resize to epoch %d: migration from epoch %d still draining", next.Seq(), cur.prev.ep.Seq())
-	}
-	if err := validateNextEpoch(cur.ep, next, t.g.N()); err != nil {
-		return 0, err
-	}
-	nt, err := newEpochTables(t.g, t.routing, next, cur)
-	if err != nil {
-		return 0, err
-	}
-	t.regMu.Lock()
-	servers := make([]*memServer, 0, len(*t.byID.Load()))
-	for _, srv := range *t.byID.Load() {
-		node, gone := srv.loadState()
-		if gone {
-			continue
-		}
-		if !next.Contains(node) {
-			t.regMu.Unlock()
-			return 0, errServerOutsideEpoch(srv.port, node, next)
-		}
-		servers = append(servers, srv)
-	}
-	t.elastic.Store(nt)
-	t.regMu.Unlock()
-
-	moved := 0
-	movedPorts := make(map[core.Port]bool)
-	for _, srv := range servers {
-		// Hold the server's mutex across the liveness check AND the
-		// delta re-post: the migration posting carries a fresh
-		// timestamp, so letting it race a concurrent Deregister or
-		// Migrate could stamp an Active entry fresher than the
-		// lifecycle operation's tombstone and resurrect the server.
-		srv.mu.Lock()
-		if srv.gone {
-			srv.mu.Unlock()
-			continue
-		}
-		node := srv.node
-		added := nt.rm.Added(node)
-		if len(added) == 0 {
-			srv.mu.Unlock()
-			continue
-		}
-		err := t.postEntryVia(srv, node, added)
-		srv.mu.Unlock()
-		if err != nil {
-			continue // a crashed origin cannot migrate its postings
-		}
-		moved += len(added)
-		movedPorts[srv.port] = true
-	}
-	for port := range movedPorts {
-		t.gens.bump(port)
-	}
-	t.migrated.Add(int64(moved))
-	return moved, nil
-}
-
-// postEntryVia posts a fresh live entry for srv to an explicit target
-// set, charged at that set's multicast-tree cost — the delta re-post of
-// an epoch migration.
-func (t *MemTransport) postEntryVia(srv *memServer, node graph.NodeID, targets []graph.NodeID) error {
-	if t.crashed[node].Load() {
-		return fmt.Errorf("cluster: post %q from %d: %w", srv.port, node, sim.ErrCrashed)
-	}
-	cost, err := t.routing.MulticastCost(node, targets)
-	if err != nil {
-		return err
-	}
-	e := core.Entry{
-		Port:     srv.port,
-		Addr:     node,
-		ServerID: srv.id,
-		Time:     t.store.NextTime(),
-		Active:   true,
-	}
-	t.passes.Add(int(node), int64(cost))
-	for _, v := range targets {
-		if t.crashed[v].Load() {
-			continue
-		}
-		t.store.Put(v, e)
-	}
+	rec := &memLive{port: port}
+	rec.node.Store(int64(node))
+	next := maps.Clone(cur)
+	next[id] = rec
+	m.live.Store(&next)
 	return nil
 }
 
-// FinishResize implements ElasticTransport: the dual-epoch phase ends —
-// new locates stop falling through to the old epoch — and every live
-// server's postings at old-epoch-only rendezvous nodes expire in place,
-// a local garbage collection that costs no message passes.
-func (t *MemTransport) FinishResize() error {
-	if t.elastic.Load() == nil {
-		return ErrNotElastic
+func (m *memSubstrate) deregister(id uint64, _ graph.NodeID) {
+	m.liveMu.Lock()
+	defer m.liveMu.Unlock()
+	cur := *m.live.Load()
+	rec := cur[id]
+	if rec == nil {
+		return
 	}
-	t.resizeMu.Lock()
-	defer t.resizeMu.Unlock()
-	cur := t.elastic.Load()
-	if cur.prev == nil {
-		return fmt.Errorf("cluster: no resize in progress")
+	rec.node.Store(int64(noNode)) // a probe holding the old snapshot misses too
+	next := maps.Clone(cur)
+	delete(next, id)
+	m.live.Store(&next)
+}
+
+func (m *memSubstrate) crash(node graph.NodeID) { m.store.ClearNode(node) }
+
+func (m *memSubstrate) restore(graph.NodeID) {}
+
+func (m *memSubstrate) expire(rows []rowID) {
+	for _, r := range rows {
+		m.store.Drop(r.node, r.port, r.id)
 	}
-	t.regMu.Lock()
-	t.elastic.Store(cur.retired())
-	t.regMu.Unlock()
-	for _, srv := range *t.byID.Load() {
-		node, gone := srv.loadState()
-		if gone {
-			continue
+}
+
+func (m *memSubstrate) digests(dg []uint64, ok []bool) {
+	for v := range ok {
+		ok[v] = true
+	}
+	for _, ne := range m.store.DumpRange(0, len(dg)) {
+		if ne.E.Active {
+			dg[ne.Node] ^= postingDigest(ne.E.Port, ne.E.ServerID, ne.E.Addr)
 		}
-		for _, v := range cur.rm.Removed(node) {
-			t.store.Drop(v, srv.port, srv.id)
+	}
+}
+
+func (m *memSubstrate) dump(nodes []graph.NodeID) map[graph.NodeID][]core.Entry {
+	out := make(map[graph.NodeID][]core.Entry, len(nodes))
+	for _, v := range nodes {
+		out[v] = nil
+	}
+	if len(nodes) == 0 {
+		return out // a quiescent reconcile round reads no rows
+	}
+	for _, ne := range m.store.DumpRange(0, math.MaxInt) {
+		if rows, ok := out[ne.Node]; ok {
+			out[ne.Node] = append(rows, ne.E)
+		}
+	}
+	return out
+}
+
+func (m *memSubstrate) corrupt(plan []corruptOp) error {
+	for _, op := range plan {
+		if op.drop {
+			m.store.Drop(op.node, op.port, op.id)
+		} else {
+			m.store.Inject(op.node, op.e)
 		}
 	}
 	return nil
 }
 
-// Crash implements Transport: the node stops accepting postings and
-// answering queries, and its volatile cache is lost. Every hint
-// generation is bumped — the crashed node may have hosted any port.
-func (t *MemTransport) Crash(node graph.NodeID) error {
-	if !t.g.Valid(node) {
-		return fmt.Errorf("cluster: crash %d: %w", node, graph.ErrNodeRange)
+func (m *memSubstrate) arm(plan []forgeOp) error {
+	if len(plan) == 0 {
+		m.forge.Store(nil)
+		return nil
 	}
-	t.crashed[node].Store(true)
-	t.store.ClearNode(node)
-	t.gens.bumpAll()
-	t.events.emit(Event{Type: EvCrash, Node: node})
+	ft := buildForgeTable(plan)
+	m.forge.Store(&ft)
 	return nil
 }
 
-// Restore implements Transport.
-func (t *MemTransport) Restore(node graph.NodeID) error {
-	if !t.g.Valid(node) {
-		return fmt.Errorf("cluster: restore %d: %w", node, graph.ErrNodeRange)
-	}
-	t.crashed[node].Store(false)
-	t.events.emit(Event{Type: EvRestore, Node: node})
-	return nil
-}
-
-// SetEventSink implements EventSource: crash and restore marks are
-// pushed to the sink as EvCrash/EvRestore events.
-func (t *MemTransport) SetEventSink(fn EventSink) { t.events.set(fn) }
-
-// Passes implements Transport.
-func (t *MemTransport) Passes() int64 { return t.passes.Load() }
-
-// ResetPasses implements Transport.
-func (t *MemTransport) ResetPasses() { t.passes.Reset() }
-
-// Close implements Transport: it stops the background reconciliation
-// loop, if one was started.
-func (t *MemTransport) Close() error {
-	t.recon.halt()
-	return nil
-}
-
-// Port implements ServerRef.
-func (s *memServer) Port() core.Port { return s.port }
-
-// Node implements ServerRef.
-func (s *memServer) Node() graph.NodeID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.node
-}
-
-// Repost implements ServerRef.
-func (s *memServer) Repost() error {
-	s.mu.Lock()
-	node, gone := s.node, s.gone
-	s.mu.Unlock()
-	if gone {
-		return core.ErrServerGone
-	}
-	return s.t.postEntry(s, node, true)
-}
-
-// Migrate implements ServerRef: tombstone first (the stale address must
-// lose), then announce the new address with a fresher timestamp. As in
-// the engine, a crashed old host cannot tombstone, but the fresh
-// posting's newer timestamp still wins wherever both are seen. The
-// port's hint generation is bumped so cached addresses re-resolve.
-func (s *memServer) Migrate(to graph.NodeID) error {
-	if !s.t.g.Valid(to) {
-		return fmt.Errorf("cluster: migrate to %d: %w", to, graph.ErrNodeRange)
-	}
-	if et := s.t.elastic.Load(); et != nil && !et.ep.Contains(to) {
-		return errOutsideMembership(s.port, to, et.ep)
-	}
-	s.mu.Lock()
-	if s.gone {
-		s.mu.Unlock()
-		return core.ErrServerGone
-	}
-	from := s.node
-	s.node = to
-	s.storeState()
-	s.mu.Unlock()
-	defer s.t.gens.bump(s.port)
-	tombErr := s.t.postEntry(s, from, false)
-	if err := s.t.postEntry(s, to, true); err != nil {
-		return errors.Join(tombErr, err)
+// lies returns the armed lie table, or a nil table when disarmed
+// (nil-safe for lookups).
+func (m *memSubstrate) lies() forgeTable {
+	if p := m.forge.Load(); p != nil {
+		return *p
 	}
 	return nil
-}
-
-// Deregister implements ServerRef. The registration leaves the live
-// table before the tombstone posts, so a probe can never confirm a
-// deregistered instance.
-func (s *memServer) Deregister() error {
-	s.mu.Lock()
-	if s.gone {
-		s.mu.Unlock()
-		return core.ErrServerGone
-	}
-	s.gone = true
-	node := s.node
-	s.storeState()
-	s.mu.Unlock()
-	s.t.dropRegistration(s)
-	s.t.gens.bump(s.port)
-	return s.t.postEntry(s, node, false)
 }

@@ -199,10 +199,10 @@ func TestNetDualEpochRepairConsistent(t *testing.T) {
 
 	// Run the repair path mid-dual exactly as the repair loop would for a
 	// restarted middle process, under the same lifeMu fence.
-	ps := netT.procs.Load()
+	ps := netT.wire.procs.Load()
 	lo, hi := ps.ranges[1][0], ps.ranges[1][1]
 	netT.lifeMu.RLock()
-	netT.repairRange(ps, lo, hi)
+	netT.repairRange(lo, hi)
 	netT.lifeMu.RUnlock()
 
 	// The oracle: repair re-posts carried fresh timestamps but must have

@@ -43,7 +43,7 @@ import (
 // flushes immediately, so low concurrency degenerates to zero-latency
 // passthrough of the direct flood path.
 type netCoalescer struct {
-	t        *NetTransport
+	c        *coordinator
 	window   time.Duration
 	maxBatch int
 
@@ -61,11 +61,11 @@ type netCoalescer struct {
 // enough to bound frame size and per-flush decode latency.
 const defaultCoalesceBatch = 64
 
-func newNetCoalescer(t *NetTransport, window time.Duration, maxBatch int) *netCoalescer {
+func newNetCoalescer(c *coordinator, window time.Duration, maxBatch int) *netCoalescer {
 	if maxBatch <= 0 {
 		maxBatch = defaultCoalesceBatch
 	}
-	return &netCoalescer{t: t, window: window, maxBatch: maxBatch}
+	return &netCoalescer{c: c, window: window, maxBatch: maxBatch}
 }
 
 // coalOp is one queued locate: inputs, result slot, and two buffered
@@ -141,7 +141,7 @@ func (co *netCoalescer) run(promoted bool) {
 	co.queue = co.queue[:rest]
 	co.mu.Unlock()
 
-	co.t.flushLocates(batch)
+	co.c.flushLocates(batch)
 	if len(batch) > 1 {
 		co.coalesced.Add(int64(len(batch)))
 		co.floods.Add(1)
@@ -177,20 +177,14 @@ type coalBatch struct {
 
 var coalBatchPool = sync.Pool{New: func() any { return &coalBatch{} }}
 
-// flushLocates executes one coalesced batch. A batch of one takes the
-// direct single-flood path unchanged; larger batches are grouped by
+// flushLocates executes one coalesced batch: the ops are grouped by
 // replica family — in practice almost always all family 0, since
-// fallthrough re-floods are rare — and each group runs through the
-// process-grouped batch machinery, whose per-request charges are
-// exactly those of the equivalent sequence of single floods. That
+// fallthrough re-floods are rare — and each group runs as one batch
+// flood, whose per-request charges are exactly those of the equivalent
+// sequence of single floods (a single flood is a batch of one). That
 // equality is what keeps coalesced and uncoalesced pass accounting
 // identical.
-func (t *NetTransport) flushLocates(batch []*coalOp) {
-	if len(batch) == 1 {
-		op := batch[0]
-		op.entry, op.err = t.locateReplicaDirect(op.client, op.port, op.replica)
-		return
-	}
+func (c *coordinator) flushLocates(batch []*coalOp) {
 	lo, hi := batch[0].replica, batch[0].replica
 	for _, op := range batch[1:] {
 		lo, hi = min(lo, op.replica), max(hi, op.replica)
@@ -201,22 +195,13 @@ func (t *NetTransport) flushLocates(batch []*coalOp) {
 		for _, op := range batch {
 			if op.replica == rep {
 				cb.reqs = append(cb.reqs, LocateReq{Client: op.client, Port: op.port})
+				cb.res = append(cb.res, LocateRes{})
 				cb.ops = append(cb.ops, op)
 			}
 		}
-		switch len(cb.ops) {
-		case 0:
-		case 1:
-			op := cb.ops[0]
-			op.entry, op.err = t.locateReplicaDirect(op.client, op.port, op.replica)
-		default:
-			for range cb.ops {
-				cb.res = append(cb.res, LocateRes{})
-			}
-			t.locateBatchReplica(cb.reqs, cb.res, rep)
-			for i, op := range cb.ops {
-				op.entry, op.err = cb.res[i].Entry, cb.res[i].Err
-			}
+		c.locateBatchReplica(cb.reqs, cb.res, rep)
+		for i, op := range cb.ops {
+			op.entry, op.err = cb.res[i].Entry, cb.res[i].Err
 		}
 	}
 	cb.ops = cb.ops[:0] // drop refs: pooled ops must not pin reuse

@@ -1,8 +1,8 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,20 +12,19 @@ import (
 	"matchmake/internal/netwire"
 	"matchmake/internal/rendezvous"
 	"matchmake/internal/sim"
-	"matchmake/internal/stats"
 	"matchmake/internal/strategy"
 )
 
-// NetTransport is the socket backend: the cluster's graph nodes are
-// partitioned into contiguous ranges, each range hosted by its own OS
-// process (a NodeServer, usually cmd/mmnode) reached over TCP with the
-// internal/netwire protocol. Postings, queries, probes and liveness
-// records live in the node processes; the transport fans every
-// operation out to the owning processes over pooled, pipelined
-// connections and keeps the paper's cost accounting locally — exactly
-// the routing-derived charges MemTransport computes, so the two
-// backends give identical answers and identical pass counts on a
-// healthy cluster (pinned, operation by operation, by the net
+// NetTransport is the socket backend: the coordinator over node
+// processes. The cluster's graph nodes are partitioned into contiguous
+// ranges, each range hosted by its own OS process (a NodeServer,
+// usually cmd/mmnode) reached over TCP with the internal/netwire
+// protocol. Rows and liveness records live in the node processes; the
+// wire substrate fans every row operation out to the owning processes
+// over pooled, pipelined connections, and the coordinator keeps the
+// paper's cost accounting locally — the same code MemTransport runs, so
+// the two backends give identical answers and identical pass counts on
+// a healthy cluster (pinned, operation by operation, by the net
 // equivalence tests).
 //
 // Partial failure is fail-silent, matching the crash model of the
@@ -37,197 +36,146 @@ import (
 // re-resolve by flooding instead of probing a black hole; a restarted
 // process is redialed transparently on the next operation.
 //
-// Logical posting timestamps and server ids are allocated by this
-// transport, which therefore acts as the cluster's single write
-// coordinator: run many reading NetTransports if you like, but all
-// registrations, migrations and crash events must flow through one
-// instance for the freshest-entry tie-break to stay globally ordered.
+// Run many reading NetTransports if you like, but all registrations,
+// migrations and crash events must flow through one instance (see
+// coordinator).
 type NetTransport struct {
-	g       *graph.Graph
-	routing *graph.Routing
-	strat   rendezvous.Strategy
-
-	// hot holds the precomputed P/Q set/cost tables, the weighted-mode
-	// strategy (nil when disabled) and the published hot-port
-	// classification — the same shared set-selection logic MemTransport
-	// uses (see setcosts.go), which is what keeps the two backends'
-	// charges in lockstep.
-	hot hotTables
-
-	// procs is the current process partition: pools, ownership and
-	// health state bundled behind one pointer so Rescale can swap the
-	// whole node-process set atomically while operations in flight keep
-	// using a consistent snapshot. rescaleMu serializes Rescale calls;
-	// opts keeps the dial/timeout knobs rescales re-dial with.
-	//
-	// lifeMu fences lifecycle WRITES (register, post, tombstone,
-	// migrate, deregister, repair, resize migration) against Rescale:
-	// writers hold it shared, Rescale holds it exclusively across the
-	// partition transfer and the swap, so no write can land on an old
-	// process after its partition was snapshotted and silently vanish
-	// from the new set (a lost tombstone would resurrect a deregistered
-	// server). Read traffic — locates, probes — takes no fence: a read
-	// racing the swap at worst misses transiently, which the replica
-	// fallthrough and hint re-resolution already absorb.
-	procs     atomic.Pointer[procSet]
-	rescaleMu sync.Mutex
-	lifeMu    sync.RWMutex
-	opts      NetOptions
-
-	// rp is the replicated strategy when the transport runs r-fold
-	// replicated rendezvous with r > 1 (nil otherwise). The replica
-	// query tables live in hot.sets like every other precomputed set;
-	// rp itself supplies the family-scoping predicate (InPost) the
-	// coordinator filters replies through. Replicated floods travel as
-	// opQueryAll so the coordinator sees every candidate entry per
-	// node; the node processes stay family-agnostic.
-	rp *strategy.Replicated
-
-	// Repair loop state (see runRepair): started when
-	// NetOptions.RepairInterval is set, stopped by Close.
-	stopRepair chan struct{}
-	repairWG   sync.WaitGroup
-
-	// recon holds the anti-entropy counters and the background
-	// reconciliation loop (see antientropy.go / antientropy_net.go),
-	// started when NetOptions.ReconcileInterval is set.
-	recon reconciler
-
-	// forge is the coordinator's mirror of the Byzantine lie plan last
-	// shipped to the node processes via opArm (see byzantine_net.go) —
-	// kept only for ArmedNodes; the lies themselves are told by the
-	// armed processes.
-	forge atomic.Pointer[forgeTable]
-
-	// elastic is the epoch-versioned membership state (nil unless built
-	// by NewElasticNetTransport), mirroring MemTransport's: the
-	// coordinator owns the tables, the node processes just store what
-	// they are sent, and epoch garbage collection travels as opExpire.
-	elastic     atomic.Pointer[epochTables]
-	resizeMu    sync.Mutex
-	migrated    atomic.Int64
-	dualLocates atomic.Int64
-
-	// regMu guards the client-side registration mirror (byPort), used
-	// by SetHotPorts to repost newly hot ports; the authoritative live
-	// table probes consult is on the node processes.
-	regMu  sync.Mutex
-	byPort map[core.Port]map[uint64]*netServer
-
-	gens     *genIndex
-	crashed  []atomic.Bool // client-side crash mirror, same charges as mem
-	clock    atomic.Uint64 // logical posting timestamps
-	serverID atomic.Uint64
-	passes   stats.StripedCounter
-	events   eventSink
-
-	// wire tallies frames/bytes across every pool the transport ever
-	// dials (including post-Rescale sets, which share it), so WireStats
-	// deltas stay monotonic across repartitions. coal is the locate
-	// coalescer (nil when NetOptions.DisableCoalescing is set).
-	wire netwire.Counters
-	coal *netCoalescer
-
-	scratch sync.Pool // *netScratch
+	*coordinator
+	wire *wireSubstrate
 }
 
-var _ Transport = (*NetTransport)(nil)
-var _ HotReclassifier = (*NetTransport)(nil)
-var _ ReplicatedTransport = (*NetTransport)(nil)
-var _ ElasticTransport = (*NetTransport)(nil)
-
-// procSet is one immutable node-process partition of a NetTransport:
-// the dialed connection pools, the node→process ownership derived from
-// the hello handshake, and the per-process health marks. Rescale swaps
-// the whole set atomically; operations capture one snapshot and use it
-// throughout, so a concurrent repartition can at worst make their
-// calls fail fast against closed pools — the fail-silent crash
-// semantics they already handle.
-type procSet struct {
-	addrs      []string
-	pools      []*netwire.Pool
-	ownerOf    []int         // node -> owning process index
-	ranges     [][2]int      // process index -> owned [lo, hi)
-	downP      []atomic.Bool // observed-dead processes (sticky until a call succeeds)
-	needRepair []atomic.Bool // process observed dead since its last repair
+// NewNetTransport connects to a running node-process cluster at addrs
+// (one address per process, in partition order) and verifies via the
+// hello handshake that the processes cover the n nodes of g in
+// contiguous ranges. The strategy's universe must match the graph.
+func NewNetTransport(g *graph.Graph, strat rendezvous.Strategy, addrs []string, opts NetOptions) (*NetTransport, error) {
+	return newNetTransport(g, strat, nil, nil, nil, addrs, opts)
 }
 
-// dialProcSet dials pools for addrs and verifies via the hello
-// handshake that the processes cover the n nodes in contiguous ranges.
-// Wire traffic is tallied into ctr when non-nil (the transport's
-// long-lived counters, shared across rescales). On any failure every
-// pool is closed.
-func dialProcSet(addrs []string, n int, opts NetOptions, ctr *netwire.Counters) (*procSet, error) {
-	if len(addrs) == 0 {
-		return nil, fmt.Errorf("cluster: net transport needs at least one node-process address")
+// NewReplicatedNetTransport is NewNetTransport in r-fold replicated
+// rendezvous mode: servers post to the union of every replica family's
+// posting sets, and a locate that gets no rendezvous answer — because
+// the meeting nodes are marked crashed, or because the node process
+// hosting them was killed — falls through to the next family instead of
+// failing, at one extra flood charge per attempt. Combined with
+// NetOptions.RepairInterval this is the crash-tolerance story of the
+// socket cluster: fallthrough bridges the outage, repair restores the
+// replication factor once the process comes back.
+func NewReplicatedNetTransport(g *graph.Graph, rp *strategy.Replicated, addrs []string, opts NetOptions) (*NetTransport, error) {
+	if rp == nil {
+		return nil, fmt.Errorf("cluster: replicated transport needs a strategy.Replicated")
 	}
-	ps := &procSet{
-		addrs:      addrs,
-		pools:      make([]*netwire.Pool, len(addrs)),
-		ownerOf:    make([]int, n),
-		ranges:     make([][2]int, len(addrs)),
-		downP:      make([]atomic.Bool, len(addrs)),
-		needRepair: make([]atomic.Bool, len(addrs)),
+	return newNetTransport(g, rp.Base(), nil, rp, nil, addrs, opts)
+}
+
+// NewWeightedNetTransport is NewNetTransport in frequency-weighted
+// mode: cold ports run w.Base() and ports promoted by SetHotPorts run
+// the post-heavy hot split, with the same union-post promotion protocol
+// (and the same pass charges) as the weighted MemTransport.
+func NewWeightedNetTransport(g *graph.Graph, w *strategy.Weighted, addrs []string, opts NetOptions) (*NetTransport, error) {
+	if w == nil {
+		return nil, fmt.Errorf("cluster: weighted transport needs a strategy.Weighted")
 	}
-	for i, addr := range addrs {
-		p := netwire.NewPool(addr, opts.ConnsPerProc)
-		if ctr != nil {
-			p.UseCounters(ctr)
-		}
-		if opts.DialTimeout > 0 {
-			p.DialTimeout = opts.DialTimeout
-		}
-		p.CallTimeout = opts.CallTimeout
-		ps.pools[i] = p
+	return newNetTransport(g, w.Base(), w, nil, nil, addrs, opts)
+}
+
+// NewElasticNetTransport connects to a node-process cluster in
+// epoch-versioned elastic membership mode: the serving epoch's tables
+// live on the coordinator (the node processes just store what they are
+// sent), Resize/FinishResize run the dual-epoch migration over the wire
+// with epoch garbage collection travelling as opExpire, and Rescale
+// additionally repartitions the node space across a different process
+// set with a coordinator-driven partition transfer. Elastic membership
+// is mutually exclusive with the weighted mode; replication comes from
+// the epoch itself.
+func NewElasticNetTransport(g *graph.Graph, initial *strategy.Epoch, addrs []string, opts NetOptions) (*NetTransport, error) {
+	if initial == nil {
+		return nil, fmt.Errorf("cluster: elastic transport needs an initial epoch")
 	}
-	if err := ps.handshake(n); err != nil {
-		ps.close()
+	return newNetTransport(g, nil, nil, nil, initial, addrs, opts)
+}
+
+func newNetTransport(g *graph.Graph, strat rendezvous.Strategy, w *strategy.Weighted, rp *strategy.Replicated, initial *strategy.Epoch, addrs []string, opts NetOptions) (*NetTransport, error) {
+	c, err := newCoordinator(g, strat, w, rp, initial)
+	if err != nil {
 		return nil, err
 	}
-	return ps, nil
+	ws, err := dialWireSubstrate(addrs, g.N(), opts, c.procDown)
+	if err != nil {
+		return nil, err
+	}
+	c.sub = ws
+	if !opts.DisableCoalescing {
+		c.coal = newNetCoalescer(c, opts.CoalesceWindow, opts.CoalesceBatch)
+	}
+	if opts.RepairInterval > 0 {
+		ws.startRepair(opts.RepairInterval, c.repairRecovered)
+	}
+	if opts.ReconcileInterval > 0 {
+		c.StartReconcile(opts.ReconcileInterval)
+	}
+	return &NetTransport{coordinator: c, wire: ws}, nil
 }
 
-// close releases every pool of the set.
-func (ps *procSet) close() {
-	for _, p := range ps.pools {
-		if p != nil {
-			p.Close()
-		}
+// Procs returns the number of node processes behind the transport.
+func (t *NetTransport) Procs() int { return len(t.wire.procs.Load().pools) }
+
+// Addrs returns the current node-process addresses in partition order.
+func (t *NetTransport) Addrs() []string { return slices.Clone(t.wire.procs.Load().addrs) }
+
+// WireStats returns the transport's cumulative wire-level traffic
+// totals (frames and bytes, both directions, across every node-process
+// pool including post-Rescale sets). Wire traffic is an implementation
+// vehicle — it is never charged as passes — but frames/locate and
+// bytes/locate are the efficiency the coalescer and striping buy, so
+// the totals are exposed for load tools to report.
+func (t *NetTransport) WireStats() netwire.Stats { return t.wire.wire.Snapshot() }
+
+// CoalesceStats reports the locate coalescer's work so far: locates
+// that shared a wire flood with at least one other, and the number of
+// those shared floods. Both zero when coalescing is disabled.
+func (t *NetTransport) CoalesceStats() (coalesced, floods int64) {
+	if t.coal == nil {
+		return 0, 0
 	}
+	return t.coal.coalesced.Load(), t.coal.floods.Load()
 }
 
-// handshake hellos every node process and builds the node→process
-// ownership table, demanding contiguous ranges that cover [0, n).
-func (ps *procSet) handshake(n int) error {
-	next := 0
-	for i := range ps.pools {
-		st, body, err := ps.pools[i].Call(opHello, nil, nil)
-		if err != nil {
-			return fmt.Errorf("cluster: hello %s: %w", ps.addrs[i], err)
-		}
-		if st != stOK {
-			return fmt.Errorf("cluster: hello %s: status %d", ps.addrs[i], st)
-		}
-		d := netwire.NewDec(body)
-		pn, lo, hi := int(d.Uvarint()), int(d.Uvarint()), int(d.Uvarint())
-		if d.Err() != nil {
-			return fmt.Errorf("cluster: hello %s: %w", ps.addrs[i], d.Err())
-		}
-		if pn != n {
-			return fmt.Errorf("cluster: process %s built for n=%d, transport for n=%d", ps.addrs[i], pn, n)
-		}
-		if lo != next || hi <= lo || hi > n {
-			return fmt.Errorf("cluster: process %s owns [%d,%d), want contiguous from %d", ps.addrs[i], lo, hi, next)
-		}
-		for v := lo; v < hi; v++ {
-			ps.ownerOf[v] = i
-		}
-		ps.ranges[i] = [2]int{lo, hi}
-		next = hi
+// Rescale re-partitions the node space across a different node-process
+// set: the new processes are dialed and handshaken, each new partition
+// is filled by a coordinator-driven transfer from the old processes
+// (postings including tombstones, liveness records, crash marks — see
+// opSnapshot), and the process set is swapped atomically so operations
+// in flight keep a consistent snapshot. The transfer moves state, not
+// match-making traffic, so it charges no message passes; ranges whose
+// donor died mid-transfer are rebuilt from the registration table
+// instead (repairRange — charged like any repair re-post), which is
+// what makes a kill -9 of a donor survivable at r ≥ 2. Old pools are
+// closed after the swap; the old processes' lifecycle belongs to the
+// orchestrator (mmctl scale drains them).
+func (t *NetTransport) Rescale(newAddrs []string) error {
+	ws := t.wire
+	ws.rescaleMu.Lock()
+	defer ws.rescaleMu.Unlock()
+	nps, err := dialProcSet(newAddrs, t.g.N(), ws.opts, &ws.wire)
+	if err != nil {
+		return err
 	}
-	if next != n {
-		return fmt.Errorf("cluster: processes cover [0,%d) of %d nodes", next, n)
+	// Hold the lifecycle fence exclusively across the transfer and the
+	// swap: a register/tombstone/migrate landing on an old process
+	// after its partition was snapshotted would silently miss the new
+	// set (a lost tombstone resurrects a deregistered server), so
+	// lifecycle writes wait out the handoff instead.
+	t.lifeMu.Lock()
+	old := ws.procs.Load()
+	lost := transferPartitions(old, nps)
+	ws.procs.Store(nps)
+	for _, r := range lost {
+		t.repairRange(r[0], r[1])
 	}
+	t.lifeMu.Unlock()
+	t.gens.bumpAll()
+	old.close()
 	return nil
 }
 
@@ -286,185 +234,97 @@ type NetOptions struct {
 	DisableCoalescing bool
 }
 
-// netScratch is the pooled per-operation workspace: request/response
-// buffers and node groupings per process, so the steady-state fan-out
-// path reuses everything it touches.
-type netScratch struct {
-	nodes [][]graph.NodeID   // per-proc flat node list across sub-requests
-	cnts  [][]int            // per-proc node count per sub-request
-	idx   [][]int            // per-proc original request index per sub-request
-	reqs  [][]byte           // per-proc request bodies
-	resps [][]byte           // per-proc response bodies
-	calls []*netwire.Pending // per-proc in-flight handles (fanout)
-	errs  []error            // per-proc call errors
-	found []bool             // per-request found flags (LocateBatch)
+// wireSubstrate keeps rows, liveness records and armed lies in node
+// processes: every substrate call is a fan-out of node-protocol frames
+// to the processes owning the nodes involved. A process that cannot be
+// reached is silence — the fail-silent crash semantics of the paper —
+// and is remembered as down until a call succeeds again.
+type wireSubstrate struct {
+	// procs is the current process partition: pools, ownership and
+	// health state behind one pointer, so Rescale can swap the whole
+	// node-process set atomically while calls in flight keep a
+	// consistent snapshot. rescaleMu serializes Rescale calls; opts
+	// keeps the dial/timeout knobs rescales re-dial with.
+	procs     atomic.Pointer[procSet]
+	rescaleMu sync.Mutex
+	opts      NetOptions
+
+	// down reports the first failed call against a process after a
+	// healthy period, with the node range it owned.
+	down func(lo, hi int)
+
+	// Repair loop state (see startRepair), stopped by close.
+	stopRepair chan struct{}
+	repairWG   sync.WaitGroup
+
+	// wire tallies frames/bytes across every pool the substrate ever
+	// dials (including post-Rescale sets, which share it), so WireStats
+	// deltas stay monotonic across repartitions.
+	wire netwire.Counters
+
+	scratch sync.Pool // *netScratch
 }
 
-// reset readies the scratch for a fan-out over procs processes.
-func (sc *netScratch) reset(procs int) {
-	for len(sc.nodes) < procs {
-		sc.nodes = append(sc.nodes, nil)
-		sc.cnts = append(sc.cnts, nil)
-		sc.idx = append(sc.idx, nil)
-		sc.reqs = append(sc.reqs, nil)
-		sc.resps = append(sc.resps, nil)
-		sc.calls = append(sc.calls, nil)
-		sc.errs = append(sc.errs, nil)
-	}
-	for p := 0; p < procs; p++ {
-		sc.nodes[p] = sc.nodes[p][:0]
-		sc.cnts[p] = sc.cnts[p][:0]
-		sc.idx[p] = sc.idx[p][:0]
-		sc.reqs[p] = sc.reqs[p][:0]
-		sc.calls[p] = nil
-		sc.errs[p] = nil
-	}
-}
-
-// NewNetTransport connects to a running node-process cluster at addrs
-// (one address per process, in partition order) and verifies via the
-// hello handshake that the processes cover the n nodes of g in
-// contiguous ranges. The strategy's universe must match the graph.
-func NewNetTransport(g *graph.Graph, strat rendezvous.Strategy, addrs []string, opts NetOptions) (*NetTransport, error) {
-	return newNetTransport(g, strat, nil, nil, addrs, opts)
-}
-
-// NewReplicatedNetTransport is NewNetTransport in r-fold replicated
-// rendezvous mode: servers post to the union of every replica family's
-// posting sets, and a locate that gets no rendezvous answer — because
-// the meeting nodes are marked crashed, or because the node process
-// hosting them was killed — falls through to the next family instead of
-// failing, at one extra flood charge per attempt. Combined with
-// NetOptions.RepairInterval this is the crash-tolerance story of the
-// socket cluster: fallthrough bridges the outage, repair restores the
-// replication factor once the process comes back.
-func NewReplicatedNetTransport(g *graph.Graph, rp *strategy.Replicated, addrs []string, opts NetOptions) (*NetTransport, error) {
-	if rp == nil {
-		return nil, fmt.Errorf("cluster: replicated transport needs a strategy.Replicated")
-	}
-	return newNetTransport(g, rp.Base(), nil, rp, addrs, opts)
-}
-
-// NewWeightedNetTransport is NewNetTransport in frequency-weighted
-// mode: cold ports run w.Base() and ports promoted by SetHotPorts run
-// the post-heavy hot split, with the same union-post promotion protocol
-// (and the same pass charges) as the weighted MemTransport.
-func NewWeightedNetTransport(g *graph.Graph, w *strategy.Weighted, addrs []string, opts NetOptions) (*NetTransport, error) {
-	if w == nil {
-		return nil, fmt.Errorf("cluster: weighted transport needs a strategy.Weighted")
-	}
-	return newNetTransport(g, w.Base(), w, nil, addrs, opts)
-}
-
-func newNetTransport(g *graph.Graph, strat rendezvous.Strategy, w *strategy.Weighted, rp *strategy.Replicated, addrs []string, opts NetOptions) (*NetTransport, error) {
-	n := g.N()
-	if strat.N() != n {
-		return nil, fmt.Errorf("cluster: strategy universe %d != graph size %d", strat.N(), n)
-	}
-	routing, err := graph.NewRouting(g)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: %w", err)
-	}
-	strat = rendezvous.Precompute(strat)
-	sets, err := newStratSets(g, routing, strat, w, rp)
+// dialWireSubstrate connects to the node processes (see dialProcSet).
+func dialWireSubstrate(addrs []string, n int, opts NetOptions, down func(lo, hi int)) (*wireSubstrate, error) {
+	ws := &wireSubstrate{opts: opts, down: down, stopRepair: make(chan struct{})}
+	ws.scratch.New = func() any { return &netScratch{} }
+	ps, err := dialProcSet(addrs, n, opts, &ws.wire)
 	if err != nil {
 		return nil, err
 	}
-	t := &NetTransport{
-		g:          g,
-		routing:    routing,
-		strat:      strat,
-		hot:        hotTables{sets: sets, weighted: w},
-		opts:       opts,
-		stopRepair: make(chan struct{}),
-		byPort:     make(map[core.Port]map[uint64]*netServer),
-		gens:       newGenIndex(),
-		crashed:    make([]atomic.Bool, n),
-	}
-	if rp != nil && rp.Replicas() > 1 {
-		t.rp = rp
-	}
-	t.scratch.New = func() any { return &netScratch{} }
-	if !opts.DisableCoalescing {
-		t.coal = newNetCoalescer(t, opts.CoalesceWindow, opts.CoalesceBatch)
-	}
-	ps, err := dialProcSet(addrs, n, opts, &t.wire)
-	if err != nil {
-		return nil, err
-	}
-	t.procs.Store(ps)
-	if opts.RepairInterval > 0 {
-		t.repairWG.Add(1)
-		go t.runRepair(opts.RepairInterval)
-	}
-	if opts.ReconcileInterval > 0 {
-		t.StartReconcile(opts.ReconcileInterval)
-	}
-	return t, nil
+	ws.procs.Store(ps)
+	return ws, nil
 }
 
-// NewElasticNetTransport connects to a node-process cluster in
-// epoch-versioned elastic membership mode: the serving epoch's tables
-// live on this coordinator (mirroring the elastic MemTransport — the
-// node processes just store what they are sent), Resize/FinishResize
-// run the dual-epoch migration over the wire with epoch garbage
-// collection travelling as opExpire, and Rescale additionally
-// repartitions the node space across a different process set with a
-// coordinator-driven partition transfer. Elastic membership is
-// mutually exclusive with the weighted mode; replication comes from
-// the epoch itself.
-func NewElasticNetTransport(g *graph.Graph, initial *strategy.Epoch, addrs []string, opts NetOptions) (*NetTransport, error) {
-	if initial == nil {
-		return nil, fmt.Errorf("cluster: elastic transport needs an initial epoch")
+func (ws *wireSubstrate) kind() string { return "net" }
+
+// close stops the repair loop and closes the connection pools. The node
+// processes keep running — their lifecycle belongs to cmd/mmctl (or
+// whoever spawned them).
+func (ws *wireSubstrate) close() {
+	select {
+	case <-ws.stopRepair:
+	default:
+		close(ws.stopRepair)
 	}
-	n := g.N()
-	routing, err := graph.NewRouting(g)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: %w", err)
+	ws.repairWG.Wait()
+	ws.procs.Load().close()
+}
+
+// netScratch is the pooled per-call workspace, one slot per process, so
+// the steady-state fan-out path reuses everything it touches.
+type netScratch struct{ procs []procScratch }
+
+type procScratch struct {
+	kidx []int32          // indices into the call's key list, in wire order
+	req  []byte           // request body
+	resp []byte           // response body
+	call *netwire.Pending // in-flight handle (fanout)
+	err  error            // call error
+}
+
+// getScratch readies a pooled scratch for a fan-out over procs processes.
+func (ws *wireSubstrate) getScratch(procs int) *netScratch {
+	sc := ws.scratch.Get().(*netScratch)
+	for len(sc.procs) < procs {
+		sc.procs = append(sc.procs, procScratch{})
 	}
-	et, err := newEpochTables(g, routing, initial, nil)
-	if err != nil {
-		return nil, err
+	for p := range sc.procs[:procs] {
+		ps := &sc.procs[p]
+		ps.kidx, ps.req, ps.call, ps.err = ps.kidx[:0], ps.req[:0], nil, nil
 	}
-	t := &NetTransport{
-		g:          g,
-		routing:    routing,
-		strat:      rendezvous.Precompute(epochStrategyView(initial, n)),
-		opts:       opts,
-		stopRepair: make(chan struct{}),
-		byPort:     make(map[core.Port]map[uint64]*netServer),
-		gens:       newGenIndex(),
-		crashed:    make([]atomic.Bool, n),
-	}
-	t.scratch.New = func() any { return &netScratch{} }
-	if !opts.DisableCoalescing {
-		t.coal = newNetCoalescer(t, opts.CoalesceWindow, opts.CoalesceBatch)
-	}
-	t.elastic.Store(et)
-	ps, err := dialProcSet(addrs, n, opts, &t.wire)
-	if err != nil {
-		return nil, err
-	}
-	t.procs.Store(ps)
-	if opts.RepairInterval > 0 {
-		t.repairWG.Add(1)
-		go t.runRepair(opts.RepairInterval)
-	}
-	if opts.ReconcileInterval > 0 {
-		t.StartReconcile(opts.ReconcileInterval)
-	}
-	return t, nil
+	return sc
 }
 
 // callProc issues one request to process p of snapshot ps and tracks
-// its health: the first failure after a healthy period bumps every hint
-// generation (the dead process may have hosted servers of any port) and
-// marks the process for repair, and a later success clears the down
-// mark so a restarted process heals transparently.
-func (t *NetTransport) callProc(ps *procSet, p int, op byte, req, resp []byte) (byte, []byte, error) {
+// its health: a failure marks the process down (see noteProcDown), and
+// a later success clears the mark so a restarted process heals
+// transparently.
+func (ws *wireSubstrate) callProc(ps *procSet, p int, op byte, req, resp []byte) (byte, []byte, error) {
 	st, body, err := ps.pools[p].Call(op, req, resp)
 	if err != nil {
-		t.noteProcDown(ps, p)
+		ws.noteProcDown(ps, p)
 		return 0, nil, err
 	}
 	ps.downP[p].Store(false)
@@ -472,247 +332,240 @@ func (t *NetTransport) callProc(ps *procSet, p int, op byte, req, resp []byte) (
 }
 
 // noteProcDown records a failed call against process p: the first
-// failure after a healthy period bumps every hint generation (the dead
-// process may have hosted servers of any port) and marks the process
-// for repair.
-func (t *NetTransport) noteProcDown(ps *procSet, p int) {
+// failure after a healthy period is reported upward (the dead process
+// may have hosted servers of any port) and marks the process for
+// repair.
+func (ws *wireSubstrate) noteProcDown(ps *procSet, p int) {
 	if !ps.downP[p].Swap(true) {
-		t.gens.bumpAll()
 		ps.needRepair[p].Store(true)
-		t.events.emit(Event{Type: EvProcDown, Lo: ps.ranges[p][0], Hi: ps.ranges[p][1]})
+		ws.down(ps.ranges[p][0], ps.ranges[p][1])
 	}
 }
 
-// runRepair is the background re-post repair loop: every interval it
+// startRepair launches the background repair loop: every interval it
 // hellos each node process (detecting deaths that no foreground traffic
 // has tripped over yet), and when a process that was observed dead
-// answers again — a restart, with the volatile stores and live table of
-// its node range lost — it re-registers every live server homed in the
-// recovered range and re-posts every live server whose posting set
-// touches it, restoring the replication factor the crash ate. Reposts
-// go through the ordinary posting path and are charged like any other
-// posting.
-func (t *NetTransport) runRepair(interval time.Duration) {
-	defer t.repairWG.Done()
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-t.stopRepair:
-			return
-		case <-tick.C:
-		}
-		// Reload the snapshot each tick so a Rescale's fresh process set
-		// is picked up on the next round.
-		ps := t.procs.Load()
-		for p := range ps.pools {
-			// The hello both probes health and, via callProc, flips the
-			// down/needRepair marks on a state change.
-			_, _, err := t.callProc(ps, p, opHello, nil, nil)
-			if err == nil && ps.needRepair[p].Swap(false) {
-				// Fence the repair's re-posts like any lifecycle write
-				// so they cannot vanish into a mid-rescale snapshot.
-				t.lifeMu.RLock()
-				t.repairRange(ps, ps.ranges[p][0], ps.ranges[p][1])
-				t.lifeMu.RUnlock()
-				t.events.emit(Event{Type: EvProcUp, Lo: ps.ranges[p][0], Hi: ps.ranges[p][1]})
+// answers again — a restart, with the rows and liveness records of its
+// node range lost — it calls repair with that range, which re-registers
+// every live server homed in it and re-posts every live server whose
+// posting set touches it, restoring the replication factor the crash
+// ate.
+func (ws *wireSubstrate) startRepair(interval time.Duration, repair func(lo, hi int)) {
+	ws.repairWG.Add(1)
+	go func() {
+		defer ws.repairWG.Done()
+		tick := time.NewTicker(interval)
+		defer tick.Stop()
+		for {
+			select {
+			case <-ws.stopRepair:
+				return
+			case <-tick.C:
+			}
+			// Reload the snapshot each tick so a Rescale's fresh process
+			// set is picked up on the next round.
+			ps := ws.procs.Load()
+			for p := range ps.pools {
+				// The hello both probes health and, via callProc, flips
+				// the down/needRepair marks on a state change.
+				_, _, err := ws.callProc(ps, p, opHello, nil, nil)
+				if err == nil && ps.needRepair[p].Swap(false) {
+					repair(ps.ranges[p][0], ps.ranges[p][1])
+				}
 			}
 		}
-	}
+	}()
 }
 
-// repairRange rebuilds the lost state of node range [lo, hi) from the
-// client-side registration mirror: liveness records for servers homed
-// in the range, then a fresh posting multicast for every live server
-// whose posting set reaches into it. It serves both a restarted
-// process (the repair loop) and a rescale whose donor died mid-transfer.
-// Every hint generation is bumped afterwards so cached addresses
-// re-resolve against the repaired stores. Each server's mutex is held
-// across its liveness check AND its re-post: a repair posting carries a
-// fresh timestamp, so letting it race a concurrent Deregister or
-// Migrate could stamp an Active entry fresher than the lifecycle
-// operation's tombstone and resurrect a gone (or moved-away) server at
-// every rendezvous node.
-func (t *NetTransport) repairRange(ps *procSet, lo, hi int) {
-	t.regMu.Lock()
-	var servers []*netServer
-	for _, m := range t.byPort {
-		for _, srv := range m {
-			servers = append(servers, srv)
-		}
-	}
-	t.regMu.Unlock()
-	for _, srv := range servers {
-		srv.mu.Lock()
-		if srv.gone {
-			srv.mu.Unlock()
+// fanout issues one call per process with a non-empty request body,
+// pipelined: every request is started before any response is awaited,
+// so the wall-clock cost is the slowest peer's round trip, not the sum
+// — and no goroutines or waitgroups are allocated, which is what keeps
+// the locate hot path at zero heap allocations. Responses land in
+// each slot's resp and errors in its err; calls to dead processes fail fast
+// and are recorded, and the caller treats them as silence.
+func (ws *wireSubstrate) fanout(ps *procSet, sc *netScratch, op byte) {
+	for p := range ps.pools {
+		s := &sc.procs[p]
+		if len(s.req) == 0 {
 			continue
 		}
-		node := srv.node
-		if int(node) >= lo && int(node) < hi && !t.crashed[node].Load() {
-			_ = t.registerRemote(ps, srv.id, srv.port, node)
+		if s.call, s.err = ps.pools[p].Start(op, s.req); s.err != nil {
+			ws.noteProcDown(ps, p)
 		}
-		// One set-table read serves both the in-range check and the
-		// re-post: re-resolving the posting set inside postEntry could
-		// observe a newer epoch than the one checked here if a Resize
-		// (also under the shared lifeMu fence) installs its tables
-		// between the two loads, re-posting a mid-migration server to
-		// the wrong epoch's rendezvous nodes at the wrong charge.
-		targets, cost := t.postSets(srv, node)
-		for _, v := range targets {
-			if int(v) >= lo && int(v) < hi {
-				_ = t.postEntryTargets(srv, node, true, targets, cost)
-				break
+	}
+	for p := range ps.pools {
+		s := &sc.procs[p]
+		if s.call == nil {
+			continue
+		}
+		st, body, err := s.call.Wait(s.resp[:0], ps.pools[p].CallTimeout)
+		s.call = nil
+		if err != nil {
+			ws.noteProcDown(ps, p)
+		} else {
+			ps.downP[p].Store(false)
+			if st != stOK {
+				err = fmt.Errorf("cluster: %s op %d: status %d", ps.addrs[p], op, st)
 			}
 		}
-		srv.mu.Unlock()
+		if body != nil {
+			s.resp = body
+		}
+		s.err = err
 	}
-	t.gens.bumpAll()
 }
 
-// Name implements Transport.
-func (t *NetTransport) Name() string {
-	if t.elastic.Load() != nil {
-		return "net-elastic"
+// post delivers the rows with one opPost frame per owning process.
+func (ws *wireSubstrate) post(entries []core.Entry, rows []rowKey) {
+	ps := ws.procs.Load()
+	sc := ws.getScratch(len(ps.pools))
+	for _, r := range rows {
+		s := &sc.procs[ps.ownerOf[r.node]]
+		s.req = appendEntry(netwire.AppendUvarint(s.req, uint64(r.node)), entries[r.req])
 	}
-	if t.hot.weighted != nil {
-		return "net-weighted"
-	}
-	if r := t.hot.replicas(); r > 1 {
-		return fmt.Sprintf("net-r%d", r)
-	}
-	return "net"
+	ws.fanout(ps, sc, opPost)
+	ws.scratch.Put(sc)
 }
 
-// Replicas implements ReplicatedTransport: the replication factor of
-// the strategy in use (1 when unreplicated); on an elastic transport
-// mid-migration it is the dual-epoch family count.
-func (t *NetTransport) Replicas() int {
-	if et := t.elastic.Load(); et != nil {
-		return et.replicas()
+// query groups fl's keys per owning process — one (port, nodeCount,
+// nodes...) sub-request per request per process, the keys' wire order
+// recorded in the process's kidx for decoding — and fans them out as op.
+func (ws *wireSubstrate) query(ps *procSet, sc *netScratch, fl *flood, op byte) {
+	for p := range ps.pools {
+		s := &sc.procs[p]
+		for lo, hi := 0, 0; lo < len(fl.keys); lo = hi {
+			req := fl.keys[lo].req
+			start := len(s.kidx)
+			for hi = lo; hi < len(fl.keys) && fl.keys[hi].req == req; hi++ {
+				if ps.ownerOf[fl.keys[hi].node] == p {
+					s.kidx = append(s.kidx, int32(hi))
+				}
+			}
+			if len(s.kidx) == start {
+				continue
+			}
+			s.req = netwire.AppendString(s.req, string(fl.reqs[req].Port))
+			s.req = netwire.AppendUvarint(s.req, uint64(len(s.kidx)-start))
+			for _, i := range s.kidx[start:] {
+				s.req = netwire.AppendUvarint(s.req, uint64(fl.keys[i].node))
+			}
+		}
 	}
-	return t.hot.replicas()
+	ws.fanout(ps, sc, op)
 }
 
-// N implements Transport.
-func (t *NetTransport) N() int { return t.g.N() }
-
-// Procs returns the number of node processes behind the transport.
-func (t *NetTransport) Procs() int { return len(t.procs.Load().pools) }
-
-// Addrs returns the current node-process addresses in partition order.
-func (t *NetTransport) Addrs() []string {
-	ps := t.procs.Load()
-	out := make([]string, len(ps.addrs))
-	copy(out, ps.addrs)
-	return out
+// readFreshest travels as opQuery (one flag+freshest answer per node)
+// when unscoped and as opQueryAll when scoped — the node processes are
+// family- and epoch-agnostic, so a scoped flood must see every
+// candidate row per node and reduce them to the family's freshest
+// itself. A dead process's nodes are silent misses.
+func (ws *wireSubstrate) readFreshest(fl *flood) {
+	ps := ws.procs.Load()
+	sc := ws.getScratch(len(ps.pools))
+	op := opQuery
+	if fl.scope.on() {
+		op = opQueryAll
+	}
+	ws.query(ps, sc, fl, op)
+	for p := range ps.pools {
+		if len(sc.procs[p].kidx) == 0 || sc.procs[p].err != nil {
+			continue
+		}
+		d := netwire.NewDec(sc.procs[p].resp)
+		for _, i := range sc.procs[p].kidx {
+			k := fl.keys[i]
+			// The queried port is reused for the entries' port strings
+			// (decodeEntryFor) so the hot path decodes without copying
+			// out of the frame buffer.
+			port := fl.reqs[k.req].Port
+			if op == opQuery {
+				if d.Byte() == 1 {
+					fl.ans[i].e = decodeEntryFor(&d, port)
+					fl.ans[i].ok = d.Err() == nil
+				}
+				continue
+			}
+			a := &fl.ans[i]
+			for cnt := int(d.Uvarint()); cnt > 0; cnt-- {
+				e := decodeEntryFor(&d, port)
+				if d.Err() != nil {
+					a.ok = false
+					break
+				}
+				// "Holds entries, none of this family" is silence in
+				// the model, and charged nothing.
+				if fl.scope.admits(e.Addr, k.node) && (!a.ok || e.Time > a.e.Time) {
+					a.e, a.ok = e, true
+				}
+			}
+		}
+	}
+	ws.scratch.Put(sc)
 }
 
-// Strategy returns the (precomputed) base strategy in use.
-func (t *NetTransport) Strategy() rendezvous.Strategy { return t.strat }
-
-// Gen implements Transport: the generation index is maintained by the
-// coordinating transport (bumped on register, migrate, deregister,
-// crash, and on an observed process death), not on the wire.
-func (t *NetTransport) Gen(port core.Port) uint64 { return t.gens.gen(port) }
-
-func (t *NetTransport) genSlot(port core.Port) *atomic.Uint64 { return t.gens.slot(port) }
-
-// isHot reports whether port currently runs the hot split.
-func (t *NetTransport) isHot(port core.Port) bool { return t.hot.isHot(port) }
-
-// canReclassify reports whether SetHotPorts can succeed.
-func (t *NetTransport) canReclassify() bool { return t.hot.weighted != nil }
-
-// HotPorts returns the currently published hot classification.
-func (t *NetTransport) HotPorts() []core.Port { return t.hot.hotPorts() }
-
-// querySets returns the query flood targets and multicast cost for a
-// locate of port from client under the current classification (the
-// serving epoch's family 0 on elastic transports, whose static tables
-// do not exist).
-func (t *NetTransport) querySets(client graph.NodeID, port core.Port) ([]graph.NodeID, int64) {
-	if et := t.elastic.Load(); et != nil {
-		targets, cost, _, _, _ := et.queryFor(client, 0)
-		return targets, cost
+func (ws *wireSubstrate) readAll(fl *flood) {
+	ps := ws.procs.Load()
+	sc := ws.getScratch(len(ps.pools))
+	ws.query(ps, sc, fl, opQueryAll)
+	for p := range ps.pools {
+		if len(sc.procs[p].kidx) == 0 || sc.procs[p].err != nil {
+			continue
+		}
+		d := netwire.NewDec(sc.procs[p].resp)
+		for _, i := range sc.procs[p].kidx {
+			k := fl.keys[i]
+			for cnt := int(d.Uvarint()); cnt > 0; cnt-- {
+				e := decodeEntryFor(&d, fl.reqs[k.req].Port)
+				if d.Err() != nil {
+					break
+				}
+				if fl.scope.admits(e.Addr, k.node) {
+					fl.all = append(fl.all, keyedEntry{key: i, e: e})
+				}
+			}
+		}
 	}
-	return t.hot.querySets(client, port)
+	ws.scratch.Put(sc)
 }
 
-// postSets returns the posting targets and multicast cost for srv
-// posting from node: the elastic epoch tables (widened to both epochs'
-// union during a migration) when elastic membership is on, else the
-// static tables with the shared sticky posted-under-union rule (see
-// hotTables.postSets) — identical selection, identical charges, to
-// MemTransport.
-func (t *NetTransport) postSets(srv *netServer, node graph.NodeID) ([]graph.NodeID, int64) {
-	if et := t.elastic.Load(); et != nil {
-		return et.postFor(node)
+// probe asks the owner process of addr, which answers from its live
+// table; an unreachable owner, or one that holds addr crashed, is
+// silence.
+func (ws *wireSubstrate) probe(port core.Port, addr graph.NodeID, id uint64) probeAnswer {
+	ps := ws.procs.Load()
+	buf := netwire.GetBuf()
+	req := netwire.AppendString(*buf, string(port))
+	req = netwire.AppendUvarint(req, uint64(addr))
+	req = netwire.AppendUvarint(req, id)
+	*buf = req
+	st, _, err := ws.callProc(ps, ps.ownerOf[addr], opProbe, req, nil)
+	netwire.PutBuf(buf)
+	switch {
+	case err != nil || st == stCrashed:
+		return probeSilent
+	case st == stOK:
+		return probeHit
 	}
-	return t.hot.postSets(&srv.postedHot, srv.port, node)
+	return probeMiss
 }
 
-// netServer is a ServerRef on the socket transport. The client-side
-// fields mirror the liveness record held by the owning node process;
-// probes are answered remotely, lifecycle operations update both.
-type netServer struct {
-	t    *NetTransport
-	port core.Port
-	id   uint64
-
-	postedHot atomic.Bool
-
-	mu   sync.Mutex
-	node graph.NodeID
-	gone bool
-}
-
-// Register implements Transport: the liveness record lands on the
-// process owning node, the postings on the processes owning the
-// posting set, and the posting multicast cost is charged locally —
-// identical passes to MemTransport.Register.
-func (t *NetTransport) Register(port core.Port, node graph.NodeID) (ServerRef, error) {
-	if !t.g.Valid(node) {
-		return nil, fmt.Errorf("cluster: register at %d: %w", node, graph.ErrNodeRange)
+// register records the liveness entry on node's owner process. A move
+// within one owner is a single overwrite; across owners the old record
+// is dropped first, so a concurrent probe can at worst see a transient
+// miss, never a stale confirmation.
+func (ws *wireSubstrate) register(id uint64, port core.Port, node, from graph.NodeID) error {
+	ps := ws.procs.Load()
+	if from != noNode && ps.ownerOf[from] != ps.ownerOf[node] {
+		ws.deregister(id, from)
 	}
-	if et := t.elastic.Load(); et != nil && !et.ep.Contains(node) {
-		return nil, errOutsideMembership(port, node, et.ep)
-	}
-	t.lifeMu.RLock()
-	defer t.lifeMu.RUnlock()
-	ps := t.procs.Load()
-	srv := &netServer{t: t, port: port, id: t.serverID.Add(1), node: node}
-	t.addRegistration(srv)
-	// Re-check membership now that the registration is published (see
-	// MemTransport.Register): either this server made a racing shrink
-	// Resize's regMu-guarded snapshot — and was validated there — or
-	// the epoch loaded here is the post-resize one.
-	if et := t.elastic.Load(); et != nil && !et.ep.Contains(node) {
-		t.dropRegistration(srv)
-		return nil, errOutsideMembership(port, node, et.ep)
-	}
-	if err := t.registerRemote(ps, srv.id, port, node); err != nil {
-		t.dropRegistration(srv)
-		return nil, err
-	}
-	if err := t.postEntry(srv, node, true); err != nil {
-		t.dropRegistration(srv)
-		_ = t.deregisterRemote(ps, srv.id, node)
-		return nil, err
-	}
-	t.gens.bump(port)
-	return srv, nil
-}
-
-// registerRemote records the liveness entry on node's owner process.
-func (t *NetTransport) registerRemote(ps *procSet, id uint64, port core.Port, node graph.NodeID) error {
 	buf := netwire.GetBuf()
 	defer netwire.PutBuf(buf)
 	req := netwire.AppendUvarint(*buf, id)
 	req = netwire.AppendString(req, string(port))
 	req = netwire.AppendUvarint(req, uint64(node))
 	*buf = req
-	st, _, err := t.callProc(ps, ps.ownerOf[node], opRegister, req, nil)
+	st, _, err := ws.callProc(ps, ps.ownerOf[node], opRegister, req, nil)
 	if err != nil {
 		return fmt.Errorf("cluster: register %q at %d: node process unreachable: %w", port, node, err)
 	}
@@ -725,861 +578,256 @@ func (t *NetTransport) registerRemote(ps *procSet, id uint64, port core.Port, no
 	return nil
 }
 
-// deregisterRemote removes the liveness entry from node's owner.
-func (t *NetTransport) deregisterRemote(ps *procSet, id uint64, node graph.NodeID) error {
+func (ws *wireSubstrate) deregister(id uint64, node graph.NodeID) {
+	ps := ws.procs.Load()
 	buf := netwire.GetBuf()
 	defer netwire.PutBuf(buf)
 	req := netwire.AppendUvarint(*buf, id)
 	*buf = req
-	_, _, err := t.callProc(ps, ps.ownerOf[node], opDeregister, req, nil)
-	return err
+	_, _, _ = ws.callProc(ps, ps.ownerOf[node], opDeregister, req, nil)
 }
 
-// addRegistration publishes srv in the client-side mirror; under regMu
-// the hot-class decision is linearized against SetHotPorts exactly as
-// on MemTransport.
-func (t *NetTransport) addRegistration(srv *netServer) {
-	t.regMu.Lock()
-	m := t.byPort[srv.port]
-	if m == nil {
-		m = make(map[uint64]*netServer, 2)
-		t.byPort[srv.port] = m
-	}
-	m[srv.id] = srv
-	if t.hot.weighted != nil && t.isHot(srv.port) {
-		srv.postedHot.Store(true)
-	}
-	t.regMu.Unlock()
+// crash and restore deliver the mark to node's owner, which clears the
+// node's volatile cache and stops (or resumes) answering for it; a dead
+// process is already maximally crashed, so delivery failures are
+// ignored.
+func (ws *wireSubstrate) crash(node graph.NodeID)   { ws.mark(node, opCrash) }
+func (ws *wireSubstrate) restore(node graph.NodeID) { ws.mark(node, opRestore) }
+
+func (ws *wireSubstrate) mark(node graph.NodeID, op byte) {
+	ps := ws.procs.Load()
+	_, _, _ = ws.callProc(ps, ps.ownerOf[node], op, netwire.AppendUvarint(nil, uint64(node)), nil)
 }
 
-func (t *NetTransport) dropRegistration(srv *netServer) {
-	t.regMu.Lock()
-	if m := t.byPort[srv.port]; m != nil {
-		delete(m, srv.id)
-		if len(m) == 0 {
-			delete(t.byPort, srv.port)
-		}
+func (ws *wireSubstrate) expire(rows []rowID) {
+	ps := ws.procs.Load()
+	sc := ws.getScratch(len(ps.pools))
+	for _, r := range rows {
+		p := ps.ownerOf[r.node]
+		sc.procs[p].req = netwire.AppendUvarint(sc.procs[p].req, uint64(r.node))
+		sc.procs[p].req = netwire.AppendString(sc.procs[p].req, string(r.port))
+		sc.procs[p].req = netwire.AppendUvarint(sc.procs[p].req, r.id)
 	}
-	t.regMu.Unlock()
+	ws.fanout(ps, sc, opExpire)
+	ws.scratch.Put(sc)
 }
 
-// postEntry multicasts a posting (or tombstone) for srv from node to
-// its posting set: one opPost per owning process, full multicast cost
-// charged up front (as on MemTransport, targets on crashed nodes or
-// dead processes are skipped silently but still paid for — the flood
-// was sent). A crashed origin cannot post.
-func (t *NetTransport) postEntry(srv *netServer, node graph.NodeID, active bool) error {
-	targets, cost := t.postSets(srv, node)
-	return t.postEntryTargets(srv, node, active, targets, cost)
-}
-
-// postEntryTargets is postEntry with an explicit target set and
-// pre-computed multicast cost — the primitive the epoch migration's
-// delta re-posts share with the ordinary posting path.
-func (t *NetTransport) postEntryTargets(srv *netServer, node graph.NodeID, active bool, targets []graph.NodeID, cost int64) error {
-	if t.crashed[node].Load() {
-		return fmt.Errorf("cluster: post %q from %d: %w", srv.port, node, sim.ErrCrashed)
-	}
-	ps := t.procs.Load()
-	e := core.Entry{
-		Port:     srv.port,
-		Addr:     node,
-		ServerID: srv.id,
-		Time:     t.clock.Add(1),
-		Active:   active,
-	}
-	t.passes.Add(int(node), cost)
-	sc := t.scratch.Get().(*netScratch)
-	sc.reset(len(ps.pools))
-	for _, v := range targets {
-		if t.crashed[v].Load() {
+// digests is one opDigest per live node process, summarizing every
+// owned row in a single round trip; a dead process is a crashed range
+// the repair loop handles, so its nodes stay unread.
+func (ws *wireSubstrate) digests(dg []uint64, ok []bool) {
+	ps := ws.procs.Load()
+	for p := range ps.pools {
+		if ps.downP[p].Load() {
 			continue
 		}
-		p := ps.ownerOf[v]
-		sc.reqs[p] = netwire.AppendUvarint(sc.reqs[p], uint64(v))
-		sc.reqs[p] = appendEntry(sc.reqs[p], e)
+		lo, hi := ps.ranges[p][0], ps.ranges[p][1]
+		st, body, err := ws.callProc(ps, p, opDigest, rangeReq(lo, hi), nil)
+		if err != nil || st != stOK {
+			continue
+		}
+		d := netwire.NewDec(body)
+		for v := lo; v < hi; v++ {
+			dg[v] = d.Uvarint()
+			ok[v] = d.Err() == nil
+		}
 	}
-	t.fanout(ps, sc, opPost)
-	t.scratch.Put(sc)
+}
+
+// dump pulls each node's full cached row (tombstones included) from
+// its owning process via opSnapshot.
+func (ws *wireSubstrate) dump(nodes []graph.NodeID) map[graph.NodeID][]core.Entry {
+	ps := ws.procs.Load()
+	out := make(map[graph.NodeID][]core.Entry, len(nodes))
+	for _, v := range nodes {
+		st, body, err := ws.callProc(ps, ps.ownerOf[v], opSnapshot, rangeReq(int(v), int(v)+1), nil)
+		if err != nil || st != stOK {
+			continue
+		}
+		d := netwire.NewDec(body)
+		entries := make([]core.Entry, 0, int(d.Uvarint()))
+		for i := cap(entries); i > 0; i-- {
+			_ = d.Uvarint() // node, always v
+			entries = append(entries, decodeEntry(&d))
+		}
+		if d.Err() == nil {
+			out[v] = entries
+		}
+	}
+	return out
+}
+
+// rangeReq encodes the (lo, hi) body of opDigest and opSnapshot.
+func rangeReq(lo, hi int) []byte {
+	return netwire.AppendUvarint(netwire.AppendUvarint(nil, uint64(lo)), uint64(hi))
+}
+
+// perProc sends each non-nil body of reqs to its process as op and
+// returns the first delivery error.
+func (ws *wireSubstrate) perProc(ps *procSet, op byte, reqs [][]byte) error {
+	var firstErr error
+	for p, req := range reqs {
+		if req == nil {
+			continue
+		}
+		if _, _, err := ws.callProc(ps, p, op, req, nil); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	return firstErr
+}
+
+// corrupt ships the plan to the owning node processes as opCorrupt
+// frames — drops by identity, raw injections bypassing the merge rule.
+func (ws *wireSubstrate) corrupt(plan []corruptOp) error {
+	ps := ws.procs.Load()
+	reqs := make([][]byte, len(ps.pools))
+	for _, op := range plan {
+		b := reqs[ps.ownerOf[op.node]]
+		if op.drop {
+			b = append(b, 0)
+			b = netwire.AppendUvarint(b, uint64(op.node))
+			b = netwire.AppendString(b, string(op.port))
+			b = netwire.AppendUvarint(b, op.id)
+		} else {
+			b = append(b, 1)
+			b = netwire.AppendUvarint(b, uint64(op.node))
+			b = appendEntry(b, op.e)
+		}
+		reqs[ps.ownerOf[op.node]] = b
+	}
+	return ws.perProc(ps, opCorrupt, reqs)
+}
+
+// arm ships one opArm frame to EVERY process — the frame replaces a
+// process's whole plan, so processes with no lying nodes get an empty
+// body that clears any stale plan from a previous arm.
+func (ws *wireSubstrate) arm(plan []forgeOp) error {
+	ps := ws.procs.Load()
+	reqs := make([][]byte, len(ps.pools))
+	for p := range reqs {
+		reqs[p] = []byte{}
+	}
+	for _, op := range plan {
+		b := reqs[ps.ownerOf[op.node]]
+		b = netwire.AppendUvarint(b, uint64(op.node))
+		b = netwire.AppendString(b, string(op.port))
+		if op.rec.silent {
+			b = append(b, 1)
+		} else {
+			b = append(b, 0)
+			b = appendEntry(b, op.rec.e)
+		}
+		reqs[ps.ownerOf[op.node]] = b
+	}
+	return ws.perProc(ps, opArm, reqs)
+}
+
+// procSet is one immutable node-process partition of a NetTransport:
+// the dialed connection pools, the node→process ownership derived from
+// the hello handshake, and the per-process health marks. Rescale swaps
+// the whole set atomically; operations capture one snapshot and use it
+// throughout, so a concurrent repartition can at worst make their
+// calls fail fast against closed pools — the fail-silent crash
+// semantics they already handle.
+type procSet struct {
+	addrs      []string
+	pools      []*netwire.Pool
+	ownerOf    []int         // node -> owning process index
+	ranges     [][2]int      // process index -> owned [lo, hi)
+	downP      []atomic.Bool // observed-dead processes (sticky until a call succeeds)
+	needRepair []atomic.Bool // process observed dead since its last repair
+}
+
+// newProcSet builds the pools for addrs over n nodes with no ownership
+// yet (see own). Wire traffic is tallied into ctr when non-nil (the
+// transport's long-lived counters, shared across rescales).
+func newProcSet(addrs []string, n int, opts NetOptions, ctr *netwire.Counters) *procSet {
+	ps := &procSet{
+		addrs:      addrs,
+		pools:      make([]*netwire.Pool, len(addrs)),
+		ownerOf:    make([]int, n),
+		ranges:     make([][2]int, len(addrs)),
+		downP:      make([]atomic.Bool, len(addrs)),
+		needRepair: make([]atomic.Bool, len(addrs)),
+	}
+	for i, addr := range addrs {
+		p := netwire.NewPool(addr, opts.ConnsPerProc)
+		if ctr != nil {
+			p.UseCounters(ctr)
+		}
+		if opts.DialTimeout > 0 {
+			p.DialTimeout = opts.DialTimeout
+		}
+		p.CallTimeout = opts.CallTimeout
+		ps.pools[i] = p
+	}
+	return ps
+}
+
+// own records that process i owns [lo, hi), demanding the contiguous
+// continuation of the ranges claimed so far (which end at next).
+func (ps *procSet) own(i, lo, hi, next int) error {
+	if lo != next || hi <= lo || hi > len(ps.ownerOf) {
+		return fmt.Errorf("cluster: process %s owns [%d,%d), want contiguous from %d", ps.addrs[i], lo, hi, next)
+	}
+	for v := lo; v < hi; v++ {
+		ps.ownerOf[v] = i
+	}
+	ps.ranges[i] = [2]int{lo, hi}
 	return nil
 }
 
-// fanout issues one call per process with a non-empty request body,
-// pipelined: every request is started before any response is awaited,
-// so the wall-clock cost is the slowest peer's round trip, not the sum
-// — and no goroutines or waitgroups are allocated, which is what keeps
-// the locate hot path at zero heap allocations. Responses land in
-// sc.resps and errors in sc.errs; calls to dead processes fail fast
-// and are recorded, and the operation treats them as silence — the
-// fail-silent crash semantics of the paper.
-func (t *NetTransport) fanout(ps *procSet, sc *netScratch, op byte) {
-	for p := range ps.pools {
-		if len(sc.reqs[p]) == 0 {
-			continue
-		}
-		pd, err := ps.pools[p].Start(op, sc.reqs[p])
+// dialProcSet dials pools for addrs and verifies via the hello
+// handshake that the processes cover the n nodes in contiguous ranges.
+// On any failure every pool is closed.
+func dialProcSet(addrs []string, n int, opts NetOptions, ctr *netwire.Counters) (*procSet, error) {
+	if len(addrs) == 0 {
+		return nil, fmt.Errorf("cluster: net transport needs at least one node-process address")
+	}
+	ps := newProcSet(addrs, n, opts, ctr)
+	if err := ps.handshake(n); err != nil {
+		ps.close()
+		return nil, err
+	}
+	return ps, nil
+}
+
+// close releases every pool of the set.
+func (ps *procSet) close() {
+	for _, p := range ps.pools {
+		p.Close()
+	}
+}
+
+// handshake hellos every node process and builds the node→process
+// ownership table, demanding contiguous ranges that cover [0, n).
+func (ps *procSet) handshake(n int) error {
+	next := 0
+	for i := range ps.pools {
+		st, body, err := ps.pools[i].Call(opHello, nil, nil)
 		if err != nil {
-			t.noteProcDown(ps, p)
-			sc.errs[p] = err
-			continue
+			return fmt.Errorf("cluster: hello %s: %w", ps.addrs[i], err)
 		}
-		sc.calls[p] = pd
-	}
-	for p := range ps.pools {
-		pd := sc.calls[p]
-		if pd == nil {
-			continue
+		if st != stOK {
+			return fmt.Errorf("cluster: hello %s: status %d", ps.addrs[i], st)
 		}
-		sc.calls[p] = nil
-		st, body, err := pd.Wait(sc.resps[p][:0], ps.pools[p].CallTimeout)
-		if err != nil {
-			t.noteProcDown(ps, p)
-		} else {
-			ps.downP[p].Store(false)
-			if st != stOK {
-				err = fmt.Errorf("cluster: %s op %d: status %d", ps.addrs[p], op, st)
-			}
-		}
-		if body != nil {
-			sc.resps[p] = body
-		}
-		sc.errs[p] = err
-	}
-}
-
-// Locate implements Transport: the query multicast cost is charged up
-// front, the flood fans out to the owning processes, and every
-// rendezvous hit is charged its reply distance — the same charges, and
-// the same freshest-entry winner, as MemTransport.Locate. On a
-// replicated transport a silent flood — crashed rendezvous nodes or a
-// killed node process — falls through the replica families in order.
-func (t *NetTransport) Locate(client graph.NodeID, port core.Port) (core.Entry, error) {
-	e, _, err := locateFallthrough(t, client, port, 0)
-	return e, err
-}
-
-// LocateReplica implements ReplicatedTransport: one query flood over
-// replica k's query set only, with MemTransport's exact charges (and
-// MemTransport's dual-epoch family indexing on elastic transports).
-// Unless NetOptions.DisableCoalescing is set the flood goes through
-// the coalescer, which merges concurrent locates into shared wire
-// frames without changing answers or charges.
-func (t *NetTransport) LocateReplica(client graph.NodeID, port core.Port, replica int) (core.Entry, error) {
-	if co := t.coal; co != nil {
-		return co.locate(client, port, replica)
-	}
-	return t.locateReplicaDirect(client, port, replica)
-}
-
-// locateReplicaDirect is one uncoalesced replica flood: the primitive
-// both the coalescer's single-op passthrough and the disabled-coalescer
-// path run.
-func (t *NetTransport) locateReplicaDirect(client graph.NodeID, port core.Port, replica int) (core.Entry, error) {
-	e, _, err := t.locateReplicaFrom(client, port, replica)
-	return e, err
-}
-
-// locateReplicaFrom is locateReplicaDirect attributing the winning
-// reply to the rendezvous node that sent it — the answerer identity the
-// Byzantine voting path holds nodes accountable by.
-func (t *NetTransport) locateReplicaFrom(client graph.NodeID, port core.Port, replica int) (core.Entry, graph.NodeID, error) {
-	if !t.g.Valid(client) {
-		return core.Entry{}, 0, fmt.Errorf("cluster: locate from %d: %w", client, graph.ErrNodeRange)
-	}
-	if t.crashed[client].Load() {
-		return core.Entry{}, 0, fmt.Errorf("cluster: locate from %d: %w", client, sim.ErrCrashed)
-	}
-	var (
-		targets []graph.NodeID
-		cost    int64
-		dual    bool
-	)
-	et := t.elastic.Load()
-	if et != nil {
-		etargets, ecost, tab, _, ok := et.queryFor(client, replica)
-		if !ok {
-			return core.Entry{}, 0, errRetiredReplica(port, client, replica)
-		}
-		if len(etargets) == 0 {
-			return core.Entry{}, 0, errMissingEpochFlood(port, client)
-		}
-		targets, cost, dual = etargets, ecost, tab != et
-	} else {
-		if replica < 0 || replica >= t.Replicas() {
-			return core.Entry{}, 0, fmt.Errorf("cluster: replica %d out of [0,%d)", replica, t.Replicas())
-		}
-		targets, cost = t.hot.replicaQuerySets(client, port, replica)
-	}
-	ps := t.procs.Load()
-	t.passes.Add(int(client), cost)
-	sc := t.scratch.Get().(*netScratch)
-	sc.reset(len(ps.pools))
-	t.groupQuery(ps, sc, 0, port, targets)
-	t.fanout(ps, sc, t.queryOp())
-	var (
-		best  core.Entry
-		from  graph.NodeID
-		found bool
-		bulk  int64
-	)
-	for p := range ps.pools {
-		if len(sc.nodes[p]) == 0 || sc.errs[p] != nil {
-			continue // a dead process's caches are silent misses
-		}
-		d := netwire.NewDec(sc.resps[p])
-		for _, v := range sc.nodes[p] {
-			e, ok := t.decodeNodeAnswer(et, &d, v, port, replica)
-			if !ok {
-				continue
-			}
-			bulk += int64(t.routing.Dist(v, client))
-			if !found || e.Time > best.Time {
-				best, from, found = e, v, true
-			}
-		}
-	}
-	t.scratch.Put(sc)
-	if bulk != 0 {
-		t.passes.Add(int(client), bulk)
-	}
-	if !found {
-		return core.Entry{}, 0, fmt.Errorf("cluster: locate %q from %d: %w", port, client, core.ErrNotFound)
-	}
-	if dual {
-		t.dualLocates.Add(1)
-	}
-	return best, from, nil
-}
-
-// queryOp returns the wire operation a locate flood travels as:
-// opQuery (one flag+freshest answer per node) normally, opQueryAll when
-// replicated or elastic — the coordinator must see every candidate
-// entry per node to reduce them to the family's freshest itself, since
-// the node processes are family- and epoch-agnostic.
-func (t *NetTransport) queryOp() byte {
-	if t.rp != nil || t.elastic.Load() != nil {
-		return opQueryAll
-	}
-	return opQuery
-}
-
-// decodeNodeAnswer consumes node v's answer from d in queryOp's wire
-// format and reduces it to this flood's model-level reply: the entry
-// the node answered with, or — on a replicated or elastic flood — the
-// freshest entry the node holds as a member of the flood's (dual-epoch)
-// replica family. port is the flood's queried port, which the decoder
-// reuses for the entries' port strings (decodeEntryFor) so the hot
-// path decodes without copying out of the frame buffer. ok is false
-// for a silent miss (including "holds entries, none of this family",
-// which the model treats as silence and charges nothing for).
-func (t *NetTransport) decodeNodeAnswer(et *epochTables, d *netwire.Dec, v graph.NodeID, port core.Port, replica int) (core.Entry, bool) {
-	var inFamily func(origin graph.NodeID) bool
-	switch {
-	case et != nil:
-		tab, fam, ok := et.resolve(replica)
-		if !ok {
-			return core.Entry{}, false
-		}
-		inFamily = func(origin graph.NodeID) bool { return tab.ep.InPost(fam, origin, v) }
-	case t.rp != nil:
-		inFamily = func(origin graph.NodeID) bool { return t.rp.InPost(replica, origin, v) }
-	default:
-		if d.Byte() == 0 {
-			return core.Entry{}, false
-		}
-		e := decodeEntryFor(d, port)
-		return e, d.Err() == nil
-	}
-	cnt := int(d.Uvarint())
-	var (
-		best  core.Entry
-		found bool
-	)
-	for j := 0; j < cnt; j++ {
-		e := decodeEntryFor(d, port)
+		d := netwire.NewDec(body)
+		pn, lo, hi := int(d.Uvarint()), int(d.Uvarint()), int(d.Uvarint())
 		if d.Err() != nil {
-			return core.Entry{}, false
+			return fmt.Errorf("cluster: hello %s: %w", ps.addrs[i], d.Err())
 		}
-		if !inFamily(e.Addr) {
-			continue
+		if pn != n {
+			return fmt.Errorf("cluster: process %s built for n=%d, transport for n=%d", ps.addrs[i], pn, n)
 		}
-		if !found || e.Time > best.Time {
-			best, found = e, true
+		if err := ps.own(i, lo, hi, next); err != nil {
+			return err
 		}
+		next = hi
 	}
-	return best, found
-}
-
-// groupQuery appends one sub-request (for original request index req)
-// to each process owning any of targets, skipping locally-crashed
-// nodes, and records the grouping for response decoding.
-func (t *NetTransport) groupQuery(ps *procSet, sc *netScratch, req int, port core.Port, targets []graph.NodeID) {
-	for p := range ps.pools {
-		// Snapshot the include/skip decision for each target exactly once
-		// (into sc.nodes), then encode from the snapshot: a concurrent
-		// Crash flipping t.crashed mid-grouping must not let the declared
-		// node count disagree with the ids that follow it on the wire.
-		start := len(sc.nodes[p])
-		for _, v := range targets {
-			if ps.ownerOf[v] == p && !t.crashed[v].Load() {
-				sc.nodes[p] = append(sc.nodes[p], v)
-			}
-		}
-		n := len(sc.nodes[p]) - start
-		if n == 0 {
-			continue
-		}
-		sc.reqs[p] = netwire.AppendString(sc.reqs[p], string(port))
-		sc.reqs[p] = netwire.AppendUvarint(sc.reqs[p], uint64(n))
-		for _, v := range sc.nodes[p][start:] {
-			sc.reqs[p] = netwire.AppendUvarint(sc.reqs[p], uint64(v))
-		}
-		sc.cnts[p] = append(sc.cnts[p], n)
-		sc.idx[p] = append(sc.idx[p], req)
+	if next != n {
+		return fmt.Errorf("cluster: processes cover [0,%d) of %d nodes", next, n)
 	}
-}
-
-// LocateBatch implements Transport: the whole batch's store accesses
-// are grouped per owning process — each process sees one request frame
-// per batch — and the total charge is identical to the equivalent
-// sequence of Locate calls, as on the other transports; on a replicated
-// transport the misses of one pass re-flood the next family as a
-// sub-batch, exactly like mem.
-func (t *NetTransport) LocateBatch(reqs []LocateReq, res []LocateRes) {
-	n := len(reqs)
-	if len(res) < n {
-		n = len(res)
-	}
-	t.locateBatchReplica(reqs[:n], res[:n], 0)
-	if r := t.Replicas(); r > 1 {
-		batchFallthrough(reqs[:n], res[:n], r, t.locateBatchReplica)
-	}
-}
-
-// locateBatchReplica runs one process-grouped batch pass over replica
-// k's query sets (dual-epoch family indexing on elastic transports);
-// reqs and res have equal length.
-func (t *NetTransport) locateBatchReplica(reqs []LocateReq, res []LocateRes, replica int) {
-	n := len(reqs)
-	et := t.elastic.Load()
-	var (
-		etab *epochTables
-		efam int
-	)
-	if et != nil {
-		tab, fam, ok := et.resolve(replica)
-		if !ok {
-			for i := 0; i < n; i++ {
-				res[i] = LocateRes{Err: errRetiredReplica(reqs[i].Port, reqs[i].Client, replica)}
-			}
-			return
-		}
-		etab, efam = tab, fam
-	}
-	ps := t.procs.Load()
-	sc := t.scratch.Get().(*netScratch)
-	sc.reset(len(ps.pools))
-	if cap(sc.found) < n {
-		sc.found = make([]bool, n)
-	}
-	sc.found = sc.found[:n]
-	for i := range sc.found {
-		sc.found[i] = false
-	}
-	var bulk int64
-	for i := 0; i < n; i++ {
-		r := reqs[i]
-		res[i] = LocateRes{}
-		if !t.g.Valid(r.Client) {
-			res[i].Err = fmt.Errorf("cluster: locate from %d: %w", r.Client, graph.ErrNodeRange)
-			continue
-		}
-		if t.crashed[r.Client].Load() {
-			res[i].Err = fmt.Errorf("cluster: locate from %d: %w", r.Client, sim.ErrCrashed)
-			continue
-		}
-		var (
-			targets []graph.NodeID
-			cost    int64
-		)
-		if etab != nil {
-			targets, cost = etab.query[efam][r.Client], etab.queryCost[efam][r.Client]
-			if len(targets) == 0 {
-				res[i].Err = errMissingEpochFlood(r.Port, r.Client)
-				continue
-			}
-		} else {
-			targets, cost = t.hot.replicaQuerySets(r.Client, r.Port, replica)
-		}
-		bulk += cost
-		t.groupQuery(ps, sc, i, r.Port, targets)
-	}
-	t.fanout(ps, sc, t.queryOp())
-	for p := range ps.pools {
-		if len(sc.idx[p]) == 0 || sc.errs[p] != nil {
-			continue
-		}
-		d := netwire.NewDec(sc.resps[p])
-		off := 0
-		for j, req := range sc.idx[p] {
-			for k := 0; k < sc.cnts[p][j]; k++ {
-				v := sc.nodes[p][off]
-				off++
-				e, ok := t.decodeNodeAnswer(et, &d, v, reqs[req].Port, replica)
-				if !ok {
-					continue
-				}
-				bulk += int64(t.routing.Dist(v, reqs[req].Client))
-				if !sc.found[req] || e.Time > res[req].Entry.Time {
-					res[req].Entry = e
-					sc.found[req] = true
-				}
-			}
-		}
-	}
-	var dual int64
-	for i := 0; i < n; i++ {
-		if res[i].Err == nil && !sc.found[i] {
-			res[i].Err = fmt.Errorf("cluster: locate %q from %d: %w", reqs[i].Port, reqs[i].Client, core.ErrNotFound)
-		} else if res[i].Err == nil && etab != nil && etab != et {
-			dual++
-		}
-	}
-	if dual > 0 {
-		t.dualLocates.Add(dual)
-	}
-	t.scratch.Put(sc)
-	t.passes.Add(0, bulk)
-}
-
-// PostBatch implements Transport: registrations are validated up
-// front, liveness records land on their owners, and the whole batch's
-// postings are delivered with one opPost frame per process, the summed
-// multicast cost charged in one add — the same totals as the
-// equivalent sequence of Registers.
-func (t *NetTransport) PostBatch(regs []Registration) ([]ServerRef, error) {
-	et := t.elastic.Load()
-	for _, r := range regs {
-		if !t.g.Valid(r.Node) {
-			return nil, fmt.Errorf("cluster: register at %d: %w", r.Node, graph.ErrNodeRange)
-		}
-		if et != nil && !et.ep.Contains(r.Node) {
-			return nil, errOutsideMembership(r.Port, r.Node, et.ep)
-		}
-		if t.crashed[r.Node].Load() {
-			return nil, fmt.Errorf("cluster: post %q from %d: %w", r.Port, r.Node, sim.ErrCrashed)
-		}
-	}
-	t.lifeMu.RLock()
-	defer t.lifeMu.RUnlock()
-	ps := t.procs.Load()
-	refs := make([]ServerRef, len(regs))
-	servers := make([]*netServer, len(regs))
-	for i, r := range regs {
-		servers[i] = &netServer{t: t, port: r.Port, id: t.serverID.Add(1), node: r.Node}
-		t.addRegistration(servers[i])
-		refs[i] = servers[i]
-		if err := t.registerRemote(ps, servers[i].id, r.Port, r.Node); err != nil {
-			for j := 0; j <= i; j++ {
-				t.dropRegistration(servers[j])
-				_ = t.deregisterRemote(ps, servers[j].id, regs[j].Node)
-			}
-			return nil, err
-		}
-	}
-	// Re-check membership after publishing (see Register): a shrink
-	// Resize racing this batch either snapshotted these servers (and
-	// validated them) or its epoch is visible here.
-	if et := t.elastic.Load(); et != nil {
-		for _, r := range regs {
-			if !et.ep.Contains(r.Node) {
-				for j := range servers {
-					t.dropRegistration(servers[j])
-					_ = t.deregisterRemote(ps, servers[j].id, regs[j].Node)
-				}
-				return nil, errOutsideMembership(r.Port, r.Node, et.ep)
-			}
-		}
-	}
-	sc := t.scratch.Get().(*netScratch)
-	sc.reset(len(ps.pools))
-	var bulk int64
-	for i, r := range regs {
-		targets, cost := t.postSets(servers[i], r.Node)
-		bulk += cost
-		e := core.Entry{
-			Port:     r.Port,
-			Addr:     r.Node,
-			ServerID: servers[i].id,
-			Time:     t.clock.Add(1),
-			Active:   true,
-		}
-		for _, v := range targets {
-			if t.crashed[v].Load() {
-				continue
-			}
-			p := ps.ownerOf[v]
-			sc.reqs[p] = netwire.AppendUvarint(sc.reqs[p], uint64(v))
-			sc.reqs[p] = appendEntry(sc.reqs[p], e)
-		}
-	}
-	t.fanout(ps, sc, opPost)
-	t.scratch.Put(sc)
-	t.passes.Add(0, bulk)
-	for _, r := range regs {
-		t.gens.bump(r.Port)
-	}
-	return refs, nil
-}
-
-// Probe implements Transport: the owner process of the hinted address
-// answers from its live table, and the transport charges 2×Dist for an
-// answered probe (positive or negative) or 1×Dist when the address is
-// crashed or its process is gone — the request was swallowed, exactly
-// the MemTransport charge.
-func (t *NetTransport) Probe(client graph.NodeID, e core.Entry) (core.Entry, error) {
-	if !t.g.Valid(client) {
-		return core.Entry{}, fmt.Errorf("cluster: probe from %d: %w", client, graph.ErrNodeRange)
-	}
-	if !t.g.Valid(e.Addr) {
-		return core.Entry{}, fmt.Errorf("cluster: probe at %d: %w", e.Addr, graph.ErrNodeRange)
-	}
-	if t.crashed[client].Load() {
-		return core.Entry{}, fmt.Errorf("cluster: probe from %d: %w", client, sim.ErrCrashed)
-	}
-	d := int64(t.routing.Dist(client, e.Addr))
-	if t.crashed[e.Addr].Load() {
-		t.passes.Add(int(client), d) // request swallowed by the crash
-		return core.Entry{}, fmt.Errorf("cluster: probe %q at %d: %w", e.Port, e.Addr, sim.ErrCrashed)
-	}
-	ps := t.procs.Load()
-	buf := netwire.GetBuf()
-	req := netwire.AppendString(*buf, string(e.Port))
-	req = netwire.AppendUvarint(req, uint64(e.Addr))
-	req = netwire.AppendUvarint(req, e.ServerID)
-	*buf = req
-	st, _, err := t.callProc(ps, ps.ownerOf[e.Addr], opProbe, req, nil)
-	netwire.PutBuf(buf)
-	if err != nil || st == stCrashed {
-		t.passes.Add(int(client), d) // no answer came back
-		return core.Entry{}, fmt.Errorf("cluster: probe %q at %d: %w", e.Port, e.Addr, sim.ErrCrashed)
-	}
-	t.passes.Add(int(client), 2*d) // request + reply (positive or negative)
-	if st == stOK {
-		return core.Entry{Port: e.Port, Addr: e.Addr, ServerID: e.ServerID, Time: e.Time, Active: true}, nil
-	}
-	return core.Entry{}, fmt.Errorf("cluster: probe %q at %d: %w", e.Port, e.Addr, core.ErrNotFound)
-}
-
-// LocateAll implements Transport, with MemTransport's charges: the
-// query flood cost plus each answering node's reply distance times its
-// entry count — and the same replica fallthrough as Locate.
-func (t *NetTransport) LocateAll(client graph.NodeID, port core.Port) ([]core.Entry, error) {
-	return locateAllFallthrough(t.Replicas(), func(k int) ([]core.Entry, error) {
-		return t.locateAllReplica(client, port, k)
-	})
-}
-
-// locateAllReplica is one locate-all flood over replica k's query set
-// (dual-epoch family indexing on elastic transports).
-func (t *NetTransport) locateAllReplica(client graph.NodeID, port core.Port, replica int) ([]core.Entry, error) {
-	if !t.g.Valid(client) {
-		return nil, fmt.Errorf("cluster: locate-all from %d: %w", client, graph.ErrNodeRange)
-	}
-	if t.crashed[client].Load() {
-		return nil, fmt.Errorf("cluster: locate-all from %d: %w", client, sim.ErrCrashed)
-	}
-	var (
-		targets []graph.NodeID
-		cost    int64
-		etab    *epochTables
-		efam    int
-	)
-	if et := t.elastic.Load(); et != nil {
-		etargets, ecost, tab, fam, ok := et.queryFor(client, replica)
-		if !ok {
-			return nil, errRetiredReplica(port, client, replica)
-		}
-		if len(etargets) == 0 {
-			return nil, errMissingEpochFlood(port, client)
-		}
-		targets, cost, etab, efam = etargets, ecost, tab, fam
-	} else {
-		targets, cost = t.hot.replicaQuerySets(client, port, replica)
-	}
-	ps := t.procs.Load()
-	t.passes.Add(int(client), cost)
-	sc := t.scratch.Get().(*netScratch)
-	sc.reset(len(ps.pools))
-	t.groupQuery(ps, sc, 0, port, targets)
-	t.fanout(ps, sc, opQueryAll)
-	freshest := make(map[uint64]core.Entry, 4)
-	for p := range ps.pools {
-		if len(sc.nodes[p]) == 0 || sc.errs[p] != nil {
-			continue
-		}
-		d := netwire.NewDec(sc.resps[p])
-		for _, v := range sc.nodes[p] {
-			cnt := int(d.Uvarint())
-			answered := int64(0)
-			for k := 0; k < cnt; k++ {
-				e := decodeEntryFor(&d, port)
-				if d.Err() != nil {
-					break
-				}
-				if etab != nil {
-					if !etab.ep.InPost(efam, e.Addr, v) {
-						continue // not this epoch-family's posting here
-					}
-				} else if t.rp != nil && !t.rp.InPost(replica, e.Addr, v) {
-					continue // not this family's posting here: model silence
-				}
-				answered++
-				if cur, ok := freshest[e.ServerID]; !ok || e.Time > cur.Time {
-					freshest[e.ServerID] = e
-				}
-			}
-			if answered > 0 {
-				t.passes.Add(int(client), int64(t.routing.Dist(v, client))*answered)
-			}
-		}
-	}
-	t.scratch.Put(sc)
-	var out []core.Entry
-	for _, e := range freshest {
-		if e.Active {
-			out = append(out, e)
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("cluster: locate-all %q from %d: %w", port, client, core.ErrNotFound)
-	}
-	return out, nil
-}
-
-// SetHotPorts implements HotReclassifier with MemTransport's promotion
-// protocol: newly hot ports have their live servers reposted under the
-// union sets (the repost traffic charged like any posting) before the
-// classification is published, so a hot query never races ahead of the
-// postings it needs; demotion is safe immediately because union ⊇ base.
-func (t *NetTransport) SetHotPorts(ports []core.Port) error {
-	if t.hot.weighted == nil {
-		return fmt.Errorf("cluster: transport %q has no weighted strategy", t.Name())
-	}
-	t.lifeMu.RLock()
-	defer t.lifeMu.RUnlock()
-	newHot := make(map[core.Port]bool, len(ports))
-	for _, p := range ports {
-		newHot[p] = true
-	}
-	t.regMu.Lock()
-	defer t.regMu.Unlock()
-	var errs []error
-	for p := range newHot {
-		if t.isHot(p) {
-			continue // already hot; servers already post union
-		}
-		for _, srv := range t.byPort[p] {
-			srv.mu.Lock()
-			node, gone := srv.node, srv.gone
-			srv.mu.Unlock()
-			if gone {
-				continue
-			}
-			srv.postedHot.Store(true)
-			if err := t.postEntry(srv, node, true); err != nil {
-				errs = append(errs, err)
-			}
-		}
-	}
-	t.hot.publish(&newHot)
-	return errors.Join(errs...)
-}
-
-// Elastic implements ElasticTransport.
-func (t *NetTransport) Elastic() bool { return t.elastic.Load() != nil }
-
-// Epoch implements ElasticTransport: the serving epoch's sequence
-// number (0 when elastic membership is off).
-func (t *NetTransport) Epoch() uint64 {
-	if et := t.elastic.Load(); et != nil {
-		return et.ep.Seq()
-	}
-	return 0
-}
-
-// Resizing implements ElasticTransport.
-func (t *NetTransport) Resizing() bool {
-	et := t.elastic.Load()
-	return et != nil && et.prev != nil
-}
-
-// MigratedPosts implements ElasticTransport.
-func (t *NetTransport) MigratedPosts() int64 { return t.migrated.Load() }
-
-// DualEpochLocates implements ElasticTransport.
-func (t *NetTransport) DualEpochLocates() int64 { return t.dualLocates.Load() }
-
-// Resize implements ElasticTransport with MemTransport's protocol: the
-// new epoch's tables are installed on this coordinator, every live
-// server's entry is re-posted over the wire to exactly the rendezvous
-// nodes the minimal-movement remap added (each delta charged its
-// multicast-tree cost), and hint generations are bumped for moved
-// ports only. Each server's mutex is held across its delta re-post so
-// the fresh-timestamped migration posting cannot race a concurrent
-// Deregister or Migrate into resurrecting it.
-func (t *NetTransport) Resize(next *strategy.Epoch) (int, error) {
-	if t.elastic.Load() == nil {
-		return 0, ErrNotElastic
-	}
-	t.lifeMu.RLock()
-	defer t.lifeMu.RUnlock()
-	t.resizeMu.Lock()
-	defer t.resizeMu.Unlock()
-	cur := t.elastic.Load()
-	if cur.prev != nil {
-		return 0, fmt.Errorf("cluster: resize to epoch %d: migration from epoch %d still draining", next.Seq(), cur.prev.ep.Seq())
-	}
-	if err := validateNextEpoch(cur.ep, next, t.g.N()); err != nil {
-		return 0, err
-	}
-	nt, err := newEpochTables(t.g, t.routing, next, cur)
-	if err != nil {
-		return 0, err
-	}
-	t.regMu.Lock()
-	var servers []*netServer
-	for _, m := range t.byPort {
-		for _, srv := range m {
-			srv.mu.Lock()
-			node, gone := srv.node, srv.gone
-			srv.mu.Unlock()
-			if gone {
-				continue
-			}
-			if !next.Contains(node) {
-				t.regMu.Unlock()
-				return 0, errServerOutsideEpoch(srv.port, node, next)
-			}
-			servers = append(servers, srv)
-		}
-	}
-	t.elastic.Store(nt)
-	t.regMu.Unlock()
-
-	moved := 0
-	movedPorts := make(map[core.Port]bool)
-	for _, srv := range servers {
-		srv.mu.Lock()
-		if srv.gone {
-			srv.mu.Unlock()
-			continue
-		}
-		node := srv.node
-		added := nt.rm.Added(node)
-		if len(added) == 0 {
-			srv.mu.Unlock()
-			continue
-		}
-		cost, err := t.routing.MulticastCost(node, added)
-		if err == nil {
-			err = t.postEntryTargets(srv, node, true, added, int64(cost))
-		}
-		srv.mu.Unlock()
-		if err != nil {
-			continue // a crashed origin cannot migrate its postings
-		}
-		moved += len(added)
-		movedPorts[srv.port] = true
-	}
-	for port := range movedPorts {
-		t.gens.bump(port)
-	}
-	t.migrated.Add(int64(moved))
-	return moved, nil
-}
-
-// FinishResize implements ElasticTransport: the dual-epoch phase ends
-// and the old-epoch-only postings of every live server expire on their
-// node processes via opExpire — each node's local garbage collection,
-// charged zero message passes like MemTransport's.
-func (t *NetTransport) FinishResize() error {
-	if t.elastic.Load() == nil {
-		return ErrNotElastic
-	}
-	t.lifeMu.RLock()
-	defer t.lifeMu.RUnlock()
-	t.resizeMu.Lock()
-	defer t.resizeMu.Unlock()
-	cur := t.elastic.Load()
-	if cur.prev == nil {
-		return fmt.Errorf("cluster: no resize in progress")
-	}
-	t.regMu.Lock()
-	t.elastic.Store(cur.retired())
-	var servers []*netServer
-	for _, m := range t.byPort {
-		for _, srv := range m {
-			servers = append(servers, srv)
-		}
-	}
-	t.regMu.Unlock()
-	ps := t.procs.Load()
-	sc := t.scratch.Get().(*netScratch)
-	sc.reset(len(ps.pools))
-	for _, srv := range servers {
-		srv.mu.Lock()
-		node, gone := srv.node, srv.gone
-		srv.mu.Unlock()
-		if gone {
-			continue
-		}
-		for _, v := range cur.rm.Removed(node) {
-			p := ps.ownerOf[v]
-			sc.reqs[p] = netwire.AppendUvarint(sc.reqs[p], uint64(v))
-			sc.reqs[p] = netwire.AppendString(sc.reqs[p], string(srv.port))
-			sc.reqs[p] = netwire.AppendUvarint(sc.reqs[p], srv.id)
-		}
-	}
-	t.fanout(ps, sc, opExpire)
-	t.scratch.Put(sc)
-	return nil
-}
-
-// Rescale re-partitions the node space across a different node-process
-// set: the new processes are dialed and handshaken, each new partition
-// is filled by a coordinator-driven transfer from the old processes
-// (postings including tombstones, liveness records, crash marks — see
-// opSnapshot), and the process set is swapped atomically so operations
-// in flight keep a consistent snapshot. The transfer moves state, not
-// match-making traffic, so it charges no message passes; ranges whose
-// donor died mid-transfer are rebuilt from the client-side
-// registration mirror instead (repairRange — charged like any repair
-// re-post), which is what makes a kill -9 of a donor survivable at
-// r ≥ 2. Old pools are closed after the swap; the old processes'
-// lifecycle belongs to the orchestrator (mmctl scale drains them).
-func (t *NetTransport) Rescale(newAddrs []string) error {
-	t.rescaleMu.Lock()
-	defer t.rescaleMu.Unlock()
-	nps, err := dialProcSet(newAddrs, t.g.N(), t.opts, &t.wire)
-	if err != nil {
-		return err
-	}
-	// Hold the lifecycle fence exclusively across the transfer and the
-	// swap: a register/tombstone/migrate landing on an old process
-	// after its partition was snapshotted would silently miss the new
-	// set (a lost tombstone resurrects a deregistered server), so
-	// lifecycle writes wait out the handoff instead.
-	t.lifeMu.Lock()
-	old := t.procs.Load()
-	lost := transferPartitions(old, nps)
-	t.procs.Store(nps)
-	for _, r := range lost {
-		t.repairRange(nps, r[0], r[1])
-	}
-	t.lifeMu.Unlock()
-	t.gens.bumpAll()
-	old.close()
 	return nil
 }
 
@@ -1603,41 +851,22 @@ type DonorProc struct {
 // be copied are returned, for the consuming transports' repair loops
 // to rebuild by re-posting.
 func TransferPartitions(old []DonorProc, newAddrs []string, n int, opts NetOptions) ([][2]int, error) {
-	if len(old) == 0 {
-		return nil, fmt.Errorf("cluster: transfer: no donor processes")
+	addrs := make([]string, len(old))
+	for i, d := range old {
+		addrs[i] = d.Addr
 	}
+	ops := newProcSet(addrs, n, opts, nil)
+	defer ops.close()
 	next := 0
-	for _, d := range old {
-		if d.Lo != next || d.Hi <= d.Lo || d.Hi > n {
-			return nil, fmt.Errorf("cluster: transfer: donor %s owns [%d,%d), want contiguous from %d", d.Addr, d.Lo, d.Hi, next)
+	for i, d := range old {
+		if err := ops.own(i, d.Lo, d.Hi, next); err != nil {
+			return nil, fmt.Errorf("cluster: transfer: donor: %w", err)
 		}
 		next = d.Hi
 	}
 	if next != n {
 		return nil, fmt.Errorf("cluster: transfer: donors cover [0,%d) of %d nodes", next, n)
 	}
-	ops := &procSet{
-		addrs:      make([]string, len(old)),
-		pools:      make([]*netwire.Pool, len(old)),
-		ownerOf:    make([]int, n),
-		ranges:     make([][2]int, len(old)),
-		downP:      make([]atomic.Bool, len(old)),
-		needRepair: make([]atomic.Bool, len(old)),
-	}
-	for i, d := range old {
-		ops.addrs[i] = d.Addr
-		ops.ranges[i] = [2]int{d.Lo, d.Hi}
-		for v := d.Lo; v < d.Hi; v++ {
-			ops.ownerOf[v] = i
-		}
-		p := netwire.NewPool(d.Addr, opts.ConnsPerProc)
-		if opts.DialTimeout > 0 {
-			p.DialTimeout = opts.DialTimeout
-		}
-		p.CallTimeout = opts.CallTimeout
-		ops.pools[i] = p
-	}
-	defer ops.close()
 	nps, err := dialProcSet(newAddrs, n, opts, nil)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: transfer: new set: %w", err)
@@ -1649,7 +878,7 @@ func TransferPartitions(old []DonorProc, newAddrs []string, n int, opts NetOptio
 // transferPartitions fills every new process's partition from the old
 // process set, chunked by overlapping donor range. Donor failures are
 // tolerated: the affected ranges are returned for repair from the
-// client-side registration mirror.
+// registration table.
 func transferPartitions(old, nps *procSet) (lost [][2]int) {
 	for q := range nps.pools {
 		qlo, qhi := nps.ranges[q][0], nps.ranges[q][1]
@@ -1671,12 +900,7 @@ func transferPartitions(old, nps *procSet) (lost [][2]int) {
 // crash marks (whose handler clears the crashed nodes' just-copied
 // stores, matching the volatile-loss semantics).
 func transferChunk(old *procSet, p int, nps *procSet, q, lo, hi int) error {
-	buf := netwire.GetBuf()
-	defer netwire.PutBuf(buf)
-	req := netwire.AppendUvarint(*buf, uint64(lo))
-	req = netwire.AppendUvarint(req, uint64(hi))
-	*buf = req
-	st, body, err := old.pools[p].Call(opSnapshot, req, nil)
+	st, body, err := old.pools[p].Call(opSnapshot, rangeReq(lo, hi), nil)
 	if err != nil {
 		return err
 	}
@@ -1729,178 +953,4 @@ func transferChunk(old *procSet, p int, nps *procSet, q, lo, hi int) error {
 		}
 	}
 	return nil
-}
-
-// Crash implements Transport: the crash mark is mirrored locally (for
-// the same origin/target charges as MemTransport) and delivered to the
-// owning process, which clears the node's volatile cache and stops
-// answering for it. Every hint generation is bumped.
-func (t *NetTransport) Crash(node graph.NodeID) error {
-	if !t.g.Valid(node) {
-		return fmt.Errorf("cluster: crash %d: %w", node, graph.ErrNodeRange)
-	}
-	t.crashed[node].Store(true)
-	t.crashRemote(node, opCrash)
-	t.gens.bumpAll()
-	t.events.emit(Event{Type: EvCrash, Node: node})
-	return nil
-}
-
-// Restore implements Transport.
-func (t *NetTransport) Restore(node graph.NodeID) error {
-	if !t.g.Valid(node) {
-		return fmt.Errorf("cluster: restore %d: %w", node, graph.ErrNodeRange)
-	}
-	t.crashed[node].Store(false)
-	t.crashRemote(node, opRestore)
-	t.events.emit(Event{Type: EvRestore, Node: node})
-	return nil
-}
-
-// SetEventSink implements EventSource: explicit crash/restore marks
-// are pushed as EvCrash/EvRestore, and the process health tracking
-// raises EvProcDown on the first failed call against a node-shard
-// process (the kill -9 signal) and EvProcUp when the repair loop has
-// rebuilt a recovered process's range.
-func (t *NetTransport) SetEventSink(fn EventSink) { t.events.set(fn) }
-
-// crashRemote delivers a crash/restore mark to node's owner; a dead
-// process is already maximally crashed, so delivery failures are
-// ignored.
-func (t *NetTransport) crashRemote(node graph.NodeID, op byte) {
-	ps := t.procs.Load()
-	buf := netwire.GetBuf()
-	req := netwire.AppendUvarint(*buf, uint64(node))
-	*buf = req
-	_, _, _ = t.callProc(ps, ps.ownerOf[node], op, req, nil)
-	netwire.PutBuf(buf)
-}
-
-// Passes implements Transport: the routing-derived pass total, charged
-// locally by the coordinator — the wire traffic itself is an
-// implementation vehicle and is never counted.
-func (t *NetTransport) Passes() int64 { return t.passes.Load() }
-
-// ResetPasses implements Transport.
-func (t *NetTransport) ResetPasses() { t.passes.Reset() }
-
-// WireStats returns the transport's cumulative wire-level traffic
-// totals (frames and bytes, both directions, across every node-process
-// pool including post-Rescale sets). Wire traffic is an implementation
-// vehicle — it is never charged as passes — but frames/locate and
-// bytes/locate are the efficiency the coalescer and striping buy, so
-// the totals are exposed for load tools to report.
-func (t *NetTransport) WireStats() netwire.Stats { return t.wire.Snapshot() }
-
-// CoalesceStats reports the locate coalescer's work so far: locates
-// that shared a wire flood with at least one other, and the number of
-// those shared floods. Both zero when coalescing is disabled.
-func (t *NetTransport) CoalesceStats() (coalesced, floods int64) {
-	if t.coal == nil {
-		return 0, 0
-	}
-	return t.coal.coalesced.Load(), t.coal.floods.Load()
-}
-
-// Close implements Transport: it stops the repair and reconciliation
-// loops and closes the connection pools. The node processes keep
-// running — their lifecycle belongs to cmd/mmctl (or whoever spawned
-// them).
-func (t *NetTransport) Close() error {
-	t.recon.halt()
-	select {
-	case <-t.stopRepair:
-	default:
-		close(t.stopRepair)
-	}
-	t.repairWG.Wait()
-	if ps := t.procs.Load(); ps != nil {
-		ps.close()
-	}
-	return nil
-}
-
-// Port implements ServerRef.
-func (s *netServer) Port() core.Port { return s.port }
-
-// Node implements ServerRef.
-func (s *netServer) Node() graph.NodeID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.node
-}
-
-// Repost implements ServerRef: a fresh posting multicast, charged at
-// the posting-set cost.
-func (s *netServer) Repost() error {
-	s.t.lifeMu.RLock()
-	defer s.t.lifeMu.RUnlock()
-	s.mu.Lock()
-	node, gone := s.node, s.gone
-	s.mu.Unlock()
-	if gone {
-		return core.ErrServerGone
-	}
-	return s.t.postEntry(s, node, true)
-}
-
-// Migrate implements ServerRef: the liveness record moves to the new
-// owner (so probes at the old address answer negatively), then
-// tombstone at the old posting set and fresh posting at the new one —
-// the same two multicast charges as MemTransport. The port's hint
-// generation is bumped so cached addresses re-resolve.
-func (s *netServer) Migrate(to graph.NodeID) error {
-	if !s.t.g.Valid(to) {
-		return fmt.Errorf("cluster: migrate to %d: %w", to, graph.ErrNodeRange)
-	}
-	if et := s.t.elastic.Load(); et != nil && !et.ep.Contains(to) {
-		return errOutsideMembership(s.port, to, et.ep)
-	}
-	s.t.lifeMu.RLock()
-	defer s.t.lifeMu.RUnlock()
-	s.mu.Lock()
-	if s.gone {
-		s.mu.Unlock()
-		return core.ErrServerGone
-	}
-	from := s.node
-	s.node = to
-	s.mu.Unlock()
-	ps := s.t.procs.Load()
-	// Re-point the liveness record: same owner → one overwrite; owner
-	// change → drop the old record first so a concurrent probe can at
-	// worst see a transient miss, never a stale confirmation.
-	if ps.ownerOf[from] != ps.ownerOf[to] {
-		_ = s.t.deregisterRemote(ps, s.id, from)
-	}
-	regErr := s.t.registerRemote(ps, s.id, s.port, to)
-	defer s.t.gens.bump(s.port)
-	tombErr := s.t.postEntry(s, from, false)
-	if err := s.t.postEntry(s, to, true); err != nil {
-		return errors.Join(regErr, tombErr, err)
-	}
-	if regErr != nil {
-		return regErr
-	}
-	return nil
-}
-
-// Deregister implements ServerRef: the liveness record is removed
-// before the tombstone posts, so a probe can never confirm a
-// deregistered instance.
-func (s *netServer) Deregister() error {
-	s.t.lifeMu.RLock()
-	defer s.t.lifeMu.RUnlock()
-	s.mu.Lock()
-	if s.gone {
-		s.mu.Unlock()
-		return core.ErrServerGone
-	}
-	s.gone = true
-	node := s.node
-	s.mu.Unlock()
-	s.t.dropRegistration(s)
-	_ = s.t.deregisterRemote(s.t.procs.Load(), s.id, node)
-	s.t.gens.bump(s.port)
-	return s.t.postEntry(s, node, false)
 }

@@ -12,11 +12,11 @@ import (
 
 // stratSets holds the per-node posting and query sets of a strategy
 // together with their multicast-tree pass costs, precomputed once from
-// the routing tables. Both off-simulator transports (MemTransport and
-// NetTransport) charge the paper's costs from these tables: a posting
-// from node v costs postCost[v] passes (the spanning-tree edges of
-// P(v)), a query flood from v costs queryCost[v], and each rendezvous
-// reply is charged its hop distance separately by the caller.
+// the routing tables. The coordinator charges the paper's costs from
+// these tables: a posting from node v costs postCost[v] passes (the
+// spanning-tree edges of P(v)), a query flood from v costs
+// queryCost[v], and each rendezvous reply is charged its hop distance
+// separately by the caller.
 //
 // When a strategy.Weighted is supplied, the hot split's query sets and
 // the base∪hot union posting sets are precomputed too, so promoting a
@@ -43,14 +43,12 @@ type stratSets struct {
 }
 
 // hotTables couples the precomputed set tables with the published
-// hot-port classification and implements the set-selection rules the
-// off-simulator transports share: a cold port floods the base sets, a
-// promoted port queries the post-heavy hot split while its servers
-// post to the union sets, and a server that has ever posted under the
-// union sets keeps doing so (sticky), so a later tombstone always
-// covers every node a stale entry could linger at. Both MemTransport
-// and NetTransport delegate here, which is what keeps their charges —
-// and therefore the equivalence suite — in lockstep.
+// hot-port classification and implements the coordinator's static
+// set-selection rules: a cold port floods the base sets, a promoted
+// port queries the post-heavy hot split while its servers post to the
+// union sets, and a server that has ever posted under the union sets
+// keeps doing so (sticky), so a later tombstone always covers every
+// node a stale entry could linger at.
 type hotTables struct {
 	sets     *stratSets
 	weighted *strategy.Weighted // nil when weighted mode is disabled
@@ -82,15 +80,6 @@ func (h *hotTables) hotPorts() []core.Port {
 	return out
 }
 
-// querySets returns the query flood targets and multicast cost for a
-// locate of port from client under the current classification.
-func (h *hotTables) querySets(client graph.NodeID, port core.Port) ([]graph.NodeID, int64) {
-	if h.weighted != nil && h.isHot(port) {
-		return h.sets.hotQuery[client], h.sets.hotQueryCost[client]
-	}
-	return h.sets.query[client], h.sets.queryCost[client]
-}
-
 // replicas returns the number of replica families in the tables (1 when
 // unreplicated).
 func (h *hotTables) replicas() int {
@@ -102,14 +91,17 @@ func (h *hotTables) replicas() int {
 
 // replicaQuerySets returns replica k's query flood targets and multicast
 // cost for a locate of port from client. Replica 0 is the base strategy
-// (and honors the weighted hot classification, which is mutually
-// exclusive with replication anyway); higher replicas read the
-// replicated-mode tables.
+// under the current classification (a promoted port floods the hot
+// split; weighting is mutually exclusive with replication anyway);
+// higher replicas read the replicated-mode tables.
 func (h *hotTables) replicaQuerySets(client graph.NodeID, port core.Port, k int) ([]graph.NodeID, int64) {
-	if k == 0 || h.sets.repQuery == nil {
-		return h.querySets(client, port)
+	switch {
+	case k > 0 && h.sets.repQuery != nil:
+		return h.sets.repQuery[k][client], h.sets.repQueryCost[k][client]
+	case h.weighted != nil && h.isHot(port):
+		return h.sets.hotQuery[client], h.sets.hotQueryCost[client]
 	}
-	return h.sets.repQuery[k][client], h.sets.repQueryCost[k][client]
+	return h.sets.query[client], h.sets.queryCost[client]
 }
 
 // postSets returns the posting targets and multicast cost for a server

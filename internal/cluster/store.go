@@ -82,10 +82,7 @@ func (s *Store) NextTime() uint64 { return s.clock.Add(1) }
 // shardIndex returns the shard owning k; batched operations group their
 // accesses by this index so each shard lock is taken once per batch.
 func (s *Store) shardIndex(k storeKey) uint32 {
-	var h maphash.Hash
-	h.SetSeed(s.seed)
-	h.WriteString(string(k.port))
-	return uint32((h.Sum64() ^ uint64(k.node)*0x9e3779b97f4a7c15) & s.mask)
+	return uint32((maphash.String(s.seed, string(k.port)) ^ uint64(k.node)*0x9e3779b97f4a7c15) & s.mask)
 }
 
 func (s *Store) shard(k storeKey) *storeShard {
@@ -109,17 +106,12 @@ func (sh *storeShard) slotCreateLocked(k storeKey) *storeSlot {
 	return sl
 }
 
-// readFreshest scans a loaded slot for the freshest active entry.
-func (sl *storeSlot) readFreshest() (core.Entry, bool) {
-	return sl.readFreshestWhere(nil)
-}
-
-// readFreshestWhere scans a loaded slot for the freshest active entry
-// accepted by keep (nil keeps everything). It is how the replicated
-// mode family-scopes its reads: the same physical slot serves every
-// replica family, and a family-k flood only sees the entries whose
-// origin posted here as part of family k.
-func (sl *storeSlot) readFreshestWhere(keep func(core.Entry) bool) (core.Entry, bool) {
+// readFreshestIn scans a loaded slot for the freshest active entry that
+// sc admits as held at node at (the zero scope admits everything). It
+// is how the replicated mode family-scopes its reads: the same physical
+// slot serves every replica family, and a family-k flood only sees the
+// entries whose origin posted here as part of family k.
+func (sl *storeSlot) readFreshestIn(sc scope, at graph.NodeID) (core.Entry, bool) {
 	curp := sl.entries.Load()
 	if curp == nil {
 		return core.Entry{}, false
@@ -129,7 +121,7 @@ func (sl *storeSlot) readFreshestWhere(keep func(core.Entry) bool) (core.Entry, 
 		found bool
 	)
 	for _, e := range *curp {
-		if !e.Active || (keep != nil && !keep(e)) {
+		if !e.Active || !sc.admits(e.Addr, at) {
 			continue
 		}
 		if !found || e.Time > best.Time {
@@ -227,18 +219,11 @@ func pruneTombstones(entries []core.Entry) []core.Entry {
 
 // Get returns the freshest active entry for port cached at node.
 func (s *Store) Get(node graph.NodeID, port core.Port) (core.Entry, bool) {
-	return s.GetWhere(node, port, nil)
-}
-
-// GetWhere returns the freshest active entry for port cached at node
-// among those accepted by keep (nil keeps everything) — the
-// family-scoped read of the replicated rendezvous mode.
-func (s *Store) GetWhere(node graph.NodeID, port core.Port, keep func(core.Entry) bool) (core.Entry, bool) {
 	sl := s.slot(storeKey{node: node, port: port}, false)
 	if sl == nil {
 		return core.Entry{}, false
 	}
-	return sl.readFreshestWhere(keep)
+	return sl.readFreshestIn(scope{}, node)
 }
 
 // GetAll returns every active entry for port cached at node.

@@ -7,34 +7,35 @@
 // and live metrics (throughput, latency quantiles, message passes per
 // locate).
 //
-// Three transports are provided. SimTransport runs the existing
-// internal/core engine over the internal/sim store-and-forward network,
-// preserving the paper's exact message-pass accounting hop by hop.
-// MemTransport is the in-process fast path: postings and queries apply
-// directly to a sharded in-memory store, while the same message-pass
-// cost the simulator would have charged is computed from the routing
-// tables (multicast-tree edges for floods, hop distance for replies), so
-// throughput work keeps honest paper-cost numbers. NetTransport crosses
-// the process boundary: the node space is partitioned across OS
-// processes (NodeServer, usually cmd/mmnode) speaking a compact
-// length-prefixed binary protocol over TCP (internal/netwire), with the
-// same routing-derived pass accounting kept by the coordinating client —
-// kill -9 a process and its node range fails silently, like crashed
-// nodes in the paper's model. All three also implement the r-fold
-// replicated rendezvous mode (strategy.Replicated): servers post to
-// every replica family and a locate falls through the families when
-// rendezvous nodes are dead, so one crashed node — or one killed node
-// process — costs an extra flood instead of an outage. And all three
-// implement epoch-versioned elastic membership (strategy.Epoch,
-// ElasticTransport): the active node set and its strategy can change
-// at runtime through a dual-epoch migration — minimal-movement delta
-// re-posts, locates falling through to the retiring epoch until it
-// drains, local expiry of the orphaned postings afterwards — with the
-// socket backend additionally re-partitioning the node space across a
-// different process set live (NetTransport.Rescale). All transports
-// agree on both results and costs on a healthy network, on the crash
-// fallthrough path and across epoch transitions; see
-// equivalence_test.go, replicated_test.go, elastic_test.go and
+// Three transports are provided, from two implementations of the
+// model. SimTransport runs the existing internal/core engine over the
+// internal/sim store-and-forward network, preserving the paper's exact
+// message-pass accounting hop by hop; it is the reference. MemTransport
+// and NetTransport are one coordinator (coordinator.go) over two row
+// substrates (substrate.go): the coordinator owns everything the paper
+// defines — set selection, the message-pass cost the simulator would
+// have charged, computed from the routing tables (multicast-tree edges
+// for floods, hop distance for replies), registrations, fallthrough,
+// migration, repair — and the substrate only holds rows, in a sharded
+// in-memory store or in OS processes (NodeServer, usually cmd/mmnode)
+// speaking a compact length-prefixed binary protocol over TCP
+// (internal/netwire) — kill -9 a process and its node range fails
+// silently, like crashed nodes in the paper's model. All three
+// implement the r-fold replicated rendezvous mode
+// (strategy.Replicated): servers post to every replica family and a
+// locate falls through the families when rendezvous nodes are dead, so
+// one crashed node — or one killed node process — costs an extra flood
+// instead of an outage. And all three implement epoch-versioned elastic
+// membership (strategy.Epoch, ElasticTransport): the active node set
+// and its strategy can change at runtime through a dual-epoch migration
+// — minimal-movement delta re-posts, locates falling through to the
+// retiring epoch until it drains, local expiry of the orphaned postings
+// afterwards — with the socket backend additionally re-partitioning the
+// node space across a different process set live
+// (NetTransport.Rescale). All transports agree on both results and
+// costs on a healthy network, on the crash fallthrough path and across
+// epoch transitions; see equivalence_test.go, replicated_test.go,
+// elastic_test.go, substrate_conformance_test.go and
 // nettransport_test.go, and docs/PAPER_MAP.md for the paper-to-code
 // concordance.
 package cluster
