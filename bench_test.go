@@ -294,7 +294,11 @@ func BenchmarkClusterLocate(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		tr, err := cluster.NewWeightedMemTransport(topology.Complete(n), w, 0)
+		lay, err := cluster.WeightedLayout(w)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tr, err := cluster.NewLayoutMemTransport(topology.Complete(n), lay, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -318,11 +322,11 @@ func BenchmarkClusterLocate(b *testing.B) {
 	// answer integrity on an honest cluster (~q× flood traffic; see
 	// DESIGN.md's Byzantine section and EXPERIMENTS.md).
 	b.Run("transport=mem/vote=on", func(b *testing.B) {
-		rp, err := strategy.NewReplicated(rendezvous.Checkerboard(n), 3)
+		lay, err := cluster.FixedLayout(n, rendezvous.Checkerboard(n), 3)
 		if err != nil {
 			b.Fatal(err)
 		}
-		tr, err := cluster.NewReplicatedMemTransport(topology.Complete(n), rp, 0)
+		tr, err := cluster.NewLayoutMemTransport(topology.Complete(n), lay, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -84,7 +84,6 @@ import (
 	"matchmake/internal/core"
 	"matchmake/internal/graph"
 	"matchmake/internal/rendezvous"
-	"matchmake/internal/strategy"
 	"matchmake/internal/sweep/procctl"
 	"matchmake/internal/topology"
 )
@@ -384,16 +383,12 @@ func cmdChaos(args []string, out io.Writer) error {
 	g := topology.Complete(*nodes)
 	base := rendezvous.Checkerboard(*nodes)
 	opts := cluster.NetOptions{CallTimeout: 30 * time.Second, RepairInterval: *repair}
-	var tr cluster.Transport
-	if *replicas > 1 {
-		rp, err := strategy.NewReplicated(base, *replicas)
-		if err != nil {
-			return err
-		}
-		if tr, err = cluster.NewReplicatedNetTransport(g, rp, procctl.Addrs(ps), opts); err != nil {
-			return err
-		}
-	} else if tr, err = cluster.NewNetTransport(g, base, procctl.Addrs(ps), opts); err != nil {
+	lay, err := cluster.FixedLayout(*nodes, base, *replicas)
+	if err != nil {
+		return err
+	}
+	tr, err := cluster.NewLayoutNetTransport(g, lay, procctl.Addrs(ps), opts)
+	if err != nil {
 		return err
 	}
 	copts := cluster.Options{}
@@ -420,7 +415,7 @@ func cmdChaos(args []string, out io.Writer) error {
 	// while the background anti-entropy loop reconciles them back.
 	var antiT cluster.AntiEntropyTransport
 	if *corrupt > 0 {
-		antiT = tr.(cluster.AntiEntropyTransport)
+		antiT = tr
 		antiT.StartReconcile(*reconcile)
 		interval := time.Duration(float64(time.Second) / *corrupt)
 		wg.Add(1)
@@ -448,7 +443,7 @@ func cmdChaos(args []string, out io.Writer) error {
 		homes[names[p]] = regs[p].Node
 	}
 	if *lie {
-		byzT = tr.(cluster.ByzantineTransport)
+		byzT = tr
 		if _, err := byzT.Arm(cluster.ArmOptions{Seed: *seed * 6053, Liars: *liars}); err != nil {
 			return fmt.Errorf("chaos: arm liars: %w", err)
 		}

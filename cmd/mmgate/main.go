@@ -33,22 +33,17 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"matchmake/internal/cluster"
 	"matchmake/internal/gate"
-	"matchmake/internal/graph"
 	"matchmake/internal/netwire"
-	"matchmake/internal/rendezvous"
-	"matchmake/internal/strategy"
-	"matchmake/internal/topology"
+	"matchmake/internal/sweep/loadrun"
 )
 
 func main() {
@@ -89,15 +84,28 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 		}
 	}
 
-	g, err := buildTopology(*topoF, *nodesF)
+	// The gateway stands over any graph, strategy and backing transport
+	// the load driver understands, built by the same code.
+	if *nodesF < 2 {
+		return fmt.Errorf("need at least 2 nodes")
+	}
+	if *replicasF < 1 {
+		return fmt.Errorf("-replicas must be ≥ 1, got %d", *replicasF)
+	}
+	if *transportF != "mem" && *transportF != "net" {
+		return fmt.Errorf("unknown transport %q (mmgate fronts mem or net)", *transportF)
+	}
+	g, err := loadrun.BuildTopology(*topoF, *nodesF)
 	if err != nil {
 		return err
 	}
-	strat, err := buildStrategy(*stratF, g.N(), *seedF)
+	strat, err := loadrun.BuildStrategy(*stratF, g.N(), *seedF)
 	if err != nil {
 		return err
 	}
-	tr, err := buildTransport(*transportF, *addrsF, *netConns, *replicasF, g, strat)
+	tr, err := loadrun.BuildTransport(loadrun.Config{
+		Transport: *transportF, Addrs: *addrsF, NetConns: *netConns, NetCoalesce: true, Replicas: *replicasF,
+	}, g, strat)
 	if err != nil {
 		return err
 	}
@@ -155,95 +163,4 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 	_ = hs.Shutdown(ctx)
 	fmt.Fprintln(out, "mmgate: drained")
 	return nil
-}
-
-// buildTopology mirrors mmload's topology set so a gateway can be
-// stood up over any graph the load driver understands.
-func buildTopology(name string, n int) (*graph.Graph, error) {
-	if n < 2 {
-		return nil, fmt.Errorf("need at least 2 nodes")
-	}
-	switch name {
-	case "complete":
-		return topology.Complete(n), nil
-	case "ring":
-		return topology.Ring(n)
-	case "grid":
-		p := int(math.Sqrt(float64(n)))
-		for p > 1 && n%p != 0 {
-			p--
-		}
-		if p <= 1 {
-			return nil, fmt.Errorf("grid needs a composite node count, got %d", n)
-		}
-		gr, err := topology.NewGrid(p, n/p)
-		if err != nil {
-			return nil, err
-		}
-		return gr.G, nil
-	case "hypercube":
-		d := 0
-		for 1<<d < n {
-			d++
-		}
-		if 1<<d != n {
-			return nil, fmt.Errorf("hypercube needs a power-of-two node count, got %d", n)
-		}
-		h, err := topology.NewHypercube(d)
-		if err != nil {
-			return nil, err
-		}
-		return h.G, nil
-	default:
-		return nil, fmt.Errorf("unknown topology %q", name)
-	}
-}
-
-// buildStrategy mirrors mmload's strategy set.
-func buildStrategy(name string, n int, seed int64) (rendezvous.Strategy, error) {
-	switch name {
-	case "checkerboard":
-		return rendezvous.Checkerboard(n), nil
-	case "random":
-		k := int(math.Ceil(math.Sqrt(float64(n)))) * 2
-		return rendezvous.Random(n, k, k, uint64(seed)), nil
-	case "broadcast":
-		return rendezvous.Broadcast(n), nil
-	case "sweep":
-		return rendezvous.Sweep(n), nil
-	default:
-		return nil, fmt.Errorf("unknown strategy %q", name)
-	}
-}
-
-// buildTransport assembles the backing transport the gateway fronts.
-func buildTransport(kind, addrs string, conns, replicas int, g *graph.Graph, strat rendezvous.Strategy) (cluster.Transport, error) {
-	if replicas < 1 {
-		return nil, fmt.Errorf("-replicas must be ≥ 1, got %d", replicas)
-	}
-	var rp *strategy.Replicated
-	if replicas > 1 {
-		var err error
-		if rp, err = strategy.NewReplicated(strat, replicas); err != nil {
-			return nil, err
-		}
-	}
-	switch kind {
-	case "mem":
-		if rp != nil {
-			return cluster.NewReplicatedMemTransport(g, rp, 0)
-		}
-		return cluster.NewMemTransport(g, strat, 0)
-	case "net":
-		if addrs == "" {
-			return nil, fmt.Errorf("-transport net needs -addrs (boot a cluster with `mmctl up` or mmnode)")
-		}
-		opts := cluster.NetOptions{ConnsPerProc: conns, CallTimeout: 30 * time.Second}
-		if rp != nil {
-			return cluster.NewReplicatedNetTransport(g, rp, strings.Split(addrs, ","), opts)
-		}
-		return cluster.NewNetTransport(g, strat, strings.Split(addrs, ","), opts)
-	default:
-		return nil, fmt.Errorf("unknown transport %q (mmgate fronts mem or net)", kind)
-	}
 }

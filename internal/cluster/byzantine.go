@@ -6,7 +6,6 @@ import (
 
 	"matchmake/internal/core"
 	"matchmake/internal/graph"
-	"matchmake/internal/strategy"
 )
 
 // Byzantine rendezvous: lying nodes, not just corrupted state.
@@ -149,15 +148,16 @@ func buildForgeTable(plan []forgeOp) forgeTable {
 
 // buildForgePlan derives a deterministic forgery plan from opts and the
 // registration ground truth (regs sorted by instance id, exactly as
-// buildCorruptPlan's callers prepare them). n is the graph size; rp is
-// the replicated strategy when one is in play (nil under r=1), used to
-// pick forged addresses that pass the family filter of the family the
-// liar honestly serves — a lie the filter discards would be no lie at
-// all. Each armed node draws one class and lies about every port whose
+// buildCorruptPlan's callers prepare them). n is the graph size; in is
+// the geometry the transport family-scopes its reads with (nil when
+// they are unscoped), used to pick forged addresses that pass the
+// family filter of the family the liar honestly serves — a lie the
+// filter discards would be no lie at all, on any transport that has a
+// filter. Each armed node draws one class and lies about every port whose
 // posting it holds, so the liar is consistent: the same wrong answer to
 // every client, which is the hardest case for voting (a flaky liar is
 // outvoted even at q=2).
-func buildForgePlan(opts ArmOptions, regs []corruptReg, n int, rp *strategy.Replicated) []forgeOp {
+func buildForgePlan(opts ArmOptions, regs []corruptReg, n int, in familyGeometry) []forgeOp {
 	if opts.Liars <= 0 || len(regs) == 0 || n <= 0 {
 		return nil
 	}
@@ -199,12 +199,12 @@ func buildForgePlan(opts ArmOptions, regs []corruptReg, n int, rp *strategy.Repl
 				rec.silent = true
 			case ForgeFabricate:
 				rec.e = core.Entry{
-					Port: r.port, Addr: forgeAddr(rp, r.node, v, n),
+					Port: r.port, Addr: forgeAddr(in, r.node, v, n),
 					ServerID: forgeIDBase + r.id, Time: forgedTime, Active: true,
 				}
 			case ForgeStale:
 				rec.e = core.Entry{
-					Port: r.port, Addr: forgeAddr(rp, r.node, v, n),
+					Port: r.port, Addr: forgeAddr(in, r.node, v, n),
 					ServerID: r.id, Time: forgedTime, Active: true,
 				}
 			case ForgeWrongPort:
@@ -224,15 +224,15 @@ func buildForgePlan(opts ArmOptions, regs []corruptReg, n int, rp *strategy.Repl
 // of the (first) family under which the liar holds home's posting —
 // the filter is InPost(k, addr, liar), so the forged address must keep
 // the liar inside the claimed origin's family-k posting set or every
-// transport would silently discard the lie. Under r=1 there is no
-// filter and any wrong address serves.
-func forgeAddr(rp *strategy.Replicated, home, liar graph.NodeID, n int) graph.NodeID {
-	if rp == nil || rp.Replicas() <= 1 {
+// transport would silently discard the lie. Where reads are unscoped
+// there is no filter and any wrong address serves.
+func forgeAddr(in familyGeometry, home, liar graph.NodeID, n int) graph.NodeID {
+	if in == nil {
 		return graph.NodeID((int(home) + 1) % n)
 	}
 	k := -1
-	for f := 0; f < rp.Replicas(); f++ {
-		if rp.InPost(f, home, liar) {
+	for f := 0; f < in.Replicas(); f++ {
+		if in.InPost(f, home, liar) {
 			k = f
 			break
 		}
@@ -242,7 +242,7 @@ func forgeAddr(rp *strategy.Replicated, home, liar graph.NodeID, n int) graph.No
 	}
 	for d := 1; d < n; d++ {
 		a := graph.NodeID((int(home) + d) % n)
-		if rp.InPost(k, a, liar) {
+		if in.InPost(k, a, liar) {
 			return a
 		}
 	}
@@ -297,11 +297,12 @@ type ByzantineTransport interface {
 // forgery plan from the live registration table (the same ground truth,
 // in the same order, as the anti-entropy corruption injector uses) and
 // hands it to the substrate, whose armed nodes answer floods with the
-// forged entry — or silence — instead of consulting their rows. Every
-// hint generation is bumped — cached addresses must re-verify against
-// the newly hostile cluster.
+// forged entry — or silence — instead of consulting their rows. The
+// lies are aimed at the serving epoch's read filter. Every hint
+// generation is bumped — cached addresses must re-verify against the
+// newly hostile cluster.
 func (c *coordinator) Arm(opts ArmOptions) (int, error) {
-	plan := buildForgePlan(opts, c.corruptRegs(), c.g.N(), c.rp)
+	plan := buildForgePlan(opts, c.corruptRegs(), c.g.N(), c.readScope(c.table.Load().ep))
 	err := c.sub.arm(plan)
 	ft := buildForgeTable(plan)
 	c.forge.Store(&ft)

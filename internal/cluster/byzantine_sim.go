@@ -25,10 +25,23 @@ func (t *SimTransport) forgeLoad() forgeTable {
 	return *p
 }
 
+// readScope returns the geometry the installed replica filter scopes
+// answers with — the serving epoch on an elastic transport, the
+// replicated strategy at r > 1 — and nil when no filter is installed.
+func (t *SimTransport) readScope() familyGeometry {
+	if es := t.elastic.Load(); es != nil {
+		return es.cur
+	}
+	if t.rp != nil {
+		return t.rp
+	}
+	return nil
+}
+
 // Arm implements ByzantineTransport: same deterministic plan as the
 // fast paths, swapped into the engine hook's lie table atomically.
 func (t *SimTransport) Arm(opts ArmOptions) (int, error) {
-	plan := buildForgePlan(opts, t.corruptRegs(), t.net.Graph().N(), t.rp)
+	plan := buildForgePlan(opts, t.corruptRegs(), t.net.Graph().N(), t.readScope())
 	ft := buildForgeTable(plan)
 	t.forge.Store(&ft)
 	t.gens.bumpAll()

@@ -54,7 +54,7 @@ func TestByzantineArmDeterminism(t *testing.T) {
 	n := 36
 	rp := mkReplicated(t, n, 3)
 	mk := func() *MemTransport {
-		tr, err := NewReplicatedMemTransport(topology.Complete(n), rp, 0)
+		tr, err := NewLayoutMemTransport(topology.Complete(n), fixedOf(t, rp), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +106,7 @@ func TestByzantineAttackWithoutVoting(t *testing.T) {
 			if r == 1 {
 				tr, err = NewMemTransport(topology.Complete(n), rendezvous.Checkerboard(n), 0)
 			} else {
-				tr, err = NewReplicatedMemTransport(topology.Complete(n), mkReplicated(t, n, r), 0)
+				tr, err = NewLayoutMemTransport(topology.Complete(n), fixedOf(t, mkReplicated(t, n, r)), 0)
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -152,12 +152,12 @@ func TestByzantineVoteSimMemEquivalence(t *testing.T) {
 	rp := mkReplicated(t, n, r)
 	for class, name := range forgeClasses {
 		t.Run(name, func(t *testing.T) {
-			simT, err := NewReplicatedSimTransport(g, rp, repOpts)
+			simT, err := NewLayoutSimTransport(g, fixedOf(t, rp), repOpts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer simT.Close()
-			memT, err := NewReplicatedMemTransport(g, rp, 0)
+			memT, err := NewLayoutMemTransport(g, fixedOf(t, rp), 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -231,12 +231,12 @@ func TestByzantineVoteNetEquivalence(t *testing.T) {
 	g := topology.Complete(n)
 	rp := mkReplicated(t, n, r)
 	addrs, _ := spawnNetCluster(t, n, 3)
-	memT, err := NewReplicatedMemTransport(g, rp, 0)
+	memT, err := NewLayoutMemTransport(g, fixedOf(t, rp), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer memT.Close()
-	netT, err := NewReplicatedNetTransport(g, rp, addrs, NetOptions{CallTimeout: 10 * time.Second})
+	netT, err := NewLayoutNetTransport(g, fixedOf(t, rp), addrs, NetOptions{CallTimeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestByzantineVoteKilledReplica(t *testing.T) {
 	const n, r = 36, 3
 	rp := mkReplicated(t, n, r)
 	addrs, cmds := spawnNetCluster(t, n, 3)
-	netT, err := NewReplicatedNetTransport(topology.Complete(n), rp, addrs, NetOptions{CallTimeout: 5 * time.Second})
+	netT, err := NewLayoutNetTransport(topology.Complete(n), fixedOf(t, rp), addrs, NetOptions{CallTimeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +411,7 @@ func TestByzantineVoteKilledReplica(t *testing.T) {
 // rehabilitated for good.
 func TestByzantineQuarantineLifecycle(t *testing.T) {
 	const n, r = 36, 3
-	tr, err := NewReplicatedMemTransport(topology.Complete(n), mkReplicated(t, n, r), 0)
+	tr, err := NewLayoutMemTransport(topology.Complete(n), fixedOf(t, mkReplicated(t, n, r)), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,7 +484,7 @@ func TestByzantineQuarantineLifecycle(t *testing.T) {
 // non-Byzantine or unreplicated transports.
 func TestByzantineVoteQuorumClamp(t *testing.T) {
 	const n = 36
-	tr, err := NewReplicatedMemTransport(topology.Complete(n), mkReplicated(t, n, 2), 0)
+	tr, err := NewLayoutMemTransport(topology.Complete(n), fixedOf(t, mkReplicated(t, n, 2)), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 
 	"matchmake/internal/core"
 	"matchmake/internal/graph"
-	"matchmake/internal/rendezvous"
 	"matchmake/internal/sim"
 	"matchmake/internal/stats"
 	"matchmake/internal/strategy"
@@ -17,8 +16,8 @@ import (
 
 // coordinator is the one implementation of everything the paper's model
 // defines off the simulator, written once over a substrate that only
-// moves rows: which nodes a posting or a query flood reaches (static
-// strategy tables or epoch tables, never both), what each message costs
+// moves rows: which nodes a posting or a query flood reaches (one set
+// table, see setTable), what each message costs
 // (multicast-tree edges for floods, hop distance for replies — what the
 // simulator would count on a healthy network), the registration table
 // and its ServerRef handles, the logical posting clock and server ids,
@@ -69,21 +68,20 @@ type coordinator struct {
 	routing *graph.Routing
 	sub     substrate
 
-	// hot holds the precomputed P/Q set/cost tables, the weighted-mode
-	// strategy (nil when disabled) and the published hot-port
-	// classification (see setcosts.go). Unused on elastic transports.
-	hot hotTables
+	// table is the geometry served: the serving epoch's set/cost table
+	// (see setcosts.go), chained to the retiring epoch's during a
+	// dual-epoch migration. Every transport mode reads it the same way.
+	table atomic.Pointer[setTable]
 
-	// rp is the replicated strategy when the transport runs r-fold
-	// replicated rendezvous with r > 1 (nil otherwise): reads are then
-	// family-scoped through it (see scope).
-	rp *strategy.Replicated
+	// elastic is the one construction fact the modes still differ by:
+	// whether the membership may change (Layout.Elastic). It is read in
+	// five places and no others — the "-elastic" name suffix, Elastic and
+	// Epoch, the ErrNotElastic admission of Resize and FinishResize,
+	// readScope (a fixed r = 1 flood stays unscoped), and querySet (an
+	// out-of-range replica is a hard error on a fixed transport, a
+	// retired family's silent miss on an elastic one).
+	elastic bool
 
-	// elastic is the epoch-versioned membership state (nil on
-	// transports built without it): the serving epoch's set/cost
-	// tables, chained to the retiring epoch's during a dual-epoch
-	// migration. When non-nil it replaces hot and rp everywhere.
-	elastic     atomic.Pointer[epochTables]
 	resizeMu    sync.Mutex
 	migrated    atomic.Int64
 	dualLocates atomic.Int64
@@ -131,72 +129,54 @@ type coordinated interface {
 
 var _, _ coordinated = (*MemTransport)(nil), (*NetTransport)(nil)
 
-// newCoordinator builds the model state over g: the epoch tables when
-// initial is non-nil (elastic membership, replication coming from the
-// epoch itself), otherwise the static tables of strat with the optional
-// weighted or replicated mode. The caller plugs in the substrate.
-func newCoordinator(g *graph.Graph, strat rendezvous.Strategy, w *strategy.Weighted, rp *strategy.Replicated, initial *strategy.Epoch) (*coordinator, error) {
+// newCoordinator builds the model state over g serving lay. The caller
+// plugs in the substrate.
+func newCoordinator(g *graph.Graph, lay Layout) (*coordinator, error) {
 	n := g.N()
-	if initial == nil && strat.N() != n {
-		return nil, fmt.Errorf("cluster: strategy universe %d != graph size %d", strat.N(), n)
+	if err := lay.check(n); err != nil {
+		return nil, err
 	}
 	routing, err := graph.NewRouting(g)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
+	t, err := newSetTable(routing, lay.Epoch, lay.Weighted, nil)
+	if err != nil {
+		return nil, err
+	}
 	c := &coordinator{
 		g:       g,
 		routing: routing,
+		elastic: lay.Elastic,
 		byPort:  make(map[core.Port]map[uint64]*server),
 		gens:    newGenIndex(),
 		crashed: make([]atomic.Bool, n),
 	}
+	c.table.Store(t)
 	c.floods.New = func() any { return &flood{} }
-	if initial != nil {
-		et, err := newEpochTables(g, routing, initial, nil)
-		if err != nil {
-			return nil, err
-		}
-		c.elastic.Store(et)
-		return c, nil
-	}
-	c.hot.sets, err = newStratSets(g, routing, rendezvous.Precompute(strat), w, rp)
-	if err != nil {
-		return nil, err
-	}
-	c.hot.weighted = w
-	if rp != nil && rp.Replicas() > 1 {
-		c.rp = rp
-	}
 	return c, nil
 }
 
 // Name implements Transport.
 func (c *coordinator) Name() string {
-	kind := c.sub.kind()
-	if c.elastic.Load() != nil {
+	kind, t := c.sub.kind(), c.table.Load()
+	switch {
+	case c.elastic:
 		return kind + "-elastic"
-	}
-	if c.hot.weighted != nil {
+	case t.hot != nil:
 		return kind + "-weighted"
-	}
-	if r := c.hot.replicas(); r > 1 {
-		return fmt.Sprintf("%s-r%d", kind, r)
+	case t.replicas() > 1:
+		return fmt.Sprintf("%s-r%d", kind, t.replicas())
 	}
 	return kind
 }
 
 // Replicas implements ReplicatedTransport: the replication factor of
-// the strategy in use (1 when unreplicated). On an elastic transport
-// mid-migration it is the dual-epoch family count — the serving
-// epoch's families plus the retiring epoch's appended after them — so
-// the ordinary fallthrough loop visits both epochs.
-func (c *coordinator) Replicas() int {
-	if et := c.elastic.Load(); et != nil {
-		return et.replicas()
-	}
-	return c.hot.replicas()
-}
+// the epoch in use (1 when unreplicated). Mid-migration it is the
+// dual-epoch family count — the serving epoch's families plus the
+// retiring epoch's appended after them — so the ordinary fallthrough
+// loop visits both epochs.
+func (c *coordinator) Replicas() int { return c.table.Load().replicas() }
 
 // N implements Transport.
 func (c *coordinator) N() int { return c.g.N() }
@@ -208,25 +188,27 @@ func (c *coordinator) Gen(port core.Port) uint64 { return c.gens.gen(port) }
 func (c *coordinator) genSlot(port core.Port) *atomic.Uint64 { return c.gens.slot(port) }
 
 // canReclassify reports whether SetHotPorts can succeed — i.e. the
-// transport was built with a weighted strategy. The cluster checks it
+// transport was built with a weighted layout. The cluster checks it
 // before starting a reclassification loop, so HotPorts on a plain
 // transport fails loudly instead of ticking in vain.
-func (c *coordinator) canReclassify() bool { return c.hot.weighted != nil }
+func (c *coordinator) canReclassify() bool { return c.table.Load().hot != nil }
 
 // HotPorts returns the currently published hot classification (for
 // tests and reports).
-func (c *coordinator) HotPorts() []core.Port { return c.hot.hotPorts() }
+func (c *coordinator) HotPorts() []core.Port { return c.table.Load().hot.ports() }
 
 // postSets returns the posting targets and multicast cost for srv
-// posting from node: the elastic epoch tables (widened to both epochs'
-// union during a migration) when elastic membership is on, else the
-// static tables with the sticky posted-under-union rule (see
-// hotTables.postSets).
+// posting from node: the table's sets (widened to both epochs' union
+// during a migration), or under the weighted overlay the union sets
+// once srv's port is hot — sticky: postedHot is set the first time the
+// union sets are chosen and never cleared.
 func (c *coordinator) postSets(srv *server, node graph.NodeID) ([]graph.NodeID, int64) {
-	if et := c.elastic.Load(); et != nil {
-		return et.postFor(node)
+	t := c.table.Load()
+	if h := t.hot; h != nil && (srv.postedHot.Load() || h.isHot(srv.port)) {
+		srv.postedHot.Store(true)
+		return h.post[node], h.postCost[node]
 	}
-	return c.hot.postSets(&srv.postedHot, srv.port, node)
+	return t.postFor(node)
 }
 
 // server is the coordinator's ServerRef: one live registration, the
@@ -237,7 +219,7 @@ type server struct {
 	id   uint64
 
 	// postedHot is set the first time the server posts under the union
-	// sets and never cleared; see hotTables.postSets.
+	// sets and never cleared; see coordinator.postSets.
 	postedHot atomic.Bool
 
 	mu   sync.Mutex
@@ -258,7 +240,7 @@ func (c *coordinator) newServer(port core.Port, node graph.NodeID) *server {
 		c.byPort[port] = m
 	}
 	m[srv.id] = srv
-	if c.hot.weighted != nil && c.hot.isHot(port) {
+	if c.table.Load().hot.isHot(port) {
 		srv.postedHot.Store(true)
 	}
 	c.regMu.Unlock()
@@ -306,22 +288,21 @@ func (c *coordinator) liveServers() []liveServer {
 }
 
 // checkHome validates a server home for op ("register at", "migrate
-// to"): a graph node and, on an elastic transport, a member of the
-// serving epoch.
+// to"): a graph node that is a member of the serving epoch.
 func (c *coordinator) checkHome(op string, port core.Port, node graph.NodeID) error {
 	if !c.g.Valid(node) {
 		return fmt.Errorf("cluster: %s %d: %w", op, node, graph.ErrNodeRange)
 	}
-	if et := c.elastic.Load(); et != nil && !et.ep.Contains(node) {
-		return errOutsideMembership(port, node, et.ep)
+	if ep := c.table.Load().ep; !ep.Contains(node) {
+		return errOutsideMembership(port, node, ep)
 	}
 	return nil
 }
 
 // Register implements Transport: the liveness record lands where
 // probes of node are answered, the postings at the posting set, and the
-// posting multicast is charged its tree cost. On an elastic transport
-// the node must be a member of the serving epoch.
+// posting multicast is charged its tree cost. The node must be a member
+// of the serving epoch.
 func (c *coordinator) Register(port core.Port, node graph.NodeID) (ServerRef, error) {
 	refs, err := c.PostBatch([]Registration{{Port: port, Node: node}})
 	if err != nil {
@@ -466,35 +447,38 @@ func (c *coordinator) repostLocked(srv *server, at graph.NodeID, plan func(node 
 	return len(targets), nil
 }
 
-// family is one flood's resolved replica family: which tables its
-// query sets come from and how its reads are scoped.
+// family is one flood's resolved replica family: which table its query
+// sets come from and how its reads are scoped.
 type family struct {
-	et    *epochTables // the installed epoch state; nil on static tables
-	tab   *epochTables // the epoch owning the family (et, or et.prev mid-migration)
-	k     int          // family index within tab, or the static replica
+	t     *setTable // the installed table
+	tab   *setTable // the table owning the family (t, or t.prev mid-migration); nil when there is none
+	k     int       // family index within tab
 	scope scope
-	valid bool
 }
 
-// family resolves replica. On an elastic transport the index spans both
-// live epochs' families (the retiring epoch's appended after the
-// serving one's), so the ordinary fallthrough is also the dual-epoch
-// locate; an index past them means FinishResize raced an in-flight
-// fallthrough.
+// family resolves replica. The index spans both live epochs' families
+// (the retiring epoch's appended after the serving one's), so the
+// ordinary fallthrough is also the dual-epoch locate; an index past
+// them is out of range — on an elastic transport, FinishResize raced an
+// in-flight fallthrough.
 func (c *coordinator) family(replica int) family {
-	f := family{et: c.elastic.Load(), k: replica}
-	if f.et != nil {
-		if tab, fam, ok := f.et.resolve(replica); ok {
-			f.tab, f.k, f.valid = tab, fam, true
-			f.scope = scope{in: tab.ep, fam: fam}
-		}
-		return f
-	}
-	f.valid = replica >= 0 && replica < c.hot.replicas()
-	if c.rp != nil {
-		f.scope = scope{in: c.rp, fam: replica}
+	f := family{t: c.table.Load()}
+	if f.tab, f.k = f.t.resolve(replica); f.tab != nil {
+		f.scope = scope{in: c.readScope(f.tab.ep), fam: f.k}
 	}
 	return f
+}
+
+// readScope returns the geometry that family-scopes reads of ep's
+// families, nil when they are unscoped. Reads are scoped iff the
+// membership is elastic or there is more than one family: a fixed r = 1
+// transport has a single rendezvous channel, every row a node holds
+// belongs to it, and its floods stay the unscoped wire op.
+func (c *coordinator) readScope(ep *strategy.Epoch) familyGeometry {
+	if c.elastic || ep.Replicas() > 1 {
+		return ep
+	}
+	return nil
 }
 
 // querySet returns the flood targets and multicast cost of family f for
@@ -508,15 +492,14 @@ func (c *coordinator) querySet(f family, what string, client graph.NodeID, port 
 	if c.crashed[client].Load() {
 		return nil, 0, fmt.Errorf("cluster: %s from %d: %w", what, client, sim.ErrCrashed)
 	}
-	if f.et == nil {
-		if !f.valid {
-			return nil, 0, fmt.Errorf("cluster: replica %d out of [0,%d)", replica, c.hot.replicas())
+	if f.tab == nil {
+		if c.elastic {
+			return nil, 0, errRetiredReplica(port, client, replica)
 		}
-		targets, cost := c.hot.replicaQuerySets(client, port, f.k)
-		return targets, cost, nil
+		return nil, 0, fmt.Errorf("cluster: replica %d out of [0,%d)", replica, f.t.replicas())
 	}
-	if !f.valid {
-		return nil, 0, errRetiredReplica(port, client, replica)
+	if h := f.t.hot; h.isHot(port) {
+		return h.query[client], h.queryCost[client], nil
 	}
 	targets := f.tab.query[f.k][client]
 	if len(targets) == 0 {
@@ -635,7 +618,7 @@ func (c *coordinator) flood(fl *flood, reqs []LocateReq, res []LocateRes, from [
 		case res[i].Err != nil:
 		case !fl.found[i]:
 			res[i].Err = fmt.Errorf("cluster: locate %q from %d: %w", reqs[i].Port, reqs[i].Client, core.ErrNotFound)
-		case f.tab != f.et:
+		case f.tab != f.t:
 			dual++ // resolved by the retiring epoch's family
 		}
 	}
@@ -765,7 +748,8 @@ func (c *coordinator) locateAllReplica(client graph.NodeID, port core.Port, repl
 // demoted ports are safe immediately because union ⊇ base. The repost
 // traffic is charged like any other posting.
 func (c *coordinator) SetHotPorts(ports []core.Port) error {
-	if c.hot.weighted == nil {
+	h := c.table.Load().hot
+	if h == nil {
 		return fmt.Errorf("cluster: transport %q has no weighted strategy", c.Name())
 	}
 	newHot := make(map[core.Port]bool, len(ports))
@@ -778,7 +762,7 @@ func (c *coordinator) SetHotPorts(ports []core.Port) error {
 	defer c.regMu.Unlock()
 	var errs []error
 	for p := range newHot {
-		if c.hot.isHot(p) {
+		if h.isHot(p) {
 			continue // already hot; servers already post union
 		}
 		for _, srv := range c.byPort[p] {
@@ -795,27 +779,24 @@ func (c *coordinator) SetHotPorts(ports []core.Port) error {
 			}
 		}
 	}
-	c.hot.publish(&newHot)
+	h.set.Store(&newHot)
 	return errors.Join(errs...)
 }
 
 // Elastic implements ElasticTransport.
-func (c *coordinator) Elastic() bool { return c.elastic.Load() != nil }
+func (c *coordinator) Elastic() bool { return c.elastic }
 
 // Epoch implements ElasticTransport: the serving epoch's sequence
 // number (0 when elastic membership is off).
 func (c *coordinator) Epoch() uint64 {
-	if et := c.elastic.Load(); et != nil {
-		return et.ep.Seq()
+	if c.elastic {
+		return c.table.Load().ep.Seq()
 	}
 	return 0
 }
 
 // Resizing implements ElasticTransport.
-func (c *coordinator) Resizing() bool {
-	et := c.elastic.Load()
-	return et != nil && et.prev != nil
-}
+func (c *coordinator) Resizing() bool { return c.table.Load().prev != nil }
 
 // MigratedPosts implements ElasticTransport.
 func (c *coordinator) MigratedPosts() int64 { return c.migrated.Load() }
@@ -833,21 +814,21 @@ func (c *coordinator) DualEpochLocates() int64 { return c.dualLocates.Load() }
 // Register either lands in the snapshot (and is migrated) or posts
 // under the new tables.
 func (c *coordinator) Resize(next *strategy.Epoch) (int, error) {
-	if c.elastic.Load() == nil {
+	if !c.elastic {
 		return 0, ErrNotElastic
 	}
 	c.lifeMu.RLock()
 	defer c.lifeMu.RUnlock()
 	c.resizeMu.Lock()
 	defer c.resizeMu.Unlock()
-	cur := c.elastic.Load()
+	cur := c.table.Load()
 	if cur.prev != nil {
 		return 0, fmt.Errorf("cluster: resize to epoch %d: migration from epoch %d still draining", next.Seq(), cur.prev.ep.Seq())
 	}
 	if err := validateNextEpoch(cur.ep, next, c.g.N()); err != nil {
 		return 0, err
 	}
-	nt, err := newEpochTables(c.g, c.routing, next, cur)
+	nt, err := newSetTable(c.routing, next, nil, cur)
 	if err != nil {
 		return 0, err
 	}
@@ -859,7 +840,7 @@ func (c *coordinator) Resize(next *strategy.Epoch) (int, error) {
 			return 0, errServerOutsideEpoch(ls.srv.port, ls.node, next)
 		}
 	}
-	c.elastic.Store(nt)
+	c.table.Store(nt)
 	c.regMu.Unlock()
 
 	moved := 0
@@ -883,19 +864,19 @@ func (c *coordinator) Resize(next *strategy.Epoch) (int, error) {
 // server's postings at old-epoch-only rendezvous nodes expire in place,
 // a local garbage collection that costs no message passes.
 func (c *coordinator) FinishResize() error {
-	if c.elastic.Load() == nil {
+	if !c.elastic {
 		return ErrNotElastic
 	}
 	c.lifeMu.RLock()
 	defer c.lifeMu.RUnlock()
 	c.resizeMu.Lock()
 	defer c.resizeMu.Unlock()
-	cur := c.elastic.Load()
+	cur := c.table.Load()
 	if cur.prev == nil {
 		return fmt.Errorf("cluster: no resize in progress")
 	}
 	c.regMu.Lock()
-	c.elastic.Store(cur.retired())
+	c.table.Store(cur.retired())
 	c.regMu.Unlock()
 	var rows []rowID
 	for _, ls := range c.liveServers() {

@@ -26,11 +26,11 @@ func TestNetElasticResizeEquivalence(t *testing.T) {
 	g := topology.Complete(universe)
 	ep1 := mkEpoch(t, 1, universe, 36, 1)
 	addrs, _ := spawnNetCluster(t, universe, 3)
-	memT, err := NewElasticMemTransport(g, ep1, 0)
+	memT, err := NewLayoutMemTransport(g, elasticOf(ep1), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	netT, err := NewElasticNetTransport(g, ep1, addrs, NetOptions{CallTimeout: 10 * time.Second})
+	netT, err := NewLayoutNetTransport(g, elasticOf(ep1), addrs, NetOptions{CallTimeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,11 +117,11 @@ func TestNetRescale353(t *testing.T) {
 		t.Fatal(err)
 	}
 	addrs3, _ := spawnNetCluster(t, n, 3)
-	memT, err := NewReplicatedMemTransport(g, rp, 0)
+	memT, err := NewLayoutMemTransport(g, fixedOf(t, rp), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	netT, err := NewReplicatedNetTransport(g, rp, addrs3, NetOptions{CallTimeout: 10 * time.Second})
+	netT, err := NewLayoutNetTransport(g, fixedOf(t, rp), addrs3, NetOptions{CallTimeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,12 +34,12 @@ func mkEpoch(t *testing.T, seq uint64, universe, active, r int) *strategy.Epoch 
 func elasticPair(t *testing.T, universe int, initial *strategy.Epoch) (*SimTransport, *MemTransport) {
 	t.Helper()
 	g := topology.Complete(universe)
-	simT, err := NewElasticSimTransport(g, initial, elasticOpts)
+	simT, err := NewLayoutSimTransport(g, elasticOf(initial), elasticOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { simT.Close() })
-	memT, err := NewElasticMemTransport(g, initial, 0)
+	memT, err := NewLayoutMemTransport(g, elasticOf(initial), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestElasticReplicatedResizeEquivalence(t *testing.T) {
 func TestElasticIdentityResizeMovesNothing(t *testing.T) {
 	const universe = 36
 	ep1 := mkEpoch(t, 1, universe, 36, 1)
-	memT, err := NewElasticMemTransport(topology.Complete(universe), ep1, 0)
+	memT, err := NewLayoutMemTransport(topology.Complete(universe), elasticOf(ep1), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +361,7 @@ func TestElasticHintedUnhintedAcrossResize(t *testing.T) {
 	const universe = 48
 	build := func(hints bool) (*Cluster, []ServerRef) {
 		ep := mkEpoch(t, 1, universe, 36, 1)
-		tr, err := NewElasticMemTransport(topology.Complete(universe), ep, 0)
+		tr, err := NewLayoutMemTransport(topology.Complete(universe), elasticOf(ep), 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,8 +10,8 @@ import (
 	"matchmake/internal/strategy"
 )
 
-// ErrNotElastic reports an epoch operation on a transport built without
-// elastic membership (use the NewElastic* constructors).
+// ErrNotElastic reports an epoch operation on a transport whose
+// membership is fixed (build it from a Layout with Elastic set).
 var ErrNotElastic = errors.New("cluster: transport has no elastic membership")
 
 // ElasticTransport is implemented by transports supporting
@@ -61,134 +61,6 @@ type ElasticTransport interface {
 	// that were resolved by a retiring epoch's rendezvous family during
 	// a dual-epoch phase.
 	DualEpochLocates() int64
-}
-
-// epochTables is one installed membership epoch on an elastic
-// transport: the epoch geometry plus its precomputed per-node set and
-// multicast-cost tables, mirroring stratSets for the epoch world.
-// During a dual-epoch migration prev links the retiring epoch's tables
-// and the posting tables are widened to the union of both epochs'
-// posting sets, so lifecycle postings (and especially tombstones) cover
-// every node either epoch's floods can read.
-type epochTables struct {
-	ep        *strategy.Epoch
-	post      [][]graph.NodeID // effective posting set per node (union over replica families)
-	postCost  []int64
-	query     [][][]graph.NodeID // [family][node] query sets
-	queryCost [][]int64
-
-	// Dual-epoch migration state; all nil outside a migration.
-	prev         *epochTables
-	rm           *strategy.Remap  // prev.ep → ep, the minimal-movement delta
-	dualPost     [][]graph.NodeID // post ∪ prev.post, per node
-	dualPostCost []int64
-}
-
-// newEpochTables precomputes ep's serving tables over g. When prev is
-// non-nil the result is a dual-epoch (migration) state: the remap
-// prev→ep is computed and the posting tables are widened to the union
-// of both epochs.
-func newEpochTables(g *graph.Graph, routing *graph.Routing, ep *strategy.Epoch, prev *epochTables) (*epochTables, error) {
-	n := g.N()
-	if ep.Universe() != n {
-		return nil, fmt.Errorf("cluster: epoch %d universe %d != graph size %d", ep.Seq(), ep.Universe(), n)
-	}
-	r := ep.Replicas()
-	et := &epochTables{
-		ep:        ep,
-		post:      make([][]graph.NodeID, n),
-		postCost:  make([]int64, n),
-		query:     make([][][]graph.NodeID, r),
-		queryCost: make([][]int64, r),
-	}
-	for k := 0; k < r; k++ {
-		et.query[k] = make([][]graph.NodeID, n)
-		et.queryCost[k] = make([]int64, n)
-	}
-	for v := 0; v < n; v++ {
-		id := graph.NodeID(v)
-		et.post[v] = ep.PostSet(id)
-		pc, err := routing.MulticastCost(id, et.post[v])
-		if err != nil {
-			return nil, fmt.Errorf("cluster: epoch %d post set of %d: %w", ep.Seq(), v, err)
-		}
-		et.postCost[v] = int64(pc)
-		for k := 0; k < r; k++ {
-			et.query[k][v] = ep.QuerySet(id, k)
-			qc, err := routing.MulticastCost(id, et.query[k][v])
-			if err != nil {
-				return nil, fmt.Errorf("cluster: epoch %d query set of %d: %w", ep.Seq(), v, err)
-			}
-			et.queryCost[k][v] = int64(qc)
-		}
-	}
-	if prev != nil {
-		rm, err := strategy.NewRemap(prev.ep, ep)
-		if err != nil {
-			return nil, err
-		}
-		et.prev, et.rm = prev, rm
-		et.dualPost = make([][]graph.NodeID, n)
-		et.dualPostCost = make([]int64, n)
-		for v := 0; v < n; v++ {
-			id := graph.NodeID(v)
-			et.dualPost[v] = unionIDs(et.post[v], prev.post[v])
-			pc, err := routing.MulticastCost(id, et.dualPost[v])
-			if err != nil {
-				return nil, fmt.Errorf("cluster: dual post set of %d: %w", v, err)
-			}
-			et.dualPostCost[v] = int64(pc)
-		}
-	}
-	return et, nil
-}
-
-// retired returns a copy of et with the migration state cleared — the
-// published state after FinishResize.
-func (et *epochTables) retired() *epochTables {
-	return &epochTables{
-		ep:        et.ep,
-		post:      et.post,
-		postCost:  et.postCost,
-		query:     et.query,
-		queryCost: et.queryCost,
-	}
-}
-
-// replicas returns the dual-epoch family count: the serving epoch's
-// replica families plus, while migrating, the retiring epoch's appended
-// after them — which is how the ordinary replica-fallthrough loop
-// becomes the dual-epoch locate.
-func (et *epochTables) replicas() int {
-	r := et.ep.Replicas()
-	if et.prev != nil {
-		r += et.prev.ep.Replicas()
-	}
-	return r
-}
-
-// resolve maps a dual-epoch family index to the owning epoch's tables
-// and its local family number; ok is false when k indexes a family that
-// no longer exists (a retired epoch's, raced by FinishResize).
-func (et *epochTables) resolve(k int) (tab *epochTables, fam int, ok bool) {
-	r := et.ep.Replicas()
-	if k >= 0 && k < r {
-		return et, k, true
-	}
-	if et.prev != nil && k >= r && k < r+et.prev.ep.Replicas() {
-		return et.prev, k - r, true
-	}
-	return nil, 0, false
-}
-
-// postFor returns the posting targets and multicast cost for a server
-// at node under the current phase: the serving epoch's sets normally,
-// widened to both epochs' union during a migration.
-func (et *epochTables) postFor(node graph.NodeID) ([]graph.NodeID, int64) {
-	if et.prev != nil {
-		return et.dualPost[node], et.dualPostCost[node]
-	}
-	return et.post[node], et.postCost[node]
 }
 
 // errRetiredReplica builds the rendezvous-miss error a flood over a

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"fmt"
 	"maps"
 	"math"
 	"slices"
@@ -11,7 +10,6 @@ import (
 	"matchmake/internal/core"
 	"matchmake/internal/graph"
 	"matchmake/internal/rendezvous"
-	"matchmake/internal/strategy"
 )
 
 // MemTransport is the in-process fast path: the coordinator over a
@@ -23,55 +21,21 @@ type MemTransport struct {
 	mem *memSubstrate
 }
 
-// NewMemTransport builds the fast path over g with strategy strat. The
-// strategy's universe must match the graph size; shards sizes the
-// backing store (0 picks a default).
+// NewMemTransport builds the fast path over g with strategy strat at
+// full, fixed membership. The strategy's universe must match the graph
+// size; shards sizes the backing store (0 picks a default).
 func NewMemTransport(g *graph.Graph, strat rendezvous.Strategy, shards int) (*MemTransport, error) {
-	return newMemTransport(g, strat, nil, nil, nil, shards)
-}
-
-// NewReplicatedMemTransport builds the fast path in r-fold replicated
-// rendezvous mode: servers post to the union of every replica family's
-// posting sets (one multicast, charged at the union's tree cost), and a
-// locate floods replica 0's query set first, falling through to the
-// next family — at one extra flood per attempt — when no rendezvous
-// node answered. Replication is mutually exclusive with the weighted
-// mode.
-func NewReplicatedMemTransport(g *graph.Graph, rp *strategy.Replicated, shards int) (*MemTransport, error) {
-	if rp == nil {
-		return nil, fmt.Errorf("cluster: replicated transport needs a strategy.Replicated")
+	lay, err := FixedLayout(g.N(), strat, 1)
+	if err != nil {
+		return nil, err
 	}
-	return newMemTransport(g, rp.Base(), nil, rp, nil, shards)
+	return NewLayoutMemTransport(g, lay, shards)
 }
 
-// NewWeightedMemTransport builds the fast path in frequency-weighted
-// mode: cold ports run w.Base(), and ports promoted by SetHotPorts run
-// the post-heavy split w.Hot() on the query side while their servers
-// post to the union sets — the (M3′) trade executed live. The serving
-// layer drives promotion from its port-popularity counters.
-func NewWeightedMemTransport(g *graph.Graph, w *strategy.Weighted, shards int) (*MemTransport, error) {
-	if w == nil {
-		return nil, fmt.Errorf("cluster: weighted transport needs a strategy.Weighted")
-	}
-	return newMemTransport(g, w.Base(), w, nil, nil, shards)
-}
-
-// NewElasticMemTransport builds the fast path with epoch-versioned
-// elastic membership: the cluster serves initial's active node set (a
-// prefix of the graph, optionally r-fold replicated) and can grow or
-// shrink it at runtime through Resize/FinishResize while locates keep
-// succeeding — the dual-epoch migration of the ElasticTransport
-// contract. Elastic membership is mutually exclusive with the weighted
-// mode; replication comes from the epoch itself.
-func NewElasticMemTransport(g *graph.Graph, initial *strategy.Epoch, shards int) (*MemTransport, error) {
-	if initial == nil {
-		return nil, fmt.Errorf("cluster: elastic transport needs an initial epoch")
-	}
-	return newMemTransport(g, nil, nil, nil, initial, shards)
-}
-
-func newMemTransport(g *graph.Graph, strat rendezvous.Strategy, w *strategy.Weighted, rp *strategy.Replicated, initial *strategy.Epoch, shards int) (*MemTransport, error) {
-	c, err := newCoordinator(g, strat, w, rp, initial)
+// NewLayoutMemTransport builds the fast path over g serving lay —
+// replicated, weighted or elastic as the layout says.
+func NewLayoutMemTransport(g *graph.Graph, lay Layout, shards int) (*MemTransport, error) {
+	c, err := newCoordinator(g, lay)
 	if err != nil {
 		return nil, err
 	}

@@ -109,7 +109,7 @@ func TestNetCoalescedEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		addrs, cmds := spawnNetCluster(t, n, procs)
-		netT, err := NewReplicatedNetTransport(g, rp, addrs, opts)
+		netT, err := NewLayoutNetTransport(g, fixedOf(t, rp), addrs, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +168,7 @@ func TestNetCoalescedEquivalence(t *testing.T) {
 			t.Helper()
 			ep1 := mkEpoch(t, 1, n, 18, 1)
 			addrs, _ := spawnNetCluster(t, n, procs)
-			netT, err := NewElasticNetTransport(g, ep1, addrs, opts)
+			netT, err := NewLayoutNetTransport(g, elasticOf(ep1), addrs, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -12,7 +12,6 @@ import (
 	"matchmake/internal/netwire"
 	"matchmake/internal/rendezvous"
 	"matchmake/internal/sim"
-	"matchmake/internal/strategy"
 )
 
 // NetTransport is the socket backend: the coordinator over node
@@ -47,56 +46,31 @@ type NetTransport struct {
 // NewNetTransport connects to a running node-process cluster at addrs
 // (one address per process, in partition order) and verifies via the
 // hello handshake that the processes cover the n nodes of g in
-// contiguous ranges. The strategy's universe must match the graph.
+// contiguous ranges. It serves strat at full, fixed membership; the
+// strategy's universe must match the graph.
 func NewNetTransport(g *graph.Graph, strat rendezvous.Strategy, addrs []string, opts NetOptions) (*NetTransport, error) {
-	return newNetTransport(g, strat, nil, nil, nil, addrs, opts)
+	lay, err := FixedLayout(g.N(), strat, 1)
+	if err != nil {
+		return nil, err
+	}
+	return NewLayoutNetTransport(g, lay, addrs, opts)
 }
 
-// NewReplicatedNetTransport is NewNetTransport in r-fold replicated
-// rendezvous mode: servers post to the union of every replica family's
-// posting sets, and a locate that gets no rendezvous answer — because
-// the meeting nodes are marked crashed, or because the node process
-// hosting them was killed — falls through to the next family instead of
-// failing, at one extra flood charge per attempt. Combined with
+// NewLayoutNetTransport is NewNetTransport serving lay. The set tables
+// live on the coordinator — the node processes just store what they are
+// sent — so every mode runs over the same processes. Replicated, a
+// locate that gets no rendezvous answer — because the meeting nodes are
+// marked crashed, or because the node process hosting them was killed —
+// falls through to the next family instead of failing; combined with
 // NetOptions.RepairInterval this is the crash-tolerance story of the
 // socket cluster: fallthrough bridges the outage, repair restores the
-// replication factor once the process comes back.
-func NewReplicatedNetTransport(g *graph.Graph, rp *strategy.Replicated, addrs []string, opts NetOptions) (*NetTransport, error) {
-	if rp == nil {
-		return nil, fmt.Errorf("cluster: replicated transport needs a strategy.Replicated")
-	}
-	return newNetTransport(g, rp.Base(), nil, rp, nil, addrs, opts)
-}
-
-// NewWeightedNetTransport is NewNetTransport in frequency-weighted
-// mode: cold ports run w.Base() and ports promoted by SetHotPorts run
-// the post-heavy hot split, with the same union-post promotion protocol
-// (and the same pass charges) as the weighted MemTransport.
-func NewWeightedNetTransport(g *graph.Graph, w *strategy.Weighted, addrs []string, opts NetOptions) (*NetTransport, error) {
-	if w == nil {
-		return nil, fmt.Errorf("cluster: weighted transport needs a strategy.Weighted")
-	}
-	return newNetTransport(g, w.Base(), w, nil, nil, addrs, opts)
-}
-
-// NewElasticNetTransport connects to a node-process cluster in
-// epoch-versioned elastic membership mode: the serving epoch's tables
-// live on the coordinator (the node processes just store what they are
-// sent), Resize/FinishResize run the dual-epoch migration over the wire
-// with epoch garbage collection travelling as opExpire, and Rescale
+// replication factor once the process comes back. Elastic,
+// Resize/FinishResize run the dual-epoch migration over the wire with
+// epoch garbage collection travelling as opExpire, and Rescale
 // additionally repartitions the node space across a different process
-// set with a coordinator-driven partition transfer. Elastic membership
-// is mutually exclusive with the weighted mode; replication comes from
-// the epoch itself.
-func NewElasticNetTransport(g *graph.Graph, initial *strategy.Epoch, addrs []string, opts NetOptions) (*NetTransport, error) {
-	if initial == nil {
-		return nil, fmt.Errorf("cluster: elastic transport needs an initial epoch")
-	}
-	return newNetTransport(g, nil, nil, nil, initial, addrs, opts)
-}
-
-func newNetTransport(g *graph.Graph, strat rendezvous.Strategy, w *strategy.Weighted, rp *strategy.Replicated, initial *strategy.Epoch, addrs []string, opts NetOptions) (*NetTransport, error) {
-	c, err := newCoordinator(g, strat, w, rp, initial)
+// set with a coordinator-driven partition transfer.
+func NewLayoutNetTransport(g *graph.Graph, lay Layout, addrs []string, opts NetOptions) (*NetTransport, error) {
+	c, err := newCoordinator(g, lay)
 	if err != nil {
 		return nil, err
 	}

@@ -495,7 +495,7 @@ func TestNetTransportKillDash9(t *testing.T) {
 		t.Fatal(err)
 	}
 	addrs, cmds := spawnNetCluster(t, 36, 3)
-	netT, err := NewWeightedNetTransport(g, w, addrs, NetOptions{CallTimeout: 10 * time.Second})
+	netT, err := NewLayoutNetTransport(g, weightedOf(t, w), addrs, NetOptions{CallTimeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -593,11 +593,11 @@ func TestNetReplicatedKillEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	addrs, cmds := spawnNetCluster(t, n, procs)
-	memT, err := NewReplicatedMemTransport(g, rp, 0)
+	memT, err := NewLayoutMemTransport(g, fixedOf(t, rp), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	netT, err := NewReplicatedNetTransport(g, rp, addrs, NetOptions{CallTimeout: 10 * time.Second})
+	netT, err := NewLayoutNetTransport(g, fixedOf(t, rp), addrs, NetOptions{CallTimeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -730,7 +730,7 @@ func TestNetReplicatedRepairLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	addrs, cmds := spawnNetCluster(t, n, procs)
-	netT, err := NewReplicatedNetTransport(g, rp, addrs, NetOptions{
+	netT, err := NewLayoutNetTransport(g, fixedOf(t, rp), addrs, NetOptions{
 		CallTimeout:    10 * time.Second,
 		RepairInterval: 50 * time.Millisecond,
 	})
@@ -879,11 +879,11 @@ func TestNetTransportWeightedEquivalence(t *testing.T) {
 		return w
 	}
 	addrs, _ := spawnNetCluster(t, 36, 3)
-	memT, err := NewWeightedMemTransport(g, mkWeighted(), 0)
+	memT, err := NewLayoutMemTransport(g, weightedOf(t, mkWeighted()), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	netT, err := NewWeightedNetTransport(g, mkWeighted(), addrs, NetOptions{CallTimeout: 10 * time.Second})
+	netT, err := NewLayoutNetTransport(g, weightedOf(t, mkWeighted()), addrs, NetOptions{CallTimeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

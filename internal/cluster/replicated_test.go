@@ -28,6 +28,30 @@ func mkReplicated(t *testing.T, n, r int) *strategy.Replicated {
 	return rp
 }
 
+// fixedOf is rp's geometry as a fixed layout: its base at full
+// membership, rp.Replicas()-fold.
+func fixedOf(t testing.TB, rp *strategy.Replicated) Layout {
+	t.Helper()
+	lay, err := FixedLayout(rp.N(), rp.Base(), rp.Replicas())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lay
+}
+
+// weightedOf is the fixed layout of w's base with w laid over it.
+func weightedOf(t testing.TB, w *strategy.Weighted) Layout {
+	t.Helper()
+	lay, err := WeightedLayout(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lay
+}
+
+// elasticOf is the elastic layout starting at ep.
+func elasticOf(ep *strategy.Epoch) Layout { return Layout{Epoch: ep, Elastic: true} }
+
 // replica0Rendezvous returns the base-family rendezvous set of a
 // (server node, client node) pair.
 func replica0Rendezvous(rp *strategy.Replicated, server, client graph.NodeID) []graph.NodeID {
@@ -41,7 +65,7 @@ func replica0Rendezvous(rp *strategy.Replicated, server, client graph.NodeID) []
 func TestReplicatedStoreUnionPostings(t *testing.T) {
 	n := 36
 	rp := mkReplicated(t, n, 2)
-	memT, err := NewReplicatedMemTransport(topology.Complete(n), rp, 0)
+	memT, err := NewLayoutMemTransport(topology.Complete(n), fixedOf(t, rp), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,12 +96,12 @@ func TestReplicatedSimMemEquivalence(t *testing.T) {
 	n := 36
 	g := topology.Complete(n)
 	rp := mkReplicated(t, n, 2)
-	simT, err := NewReplicatedSimTransport(g, rp, repOpts)
+	simT, err := NewLayoutSimTransport(g, fixedOf(t, rp), repOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer simT.Close()
-	memT, err := NewReplicatedMemTransport(g, rp, 0)
+	memT, err := NewLayoutMemTransport(g, fixedOf(t, rp), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +169,7 @@ func TestReplicatedSimMemEquivalence(t *testing.T) {
 func TestReplicatedMemSurvivesAnySingleCrash(t *testing.T) {
 	n := 36
 	rp := mkReplicated(t, n, 2)
-	memT, err := NewReplicatedMemTransport(topology.Complete(n), rp, 0)
+	memT, err := NewLayoutMemTransport(topology.Complete(n), fixedOf(t, rp), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +220,7 @@ func TestReplicatedLocateBatchFallthrough(t *testing.T) {
 	g := topology.Complete(n)
 	rp := mkReplicated(t, n, 2)
 	mkT := func() *MemTransport {
-		memT, err := NewReplicatedMemTransport(g, rp, 0)
+		memT, err := NewLayoutMemTransport(g, fixedOf(t, rp), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,11 +272,11 @@ func TestClusterReplicatedFallthroughMetrics(t *testing.T) {
 	n := 36
 	g := topology.Complete(n)
 	rp := mkReplicated(t, n, 2)
-	memT, err := NewReplicatedMemTransport(g, rp, 0)
+	memT, err := NewLayoutMemTransport(g, fixedOf(t, rp), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plainT, err := NewReplicatedMemTransport(g, rp, 0)
+	plainT, err := NewLayoutMemTransport(g, fixedOf(t, rp), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +333,7 @@ func TestClusterHintRetriesNextReplica(t *testing.T) {
 	n := 36
 	g := topology.Complete(n)
 	rp := mkReplicated(t, n, 2)
-	memT, err := NewReplicatedMemTransport(g, rp, 0)
+	memT, err := NewLayoutMemTransport(g, fixedOf(t, rp), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,14 +388,14 @@ func TestClusterHintRetriesNextReplica(t *testing.T) {
 // TestReplicatedTransportErrors pins constructor and replica-bounds
 // validation across the replicated API.
 func TestReplicatedTransportErrors(t *testing.T) {
-	if _, err := NewReplicatedMemTransport(topology.Complete(9), nil, 0); err == nil {
+	if _, err := NewLayoutMemTransport(topology.Complete(9), Layout{}, 0); err == nil {
 		t.Fatal("nil Replicated accepted by mem")
 	}
-	if _, err := NewReplicatedSimTransport(topology.Complete(9), nil, repOpts); err == nil {
+	if _, err := NewLayoutSimTransport(topology.Complete(9), Layout{}, repOpts); err == nil {
 		t.Fatal("nil Replicated accepted by sim")
 	}
 	rp := mkReplicated(t, 9, 2)
-	memT, err := NewReplicatedMemTransport(topology.Complete(9), rp, 0)
+	memT, err := NewLayoutMemTransport(topology.Complete(9), fixedOf(t, rp), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

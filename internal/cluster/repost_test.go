@@ -15,12 +15,12 @@ import (
 	"matchmake/internal/topology"
 )
 
-// loopbackNodes serves an n-node cluster from procs in-process
+// loopbackServers serves an n-node cluster from procs in-process
 // NodeServers on ephemeral loopback ports and returns their addresses
-// in partition order.
-func loopbackNodes(t *testing.T, n, procs int) []string {
+// in partition order, with the servers behind them.
+func loopbackServers(t *testing.T, n, procs int) ([]string, []*NodeServer) {
 	t.Helper()
-	addrs := make([]string, procs)
+	addrs, servers := make([]string, procs), make([]*NodeServer, procs)
 	for i := range addrs {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -33,8 +33,15 @@ func loopbackNodes(t *testing.T, n, procs int) []string {
 		}
 		go s.Serve()
 		t.Cleanup(func() { s.Close() })
-		addrs[i] = ln.Addr().String()
+		addrs[i], servers[i] = ln.Addr().String(), s
 	}
+	return addrs, servers
+}
+
+// loopbackNodes is loopbackServers for callers that only dial.
+func loopbackNodes(t *testing.T, n, procs int) []string {
+	t.Helper()
+	addrs, _ := loopbackServers(t, n, procs)
 	return addrs
 }
 
@@ -72,28 +79,28 @@ func TestRepostNeverResurrects(t *testing.T) {
 	}
 	builds := map[string]func(t *testing.T) coordinated{
 		"mem/weighted": func(t *testing.T) coordinated {
-			tr, err := NewWeightedMemTransport(g, weighted(t), 0)
+			tr, err := NewLayoutMemTransport(g, weightedOf(t, weighted(t)), 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return tr
 		},
 		"net/weighted": func(t *testing.T) coordinated {
-			tr, err := NewWeightedNetTransport(g, weighted(t), loopbackNodes(t, universe, 3), NetOptions{})
+			tr, err := NewLayoutNetTransport(g, weightedOf(t, weighted(t)), loopbackNodes(t, universe, 3), NetOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return tr
 		},
 		"mem/elastic": func(t *testing.T) coordinated {
-			tr, err := NewElasticMemTransport(g, mkEpoch(t, 1, universe, homes, 2), 0)
+			tr, err := NewLayoutMemTransport(g, elasticOf(mkEpoch(t, 1, universe, homes, 2)), 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return tr
 		},
 		"net/elastic": func(t *testing.T) coordinated {
-			tr, err := NewElasticNetTransport(g, mkEpoch(t, 1, universe, homes, 2), loopbackNodes(t, universe, 3), NetOptions{})
+			tr, err := NewLayoutNetTransport(g, elasticOf(mkEpoch(t, 1, universe, homes, 2)), loopbackNodes(t, universe, 3), NetOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

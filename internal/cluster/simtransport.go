@@ -28,11 +28,11 @@ type SimTransport struct {
 	net    *sim.Network
 	sys    *core.System
 	gens   *genIndex
-	rp     *strategy.Replicated // nil unless replicated
+	rp     *strategy.Replicated // nil unless replicated (r > 1)
 	events eventSink
 
 	// elastic is the epoch-versioned membership state (nil on
-	// transports built without it — see NewElasticSimTransport). The
+	// transports built without it — see newElasticSimTransport). The
 	// simulator is the paper-exact reference of the resize protocol:
 	// the engine strategy is swapped at each phase (union posting sets
 	// during the dual-epoch migration), the migration delta re-posts
@@ -96,7 +96,28 @@ func NewSimTransport(g *graph.Graph, strat rendezvous.Strategy, opts core.Option
 	return newSimTransport(g, rendezvous.Precompute(strat), nil, opts)
 }
 
-// NewReplicatedSimTransport builds the paper-exact reference for the
+// NewLayoutSimTransport builds the paper-exact reference for lay. The
+// simulator keeps its own implementation of each mode — it is what the
+// coordinator is checked against — so the layout only selects one: the
+// elastic membership protocol, r-fold replicated rendezvous, or the
+// plain engine. The weighted mode has no reference; the simulator runs
+// the base strategy only.
+func NewLayoutSimTransport(g *graph.Graph, lay Layout, opts core.Options) (*SimTransport, error) {
+	if err := lay.check(g.N()); err != nil {
+		return nil, err
+	}
+	switch {
+	case lay.Weighted != nil:
+		return nil, fmt.Errorf("cluster: the simulator has no weighted mode")
+	case lay.Elastic:
+		return newElasticSimTransport(g, lay.Epoch, opts)
+	case lay.Epoch.Replicas() > 1:
+		return newReplicatedSimTransport(g, lay.Epoch.Replicated(), opts)
+	}
+	return NewSimTransport(g, lay.Epoch.Base(), opts)
+}
+
+// newReplicatedSimTransport builds the paper-exact reference for the
 // r-fold replicated rendezvous mode: the engine posts over the union of
 // every replica family's posting sets (one real multicast), and a
 // locate floods replica 0's query set, falling through family by family
@@ -105,10 +126,7 @@ func NewSimTransport(g *graph.Graph, strat rendezvous.Strategy, opts core.Option
 // the genuine article. Note a fallthrough attempt on the simulator
 // costs a full locate timeout before the next family is tried; keep
 // opts.LocateTimeout short in fault studies.
-func NewReplicatedSimTransport(g *graph.Graph, rp *strategy.Replicated, opts core.Options) (*SimTransport, error) {
-	if rp == nil {
-		return nil, fmt.Errorf("cluster: replicated transport needs a strategy.Replicated")
-	}
+func newReplicatedSimTransport(g *graph.Graph, rp *strategy.Replicated, opts core.Options) (*SimTransport, error) {
 	// The engine's own strategy: union posts, replica-0 queries. The
 	// higher replica floods go through LocateVia with explicit targets.
 	comp := rendezvous.Precompute(rendezvous.Funcs{
@@ -121,32 +139,24 @@ func NewReplicatedSimTransport(g *graph.Graph, rp *strategy.Replicated, opts cor
 	if err != nil {
 		return nil, err
 	}
-	if rp.Replicas() > 1 {
-		// Family-scope the rendezvous answers: a node only answers a
-		// family-k query with postings it holds as a member of Pₖ of the
-		// posting's origin, which keeps the replica families independent
-		// channels even where their node sets overlap.
-		t.sys.SetReplicaFilter(func(self graph.NodeID, family int, e core.Entry) bool {
-			return rp.InPost(family, e.Addr, self)
-		})
-	}
+	// Family-scope the rendezvous answers: a node only answers a
+	// family-k query with postings it holds as a member of Pₖ of the
+	// posting's origin, which keeps the replica families independent
+	// channels even where their node sets overlap.
+	t.sys.SetReplicaFilter(func(self graph.NodeID, family int, e core.Entry) bool {
+		return rp.InPost(family, e.Addr, self)
+	})
 	return t, nil
 }
 
-// NewElasticSimTransport builds the paper-exact reference of the
+// newElasticSimTransport builds the paper-exact reference of the
 // elastic membership protocol: the engine initially serves initial's
 // active node set, and Resize/FinishResize drive the dual-epoch
 // migration with every step a real simulated event — delta re-posts as
 // multicasts with network-counted hops, old-epoch floods as
 // explicit-target queries, and epoch retirement as local cache expiry.
 // Replication comes from the epoch itself.
-func NewElasticSimTransport(g *graph.Graph, initial *strategy.Epoch, opts core.Options) (*SimTransport, error) {
-	if initial == nil {
-		return nil, fmt.Errorf("cluster: elastic transport needs an initial epoch")
-	}
-	if initial.Universe() != g.N() {
-		return nil, fmt.Errorf("cluster: epoch %d universe %d != graph size %d", initial.Seq(), initial.Universe(), g.N())
-	}
+func newElasticSimTransport(g *graph.Graph, initial *strategy.Epoch, opts core.Options) (*SimTransport, error) {
 	t, err := newSimTransport(g, epochEngineStrategy(initial, nil, g.N()), nil, opts)
 	if err != nil {
 		return nil, err

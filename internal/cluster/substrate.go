@@ -116,11 +116,17 @@ const (
 // channels even where their node sets overlap. The zero scope admits
 // every row. A small value, not a predicate func, so it does not escape.
 type scope struct {
-	// in is the epoch or replicated strategy; nil admits every row.
-	in interface {
-		InPost(k int, origin, at graph.NodeID) bool
-	}
+	in  familyGeometry // nil admits every row
 	fam int
+}
+
+// familyGeometry is what family-scoping asks of an epoch (or, on the
+// simulator, a replicated strategy): how many replica families there
+// are, and whether node at belongs to family k's posting set of a
+// server at origin.
+type familyGeometry interface {
+	Replicas() int
+	InPost(k int, origin, at graph.NodeID) bool
 }
 
 // on reports whether the scope filters at all; a scoped wire flood must

@@ -31,12 +31,12 @@ func TestSubstrateConformance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	memT, err := NewReplicatedMemTransport(g, rp, 0)
+	memT, err := NewLayoutMemTransport(g, fixedOf(t, rp), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer memT.Close()
-	netT, err := NewReplicatedNetTransport(g, rp, loopbackNodes(t, n, 3), NetOptions{})
+	netT, err := NewLayoutNetTransport(g, fixedOf(t, rp), loopbackNodes(t, n, 3), NetOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

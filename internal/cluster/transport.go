@@ -20,19 +20,24 @@
 // in-memory store or in OS processes (NodeServer, usually cmd/mmnode)
 // speaking a compact length-prefixed binary protocol over TCP
 // (internal/netwire) — kill -9 a process and its node range fails
-// silently, like crashed nodes in the paper's model. All three
-// implement the r-fold replicated rendezvous mode
-// (strategy.Replicated): servers post to every replica family and a
-// locate falls through the families when rendezvous nodes are dead, so
-// one crashed node — or one killed node process — costs an extra flood
-// instead of an outage. And all three implement epoch-versioned elastic
-// membership (strategy.Epoch, ElasticTransport): the active node set
-// and its strategy can change at runtime through a dual-epoch migration
-// — minimal-movement delta re-posts, locates falling through to the
-// retiring epoch until it drains, local expiry of the orphaned postings
-// afterwards — with the socket backend additionally re-partitioning the
-// node space across a different process set live
-// (NetTransport.Rescale). All transports agree on both results and
+// silently, like crashed nodes in the paper's model.
+//
+// What a transport serves is one geometry value, a Layout: an epoch
+// (strategy.Epoch — strategy, replication factor, membership), an
+// optional weighted split, and whether the membership is fixed or
+// elastic. New{Mem,Net,Sim}Transport take a bare strategy — the seq-1
+// epoch at full membership with r = 1 — and NewLayout{Mem,Net,Sim}Transport
+// take any layout; the coordinator reads every mode from the same set
+// table (setcosts.go). Replicated r-fold, servers post to every replica
+// family and a locate falls through the families when rendezvous nodes
+// are dead, so one crashed node — or one killed node process — costs an
+// extra flood instead of an outage. Elastic (ElasticTransport), the
+// active node set and its strategy can change at runtime through a
+// dual-epoch migration — minimal-movement delta re-posts, locates
+// falling through to the retiring epoch until it drains, local expiry
+// of the orphaned postings afterwards — with the socket backend
+// additionally re-partitioning the node space across a different
+// process set live (NetTransport.Rescale). All transports agree on both results and
 // costs on a healthy network, on the crash fallthrough path and across
 // epoch transitions; see equivalence_test.go, replicated_test.go,
 // elastic_test.go, substrate_conformance_test.go and

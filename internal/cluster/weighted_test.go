@@ -23,7 +23,7 @@ func newWeightedTransport(t *testing.T, n int) *MemTransport {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := NewWeightedMemTransport(topology.Complete(n), w, 0)
+	tr, err := NewLayoutMemTransport(topology.Complete(n), weightedOf(t, w), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -716,7 +716,11 @@ func e16Measured(n int) (Table, error) {
 	}
 
 	run := func(promote bool) (float64, error) {
-		tr, err := cluster.NewWeightedMemTransport(topology.Complete(n), w, 0)
+		lay, err := cluster.WeightedLayout(w)
+		if err != nil {
+			return 0, err
+		}
+		tr, err := cluster.NewLayoutMemTransport(topology.Complete(n), lay, 0)
 		if err != nil {
 			return 0, err
 		}

@@ -265,7 +265,7 @@ func Run(cfg Config, progress io.Writer) (*Result, error) {
 		tr, n = gt, gt.N()
 		topoName, stratName = "remote", "remote"
 	} else {
-		g, err := buildTopology(cfg.Topo, cfg.Nodes)
+		g, err := BuildTopology(cfg.Topo, cfg.Nodes)
 		if err != nil {
 			return nil, err
 		}
@@ -298,11 +298,11 @@ func Run(cfg Config, progress io.Writer) (*Result, error) {
 			}
 			cfg.Addrs = strings.Join(stateAddrs, ",")
 		}
-		strat, err := buildStrategy(cfg.Strategy, g.N(), cfg.Seed)
+		strat, err := BuildStrategy(cfg.Strategy, g.N(), cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
-		if tr, err = buildTransport(cfg, g, strat); err != nil {
+		if tr, err = BuildTransport(cfg, g, strat); err != nil {
 			return nil, err
 		}
 		n, topoName, stratName = g.N(), cfg.Topo, strat.Name()
@@ -513,8 +513,8 @@ func makePortNames(ports int) []core.Port {
 	return names
 }
 
-// buildTopology constructs the named graph over n nodes.
-func buildTopology(name string, n int) (*graph.Graph, error) {
+// BuildTopology constructs the named graph over n nodes.
+func BuildTopology(name string, n int) (*graph.Graph, error) {
 	switch name {
 	case "complete":
 		return topology.Complete(n), nil
@@ -551,8 +551,8 @@ func buildTopology(name string, n int) (*graph.Graph, error) {
 	}
 }
 
-// buildStrategy constructs the named rendezvous strategy over n nodes.
-func buildStrategy(name string, n int, seed int64) (rendezvous.Strategy, error) {
+// BuildStrategy constructs the named rendezvous strategy over n nodes.
+func BuildStrategy(name string, n int, seed int64) (rendezvous.Strategy, error) {
 	switch name {
 	case "checkerboard":
 		return rendezvous.Checkerboard(n), nil
@@ -568,82 +568,35 @@ func buildStrategy(name string, n int, seed int64) (rendezvous.Strategy, error) 
 	}
 }
 
-// buildTransport assembles the configured transport over g and strat.
-func buildTransport(cfg Config, g *graph.Graph, strat rendezvous.Strategy) (cluster.Transport, error) {
-	if cfg.ResizeEvery > 0 {
-		return buildElasticTransport(cfg, g, strat)
+// BuildTransport assembles the configured transport over g and strat:
+// the layout — strat replicated cfg.Replicas-fold at full membership,
+// elastic for the resize-churn scenario (runResizer then alternates the
+// membership live), the weighted split laid over it when asked — is
+// built once and handed to the chosen backend.
+func BuildTransport(cfg Config, g *graph.Graph, strat rendezvous.Strategy) (cluster.Transport, error) {
+	lay, err := cluster.FixedLayout(g.N(), strat, cfg.Replicas)
+	if err != nil {
+		return nil, err
 	}
-	var rp *strategy.Replicated
-	if cfg.Replicas > 1 {
-		var err error
-		if rp, err = strategy.NewReplicated(strat, cfg.Replicas); err != nil {
+	lay.Elastic = cfg.ResizeEvery > 0
+	if cfg.Weighted {
+		if cfg.Transport == "sim" {
+			return nil, fmt.Errorf("-weighted needs -transport mem or net (the sim path runs the base strategy only)")
+		}
+		if lay.Weighted, err = buildWeighted(g.N(), strat, cfg.HotAlpha); err != nil {
 			return nil, err
 		}
 	}
 	switch cfg.Transport {
 	case "mem":
-		if cfg.Weighted {
-			w, err := buildWeighted(g.N(), strat, cfg.HotAlpha)
-			if err != nil {
-				return nil, err
-			}
-			return cluster.NewWeightedMemTransport(g, w, 0)
-		}
-		if rp != nil {
-			return cluster.NewReplicatedMemTransport(g, rp, 0)
-		}
-		return cluster.NewMemTransport(g, strat, 0)
+		return cluster.NewLayoutMemTransport(g, lay, 0)
 	case "sim":
-		if cfg.Weighted {
-			return nil, fmt.Errorf("-weighted needs -transport mem or net (the sim path runs the base strategy only)")
-		}
-		opts := core.Options{LocateTimeout: cfg.LocateTO, CollectWindow: cfg.CollectWin}
-		if rp != nil {
-			return cluster.NewReplicatedSimTransport(g, rp, opts)
-		}
-		return cluster.NewSimTransport(g, strat, opts)
+		return cluster.NewLayoutSimTransport(g, lay, core.Options{LocateTimeout: cfg.LocateTO, CollectWindow: cfg.CollectWin})
 	case "net":
 		if cfg.Addrs == "" {
 			return nil, fmt.Errorf("-transport net needs -addrs (boot a cluster with `mmctl up` or mmnode)")
 		}
-		addrs := strings.Split(cfg.Addrs, ",")
-		opts := cfg.netOptions()
-		if cfg.Weighted {
-			w, err := buildWeighted(g.N(), strat, cfg.HotAlpha)
-			if err != nil {
-				return nil, err
-			}
-			return cluster.NewWeightedNetTransport(g, w, addrs, opts)
-		}
-		if rp != nil {
-			return cluster.NewReplicatedNetTransport(g, rp, addrs, opts)
-		}
-		return cluster.NewNetTransport(g, strat, addrs, opts)
-	default:
-		return nil, fmt.Errorf("unknown transport %q", cfg.Transport)
-	}
-}
-
-// buildElasticTransport assembles the epoch-versioned elastic
-// transport for the resize-churn scenario: epoch 1 serves the full
-// node set (replicated per Replicas); runResizer then alternates the
-// membership live.
-func buildElasticTransport(cfg Config, g *graph.Graph, strat rendezvous.Strategy) (cluster.Transport, error) {
-	ep, err := strategy.NewEpoch(1, g.N(), strat, cfg.Replicas)
-	if err != nil {
-		return nil, err
-	}
-	switch cfg.Transport {
-	case "mem":
-		return cluster.NewElasticMemTransport(g, ep, 0)
-	case "sim":
-		opts := core.Options{LocateTimeout: cfg.LocateTO, CollectWindow: cfg.CollectWin}
-		return cluster.NewElasticSimTransport(g, ep, opts)
-	case "net":
-		if cfg.Addrs == "" {
-			return nil, fmt.Errorf("-transport net needs -addrs or -state (boot a cluster with `mmctl up` or mmnode)")
-		}
-		return cluster.NewElasticNetTransport(g, ep, strings.Split(cfg.Addrs, ","), cfg.netOptions())
+		return cluster.NewLayoutNetTransport(g, lay, strings.Split(cfg.Addrs, ","), cfg.netOptions())
 	default:
 		return nil, fmt.Errorf("unknown transport %q", cfg.Transport)
 	}

@@ -209,7 +209,7 @@ func runResizer(c *cluster.Cluster, cfg Config, n int, stop <-chan struct{}) (in
 		if toSmall {
 			active = cfg.ResizeTo
 		}
-		strat, err := buildStrategy(cfg.Strategy, active, cfg.Seed)
+		strat, err := BuildStrategy(cfg.Strategy, active, cfg.Seed)
 		if err != nil {
 			return resizes, err
 		}
