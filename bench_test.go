@@ -148,7 +148,7 @@ func BenchmarkLocateDecompositionRandom(b *testing.B) {
 // and for the hot-path acceleration layer: hints=off is the cold full
 // P∩Q flood, hints=on the probe-validated address-hint path (the
 // acceptance bar: ≥5× the PR-1 mem baseline at 0 allocs/op), batch=16
-// the shard-grouped LocateBatch, and weighted the frequency-weighted
+// the request-grouped LocateBatch, and weighted the frequency-weighted
 // strategy with the hottest ports promoted. It reports the paper's cost
 // measure (message passes per locate) alongside ns/op, so the perf
 // trajectory of the serving path is tracked across PRs.
@@ -497,6 +497,58 @@ func BenchmarkClusterStore(b *testing.B) {
 			i++
 		}
 	})
+}
+
+// BenchmarkStoreFloodRead isolates the store layer of one in-process
+// query flood: one port read at the 8 nodes of a checkerboard-64 query
+// set, of which one holds the posting — Store.Rows once, then a row read
+// per node. It must not allocate; run it with -cpu 1,2 -benchmem.
+func BenchmarkStoreFloodRead(b *testing.B) {
+	const (
+		n     = 64
+		ports = 64
+	)
+	s := cluster.NewStore(n, 0)
+	strat := rendezvous.Checkerboard(n)
+	names := make([]core.Port, ports)
+	for p := range names {
+		names[p] = core.Port(fmt.Sprintf("svc-%04d", p))
+		home := graph.NodeID((p*47 + 5) % n)
+		for _, v := range strat.Post(home) {
+			s.Put(v, core.Entry{Port: names[p], Addr: home, ServerID: uint64(p + 1), Time: s.NextTime(), Active: true})
+		}
+	}
+	queries := make([][]graph.NodeID, n)
+	for c := range queries {
+		queries[c] = strat.Query(graph.NodeID(c))
+		if len(queries[c]) != 8 {
+			b.Fatalf("query set of %d has %d nodes; want 8", c, len(queries[c]))
+		}
+	}
+	var seq atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := int(seq.Add(1)) * 7919
+		for pb.Next() {
+			i++
+			rows := s.Rows(names[i%ports])
+			hits := 0
+			for _, v := range queries[(i/ports)%n] {
+				if _, ok := rows.Get(v); ok {
+					hits++
+				}
+			}
+			if hits == 0 {
+				b.Error("a flood found no rendezvous node")
+				return
+			}
+		}
+	})
+	b.StopTimer()
+	if a := testing.AllocsPerRun(100, func() { s.Rows(names[3]).Get(queries[9][0]) }); a != 0 {
+		b.Fatalf("a flood read allocates %v times; want 0", a)
+	}
 }
 
 // BenchmarkMatrixBuild measures the analysis path: materializing and

@@ -13,7 +13,7 @@ import (
 	"matchmake/internal/topology"
 )
 
-// TestLocateBatchMatchesSequential checks the fast path's shard-grouped
+// TestLocateBatchMatchesSequential checks the fast path's request-grouped
 // batch against the one-at-a-time path on the same transport: identical
 // answers and an identical total pass charge. Locates do not mutate the
 // store, so running both back to back compares like with like.
@@ -191,7 +191,7 @@ func TestClusterLocateBatch(t *testing.T) {
 
 // TestLocateBatchConcurrent hammers the batch path from several
 // goroutines (with churn in the background) so the race detector sees
-// the pooled scratch and shard-grouped locking under contention.
+// the pooled floods and the store's copy-on-write rows under contention.
 func TestLocateBatchConcurrent(t *testing.T) {
 	c, tr := newHintedMemCluster(t, 64, Options{Hints: true})
 	names := make([]core.Port, 8)

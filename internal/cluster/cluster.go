@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"hash/maphash"
+	"maps"
 	"runtime"
 	"sort"
 	"sync"
@@ -11,13 +12,16 @@ import (
 
 	"matchmake/internal/core"
 	"matchmake/internal/graph"
+	"matchmake/internal/stats"
 	"matchmake/internal/strategy"
 )
 
 // Options configure a Cluster.
 type Options struct {
-	// Shards is the number of request shards (rounded up to a power of
-	// two). Each shard owns a coalescing table and a worker pool.
+	// Shards is the number of Submit shards (rounded up to a power of
+	// two). Each shard is a bounded queue and the worker pool draining
+	// it; synchronous locates never touch one (their coalescing table is
+	// striped on its own, see flightTable).
 	// Zero picks GOMAXPROCS rounded up to a power of two.
 	Shards int
 	// WorkersPerShard is the number of worker goroutines draining each
@@ -86,16 +90,25 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Cluster is the serving layer over a Transport: requests are sharded by
-// port, each shard coalesces concurrent locates for the same (client,
-// port) into one query flood and runs a worker pool for asynchronous
-// submissions, and every operation feeds the live metrics.
+// Cluster is the serving layer over a Transport: concurrent locates for
+// the same (client, port) coalesce into one query flood, asynchronous
+// submissions are sharded by port onto worker pools, and every operation
+// feeds the live metrics.
 type Cluster struct {
+	// inflight leads the struct so its cacheline-padded stripes stay
+	// line-aligned. With closed it is the close gate: every public
+	// operation (and Submit's queue send) runs between enter and exit, so
+	// Close cannot close the queues or the transport while one is
+	// mid-flight, and callers on behalf of different clients share no
+	// written cache line doing so.
+	inflight stats.StripedCounter
+	flights  flightTable
+
 	tr   Transport
 	opts Options
 	seed maphash.Seed
 
-	shards   []*clusterShard
+	queues   []chan task // one Submit queue per shard, picked by port hash
 	hints    *hintCache  // nil unless Options.Hints
 	genSlots genSlotter  // non-nil when the transport exposes generation slots
 	pop      *popularity // nil unless Options.HotPorts > 0
@@ -113,13 +126,10 @@ type Cluster struct {
 	byz       ByzantineTransport
 	suspectMu sync.Mutex
 	suspects  map[graph.NodeID]struct{}
-	// closeMu is read-held across every public operation (and Submit's
-	// queue send) so Close — which takes it exclusively — cannot close
-	// the queues or the transport while an operation is mid-flight.
-	closeMu sync.RWMutex
-	closed  atomic.Bool
-	stopHot chan struct{}
-	wg      sync.WaitGroup
+	closed    atomic.Bool
+	drained   chan struct{} // wakes Close: an exit after closed saw a stripe reach zero
+	stopHot   chan struct{}
+	wg        sync.WaitGroup
 
 	batchScratch sync.Pool // *clusterScratch for hint-aware LocateBatch
 
@@ -136,24 +146,33 @@ type clusterScratch struct {
 	slots []*atomic.Uint64
 }
 
-// popularity is the sharded-on-demand port-popularity counter feeding
-// the frequency-weighted strategy: one atomic per port, found through a
-// read-locked map, so the count on the locate hot path is two atomic
-// operations and no allocation after a port's first locate.
+// popularity is the port-popularity counter feeding the
+// frequency-weighted strategy: one atomic per port, found through a
+// copy-on-write map behind an atomic pointer (the hintShard pattern), so
+// the count on the locate hot path is one atomic load, a map read and
+// one add — no reader count shared between callers — and the map is
+// cloned under mu only on a port's first locate.
 type popularity struct {
-	mu sync.RWMutex
-	m  map[core.Port]*atomic.Int64
+	m  atomic.Pointer[map[core.Port]*atomic.Int64]
+	mu sync.Mutex
+}
+
+func newPopularity() *popularity {
+	p := &popularity{}
+	p.m.Store(&map[core.Port]*atomic.Int64{})
+	return p
 }
 
 func (p *popularity) bump(port core.Port) {
-	p.mu.RLock()
-	ctr := p.m[port]
-	p.mu.RUnlock()
+	ctr := (*p.m.Load())[port]
 	if ctr == nil {
 		p.mu.Lock()
-		if ctr = p.m[port]; ctr == nil {
+		cur := *p.m.Load()
+		if ctr = cur[port]; ctr == nil {
 			ctr = new(atomic.Int64)
-			p.m[port] = ctr
+			next := maps.Clone(cur)
+			next[port] = ctr
+			p.m.Store(&next)
 		}
 		p.mu.Unlock()
 	}
@@ -166,12 +185,11 @@ func (p *popularity) top(k int) []core.Port {
 		port  core.Port
 		count int64
 	}
-	p.mu.RLock()
-	all := make([]pc, 0, len(p.m))
-	for port, ctr := range p.m {
+	snap := *p.m.Load()
+	all := make([]pc, 0, len(snap))
+	for port, ctr := range snap {
 		all = append(all, pc{port: port, count: ctr.Load()})
 	}
-	p.mu.RUnlock()
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].count != all[j].count {
 			return all[i].count > all[j].count
@@ -188,17 +206,28 @@ func (p *popularity) top(k int) []core.Port {
 	return out
 }
 
-// clusterShard owns the coalescing table and worker pool for one slice
-// of the port space.
-type clusterShard struct {
-	mu      sync.Mutex
-	flights map[flightKey]*flight
-	queue   chan task
+// flightStripes is the stripe count of the flight table, a power of two
+// and independent of Options.Shards: several times more stripes than
+// callers run at once, so two of them rarely meet on one stripe.
+const flightStripes = 256
+
+// flightTable publishes the in-progress locates concurrent callers
+// coalesce on, direct-mapped: one hash of (client, port), computed once
+// per locate, picks the stripe, and a stripe publishes at most one
+// flight. A join compares the full pair, so two pairs that collide on a
+// stripe are never chained or mis-joined — the later one finds the
+// stripe taken and runs its flood unshared, which costs a coalescing
+// opportunity and nothing else. The zero value is ready to use.
+type flightTable struct {
+	stripes [flightStripes]flightStripe
 }
 
-type flightKey struct {
-	client graph.NodeID
-	port   core.Port
+// flightStripe is padded to a cache line so callers on different
+// stripes share no written line.
+type flightStripe struct {
+	mu sync.Mutex
+	f  *flight // the published flight; nil when the stripe is free
+	_  [48]byte
 }
 
 // flight is one in-progress locate shared by coalesced callers; replica
@@ -207,12 +236,14 @@ type flightKey struct {
 // allocates nothing — so the wait primitive is a mutex held by the
 // owner for the flight's lifetime (unlock is the broadcast) and refs
 // counts the owner plus every coalesced waiter: joins happen under the
-// shard lock while the flight is still published, so no joiner can
+// stripe lock while the flight is still published, so no joiner can
 // arrive after the owner unpublishes it, and whoever drops the last
 // reference returns the flight to the pool.
 type flight struct {
 	mu      sync.Mutex
 	refs    atomic.Int32
+	client  graph.NodeID
+	port    core.Port
 	entry   core.Entry
 	replica int
 	err     error
@@ -236,7 +267,7 @@ type task struct {
 // New builds a cluster over tr. The cluster does not own the transport's
 // lifecycle until Close is called, which closes it.
 func New(tr Transport, opts Options) *Cluster {
-	c := &Cluster{tr: tr, opts: opts.withDefaults(), seed: maphash.MakeSeed(), stopHot: make(chan struct{})}
+	c := &Cluster{tr: tr, opts: opts.withDefaults(), seed: maphash.MakeSeed(), drained: make(chan struct{}, 1), stopHot: make(chan struct{})}
 	if rt, ok := tr.(ReplicatedTransport); ok && rt.Replicas() > 1 {
 		c.repl = rt
 		if bt, ok := tr.(ByzantineTransport); ok && c.opts.VoteQuorum >= 2 {
@@ -256,18 +287,14 @@ func New(tr Transport, opts Options) *Cluster {
 		c.genSlots, _ = tr.(genSlotter)
 	}
 	if c.opts.HotPorts > 0 {
-		c.pop = &popularity{m: make(map[core.Port]*atomic.Int64, 64)}
+		c.pop = newPopularity()
 	}
-	c.shards = make([]*clusterShard, c.opts.Shards)
-	for i := range c.shards {
-		sh := &clusterShard{
-			flights: make(map[flightKey]*flight, 32),
-			queue:   make(chan task, c.opts.QueueDepth),
-		}
-		c.shards[i] = sh
+	c.queues = make([]chan task, c.opts.Shards)
+	for i := range c.queues {
+		c.queues[i] = make(chan task, c.opts.QueueDepth)
 		for w := 0; w < c.opts.WorkersPerShard; w++ {
 			c.wg.Add(1)
-			go c.runWorker(sh)
+			go c.runWorker(c.queues[i])
 		}
 	}
 	if c.pop != nil && c.opts.HotRefresh > 0 && reclassifiable(tr) {
@@ -306,11 +333,11 @@ func (c *Cluster) ReclassifyHot() error {
 	return c.tr.(HotReclassifier).SetHotPorts(c.pop.top(c.opts.HotPorts))
 }
 
-func (c *Cluster) runWorker(sh *clusterShard) {
+func (c *Cluster) runWorker(queue <-chan task) {
 	defer c.wg.Done()
 	// Workers bypass the closed check so tasks admitted before Close
 	// still complete while the queues drain.
-	for t := range sh.queue {
+	for t := range queue {
 		e, err := c.locate(t.client, t.port)
 		if t.cb != nil {
 			t.cb(e, err)
@@ -321,20 +348,12 @@ func (c *Cluster) runWorker(sh *clusterShard) {
 // Transport returns the transport the cluster serves from.
 func (c *Cluster) Transport() Transport { return c.tr }
 
-func (c *Cluster) shard(port core.Port) *clusterShard {
-	var h maphash.Hash
-	h.SetSeed(c.seed)
-	h.WriteString(string(port))
-	return c.shards[h.Sum64()&uint64(len(c.shards)-1)]
-}
-
 // Register announces a server for port at node and counts the posting.
 func (c *Cluster) Register(port core.Port, node graph.NodeID) (ServerRef, error) {
-	c.closeMu.RLock()
-	defer c.closeMu.RUnlock()
-	if c.closed.Load() {
+	if !c.enter(int(node)) {
 		return nil, ErrClosed
 	}
+	defer c.exit(int(node))
 	ref, err := c.tr.Register(port, node)
 	if err == nil {
 		c.metrics.posts.Add(1)
@@ -360,11 +379,10 @@ func (c *Cluster) Register(port core.Port, node graph.NodeID) (ServerRef, error)
 // coalescing or retry after the flight's duration (one locate timeout
 // on the sim transport).
 func (c *Cluster) Locate(client graph.NodeID, port core.Port) (core.Entry, error) {
-	c.closeMu.RLock()
-	defer c.closeMu.RUnlock()
-	if c.closed.Load() {
+	if !c.enter(int(client)) {
 		return core.Entry{}, ErrClosed
 	}
+	defer c.exit(int(client))
 	return c.locate(client, port)
 }
 
@@ -501,12 +519,16 @@ func (c *Cluster) floodLocate(client graph.NodeID, port core.Port, start int) (c
 }
 
 func (c *Cluster) locateCoalesced(client graph.NodeID, port core.Port, start int) (core.Entry, int, error) {
-	sh := c.shard(port)
-	key := flightKey{client: client, port: port}
-	sh.mu.Lock()
-	if f := sh.flights[key]; f != nil {
-		f.refs.Add(1) // join before unpublish: guarded by sh.mu
-		sh.mu.Unlock()
+	h := maphash.String(c.seed, string(port)) ^ uint64(client)*0x9e3779b97f4a7c15
+	return c.locateFlight(h, client, port, start)
+}
+
+// locateFlight runs one coalesced locate under flight hash h: it joins
+// the published flight of the same pair, or floods — as the owner of a
+// fresh flight, or unshared when a colliding pair holds the stripe.
+func (c *Cluster) locateFlight(h uint64, client graph.NodeID, port core.Port, start int) (core.Entry, int, error) {
+	f, joined := c.flights.join(h, client, port)
+	if joined {
 		f.mu.Lock() // blocks until the owner's broadcast unlock
 		f.mu.Unlock()
 		e, replica, err := f.entry, f.replica, f.err
@@ -514,21 +536,46 @@ func (c *Cluster) locateCoalesced(client graph.NodeID, port core.Port, start int
 		c.metrics.coalesced.Add(1)
 		return e, replica, err
 	}
-	f := flightPool.Get().(*flight)
+	e, replica, err := c.floodLocate(client, port, start)
+	if f != nil {
+		f.entry, f.replica, f.err = e, replica, err
+		c.flights.finish(h, f)
+	}
+	return e, replica, err
+}
+
+// join looks the pair up on h's stripe. It returns the pair's published
+// flight with a reference taken (joined), or publishes a fresh flight
+// the caller owns and must finish — nil when a different pair holds the
+// stripe.
+func (t *flightTable) join(h uint64, client graph.NodeID, port core.Port) (f *flight, joined bool) {
+	st := &t.stripes[h&(flightStripes-1)]
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if f = st.f; f != nil {
+		if f.client != client || f.port != port {
+			return nil, false
+		}
+		f.refs.Add(1) // join before unpublish: guarded by st.mu
+		return f, true
+	}
+	f = flightPool.Get().(*flight)
+	f.client, f.port = client, port
 	f.refs.Store(1)
 	f.mu.Lock()
-	sh.flights[key] = f
-	sh.mu.Unlock()
+	st.f = f
+	return f, false
+}
 
-	e, replica, err := c.floodLocate(client, port, start)
-	f.entry, f.replica, f.err = e, replica, err
-
-	sh.mu.Lock()
-	delete(sh.flights, key)
-	sh.mu.Unlock()
+// finish unpublishes the owner's flight f from h's stripe, wakes its
+// waiters and drops the owner's reference.
+func (t *flightTable) finish(h uint64, f *flight) {
+	st := &t.stripes[h&(flightStripes-1)]
+	st.mu.Lock()
+	st.f = nil
+	st.mu.Unlock()
 	f.mu.Unlock()
 	f.release()
-	return e, replica, err
 }
 
 // Submit enqueues an asynchronous locate on the owning shard's worker
@@ -537,14 +584,13 @@ func (c *Cluster) locateCoalesced(client graph.NodeID, port core.Port, start int
 // ErrOverload — open-loop load beyond capacity fails fast instead of
 // queueing without bound.
 func (c *Cluster) Submit(client graph.NodeID, port core.Port, cb func(core.Entry, error)) error {
-	c.closeMu.RLock()
-	defer c.closeMu.RUnlock()
-	if c.closed.Load() {
+	if !c.enter(int(client)) {
 		return ErrClosed
 	}
-	sh := c.shard(port)
+	defer c.exit(int(client))
+	queue := c.queues[maphash.String(c.seed, string(port))&uint64(len(c.queues)-1)]
 	select {
-	case sh.queue <- task{client: client, port: port, cb: cb}:
+	case queue <- task{client: client, port: port, cb: cb}:
 		return nil
 	default:
 		c.metrics.shed.Add(1)
@@ -553,18 +599,17 @@ func (c *Cluster) Submit(client graph.NodeID, port core.Port, cb func(core.Entry
 }
 
 // LocateBatch resolves reqs[i] into res[i] (res must be at least as
-// long as reqs) through the transport's batched path: shard-grouped
-// store access and bulk pass accounting on the fast path. With hints
-// enabled each request first tries its cached address; only the misses
-// are forwarded as a sub-batch. Batched locates are not coalesced with
+// long as reqs) through the transport's batched path: one store port
+// lookup per request and bulk pass accounting on the fast path. With
+// hints enabled each request first tries its cached address; only the
+// misses are forwarded as a sub-batch. Batched locates are not coalesced with
 // concurrent single locates; every request is counted and timed in the
 // metrics (all requests of a batch share its wall-clock duration).
 func (c *Cluster) LocateBatch(reqs []LocateReq, res []LocateRes) error {
-	c.closeMu.RLock()
-	defer c.closeMu.RUnlock()
-	if c.closed.Load() {
+	if !c.enter(0) {
 		return ErrClosed
 	}
+	defer c.exit(0)
 	n := len(reqs)
 	if n > len(res) {
 		return errors.New("cluster: LocateBatch result slice shorter than requests")
@@ -631,11 +676,10 @@ func (c *Cluster) LocateBatch(reqs []LocateReq, res []LocateRes) error {
 // PostBatch registers many servers in one transport operation and
 // counts the postings.
 func (c *Cluster) PostBatch(regs []Registration) ([]ServerRef, error) {
-	c.closeMu.RLock()
-	defer c.closeMu.RUnlock()
-	if c.closed.Load() {
+	if !c.enter(0) {
 		return nil, ErrClosed
 	}
+	defer c.exit(0)
 	refs, err := c.tr.PostBatch(regs)
 	c.metrics.posts.Add(int64(len(refs)))
 	if c.opts.OnEvent != nil {
@@ -652,11 +696,10 @@ func (c *Cluster) PostBatch(regs []Registration) ([]ServerRef, error) {
 
 // LocateAll resolves every live instance of port visible from client.
 func (c *Cluster) LocateAll(client graph.NodeID, port core.Port) ([]core.Entry, error) {
-	c.closeMu.RLock()
-	defer c.closeMu.RUnlock()
-	if c.closed.Load() {
+	if !c.enter(int(client)) {
 		return nil, ErrClosed
 	}
+	defer c.exit(int(client))
 	stripe := int(client)
 	sampled := c.metrics.sampleLocate(stripe)
 	begin := time.Now()
@@ -671,11 +714,10 @@ func (c *Cluster) LocateAll(client graph.NodeID, port core.Port) ([]core.Entry, 
 // fallthrough. It returns the number of postings moved and fails with
 // ErrNotElastic when the transport has no elastic membership.
 func (c *Cluster) Resize(next *strategy.Epoch) (int, error) {
-	c.closeMu.RLock()
-	defer c.closeMu.RUnlock()
-	if c.closed.Load() {
+	if !c.enter(0) {
 		return 0, ErrClosed
 	}
+	defer c.exit(0)
 	et, ok := c.tr.(ElasticTransport)
 	if !ok {
 		return 0, ErrNotElastic
@@ -690,11 +732,10 @@ func (c *Cluster) Resize(next *strategy.Epoch) (int, error) {
 // FinishResize retires the previous epoch on an elastic transport once
 // the migration is drained; see ElasticTransport.FinishResize.
 func (c *Cluster) FinishResize() error {
-	c.closeMu.RLock()
-	defer c.closeMu.RUnlock()
-	if c.closed.Load() {
+	if !c.enter(0) {
 		return ErrClosed
 	}
+	defer c.exit(0)
 	et, ok := c.tr.(ElasticTransport)
 	if !ok {
 		return ErrNotElastic
@@ -716,21 +757,49 @@ func (c *Cluster) Metrics() MetricsSnapshot {
 // transport pass baseline (useful to measure a steady-state window).
 func (c *Cluster) ResetMetrics() { c.metrics.reset(c.tr) }
 
+// enter admits one operation through the close gate, on the in-flight
+// stripe picked by hint (the client id, where there is one): add first,
+// then check closed, backing out if it is set. Close sets closed first
+// and then reads the stripes; Go's atomics are sequentially consistent,
+// so of an enter and a Close at least one sees the other's write — an
+// operation is either counted before Close reads its stripe, and waited
+// for, or sees closed and never starts.
+func (c *Cluster) enter(hint int) bool {
+	c.inflight.Add(hint, 1)
+	if c.closed.Load() {
+		c.exit(hint)
+		return false
+	}
+	return true
+}
+
+// exit leaves the gate on the stripe enter took; the exit that empties a
+// stripe of a closing cluster wakes Close.
+func (c *Cluster) exit(hint int) {
+	if c.inflight.Add(hint, -1) == 0 && c.closed.Load() {
+		select {
+		case c.drained <- struct{}{}:
+		default: // a wake-up is already pending
+		}
+	}
+}
+
 // Close drains the worker pools and closes the transport. In-flight
-// synchronous operations finish first (Close waits for the read side of
-// closeMu), pending submissions are completed by the draining workers,
-// and Submit and Locate fail with ErrClosed afterwards.
+// synchronous operations finish first (Close shuts the gate, then waits
+// for every in-flight stripe to read zero), pending submissions are
+// completed by the draining workers, and Submit and Locate fail with
+// ErrClosed afterwards. A second Close is a no-op.
 func (c *Cluster) Close() error {
-	c.closeMu.Lock()
 	if c.closed.Swap(true) {
-		c.closeMu.Unlock()
 		return nil
 	}
-	close(c.stopHot)
-	for _, sh := range c.shards {
-		close(sh.queue)
+	for c.inflight.Load() != 0 {
+		<-c.drained
 	}
-	c.closeMu.Unlock()
+	close(c.stopHot)
+	for _, queue := range c.queues {
+		close(queue)
+	}
 	c.wg.Wait()
 	return c.tr.Close()
 }

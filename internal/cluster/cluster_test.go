@@ -390,3 +390,195 @@ func TestClusterSimTransport(t *testing.T) {
 		t.Fatal("sim transport charged no passes")
 	}
 }
+
+// closeWatchTransport fails the test if a Locate overlaps or follows the
+// transport's Close — what the cluster's close gate exists to prevent.
+type closeWatchTransport struct {
+	Transport
+	t        *testing.T
+	inFlight atomic.Int64
+	closed   atomic.Bool
+}
+
+func (w *closeWatchTransport) Locate(client graph.NodeID, port core.Port) (core.Entry, error) {
+	w.inFlight.Add(1)
+	defer w.inFlight.Add(-1)
+	if w.closed.Load() {
+		w.t.Error("locate reached the transport after it was closed")
+	}
+	return w.Transport.Locate(client, port)
+}
+
+func (w *closeWatchTransport) Close() error {
+	w.closed.Store(true)
+	if n := w.inFlight.Load(); n != 0 {
+		w.t.Errorf("transport closed with %d locates in flight", n)
+	}
+	return w.Transport.Close()
+}
+
+// TestClusterCloseRacesCallers closes a cluster under eight goroutines
+// of Locate and Submit, many times over: every call returns the right
+// answer or ErrClosed (a send on a closed Submit queue would panic),
+// Close returns only after the last admitted call and every accepted
+// submission's callback, and a second Close is a no-op. Run it with
+// -race -count=20.
+func TestClusterCloseRacesCallers(t *testing.T) {
+	rounds := 200
+	if testing.Short() {
+		rounds = 40
+	}
+	for round := 0; round < rounds; round++ {
+		tr, err := NewMemTransport(topology.Complete(16), rendezvous.Checkerboard(16), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := New(&closeWatchTransport{Transport: tr, t: t}, Options{Shards: 2, QueueDepth: 8})
+		if _, err := c.Register("svc", 5); err != nil {
+			t.Fatal(err)
+		}
+		var (
+			wg                 sync.WaitGroup
+			calls              atomic.Int64
+			accepted, answered atomic.Int64
+			closeReturned      atomic.Bool
+		)
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; ; i++ {
+					client := graph.NodeID((w*5 + i) % 16)
+					calls.Add(1)
+					e, err := c.Locate(client, "svc")
+					if errors.Is(err, ErrClosed) {
+						return
+					}
+					if err != nil || e.Addr != 5 {
+						t.Errorf("locate during close = %+v, %v", e, err)
+						return
+					}
+					err = c.Submit(client, "svc", func(e core.Entry, err error) {
+						if err != nil || e.Addr != 5 {
+							t.Errorf("submitted locate during close = %+v, %v", e, err)
+						}
+						if closeReturned.Load() {
+							t.Error("a submission's callback ran after Close returned")
+						}
+						answered.Add(1)
+					})
+					switch {
+					case err == nil:
+						accepted.Add(1)
+					case errors.Is(err, ErrClosed):
+						return
+					case !errors.Is(err, ErrOverload):
+						t.Errorf("submit during close: %v", err)
+						return
+					}
+				}
+			}(w)
+		}
+		for calls.Load() < int64(8+round%64) {
+			runtime.Gosched() // close at a different depth into the traffic each round
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		closeReturned.Store(true)
+		if err := c.Close(); err != nil {
+			t.Fatalf("second close: %v", err)
+		}
+		wg.Wait()
+		if a, d := accepted.Load(), answered.Load(); a != d {
+			t.Fatalf("round %d: %d submissions accepted, %d answered", round, a, d)
+		}
+		if t.Failed() {
+			return
+		}
+	}
+}
+
+// TestFlightTableCollisionAndSharing drives the flight table with a
+// constant hash, so every pair lands on one stripe: two different pairs
+// both resolve correctly without either joining the other's flight, and
+// callers of one pair behind a blocked transport still share one flood.
+func TestFlightTableCollisionAndSharing(t *testing.T) {
+	const h = 7
+	tr, err := NewMemTransport(topology.Complete(16), rendezvous.Checkerboard(16), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bt := &blockingTransport{Transport: tr, gate: make(chan struct{})}
+	c := New(bt, Options{})
+	defer c.Close()
+	for port, node := range map[core.Port]graph.NodeID{"svc-a": 3, "svc-b": 9} {
+		if _, err := c.Register(port, node); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !cond(); runtime.Gosched() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	type answer struct {
+		e   core.Entry
+		err error
+	}
+	locate := func(wg *sync.WaitGroup, out *answer, client graph.NodeID, port core.Port) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out.e, _, out.err = c.locateFlight(h, client, port, 0)
+		}()
+	}
+
+	// Two pairs, one stripe: the second must flood for itself.
+	var wg sync.WaitGroup
+	var a, b answer
+	locate(&wg, &a, 2, "svc-a")
+	waitFor("the first pair's flood", func() bool { return bt.inCalls.Load() == 1 })
+	locate(&wg, &b, 2, "svc-b")
+	waitFor("the colliding pair's own flood (it joined the other pair's flight?)", func() bool { return bt.inCalls.Load() == 2 })
+	bt.gate <- struct{}{}
+	bt.gate <- struct{}{}
+	wg.Wait()
+	if a.err != nil || a.e.Addr != 3 || b.err != nil || b.e.Addr != 9 {
+		t.Fatalf("colliding pairs resolved to %+v, %v and %+v, %v; want addresses 3 and 9", a.e, a.err, b.e, b.err)
+	}
+	if m := c.Metrics(); m.Coalesced != 0 {
+		t.Fatalf("Coalesced = %d after two different pairs; want 0", m.Coalesced)
+	}
+
+	// One pair, many callers: the followers join the leader's flight.
+	const followers = 6
+	res := make([]answer, 1+followers)
+	locate(&wg, &res[0], 4, "svc-a")
+	waitFor("the leader's flood", func() bool { return bt.inCalls.Load() == 3 })
+	for i := 1; i <= followers; i++ {
+		locate(&wg, &res[i], 4, "svc-a")
+	}
+	st := &c.flights.stripes[h&(flightStripes-1)]
+	waitFor("the followers to join", func() bool {
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		return st.f != nil && st.f.refs.Load() == 1+followers
+	})
+	close(bt.gate)
+	wg.Wait()
+	for i, r := range res {
+		if r.err != nil || r.e.Addr != 3 {
+			t.Fatalf("caller %d = %+v, %v; want address 3", i, r.e, r.err)
+		}
+	}
+	if n := bt.inCalls.Load(); n != 3 {
+		t.Fatalf("%d floods reached the transport; want 3 (the followers share the leader's)", n)
+	}
+	if m := c.Metrics(); m.Coalesced != followers {
+		t.Fatalf("Coalesced = %d; want %d", m.Coalesced, followers)
+	}
+}

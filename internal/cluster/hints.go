@@ -16,8 +16,9 @@ import (
 // provided the generation still matches; otherwise it falls back to the
 // flood and refreshes the hint.
 //
-// The hit path is allocation- and hash-free: clients index an array
-// directly, the port lookup is one read-locked map access, and the
+// The hit path is allocation- and lock-free: clients index an array
+// directly, the port lookup is one atomic load of the client's
+// copy-on-write map and a read of it (see hintShard), and the
 // generation check is one atomic load through the pointer captured at
 // put time. Slots are never deleted — the cache is naturally bounded by
 // (#clients) × (#ports), the same universe the transports already

@@ -3,7 +3,6 @@ package cluster
 import (
 	"maps"
 	"math"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -47,7 +46,7 @@ func NewLayoutMemTransport(g *graph.Graph, lay Layout, shards int) (*MemTranspor
 // Store exposes the backing rendezvous cache (for tests and reports).
 func (t *MemTransport) Store() *Store { return t.mem.store }
 
-// memSubstrate is the in-process substrate: rows in a sharded Store,
+// memSubstrate is the in-process substrate: rows in a port-major Store,
 // liveness records in a copy-on-write table, armed lies in an atomically
 // swapped table consulted on every read.
 type memSubstrate struct {
@@ -66,8 +65,6 @@ type memSubstrate struct {
 	// armed node forges or suppresses its answer instead of reading its
 	// (healthy) rows.
 	forge atomic.Pointer[forgeTable]
-
-	scratch sync.Pool // *memScratch
 }
 
 // memLive is one instance's liveness record.
@@ -76,24 +73,10 @@ type memLive struct {
 	node atomic.Int64
 }
 
-// memScratch is the pooled workspace of a batched store access: the
-// batch's keys tagged with their store shard, sorted by it.
-type memScratch struct {
-	keys []memKey
-}
-
-// memKey locates one row access: the store shard its slot hashes to and
-// its position in the caller's key list.
-type memKey struct {
-	shard uint32
-	idx   int32
-}
-
 func newMemSubstrate(n, shards int) *memSubstrate {
 	m := &memSubstrate{store: NewStore(n, shards)}
 	empty := make(map[uint64]*memLive)
 	m.live.Store(&empty)
-	m.scratch.New = func() any { return &memScratch{} }
 	return m
 }
 
@@ -101,89 +84,51 @@ func (m *memSubstrate) kind() string { return "mem" }
 
 func (m *memSubstrate) close() {}
 
-// sortByShard orders a batch's keys by store shard, so the caller takes
-// each shard lock once per batch. Batches are small and mostly
-// pre-clustered, where insertion sort wins and stays allocation-free;
-// large ones (a PostBatch registering thousands of services) fall back
-// to the O(k log k) generic sort, which is also allocation-free.
-func sortByShard(ks []memKey) {
-	if len(ks) > 128 {
-		slices.SortFunc(ks, func(a, b memKey) int { return int(a.shard) - int(b.shard) })
-		return
-	}
-	for i := 1; i < len(ks); i++ {
-		k := ks[i]
-		j := i - 1
-		for j >= 0 && ks[j].shard > k.shard {
-			ks[j+1] = ks[j]
-			j--
-		}
-		ks[j+1] = k
-	}
-}
-
-// shardRun returns the end of the maximal run of ks starting at lo that
-// shares one shard.
-func shardRun(ks []memKey, lo int) int {
+// requestRun returns the end of the run of keys starting at lo that
+// belong to one request — the unit a substrate resolves a port for once.
+func requestRun(keys []rowKey, lo int) int {
 	hi := lo + 1
-	for hi < len(ks) && ks[hi].shard == ks[lo].shard {
+	for hi < len(keys) && keys[hi].req == keys[lo].req {
 		hi++
 	}
 	return hi
 }
 
 func (m *memSubstrate) post(entries []core.Entry, rows []rowKey) {
-	sc := m.scratch.Get().(*memScratch)
-	ks := sc.keys[:0]
-	for i, r := range rows {
-		ks = append(ks, memKey{shard: m.store.shardIndex(storeKey{node: r.node, port: entries[r.req].Port}), idx: int32(i)})
-	}
-	sortByShard(ks)
-	for lo, hi := 0, 0; lo < len(ks); lo = hi {
-		hi = shardRun(ks, lo)
-		sh := &m.store.shards[ks[lo].shard]
-		sh.mu.Lock()
-		for _, mk := range ks[lo:hi] {
-			r := rows[mk.idx]
-			sh.slotCreateLocked(storeKey{node: r.node, port: entries[r.req].Port}).merge(entries[r.req])
+	for lo, hi := 0, 0; lo < len(rows); lo = hi {
+		hi = requestRun(rows, lo)
+		e := entries[rows[lo].req]
+		rs := m.store.Rows(e.Port)
+		for _, k := range rows[lo:hi] {
+			sl := rs.slot(k.node)
+			if sl == nil {
+				sl = m.store.slotCreate(k.node, e.Port) // the row's first posting
+			}
+			sl.merge(e)
 		}
-		sh.mu.Unlock()
 	}
-	sc.keys = ks
-	m.scratch.Put(sc)
 }
 
 func (m *memSubstrate) readFreshest(fl *flood) {
 	ft := m.lies()
-	sc := m.scratch.Get().(*memScratch)
-	ks := sc.keys[:0]
-	for i, k := range fl.keys {
-		ks = append(ks, memKey{shard: m.store.shardIndex(storeKey{node: k.node, port: fl.reqs[k.req].Port}), idx: int32(i)})
-	}
-	sortByShard(ks)
-	for lo, hi := 0, 0; lo < len(ks); lo = hi {
-		hi = shardRun(ks, lo)
-		sh := &m.store.shards[ks[lo].shard]
-		sh.mu.RLock()
-		for _, mk := range ks[lo:hi] {
-			k := fl.keys[mk.idx]
-			port := fl.reqs[k.req].Port
-			a := &fl.ans[mk.idx]
-			if rec, armed := ft.lieFor(k.node, port); armed {
+	for lo, hi := 0, 0; lo < len(fl.keys); lo = hi {
+		hi = requestRun(fl.keys, lo)
+		port := fl.reqs[fl.keys[lo].req].Port
+		rs := m.store.Rows(port)
+		for i := lo; i < hi; i++ {
+			node, a := fl.keys[i].node, &fl.ans[i]
+			if rec, armed := ft.lieFor(node, port); armed {
 				// An armed node never consults its rows: it forges or
 				// suppresses. The forged entry faces the same family
 				// filter an honest answer would.
 				if !rec.silent {
-					a.e, a.ok = rec.e, fl.scope.admits(rec.e.Addr, k.node)
+					a.e, a.ok = rec.e, fl.scope.admits(rec.e.Addr, node)
 				}
-			} else if sl := sh.slotLocked(storeKey{node: k.node, port: port}); sl != nil {
-				a.e, a.ok = sl.readFreshestIn(fl.scope, k.node)
+			} else if sl := rs.slot(node); sl != nil {
+				a.e, a.ok = sl.readFreshestIn(fl.scope, node)
 			}
 		}
-		sh.mu.RUnlock()
 	}
-	sc.keys = ks
-	m.scratch.Put(sc)
 }
 
 func (m *memSubstrate) readAll(fl *flood) {

@@ -213,9 +213,9 @@ func (s *NodeServer) handle(op byte, req, resp []byte) (byte, []byte) {
 	case opPost:
 		return s.handlePost(&d, resp)
 	case opQuery:
-		return s.handleQuery(&d, resp)
+		return s.handleQueries(&d, resp, false)
 	case opQueryAll:
-		return s.handleQueryAll(&d, resp)
+		return s.handleQueries(&d, resp, true)
 	case opProbe:
 		return s.handleProbe(&d, resp)
 	case opRegister:
@@ -417,79 +417,46 @@ func (s *NodeServer) handlePost(d *netwire.Dec, resp []byte) (byte, []byte) {
 	return stOK, resp
 }
 
-func (s *NodeServer) handleQuery(d *netwire.Dec, resp []byte) (byte, []byte) {
-	for d.Len() > 0 {
-		port := core.Port(d.String())
-		cnt := int(d.Uvarint())
-		for i := 0; i < cnt; i++ {
-			node := graph.NodeID(d.Uvarint())
-			if d.Err() != nil {
-				return stBadRequest, resp
-			}
-			if !s.owned(node) {
-				return stBadRequest, resp
-			}
-			if s.crashed[node].Load() {
-				resp = append(resp, 0) // crashed nodes do not answer
-				continue
-			}
-			if rec, armed := s.armedTable().lieFor(node, port); armed {
-				// A lying node never consults its store: it suppresses
-				// the answer (indistinguishable from a §1.5 miss on the
-				// wire) or substitutes the forged entry.
-				if rec.silent {
-					resp = append(resp, 0)
-					continue
-				}
-				resp = append(resp, 1)
-				resp = appendEntry(resp, rec.e)
-				continue
-			}
-			e, ok := s.store.Get(node, port)
-			if !ok {
-				resp = append(resp, 0) // misses are silent (§1.5)
-				continue
-			}
-			resp = append(resp, 1)
-			resp = appendEntry(resp, e)
-		}
-		if d.Err() != nil {
-			return stBadRequest, resp
-		}
-	}
-	return stOK, resp
-}
-
-// handleQueryAll answers opQueryAll: like handleQuery it consumes a
-// sequence of (port, nodeCount, nodes...) sub-requests until end of
-// body — replicated batch floods pack many sub-requests per frame —
-// answering each node with (count, entries...).
-func (s *NodeServer) handleQueryAll(d *netwire.Dec, resp []byte) (byte, []byte) {
+// handleQueries answers opQuery and opQueryAll: a sequence of (port,
+// nodeCount, nodes...) sub-requests until end of body — replicated batch
+// floods pack many per frame — each node answered with a flag and, when
+// set, its freshest entry, or under all with (count, entries...). It
+// resolves each sub-request's port once (Store.Rows) and then indexes
+// its rows per node, so a flood's √n reads cost one port lookup on the
+// shard process too.
+func (s *NodeServer) handleQueries(d *netwire.Dec, resp []byte, all bool) (byte, []byte) {
 	var buf [8]core.Entry
+	ft := s.armedTable()
 	for d.Len() > 0 {
 		port := core.Port(d.String())
 		cnt := int(d.Uvarint())
+		rows := s.store.Rows(port)
 		for i := 0; i < cnt; i++ {
 			node := graph.NodeID(d.Uvarint())
-			if d.Err() != nil {
+			if d.Err() != nil || !s.owned(node) {
 				return stBadRequest, resp
 			}
-			if !s.owned(node) {
-				return stBadRequest, resp
-			}
-			var entries []core.Entry
+			// Crashed nodes do not answer and misses are silent (§1.5). A
+			// lying node never consults its store: its whole answer is
+			// the one forged entry, or nothing under selective silence —
+			// indistinguishable from a miss on the wire.
+			entries := buf[:0]
 			if !s.crashed[node].Load() {
-				if rec, armed := s.armedTable().lieFor(node, port); armed {
-					// Lying node: its whole answer is the one forged
-					// entry, or nothing under selective silence.
+				if rec, armed := ft.lieFor(node, port); armed {
 					if !rec.silent {
-						entries = append(buf[:0], rec.e)
+						entries = append(entries, rec.e)
 					}
-				} else {
-					entries = s.store.GetAllInto(node, port, buf[:0])
+				} else if all {
+					entries = rows.slot(node).appendActive(entries)
+				} else if e, ok := rows.Get(node); ok {
+					entries = append(entries, e)
 				}
 			}
-			resp = netwire.AppendUvarint(resp, uint64(len(entries)))
+			if all {
+				resp = netwire.AppendUvarint(resp, uint64(len(entries)))
+			} else {
+				resp = append(resp, byte(len(entries))) // flag: 0 or 1
+			}
 			for _, e := range entries {
 				resp = appendEntry(resp, e)
 			}

@@ -282,7 +282,7 @@ func (t *SimTransport) Register(port core.Port, node graph.NodeID) (ServerRef, e
 // PostBatch implements Transport. The simulator gains nothing from
 // batching — every posting is still a real multicast — so the batch is
 // the equivalent sequence of Registers; it is the reference semantics
-// the fast path's shard-grouped implementation is checked against.
+// the fast path's batched implementation is checked against.
 func (t *SimTransport) PostBatch(regs []Registration) ([]ServerRef, error) {
 	for _, r := range regs {
 		if !t.net.Graph().Valid(r.Node) {

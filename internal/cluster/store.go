@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"hash/maphash"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -9,14 +11,19 @@ import (
 	"matchmake/internal/graph"
 )
 
-// Store is the concurrent rendezvous cache behind MemTransport: the
-// (port, address) postings of every node, sharded by (node, port) hash
-// across independently locked maps so posts and queries for different
-// services never contend. Each (node, port) slot holds an immutable
-// entry slice behind an atomic pointer — readers on the locate hot path
-// take one shared-mode lock to find the slot, then a single atomic load,
-// so the read side scales with cores instead of serializing on the
-// single mutex the per-node engine cache uses.
+// Store is the concurrent rendezvous cache behind MemTransport and the
+// node processes: the (port, address) postings of every node, port-major.
+// A shard, picked by hash(port) alone, maps each of its ports to the
+// port's rows — the slots of the nodes that hold a posting for it, kept
+// sparse and sorted by node — and each slot holds an immutable entry
+// slice. All three levels are copy-on-write behind atomic pointers (the
+// hintShard pattern), so a read takes no lock and writes no shared cache
+// line. A locate always reads one port at the ~√n nodes of Q(client),
+// and the layout prices exactly that: one shard pick and one port lookup
+// for the whole flood (Store.Rows), then per node a search of the port's
+// few rows and an atomic load — where a (node, port)-keyed table hashed
+// the port and took a lock per node. Only a port's or a row's first
+// posting, and ClearNode, take the shard's mutex and clone.
 //
 // Entry semantics match internal/core's cache (§2.1): entries are kept
 // per (port, server instance); within an instance the newest timestamp
@@ -37,14 +44,32 @@ type Store struct {
 // evicted.
 const maxSlotTombstones = 8
 
+// storeShard holds the ports that hash to it. The port table is
+// replaced, never mutated; mu serializes the writers that reshape the
+// shard — a port or a row appearing, a node's rows being cleared. Ports
+// are never removed: like a slot's tombstones, a port the shard has seen
+// keeps its (possibly empty) rows.
 type storeShard struct {
-	mu sync.RWMutex
-	m  map[storeKey]*storeSlot
+	ports atomic.Pointer[map[core.Port]*portRows]
+	mu    sync.Mutex
 }
 
-type storeKey struct {
+// portRows is one port's rows: the slots of the nodes holding any
+// posting for it, behind a pointer replaced under the shard's mu.
+type portRows struct {
+	slots atomic.Pointer[PortRows]
+}
+
+// PortRows is an immutable snapshot of one port's rows, sorted by node:
+// what Store.Rows resolves once so that a flood's per-node reads need no
+// further port lookup. The slots are pointers, so one found in a
+// snapshot stays valid — if possibly orphaned by ClearNode — however the
+// rows are reshaped after.
+type PortRows []nodeSlot
+
+type nodeSlot struct {
 	node graph.NodeID
-	port core.Port
+	sl   *storeSlot
 }
 
 type storeSlot struct {
@@ -56,9 +81,10 @@ type storeSlot struct {
 // count).
 func NewStore(n, shards int) *Store {
 	if shards <= 0 {
-		// One shard per node spreads (node, port) slots with little
-		// collision, clamped so tiny networks still get concurrency and
-		// huge ones don't pay for thousands of idle maps.
+		// Ports spread over shards by hash; the node count is the scale
+		// hint for how many a deployment serves, clamped so tiny networks
+		// still spread their writers and huge ones don't pay for
+		// thousands of idle maps.
 		shards = min(max(n, 16), 256)
 	}
 	size := 1
@@ -71,7 +97,7 @@ func NewStore(n, shards int) *Store {
 		seed:   maphash.MakeSeed(),
 	}
 	for i := range s.shards {
-		s.shards[i].m = make(map[storeKey]*storeSlot, 16)
+		s.shards[i].ports.Store(&map[core.Port]*portRows{})
 	}
 	return s
 }
@@ -79,39 +105,81 @@ func NewStore(n, shards int) *Store {
 // NextTime returns a fresh logical posting timestamp.
 func (s *Store) NextTime() uint64 { return s.clock.Add(1) }
 
-// shardIndex returns the shard owning k; batched operations group their
-// accesses by this index so each shard lock is taken once per batch.
-func (s *Store) shardIndex(k storeKey) uint32 {
-	return uint32((maphash.String(s.seed, string(k.port)) ^ uint64(k.node)*0x9e3779b97f4a7c15) & s.mask)
+func (s *Store) shard(port core.Port) *storeShard {
+	return &s.shards[maphash.String(s.seed, string(port))&s.mask]
 }
 
-func (s *Store) shard(k storeKey) *storeShard {
-	return &s.shards[s.shardIndex(k)]
-}
-
-// slotLocked returns the slot for k in sh, which the caller holds at
-// least read-locked; nil when absent.
-func (sh *storeShard) slotLocked(k storeKey) *storeSlot {
-	return sh.m[k]
-}
-
-// slotCreateLocked returns the slot for k in sh, creating it; the
-// caller holds the shard write-locked.
-func (sh *storeShard) slotCreateLocked(k storeKey) *storeSlot {
-	sl := sh.m[k]
-	if sl == nil {
-		sl = &storeSlot{}
-		sh.m[k] = sl
+// Rows returns port's rows, empty when it has none: one hash to pick the
+// shard, one to find the port, no lock. A caller with several nodes to
+// visit for one port calls it once and indexes the snapshot per node.
+func (s *Store) Rows(port core.Port) PortRows {
+	if r := (*s.shard(port).ports.Load())[port]; r != nil {
+		return *r.slots.Load()
 	}
-	return sl
+	return nil
 }
 
-// readFreshestIn scans a loaded slot for the freshest active entry that
-// sc admits as held at node at (the zero scope admits everything). It
-// is how the replicated mode family-scopes its reads: the same physical
-// slot serves every replica family, and a family-k flood only sees the
-// entries whose origin posted here as part of family k.
+// find returns the position of node in the sorted rows — or where it
+// would be inserted — and whether it is present.
+func (rs PortRows) find(node graph.NodeID) (int, bool) {
+	lo, hi := 0, len(rs)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if rs[mid].node < node {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(rs) && rs[lo].node == node
+}
+
+// slot returns node's slot, nil when the port has no row there.
+func (rs PortRows) slot(node graph.NodeID) *storeSlot {
+	if i, ok := rs.find(node); ok {
+		return rs[i].sl
+	}
+	return nil
+}
+
+// slotCreate returns node's slot for port, creating the port's rows and
+// the slot when this is their first posting.
+func (s *Store) slotCreate(node graph.NodeID, port core.Port) *storeSlot {
+	if sl := s.Rows(port).slot(node); sl != nil {
+		return sl
+	}
+	sh := s.shard(port)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	ports := *sh.ports.Load()
+	r := ports[port]
+	if r == nil {
+		r = &portRows{}
+		r.slots.Store(&PortRows{})
+		next := maps.Clone(ports)
+		next[port] = r
+		sh.ports.Store(&next)
+	}
+	cur := *r.slots.Load()
+	i, ok := cur.find(node)
+	if !ok {
+		next := append(make(PortRows, 0, len(cur)+1), cur[:i]...)
+		cur = append(append(next, nodeSlot{node: node, sl: &storeSlot{}}), cur[i:]...)
+		r.slots.Store(&cur)
+	}
+	return cur[i].sl
+}
+
+// readFreshestIn scans the slot (a nil slot holds nothing) for the
+// freshest active entry that sc admits as held at node at (the zero
+// scope admits everything). It is how the replicated mode family-scopes
+// its reads: the same physical slot serves every replica family, and a
+// family-k flood only sees the entries whose origin posted here as part
+// of family k.
 func (sl *storeSlot) readFreshestIn(sc scope, at graph.NodeID) (core.Entry, bool) {
+	if sl == nil {
+		return core.Entry{}, false
+	}
 	curp := sl.entries.Load()
 	if curp == nil {
 		return core.Entry{}, false
@@ -149,31 +217,13 @@ func (sl *storeSlot) merge(e core.Entry) {
 	}
 }
 
-// slot returns the slot for k, creating it if create is set.
-func (s *Store) slot(k storeKey, create bool) *storeSlot {
-	sh := s.shard(k)
-	sh.mu.RLock()
-	sl := sh.m[k]
-	sh.mu.RUnlock()
-	if sl != nil || !create {
-		return sl
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sl = sh.m[k]; sl == nil {
-		sl = &storeSlot{}
-		sh.m[k] = sl
-	}
-	return sl
-}
-
 // Put merges a posting (or tombstone) into node's cache. Stale postings
 // — an older timestamp for the same server instance — are ignored, as
 // in §2.1's timestamp conflict rule. The merge is a copy-on-write CAS
 // loop on the slot's immutable slice, so concurrent posts for the same
 // port serialize without a lock.
 func (s *Store) Put(node graph.NodeID, e core.Entry) {
-	s.slot(storeKey{node: node, port: e.Port}, true).merge(e)
+	s.slotCreate(node, e.Port).merge(e)
 }
 
 // mergeEntry returns a fresh slice with e merged in, or nil when e is
@@ -219,11 +269,13 @@ func pruneTombstones(entries []core.Entry) []core.Entry {
 
 // Get returns the freshest active entry for port cached at node.
 func (s *Store) Get(node graph.NodeID, port core.Port) (core.Entry, bool) {
-	sl := s.slot(storeKey{node: node, port: port}, false)
-	if sl == nil {
-		return core.Entry{}, false
-	}
-	return sl.readFreshestIn(scope{}, node)
+	return s.Rows(port).Get(node)
+}
+
+// Get returns the freshest active entry the snapshot's port has cached
+// at node — Store.Get with the port already resolved.
+func (rs PortRows) Get(node graph.NodeID) (core.Entry, bool) {
+	return rs.slot(node).readFreshestIn(scope{}, node)
 }
 
 // GetAll returns every active entry for port cached at node.
@@ -235,17 +287,20 @@ func (s *Store) GetAll(node graph.NodeID, port core.Port) []core.Entry {
 // and returns it, letting hot callers reuse a pooled reply buffer
 // instead of allocating one per rendezvous node.
 func (s *Store) GetAllInto(node graph.NodeID, port core.Port, buf []core.Entry) []core.Entry {
-	sl := s.slot(storeKey{node: node, port: port}, false)
+	return s.Rows(port).slot(node).appendActive(buf)
+}
+
+// appendActive appends the slot's active entries to buf; a nil slot
+// holds none.
+func (sl *storeSlot) appendActive(buf []core.Entry) []core.Entry {
 	if sl == nil {
 		return buf
 	}
-	curp := sl.entries.Load()
-	if curp == nil {
-		return buf
-	}
-	for _, e := range *curp {
-		if e.Active {
-			buf = append(buf, e)
+	if curp := sl.entries.Load(); curp != nil {
+		for _, e := range *curp {
+			if e.Active {
+				buf = append(buf, e)
+			}
 		}
 	}
 	return buf
@@ -256,7 +311,7 @@ func (s *Store) GetAllInto(node graph.NodeID, port core.Port, buf []core.Entry) 
 // that belongs only to a retired epoch disappears by the node's own
 // decision, costing no message passes.
 func (s *Store) Drop(node graph.NodeID, port core.Port, serverID uint64) {
-	sl := s.slot(storeKey{node: node, port: port}, false)
+	sl := s.Rows(port).slot(node)
 	if sl == nil {
 		return
 	}
@@ -292,7 +347,7 @@ func (s *Store) Drop(node graph.NodeID, port core.Port, serverID uint64) {
 // it models a rendezvous node whose state silently went wrong, which is
 // exactly what the merge rule would otherwise prevent.
 func (s *Store) Inject(node graph.NodeID, e core.Entry) {
-	sl := s.slot(storeKey{node: node, port: e.Port}, true)
+	sl := s.slotCreate(node, e.Port)
 	for {
 		curp := sl.entries.Load()
 		var cur []core.Entry
@@ -331,19 +386,18 @@ type NodeEntry struct {
 func (s *Store) DumpRange(lo, hi int) []NodeEntry {
 	var out []NodeEntry
 	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for k, sl := range sh.m {
-			if int(k.node) < lo || int(k.node) >= hi {
-				continue
-			}
-			if curp := sl.entries.Load(); curp != nil {
-				for _, e := range *curp {
-					out = append(out, NodeEntry{Node: k.node, E: e})
+		for _, r := range *s.shards[i].ports.Load() {
+			for _, ns := range *r.slots.Load() {
+				if int(ns.node) < lo || int(ns.node) >= hi {
+					continue
+				}
+				if curp := ns.sl.entries.Load(); curp != nil {
+					for _, e := range *curp {
+						out = append(out, NodeEntry{Node: ns.node, E: e})
+					}
 				}
 			}
 		}
-		sh.mu.RUnlock()
 	}
 	return out
 }
@@ -354,9 +408,11 @@ func (s *Store) ClearNode(node graph.NodeID) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		for k := range sh.m {
-			if k.node == node {
-				delete(sh.m, k)
+		for _, r := range *sh.ports.Load() {
+			cur := *r.slots.Load()
+			if j, ok := cur.find(node); ok {
+				without := slices.Delete(slices.Clone(cur), j, j+1)
+				r.slots.Store(&without)
 			}
 		}
 		sh.mu.Unlock()
@@ -368,22 +424,11 @@ func (s *Store) ClearNode(node graph.NodeID) {
 func (s *Store) NodeSize(node graph.NodeID) int {
 	total := 0
 	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for k, sl := range sh.m {
-			if k.node != node {
-				continue
-			}
-			if curp := sl.entries.Load(); curp != nil {
-				for _, e := range *curp {
-					if e.Active {
-						total++
-						break
-					}
-				}
+		for _, r := range *s.shards[i].ports.Load() {
+			if _, ok := r.slots.Load().Get(node); ok {
+				total++
 			}
 		}
-		sh.mu.RUnlock()
 	}
 	return total
 }

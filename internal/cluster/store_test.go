@@ -2,6 +2,9 @@ package cluster
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -58,7 +61,7 @@ func TestStoreTombstonePruning(t *testing.T) {
 		s.Put(node, core.Entry{Port: "p", Addr: 0, ServerID: id, Time: s.NextTime(), Active: true})
 		s.Put(node, core.Entry{Port: "p", Addr: 0, ServerID: id, Time: s.NextTime(), Active: false})
 	}
-	sl := s.slot(storeKey{node: node, port: "p"}, false)
+	sl := s.Rows("p").slot(node)
 	if sl == nil {
 		t.Fatal("slot missing")
 	}
@@ -118,5 +121,234 @@ func TestStoreClearNode(t *testing.T) {
 	}
 	if s.NodeSize(3) != 1 {
 		t.Fatalf("NodeSize(3) = %d; want 1", s.NodeSize(3))
+	}
+}
+
+// TestStoreClearNodeIsolation clears one node of a store whose rows span
+// several ports and shards: exactly that node's rows go, and NodeSize,
+// Get and DumpRange of every other node read as before.
+func TestStoreClearNodeIsolation(t *testing.T) {
+	const n = 8
+	ports := []core.Port{"alpha", "beta", "gamma", "delta", "epsilon"}
+	// held[p] lists the nodes holding a row for ports[p]: overlapping,
+	// disjoint and single-node sets, and a tombstone-only row.
+	held := [][]graph.NodeID{{0, 2, 5}, {2, 3}, {5}, {0, 1, 2, 3, 4, 5, 6, 7}, {2, 6}}
+	build := func() *Store {
+		for {
+			s := NewStore(n, 4)
+			for p, nodes := range held {
+				for _, v := range nodes {
+					s.Put(v, core.Entry{Port: ports[p], Addr: v, ServerID: uint64(p + 1), Time: s.NextTime(), Active: true})
+				}
+			}
+			s.Put(6, core.Entry{Port: "epsilon", Addr: 6, ServerID: 5, Time: s.NextTime(), Active: false})
+			// The shard hash is seeded per store: rebuild in the rare case
+			// all five ports landed in one shard.
+			spans := make(map[*storeShard]bool)
+			for _, p := range ports {
+				spans[s.shard(p)] = true
+			}
+			if len(spans) >= 2 {
+				return s
+			}
+		}
+	}
+	type view struct {
+		size int
+		get  map[core.Port]core.Entry
+		dump []string
+	}
+	look := func(s *Store, v graph.NodeID) view {
+		w := view{size: s.NodeSize(v), get: make(map[core.Port]core.Entry)}
+		for _, p := range ports {
+			if e, ok := s.Get(v, p); ok {
+				w.get[p] = e
+			}
+		}
+		for _, ne := range s.DumpRange(int(v), int(v)+1) {
+			if ne.Node != v {
+				t.Fatalf("DumpRange(%d, %d) returned a row of node %d", v, v+1, ne.Node)
+			}
+			w.dump = append(w.dump, fmt.Sprintf("%s#%d@%dt%d/%v", ne.E.Port, ne.E.ServerID, ne.E.Addr, ne.E.Time, ne.E.Active))
+		}
+		slices.Sort(w.dump)
+		return w
+	}
+	for v := graph.NodeID(0); v < n; v++ {
+		t.Run(fmt.Sprintf("clear=%d", v), func(t *testing.T) {
+			s := build()
+			before := make([]view, n)
+			for u := graph.NodeID(0); u < n; u++ {
+				before[u] = look(s, u)
+			}
+			if len(before[v].dump) == 0 {
+				t.Fatalf("node %d holds nothing to clear", v)
+			}
+			s.ClearNode(v)
+			if got := look(s, v); got.size != 0 || len(got.get) != 0 || len(got.dump) != 0 {
+				t.Errorf("cleared node %d still holds %+v", v, got)
+			}
+			for u := graph.NodeID(0); u < n; u++ {
+				if u == v {
+					continue
+				}
+				if got := look(s, u); !reflect.DeepEqual(got, before[u]) {
+					t.Errorf("clearing node %d changed node %d:\n  before %+v\n  after  %+v", v, u, before[u], got)
+				}
+			}
+			// The cleared node takes postings again.
+			s.Put(v, core.Entry{Port: "alpha", Addr: v, ServerID: 9, Time: s.NextTime(), Active: true})
+			if e, ok := s.Get(v, "alpha"); !ok || e.ServerID != 9 {
+				t.Errorf("post after clear: Get = %+v, %v", e, ok)
+			}
+		})
+	}
+}
+
+// TestStoreHammerAgainstReference runs every Store operation from many
+// goroutines at once and, at quiescence, compares the store with a
+// mutex-guarded reference map. Each goroutine writes only the nodes it
+// owns — so every (node, port) slot has one writer and the reference is
+// exact — while all of them share the ports, and with them the shard
+// tables and the per-port rows the writers reshape under each other's
+// reads. Run it with -race.
+func TestStoreHammerAgainstReference(t *testing.T) {
+	const (
+		workers = 8
+		perW    = 4 // nodes owned per worker
+		n       = workers * perW
+		nports  = 12
+		ids     = 4 // server instances per slot: tombstones stay under the cap
+		rounds  = 3000
+	)
+	s := NewStore(n, 4)
+	ports := make([]core.Port, nports)
+	for p := range ports {
+		ports[p] = core.Port(fmt.Sprintf("port-%d", p))
+	}
+	type slotKey struct {
+		node graph.NodeID
+		port core.Port
+	}
+	var (
+		refMu sync.Mutex
+		ref   = make(map[slotKey]map[uint64]core.Entry)
+	)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w) + 1))
+			var buf []core.Entry
+			for r := 0; r < rounds; r++ {
+				node := graph.NodeID(w*perW + rng.Intn(perW))
+				port := ports[rng.Intn(nports)]
+				k := slotKey{node, port}
+				e := core.Entry{Port: port, Addr: graph.NodeID(rng.Intn(n)), ServerID: uint64(1 + rng.Intn(ids)), Active: rng.Intn(4) > 0}
+				switch op := rng.Intn(100); {
+				case op < 40: // Put, sometimes with a stale timestamp
+					e.Time = s.NextTime()
+					if rng.Intn(8) == 0 {
+						e.Time = 1
+					}
+					s.Put(node, e)
+					refMu.Lock()
+					if ref[k] == nil {
+						ref[k] = make(map[uint64]core.Entry)
+					}
+					if cur, ok := ref[k][e.ServerID]; !ok || e.Time > cur.Time {
+						ref[k][e.ServerID] = e
+					}
+					refMu.Unlock()
+				case op < 55:
+					s.Get(graph.NodeID(rng.Intn(n)), port) // anyone's node: a racing read
+				case op < 70:
+					buf = s.GetAllInto(graph.NodeID(rng.Intn(n)), port, buf[:0])
+				case op < 80:
+					s.Drop(node, port, e.ServerID)
+					refMu.Lock()
+					delete(ref[k], e.ServerID)
+					refMu.Unlock()
+				case op < 90: // Inject ignores the merge rule
+					e.Time = uint64(1 + rng.Intn(50))
+					s.Inject(node, e)
+					refMu.Lock()
+					if ref[k] == nil {
+						ref[k] = make(map[uint64]core.Entry)
+					}
+					ref[k][e.ServerID] = e
+					refMu.Unlock()
+				case op < 93:
+					s.ClearNode(node)
+					refMu.Lock()
+					for rk := range ref {
+						if rk.node == node {
+							delete(ref, rk)
+						}
+					}
+					refMu.Unlock()
+				default:
+					lo := rng.Intn(n)
+					for _, ne := range s.DumpRange(lo, lo+perW) {
+						if int(ne.Node) < lo || int(ne.Node) >= lo+perW {
+							t.Errorf("DumpRange(%d, %d) returned node %d", lo, lo+perW, ne.Node)
+						}
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	got := make(map[slotKey]map[uint64]core.Entry)
+	for _, ne := range s.DumpRange(0, n) {
+		k := slotKey{ne.Node, ne.E.Port}
+		if got[k] == nil {
+			got[k] = make(map[uint64]core.Entry)
+		}
+		if _, dup := got[k][ne.E.ServerID]; dup {
+			t.Errorf("slot %v holds instance %d twice", k, ne.E.ServerID)
+		}
+		got[k][ne.E.ServerID] = ne.E
+	}
+	for k, want := range ref {
+		if len(want) == 0 {
+			delete(ref, k) // a slot emptied by Drop dumps nothing
+		}
+	}
+	if !reflect.DeepEqual(got, ref) {
+		for k, want := range ref {
+			if !reflect.DeepEqual(got[k], want) {
+				t.Errorf("slot %v = %v, reference says %v", k, got[k], want)
+			}
+		}
+		for k := range got {
+			if _, ok := ref[k]; !ok {
+				t.Errorf("slot %v = %v, reference holds nothing", k, got[k])
+			}
+		}
+	}
+	for v := graph.NodeID(0); v < n; v++ {
+		size := 0
+		for _, port := range ports {
+			var best core.Entry
+			found := false
+			for _, e := range ref[slotKey{v, port}] {
+				if e.Active && (!found || e.Time > best.Time) {
+					best, found = e, true
+				}
+			}
+			if found {
+				size++
+			}
+			e, ok := s.Get(v, port)
+			if ok != found || (found && e.Time != best.Time) {
+				t.Errorf("Get(%d, %s) = %+v, %v; reference freshest %+v, %v", v, port, e, ok, best, found)
+			}
+		}
+		if got := s.NodeSize(v); got != size {
+			t.Errorf("NodeSize(%d) = %d; reference says %d", v, got, size)
+		}
 	}
 }

@@ -19,6 +19,15 @@ import (
 // No closure crosses this interface — a func value would escape and put
 // an allocation on every locate — so reads take their family scope as a
 // value and return their answers in the caller's pooled flood.
+//
+// Every key list handed to post, readFreshest or readAll is grouped by
+// request: the keys of one request are adjacent and the requests ascend,
+// the order the coordinator's appendLive produces. A request is one
+// port, so a substrate resolves the port once per run of keys —
+// memSubstrate one Store.Rows lookup, wireSubstrate one (port, nodes…)
+// sub-request per owning process — instead of once per row. A substrate
+// stays correct on an ungrouped list; it only pays a lookup per run.
+// TestSubstrateConformance asserts the rule on every list it sees.
 type substrate interface {
 	// kind names the substrate in transport names ("mem", "net").
 	kind() string
@@ -26,7 +35,7 @@ type substrate interface {
 	close()
 
 	// post merges entries[rows[i].req] into node rows[i].node's cache
-	// under the §2.1 timestamp rule.
+	// under the §2.1 timestamp rule; rows is grouped by req.
 	post(entries []core.Entry, rows []rowKey)
 	// readFreshest answers every key of fl: fl.ans[i] receives the
 	// freshest active row node fl.keys[i].node holds for the port of

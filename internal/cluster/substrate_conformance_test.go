@@ -65,8 +65,13 @@ func TestSubstrateConformance(t *testing.T) {
 		t.Fatal("no node tells the two replica families apart")
 	}
 
-	mem := conformanceScript(t, memT.mem, memT, rp, at, in0, in1)
-	wire := conformanceScript(t, netT.wire, netT, rp, at, in0, in1)
+	// Every key list that reaches a substrate — the script's own, and
+	// below it the coordinator's — must be grouped by request.
+	memSub := &groupedSubstrate{substrate: memT.mem, t: t}
+	wireSub := &groupedSubstrate{substrate: netT.wire, t: t}
+	memT.coordinator.sub, netT.coordinator.sub = memSub, wireSub
+	mem := conformanceScript(t, memSub, memT, rp, at, in0, in1)
+	wire := conformanceScript(t, wireSub, netT, rp, at, in0, in1)
 	for i := 0; i < len(mem) || i < len(wire); i++ {
 		var m, w string
 		if i < len(mem) {
@@ -98,6 +103,7 @@ func TestSubstrateConformance(t *testing.T) {
 		"armed-all":          "7:[a#99@1t99]",
 		"armed-scoped":       fmt.Sprintf("s@%d=-", at),
 		"disarmed":           "a@7=a#4@1t20 b@5=b#3@30t1",
+		"coordinator-batch":  "g2@1=11/false g1@30=2/false nobody@8=0/true g3@8=20/false",
 	}
 	got := make(map[string]string, len(mem))
 	for _, line := range mem {
@@ -109,6 +115,42 @@ func TestSubstrateConformance(t *testing.T) {
 			t.Errorf("step %q = %q, want %q", name, got[name], w)
 		}
 	}
+}
+
+// groupedSubstrate asserts the substrate contract's grouping rule on
+// every key list it passes through: the keys of one request are
+// adjacent, requests in ascending order. It counts the lists it saw that
+// held more than one request, so the test can tell the rule was
+// exercised.
+type groupedSubstrate struct {
+	substrate
+	t     *testing.T
+	multi int
+}
+
+func (g *groupedSubstrate) check(op string, keys []rowKey) {
+	g.t.Helper()
+	if !slices.IsSortedFunc(keys, func(a, b rowKey) int { return int(a.req - b.req) }) {
+		g.t.Errorf("%s key list is not grouped by request: %v", op, keys)
+	}
+	if len(keys) > 0 && keys[0].req != keys[len(keys)-1].req {
+		g.multi++
+	}
+}
+
+func (g *groupedSubstrate) post(entries []core.Entry, rows []rowKey) {
+	g.check("post", rows)
+	g.substrate.post(entries, rows)
+}
+
+func (g *groupedSubstrate) readFreshest(fl *flood) {
+	g.check("readFreshest", fl.keys)
+	g.substrate.readFreshest(fl)
+}
+
+func (g *groupedSubstrate) readAll(fl *flood) {
+	g.check("readAll", fl.keys)
+	g.substrate.readAll(fl)
 }
 
 // conformanceScript drives the scripted history against sub (tr is the
@@ -305,6 +347,26 @@ func conformanceScript(t *testing.T, sub substrate, tr Transport, rp *strategy.R
 		t.Fatal(err)
 	}
 	say("disarmed", "%s", freshest(scope{}, ask{"a", 7}, ask{"b", 5}))
+
+	// The coordinator is what builds key lists in production: a batch of
+	// registrations and a batch of locates (with replica fallthrough for
+	// the port nobody serves) go through it to the same substrate.
+	grouped := sub.(*groupedSubstrate)
+	multi0 := grouped.multi
+	if _, err := tr.PostBatch([]Registration{{Port: "g1", Node: 2}, {Port: "g2", Node: 11}, {Port: "g3", Node: 20}}); err != nil {
+		t.Fatal(err)
+	}
+	reqs := []LocateReq{{Client: 1, Port: "g2"}, {Client: 30, Port: "g1"}, {Client: 8, Port: "nobody"}, {Client: 8, Port: "g3"}}
+	res := make([]LocateRes, len(reqs))
+	tr.LocateBatch(reqs, res)
+	var parts []string
+	for i, r := range res {
+		parts = append(parts, fmt.Sprintf("%s@%d=%d/%v", reqs[i].Port, reqs[i].Client, r.Entry.Addr, errors.Is(r.Err, core.ErrNotFound)))
+	}
+	say("coordinator-batch", "%s", strings.Join(parts, " "))
+	if grouped.multi-multi0 < 2 {
+		t.Errorf("coordinator batches handed the substrate %d multi-request key lists; want a post and a read at least", grouped.multi-multi0)
+	}
 	return out
 }
 

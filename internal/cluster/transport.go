@@ -86,9 +86,9 @@ type Transport interface {
 	Locate(client graph.NodeID, port core.Port) (core.Entry, error)
 	// LocateBatch resolves reqs[i] into res[i], one full locate per
 	// request with the same answers and the same total pass charge as
-	// the equivalent sequence of Locate calls. Implementations may take
-	// per-shard locks once per batch and account passes in bulk; res
-	// must have the same length as reqs.
+	// the equivalent sequence of Locate calls. Implementations may
+	// resolve each request's port once for all its rows and account
+	// passes in bulk; res must have the same length as reqs.
 	LocateBatch(reqs []LocateReq, res []LocateRes)
 	// Probe validates a previously located entry with one direct
 	// request/reply to its cached address, charged 2×Dist(client,

@@ -250,11 +250,10 @@ func (c *Cluster) suspectCount() int {
 // loses. Fails with ErrNoAntiEntropy on transports without the
 // reconciliation layer.
 func (c *Cluster) ReconcileRound() (int, error) {
-	c.closeMu.RLock()
-	defer c.closeMu.RUnlock()
-	if c.closed.Load() {
+	if !c.enter(0) {
 		return 0, ErrClosed
 	}
+	defer c.exit(0)
 	at, ok := c.tr.(AntiEntropyTransport)
 	if !ok {
 		return 0, ErrNoAntiEntropy

@@ -63,8 +63,8 @@ func portPicker(cfg Config, names []core.Port, workerSeed int64) (func() core.Po
 // closedLoop hammers the cluster from cfg.Concurrency goroutines until
 // the deadline; each failed locate is already counted by the metrics.
 // With Batch N each worker issues its locates through LocateBatch in
-// groups of N (reused request/result slices, shard-grouped store
-// access).
+// groups of N (reused request/result slices, one store port lookup per
+// request).
 func closedLoop(c *cluster.Cluster, cfg Config, names []core.Port, n int, det *forgeDetector) error {
 	deadline := time.Now().Add(cfg.Duration)
 	var wg sync.WaitGroup
