@@ -118,8 +118,7 @@ func run(args []string, out io.Writer) error {
 	fs.DurationVar(&cfg.WatchState, "watch-state", 0, "net transport: poll the -state file this often and rescale onto layout changes (0 = off)")
 	fs.IntVar(&cfg.NetConns, "net-conns", 0, "net transport: connections per node process (0 = default; superseded by -net-stripes)")
 	fs.IntVar(&cfg.NetStripes, "net-stripes", 0, "net/gate transport: connection stripes per destination process (0 = max(2, GOMAXPROCS))")
-	fs.DurationVar(&cfg.CoalesceWin, "coalesce-window", 0, "net transport: wire coalescer window — a promoted flood leader waits this long for more locates to queue (0 = flush immediately)")
-	fs.BoolVar(&cfg.NetCoalesce, "net-coalesce", true, "net transport: coalesce concurrent locates into shared wire floods (-net-coalesce=false for one frame per locate)")
+	fs.BoolVar(&cfg.NetCoalesce, "net-coalesce", true, "net transport: coalesce concurrent locates into shared wire floods and concurrent hint probes into shared probe frames (-net-coalesce=false for one frame per call)")
 	fs.DurationVar(&cfg.ResizeEvery, "resize-interval", 0, "elastic membership churn: resize (or finish the draining resize) this often (0 = off)")
 	fs.IntVar(&cfg.ResizeTo, "resize-to", 0, "resize churn: the smaller active node count to shrink to (0 = 3n/4)")
 	fs.StringVar(&cfg.Topo, "topology", "complete", "topology: complete|grid|ring|hypercube")

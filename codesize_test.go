@@ -16,7 +16,7 @@ import (
 // count a tracked number that should go down: lower this when a change
 // shrinks the package, and raise it only with a reason in the PR that
 // does.
-const clusterCodeLineCeiling = 5056
+const clusterCodeLineCeiling = 5080
 
 // clusterConstructorCeiling is the committed ceiling on exported
 // `func New*` declarations in internal/cluster's non-test files: the

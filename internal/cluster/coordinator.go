@@ -525,8 +525,8 @@ func (c *coordinator) Locate(client graph.NodeID, port core.Port) (core.Entry, e
 // concurrent ones into shared substrate calls, which changes neither
 // answers nor charges.
 func (c *coordinator) LocateReplica(client graph.NodeID, port core.Port, replica int) (core.Entry, error) {
-	if co := c.coal; co != nil {
-		return co.locate(client, port, replica)
+	if c.coal != nil {
+		return c.coalescedLocate(client, port, replica)
 	}
 	e, _, err := c.LocateReplicaAt(client, port, replica)
 	return e, err

@@ -1,12 +1,16 @@
 package cluster
 
 import (
+	"errors"
+	"net"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
 
 	"matchmake/internal/core"
 	"matchmake/internal/graph"
+	"matchmake/internal/netwire"
 	"matchmake/internal/rendezvous"
 	"matchmake/internal/strategy"
 	"matchmake/internal/topology"
@@ -197,5 +201,69 @@ func TestNetRescale353(t *testing.T) {
 	}
 	if err := ref.Deregister(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTransferChunkErrors pins what a failed partition replay reports:
+// a receiver that answers a replay frame with a refusal is named with
+// its status and wraps nothing — no call failed — while a receiver that
+// cannot be reached wraps the transport error.
+func TestTransferChunkErrors(t *testing.T) {
+	const n = 8
+	donor, err := NewNetTransport(topology.Complete(n), rendezvous.Checkerboard(n), loopbackNodes(t, n, 1), NetOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer donor.Close()
+	if _, err := donor.Register("svc", 2); err != nil { // postings and a liveness record
+		t.Fatal(err)
+	}
+	if err := donor.Crash(5); err != nil { // and a crash mark
+		t.Fatal(err)
+	}
+	old := donor.wire.procs.Load()
+
+	// stub is a receiver that refuses one opcode and accepts the rest.
+	stub := func(refuse byte) *procSet {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := netwire.NewServer(ln, func(op byte, _, resp []byte) (byte, []byte) {
+			if op == refuse {
+				return stBadRequest, resp
+			}
+			return stOK, resp
+		})
+		go s.Serve()
+		t.Cleanup(func() { s.Close() })
+		nps := newProcSet([]string{ln.Addr().String()}, n, NetOptions{}, nil)
+		t.Cleanup(nps.close)
+		return nps
+	}
+	for _, tc := range []struct {
+		refuse byte
+		what   string
+	}{{opPost, "postings"}, {opRegister, "liveness"}, {opCrash, "crash marks"}} {
+		err := transferChunk(old, 0, stub(tc.refuse), 0, 0, n)
+		if err == nil {
+			t.Fatalf("refused %s: transfer succeeded", tc.what)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "replay "+tc.what) || !strings.Contains(msg, "status 3") || strings.Contains(msg, "%!") {
+			t.Errorf("refused %s: error %q does not name the stage and status", tc.what, msg)
+		}
+		if errors.Unwrap(err) != nil {
+			t.Errorf("refused %s: error wraps %v, but no call failed", tc.what, errors.Unwrap(err))
+		}
+	}
+	if err := transferChunk(old, 0, stub(0), 0, 0, n); err != nil {
+		t.Fatalf("accepting receiver: %v", err)
+	}
+
+	gone := stub(0)
+	gone.close()
+	err = transferChunk(old, 0, gone, 0, 0, n)
+	if !errors.Is(err, netwire.ErrClientClosed) || !strings.Contains(err.Error(), "replay postings") {
+		t.Errorf("unreachable receiver: error %v, want the replay stage wrapping %v", err, netwire.ErrClientClosed)
 	}
 }

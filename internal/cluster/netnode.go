@@ -468,23 +468,29 @@ func (s *NodeServer) handleQueries(d *netwire.Dec, resp []byte, all bool) (byte,
 	return stOK, resp
 }
 
+// handleProbe answers opProbe: one status byte per (port, addr, id)
+// record, from the live table under one lock for the whole frame.
 func (s *NodeServer) handleProbe(d *netwire.Dec, resp []byte) (byte, []byte) {
-	port := core.Port(d.String())
-	addr := graph.NodeID(d.Uvarint())
-	id := d.Uvarint()
-	if d.Err() != nil || !s.owned(addr) {
-		return stBadRequest, resp
-	}
-	if s.crashed[addr].Load() {
-		return stCrashed, resp
-	}
 	s.mu.Lock()
-	rec, ok := s.live[id]
-	s.mu.Unlock()
-	if ok && rec.port == port && rec.node == addr {
-		return stOK, resp
+	defer s.mu.Unlock()
+	for d.Len() > 0 {
+		port := d.Bytes() // compared in place; no copy out of the frame
+		addr := graph.NodeID(d.Uvarint())
+		rec, ok := s.live[d.Uvarint()]
+		switch {
+		case d.Err() != nil:
+			return stBadRequest, resp
+		case !s.owned(addr):
+			resp = append(resp, stBadRequest)
+		case s.crashed[addr].Load():
+			resp = append(resp, stCrashed)
+		case ok && string(rec.port) == string(port) && rec.node == addr:
+			resp = append(resp, stOK)
+		default:
+			resp = append(resp, stNotFound)
+		}
 	}
-	return stNotFound, resp
+	return stOK, resp
 }
 
 func (s *NodeServer) handleRegister(d *netwire.Dec, resp []byte) (byte, []byte) {

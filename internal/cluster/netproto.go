@@ -30,9 +30,13 @@ const (
 	// opQueryAll is opQuery returning every active entry per node:
 	// response is per node (count, entries...).
 	opQueryAll
-	// opProbe asks the owner of a hinted address whether (serverID,
-	// port) still lives at addr: stOK, stNotFound (live node, negative
-	// answer) or stCrashed (the address is down — no answer).
+	// opProbe asks the owner of hinted addresses whether each (serverID,
+	// port) still lives at its addr: a sequence of (port, addr, serverID)
+	// records until end of body — the concurrent probes the coordinator
+	// coalesced for this process; a lone probe is a sequence of one. The
+	// response body answers record by record with one status byte: stOK,
+	// stNotFound (live node, negative answer), stCrashed (the address is
+	// down — no answer) or stBadRequest (addr not owned here).
 	opProbe
 	// opRegister records a server instance (serverID, port, node) in
 	// the owner's live table, the table opProbe answers from.

@@ -80,7 +80,8 @@ func NewLayoutNetTransport(g *graph.Graph, lay Layout, addrs []string, opts NetO
 	}
 	c.sub = ws
 	if !opts.DisableCoalescing {
-		c.coal = newNetCoalescer(c, opts.CoalesceWindow, opts.CoalesceBatch)
+		c.coal = newNetCoalescer(c.flushLocates, opts.CoalesceBatch)
+		ws.coal = newNetCoalescer(ws.flushProbes, opts.CoalesceBatch)
 	}
 	if opts.RepairInterval > 0 {
 		ws.startRepair(opts.RepairInterval, c.repairRecovered)
@@ -112,7 +113,7 @@ func (t *NetTransport) CoalesceStats() (coalesced, floods int64) {
 	if t.coal == nil {
 		return 0, 0
 	}
-	return t.coal.coalesced.Load(), t.coal.floods.Load()
+	return t.coal.coalesced.Load(), t.coal.shared.Load()
 }
 
 // Rescale re-partitions the node space across a different node-process
@@ -188,23 +189,16 @@ type NetOptions struct {
 	// (disabled) when pinning pass-accounting equivalence against
 	// another transport.
 	ReconcileInterval time.Duration
-	// CoalesceWindow is the longest a coalescer leader waits for more
-	// concurrent locates to join its wire flood before flushing. The
-	// wait is adaptive: it is only taken when the previous flush just
-	// handed leadership over (i.e. the path is demonstrably under
-	// concurrent load), so with the window at 0 (the default — natural
-	// batching only) or under low concurrency a locate floods with zero
-	// added latency.
-	CoalesceWindow time.Duration
 	// CoalesceBatch caps how many concurrent locates coalesce into one
-	// flood (default 64): a bound on per-frame size and decode latency,
-	// not on throughput — overflow simply starts the next flood.
+	// flood, and how many concurrent probes into one round of probe
+	// frames (default 64): a bound on per-frame size and decode latency,
+	// not on throughput — overflow simply starts the next flush.
 	CoalesceBatch int
-	// DisableCoalescing turns the locate coalescer off entirely: every
-	// LocateReplica runs its own wire flood, as before netwire v2. The
-	// coalescer never changes answers or pass charges (pinned by
-	// TestNetCoalescedEquivalence), so this is a debugging escape
-	// hatch, not a correctness knob.
+	// DisableCoalescing turns the wire coalescers off entirely: every
+	// LocateReplica runs its own wire flood and every Probe its own
+	// frame, as before netwire v2. Coalescing never changes answers or
+	// pass charges (pinned by TestNetCoalescedEquivalence), so this is a
+	// debugging escape hatch, not a correctness knob.
 	DisableCoalescing bool
 }
 
@@ -235,6 +229,10 @@ type wireSubstrate struct {
 	// dials (including post-Rescale sets, which share it), so WireStats
 	// deltas stay monotonic across repartitions.
 	wire netwire.Counters
+
+	// coal merges concurrent probes into shared opProbe frames (see
+	// netCoalescer); nil with NetOptions.DisableCoalescing.
+	coal *netCoalescer
 
 	scratch sync.Pool // *netScratch
 }
@@ -505,23 +503,50 @@ func (ws *wireSubstrate) readAll(fl *flood) {
 
 // probe asks the owner process of addr, which answers from its live
 // table; an unreachable owner, or one that holds addr crashed, is
-// silence.
+// silence. Concurrent probes share frames through the substrate's
+// coalescer; without one a probe is a batch of one.
 func (ws *wireSubstrate) probe(port core.Port, addr graph.NodeID, id uint64) probeAnswer {
-	ps := ws.procs.Load()
-	buf := netwire.GetBuf()
-	req := netwire.AppendString(*buf, string(port))
-	req = netwire.AppendUvarint(req, uint64(addr))
-	req = netwire.AppendUvarint(req, id)
-	*buf = req
-	st, _, err := ws.callProc(ps, ps.ownerOf[addr], opProbe, req, nil)
-	netwire.PutBuf(buf)
-	switch {
-	case err != nil || st == stCrashed:
-		return probeSilent
-	case st == stOK:
-		return probeHit
+	op := coalOpPool.Get().(*coalOp)
+	defer coalOpPool.Put(op)
+	op.node, op.port, op.id = addr, port, id
+	if ws.coal != nil {
+		ws.coal.do(op)
+	} else {
+		ws.flushProbes([]*coalOp{op})
 	}
-	return probeMiss
+	return op.ans
+}
+
+// flushProbes executes one batch of probes: one opProbe frame per
+// owning process, a (port, addr, id) record per probe, answered by one
+// status byte each. A frame that cannot be delivered — or comes back
+// short — is silence for every probe in it, and fanout reports the
+// process down once.
+func (ws *wireSubstrate) flushProbes(batch []*coalOp) {
+	ps := ws.procs.Load()
+	sc := ws.getScratch(len(ps.pools))
+	for i, op := range batch {
+		s := &sc.procs[ps.ownerOf[op.node]]
+		s.kidx = append(s.kidx, int32(i))
+		s.req = netwire.AppendString(s.req, string(op.port))
+		s.req = netwire.AppendUvarint(s.req, uint64(op.node))
+		s.req = netwire.AppendUvarint(s.req, op.id)
+	}
+	ws.fanout(ps, sc, opProbe)
+	for p := range ps.pools {
+		s := &sc.procs[p]
+		for j, i := range s.kidx {
+			ans := probeSilent
+			if s.err == nil && j < len(s.resp) && s.resp[j] != stCrashed {
+				ans = probeMiss
+				if s.resp[j] == stOK {
+					ans = probeHit
+				}
+			}
+			batch[i].ans = ans
+		}
+	}
+	ws.scratch.Put(sc)
 }
 
 // register records the liveness entry on node's owner process. A move
@@ -881,49 +906,55 @@ func transferChunk(old *procSet, p int, nps *procSet, q, lo, hi int) error {
 	if st != stOK {
 		return fmt.Errorf("cluster: snapshot [%d,%d) from %s: status %d", lo, hi, old.addrs[p], st)
 	}
+	// replay sends one frame to q; a transport failure wraps its cause,
+	// a delivered frame the process refused names the status instead.
+	replay := func(what string, op byte, req []byte, alsoOK byte) error {
+		st, _, err := nps.pools[q].Call(op, req, nil)
+		if err != nil {
+			return fmt.Errorf("cluster: replay %s onto %s: %w", what, nps.addrs[q], err)
+		}
+		if st != stOK && st != alsoOK {
+			return fmt.Errorf("cluster: replay %s onto %s: status %d", what, nps.addrs[q], st)
+		}
+		return nil
+	}
 	d := netwire.NewDec(body)
-	nPost := int(d.Uvarint())
+	short := func() error {
+		return fmt.Errorf("cluster: snapshot [%d,%d) from %s: %w", lo, hi, old.addrs[p], d.Err())
+	}
 	var post []byte
-	for i := 0; i < nPost; i++ {
+	for i := int(d.Uvarint()); i > 0; i-- {
 		node := d.Uvarint()
 		e := decodeEntry(&d)
 		if d.Err() != nil {
-			return fmt.Errorf("cluster: snapshot [%d,%d) from %s: %w", lo, hi, old.addrs[p], d.Err())
+			return short()
 		}
-		post = netwire.AppendUvarint(post, node)
-		post = appendEntry(post, e)
+		post = appendEntry(netwire.AppendUvarint(post, node), e)
 	}
 	if len(post) > 0 {
-		if st, _, err := nps.pools[q].Call(opPost, post, nil); err != nil || st != stOK {
-			return fmt.Errorf("cluster: replay postings onto %s: status %d err %w", nps.addrs[q], st, err)
+		if err := replay("postings", opPost, post, stOK); err != nil {
+			return err
 		}
 	}
-	nLive := int(d.Uvarint())
-	for i := 0; i < nLive; i++ {
-		id := d.Uvarint()
-		port := d.String()
-		node := d.Uvarint()
+	for i := int(d.Uvarint()); i > 0; i-- {
+		id, port, node := d.Uvarint(), d.String(), d.Uvarint()
 		if d.Err() != nil {
-			return fmt.Errorf("cluster: snapshot [%d,%d) from %s: %w", lo, hi, old.addrs[p], d.Err())
+			return short()
 		}
-		var reg []byte
-		reg = netwire.AppendUvarint(reg, id)
+		reg := netwire.AppendUvarint(nil, id)
 		reg = netwire.AppendString(reg, port)
 		reg = netwire.AppendUvarint(reg, node)
-		if st, _, err := nps.pools[q].Call(opRegister, reg, nil); err != nil || (st != stOK && st != stCrashed) {
-			return fmt.Errorf("cluster: replay liveness onto %s: status %d err %w", nps.addrs[q], st, err)
+		if err := replay("liveness", opRegister, reg, stCrashed); err != nil {
+			return err
 		}
 	}
-	nCrashed := int(d.Uvarint())
-	for i := 0; i < nCrashed; i++ {
+	for i := int(d.Uvarint()); i > 0; i-- {
 		node := d.Uvarint()
 		if d.Err() != nil {
-			return fmt.Errorf("cluster: snapshot [%d,%d) from %s: %w", lo, hi, old.addrs[p], d.Err())
+			return short()
 		}
-		var cr []byte
-		cr = netwire.AppendUvarint(cr, node)
-		if st, _, err := nps.pools[q].Call(opCrash, cr, nil); err != nil || st != stOK {
-			return fmt.Errorf("cluster: replay crash marks onto %s: status %d err %w", nps.addrs[q], st, err)
+		if err := replay("crash marks", opCrash, netwire.AppendUvarint(nil, node), stOK); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -124,9 +124,11 @@ type Conn struct {
 	bw      *bufio.Writer
 	writers atomic.Int32 // senders announced but not yet done writing
 
+	// dead is written under mu, after err, and read there by Start;
+	// Dead loads it without the lock readLoop takes per response.
 	mu      sync.Mutex
 	pending map[uint64]*Pending
-	dead    bool
+	dead    atomic.Bool
 	err     error
 
 	nextID atomic.Uint64
@@ -186,12 +188,12 @@ func (c *Conn) readLoop() {
 func (c *Conn) fail(err error) {
 	c.nc.Close()
 	c.mu.Lock()
-	if c.dead {
+	if c.dead.Load() {
 		c.mu.Unlock()
 		return
 	}
-	c.dead = true
 	c.err = err
+	c.dead.Store(true)
 	pending := c.pending
 	c.pending = nil
 	c.mu.Unlock()
@@ -201,12 +203,9 @@ func (c *Conn) fail(err error) {
 	}
 }
 
-// Dead reports whether the connection has failed.
-func (c *Conn) Dead() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.dead
-}
+// Dead reports whether the connection has failed: one atomic load, so
+// the pool's per-call liveness check never meets readLoop on c.mu.
+func (c *Conn) Dead() bool { return c.dead.Load() }
 
 // Close tears the connection down, failing any pending calls.
 func (c *Conn) Close() error {
@@ -248,7 +247,7 @@ func (c *Conn) Start(op byte, req []byte) (*Pending, error) {
 	id := c.nextID.Add(1)
 	cl.id = id
 	c.mu.Lock()
-	if c.dead {
+	if c.dead.Load() {
 		err := c.err
 		c.mu.Unlock()
 		pendingPool.Put(cl)

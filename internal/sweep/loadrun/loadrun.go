@@ -49,11 +49,10 @@ type Config struct {
 	StateFile  string
 	WatchState time.Duration
 	// NetConns and NetStripes set the connection stripes per
-	// destination process (NetStripes wins); CoalesceWindow and
-	// NetCoalesce tune the wire flood coalescer.
+	// destination process (NetStripes wins); NetCoalesce switches the
+	// wire coalescers (shared floods and probe frames) on.
 	NetConns    int
 	NetStripes  int
-	CoalesceWin time.Duration
 	NetCoalesce bool
 
 	// Topology, Nodes, Strategy, Ports describe the cluster; Workload,
@@ -154,7 +153,6 @@ func (cfg Config) netOptions() cluster.NetOptions {
 	return cluster.NetOptions{
 		ConnsPerProc:      cfg.stripes(),
 		CallTimeout:       30 * time.Second,
-		CoalesceWindow:    cfg.CoalesceWin,
 		DisableCoalescing: !cfg.NetCoalesce,
 	}
 }
