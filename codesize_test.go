@@ -15,8 +15,15 @@ import (
 // `grep -vcE '^\s*(//|$)'`). ROADMAP makes that package's net line
 // count a tracked number that should go down: lower this when a change
 // shrinks the package, and raise it only with a reason in the PR that
-// does.
-const clusterCodeLineCeiling = 5080
+// does. Raised once, 5 080 → 5 135, by the PR that made bulk writes cost
+// O(processes) frames: opRegister's per-record statuses have to be
+// mapped back to the batch's first refused record on the coordinator's
+// side, and staging several postings into one multicast (PostBatch,
+// Migrate's tombstone + posting) needed a stage/send pair where a
+// one-entry postTo had been enough; the single-record encoder, the
+// per-record replay loop and the snapshot's intermediate list it
+// replaced were smaller than that.
+const clusterCodeLineCeiling = 5135
 
 // clusterConstructorCeiling is the committed ceiling on exported
 // `func New*` declarations in internal/cluster's non-test files: the

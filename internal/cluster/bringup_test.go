@@ -1,0 +1,171 @@
+package cluster
+
+import (
+	"errors"
+	"testing"
+
+	"matchmake/internal/core"
+	"matchmake/internal/graph"
+	"matchmake/internal/netwire"
+	"matchmake/internal/rendezvous"
+	"matchmake/internal/sim"
+	"matchmake/internal/topology"
+)
+
+// liveIDs lists the instance ids in the servers' live tables.
+func liveIDs(servers []*NodeServer) map[uint64]graph.NodeID {
+	out := make(map[uint64]graph.NodeID)
+	for _, s := range servers {
+		s.mu.Lock()
+		for id, rec := range s.live {
+			out[id] = rec.node
+		}
+		s.mu.Unlock()
+	}
+	return out
+}
+
+// TestRegisterRecords pins opRegister's multi-record form on the node
+// process: one status byte per (id, port, node) record, refused records
+// — a node owned elsewhere, a crashed node — not applied, the accepted
+// ones around them applied, and a body that stops mid-record refused as
+// a frame.
+func TestRegisterRecords(t *testing.T) {
+	const n = 16
+	addrs, servers := loopbackServers(t, n, 2) // the first owns [0, 8)
+	pool := netwire.NewPool(addrs[0], 1)
+	defer pool.Close()
+	if st, _, err := pool.Call(opCrash, netwire.AppendUvarint(nil, 5), nil); err != nil || st != stOK {
+		t.Fatalf("crash 5: status %d, %v", st, err)
+	}
+	var req []byte
+	for _, r := range []liveReg{{id: 1, port: "a", node: 2}, {id: 2, port: "b", node: 12}, {id: 3, port: "c", node: 5}, {id: 4, port: "d", node: 7}} {
+		req = appendLiveRec(req, r.id, r.port, r.node)
+	}
+	st, resp, err := pool.Call(opRegister, req, nil)
+	if err != nil || st != stOK {
+		t.Fatalf("register: status %d, %v", st, err)
+	}
+	if want := []byte{stOK, stBadRequest, stCrashed, stOK}; string(resp) != string(want) {
+		t.Errorf("per-record statuses = %v, want %v (owned, not owned, crashed, owned)", resp, want)
+	}
+	if got := liveIDs(servers); len(got) != 2 || got[1] != 2 || got[4] != 7 {
+		t.Errorf("live table = %v, want only the accepted records 1@2 and 4@7", got)
+	}
+	// A lone registration is a batch of one.
+	if st, resp, err = pool.Call(opRegister, appendLiveRec(nil, 9, "e", 0), nil); err != nil || st != stOK || string(resp) != string([]byte{stOK}) {
+		t.Errorf("single record: status %d, body %v, %v", st, resp, err)
+	}
+	// A body that ends inside its second record.
+	short := appendLiveRec(appendLiveRec(nil, 10, "f", 1), 11, "g", 3)
+	if st, _, err = pool.Call(opRegister, short[:len(short)-1], nil); err != nil || st != stBadRequest {
+		t.Errorf("short body: status %d, %v; want stBadRequest", st, err)
+	}
+	if _, ok := liveIDs(servers)[11]; ok {
+		t.Error("the truncated record was applied")
+	}
+}
+
+// TestPostBatchUndo refuses a batch at the substrate, after the
+// coordinator's own checks have passed — the k-th home is crashed on its
+// node process by another coordinator — and demands that nothing of the
+// batch survives: no registration, no liveness record, no posting.
+func TestPostBatchUndo(t *testing.T) {
+	const n, k = 16, 5
+	g, strat := topology.Complete(n), rendezvous.Checkerboard(n)
+	addrs, servers := loopbackServers(t, n, 2)
+	tr, err := NewNetTransport(g, strat, addrs, NetOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	other, err := NewNetTransport(g, strat, addrs, NetOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
+	regs := make([]Registration, 8)
+	for i := range regs {
+		regs[i] = Registration{Port: core.Port("p" + string(rune('0'+i))), Node: graph.NodeID(2*i + 1)}
+	}
+	if err := other.Crash(regs[k].Node); err != nil {
+		t.Fatal(err)
+	}
+	refs, err := tr.PostBatch(regs)
+	if !errors.Is(err, sim.ErrCrashed) || refs != nil {
+		t.Fatalf("PostBatch = %v, %v; want no refs and %v", refs, err, sim.ErrCrashed)
+	}
+	if live := tr.liveServers(); len(live) != 0 {
+		t.Errorf("%d registrations survive the refused batch", len(live))
+	}
+	if ids := liveIDs(servers); len(ids) != 0 {
+		t.Errorf("liveness records survive the refused batch: %v", ids)
+	}
+	for _, s := range servers {
+		if rows := s.store.DumpRange(0, n); len(rows) != 0 {
+			t.Errorf("postings survive the refused batch: %v", rows)
+		}
+	}
+	for _, r := range regs {
+		if _, err := tr.Locate(0, r.Port); !errors.Is(err, core.ErrNotFound) {
+			t.Errorf("locate %q after the refused batch: %v, want not found", r.Port, err)
+		}
+	}
+	if err := other.Restore(regs[k].Node); err != nil {
+		t.Fatal(err)
+	}
+	if refs, err = tr.PostBatch(regs); err != nil || len(refs) != len(regs) {
+		t.Fatalf("PostBatch after restore: %d refs, %v", len(refs), err)
+	}
+	if ids := liveIDs(servers); len(ids) != len(regs) {
+		t.Errorf("%d liveness records after the accepted batch, want %d", len(ids), len(regs))
+	}
+}
+
+// TestWriteFrames counts the request frames the node processes serve for
+// the writes that used to pay one round trip per server or per posting
+// set: a Migrate is one opRegister and one opPost per process (the
+// tombstone and the fresh posting share the frame), and a Rescale
+// replays each chunk's liveness records in a single opRegister.
+func TestWriteFrames(t *testing.T) {
+	const n, servers = 16, 12
+	g, strat := topology.Complete(n), rendezvous.Checkerboard(n)
+	addrs, old := loopbackServers(t, n, 1)
+	tr, err := NewNetTransport(g, strat, addrs, NetOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	regs := make([]Registration, servers)
+	for i := range regs {
+		regs[i] = Registration{Port: core.Port("p" + string(rune('a'+i))), Node: graph.NodeID(i)}
+	}
+	refs, err := tr.PostBatch(regs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := old[0].OpCounts()
+	if err := refs[0].Migrate(15); err != nil {
+		t.Fatal(err)
+	}
+	after := old[0].OpCounts()
+	if r, p := after["register"]-before["register"], after["post"]-before["post"]; r != 1 || p != 1 {
+		t.Errorf("Migrate sent %d opRegister and %d opPost frames, want 1 and 1", r, p)
+	}
+	if e, err := tr.Locate(3, regs[0].Port); err != nil || e.Addr != 15 {
+		t.Errorf("locate after migrate = %+v, %v; want addr 15", e, err)
+	}
+
+	newAddrs, fresh := loopbackServers(t, n, 2)
+	if err := tr.Rescale(newAddrs); err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range fresh {
+		if got := s.OpCounts()["register"]; got != 1 {
+			t.Errorf("new process %d served %d opRegister frames for its one chunk, want 1", i, got)
+		}
+	}
+	if ids := liveIDs(fresh); len(ids) != servers {
+		t.Errorf("%d liveness records after the rescale, want %d", len(ids), servers)
+	}
+}

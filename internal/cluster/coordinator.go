@@ -312,23 +312,31 @@ func (c *coordinator) Register(port core.Port, node graph.NodeID) (ServerRef, er
 }
 
 // PostBatch implements Transport: registrations are validated up
-// front, liveness records land with their hosts, and the whole batch's
-// postings go to the substrate in one call with the summed multicast
-// cost charged in one add — the same totals as the equivalent sequence
-// of Registers.
+// front, the liveness records land with their hosts in one substrate
+// call and the whole batch's postings in another, with the summed
+// multicast cost charged in one add — the same ids, timestamps and
+// totals as the equivalent sequence of Registers, in two rounds of
+// frames however many servers there are. It is all or nothing: one
+// refused record undoes every registration of the batch.
 func (c *coordinator) PostBatch(regs []Registration) ([]ServerRef, error) {
 	for _, r := range regs {
 		if err := c.checkHome("register at", r.Port, r.Node); err != nil {
 			return nil, err
 		}
-		if c.crashed[r.Node].Load() {
-			return nil, fmt.Errorf("cluster: post %q from %d: %w", r.Port, r.Node, sim.ErrCrashed)
+		if err := c.originUp(r.Port, r.Node); err != nil {
+			return nil, err
 		}
 	}
 	c.lifeMu.RLock()
 	defer c.lifeMu.RUnlock()
 	refs := make([]ServerRef, len(regs))
-	servers := make([]*server, 0, len(regs))
+	servers := make([]*server, len(regs))
+	recs := make([]liveReg, len(regs))
+	for i, r := range regs {
+		servers[i] = c.newServer(r.Port, r.Node)
+		refs[i] = servers[i]
+		recs[i] = liveReg{id: servers[i].id, port: r.Port, node: r.Node, from: noNode}
+	}
 	undo := func(err error) ([]ServerRef, error) {
 		for _, srv := range servers {
 			c.dropServer(srv)
@@ -336,13 +344,8 @@ func (c *coordinator) PostBatch(regs []Registration) ([]ServerRef, error) {
 		}
 		return nil, err
 	}
-	for i, r := range regs {
-		srv := c.newServer(r.Port, r.Node)
-		servers = append(servers, srv)
-		refs[i] = srv
-		if err := c.sub.register(srv.id, r.Port, r.Node, noNode); err != nil {
-			return undo(err)
-		}
+	if err := c.sub.register(recs); err != nil {
+		return undo(err)
 	}
 	// Re-check membership now that the registrations are published:
 	// newServer and Resize's snapshot+publish both hold regMu, so either
@@ -354,19 +357,15 @@ func (c *coordinator) PostBatch(regs []Registration) ([]ServerRef, error) {
 			return undo(err)
 		}
 	}
-	fl := c.floods.Get().(*flood)
-	fl.keys = fl.keys[:0]
-	entries := make([]core.Entry, len(regs))
-	var bulk int64
+	fl := c.postFlood()
 	for i, r := range regs {
 		targets, cost := c.postSets(servers[i], r.Node)
-		bulk += cost
-		entries[i] = core.Entry{Port: r.Port, Addr: r.Node, ServerID: servers[i].id, Time: c.clock.Add(1), Active: true}
-		fl.keys = c.appendLive(fl.keys, int32(i), targets)
+		if err := c.stage(fl, servers[i], r.Node, true, targets, cost); err != nil {
+			c.floods.Put(fl) // the origin crashed since the check above
+			return undo(err)
+		}
 	}
-	c.sub.post(entries, fl.keys)
-	c.floods.Put(fl)
-	c.passes.Add(0, bulk)
+	c.send(fl, 0)
 	// A fresh registration can change the freshest-entry winner for the
 	// port, so cached hints must re-resolve.
 	for _, r := range regs {
@@ -397,22 +396,54 @@ func (c *coordinator) post(srv *server, node graph.NodeID, active bool) error {
 
 // postTo multicasts a freshly timestamped entry for srv from node to an
 // explicit target set at a pre-computed multicast cost — the primitive
-// ordinary postings, epoch-migration deltas and repairs share. The full
-// cost is charged up front: targets on crashed nodes or unreachable
-// processes are skipped silently but still paid for — the flood was
-// sent. A crashed origin cannot post, matching the simulator's
-// multicast.
+// ordinary postings, epoch-migration deltas and repairs share.
 func (c *coordinator) postTo(srv *server, node graph.NodeID, active bool, targets []graph.NodeID, cost int64) error {
+	fl := c.postFlood()
+	err := c.stage(fl, srv, node, active, targets, cost)
+	c.send(fl, int(node))
+	return err
+}
+
+// originUp is the error a crashed origin's multicast fails with,
+// matching the simulator's; nil when node is up.
+func (c *coordinator) originUp(port core.Port, node graph.NodeID) error {
 	if c.crashed[node].Load() {
-		return fmt.Errorf("cluster: post %q from %d: %w", srv.port, node, sim.ErrCrashed)
+		return fmt.Errorf("cluster: post %q from %d: %w", port, node, sim.ErrCrashed)
 	}
-	fl := c.floods.Get().(*flood)
-	fl.oneEntry[0] = core.Entry{Port: srv.port, Addr: node, ServerID: srv.id, Time: c.clock.Add(1), Active: active}
-	fl.keys = c.appendLive(fl.keys[:0], 0, targets)
-	c.passes.Add(int(node), cost)
-	c.sub.post(fl.oneEntry[:], fl.keys)
-	c.floods.Put(fl)
 	return nil
+}
+
+// postFlood readies a pooled flood for staging postings.
+func (c *coordinator) postFlood() *flood {
+	fl := c.floods.Get().(*flood)
+	fl.keys, fl.posts, fl.cost = fl.keys[:0], fl.posts[:0], 0
+	return fl
+}
+
+// stage adds one posting (or tombstone) to the multicast fl assembles:
+// srv's entry from-and-about node, freshly timestamped, keyed to every
+// target not marked crashed, at its full cost — targets on crashed nodes
+// or unreachable processes are skipped silently but still paid for, the
+// flood was sent. A crashed origin cannot post: nothing is staged,
+// timestamped or charged.
+func (c *coordinator) stage(fl *flood, srv *server, node graph.NodeID, active bool, targets []graph.NodeID, cost int64) error {
+	if err := c.originUp(srv.port, node); err != nil {
+		return err
+	}
+	fl.keys = c.appendLive(fl.keys, int32(len(fl.posts)), targets)
+	fl.posts = append(fl.posts, core.Entry{Port: srv.port, Addr: node, ServerID: srv.id, Time: c.clock.Add(1), Active: active})
+	fl.cost += cost
+	return nil
+}
+
+// send delivers what was staged in fl — one substrate call, one charge,
+// on the pass stripe of stripe — and returns fl to the pool.
+func (c *coordinator) send(fl *flood, stripe int) {
+	if len(fl.posts) > 0 {
+		c.passes.Add(stripe, fl.cost)
+		c.sub.post(fl.posts, fl.keys)
+	}
+	c.floods.Put(fl)
 }
 
 // repostLocked is the one way the system — as opposed to the server's
@@ -903,7 +934,7 @@ func (c *coordinator) repairRange(lo, hi int) {
 		srv := ls.srv
 		_, _ = c.repostLocked(srv, noNode, func(node graph.NodeID) []graph.NodeID {
 			if in(node) && !c.crashed[node].Load() {
-				_ = c.sub.register(srv.id, srv.port, node, noNode)
+				_ = c.sub.register([]liveReg{{id: srv.id, port: srv.port, node: node, from: noNode}})
 			}
 			// One set-table read serves both the in-range check and the
 			// re-post: re-resolving the posting set for the post could
@@ -1011,12 +1042,12 @@ func (s *server) Repost() error {
 }
 
 // Migrate implements ServerRef: the liveness record moves first (so
-// probes at the old address answer negatively), then tombstone at the
-// old posting set (the stale address must lose) and a fresher posting
-// at the new one. As in the engine, a crashed old host cannot
-// tombstone, but the fresh posting's newer timestamp still wins
-// wherever both are seen. The port's hint generation is bumped so
-// cached addresses re-resolve.
+// probes at the old address answer negatively), then one multicast
+// carries the tombstone to the old posting set (the stale address must
+// lose) and a fresher posting to the new one. As in the engine, a
+// crashed old host cannot tombstone, but the fresh posting's newer
+// timestamp still wins wherever both are seen. The port's hint
+// generation is bumped so cached addresses re-resolve.
 func (s *server) Migrate(to graph.NodeID) error {
 	c := s.c
 	if err := c.checkHome("migrate to", s.port, to); err != nil {
@@ -1032,10 +1063,15 @@ func (s *server) Migrate(to graph.NodeID) error {
 	from := s.node
 	s.node = to
 	s.mu.Unlock()
-	regErr := c.sub.register(s.id, s.port, to, from)
+	regErr := c.sub.register([]liveReg{{id: s.id, port: s.port, node: to, from: from}})
 	defer c.gens.bump(s.port)
-	tombErr := c.post(s, from, false)
-	if err := c.post(s, to, true); err != nil {
+	fl := c.postFlood()
+	targets, cost := c.postSets(s, from)
+	tombErr := c.stage(fl, s, from, false, targets, cost)
+	targets, cost = c.postSets(s, to)
+	err := c.stage(fl, s, to, true, targets, cost)
+	c.send(fl, int(to))
+	if err != nil {
 		return errors.Join(regErr, tombErr, err)
 	}
 	return regErr

@@ -162,18 +162,23 @@ func (m *memSubstrate) probe(port core.Port, addr graph.NodeID, id uint64) probe
 	return probeMiss
 }
 
-func (m *memSubstrate) register(id uint64, port core.Port, node, _ graph.NodeID) error {
+// register republishes a known instance's home in place and clones the
+// table once per batch for the new ones.
+func (m *memSubstrate) register(recs []liveReg) error {
 	m.liveMu.Lock()
 	defer m.liveMu.Unlock()
-	cur := *m.live.Load()
-	if rec := cur[id]; rec != nil {
-		rec.node.Store(int64(node))
-		return nil
+	next, cloned := *m.live.Load(), false
+	for _, r := range recs {
+		rec := next[r.id]
+		if rec == nil {
+			if !cloned {
+				next, cloned = maps.Clone(next), true
+			}
+			rec = &memLive{port: r.port}
+			next[r.id] = rec
+		}
+		rec.node.Store(int64(r.node))
 	}
-	rec := &memLive{port: port}
-	rec.node.Store(int64(node))
-	next := maps.Clone(cur)
-	next[id] = rec
 	m.live.Store(&next)
 	return nil
 }

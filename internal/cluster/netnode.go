@@ -368,24 +368,17 @@ func (s *NodeServer) handleSnapshot(d *netwire.Dec, resp []byte) (byte, []byte) 
 		resp = netwire.AppendUvarint(resp, uint64(ne.Node))
 		resp = appendEntry(resp, ne.E)
 	}
+	var lives []byte
+	count := 0
 	s.mu.Lock()
-	type liveDump struct {
-		id  uint64
-		rec liveRec
-	}
-	var lives []liveDump
 	for id, rec := range s.live {
 		if int(rec.node) >= lo && int(rec.node) < hi {
-			lives = append(lives, liveDump{id: id, rec: rec})
+			lives = appendLiveRec(lives, id, rec.port, rec.node)
+			count++
 		}
 	}
 	s.mu.Unlock()
-	resp = netwire.AppendUvarint(resp, uint64(len(lives)))
-	for _, l := range lives {
-		resp = netwire.AppendUvarint(resp, l.id)
-		resp = netwire.AppendString(resp, string(l.rec.port))
-		resp = netwire.AppendUvarint(resp, uint64(l.rec.node))
-	}
+	resp = append(netwire.AppendUvarint(resp, uint64(count)), lives...)
 	var crashed []graph.NodeID
 	for v := lo; v < hi; v++ {
 		if s.crashed[v].Load() {
@@ -493,19 +486,30 @@ func (s *NodeServer) handleProbe(d *netwire.Dec, resp []byte) (byte, []byte) {
 	return stOK, resp
 }
 
+// handleRegister answers opRegister: one status byte per (id, port,
+// node) record, the accepted ones recorded under one lock for the whole
+// frame; a refused record changes nothing. A body that stops mid-record
+// is refused as a frame from there on — the sender treats a refused
+// frame like any refused record and withdraws its whole batch.
 func (s *NodeServer) handleRegister(d *netwire.Dec, resp []byte) (byte, []byte) {
-	id := d.Uvarint()
-	port := core.Port(d.String())
-	node := graph.NodeID(d.Uvarint())
-	if d.Err() != nil || !s.owned(node) {
-		return stBadRequest, resp
-	}
-	if s.crashed[node].Load() {
-		return stCrashed, resp
-	}
 	s.mu.Lock()
-	s.live[id] = liveRec{port: port, node: node}
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	for d.Len() > 0 {
+		id := d.Uvarint()
+		port := core.Port(d.String())
+		node := graph.NodeID(d.Uvarint())
+		switch {
+		case d.Err() != nil:
+			return stBadRequest, resp
+		case !s.owned(node):
+			resp = append(resp, stBadRequest)
+		case s.crashed[node].Load():
+			resp = append(resp, stCrashed)
+		default:
+			s.live[id] = liveRec{port: port, node: node}
+			resp = append(resp, stOK)
+		}
+	}
 	return stOK, resp
 }
 

@@ -38,8 +38,14 @@ const (
 	// stNotFound (live node, negative answer), stCrashed (the address is
 	// down — no answer) or stBadRequest (addr not owned here).
 	opProbe
-	// opRegister records a server instance (serverID, port, node) in
-	// the owner's live table, the table opProbe answers from.
+	// opRegister records server instances in the owner's live table, the
+	// table opProbe answers from: a sequence of (serverID, port, node)
+	// records until end of body — a batch's registrations homed at this
+	// process, or a rescale chunk's; a lone registration is a sequence of
+	// one. The response body answers record by record with one status
+	// byte: stOK (recorded), stCrashed (the node is down; not recorded) or
+	// stBadRequest (node not owned here; not recorded). opSnapshot dumps
+	// liveness records in the same form, so a transfer replays them as is.
 	opRegister
 	// opDeregister removes a server instance from the live table.
 	opDeregister
@@ -108,6 +114,14 @@ func appendEntry(b []byte, e core.Entry) []byte {
 		return append(b, 1)
 	}
 	return append(b, 0)
+}
+
+// appendLiveRec appends one liveness record in the form opRegister
+// takes and opSnapshot dumps.
+func appendLiveRec(b []byte, id uint64, port core.Port, node graph.NodeID) []byte {
+	b = netwire.AppendUvarint(b, id)
+	b = netwire.AppendString(b, string(port))
+	return netwire.AppendUvarint(b, uint64(node))
 }
 
 // decodeEntry consumes one wire-form entry from d.

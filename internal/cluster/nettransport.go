@@ -549,32 +549,48 @@ func (ws *wireSubstrate) flushProbes(batch []*coalOp) {
 	ws.scratch.Put(sc)
 }
 
-// register records the liveness entry on node's owner process. A move
-// within one owner is a single overwrite; across owners the old record
-// is dropped first, so a concurrent probe can at worst see a transient
-// miss, never a stale confirmation.
-func (ws *wireSubstrate) register(id uint64, port core.Port, node, from graph.NodeID) error {
+// register is one opRegister frame per owning process, a record per
+// registration, answered by one status byte each. A move within one
+// owner is a single overwrite; across owners the old record is dropped
+// first, so a concurrent probe can at worst see a transient miss, never
+// a stale confirmation.
+func (ws *wireSubstrate) register(recs []liveReg) error {
 	ps := ws.procs.Load()
-	if from != noNode && ps.ownerOf[from] != ps.ownerOf[node] {
-		ws.deregister(id, from)
+	sc := ws.getScratch(len(ps.pools))
+	defer ws.scratch.Put(sc)
+	for i, r := range recs {
+		if r.from != noNode && ps.ownerOf[r.from] != ps.ownerOf[r.node] {
+			ws.deregister(r.id, r.from)
+		}
+		s := &sc.procs[ps.ownerOf[r.node]]
+		s.kidx = append(s.kidx, int32(i))
+		s.req = appendLiveRec(s.req, r.id, r.port, r.node)
 	}
-	buf := netwire.GetBuf()
-	defer netwire.PutBuf(buf)
-	req := netwire.AppendUvarint(*buf, id)
-	req = netwire.AppendString(req, string(port))
-	req = netwire.AppendUvarint(req, uint64(node))
-	*buf = req
-	st, _, err := ws.callProc(ps, ps.ownerOf[node], opRegister, req, nil)
-	if err != nil {
-		return fmt.Errorf("cluster: register %q at %d: node process unreachable: %w", port, node, err)
+	ws.fanout(ps, sc, opRegister)
+	var err error
+	first := len(recs) // the earliest refused record so far
+	for p := range ps.pools {
+		s := &sc.procs[p]
+		for j, i := range s.kidx {
+			st := stBadRequest // a reply that stops short refuses the rest
+			if j < len(s.resp) {
+				st = s.resp[j]
+			}
+			if int(i) >= first || (s.err == nil && st == stOK) {
+				continue
+			}
+			first = int(i)
+			switch r := recs[i]; {
+			case s.err != nil:
+				err = fmt.Errorf("cluster: register %q at %d: %w", r.port, r.node, s.err)
+			case st == stCrashed:
+				err = fmt.Errorf("cluster: post %q from %d: %w", r.port, r.node, sim.ErrCrashed)
+			default:
+				err = fmt.Errorf("cluster: register %q at %d: status %d", r.port, r.node, st)
+			}
+		}
 	}
-	if st == stCrashed {
-		return fmt.Errorf("cluster: post %q from %d: %w", port, node, sim.ErrCrashed)
-	}
-	if st != stOK {
-		return fmt.Errorf("cluster: register %q at %d: status %d", port, node, st)
-	}
-	return nil
+	return err
 }
 
 func (ws *wireSubstrate) deregister(id uint64, node graph.NodeID) {
@@ -908,15 +924,15 @@ func transferChunk(old *procSet, p int, nps *procSet, q, lo, hi int) error {
 	}
 	// replay sends one frame to q; a transport failure wraps its cause,
 	// a delivered frame the process refused names the status instead.
-	replay := func(what string, op byte, req []byte, alsoOK byte) error {
-		st, _, err := nps.pools[q].Call(op, req, nil)
+	replay := func(what string, op byte, req []byte) ([]byte, error) {
+		st, resp, err := nps.pools[q].Call(op, req, nil)
 		if err != nil {
-			return fmt.Errorf("cluster: replay %s onto %s: %w", what, nps.addrs[q], err)
+			return nil, fmt.Errorf("cluster: replay %s onto %s: %w", what, nps.addrs[q], err)
 		}
-		if st != stOK && st != alsoOK {
-			return fmt.Errorf("cluster: replay %s onto %s: status %d", what, nps.addrs[q], st)
+		if st != stOK {
+			return nil, fmt.Errorf("cluster: replay %s onto %s: status %d", what, nps.addrs[q], st)
 		}
-		return nil
+		return resp, nil
 	}
 	d := netwire.NewDec(body)
 	short := func() error {
@@ -932,20 +948,28 @@ func transferChunk(old *procSet, p int, nps *procSet, q, lo, hi int) error {
 		post = appendEntry(netwire.AppendUvarint(post, node), e)
 	}
 	if len(post) > 0 {
-		if err := replay("postings", opPost, post, stOK); err != nil {
+		if _, err := replay("postings", opPost, post); err != nil {
 			return err
 		}
 	}
-	for i := int(d.Uvarint()); i > 0; i-- {
-		id, port, node := d.Uvarint(), d.String(), d.Uvarint()
-		if d.Err() != nil {
-			return short()
-		}
-		reg := netwire.AppendUvarint(nil, id)
-		reg = netwire.AppendString(reg, port)
-		reg = netwire.AppendUvarint(reg, node)
-		if err := replay("liveness", opRegister, reg, stCrashed); err != nil {
+	// The liveness records are dumped in opRegister's record form, so the
+	// chunk's whole section is replayed as it came, in one frame. A record
+	// for a node q holds crashed is refused there, as it would have been
+	// by a live register; any other refusal fails the chunk.
+	lives, from := int(d.Uvarint()), len(body)-d.Len()
+	for i := lives; i > 0; i-- {
+		_, _, _ = d.Uvarint(), d.Bytes(), d.Uvarint()
+	}
+	if d.Err() != nil {
+		return short()
+	}
+	if lives > 0 {
+		sts, err := replay("liveness", opRegister, body[from:len(body)-d.Len()])
+		if err != nil {
 			return err
+		}
+		if i := slices.IndexFunc(sts, func(st byte) bool { return st != stOK && st != stCrashed }); i >= 0 {
+			return fmt.Errorf("cluster: replay liveness onto %s: record %d: status %d", nps.addrs[q], i, sts[i])
 		}
 	}
 	for i := int(d.Uvarint()); i > 0; i-- {
@@ -953,7 +977,7 @@ func transferChunk(old *procSet, p int, nps *procSet, q, lo, hi int) error {
 		if d.Err() != nil {
 			return short()
 		}
-		if err := replay("crash marks", opCrash, netwire.AppendUvarint(nil, node), stOK); err != nil {
+		if _, err := replay("crash marks", opCrash, netwire.AppendUvarint(nil, node)); err != nil {
 			return err
 		}
 	}

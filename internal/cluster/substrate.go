@@ -50,10 +50,13 @@ type substrate interface {
 	// probe asks the host of addr whether instance id of port lives
 	// there.
 	probe(port core.Port, addr graph.NodeID, id uint64) probeAnswer
-	// register records instance id of port as living at node, moving
-	// the record from node from when from is not noNode; deregister
-	// removes the record from node.
-	register(id uint64, port core.Port, node, from graph.NodeID) error
+	// register lands a batch of liveness records, each where probes of
+	// its node are answered — a lone registration is a batch of one.
+	// Records are independent: a refused one (its host holds the node
+	// crashed, or cannot be reached) does not stop the others, and the
+	// error returned is that of the first refused record in batch order.
+	// deregister removes instance id's record from node.
+	register(recs []liveReg) error
 	deregister(id uint64, node graph.NodeID)
 
 	// crash drops every row cached at node (its volatile state is
@@ -80,7 +83,15 @@ type substrate interface {
 	arm(plan []forgeOp) error
 }
 
-// noNode is register's "no previous home" marker.
+// liveReg is one record of a register batch: instance id of port lives
+// at node, moving there from node from when from is not noNode.
+type liveReg struct {
+	id         uint64
+	port       core.Port
+	node, from graph.NodeID
+}
+
+// noNode is liveReg's "no previous home" marker.
 const noNode = graph.NodeID(-1)
 
 // rowKey addresses one row access of a batched substrate call: node's
@@ -148,11 +159,13 @@ func (s scope) admits(origin, at graph.NodeID) bool {
 	return s.in == nil || s.in.InPost(s.fam, origin, at)
 }
 
-// flood is the pooled workspace of one batched read: the coordinator
-// fills reqs, keys (grouped by request, in request order) and scope, the
-// substrate fills ans or all, and the coordinator reduces them. Pooled
-// so a steady stream of locates allocates nothing; the one-element
-// arrays let a single locate run as a batch of one, also without.
+// flood is the pooled workspace of one batched substrate call. For a
+// read the coordinator fills reqs, keys (grouped by request, in request
+// order) and scope, the substrate fills ans or all, and the coordinator
+// reduces them; for a write it stages posts, their keys and their summed
+// cost (see coordinator.stage). Pooled so a steady stream of locates
+// allocates nothing; the one-element arrays let a single locate run as a
+// batch of one, also without.
 type flood struct {
 	reqs  []LocateReq
 	keys  []rowKey
@@ -160,9 +173,11 @@ type flood struct {
 	ans   []rowAnswer  // ans[i] answers keys[i]
 	all   []keyedEntry // read-all replies
 
-	found    []bool // per request, coordinator-side
-	oneReq   [1]LocateReq
-	oneRes   [1]LocateRes
-	oneFrom  [1]graph.NodeID
-	oneEntry [1]core.Entry
+	posts []core.Entry // staged postings; keys[i].req indexes them
+	cost  int64        // their summed multicast cost
+
+	found   []bool // per request, coordinator-side
+	oneReq  [1]LocateReq
+	oneRes  [1]LocateRes
+	oneFrom [1]graph.NodeID
 }

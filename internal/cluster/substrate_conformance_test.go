@@ -104,6 +104,7 @@ func TestSubstrateConformance(t *testing.T) {
 		"armed-scoped":       fmt.Sprintf("s@%d=-", at),
 		"disarmed":           "a@7=a#4@1t20 b@5=b#3@30t1",
 		"coordinator-batch":  "g2@1=11/false g1@30=2/false nobody@8=0/true g3@8=20/false",
+		"register-batch":     "hit hit hit miss / miss hit hit",
 	}
 	got := make(map[string]string, len(mem))
 	for _, line := range mem {
@@ -272,11 +273,11 @@ func conformanceScript(t *testing.T, sub substrate, tr Transport, rp *strategy.R
 
 	// Liveness records.
 	answer := func(a probeAnswer) string { return [...]string{"miss", "hit", "silent"}[a] }
-	if err := sub.register(1, "a", 3, noNode); err != nil {
+	if err := sub.register([]liveReg{{id: 1, port: "a", node: 3, from: noNode}}); err != nil {
 		t.Fatal(err)
 	}
 	say("probe", "%s %s %s", answer(sub.probe("a", 3, 1)), answer(sub.probe("a", 4, 1)), answer(sub.probe("b", 3, 1)))
-	if err := sub.register(1, "a", 30, 3); err != nil { // a move across owner processes
+	if err := sub.register([]liveReg{{id: 1, port: "a", node: 30, from: 3}}); err != nil { // a move across owner processes
 		t.Fatal(err)
 	}
 	say("probe-moved", "%s %s", answer(sub.probe("a", 3, 1)), answer(sub.probe("a", 30, 1)))
@@ -284,7 +285,7 @@ func conformanceScript(t *testing.T, sub substrate, tr Transport, rp *strategy.R
 	say("probe-gone", "%s", answer(sub.probe("a", 30, 1)))
 
 	// Crash and restore, through the coordinator that owns the marks.
-	if err := sub.register(2, "a", 7, noNode); err != nil {
+	if err := sub.register([]liveReg{{id: 2, port: "a", node: 7, from: noNode}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.Crash(7); err != nil {
@@ -367,6 +368,25 @@ func conformanceScript(t *testing.T, sub substrate, tr Transport, rp *strategy.R
 	if grouped.multi-multi0 < 2 {
 		t.Errorf("coordinator batches handed the substrate %d multi-request key lists; want a post and a read at least", grouped.multi-multi0)
 	}
+
+	// A batch of liveness records lands in one call, each record with its
+	// own host — here on all three owner processes — and a later batch
+	// moves one of them across owners beside a fresh one.
+	if err := sub.register([]liveReg{
+		{id: 40, port: "m", node: 2, from: noNode},
+		{id: 41, port: "m", node: 14, from: noNode},
+		{id: 42, port: "n", node: 33, from: noNode},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	first := fmt.Sprintf("%s %s %s %s", answer(sub.probe("m", 2, 40)), answer(sub.probe("m", 14, 41)), answer(sub.probe("n", 33, 42)), answer(sub.probe("n", 14, 41)))
+	if err := sub.register([]liveReg{
+		{id: 40, port: "m", node: 30, from: 2},
+		{id: 43, port: "n", node: 3, from: noNode},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	say("register-batch", "%s / %s %s %s", first, answer(sub.probe("m", 2, 40)), answer(sub.probe("m", 30, 40)), answer(sub.probe("n", 3, 43)))
 	return out
 }
 

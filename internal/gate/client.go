@@ -260,17 +260,39 @@ func (t *ClientTransport) LocateAll(client graph.NodeID, port core.Port) ([]core
 	return nil, ErrUnsupported
 }
 
-// PostBatch registers the batch serially through the gateway (the
-// edge has no bulk-post opcode; the backing cluster still charges the
-// paper's per-registration passes).
+// PostBatch registers the whole batch in one wire round trip
+// (GopPostBatch), all or nothing: a refused batch leaves no registration
+// at the gateway. The backing cluster still charges the paper's
+// per-registration passes.
 func (t *ClientTransport) PostBatch(regs []cluster.Registration) ([]cluster.ServerRef, error) {
+	if len(regs) == 0 {
+		return nil, nil
+	}
+	buf := netwire.GetBuf()
+	defer netwire.PutBuf(buf)
+	req := netwire.AppendString((*buf)[:0], t.token)
+	req = netwire.AppendUvarint(req, uint64(len(regs)))
+	for _, rg := range regs {
+		req = netwire.AppendString(req, string(rg.Port))
+		req = netwire.AppendUvarint(req, uint64(rg.Node))
+	}
+	st, body, err := t.call(GopPostBatch, req, nil)
+	if err != nil {
+		return nil, err
+	}
+	if st != GsOK {
+		return nil, statusErr(st, body)
+	}
+	d := netwire.NewDec(body)
+	if k := d.Uvarint(); k != uint64(len(regs)) {
+		return nil, fmt.Errorf("gate: bad post-batch response")
+	}
 	refs := make([]cluster.ServerRef, len(regs))
 	for i, rg := range regs {
-		ref, err := t.Register(rg.Port, rg.Node)
-		if err != nil {
-			return nil, err
-		}
-		refs[i] = ref
+		refs[i] = &clientRef{t: t, id: d.Uvarint(), port: rg.Port, node: rg.Node}
+	}
+	if d.Err() != nil {
+		return nil, fmt.Errorf("gate: bad post-batch response")
 	}
 	return refs, nil
 }

@@ -71,6 +71,22 @@ func FuzzGateWire(f *testing.F) {
 	f.Add(GopHello, netwire.AppendUvarint(nil, 1<<40))
 	// A huge locate-batch count with no ports behind it.
 	f.Add(GopLocateBatch, netwire.AppendUvarint(append([]byte(nil), tok...), 1<<30))
+	// Post-batch: a well-formed pair, then the ways its count can lie —
+	// no count at all, k = 0, k past the records behind it, a k no body
+	// could hold — and an invalid (empty) port in the middle of the batch.
+	postBatch := func(k uint64, regs ...any) []byte {
+		b := netwire.AppendUvarint(append([]byte(nil), tok...), k)
+		for i := 0; i < len(regs); i += 2 {
+			b = netwire.AppendUvarint(netwire.AppendString(b, regs[i].(string)), uint64(regs[i+1].(int)))
+		}
+		return b
+	}
+	f.Add(GopPostBatch, postBatch(2, "scanner", 5, "plotter", 9))
+	f.Add(GopPostBatch, append([]byte(nil), tok...))
+	f.Add(GopPostBatch, postBatch(0))
+	f.Add(GopPostBatch, postBatch(3, "scanner", 5))
+	f.Add(GopPostBatch, postBatch(1<<30, "scanner", 5))
+	f.Add(GopPostBatch, postBatch(3, "scanner", 5, "", 6, "plotter", 9))
 	f.Add(byte(0), []byte{})
 	f.Add(GopStats, []byte{0xff, 0xff, 0xff})
 

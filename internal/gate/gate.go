@@ -209,26 +209,54 @@ func (g *Gateway) admit(tn *tenant, n int) (release func(), err error) {
 }
 
 // register announces a server for the tenant's port at node and
-// returns the gateway-assigned registration id.
+// returns the gateway-assigned registration id: a batch of one.
 func (g *Gateway) register(tn *tenant, port core.Port, node graph.NodeID) (uint64, error) {
-	if err := validPort(port); err != nil {
-		return 0, err
-	}
-	release, err := g.admit(tn, 1)
+	ids, err := g.postBatch(tn, []cluster.Registration{{Port: port, Node: node}})
 	if err != nil {
 		return 0, err
+	}
+	return ids[0], nil
+}
+
+// postBatch announces regs (tenant-local ports) through the cluster's
+// batched path and returns the gateway-assigned registration ids in
+// order. The whole batch is charged against the rate quota up front and
+// is all or nothing: an invalid port, a shed or a registration the
+// cluster refuses leaves no gateway registration behind (and, by
+// Cluster.PostBatch's contract, no liveness record or posting either).
+func (g *Gateway) postBatch(tn *tenant, regs []cluster.Registration) ([]uint64, error) {
+	folded := make([]cluster.Registration, len(regs))
+	for i, r := range regs {
+		if err := validPort(r.Port); err != nil {
+			return nil, err
+		}
+		folded[i] = cluster.Registration{Port: foldPort(tn.id, r.Port), Node: r.Node}
+	}
+	release, err := g.admit(tn, len(regs))
+	if err != nil {
+		return nil, err
 	}
 	defer release()
-	ref, err := g.c.Register(foldPort(tn.id, port), node)
+	refs, err := g.c.PostBatch(folded)
 	if err != nil {
-		return 0, err
+		// The coordinator undoes a refused batch itself; the simulator
+		// hands back the registrations made before the failure.
+		for _, ref := range refs {
+			if ref != nil {
+				_ = ref.Deregister() // best effort: the batch's error is the one reported
+			}
+		}
+		return nil, err
 	}
-	id := g.nextReg.Add(1)
+	ids := make([]uint64, len(regs))
 	g.regMu.Lock()
-	g.regs[id] = &gateReg{tn: tn, ref: ref, port: port, node: node}
+	for i, r := range regs {
+		ids[i] = g.nextReg.Add(1)
+		g.regs[ids[i]] = &gateReg{tn: tn, ref: refs[i], port: r.Port, node: r.Node}
+	}
 	g.regMu.Unlock()
-	tn.m.registers.Add(1)
-	return id, nil
+	tn.m.registers.Add(int64(len(regs)))
+	return ids, nil
 }
 
 // deregister tombstones a registration made through the edge. The id

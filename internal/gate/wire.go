@@ -21,6 +21,7 @@ import (
 //
 //	hello        req [token]                                  resp [n][transport name][hub seq]
 //	register     req [token][port][node]                      resp [id]
+//	post-batch   req [token][k] k×([port][node])              resp [k] k×[id]
 //	deregister   req [token][id]                              resp (empty)
 //	locate       req [token][client][port]                    resp entry
 //	locate-batch req [token][client][k] k×[port]              resp [k] k×([st] entry?|msg?)
@@ -52,6 +53,10 @@ const (
 	// GopStats returns the backing cluster's headline counters
 	// (passes first — it serves the remote Transport.Passes).
 	GopStats
+	// GopPostBatch announces many servers in a single round trip, all or
+	// nothing: one refused registration refuses the batch and leaves
+	// nothing behind.
+	GopPostBatch
 )
 
 // Gate protocol response statuses.
@@ -103,6 +108,28 @@ func (g *Gateway) WireHandler() netwire.Handler {
 				return wireErr(err, resp)
 			}
 			return GsOK, netwire.AppendUvarint(resp, id)
+		case GopPostBatch:
+			k := d.Uvarint()
+			// A record is at least two bytes, so k is bounded by the body.
+			if d.Err() != nil || k == 0 || k > uint64(d.Len()) {
+				return GsBadRequest, append(resp, "bad post-batch body"...)
+			}
+			regs := make([]cluster.Registration, k)
+			for i := range regs {
+				regs[i] = cluster.Registration{Port: core.Port(d.String()), Node: graph.NodeID(d.Uvarint())}
+			}
+			if d.Err() != nil {
+				return GsBadRequest, append(resp, "bad post-batch body"...)
+			}
+			ids, err := g.postBatch(tn, regs)
+			if err != nil {
+				return wireErr(err, resp)
+			}
+			resp = netwire.AppendUvarint(resp, k)
+			for _, id := range ids {
+				resp = netwire.AppendUvarint(resp, id)
+			}
+			return GsOK, resp
 		case GopDeregister:
 			id := d.Uvarint()
 			if d.Err() != nil {

@@ -32,6 +32,13 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xff}, 11))
 	// A string length prefix pointing past the buffer.
 	f.Add(append(binary.AppendUvarint(nil, 3), binary.AppendUvarint(nil, 1<<40)...))
+	// The node protocol's record sequences run to the end of the body with
+	// no count in front (opProbe, opRegister: id, port, node), so only the
+	// decoder's sticky error tells a whole batch from one cut mid-record.
+	records := AppendUvarint(AppendString(AppendUvarint(nil, 7), "alpha"), 3)
+	records = AppendUvarint(AppendString(AppendUvarint(records, 8), "beta"), 40)
+	f.Add(records)
+	f.Add(records[:len(records)-3])
 	f.Add([]byte{})
 	f.Add([]byte{0})
 

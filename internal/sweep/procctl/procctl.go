@@ -100,8 +100,11 @@ func workerMain() error {
 // Spawn launches procs node-server worker processes (re-execs of the
 // calling binary, selected by the MMCTL_NODE environment variable)
 // partitioning nodes contiguous ranges, and collects the ephemeral
-// address each worker prints. On any failure the already-started
-// workers are killed.
+// address each worker prints. Every worker is started before any
+// address is awaited, so the workers boot side by side and bring-up
+// costs the slowest one, not the sum. On any failure — a worker that
+// cannot start, or one that exits before announcing its address — every
+// started worker is killed and reaped.
 func Spawn(nodes, procs int) ([]*Proc, error) {
 	if nodes < 2 || procs < 1 || procs > nodes {
 		return nil, fmt.Errorf("need 1 <= procs (%d) <= nodes (%d)", procs, nodes)
@@ -111,6 +114,7 @@ func Spawn(nodes, procs int) ([]*Proc, error) {
 		return nil, err
 	}
 	ps := make([]*Proc, 0, procs)
+	outs := make([]io.Reader, 0, procs)
 	fail := func(err error) ([]*Proc, error) {
 		for _, p := range ps {
 			p.Kill(syscall.SIGKILL)
@@ -135,13 +139,13 @@ func Spawn(nodes, procs int) ([]*Proc, error) {
 		if err := cmd.Start(); err != nil {
 			return fail(fmt.Errorf("spawn worker %d: %w", i, err))
 		}
-		p := &Proc{Index: i, Pid: cmd.Process.Pid, Lo: lo, Hi: hi, cmd: cmd}
-		ps = append(ps, p)
-		addr, err := readAddrLine(out)
-		if err != nil {
+		ps = append(ps, &Proc{Index: i, Pid: cmd.Process.Pid, Lo: lo, Hi: hi, cmd: cmd})
+		outs = append(outs, out)
+	}
+	for i, p := range ps {
+		if p.Addr, err = readAddrLine(outs[i]); err != nil {
 			return fail(fmt.Errorf("worker %d: %w", i, err))
 		}
-		p.Addr = addr
 	}
 	return ps, nil
 }

@@ -2,8 +2,11 @@ package procctl
 
 import (
 	"bytes"
+	"net"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -206,6 +209,61 @@ func TestSpawnRejectsBadShape(t *testing.T) {
 	for _, c := range [][2]int{{1, 1}, {8, 0}, {8, 9}} {
 		if _, err := Spawn(c[0], c[1]); err == nil {
 			t.Fatalf("Spawn(%d, %d) accepted", c[0], c[1])
+		}
+	}
+}
+
+// childPIDs lists this process's children, zombies included, from /proc.
+func childPIDs(t *testing.T) map[int]bool {
+	t.Helper()
+	ents, err := os.ReadDir("/proc")
+	if err != nil {
+		t.Skipf("no /proc to list child processes from: %v", err)
+	}
+	out := make(map[int]bool)
+	for _, ent := range ents {
+		pid, err := strconv.Atoi(ent.Name())
+		if err != nil {
+			continue
+		}
+		stat, err := os.ReadFile(filepath.Join("/proc", ent.Name(), "stat"))
+		if err != nil {
+			continue // exited since the listing
+		}
+		// "pid (comm) state ppid ...": comm may hold spaces and parentheses.
+		fields := strings.Fields(string(stat[bytes.LastIndexByte(stat, ')')+1:]))
+		if len(fields) > 1 && fields[1] == strconv.Itoa(os.Getpid()) {
+			out[pid] = true
+		}
+	}
+	return out
+}
+
+// TestSpawnFailureLeavesNoChild starts three workers that are all told
+// to listen on the same port: whichever binds it announces its address,
+// the others exit before their ADDR line. Spawn starts every worker
+// before it reads any banner, so its failure path must kill and reap
+// workers in both states — none may outlive the call, running or zombie.
+func TestSpawnFailureLeavesNoChild(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	t.Setenv("MMCTL_ADDR", addr) // workers inherit the environment
+	before := childPIDs(t)
+	ps, err := Spawn(24, 3)
+	if err == nil {
+		Teardown(ps, 5*time.Second)
+		t.Fatal("Spawn succeeded with three workers on one port")
+	}
+	if !strings.Contains(err.Error(), "no ADDR line") {
+		t.Errorf("Spawn error %q does not name the missing banner", err)
+	}
+	for pid := range childPIDs(t) {
+		if !before[pid] {
+			t.Errorf("worker %d outlived the failed Spawn", pid)
 		}
 	}
 }
