@@ -26,9 +26,10 @@
 //	    bump, surviving rendezvous nodes keep answering).
 //
 //	mmctl chaos -replicas 2 -duration 5s
-//	    Spawn a cluster and a continuous locate load, then kill -9 one
-//	    node process on a timer, respawning each victim on its old
-//	    address — while the replicated transport's fallthrough bridges
+//	    The load engine (internal/sweep/loadrun, mmload's) plus a process
+//	    killer: spawn a cluster, run a uniform closed-loop locate load
+//	    over it, and kill -9 one node process on a timer, respawning
+//	    each victim on its old address — while the replicated transport's fallthrough bridges
 //	    every outage and its repair loop re-posts after every recovery.
 //	    Prints the measured availability and exits non-zero when
 //	    -replicas ≥ 2 and any serviceable locate failed; with
@@ -42,7 +43,7 @@
 //	    (availability ≥ 0.999 at -replicas ≥ 2). With -lie, the
 //	    Byzantine storm: -liars rendezvous nodes are armed to forge
 //	    locate answers (re-armed with fresh seeds every -lie-every,
-//	    reconciling between waves to rehabilitate quarantined nodes)
+//	    an anti-entropy round re-verifying the rows between waves)
 //	    while the cluster votes every locate across -vote-quorum
 //	    replica families; kills default off so the gate isolates the
 //	    defence, and at -replicas ≥ 3 the run fails if a single forged
@@ -75,15 +76,14 @@ import (
 	"math/rand"
 	"os"
 	"os/signal"
-	"sync"
-	"sync/atomic"
+	"strings"
 	"syscall"
 	"time"
 
 	"matchmake/internal/cluster"
-	"matchmake/internal/core"
 	"matchmake/internal/graph"
 	"matchmake/internal/rendezvous"
+	"matchmake/internal/sweep/loadrun"
 	"matchmake/internal/sweep/procctl"
 	"matchmake/internal/topology"
 )
@@ -238,20 +238,14 @@ func cmdVerify(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	netT, err := cluster.NewNetTransport(g, strat, procctl.Addrs(ps), cluster.NetOptions{CallTimeout: 30 * time.Second})
+	netT, err := cluster.NewNetTransport(g, strat, procctl.Addrs(ps), loadrun.Defaults().NetOptions())
 	if err != nil {
 		return err
 	}
 	defer netT.Close()
 
 	// Registrations through the batched path on both.
-	regs := make([]cluster.Registration, *ports)
-	for p := 0; p < *ports; p++ {
-		regs[p] = cluster.Registration{
-			Port: core.Port(fmt.Sprintf("svc-%04d", p)),
-			Node: graph.NodeID((p * 7919) % *nodes),
-		}
-	}
+	regs := loadrun.Services(*ports, *nodes)
 	memRefs, err := memT.PostBatch(regs)
 	if err != nil {
 		return err
@@ -321,217 +315,130 @@ func cmdVerify(args []string, out io.Writer) error {
 // fragility the paper warns about.
 func cmdChaos(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("mmctl chaos", flag.ContinueOnError)
-	nodes := fs.Int("nodes", 36, "cluster size n")
+	// The run is the load engine's: uniform closed-loop locates over the
+	// spawned socket cluster, with the engine's corruptor, armer, forge
+	// oracle and quiescence drain — so the flags chaos shares with mmload
+	// are the engine's rows, under chaos's own defaults. Only the process
+	// killer, and the shorthands below that map onto engine rows, are
+	// chaos's own.
+	cfg := loadrun.Defaults()
+	cfg.Transport, cfg.Workload = "net", "uniform"
+	cfg.Nodes, cfg.Replicas, cfg.Ports, cfg.Concurrency = 36, 2, 6, 4
+	cfg.Duration, cfg.Repair = 5*time.Second, 100*time.Millisecond
+	cfg.Flags(fs, "nodes", "replicas", "ports", "duration", "repair", "liars", "concurrency", "seed")
 	procs := fs.Int("procs", 3, "node processes to spawn")
-	replicas := fs.Int("replicas", 2, "replication factor r of the rendezvous strategy")
-	ports := fs.Int("ports", 6, "services to register")
-	duration := fs.Duration("duration", 5*time.Second, "chaos run length")
 	killEvery := fs.Duration("kill-every", 900*time.Millisecond, "kill -9 one node process this often")
 	respawnAfter := fs.Duration("respawn-after", 250*time.Millisecond, "outage length before the victim respawns")
-	repair := fs.Duration("repair", 100*time.Millisecond, "transport repair-loop interval (re-posts after each recovery)")
-	corrupt := fs.Float64("corrupt", 0, "inject adversarial posting corruption (drops, duplicates, stale and bit-flipped entries) at this rate per second on the live node shards (0 = off)")
+	fs.Float64Var(&cfg.CorruptRate, "corrupt", 0, "inject adversarial posting corruption (drops, duplicates, stale and bit-flipped entries) at this rate per second on the live node shards (0 = off)")
 	reconcile := fs.Duration("reconcile", 100*time.Millisecond, "anti-entropy reconcile interval while -corrupt runs")
 	lie := fs.Bool("lie", false, "Byzantine mode: arm lying rendezvous nodes (forged answers, not corrupted state) and vote locate answers across replica families; the gate becomes zero forged answers surfaced at -replicas ≥ 3")
-	liars := fs.Int("liars", 1, "lie mode: lying rendezvous nodes per wave (the f of r ≥ 2f+1)")
-	lieEvery := fs.Duration("lie-every", time.Second, "lie mode: re-arm a fresh wave of liars this often, reconciling (and rehabilitating quarantined nodes) between waves")
+	lieEvery := fs.Duration("lie-every", time.Second, "lie mode: re-arm a fresh wave of liars this often, with an anti-entropy round at the same period re-verifying the rows between waves")
 	voteQuorum := fs.Int("vote-quorum", 0, "lie mode: replica families voted per locate (0 = full width -replicas when -lie is set)")
-	concurrency := fs.Int("concurrency", 4, "loader goroutines")
-	seed := fs.Int64("seed", 1, "workload RNG seed")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	// Lie mode measures the forgery storm, not the kill storm: unless
 	// the caller combines them explicitly, process kills stay off so
 	// the exit gate isolates the voting defence.
-	if *lie {
-		killSet := false
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "kill-every" {
-				killSet = true
-			}
-		})
-		if !killSet {
-			*killEvery = 0
-		}
+	explicit := make(map[string]bool)
+	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
+	if *lie && !explicit["kill-every"] {
+		*killEvery = 0
 	}
-	if *corrupt < 0 {
-		return fmt.Errorf("-corrupt must be ≥ 0, got %v", *corrupt)
+	if cfg.CorruptRate < 0 {
+		return fmt.Errorf("-corrupt must be ≥ 0, got %v", cfg.CorruptRate)
 	}
-	if *replicas < 1 {
-		return fmt.Errorf("-replicas must be ≥ 1, got %d", *replicas)
+	if cfg.Replicas > *procs {
+		return fmt.Errorf("-replicas %d > -procs %d: a replica shift narrower than a node-shard range cannot escape a killed process", cfg.Replicas, *procs)
 	}
-	if *replicas > *procs {
-		return fmt.Errorf("-replicas %d > -procs %d: a replica shift narrower than a node-shard range cannot escape a killed process", *replicas, *procs)
+	if cfg.CorruptRate > 0 {
+		cfg.ReconEvery = *reconcile
 	}
 	if *lie {
-		if *liars < 1 {
-			return fmt.Errorf("-liars must be ≥ 1, got %d", *liars)
+		if *lieEvery <= 0 {
+			return fmt.Errorf("-lie-every must be > 0, got %v", *lieEvery)
 		}
+		// One wave of liars per -lie-every, and a reconcile round at the
+		// same period re-verifying the rows between waves.
+		cfg.ByzRate = float64(time.Second) / float64(*lieEvery)
+		if cfg.ReconEvery == 0 {
+			cfg.ReconEvery = *lieEvery
+		}
+		cfg.VoteQuorum = *voteQuorum
 		if *voteQuorum == 0 {
-			*voteQuorum = *replicas
-		}
-		if *voteQuorum >= 2 && *replicas < 2 {
-			return fmt.Errorf("-vote-quorum %d needs -replicas ≥ 2", *voteQuorum)
+			cfg.VoteQuorum = cfg.Replicas
 		}
 	}
-	ps, err := procctl.Spawn(*nodes, *procs)
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	ps, err := procctl.Spawn(cfg.Nodes, *procs)
 	if err != nil {
 		return err
 	}
 	defer procctl.Teardown(ps, 10*time.Second)
+	cfg.Addrs = strings.Join(procctl.Addrs(ps), ",")
 
-	g := topology.Complete(*nodes)
-	base := rendezvous.Checkerboard(*nodes)
-	opts := cluster.NetOptions{CallTimeout: 30 * time.Second, RepairInterval: *repair}
-	lay, err := cluster.FixedLayout(*nodes, base, *replicas)
-	if err != nil {
-		return err
+	// The killer stops on its own once another outage would not end
+	// inside the run, so every victim is back before the engine drains.
+	type killed struct {
+		n   int
+		err error
 	}
-	tr, err := cluster.NewLayoutNetTransport(g, lay, procctl.Addrs(ps), opts)
-	if err != nil {
-		return err
-	}
-	copts := cluster.Options{}
-	if *lie {
-		copts.VoteQuorum = *voteQuorum
-	}
-	c := cluster.New(tr, copts)
-	defer c.Close()
-
-	regs := make([]cluster.Registration, *ports)
-	names := make([]core.Port, *ports)
-	for p := 0; p < *ports; p++ {
-		names[p] = core.Port(fmt.Sprintf("svc-%04d", p))
-		regs[p] = cluster.Registration{Port: names[p], Node: graph.NodeID((p * 7919) % *nodes)}
-	}
-	if _, err := c.PostBatch(regs); err != nil {
-		return err
-	}
-	c.ResetMetrics()
-
-	deadline := time.Now().Add(*duration)
-	var wg sync.WaitGroup
-	// The corruption injector: opCorrupt frames mutate live node shards
-	// while the background anti-entropy loop reconciles them back.
-	var antiT cluster.AntiEntropyTransport
-	if *corrupt > 0 {
-		antiT = tr
-		antiT.StartReconcile(*reconcile)
-		interval := time.Duration(float64(time.Second) / *corrupt)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			wave := int64(0)
-			for time.Now().Before(deadline) {
-				time.Sleep(interval)
-				wave++
-				_, _ = antiT.Corrupt(cluster.CorruptOptions{Seed: *seed*7907 + wave, Count: 1})
-			}
-		}()
-	}
-	// The Byzantine adversary: -lie arms -liars rendezvous nodes to
-	// forge answers, re-armed with a fresh seed every -lie-every, with a
-	// reconcile round between waves rehabilitating the nodes the votes
-	// quarantined. The loaders judge every surfaced answer against the
-	// registration ground truth (servers never move in this harness).
-	var (
-		byzT   cluster.ByzantineTransport
-		forged atomic.Int64
-	)
-	homes := make(map[core.Port]graph.NodeID, *ports)
-	for p := 0; p < *ports; p++ {
-		homes[names[p]] = regs[p].Node
-	}
-	if *lie {
-		byzT = tr
-		if _, err := byzT.Arm(cluster.ArmOptions{Seed: *seed * 6053, Liars: *liars}); err != nil {
-			return fmt.Errorf("chaos: arm liars: %w", err)
-		}
-		fmt.Fprintf(out, "chaos: armed %d lying node(s): %v (wave 0)\n", *liars, byzT.ArmedNodes())
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			wave := int64(0)
-			for time.Now().Before(deadline) {
-				time.Sleep(*lieEvery)
-				_, _ = c.ReconcileRound()
-				wave++
-				_, _ = byzT.Arm(cluster.ArmOptions{Seed: *seed*6053 + wave, Liars: *liars})
-			}
-		}()
-	}
-	for w := 0; w < *concurrency; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(*seed*31 + int64(w)))
-			for time.Now().Before(deadline) {
-				client := graph.NodeID(rng.Intn(*nodes))
-				port := names[rng.Intn(len(names))]
-				e, err := c.Locate(client, port)
-				if *lie && err == nil &&
-					(e.Port != port || e.ServerID >= cluster.ForgedIDBase || e.Addr != homes[port]) {
-					forged.Add(1)
-				}
-			}
-		}(w)
-	}
-
-	kills := 0
-	rng := rand.New(rand.NewSource(*seed * 97))
-	for *killEvery > 0 && time.Now().Add(*killEvery).Before(deadline) {
-		time.Sleep(*killEvery)
-		victim := ps[rng.Intn(len(ps))]
-		fmt.Fprintf(out, "chaos: kill -9 worker %d (pid %d, nodes [%d,%d))\n", victim.Index, victim.Pid, victim.Lo, victim.Hi)
-		if err := victim.Kill(syscall.SIGKILL); err != nil {
-			return err
-		}
-		victim.Wait()
-		kills++
-		time.Sleep(*respawnAfter)
-		if err := procctl.Respawn(*nodes, victim); err != nil {
-			return fmt.Errorf("respawn worker %d: %w", victim.Index, err)
-		}
-		fmt.Fprintf(out, "chaos: worker %d respawned (pid %d) at %s\n", victim.Index, victim.Pid, victim.Addr)
-	}
-	wg.Wait()
-
-	// With corruption in play, drain to quiescence before judging: the
-	// injector stopped with the load, so bounded explicit rounds must
-	// find a converged cluster.
-	if antiT != nil {
-		t0 := time.Now()
-		rounds := 0
-		for rounds = 1; rounds <= 64; rounds++ {
-			r, err := antiT.ReconcileRound()
-			if err != nil {
-				return fmt.Errorf("chaos: quiescence drain: %w", err)
-			}
-			if r == 0 {
+	killer := make(chan killed, 1)
+	deadline := time.Now().Add(cfg.Duration)
+	go func() {
+		var k killed
+		rng := rand.New(rand.NewSource(cfg.Seed * 97))
+		for *killEvery > 0 && time.Now().Add(*killEvery+*respawnAfter).Before(deadline) {
+			time.Sleep(*killEvery)
+			victim := ps[rng.Intn(len(ps))]
+			fmt.Fprintf(out, "chaos: kill -9 worker %d (pid %d, nodes [%d,%d))\n", victim.Index, victim.Pid, victim.Lo, victim.Hi)
+			if k.err = victim.Kill(syscall.SIGKILL); k.err != nil {
 				break
 			}
+			victim.Wait()
+			k.n++
+			time.Sleep(*respawnAfter)
+			if err := procctl.Respawn(cfg.Nodes, victim); err != nil {
+				k.err = fmt.Errorf("respawn worker %d: %w", victim.Index, err)
+				break
+			}
+			fmt.Fprintf(out, "chaos: worker %d respawned (pid %d) at %s\n", victim.Index, victim.Pid, victim.Addr)
 		}
-		if rounds > 64 {
-			return fmt.Errorf("chaos: cluster did not reconcile to quiescence within 64 rounds")
-		}
-		rs := antiT.ReconcileStats()
-		fmt.Fprintf(out, "chaos: corrupt=%.1f/s injected=%d repaired=%d reconcile-rounds=%d; quiescence in %v (%d rounds after load)\n",
-			*corrupt, rs.Injected, rs.Repaired, rs.Rounds, time.Since(t0).Round(time.Microsecond), rounds)
+		killer <- k
+	}()
+	res, err := loadrun.Run(cfg, out)
+	k := <-killer
+	if err != nil {
+		return fmt.Errorf("chaos: %w", err)
+	}
+	if k.err != nil {
+		return k.err
 	}
 
-	m := c.Metrics()
+	m := res.Metrics
+	if cfg.CorruptRate > 0 {
+		// The injector stopped with the load, so the engine's bounded
+		// drain must have found a converged cluster.
+		if res.QuiesceRounds > 64 {
+			return fmt.Errorf("chaos: cluster did not reconcile to quiescence within 64 rounds")
+		}
+		fmt.Fprintf(out, "chaos: corrupt=%.1f/s injected=%d repaired=%d reconcile-rounds=%d; quiescence in %v (%d rounds after load)\n",
+			cfg.CorruptRate, m.CorruptionsInjected, m.RepairedPosts, m.ReconcileRounds, res.QuiesceIn.Round(time.Microsecond), res.QuiesceRounds)
+	}
 	fmt.Fprintf(out, "chaos: r=%d kills=%d locates=%d failed=%d availability=%.4f fallthroughs=%d passes/locate=%.2f\n",
-		*replicas, kills, m.Locates, m.NotFound, m.Availability, m.ReplicaFallthroughs, m.PassesPerLocate)
+		cfg.Replicas, k.n, m.Locates, m.NotFound, m.Availability, m.ReplicaFallthroughs, m.PassesPerLocate)
 	if *lie {
 		fmt.Fprintf(out, "chaos: byzantine liars=%d vote-quorum=%d voted=%d conflicts=%d suspected=%d forged=%d\n",
-			*liars, *voteQuorum, m.VotedLocates, m.VoteConflicts, m.SuspectedNodes, forged.Load())
+			cfg.Liars, cfg.VoteQuorum, m.VotedLocates, m.VoteConflicts, m.SuspectedNodes, res.Forged)
 		// The Byzantine gate: with r ≥ 2f+1 families voting, zero forged
 		// answers may reach a client — fail-closed splits are allowed
 		// only within the availability storm bound. At r=2 a single liar
 		// can force a 1-1 split, so the gate needs r ≥ 3.
-		if *replicas >= 3 {
-			if n := forged.Load(); n > 0 {
-				return fmt.Errorf("chaos: %d forged answer(s) surfaced to clients despite voting at r=%d", n, *replicas)
+		if cfg.Replicas >= 3 {
+			if res.Forged > 0 {
+				return fmt.Errorf("chaos: %d forged answer(s) surfaced to clients despite voting at r=%d", res.Forged, cfg.Replicas)
 			}
 			if m.Availability < 0.999 {
 				return fmt.Errorf("chaos: availability %.4f under Byzantine forging, want ≥ 0.999", m.Availability)
@@ -539,15 +446,15 @@ func cmdChaos(args []string, out io.Writer) error {
 		}
 		return nil
 	}
-	if *replicas >= 2 {
+	if cfg.Replicas >= 2 {
 		// Corruption windows may cost isolated locates before a
 		// reconcile round lands, so the corrupt-mode gate is the storm
 		// availability bound rather than the exact-zero kill gate.
-		if antiT != nil && m.Availability < 0.999 {
+		if cfg.CorruptRate > 0 && m.Availability < 0.999 {
 			return fmt.Errorf("chaos: availability %.4f under corruption, want ≥ 0.999", m.Availability)
 		}
-		if antiT == nil && m.NotFound > 0 {
-			return fmt.Errorf("chaos: %d serviceable locates failed despite r=%d", m.NotFound, *replicas)
+		if cfg.CorruptRate == 0 && m.NotFound > 0 {
+			return fmt.Errorf("chaos: %d serviceable locates failed despite r=%d", m.NotFound, cfg.Replicas)
 		}
 	}
 	return nil
@@ -571,7 +478,7 @@ func cmdDemo(args []string, out io.Writer) error {
 	}
 	g := topology.Complete(*nodes)
 	tr, err := cluster.NewNetTransport(g, rendezvous.Checkerboard(*nodes), procctl.Addrs(ps),
-		cluster.NetOptions{CallTimeout: 30 * time.Second})
+		loadrun.Defaults().NetOptions())
 	if err != nil {
 		return err
 	}

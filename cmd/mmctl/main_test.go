@@ -52,6 +52,33 @@ func TestDemoSmoke(t *testing.T) {
 	}
 }
 
+// TestChaosSmoke runs the two chaos exit gates on a short clock: the
+// kill -9 storm at r=2 must lose no serviceable locate, and the lying
+// storm at r=3 must surface no forged answer past the vote.
+func TestChaosSmoke(t *testing.T) {
+	if testing.Short() {
+		t.Skip("process cluster: skipped in -short")
+	}
+	var out bytes.Buffer
+	err := run([]string{"chaos", "-nodes", "36", "-procs", "3", "-replicas", "2", "-duration", "1500ms", "-kill-every", "500ms"}, &out)
+	if err != nil {
+		t.Fatalf("chaos: %v\n%s", err, out.String())
+	}
+	for _, want := range []string{"chaos: kill -9 worker ", " respawned ", " failed=0 "} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("kill storm output missing %q:\n%s", want, out.String())
+		}
+	}
+	out.Reset()
+	err = run([]string{"chaos", "-nodes", "36", "-procs", "3", "-replicas", "3", "-lie", "-duration", "1500ms"}, &out)
+	if err != nil {
+		t.Fatalf("chaos -lie: %v\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), " forged=0") || strings.Contains(out.String(), " voted=0 ") {
+		t.Fatalf("lying storm was not voted down:\n%s", out.String())
+	}
+}
+
 func TestRunUnknownSubcommand(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"frobnicate"}, &out); err == nil {

@@ -57,20 +57,15 @@ func main() {
 // signal on the test-injected stop channel).
 func run(args []string, out io.Writer, stop <-chan struct{}) error {
 	fs := flag.NewFlagSet("mmgate", flag.ContinueOnError)
+	// The cluster behind the edge is described by the load engine's own
+	// table, so the flags, their defaults and their checks are mmload's.
+	cfg := loadrun.Defaults()
+	cfg.Flags(fs, "transport", "addrs", "net-conns", "topology", "nodes", "strategy", "replicas", "hints", "seed")
 	var (
-		transportF = fs.String("transport", "mem", "backing transport: mem (in-process) | net (socket cluster; needs -addrs)")
-		addrsF     = fs.String("addrs", "", "net transport: comma-separated node-process addresses in partition order")
-		netConns   = fs.Int("net-conns", 0, "net transport: connections per node process (0 = default)")
-		topoF      = fs.String("topology", "complete", "topology: complete|grid|ring|hypercube")
-		nodesF     = fs.Int("nodes", 64, "network size")
-		stratF     = fs.String("strategy", "checkerboard", "strategy: checkerboard|random|broadcast|sweep")
-		replicasF  = fs.Int("replicas", 1, "replication factor r of the rendezvous strategy (1 = unreplicated)")
-		hintsF     = fs.Bool("hints", false, "enable the gateway-side address hint cache")
-		seedF      = fs.Int64("seed", 1, "strategy RNG seed")
-		tenantsF   = fs.String("tenants", "", "tenant table JSON file (see docs/OPERATIONS.md); empty = single dev tenant")
-		devTokenF  = fs.String("dev-token", "dev", "bearer token of the implicit dev tenant when -tenants is empty")
-		httpF      = fs.String("http", "127.0.0.1:0", "HTTP/JSON listen address")
-		wireF      = fs.String("wire", "127.0.0.1:0", "binary (gate protocol) listen address; empty = disabled")
+		tenantsF  = fs.String("tenants", "", "tenant table JSON file (see docs/OPERATIONS.md); empty = single dev tenant")
+		devTokenF = fs.String("dev-token", "dev", "bearer token of the implicit dev tenant when -tenants is empty")
+		httpF     = fs.String("http", "127.0.0.1:0", "HTTP/JSON listen address")
+		wireF     = fs.String("wire", "127.0.0.1:0", "binary (gate protocol) listen address; empty = disabled")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -86,32 +81,27 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 
 	// The gateway stands over any graph, strategy and backing transport
 	// the load driver understands, built by the same code.
-	if *nodesF < 2 {
-		return fmt.Errorf("need at least 2 nodes")
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
-	if *replicasF < 1 {
-		return fmt.Errorf("-replicas must be ≥ 1, got %d", *replicasF)
+	if cfg.Transport != "mem" && cfg.Transport != "net" {
+		return fmt.Errorf("unknown transport %q (mmgate fronts mem or net)", cfg.Transport)
 	}
-	if *transportF != "mem" && *transportF != "net" {
-		return fmt.Errorf("unknown transport %q (mmgate fronts mem or net)", *transportF)
-	}
-	g, err := loadrun.BuildTopology(*topoF, *nodesF)
+	g, err := loadrun.BuildTopology(cfg.Topo, cfg.Nodes)
 	if err != nil {
 		return err
 	}
-	strat, err := loadrun.BuildStrategy(*stratF, g.N(), *seedF)
+	strat, err := loadrun.BuildStrategy(cfg.Strategy, g.N(), cfg.Seed)
 	if err != nil {
 		return err
 	}
-	tr, err := loadrun.BuildTransport(loadrun.Config{
-		Transport: *transportF, Addrs: *addrsF, NetConns: *netConns, NetCoalesce: true, Replicas: *replicasF,
-	}, g, strat)
+	tr, err := loadrun.BuildTransport(cfg, g, strat)
 	if err != nil {
 		return err
 	}
 
 	hub := gate.NewHub(0)
-	c := cluster.New(tr, cluster.Options{Hints: *hintsF, OnEvent: hub.Publish})
+	c := cluster.New(tr, cluster.Options{Hints: cfg.Hints, OnEvent: hub.Publish})
 	defer c.Close()
 	gw, err := gate.New(c, hub, tenants)
 	if err != nil {

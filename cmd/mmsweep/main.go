@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"matchmake/internal/sweep"
 	"matchmake/internal/sweep/procctl"
@@ -77,11 +76,9 @@ func cmdRun(args []string, out io.Writer) error {
 		ResultsDir: *results,
 		Gate:       *gate,
 		Procs:      *procs,
+		Addrs:      *addrs,
 		Env:        sweep.HostEnv("mmsweep run -matrix " + *matrix),
 		Out:        out,
-	}
-	if *addrs != "" {
-		opts.Addrs = strings.Split(*addrs, ",")
 	}
 	idx, err := sweep.Run(m, opts)
 	if err != nil {

@@ -28,217 +28,17 @@ import (
 	"matchmake/internal/topology"
 )
 
-// Config declares one load run: the transport and cluster shape, the
-// workload, and the chaos loops layered on top. Zero values mean "off"
-// for every optional feature; Run applies the same defaults the mmload
-// flags default to where a zero is not meaningful (Nodes, Ports,
-// Duration, Concurrency, workload parameters).
-type Config struct {
-	// Transport selects the serving backend: "mem" (in-process fast
-	// path), "sim" (paper-exact simulator), "net" (socket cluster;
-	// needs Addrs) or "gate" (mmgate service edge; needs GateAddr).
-	Transport string
-	// GateAddr and GateToken configure the gate transport.
-	GateAddr  string
-	GateToken string
-	// Addrs is the net transport's comma-separated node-process
-	// address list in partition order; StateFile reads the list from
-	// an mmctl state file instead, and WatchState polls that file to
-	// rescale onto layout changes.
-	Addrs      string
-	StateFile  string
-	WatchState time.Duration
-	// NetConns and NetStripes set the connection stripes per
-	// destination process (NetStripes wins); NetCoalesce switches the
-	// wire coalescers (shared floods and probe frames) on.
-	NetConns    int
-	NetStripes  int
-	NetCoalesce bool
-
-	// Topology, Nodes, Strategy, Ports describe the cluster; Workload,
-	// ZipfS, ZipfV the port-popularity distribution.
-	Topo     string
-	Nodes    int
-	Strategy string
-	Ports    int
-	Workload string
-	ZipfS    float64
-	ZipfV    float64
-
-	// Churn tears one service down per interval; Replicas replicates
-	// the rendezvous strategy r-fold; KillRate crashes random nodes;
-	// CorruptRate injects adversarial posting corruption (with
-	// ReconEvery the anti-entropy round period); ByzRate re-arms Liars
-	// lying nodes per wave; VoteQuorum turns on answer voting;
-	// ResizeEvery/ResizeTo drive elastic membership churn.
-	Churn       time.Duration
-	Replicas    int
-	KillRate    float64
-	CorruptRate float64
-	ReconEvery  time.Duration
-	ByzRate     float64
-	Liars       int
-	VoteQuorum  int
-	ResizeEvery time.Duration
-	ResizeTo    int
-
-	// Duration is the measurement window; Concurrency the closed-loop
-	// worker count; Rate a nonzero open-loop arrival rate; Batch the
-	// closed-loop LocateBatch size; Hints enables the per-client hint
-	// cache; Weighted the frequency-weighted strategy (with HotPorts,
-	// HotRefresh, HotAlpha).
-	Duration    time.Duration
-	Concurrency int
-	Rate        int
-	Batch       int
-	Hints       bool
-	Weighted    bool
-	HotPorts    int
-	HotRefresh  time.Duration
-	HotAlpha    float64
-
-	// Shards, Workers, Queue, NoCoalesce tune the cluster serving
-	// layer; Seed seeds every workload RNG; LocateTO and CollectWin
-	// are the sim transport's timing knobs.
-	Shards     int
-	Workers    int
-	Queue      int
-	NoCoalesce bool
-	Seed       int64
-	LocateTO   time.Duration
-	CollectWin time.Duration
-}
-
-// Defaults returns the Config matching mmload's flag defaults: the
-// 64-node complete-network checkerboard under a Zipf(1.2) closed loop.
-func Defaults() Config {
-	return Config{
-		Transport:   "mem",
-		GateToken:   "dev",
-		NetCoalesce: true,
-		Topo:        "complete",
-		Nodes:       64,
-		Strategy:    "checkerboard",
-		Ports:       16,
-		Workload:    "zipf",
-		ZipfS:       1.2,
-		ZipfV:       1,
-		Replicas:    1,
-		Liars:       1,
-		Duration:    2 * time.Second,
-		Concurrency: 8,
-		HotPorts:    2,
-		HotRefresh:  250 * time.Millisecond,
-		HotAlpha:    16,
-		Seed:        1,
-		LocateTO:    250 * time.Millisecond,
-		CollectWin:  time.Millisecond,
-	}
-}
-
-// stripes resolves the connection-stripe count for the net and gate
-// transports: NetStripes wins, the older NetConns spelling still
-// works, and zero defers to netwire.NewPool's max(2, GOMAXPROCS)
-// default.
-func (cfg Config) stripes() int {
-	if cfg.NetStripes != 0 {
-		return cfg.NetStripes
-	}
-	return cfg.NetConns
-}
-
-// netOptions assembles the NetOptions shared by the static and
-// elastic net transport builders from the wire-tuning knobs.
-func (cfg Config) netOptions() cluster.NetOptions {
-	return cluster.NetOptions{
-		ConnsPerProc:      cfg.stripes(),
-		CallTimeout:       30 * time.Second,
-		DisableCoalescing: !cfg.NetCoalesce,
-	}
-}
-
-// validate rejects inconsistent Configs with the messages the mmload
-// flags have always produced.
-func (cfg *Config) validate() error {
-	if cfg.Nodes < 2 {
-		return fmt.Errorf("need at least 2 nodes")
-	}
-	if cfg.Ports < 1 {
-		return fmt.Errorf("need at least 1 port")
-	}
-	if cfg.Rate > 0 && cfg.Batch > 0 {
-		return fmt.Errorf("-batch applies to the closed loop only; drop -rate to measure LocateBatch")
-	}
-	if cfg.Replicas < 1 {
-		return fmt.Errorf("-replicas must be ≥ 1, got %d", cfg.Replicas)
-	}
-	if cfg.Replicas > 1 && cfg.Weighted {
-		return fmt.Errorf("-replicas and -weighted are mutually exclusive")
-	}
-	if cfg.KillRate < 0 {
-		return fmt.Errorf("-kill-rate must be ≥ 0, got %v", cfg.KillRate)
-	}
-	if cfg.CorruptRate < 0 {
-		return fmt.Errorf("-corrupt-rate must be ≥ 0, got %v", cfg.CorruptRate)
-	}
-	if cfg.CorruptRate > 0 && cfg.ReconEvery == 0 {
-		cfg.ReconEvery = 50 * time.Millisecond
-	}
-	if cfg.ByzRate < 0 {
-		return fmt.Errorf("-byzantine-rate must be ≥ 0, got %v", cfg.ByzRate)
-	}
-	if cfg.ByzRate > 0 && cfg.Liars < 1 {
-		return fmt.Errorf("-liars must be ≥ 1, got %d", cfg.Liars)
-	}
-	if cfg.VoteQuorum < 0 {
-		return fmt.Errorf("-vote-quorum must be ≥ 0, got %d", cfg.VoteQuorum)
-	}
-	if cfg.VoteQuorum >= 2 && cfg.Replicas < 2 {
-		return fmt.Errorf("-vote-quorum %d needs -replicas ≥ 2 (voting is across replica families)", cfg.VoteQuorum)
-	}
-	if (cfg.ByzRate > 0 || cfg.VoteQuorum > 0) && cfg.ResizeEvery > 0 {
-		return fmt.Errorf("-byzantine-rate/-vote-quorum and -resize-interval are mutually exclusive")
-	}
-	return nil
-}
-
-// validateGate rejects Config fields that configure machinery living
-// on the gateway's side of the wire: with the gate transport the
-// rendezvous strategy, hint cache, fault injection and membership
-// churn all belong to the mmgate process, not the load driver.
-func (cfg Config) validateGate() error {
-	if cfg.GateAddr == "" {
-		return fmt.Errorf("-transport gate needs -gate-addr (the WIRE line mmgate prints)")
-	}
-	switch {
-	case cfg.Addrs != "" || cfg.StateFile != "":
-		return fmt.Errorf("-addrs/-state belong to -transport net; the gateway owns its own cluster")
-	case cfg.Hints:
-		return fmt.Errorf("-hints is gateway-side: start mmgate with -hints instead")
-	case cfg.Weighted:
-		return fmt.Errorf("-weighted is gateway-side; not available over -transport gate")
-	case cfg.Replicas > 1:
-		return fmt.Errorf("-replicas is gateway-side: start mmgate with -replicas instead")
-	case cfg.Churn > 0 || cfg.KillRate > 0:
-		return fmt.Errorf("-churn/-kill-rate need direct transport access; not available over -transport gate")
-	case cfg.ResizeEvery > 0 || cfg.WatchState > 0:
-		return fmt.Errorf("membership churn (-resize-interval/-watch-state) is not available over -transport gate")
-	case cfg.CorruptRate > 0 || cfg.ReconEvery > 0:
-		return fmt.Errorf("-corrupt-rate/-reconcile-interval need direct transport access; not available over -transport gate")
-	case cfg.ByzRate > 0 || cfg.VoteQuorum > 0:
-		return fmt.Errorf("-byzantine-rate/-vote-quorum need direct transport access; not available over -transport gate")
-	}
-	return nil
-}
-
 // Run validates cfg, builds the transport, registers one server per
 // port, drives the workload with every configured chaos loop, and
 // returns the typed Result. Progress lines produced mid-run (rescale
 // notices from a watched state file) go to progress; the summary is
 // NOT printed — call Result.Report for the mmload text rendering.
 func Run(cfg Config, progress io.Writer) (*Result, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if cfg.CorruptRate > 0 && cfg.ReconEvery == 0 {
+		cfg.ReconEvery = 50 * time.Millisecond
 	}
 
 	// The transport, node count and the topology/strategy names for the
@@ -347,13 +147,15 @@ func Run(cfg Config, progress io.Writer) (*Result, error) {
 		}
 	}
 
-	// One server per port, spread deterministically over the nodes and
-	// announced through the batched posting path (one shard lock per
-	// store shard, bulk pass accounting).
-	names := makePortNames(cfg.Ports)
-	regs := make([]cluster.Registration, cfg.Ports)
-	for p := 0; p < cfg.Ports; p++ {
-		regs[p] = cluster.Registration{Port: names[p], Node: graph.NodeID((p * 7919) % activeFloor)}
+	// One server per port, announced through the batched posting path
+	// (one shard lock per store shard, bulk pass accounting). The name
+	// table is materialized once; the measured loops index it rather than
+	// formatting a name per locate, which would bill the harness's own
+	// allocations to the serving path.
+	regs := Services(cfg.Ports, activeFloor)
+	names := make([]core.Port, len(regs))
+	for p, r := range regs {
+		names[p] = r.Port
 	}
 	refs, err := c.PostBatch(regs)
 	if err != nil {
@@ -497,18 +299,14 @@ func Run(cfg Config, progress io.Writer) (*Result, error) {
 // spawns one-liners.
 type waitGroup struct{ wg waitGroupImpl }
 
-// portName formats the p-th service name.
-func portName(p int) core.Port { return core.Port(fmt.Sprintf("svc-%04d", p)) }
-
-// makePortNames materializes the port name table once; the measured
-// loops index it rather than formatting a name per locate, which would
-// bill the harness's own allocations to the serving path.
-func makePortNames(ports int) []core.Port {
-	names := make([]core.Port, ports)
-	for p := range names {
-		names[p] = portName(p)
+// Services is a run's port population: ports services named svc-0000,
+// svc-0001, …, spread deterministically over the first n nodes.
+func Services(ports, n int) []cluster.Registration {
+	regs := make([]cluster.Registration, ports)
+	for p := range regs {
+		regs[p] = cluster.Registration{Port: core.Port(fmt.Sprintf("svc-%04d", p)), Node: graph.NodeID((p * 7919) % n)}
 	}
-	return names
+	return regs
 }
 
 // BuildTopology constructs the named graph over n nodes.
@@ -594,7 +392,7 @@ func BuildTransport(cfg Config, g *graph.Graph, strat rendezvous.Strategy) (clus
 		if cfg.Addrs == "" {
 			return nil, fmt.Errorf("-transport net needs -addrs (boot a cluster with `mmctl up` or mmnode)")
 		}
-		return cluster.NewLayoutNetTransport(g, lay, strings.Split(cfg.Addrs, ","), cfg.netOptions())
+		return cluster.NewLayoutNetTransport(g, lay, strings.Split(cfg.Addrs, ","), cfg.NetOptions())
 	default:
 		return nil, fmt.Errorf("unknown transport %q", cfg.Transport)
 	}

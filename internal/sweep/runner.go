@@ -1,12 +1,14 @@
 package sweep
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -78,10 +80,10 @@ type Options struct {
 	// Gate applies the per-scenario invariants and makes Run fail when
 	// any run breaks one.
 	Gate bool
-	// Addrs targets an external net cluster (compose, remote hosts)
-	// instead of spawning node processes per net scenario; the matrix's
-	// node count must match the external partition.
-	Addrs []string
+	// Addrs (the engine's -addrs list) targets an external net cluster
+	// (compose, remote hosts) instead of spawning node processes per net
+	// scenario; the matrix's node count must match the external partition.
+	Addrs string
 	// Procs is the node-process count for spawned net clusters
 	// (default 3).
 	Procs int
@@ -105,7 +107,7 @@ func Run(m *Matrix, opts Options) (*Index, error) {
 	if len(runs) == 0 {
 		return nil, fmt.Errorf("matrix expands to no scenarios")
 	}
-	SortScenarios(runs)
+	slices.SortFunc(runs, func(a, b Scenario) int { return strings.Compare(a.Name, b.Name) })
 	out := opts.Out
 	if out == nil {
 		out = io.Discard
@@ -164,19 +166,12 @@ func Run(m *Matrix, opts Options) (*Index, error) {
 // processes when needed.
 func runOne(s Scenario, opts Options) *RunRecord {
 	rec := &RunRecord{Scenario: s}
-	cfg := s.Config()
+	cfg := s.Config
 	if cfg.Transport == "net" {
-		if len(opts.Addrs) > 0 {
-			cfg.Addrs = strings.Join(opts.Addrs, ",")
+		if opts.Addrs != "" {
+			cfg.Addrs = opts.Addrs
 		} else {
-			procs := s.Procs
-			if procs == 0 {
-				procs = opts.Procs
-			}
-			if procs == 0 {
-				procs = 3
-			}
-			ps, err := procctl.Spawn(cfg.Nodes, procs)
+			ps, err := procctl.Spawn(cfg.Nodes, cmp.Or(s.Procs, opts.Procs, 3))
 			if err != nil {
 				rec.Err = fmt.Sprintf("spawn cluster: %v", err)
 				return rec
@@ -238,7 +233,7 @@ func failureDetail(rec *RunRecord) string {
 // index order when index.json is present (lexical otherwise).
 func ReadRecords(dir string) ([]*RunRecord, error) {
 	var files []string
-	if idx, err := readIndex(dir); err == nil {
+	if idx, err := ReadIndex(dir); err == nil {
 		for _, e := range idx.Runs {
 			files = append(files, e.File)
 		}
@@ -272,9 +267,7 @@ func ReadRecords(dir string) ([]*RunRecord, error) {
 }
 
 // ReadIndex loads a sweep's results index.
-func ReadIndex(dir string) (*Index, error) { return readIndex(dir) }
-
-func readIndex(dir string) (*Index, error) {
+func ReadIndex(dir string) (*Index, error) {
 	b, err := os.ReadFile(filepath.Join(dir, "index.json"))
 	if err != nil {
 		return nil, err

@@ -15,399 +15,221 @@
 package sweep
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
-	"sort"
+	"reflect"
+	"slices"
 	"strings"
-	"time"
 
 	"matchmake/internal/sweep/loadrun"
 )
 
-// Duration is a time.Duration that marshals to and from the "250ms" /
-// "2s" strings humans write in matrix files.
-type Duration time.Duration
-
-// MarshalJSON renders the duration as its String form.
-func (d Duration) MarshalJSON() ([]byte, error) {
-	return json.Marshal(time.Duration(d).String())
-}
-
-// UnmarshalJSON accepts either a duration string ("250ms") or a raw
-// nanosecond count.
-func (d *Duration) UnmarshalJSON(b []byte) error {
-	var s string
-	if err := json.Unmarshal(b, &s); err == nil {
-		dd, err := time.ParseDuration(s)
-		if err != nil {
-			return fmt.Errorf("duration %q: %w", s, err)
-		}
-		*d = Duration(dd)
-		return nil
-	}
-	var n int64
-	if err := json.Unmarshal(b, &n); err != nil {
-		return fmt.Errorf("duration %s: want a string like \"250ms\" or nanoseconds", b)
-	}
-	*d = Duration(n)
-	return nil
-}
-
-// Scenario is one concrete run of the load engine: the cluster shape,
-// the workload, and the fault model. Zero fields inherit the matrix
-// defaults and then loadrun's own defaults.
+// Scenario is one concrete run of the load engine: a name, the
+// node-process count for a spawned net cluster, and the engine's own
+// run description. Its JSON form is flat — "name", "procs", and one key
+// per loadrun.Config table row (the mmload flag name with '-' → '_').
 type Scenario struct {
 	// Name identifies the run (and its results file); Expand derives
 	// one from the swept dimensions when empty.
-	Name string `json:"name,omitempty"`
-
-	// Transport is mem, sim or net; net scenarios run over real node
-	// processes (spawned per run, or an external cluster via -addrs).
-	Transport string `json:"transport,omitempty"`
-	Topology  string `json:"topology,omitempty"`
-	Strategy  string `json:"strategy,omitempty"`
-	Nodes     int    `json:"nodes,omitempty"`
-	Ports     int    `json:"ports,omitempty"`
-	Workload  string `json:"workload,omitempty"`
-	// Procs is the node-process count for spawned net clusters.
-	Procs int `json:"procs,omitempty"`
-
-	// Replicas, VoteQuorum, Liars configure replicated rendezvous and
-	// answer voting; Hints and Batch the client-side accelerations.
-	Replicas   int  `json:"replicas,omitempty"`
-	VoteQuorum int  `json:"vote_quorum,omitempty"`
-	Liars      int  `json:"liars,omitempty"`
-	Hints      bool `json:"hints,omitempty"`
-	Batch      int  `json:"batch,omitempty"`
-
-	// The chaos dials: node crashes, adversarial state corruption,
-	// answer forging, crash/re-register churn and elastic resizes.
-	KillRate    float64  `json:"kill_rate,omitempty"`
-	CorruptRate float64  `json:"corrupt_rate,omitempty"`
-	ByzRate     float64  `json:"byzantine_rate,omitempty"`
-	Churn       Duration `json:"churn,omitempty"`
-	ResizeEvery Duration `json:"resize_interval,omitempty"`
-	ResizeTo    int      `json:"resize_to,omitempty"`
-
-	// Duration, Concurrency, Rate and Seed shape the measurement
-	// window.
-	Duration    Duration `json:"duration,omitempty"`
-	Concurrency int      `json:"concurrency,omitempty"`
-	Rate        int      `json:"rate,omitempty"`
-	Seed        int64    `json:"seed,omitempty"`
+	Name string
+	// Procs is the node-process count for spawned net clusters (0 = the
+	// sweep's -procs).
+	Procs int
+	loadrun.Config
 }
 
-// Dims are the sweep dimensions: the expansion is the cartesian
-// product of every non-empty list, merged over the matrix defaults.
-type Dims struct {
-	Transport   []string   `json:"transport,omitempty"`
-	Topology    []string   `json:"topology,omitempty"`
-	Strategy    []string   `json:"strategy,omitempty"`
-	Nodes       []int      `json:"nodes,omitempty"`
-	Replicas    []int      `json:"replicas,omitempty"`
-	VoteQuorum  []int      `json:"vote_quorum,omitempty"`
-	Hints       []bool     `json:"hints,omitempty"`
-	Batch       []int      `json:"batch,omitempty"`
-	KillRate    []float64  `json:"kill_rate,omitempty"`
-	CorruptRate []float64  `json:"corrupt_rate,omitempty"`
-	ByzRate     []float64  `json:"byzantine_rate,omitempty"`
-	ResizeEvery []Duration `json:"resize_interval,omitempty"`
+// overlay is a partial scenario document: only the keys present are
+// set, so an explicit zero overrides what it is laid over and an
+// absent key inherits it.
+type overlay map[string]json.RawMessage
+
+// apply sets every key of o on s.
+func (s *Scenario) apply(o overlay) error {
+	for key, raw := range o {
+		var err error
+		switch key {
+		case "name":
+			err = json.Unmarshal(raw, &s.Name)
+		case "procs":
+			err = json.Unmarshal(raw, &s.Procs)
+		default:
+			err = s.SetJSON(key, raw)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// Matrix is a declarative sweep: defaults applied to every run, the
-// swept dimensions, and optional explicit extra scenarios (also merged
-// over the defaults).
+// UnmarshalJSON decodes a whole scenario document: loadrun's defaults,
+// then the keys present.
+func (s *Scenario) UnmarshalJSON(b []byte) error {
+	var o overlay
+	if err := json.Unmarshal(b, &o); err != nil {
+		return err
+	}
+	*s = Scenario{Config: loadrun.Defaults()}
+	return s.apply(o)
+}
+
+// MarshalJSON renders the document UnmarshalJSON reads back: the name,
+// procs, and every engine field that differs from loadrun's defaults.
+func (s Scenario) MarshalJSON() ([]byte, error) {
+	doc := s.Overrides()
+	if s.Name != "" {
+		doc["name"] = s.Name
+	}
+	if s.Procs != 0 {
+		doc["procs"] = s.Procs
+	}
+	return json.Marshal(doc)
+}
+
+// Matrix is a declarative sweep: defaults laid over loadrun's for every
+// run, the swept dimensions (scenario key → value list; the expansion
+// is the cartesian product of every list), and optional explicit extra
+// scenarios, also laid over the defaults.
 type Matrix struct {
-	Defaults  Scenario   `json:"defaults"`
-	Dims      Dims       `json:"dims"`
-	Scenarios []Scenario `json:"scenarios,omitempty"`
+	Defaults  overlay                      `json:"defaults"`
+	Dims      map[string][]json.RawMessage `json:"dims"`
+	Scenarios []overlay                    `json:"scenarios,omitempty"`
 }
 
-// ReadMatrix loads and expands a matrix file.
+// ReadMatrix loads a matrix file and checks that it expands: a typo in
+// a key must not silently become a default.
 func ReadMatrix(path string) (*Matrix, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
 	var m Matrix
-	dec := json.NewDecoder(strings.NewReader(string(b)))
+	dec := json.NewDecoder(bytes.NewReader(b))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&m); err != nil {
+		return nil, fmt.Errorf("matrix %s: %w", path, err)
+	}
+	if _, _, err := m.Expand(); err != nil {
 		return nil, fmt.Errorf("matrix %s: %w", path, err)
 	}
 	return &m, nil
 }
 
-// merge overlays s on base: every zero field of s inherits base's
-// value.
-func merge(base, s Scenario) Scenario {
-	out := base
-	if s.Name != "" {
-		out.Name = s.Name
+// dimLabel is one sweepable dimension and the name fragment its value
+// contributes: on is a format for the value (or a literal), off the
+// fragment for a zero value where the dimension has one.
+type dimLabel struct{ key, on, off string }
+
+// fragment renders v, the dimension's value in a scenario.
+func (d dimLabel) fragment(v reflect.Value) string {
+	switch {
+	case v.IsZero() && d.off != "":
+		return d.off
+	case strings.Contains(d.on, "%"):
+		return fmt.Sprintf(d.on, v.Interface())
 	}
-	if s.Transport != "" {
-		out.Transport = s.Transport
-	}
-	if s.Topology != "" {
-		out.Topology = s.Topology
-	}
-	if s.Strategy != "" {
-		out.Strategy = s.Strategy
-	}
-	if s.Nodes != 0 {
-		out.Nodes = s.Nodes
-	}
-	if s.Ports != 0 {
-		out.Ports = s.Ports
-	}
-	if s.Workload != "" {
-		out.Workload = s.Workload
-	}
-	if s.Procs != 0 {
-		out.Procs = s.Procs
-	}
-	if s.Replicas != 0 {
-		out.Replicas = s.Replicas
-	}
-	if s.VoteQuorum != 0 {
-		out.VoteQuorum = s.VoteQuorum
-	}
-	if s.Liars != 0 {
-		out.Liars = s.Liars
-	}
-	if s.Hints {
-		out.Hints = true
-	}
-	if s.Batch != 0 {
-		out.Batch = s.Batch
-	}
-	if s.KillRate != 0 {
-		out.KillRate = s.KillRate
-	}
-	if s.CorruptRate != 0 {
-		out.CorruptRate = s.CorruptRate
-	}
-	if s.ByzRate != 0 {
-		out.ByzRate = s.ByzRate
-	}
-	if s.Churn != 0 {
-		out.Churn = s.Churn
-	}
-	if s.ResizeEvery != 0 {
-		out.ResizeEvery = s.ResizeEvery
-	}
-	if s.ResizeTo != 0 {
-		out.ResizeTo = s.ResizeTo
-	}
-	if s.Duration != 0 {
-		out.Duration = s.Duration
-	}
-	if s.Concurrency != 0 {
-		out.Concurrency = s.Concurrency
-	}
-	if s.Rate != 0 {
-		out.Rate = s.Rate
-	}
-	if s.Seed != 0 {
-		out.Seed = s.Seed
-	}
-	return out
+	return d.on
 }
 
-// skipReason rejects inconsistent dimension combinations — the same
-// exclusions loadrun validates, applied up front so a matrix sweep
-// skips (and reports) them instead of failing mid-run.
+// dimLabels are the sweepable dimensions, in expansion (and so name)
+// order.
+var dimLabels = []dimLabel{
+	{"transport", "%s", ""},
+	{"topology", "%s", ""},
+	{"strategy", "%s", ""},
+	{"nodes", "n%d", ""},
+	{"replicas", "r%d", ""},
+	{"vote_quorum", "q%d", ""},
+	{"hints", "hints", "nohints"},
+	{"batch", "batch%d", "nobatch"},
+	{"kill_rate", "kill%g", "nokill"},
+	{"corrupt_rate", "corrupt%g", "nocorrupt"},
+	{"byzantine_rate", "byz%g", "honest"},
+	{"resize_interval", "resize%v", "noresize"},
+}
+
+// skipReason rejects inconsistent combinations up front so a matrix
+// sweep skips (and reports) them instead of failing mid-run: whatever
+// the engine's own validator refuses, plus the two rules only a sweep
+// can break.
 func skipReason(s Scenario) string {
+	if err := s.Validate(); err != nil {
+		return err.Error()
+	}
 	switch {
-	case s.VoteQuorum >= 2 && s.Replicas < 2:
-		return "vote-quorum needs replicas ≥ 2"
 	case s.VoteQuorum > s.Replicas:
 		return fmt.Sprintf("vote-quorum %d wider than replicas %d", s.VoteQuorum, s.Replicas)
-	case (s.ByzRate > 0 || s.VoteQuorum > 0) && s.ResizeEvery > 0:
-		return "byzantine/vote-quorum and resize churn are mutually exclusive"
-	case s.Transport == "net" && s.Nodes > 0 && s.Procs > s.Nodes:
+	case s.Transport == "net" && s.Procs > s.Nodes:
 		return fmt.Sprintf("procs %d > nodes %d", s.Procs, s.Nodes)
 	}
 	return ""
 }
 
-// Expand materializes the matrix: the cartesian product of every
-// non-empty dimension list merged over the defaults, plus the explicit
-// scenarios, each with a deterministic derived name. Inconsistent
-// combinations are not silently dropped — the returned notes list one
-// line per skip.
+// Expand materializes the matrix: loadrun's defaults, then the matrix
+// defaults, then either one value per dimension (the cartesian product,
+// each run named by its dimension fragments) or an explicit scenario,
+// all laid onto one Scenario. Inconsistent combinations are not
+// silently dropped — the returned notes list one line per skip.
 func (m *Matrix) Expand() (runs []Scenario, notes []string, err error) {
-	type dim struct {
-		n     int                      // cardinality (0 = unset)
-		apply func(s *Scenario, i int) // set the i-th value
-		label func(i int) string       // name fragment ("" = none)
+	base := Scenario{Config: loadrun.Defaults()}
+	if err := base.apply(m.Defaults); err != nil {
+		return nil, nil, fmt.Errorf("defaults: %w", err)
 	}
-	d := m.Dims
-	dims := []dim{
-		{len(d.Transport), func(s *Scenario, i int) { s.Transport = d.Transport[i] },
-			func(i int) string { return d.Transport[i] }},
-		{len(d.Topology), func(s *Scenario, i int) { s.Topology = d.Topology[i] },
-			func(i int) string { return d.Topology[i] }},
-		{len(d.Strategy), func(s *Scenario, i int) { s.Strategy = d.Strategy[i] },
-			func(i int) string { return d.Strategy[i] }},
-		{len(d.Nodes), func(s *Scenario, i int) { s.Nodes = d.Nodes[i] },
-			func(i int) string { return fmt.Sprintf("n%d", d.Nodes[i]) }},
-		{len(d.Replicas), func(s *Scenario, i int) { s.Replicas = d.Replicas[i] },
-			func(i int) string { return fmt.Sprintf("r%d", d.Replicas[i]) }},
-		{len(d.VoteQuorum), func(s *Scenario, i int) { s.VoteQuorum = d.VoteQuorum[i] },
-			func(i int) string { return fmt.Sprintf("q%d", d.VoteQuorum[i]) }},
-		{len(d.Hints), func(s *Scenario, i int) { s.Hints = d.Hints[i] }, func(i int) string {
-			if d.Hints[i] {
-				return "hints"
-			}
-			return "nohints"
-		}},
-		{len(d.Batch), func(s *Scenario, i int) { s.Batch = d.Batch[i] }, func(i int) string {
-			if d.Batch[i] == 0 {
-				return "nobatch"
-			}
-			return fmt.Sprintf("batch%d", d.Batch[i])
-		}},
-		{len(d.KillRate), func(s *Scenario, i int) { s.KillRate = d.KillRate[i] }, func(i int) string {
-			if d.KillRate[i] == 0 {
-				return "nokill"
-			}
-			return fmt.Sprintf("kill%g", d.KillRate[i])
-		}},
-		{len(d.CorruptRate), func(s *Scenario, i int) { s.CorruptRate = d.CorruptRate[i] }, func(i int) string {
-			if d.CorruptRate[i] == 0 {
-				return "nocorrupt"
-			}
-			return fmt.Sprintf("corrupt%g", d.CorruptRate[i])
-		}},
-		{len(d.ByzRate), func(s *Scenario, i int) { s.ByzRate = d.ByzRate[i] }, func(i int) string {
-			if d.ByzRate[i] == 0 {
-				return "honest"
-			}
-			return fmt.Sprintf("byz%g", d.ByzRate[i])
-		}},
-		{len(d.ResizeEvery), func(s *Scenario, i int) { s.ResizeEvery = d.ResizeEvery[i] }, func(i int) string {
-			if d.ResizeEvery[i] == 0 {
-				return "noresize"
-			}
-			return "resize" + time.Duration(d.ResizeEvery[i]).String()
-		}},
+	for key := range m.Dims {
+		if !slices.ContainsFunc(dimLabels, func(d dimLabel) bool { return d.key == key }) {
+			return nil, nil, fmt.Errorf("dims: %q is not a sweepable dimension", key)
+		}
 	}
-
-	// The cartesian product, defaults-first so every dimension value
-	// overlays the merged base.
-	combos := []Scenario{m.Defaults}
-	names := []string{""}
-	for _, dm := range dims {
-		if dm.n == 0 {
+	// A matrix that sweeps nothing contributes no product runs — only
+	// the explicit scenario list.
+	var combos []Scenario
+	for _, dim := range dimLabels {
+		values := m.Dims[dim.key]
+		if len(values) == 0 {
 			continue
 		}
-		next := make([]Scenario, 0, len(combos)*dm.n)
-		nextNames := make([]string, 0, len(combos)*dm.n)
-		for ci, c := range combos {
-			for i := 0; i < dm.n; i++ {
+		if combos == nil {
+			combos = []Scenario{base}
+		}
+		next := make([]Scenario, 0, len(combos)*len(values))
+		for _, c := range combos {
+			for _, raw := range values {
 				s := c
-				dm.apply(&s, i)
-				next = append(next, s)
-				name := names[ci]
-				if l := dm.label(i); l != "" {
-					if name != "" {
-						name += "-"
-					}
-					name += l
+				if err := s.SetJSON(dim.key, raw); err != nil {
+					return nil, nil, fmt.Errorf("dims: %w", err)
 				}
-				nextNames = append(nextNames, name)
+				if s.Name != "" {
+					s.Name += "-"
+				}
+				s.Name += dim.fragment(reflect.ValueOf(s.Field(dim.key)).Elem())
+				next = append(next, s)
 			}
 		}
-		combos, names = next, nextNames
-	}
-	// A matrix with no dims contributes no product runs — only the
-	// explicit scenario list.
-	if len(combos) == 1 && names[0] == "" {
-		combos, names = nil, nil
-	}
-	for i, s := range combos {
-		s.Name = names[i]
-		if r := skipReason(s); r != "" {
-			notes = append(notes, fmt.Sprintf("skip %s: %s", s.Name, r))
-			continue
-		}
-		runs = append(runs, s)
+		combos = next
 	}
 	for i, ex := range m.Scenarios {
-		s := merge(m.Defaults, ex)
+		s := base
+		if err := s.apply(ex); err != nil {
+			return nil, nil, fmt.Errorf("scenarios[%d]: %w", i, err)
+		}
 		if s.Name == "" {
 			s.Name = fmt.Sprintf("scenario-%02d", i)
 		}
+		combos = append(combos, s)
+	}
+	seen := make(map[string]bool, len(combos))
+	for _, s := range combos {
 		if r := skipReason(s); r != "" {
 			notes = append(notes, fmt.Sprintf("skip %s: %s", s.Name, r))
 			continue
 		}
-		runs = append(runs, s)
-	}
-	seen := make(map[string]bool, len(runs))
-	for _, s := range runs {
 		if seen[s.Name] {
 			return nil, nil, fmt.Errorf("duplicate scenario name %q", s.Name)
 		}
 		seen[s.Name] = true
+		runs = append(runs, s)
 	}
 	return runs, notes, nil
-}
-
-// Config translates the scenario into the load engine's Config,
-// overlaying every set field on loadrun's defaults.
-func (s Scenario) Config() loadrun.Config {
-	cfg := loadrun.Defaults()
-	if s.Transport != "" {
-		cfg.Transport = s.Transport
-	}
-	if s.Topology != "" {
-		cfg.Topo = s.Topology
-	}
-	if s.Strategy != "" {
-		cfg.Strategy = s.Strategy
-	}
-	if s.Nodes != 0 {
-		cfg.Nodes = s.Nodes
-	}
-	if s.Ports != 0 {
-		cfg.Ports = s.Ports
-	}
-	if s.Workload != "" {
-		cfg.Workload = s.Workload
-	}
-	if s.Replicas != 0 {
-		cfg.Replicas = s.Replicas
-	}
-	cfg.VoteQuorum = s.VoteQuorum
-	if s.Liars != 0 {
-		cfg.Liars = s.Liars
-	}
-	cfg.Hints = s.Hints
-	cfg.Batch = s.Batch
-	cfg.KillRate = s.KillRate
-	cfg.CorruptRate = s.CorruptRate
-	cfg.ByzRate = s.ByzRate
-	cfg.Churn = time.Duration(s.Churn)
-	cfg.ResizeEvery = time.Duration(s.ResizeEvery)
-	cfg.ResizeTo = s.ResizeTo
-	if s.Duration != 0 {
-		cfg.Duration = time.Duration(s.Duration)
-	}
-	if s.Concurrency != 0 {
-		cfg.Concurrency = s.Concurrency
-	}
-	cfg.Rate = s.Rate
-	if s.Seed != 0 {
-		cfg.Seed = s.Seed
-	}
-	return cfg
-}
-
-// SortScenarios orders runs by name for deterministic results and
-// tables.
-func SortScenarios(runs []Scenario) {
-	sort.Slice(runs, func(i, j int) bool { return runs[i].Name < runs[j].Name })
 }

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"matchmake/internal/sweep/procctl"
 )
@@ -22,19 +21,10 @@ func TestMain(m *testing.M) {
 // checks the results directory contract: one record per run, an
 // index, and passing gates.
 func TestRunSweepMem(t *testing.T) {
-	m := &Matrix{
-		Defaults: Scenario{
-			Nodes:    16,
-			Ports:    4,
-			Duration: Duration(100 * time.Millisecond),
-			Seed:     7,
-		},
-		Dims: Dims{
-			Transport: []string{"mem"},
-			Replicas:  []int{1, 2},
-			KillRate:  []float64{0, 20},
-		},
-	}
+	m := matrixOf(t, `{
+		"defaults": {"nodes": 16, "ports": 4, "duration": "100ms", "seed": 7},
+		"dims": {"transport": ["mem"], "replicas": [1, 2], "kill_rate": [0, 20]}
+	}`)
 	dir := t.TempDir()
 	var out bytes.Buffer
 	idx, err := Run(m, Options{ResultsDir: dir, Gate: true, Out: &out})
@@ -82,18 +72,8 @@ func TestRunSweepNet(t *testing.T) {
 	if testing.Short() {
 		t.Skip("process cluster: skipped in -short")
 	}
-	m := &Matrix{
-		Scenarios: []Scenario{{
-			Name:      "net-smoke",
-			Transport: "net",
-			Nodes:     12,
-			Ports:     4,
-			Procs:     3,
-			Replicas:  2,
-			Duration:  Duration(300 * time.Millisecond),
-			Seed:      7,
-		}},
-	}
+	m := matrixOf(t, `{"scenarios": [{"name": "net-smoke", "transport": "net", "nodes": 12, "ports": 4,
+		"procs": 3, "replicas": 2, "duration": "300ms", "seed": 7}]}`)
 	dir := t.TempDir()
 	var out bytes.Buffer
 	idx, err := Run(m, Options{ResultsDir: dir, Gate: true, Out: &out})
@@ -120,18 +100,12 @@ func TestRunSweepNet(t *testing.T) {
 // TestRunSweepGateFailure checks a failing gate fails the sweep but
 // still writes every record.
 func TestRunSweepGateFailure(t *testing.T) {
-	m := &Matrix{
-		// r=2 with no chaos asserts not-found == 0; an impossible
-		// quorum cannot be used (skipped), so force a miss instead:
-		// more replicas than a 4-node ring can host distinct families
-		// still resolves, so use a scenario that genuinely errors — a
-		// bogus strategy, which fails the run itself.
-		Scenarios: []Scenario{{
-			Name:     "broken",
-			Strategy: "bogus",
-			Duration: Duration(50 * time.Millisecond),
-		}},
-	}
+	// r=2 with no chaos asserts not-found == 0; an impossible
+	// quorum cannot be used (skipped), so force a miss instead:
+	// more replicas than a 4-node ring can host distinct families
+	// still resolves, so use a scenario that genuinely errors — a
+	// bogus strategy, which fails the run itself.
+	m := matrixOf(t, `{"scenarios": [{"name": "broken", "strategy": "bogus", "duration": "50ms"}]}`)
 	dir := t.TempDir()
 	idx, err := Run(m, Options{ResultsDir: dir, Gate: true})
 	if err == nil {

@@ -100,7 +100,7 @@ func availabilityTable(recs []*RunRecord) string {
 			fall = comma(m.ReplicaFallthroughs)
 		}
 		fmt.Fprintf(&b, "| %g/s | %d | %.4f | %s | %s | %.2f |\n",
-			s.KillRate, replicasOf(s), m.Availability, comma(m.NotFound), fall, m.PassesPerLocate)
+			s.KillRate, s.Replicas, m.Availability, comma(m.NotFound), fall, m.PassesPerLocate)
 	}
 	return b.String()
 }
@@ -125,7 +125,7 @@ func byzantineTable(recs []*RunRecord) string {
 	b.WriteString("|---|---|---|---|---|\n")
 	for _, r := range recs {
 		s, m := r.Scenario, r.Result.Metrics
-		cfg := fmt.Sprintf("r=%d, ", replicasOf(s))
+		cfg := fmt.Sprintf("r=%d, ", s.Replicas)
 		switch {
 		case s.VoteQuorum > 0:
 			cfg += fmt.Sprintf("vote quorum %d", s.VoteQuorum)
@@ -135,7 +135,7 @@ func byzantineTable(recs []*RunRecord) string {
 			cfg += "first-answer fallthrough"
 		}
 		if s.ByzRate > 0 {
-			cfg += fmt.Sprintf(", f=%d liar re-armed %g/s", liarsOf(s), s.ByzRate)
+			cfg += fmt.Sprintf(", f=%d liar re-armed %g/s", s.Liars, s.ByzRate)
 		} else {
 			cfg += ", honest"
 		}
@@ -176,7 +176,7 @@ func corruptionTable(recs []*RunRecord) string {
 	for _, r := range recs {
 		s, m := r.Scenario, r.Result.Metrics
 		fmt.Fprintf(&b, "| %g/s | %d | %s | %s | %d | %v | %.4f |\n",
-			s.CorruptRate, replicasOf(s), comma(m.CorruptionsInjected), comma(m.RepairedPosts),
+			s.CorruptRate, s.Replicas, comma(m.CorruptionsInjected), comma(m.RepairedPosts),
 			r.Result.QuiesceRounds, r.Result.QuiesceIn.Round(time.Microsecond), m.Availability)
 	}
 	return b.String()
@@ -201,24 +201,6 @@ func throughputBlock(recs []*RunRecord) string {
 	}
 	b.WriteString("```\n")
 	return b.String()
-}
-
-// replicasOf reports the scenario's effective replica count (loadrun
-// defaults unset to 1).
-func replicasOf(s Scenario) int {
-	if s.Replicas == 0 {
-		return 1
-	}
-	return s.Replicas
-}
-
-// liarsOf reports the scenario's effective liar count (loadrun
-// defaults unset to 1).
-func liarsOf(s Scenario) int {
-	if s.Liars == 0 {
-		return 1
-	}
-	return s.Liars
 }
 
 // comma renders n with thousands separators (12345 → "12,345").
