@@ -22,8 +22,20 @@ import (
 // Migrate's tombstone + posting) needed a stage/send pair where a
 // one-entry postTo had been enough; the single-record encoder, the
 // per-record replay loop and the snapshot's intermediate list it
-// replaced were smaller than that.
-const clusterCodeLineCeiling = 5135
+// replaced were smaller than that. Raised a second time, 5 135 → 5 143
+// (the package stood exactly at the ceiling), by the PR that made the
+// stripe of every per-locate counter follow the caller instead of the
+// client: the close gate now returns the lane it counted the operation
+// on, and a second result needs a statement of its own at each of the
+// nine gated operations (`stripe, ok := c.enter()` / `if !ok {`, +9);
+// with them came the two `lanes` fields, the Get/Put pairs in
+// enter/exit and around a Submit worker's task, `flood.stripe` and the
+// coordinator's five-line `charge`. What the same PR took out — the
+// three `stripe := int(client)` lines, the duration bookkeeping at both
+// ends of `locate` (observeLocate reads the clock itself when the
+// locate is sampled), one of Probe's three charge sites and `send`'s
+// stripe argument — paid for all but eight of those lines.
+const clusterCodeLineCeiling = 5143
 
 // clusterConstructorCeiling is the committed ceiling on exported
 // `func New*` declarations in internal/cluster's non-test files: the

@@ -99,14 +99,21 @@ type Cluster struct {
 	// line-aligned. With closed it is the close gate: every public
 	// operation (and Submit's queue send) runs between enter and exit, so
 	// Close cannot close the queues or the transport while one is
-	// mid-flight, and callers on behalf of different clients share no
-	// written cache line doing so.
+	// mid-flight. The gate also hands out the operation's lane (lanes):
+	// the stripe it counts in flight on is the stripe every per-locate
+	// metric of that operation is written on, and it follows the calling
+	// processor, not the client — callers running side by side share no
+	// written cache line, even when they serve the same clients.
 	inflight stats.StripedCounter
 	flights  flightTable
 
-	tr   Transport
-	opts Options
-	seed maphash.Seed
+	// lanes sits with the fields nobody writes after New, not between
+	// the two padded tables above: there it would knock the flight
+	// stripes off their cache lines.
+	lanes stats.Lanes
+	tr    Transport
+	opts  Options
+	seed  maphash.Seed
 
 	queues   []chan task // one Submit queue per shard, picked by port hash
 	hints    *hintCache  // nil unless Options.Hints
@@ -336,9 +343,12 @@ func (c *Cluster) ReclassifyHot() error {
 func (c *Cluster) runWorker(queue <-chan task) {
 	defer c.wg.Done()
 	// Workers bypass the closed check so tasks admitted before Close
-	// still complete while the queues drain.
+	// still complete while the queues drain; they take a lane per task
+	// all the same, so a worker's metrics follow the core it runs on.
 	for t := range queue {
-		e, err := c.locate(t.client, t.port)
+		stripe := c.lanes.Get()
+		e, err := c.locate(stripe, t.client, t.port)
+		c.lanes.Put(stripe)
 		if t.cb != nil {
 			t.cb(e, err)
 		}
@@ -350,10 +360,11 @@ func (c *Cluster) Transport() Transport { return c.tr }
 
 // Register announces a server for port at node and counts the posting.
 func (c *Cluster) Register(port core.Port, node graph.NodeID) (ServerRef, error) {
-	if !c.enter(int(node)) {
+	stripe, ok := c.enter()
+	if !ok {
 		return nil, ErrClosed
 	}
-	defer c.exit(int(node))
+	defer c.exit(stripe)
 	ref, err := c.tr.Register(port, node)
 	if err == nil {
 		c.metrics.posts.Add(1)
@@ -379,15 +390,17 @@ func (c *Cluster) Register(port core.Port, node graph.NodeID) (ServerRef, error)
 // coalescing or retry after the flight's duration (one locate timeout
 // on the sim transport).
 func (c *Cluster) Locate(client graph.NodeID, port core.Port) (core.Entry, error) {
-	if !c.enter(int(client)) {
+	stripe, ok := c.enter()
+	if !ok {
 		return core.Entry{}, ErrClosed
 	}
-	defer c.exit(int(client))
-	return c.locate(client, port)
+	defer c.exit(stripe)
+	return c.locate(stripe, client, port)
 }
 
-func (c *Cluster) locate(client graph.NodeID, port core.Port) (core.Entry, error) {
-	stripe := int(client)
+// locate is one locate on the caller's lane: stripe picks the stripe of
+// every striped metric it ticks.
+func (c *Cluster) locate(stripe int, client graph.NodeID, port core.Port) (core.Entry, error) {
 	sampled := c.metrics.sampleLocate(stripe)
 	var begin time.Time
 	if sampled {
@@ -398,13 +411,9 @@ func (c *Cluster) locate(client graph.NodeID, port core.Port) (core.Entry, error
 	}
 	start := 0
 	if c.hints != nil {
-		e, ok, retry := c.hintLocate(client, port)
+		e, ok, retry := c.hintLocate(stripe, client, port)
 		if ok {
-			var d time.Duration
-			if sampled {
-				d = time.Since(begin)
-			}
-			c.metrics.observeLocate(stripe, d, sampled, nil)
+			c.metrics.observeLocate(stripe, begin, sampled, nil)
 			return e, nil
 		}
 		// An invalidated hint steers the fallback flood: the replica
@@ -427,18 +436,14 @@ func (c *Cluster) locate(client graph.NodeID, port core.Port) (core.Entry, error
 		gen, genSlot = c.genBefore(port)
 	}
 	if c.opts.DisableCoalescing {
-		e, replica, err = c.floodLocate(client, port, start)
+		e, replica, err = c.floodLocate(stripe, client, port, start)
 	} else {
-		e, replica, err = c.locateCoalesced(client, port, start)
+		e, replica, err = c.locateCoalesced(stripe, client, port, start)
 	}
 	if c.hints != nil && err == nil {
 		c.hints.put(client, port, e, gen, genSlot, replica)
 	}
-	var d time.Duration
-	if sampled {
-		d = time.Since(begin)
-	}
-	c.metrics.observeLocate(stripe, d, sampled, err)
+	c.metrics.observeLocate(stripe, begin, sampled, err)
 	return e, err
 }
 
@@ -463,7 +468,7 @@ func (c *Cluster) genBefore(port core.Port) (uint64, *atomic.Uint64) {
 // hint was stale (a crash bumps every generation) or its probe failed,
 // so the flood retries the next replica before re-flooding the one the
 // crash most likely broke.
-func (c *Cluster) hintLocate(client graph.NodeID, port core.Port) (core.Entry, bool, int) {
+func (c *Cluster) hintLocate(stripe int, client graph.NodeID, port core.Port) (core.Entry, bool, int) {
 	sl, hv := c.hints.lookup(client, port)
 	if sl == nil || hv == nil {
 		return core.Entry{}, false, 0
@@ -481,7 +486,7 @@ func (c *Cluster) hintLocate(client graph.NodeID, port core.Port) (core.Entry, b
 		c.metrics.hintProbeFails.Add(1)
 		return core.Entry{}, false, c.nextReplica(hv.replica)
 	}
-	c.metrics.hintHits.Add(int(client), 1)
+	c.metrics.hintHits.Add(stripe, 1)
 	return e, true, 0
 }
 
@@ -500,33 +505,33 @@ func (c *Cluster) nextReplica(k int) int {
 // attempt charged its own flood, with the resolution depth and
 // availability fed to the metrics. It returns the replica that
 // answered.
-func (c *Cluster) floodLocate(client graph.NodeID, port core.Port, start int) (core.Entry, int, error) {
+func (c *Cluster) floodLocate(stripe int, client graph.NodeID, port core.Port, start int) (core.Entry, int, error) {
 	if c.repl == nil {
 		e, err := c.tr.Locate(client, port)
 		return e, 0, err
 	}
 	if c.byz != nil {
-		return c.voteLocate(client, port, start)
+		return c.voteLocate(stripe, client, port, start)
 	}
 	e, replica, err := locateFallthrough(c.repl, client, port, start)
 	if err == nil {
 		r := c.repl.Replicas()
-		c.metrics.replicaDepth.Observe((replica - start + r) % r)
+		c.metrics.replicaDepth.Observe(stripe, (replica-start+r)%r)
 	} else if errors.Is(err, core.ErrNotFound) {
 		c.metrics.replicaDepth.Fail()
 	}
 	return e, replica, err
 }
 
-func (c *Cluster) locateCoalesced(client graph.NodeID, port core.Port, start int) (core.Entry, int, error) {
+func (c *Cluster) locateCoalesced(stripe int, client graph.NodeID, port core.Port, start int) (core.Entry, int, error) {
 	h := maphash.String(c.seed, string(port)) ^ uint64(client)*0x9e3779b97f4a7c15
-	return c.locateFlight(h, client, port, start)
+	return c.locateFlight(stripe, h, client, port, start)
 }
 
 // locateFlight runs one coalesced locate under flight hash h: it joins
 // the published flight of the same pair, or floods — as the owner of a
 // fresh flight, or unshared when a colliding pair holds the stripe.
-func (c *Cluster) locateFlight(h uint64, client graph.NodeID, port core.Port, start int) (core.Entry, int, error) {
+func (c *Cluster) locateFlight(stripe int, h uint64, client graph.NodeID, port core.Port, start int) (core.Entry, int, error) {
 	f, joined := c.flights.join(h, client, port)
 	if joined {
 		f.mu.Lock() // blocks until the owner's broadcast unlock
@@ -536,7 +541,7 @@ func (c *Cluster) locateFlight(h uint64, client graph.NodeID, port core.Port, st
 		c.metrics.coalesced.Add(1)
 		return e, replica, err
 	}
-	e, replica, err := c.floodLocate(client, port, start)
+	e, replica, err := c.floodLocate(stripe, client, port, start)
 	if f != nil {
 		f.entry, f.replica, f.err = e, replica, err
 		c.flights.finish(h, f)
@@ -584,10 +589,11 @@ func (t *flightTable) finish(h uint64, f *flight) {
 // ErrOverload — open-loop load beyond capacity fails fast instead of
 // queueing without bound.
 func (c *Cluster) Submit(client graph.NodeID, port core.Port, cb func(core.Entry, error)) error {
-	if !c.enter(int(client)) {
+	stripe, ok := c.enter()
+	if !ok {
 		return ErrClosed
 	}
-	defer c.exit(int(client))
+	defer c.exit(stripe)
 	queue := c.queues[maphash.String(c.seed, string(port))&uint64(len(c.queues)-1)]
 	select {
 	case queue <- task{client: client, port: port, cb: cb}:
@@ -604,12 +610,15 @@ func (c *Cluster) Submit(client graph.NodeID, port core.Port, cb func(core.Entry
 // hints enabled each request first tries its cached address; only the
 // misses are forwarded as a sub-batch. Batched locates are not coalesced with
 // concurrent single locates; every request is counted and timed in the
-// metrics (all requests of a batch share its wall-clock duration).
+// metrics (each sampled request of a batch is timed from the batch's
+// start to its own turn in the accounting that follows the batch's end,
+// one clock read per sampled request).
 func (c *Cluster) LocateBatch(reqs []LocateReq, res []LocateRes) error {
-	if !c.enter(0) {
+	stripe, ok := c.enter()
+	if !ok {
 		return ErrClosed
 	}
-	defer c.exit(0)
+	defer c.exit(stripe)
 	n := len(reqs)
 	if n > len(res) {
 		return errors.New("cluster: LocateBatch result slice shorter than requests")
@@ -622,7 +631,7 @@ func (c *Cluster) LocateBatch(reqs []LocateReq, res []LocateRes) error {
 	}
 	if c.hints == nil {
 		if c.byz != nil {
-			c.voteBatch(reqs, res[:n])
+			c.voteBatch(stripe, reqs, res[:n])
 		} else {
 			c.tr.LocateBatch(reqs, res[:n])
 		}
@@ -631,7 +640,7 @@ func (c *Cluster) LocateBatch(reqs []LocateReq, res []LocateRes) error {
 		sc.reqs, sc.res, sc.idx = sc.reqs[:0], sc.res[:0], sc.idx[:0]
 		sc.gens, sc.slots = sc.gens[:0], sc.slots[:0]
 		for i := 0; i < n; i++ {
-			if e, ok, _ := c.hintLocate(reqs[i].Client, reqs[i].Port); ok {
+			if e, ok, _ := c.hintLocate(stripe, reqs[i].Client, reqs[i].Port); ok {
 				res[i] = LocateRes{Entry: e}
 				continue
 			}
@@ -647,7 +656,7 @@ func (c *Cluster) LocateBatch(reqs []LocateReq, res []LocateRes) error {
 			}
 			sc.res = sc.res[:len(sc.reqs)]
 			if c.byz != nil {
-				c.voteBatch(sc.reqs, sc.res)
+				c.voteBatch(stripe, sc.reqs, sc.res)
 			} else {
 				c.tr.LocateBatch(sc.reqs, sc.res)
 			}
@@ -664,11 +673,9 @@ func (c *Cluster) LocateBatch(reqs []LocateReq, res []LocateRes) error {
 		}
 		c.batchScratch.Put(sc)
 	}
-	elapsed := time.Since(begin)
 	for i := 0; i < n; i++ {
-		stripe := int(reqs[i].Client)
 		sampled := c.metrics.sampleLocate(stripe)
-		c.metrics.observeLocate(stripe, elapsed, sampled, res[i].Err)
+		c.metrics.observeLocate(stripe, begin, sampled, res[i].Err)
 	}
 	return nil
 }
@@ -676,10 +683,11 @@ func (c *Cluster) LocateBatch(reqs []LocateReq, res []LocateRes) error {
 // PostBatch registers many servers in one transport operation and
 // counts the postings.
 func (c *Cluster) PostBatch(regs []Registration) ([]ServerRef, error) {
-	if !c.enter(0) {
+	stripe, ok := c.enter()
+	if !ok {
 		return nil, ErrClosed
 	}
-	defer c.exit(0)
+	defer c.exit(stripe)
 	refs, err := c.tr.PostBatch(regs)
 	c.metrics.posts.Add(int64(len(refs)))
 	if c.opts.OnEvent != nil {
@@ -696,15 +704,15 @@ func (c *Cluster) PostBatch(regs []Registration) ([]ServerRef, error) {
 
 // LocateAll resolves every live instance of port visible from client.
 func (c *Cluster) LocateAll(client graph.NodeID, port core.Port) ([]core.Entry, error) {
-	if !c.enter(int(client)) {
+	stripe, ok := c.enter()
+	if !ok {
 		return nil, ErrClosed
 	}
-	defer c.exit(int(client))
-	stripe := int(client)
+	defer c.exit(stripe)
 	sampled := c.metrics.sampleLocate(stripe)
 	begin := time.Now()
 	out, err := c.tr.LocateAll(client, port)
-	c.metrics.observeLocate(stripe, time.Since(begin), sampled, err)
+	c.metrics.observeLocate(stripe, begin, sampled, err)
 	return out, err
 }
 
@@ -714,10 +722,11 @@ func (c *Cluster) LocateAll(client graph.NodeID, port core.Port) ([]core.Entry, 
 // fallthrough. It returns the number of postings moved and fails with
 // ErrNotElastic when the transport has no elastic membership.
 func (c *Cluster) Resize(next *strategy.Epoch) (int, error) {
-	if !c.enter(0) {
+	stripe, ok := c.enter()
+	if !ok {
 		return 0, ErrClosed
 	}
-	defer c.exit(0)
+	defer c.exit(stripe)
 	et, ok := c.tr.(ElasticTransport)
 	if !ok {
 		return 0, ErrNotElastic
@@ -732,10 +741,11 @@ func (c *Cluster) Resize(next *strategy.Epoch) (int, error) {
 // FinishResize retires the previous epoch on an elastic transport once
 // the migration is drained; see ElasticTransport.FinishResize.
 func (c *Cluster) FinishResize() error {
-	if !c.enter(0) {
+	stripe, ok := c.enter()
+	if !ok {
 		return ErrClosed
 	}
-	defer c.exit(0)
+	defer c.exit(stripe)
 	et, ok := c.tr.(ElasticTransport)
 	if !ok {
 		return ErrNotElastic
@@ -757,31 +767,34 @@ func (c *Cluster) Metrics() MetricsSnapshot {
 // transport pass baseline (useful to measure a steady-state window).
 func (c *Cluster) ResetMetrics() { c.metrics.reset(c.tr) }
 
-// enter admits one operation through the close gate, on the in-flight
-// stripe picked by hint (the client id, where there is one): add first,
-// then check closed, backing out if it is set. Close sets closed first
-// and then reads the stripes; Go's atomics are sequentially consistent,
-// so of an enter and a Close at least one sees the other's write — an
+// enter admits one operation through the close gate and hands it its
+// lane — the in-flight stripe it is counted on, which the operation
+// passes to every striped metric and gives back to exit. Add first, then
+// check closed, backing out if it is set. Close sets closed first and
+// then reads the stripes; Go's atomics are sequentially consistent, so
+// of an enter and a Close at least one sees the other's write — an
 // operation is either counted before Close reads its stripe, and waited
 // for, or sees closed and never starts.
-func (c *Cluster) enter(hint int) bool {
-	c.inflight.Add(hint, 1)
+func (c *Cluster) enter() (stripe int, ok bool) {
+	stripe = c.lanes.Get()
+	c.inflight.Add(stripe, 1)
 	if c.closed.Load() {
-		c.exit(hint)
-		return false
+		c.exit(stripe)
+		return 0, false
 	}
-	return true
+	return stripe, true
 }
 
-// exit leaves the gate on the stripe enter took; the exit that empties a
-// stripe of a closing cluster wakes Close.
-func (c *Cluster) exit(hint int) {
-	if c.inflight.Add(hint, -1) == 0 && c.closed.Load() {
+// exit leaves the gate on the stripe enter returned and gives the lane
+// back; the exit that empties a stripe of a closing cluster wakes Close.
+func (c *Cluster) exit(stripe int) {
+	if c.inflight.Add(stripe, -1) == 0 && c.closed.Load() {
 		select {
 		case c.drained <- struct{}{}:
 		default: // a wake-up is already pending
 		}
 	}
+	c.lanes.Put(stripe)
 }
 
 // Close drains the worker pools and closes the transport. In-flight

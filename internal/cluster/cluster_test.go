@@ -391,8 +391,53 @@ func TestClusterSimTransport(t *testing.T) {
 	}
 }
 
-// closeWatchTransport fails the test if a Locate overlaps or follows the
-// transport's Close — what the cluster's close gate exists to prevent.
+// gatedOp runs the i-th of the gated operations other than Locate and
+// Submit on c for caller w; the caller's own registrations go to ports
+// nobody locates. It returns ErrClosed when the gate was shut, nil when
+// the operation went through as it should, and what went wrong
+// otherwise.
+func gatedOp(c *Cluster, client graph.NodeID, w, i int) error {
+	switch own := core.Port(fmt.Sprintf("own-%d", w)); i % 7 {
+	case 0:
+		all, err := c.LocateAll(client, "svc")
+		if err == nil && (len(all) != 1 || all[0].Addr != 5) {
+			err = fmt.Errorf("locate-all = %+v", all)
+		}
+		return err
+	case 1:
+		res := make([]LocateRes, 2)
+		err := c.LocateBatch([]LocateReq{{Client: client, Port: "svc"}, {Client: 0, Port: "svc"}}, res)
+		for _, r := range res {
+			if err == nil && (r.Err != nil || r.Entry.Addr != 5) {
+				err = fmt.Errorf("batch locate = %+v, %v", r.Entry, r.Err)
+			}
+		}
+		return err
+	case 2:
+		_, err := c.Register(own, client)
+		return err
+	case 3:
+		_, err := c.PostBatch([]Registration{{Port: own, Node: client}, {Port: own, Node: 0}})
+		return err
+	case 4:
+		if _, err := c.Resize(nil); !errors.Is(err, ErrNotElastic) {
+			return err
+		}
+	case 5:
+		if err := c.FinishResize(); !errors.Is(err, ErrNotElastic) {
+			return err
+		}
+	case 6:
+		if _, err := c.ReconcileRound(); !errors.Is(err, ErrNoAntiEntropy) {
+			return err
+		}
+	}
+	return nil
+}
+
+// closeWatchTransport fails the test if an operation overlaps or follows
+// the transport's Close — what the cluster's close gate exists to
+// prevent.
 type closeWatchTransport struct {
 	Transport
 	t        *testing.T
@@ -400,27 +445,54 @@ type closeWatchTransport struct {
 	closed   atomic.Bool
 }
 
-func (w *closeWatchTransport) Locate(client graph.NodeID, port core.Port) (core.Entry, error) {
+// watch marks one operation in flight until the returned func runs.
+func (w *closeWatchTransport) watch(op string) func() {
 	w.inFlight.Add(1)
-	defer w.inFlight.Add(-1)
 	if w.closed.Load() {
-		w.t.Error("locate reached the transport after it was closed")
+		w.t.Errorf("%s reached the transport after it was closed", op)
 	}
+	return func() { w.inFlight.Add(-1) }
+}
+
+func (w *closeWatchTransport) Locate(client graph.NodeID, port core.Port) (core.Entry, error) {
+	defer w.watch("locate")()
 	return w.Transport.Locate(client, port)
+}
+
+func (w *closeWatchTransport) LocateAll(client graph.NodeID, port core.Port) ([]core.Entry, error) {
+	defer w.watch("locate-all")()
+	return w.Transport.LocateAll(client, port)
+}
+
+func (w *closeWatchTransport) LocateBatch(reqs []LocateReq, res []LocateRes) {
+	defer w.watch("locate-batch")()
+	w.Transport.LocateBatch(reqs, res)
+}
+
+func (w *closeWatchTransport) Register(port core.Port, node graph.NodeID) (ServerRef, error) {
+	defer w.watch("register")()
+	return w.Transport.Register(port, node)
+}
+
+func (w *closeWatchTransport) PostBatch(regs []Registration) ([]ServerRef, error) {
+	defer w.watch("post-batch")()
+	return w.Transport.PostBatch(regs)
 }
 
 func (w *closeWatchTransport) Close() error {
 	w.closed.Store(true)
 	if n := w.inFlight.Load(); n != 0 {
-		w.t.Errorf("transport closed with %d locates in flight", n)
+		w.t.Errorf("transport closed with %d operations in flight", n)
 	}
 	return w.Transport.Close()
 }
 
 // TestClusterCloseRacesCallers closes a cluster under eight goroutines
-// of Locate and Submit, many times over: every call returns the right
-// answer or ErrClosed (a send on a closed Submit queue would panic),
-// Close returns only after the last admitted call and every accepted
+// of Locate, Submit and, in turn, every other gated operation —
+// LocateAll, LocateBatch, Register, PostBatch, Resize, FinishResize,
+// ReconcileRound — many times over: every call returns the right answer
+// or ErrClosed (a send on a closed Submit queue would panic), Close
+// returns only after the last admitted call and every accepted
 // submission's callback, and a second Close is a no-op. Run it with
 // -race -count=20.
 func TestClusterCloseRacesCallers(t *testing.T) {
@@ -474,6 +546,12 @@ func TestClusterCloseRacesCallers(t *testing.T) {
 						return
 					case !errors.Is(err, ErrOverload):
 						t.Errorf("submit during close: %v", err)
+						return
+					}
+					if err := gatedOp(c, client, w, i); errors.Is(err, ErrClosed) {
+						return
+					} else if err != nil {
+						t.Errorf("during close: %v", err)
 						return
 					}
 				}
@@ -533,7 +611,7 @@ func TestFlightTableCollisionAndSharing(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			out.e, _, out.err = c.locateFlight(h, client, port, 0)
+			out.e, _, out.err = c.locateFlight(0, h, client, port, 0)
 		}()
 	}
 

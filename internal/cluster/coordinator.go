@@ -62,7 +62,13 @@ type coordinator struct {
 	// passes leads the struct so its cacheline-padded stripes stay
 	// line-aligned: behind the read-mostly fields below, a stripe shares
 	// a line with crash marks and generations that every probe reads.
+	// No charge is striped by who it is for — callers on several cores
+	// serve the same clients. A flood charges on the stripe its pooled
+	// flood object carries (sync.Pool hands a processor back the object
+	// it last returned, so that stripe follows the core for free); a
+	// probe, which has no pooled object, takes a lane for the add.
 	passes stats.StripedCounter
+	lanes  stats.Lanes
 
 	g       *graph.Graph
 	routing *graph.Routing
@@ -153,7 +159,7 @@ func newCoordinator(g *graph.Graph, lay Layout) (*coordinator, error) {
 		crashed: make([]atomic.Bool, n),
 	}
 	c.table.Store(t)
-	c.floods.New = func() any { return &flood{} }
+	c.floods.New = func() any { return &flood{stripe: c.lanes.Get()} }
 	return c, nil
 }
 
@@ -365,7 +371,7 @@ func (c *coordinator) PostBatch(regs []Registration) ([]ServerRef, error) {
 			return undo(err)
 		}
 	}
-	c.send(fl, 0)
+	c.send(fl)
 	// A fresh registration can change the freshest-entry winner for the
 	// port, so cached hints must re-resolve.
 	for _, r := range regs {
@@ -400,7 +406,7 @@ func (c *coordinator) post(srv *server, node graph.NodeID, active bool) error {
 func (c *coordinator) postTo(srv *server, node graph.NodeID, active bool, targets []graph.NodeID, cost int64) error {
 	fl := c.postFlood()
 	err := c.stage(fl, srv, node, active, targets, cost)
-	c.send(fl, int(node))
+	c.send(fl)
 	return err
 }
 
@@ -436,11 +442,11 @@ func (c *coordinator) stage(fl *flood, srv *server, node graph.NodeID, active bo
 	return nil
 }
 
-// send delivers what was staged in fl — one substrate call, one charge,
-// on the pass stripe of stripe — and returns fl to the pool.
-func (c *coordinator) send(fl *flood, stripe int) {
+// send delivers what was staged in fl — one substrate call, one charge
+// — and returns fl to the pool.
+func (c *coordinator) send(fl *flood) {
 	if len(fl.posts) > 0 {
-		c.passes.Add(stripe, fl.cost)
+		c.passes.Add(fl.stripe, fl.cost)
 		c.sub.post(fl.posts, fl.keys)
 	}
 	c.floods.Put(fl)
@@ -658,7 +664,7 @@ func (c *coordinator) flood(fl *flood, reqs []LocateReq, res []LocateRes, from [
 	}
 	fl.reqs = nil
 	if bulk != 0 {
-		c.passes.Add(int(reqs[0].Client), bulk)
+		c.passes.Add(fl.stripe, bulk)
 	}
 }
 
@@ -715,16 +721,23 @@ func (c *coordinator) Probe(client graph.NodeID, e core.Entry) (core.Entry, erro
 	if !c.crashed[e.Addr].Load() {
 		ans = c.sub.probe(e.Port, e.Addr, e.ServerID)
 	}
-	switch ans {
-	case probeSilent:
-		c.passes.Add(int(client), d) // the request was swallowed; no answer came back
+	if ans == probeSilent {
+		c.charge(d) // the request was swallowed; no answer came back
 		return core.Entry{}, fmt.Errorf("cluster: probe %q at %d: %w", e.Port, e.Addr, sim.ErrCrashed)
-	case probeHit:
-		c.passes.Add(int(client), 2*d)
+	}
+	c.charge(2 * d) // request + reply, positive or negative
+	if ans == probeHit {
 		return core.Entry{Port: e.Port, Addr: e.Addr, ServerID: e.ServerID, Time: e.Time, Active: true}, nil
 	}
-	c.passes.Add(int(client), 2*d) // request + negative reply
 	return core.Entry{}, fmt.Errorf("cluster: probe %q at %d: %w", e.Port, e.Addr, core.ErrNotFound)
+}
+
+// charge adds n passes for an operation that holds no pooled flood, on a
+// lane taken for the add.
+func (c *coordinator) charge(n int64) {
+	stripe := c.lanes.Get()
+	c.passes.Add(stripe, n)
+	c.lanes.Put(stripe)
 }
 
 // LocateAll implements Transport, falling through the replica families
@@ -757,8 +770,8 @@ func (c *coordinator) locateAllReplica(client graph.NodeID, port core.Port, repl
 		}
 	}
 	fl.reqs = nil
+	c.passes.Add(fl.stripe, cost)
 	c.floods.Put(fl)
-	c.passes.Add(int(client), cost)
 	var out []core.Entry
 	for _, e := range freshest {
 		if e.Active {
@@ -1070,7 +1083,7 @@ func (s *server) Migrate(to graph.NodeID) error {
 	tombErr := c.stage(fl, s, from, false, targets, cost)
 	targets, cost = c.postSets(s, to)
 	err := c.stage(fl, s, to, true, targets, cost)
-	c.send(fl, int(to))
+	c.send(fl)
 	if err != nil {
 		return errors.Join(regErr, tombErr, err)
 	}

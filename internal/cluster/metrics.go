@@ -11,7 +11,7 @@ import (
 )
 
 // histStripes is the number of latency histogram stripes; writers pick
-// one by client hint, readers merge them into a scratch histogram.
+// one by their lane, readers merge them into a scratch histogram.
 const histStripes = 8
 
 type stripedHist struct {
@@ -27,10 +27,12 @@ func (h *stripedHist) merged() *stats.LiveHist {
 }
 
 // Metrics accumulates the cluster's live serving counters. The request
-// path touches only striped, cacheline-padded counters (selected by a
-// client-id hint), so metrics never serialize the hot path on a shared
-// atomic; snapshot reads sum the stripes and race benignly with
-// writers.
+// path touches only striped, cacheline-padded counters, all on the one
+// stripe the close gate handed the operation (its lane, see
+// Cluster.enter) — a stripe that follows the calling processor, so
+// metrics neither serialize the hot path on a shared atomic nor pull a
+// counter line from another core's cache; snapshot reads sum the
+// stripes and race benignly with writers.
 type Metrics struct {
 	locates   stats.StripedCounter
 	errors    atomic.Int64 // failures are off the fast path
@@ -50,16 +52,17 @@ type Metrics struct {
 
 	// Answer-voting counters (vote.go), ticking only when
 	// Options.VoteQuorum enables the Byzantine locate path:
-	// votedLocates counts locates resolved by quorum vote,
-	// voteConflicts the votes in which some answer was contradicted by
-	// the majority (or proved forged by its port alone).
-	votedLocates  atomic.Int64
+	// votedLocates counts locates resolved by quorum vote (striped — it
+	// ticks once per voted locate), voteConflicts the votes in which
+	// some answer was contradicted by the majority (or proved forged by
+	// its port alone).
+	votedLocates  stats.StripedCounter
 	voteConflicts atomic.Int64
 
 	// replicaDepth is the crash-tolerance ledger of the replicated
 	// locate path: which replica family resolved each flood (depth 0 =
 	// first family tried), and how many locates no family could answer.
-	// It only ticks on replicated transports.
+	// It only ticks on replicated transports, on the locate's lane.
 	replicaDepth stats.DepthCounter
 
 	// latency is swapped wholesale on reset rather than cleared in
@@ -108,16 +111,18 @@ func (m *Metrics) start(tr Transport) {
 	}
 }
 
-// sampleLocate counts a beginning locate on stripe and reports whether
-// this one should be timed.
+// sampleLocate counts a beginning locate on stripe — the caller's lane —
+// and reports whether this one should be timed: the stripe's own count
+// is the sampling tick, so each lane times every eighth of its locates.
 func (m *Metrics) sampleLocate(stripe int) bool {
 	return m.locates.Add(stripe, 1)&(1<<latencySampleShift-1) == 0
 }
 
 // observeLocate records a completed locate already counted by
-// sampleLocate. stripe is the same cheap spread hint (the client id);
-// d is only recorded when sampled is set.
-func (m *Metrics) observeLocate(stripe int, d time.Duration, sampled bool, err error) {
+// sampleLocate, on the same lane (masked down to a histogram stripe).
+// The clock is read, and the time since begin recorded, only when
+// sampled is set.
+func (m *Metrics) observeLocate(stripe int, begin time.Time, sampled bool, err error) {
 	if err != nil {
 		m.errors.Add(1)
 		if errors.Is(err, core.ErrNotFound) {
@@ -125,7 +130,7 @@ func (m *Metrics) observeLocate(stripe int, d time.Duration, sampled bool, err e
 		}
 	}
 	if sampled {
-		m.latency.Load().stripes[stripe&(histStripes-1)].Observe(uint64(d.Nanoseconds()))
+		m.latency.Load().stripes[stripe&(histStripes-1)].Observe(uint64(time.Since(begin)))
 	}
 }
 
@@ -139,7 +144,7 @@ func (m *Metrics) reset(tr Transport) {
 	m.hintHits.Reset()
 	m.hintStale.Store(0)
 	m.hintProbeFails.Store(0)
-	m.votedLocates.Store(0)
+	m.votedLocates.Reset()
 	m.voteConflicts.Store(0)
 	m.replicaDepth.Reset()
 	m.start(tr)

@@ -414,6 +414,11 @@ func closedLoop(t *testing.T, c *Cluster, ports []core.Port, callers, rounds int
 // nearly every time. Hint probes ride the same machine, so two callers'
 // probes share frames. A strictly sequential caller is never held back:
 // it flushes alone on its first turn.
+//
+// The two shares depend on how the machine schedules the two callers,
+// so each is the best of three attempts, every attempt logged: a loaded
+// machine can stretch the callers apart once, while a leader that does
+// not yield is held to 0.667 in every attempt and still fails.
 func TestCoalescerFillsBatches(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	const rounds = 4000
@@ -427,12 +432,16 @@ func TestCoalescerFillsBatches(t *testing.T) {
 
 	t.Run("floods", func(t *testing.T) {
 		c, netT, ports := coalFixture(t, loopbackNodes(t, coalNodes, 2), false)
-		closedLoop(t, c, ports, 2, rounds)
-		co, _ := netT.CoalesceStats()
-		share := float64(co) / (2 * rounds)
-		t.Logf("%.3f of two callers' locates shared a flood (bar %.2f)", share, wantShare)
+		var share float64
+		for attempt := 1; attempt <= 3 && share < wantShare; attempt++ {
+			before, _ := netT.CoalesceStats()
+			closedLoop(t, c, ports, 2, rounds)
+			co, _ := netT.CoalesceStats()
+			share = float64(co-before) / (2 * rounds)
+			t.Logf("attempt %d: %.3f of two callers' locates shared a flood (bar %.2f)", attempt, share, wantShare)
+		}
 		if share < wantShare {
-			t.Fatalf("%.3f of two callers' locates shared a flood, want >= %.2f (0.667 without the yield)", share, wantShare)
+			t.Fatalf("in three attempts at most %.3f of two callers' locates shared a flood, want >= %.2f (0.667 without the yield)", share, wantShare)
 		}
 	})
 
@@ -440,15 +449,18 @@ func TestCoalescerFillsBatches(t *testing.T) {
 		addrs, srv := loopbackServers(t, coalNodes, 2)
 		c, netT, ports := coalFixture(t, addrs, true)
 		closedLoop(t, c, ports, 2, len(ports)) // fill both callers' hints
-		before := srv[0].OpCounts()["probe"]
-		closedLoop(t, c, ports, 2, rounds)
-		perLocate := float64(srv[0].OpCounts()["probe"]-before) / (2 * rounds)
-		if m := c.Metrics(); m.HintHits < 2*rounds {
-			t.Fatalf("%d hint hits in %d hinted locates", m.HintHits, 2*rounds)
+		perLocate := 1.0
+		for attempt := 1; attempt <= 3 && perLocate > 0.85; attempt++ {
+			before, hits := srv[0].OpCounts()["probe"], c.Metrics().HintHits
+			closedLoop(t, c, ports, 2, rounds)
+			perLocate = float64(srv[0].OpCounts()["probe"]-before) / (2 * rounds)
+			if got := c.Metrics().HintHits - hits; got < 2*rounds {
+				t.Fatalf("%d hint hits in %d hinted locates", got, 2*rounds)
+			}
+			t.Logf("attempt %d: %.3f probe frames per hinted locate", attempt, perLocate)
 		}
-		t.Logf("%.3f probe frames per hinted locate", perLocate)
 		if perLocate > 0.85 {
-			t.Fatalf("%.3f probe frames per hinted locate, want <= 0.85 (1 uncoalesced)", perLocate)
+			t.Fatalf("in three attempts at least %.3f probe frames per hinted locate, want <= 0.85 (1 uncoalesced)", perLocate)
 		}
 		if co := netT.wire.coal.coalesced.Load(); co == 0 {
 			t.Fatal("probe coalescer never shared a frame")

@@ -177,6 +177,7 @@ type flood struct {
 	cost  int64        // their summed multicast cost
 
 	found   []bool // per request, coordinator-side
+	stripe  int    // the pass stripe this flood charges on, fixed at creation
 	oneReq  [1]LocateReq
 	oneRes  [1]LocateRes
 	oneFrom [1]graph.NodeID

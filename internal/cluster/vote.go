@@ -92,14 +92,14 @@ func voteTally(answers []voteAnswer) (voteKey, int) {
 // agree the electorate extends one family at a time before the locate
 // fails closed with core.ErrNotFound. Any non-miss failure (crashed or
 // invalid caller) aborts immediately, as in the fallthrough path.
-func (c *Cluster) voteLocate(client graph.NodeID, port core.Port, start int) (core.Entry, int, error) {
+func (c *Cluster) voteLocate(stripe int, client graph.NodeID, port core.Port, start int) (core.Entry, int, error) {
 	r := c.repl.Replicas()
 	q := c.voteQuorum()
 	need := q/2 + 1
 	if start < 0 || start >= r {
 		start = 0
 	}
-	c.metrics.votedLocates.Add(1)
+	c.metrics.votedLocates.Add(stripe, 1)
 
 	answers := make([]voteAnswer, 0, q)
 	conflict := false
@@ -131,7 +131,7 @@ func (c *Cluster) voteLocate(client graph.NodeID, port core.Port, start int) (co
 	}
 	for {
 		if key, n := voteTally(answers); n >= need {
-			return c.voteSettle(answers, key, conflict, start)
+			return c.voteSettle(stripe, answers, key, conflict, start)
 		}
 		if asked >= r {
 			break
@@ -166,7 +166,7 @@ func distinctKeys(answers []voteAnswer) int {
 // the hint is recorded under the lowest agreeing family (the cheapest
 // one a later invalidation's wrap order should retry after), and every
 // answerer the majority contradicts is quarantined.
-func (c *Cluster) voteSettle(answers []voteAnswer, key voteKey, conflict bool, start int) (core.Entry, int, error) {
+func (c *Cluster) voteSettle(stripe int, answers []voteAnswer, key voteKey, conflict bool, start int) (core.Entry, int, error) {
 	var (
 		best   core.Entry
 		family int
@@ -190,16 +190,16 @@ func (c *Cluster) voteSettle(answers []voteAnswer, key voteKey, conflict bool, s
 		c.metrics.voteConflicts.Add(1)
 	}
 	r := c.repl.Replicas()
-	c.metrics.replicaDepth.Observe((family - start + r) % r)
+	c.metrics.replicaDepth.Observe(stripe, (family-start+r)%r)
 	return best, family, nil
 }
 
 // voteBatch resolves a batch through the voting path, one voted locate
 // per request — batched floods cannot vote, because the transport's
 // batch path reduces answers before the coordinator sees who answered.
-func (c *Cluster) voteBatch(reqs []LocateReq, res []LocateRes) {
+func (c *Cluster) voteBatch(stripe int, reqs []LocateReq, res []LocateRes) {
 	for i := range reqs {
-		e, _, err := c.voteLocate(reqs[i].Client, reqs[i].Port, 0)
+		e, _, err := c.voteLocate(stripe, reqs[i].Client, reqs[i].Port, 0)
 		res[i] = LocateRes{Entry: e, Err: err}
 	}
 }
@@ -250,10 +250,11 @@ func (c *Cluster) suspectCount() int {
 // loses. Fails with ErrNoAntiEntropy on transports without the
 // reconciliation layer.
 func (c *Cluster) ReconcileRound() (int, error) {
-	if !c.enter(0) {
+	stripe, ok := c.enter()
+	if !ok {
 		return 0, ErrClosed
 	}
-	defer c.exit(0)
+	defer c.exit(stripe)
 	at, ok := c.tr.(AntiEntropyTransport)
 	if !ok {
 		return 0, ErrNoAntiEntropy

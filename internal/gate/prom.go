@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"sort"
+	"strconv"
 	"time"
 
 	"matchmake/internal/cluster"
@@ -49,7 +50,8 @@ func boolGauge(b bool) float64 {
 // WriteClusterMetrics renders a cluster metrics snapshot in Prometheus
 // text form under the mm_cluster_* namespace. Counters are cumulative
 // since the cluster's last ResetMetrics (the gateway never resets, so
-// they behave as conventional counters).
+// they behave as conventional counters). Every field of the snapshot
+// has a series here or a stated reason not to (TestSnapshotFieldsExported).
 func WriteClusterMetrics(w io.Writer, s cluster.MetricsSnapshot) {
 	promSimple(w, "mm_cluster_locates_total", "counter", "Completed locate calls, including failures.", float64(s.Locates))
 	promSimple(w, "mm_cluster_errors_total", "counter", "Failed locate calls.", float64(s.Errors))
@@ -60,8 +62,21 @@ func WriteClusterMetrics(w io.Writer, s cluster.MetricsSnapshot) {
 	promSimple(w, "mm_cluster_hint_hits_total", "counter", "Locates answered by a probe-confirmed address hint.", float64(s.HintHits))
 	promSimple(w, "mm_cluster_hint_stale_total", "counter", "Hints skipped on a generation mismatch.", float64(s.HintStale))
 	promSimple(w, "mm_cluster_hint_probe_fails_total", "counter", "Hint probes that found the cached address gone.", float64(s.HintProbeFails))
+	promSimple(w, "mm_cluster_hint_hit_rate", "gauge", "Hint hits per locate over the measurement window.", s.HintHitRate)
 	promSimple(w, "mm_cluster_availability", "gauge", "Fraction of serviceable locates the rendezvous machinery answered.", s.Availability)
 	promSimple(w, "mm_cluster_replica_fallthroughs_total", "counter", "Locates resolved only by a replica family deeper than the first.", float64(s.ReplicaFallthroughs))
+	promSimple(w, "mm_cluster_mean_replica_depth", "gauge", "Mean resolution depth of successful replicated floods.", s.MeanReplicaDepth)
+	promMeta(w, "mm_cluster_replica_depth_total", "counter", "Replicated floods by the depth of the replica family that resolved them.")
+	for depth, n := range s.ReplicaDepths {
+		promLabeled(w, "mm_cluster_replica_depth_total", "depth", strconv.Itoa(depth), float64(n))
+	}
+	promSimple(w, "mm_cluster_vote_quorum", "gauge", "Effective answer-voting electorate width (0: voting off).", float64(s.VoteQuorum))
+	promSimple(w, "mm_cluster_voted_locates_total", "counter", "Locates resolved by quorum vote.", float64(s.VotedLocates))
+	promSimple(w, "mm_cluster_vote_conflicts_total", "counter", "Votes in which some answer contradicted the majority.", float64(s.VoteConflicts))
+	promSimple(w, "mm_cluster_suspected_nodes", "gauge", "Rendezvous nodes currently quarantined by answer voting.", float64(s.SuspectedNodes))
+	promSimple(w, "mm_cluster_reconcile_rounds_total", "counter", "Completed anti-entropy reconciliation rounds.", float64(s.ReconcileRounds))
+	promSimple(w, "mm_cluster_repaired_posts_total", "counter", "Repair actions taken by reconciliation rounds.", float64(s.RepairedPosts))
+	promSimple(w, "mm_cluster_corruptions_injected_total", "counter", "Adversarial operations applied through the corruption injector.", float64(s.CorruptionsInjected))
 	promSimple(w, "mm_cluster_passes_total", "counter", "Transport message passes (the paper's cost unit).", float64(s.Passes))
 	promSimple(w, "mm_cluster_passes_per_locate", "gauge", "Message passes amortized over locates in the window.", s.PassesPerLocate)
 	promSimple(w, "mm_cluster_qps", "gauge", "Locates per second over the measurement window.", s.QPS)

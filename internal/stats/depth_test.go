@@ -8,12 +8,12 @@ import (
 func TestDepthCounter(t *testing.T) {
 	var d DepthCounter
 	for i := 0; i < 10; i++ {
-		d.Observe(0)
+		d.Observe(i, 0)
 	}
 	for i := 0; i < 4; i++ {
-		d.Observe(1)
+		d.Observe(i, 1)
 	}
-	d.Observe(2)
+	d.Observe(7, 2)
 	d.Fail()
 	if got := d.Counts(); got[0] != 10 || got[1] != 4 || got[2] != 1 {
 		t.Fatalf("counts = %v", got)
@@ -39,8 +39,8 @@ func TestDepthCounter(t *testing.T) {
 
 func TestDepthCounterClamps(t *testing.T) {
 	var d DepthCounter
-	d.Observe(-3)
-	d.Observe(1000)
+	d.Observe(-1, -3)
+	d.Observe(1000, 1000)
 	c := d.Counts()
 	if c[0] != 1 || c[len(c)-1] != 1 {
 		t.Fatalf("clamped counts = %v", c)
@@ -55,7 +55,7 @@ func TestDepthCounterConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				d.Observe(w % 3)
+				d.Observe(w, w%3)
 			}
 		}(w)
 	}
