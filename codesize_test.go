@@ -15,27 +15,12 @@ import (
 // `grep -vcE '^\s*(//|$)'`). ROADMAP makes that package's net line
 // count a tracked number that should go down: lower this when a change
 // shrinks the package, and raise it only with a reason in the PR that
-// does. Raised once, 5 080 → 5 135, by the PR that made bulk writes cost
-// O(processes) frames: opRegister's per-record statuses have to be
-// mapped back to the batch's first refused record on the coordinator's
-// side, and staging several postings into one multicast (PostBatch,
-// Migrate's tombstone + posting) needed a stage/send pair where a
-// one-entry postTo had been enough; the single-record encoder, the
-// per-record replay loop and the snapshot's intermediate list it
-// replaced were smaller than that. Raised a second time, 5 135 → 5 143
-// (the package stood exactly at the ceiling), by the PR that made the
-// stripe of every per-locate counter follow the caller instead of the
-// client: the close gate now returns the lane it counted the operation
-// on, and a second result needs a statement of its own at each of the
-// nine gated operations (`stripe, ok := c.enter()` / `if !ok {`, +9);
-// with them came the two `lanes` fields, the Get/Put pairs in
-// enter/exit and around a Submit worker's task, `flood.stripe` and the
-// coordinator's five-line `charge`. What the same PR took out — the
-// three `stripe := int(client)` lines, the duration bookkeeping at both
-// ends of `locate` (observeLocate reads the clock itself when the
-// locate is sampled), one of Probe's three charge sites and `send`'s
-// stripe argument — paid for all but eight of those lines.
-const clusterCodeLineCeiling = 5143
+// does. It stands at the measured count of the PR that made the node
+// process a frame codec over the in-process substrate — one record
+// grammar on the node wire, row hosting written once — which took back
+// the two raises before it (5 080 → 5 135 for per-record statuses and
+// staged multicasts, → 5 143 for caller-affine lanes).
+const clusterCodeLineCeiling = 5059
 
 // clusterConstructorCeiling is the committed ceiling on exported
 // `func New*` declarations in internal/cluster's non-test files: the
@@ -161,6 +146,22 @@ func TestClusterLayering(t *testing.T) {
 		if imports && !wireSide[filepath.Base(f)] {
 			t.Errorf("%s imports internal/netwire: only the wire substrate side (%v) may", f, slices.Sorted(maps.Keys(wireSide)))
 		}
+	}
+	// The node process hosts a memSubstrate and reaches rows through it
+	// (and Store.DumpRange, for the snapshot) or not at all: the row rules
+	// — merge, freshest, lies, digests, the corruption backdoors — are
+	// written once, in the substrate.
+	node, err := os.ReadFile("internal/cluster/netnode.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rule := range []string{"lieFor", ".Inject(", ".Drop(", ".Put(", "appendActive", "postingDigest(", "buildForgeTable"} {
+		if strings.Contains(string(node), rule) {
+			t.Errorf("internal/cluster/netnode.go names the row-rule helper %q: call the memSubstrate method instead", rule)
+		}
+	}
+	if !strings.Contains(string(node), "*memSubstrate") {
+		t.Error("internal/cluster/netnode.go no longer hosts a memSubstrate: the layering check lost its subject")
 	}
 	for _, must := range []string{"coordinator.go", "substrate.go", "memtransport.go"} {
 		if _, err := os.Stat(filepath.Join("internal/cluster", must)); err != nil {

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"errors"
+	"maps"
+	"net"
 	"testing"
 
 	"matchmake/internal/core"
@@ -16,11 +18,9 @@ import (
 func liveIDs(servers []*NodeServer) map[uint64]graph.NodeID {
 	out := make(map[uint64]graph.NodeID)
 	for _, s := range servers {
-		s.mu.Lock()
-		for id, rec := range s.live {
-			out[id] = rec.node
+		for _, rec := range s.sub.liveIn(s.lo, s.hi) {
+			out[rec.id] = rec.node
 		}
-		s.mu.Unlock()
 	}
 	return out
 }
@@ -102,7 +102,7 @@ func TestPostBatchUndo(t *testing.T) {
 		t.Errorf("liveness records survive the refused batch: %v", ids)
 	}
 	for _, s := range servers {
-		if rows := s.store.DumpRange(0, n); len(rows) != 0 {
+		if rows := s.sub.store.DumpRange(0, n); len(rows) != 0 {
 			t.Errorf("postings survive the refused batch: %v", rows)
 		}
 	}
@@ -126,7 +126,9 @@ func TestPostBatchUndo(t *testing.T) {
 // the writes that used to pay one round trip per server or per posting
 // set: a Migrate is one opRegister and one opPost per process (the
 // tombstone and the fresh posting share the frame), and a Rescale
-// replays each chunk's liveness records in a single opRegister.
+// replays each chunk's liveness records in a single opRegister — a chunk
+// is one opSnapshot out and at most three frames in (opPost, opRegister,
+// opCrash), however many postings, records and crash marks it holds.
 func TestWriteFrames(t *testing.T) {
 	const n, servers = 16, 12
 	g, strat := topology.Complete(n), rendezvous.Checkerboard(n)
@@ -167,5 +169,63 @@ func TestWriteFrames(t *testing.T) {
 	}
 	if ids := liveIDs(fresh); len(ids) != servers {
 		t.Errorf("%d liveness records after the rescale, want %d", len(ids), servers)
+	}
+
+	// Back onto one process: its partition is filled by two chunks, 12
+	// liveness records between them and three crashed nodes in the second.
+	for _, v := range []graph.NodeID{12, 13, 14} {
+		if err := tr.Crash(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	oneAddr, one := loopbackServers(t, n, 1)
+	if err := tr.Rescale(oneAddr); err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range fresh {
+		if got := s.OpCounts()["snapshot"]; got != 1 {
+			t.Errorf("donor %d served %d opSnapshot frames for its one chunk, want 1", i, got)
+		}
+	}
+	got := one[0].OpCounts()
+	delete(got, "hello")
+	if want := map[string]int64{"post": 2, "register": 2, "crash": 1}; !maps.Equal(got, want) {
+		t.Errorf("two chunks replayed as %v, want %v: at most three frames a chunk, none for an empty section", got, want)
+	}
+	if ids := liveIDs(one); len(ids) != servers {
+		t.Errorf("%d liveness records after the second rescale, want %d", len(ids), servers)
+	}
+	for v := range one[0].crashed {
+		if got, want := one[0].crashed[v].Load(), v >= 12 && v <= 14; got != want {
+			t.Errorf("node %d crashed = %v on the new process, want %v", v, got, want)
+		}
+	}
+}
+
+// TestDumpCorruptSnapshot answers the reconciler's row dump with a reply
+// whose first section claims 2^62 bytes: the node is unreadable this
+// round (absent from the result), where a count-prefixed reply sized an
+// allocation by the claim and panicked.
+func TestDumpCorruptSnapshot(t *testing.T) {
+	const n = 8
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer := netwire.NewServer(ln, func(op byte, _, resp []byte) (byte, []byte) {
+		if op == opSnapshot {
+			return stOK, netwire.AppendUvarint(resp, 1<<62)
+		}
+		return stOK, netwire.AppendUvarint(netwire.AppendUvarint(netwire.AppendUvarint(resp, n), 0), n) // hello
+	})
+	go peer.Serve()
+	defer peer.Close()
+	tr, err := NewNetTransport(topology.Complete(n), rendezvous.Checkerboard(n), []string{ln.Addr().String()}, NetOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	if rows := tr.wire.dump([]graph.NodeID{3}); len(rows) != 0 {
+		t.Errorf("dump of a node whose snapshot is corrupt = %v, want the node absent", rows)
 	}
 }

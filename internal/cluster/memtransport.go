@@ -197,6 +197,17 @@ func (m *memSubstrate) deregister(id uint64, _ graph.NodeID) {
 	m.live.Store(&next)
 }
 
+// liveIn returns the liveness records homed in [lo, hi) — the section of
+// a node process's snapshot a partition transfer replays.
+func (m *memSubstrate) liveIn(lo, hi int) (recs []liveReg) {
+	for id, rec := range *m.live.Load() {
+		if node := int(rec.node.Load()); node >= lo && node < hi {
+			recs = append(recs, liveReg{id: id, port: rec.port, node: graph.NodeID(node), from: noNode})
+		}
+	}
+	return recs
+}
+
 func (m *memSubstrate) crash(node graph.NodeID) { m.store.ClearNode(node) }
 
 func (m *memSubstrate) restore(graph.NodeID) {}

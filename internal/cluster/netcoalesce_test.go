@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"runtime/debug"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -426,7 +424,7 @@ func TestCoalescerFillsBatches(t *testing.T) {
 	// the callers apart (0.83–0.91 measured): the bar there only has to
 	// clear the 0.667 a leader that never yields cannot exceed.
 	wantShare := 0.85
-	if bi, ok := debug.ReadBuildInfo(); ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
+	if raceDetector {
 		wantShare = 0.75
 	}
 
@@ -486,13 +484,21 @@ func TestCoalescerFillsBatches(t *testing.T) {
 // TestCoalescedZeroAllocs pins the coalesced read paths — a flood and a
 // probe that share their flush with a second caller's — at zero heap
 // allocations per locate, both callers' counted. The shards are real
-// processes, so only the coordinator side is.
+// processes, so only the coordinator side is. Under the race detector
+// sync.Pool drops a quarter of all Puts on purpose, so a pooled coalOp,
+// batch or frame buffer is allocated again — 13 and 4 objects per locate
+// measured — and the bar there is a ceiling just above that: still low
+// enough to see a pool that stopped being used.
 func TestCoalescedZeroAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns real processes")
 	}
 	for _, hints := range []bool{false, true} {
 		t.Run(fmt.Sprintf("hints=%v", hints), func(t *testing.T) {
+			ceiling := 0.0
+			if raceDetector {
+				ceiling = map[bool]float64{false: 16, true: 6}[hints]
+			}
 			addrs, _ := spawnNetCluster(t, coalNodes, 2)
 			c, netT, ports := coalFixture(t, addrs, hints)
 			closedLoop(t, c, ports, 2, 4*len(ports)) // fill hints, warm every pool
@@ -524,8 +530,8 @@ func TestCoalescedZeroAllocs(t *testing.T) {
 			if shared == 0 {
 				t.Fatal("no call shared a flush: the coalesced path was not measured")
 			}
-			if allocs != 0 {
-				t.Fatalf("coalesced locate allocates %.1f objects/op, want 0", allocs)
+			if allocs > ceiling {
+				t.Fatalf("coalesced locate allocates %.1f objects/op, want at most %.0f", allocs, ceiling)
 			}
 		})
 	}

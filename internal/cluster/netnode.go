@@ -6,7 +6,7 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"sync"
+	"slices"
 	"sync/atomic"
 	"syscall"
 
@@ -16,9 +16,15 @@ import (
 )
 
 // NodeServer hosts one node-shard of a NetTransport cluster as a
-// network service: the rendezvous caches (a Store partition) and the
-// live-server table for a contiguous range [lo, hi) of graph nodes,
-// served over the internal/netwire protocol. It holds state and
+// network service: a memSubstrate — the rows, the live-server table and
+// the armed lies of a contiguous range [lo, hi) of graph nodes, the very
+// code MemTransport runs — behind the node protocol's frame codec (see
+// netproto.go), served over internal/netwire. What the process adds is
+// what only a process has: the check that a record names a node it owns,
+// the crash marks, the per-opcode counters and the listener. The crash
+// marks sit in front of the substrate exactly as the coordinator's do
+// in-process — a substrate is never handed a crashed node — so the
+// substrate's read path knows nothing of them. It holds state and
 // answers requests but charges no message passes — the paper's cost
 // accounting lives in the client-side NetTransport, which knows the
 // routing tables. cmd/mmnode wraps one NodeServer per OS process;
@@ -27,59 +33,26 @@ type NodeServer struct {
 	n      int
 	lo, hi int
 
-	store *Store
-
-	// live is the registration table probes answer from — the node
-	// server's equivalent of a host knowing its own processes. Guarded
-	// by mu; probe traffic is light relative to store reads.
-	mu   sync.Mutex
-	live map[uint64]liveRec
-
+	sub     *memSubstrate
 	crashed []atomic.Bool
-
-	// armed is the Byzantine lie table opArm installed (nil when
-	// disarmed): queries for an armed (node, port) answer with the
-	// forged entry — or not at all — instead of reading the store.
-	armed atomic.Pointer[forgeTable]
 
 	// ops counts served requests per opcode (index = opcode), the raw
 	// material of the worker's /metrics endpoint; badOps counts frames
 	// with an unknown opcode.
-	ops    [opArm + 1]atomic.Int64
+	ops    [len(nodeOps)]atomic.Int64
 	badOps atomic.Int64
 
 	srv *netwire.Server
-}
-
-// opNames maps node-protocol opcodes to stable metric label values.
-var opNames = [opArm + 1]string{
-	opHello:      "hello",
-	opPost:       "post",
-	opQuery:      "query",
-	opQueryAll:   "query_all",
-	opProbe:      "probe",
-	opRegister:   "register",
-	opDeregister: "deregister",
-	opCrash:      "crash",
-	opRestore:    "restore",
-	opExpire:     "expire",
-	opSnapshot:   "snapshot",
-	opDigest:     "digest",
-	opCorrupt:    "corrupt",
-	opArm:        "arm",
 }
 
 // OpCounts returns the cumulative served-request count per operation
 // name (plus "unknown" for undecodable opcodes, when any occurred) —
 // the counters behind cmd/mmnode's /metrics endpoint.
 func (s *NodeServer) OpCounts() map[string]int64 {
-	out := make(map[string]int64, len(opNames))
-	for op, name := range opNames {
-		if name == "" {
-			continue
-		}
+	out := make(map[string]int64, len(nodeOps))
+	for op := range nodeOps {
 		if v := s.ops[op].Load(); v > 0 {
-			out[name] = v
+			out[nodeOps[op].name] = v
 		}
 	}
 	if v := s.badOps.Load(); v > 0 {
@@ -91,13 +64,6 @@ func (s *NodeServer) OpCounts() map[string]int64 {
 // Range returns the owned node range [lo, hi) and the cluster size n.
 func (s *NodeServer) Range() (lo, hi, n int) { return s.lo, s.hi, s.n }
 
-// liveRec is one registered server instance: the port it serves and
-// the owned node it currently lives at.
-type liveRec struct {
-	port core.Port
-	node graph.NodeID
-}
-
 // NewNodeServer builds a node server owning [lo, hi) of an n-node
 // cluster, serving on ln. Call Serve to start accepting.
 func NewNodeServer(n, lo, hi int, ln net.Listener) (*NodeServer, error) {
@@ -108,8 +74,7 @@ func NewNodeServer(n, lo, hi int, ln net.Listener) (*NodeServer, error) {
 		n:       n,
 		lo:      lo,
 		hi:      hi,
-		store:   NewStore(n, 0),
-		live:    make(map[uint64]liveRec, 64),
+		sub:     newMemSubstrate(n, 0),
 		crashed: make([]atomic.Bool, n),
 	}
 	s.srv = netwire.NewServer(ln, s.handle)
@@ -191,336 +156,216 @@ func RunNodeWorkerWithReady(n, lo, hi int, listenAddr string, out io.Writer, rea
 	return srv.ServeUntilTerm()
 }
 
-// owned reports whether node falls in the server's range.
-func (s *NodeServer) owned(node graph.NodeID) bool {
-	return int(node) >= s.lo && int(node) < s.hi
+// admit is the process's own word on a record naming node: stBadRequest
+// outside [lo, hi), stCrashed while the node is marked down, else stOK.
+func (s *NodeServer) admit(node graph.NodeID) byte {
+	switch {
+	case int(node) < s.lo || int(node) >= s.hi:
+		return stBadRequest
+	case s.crashed[node].Load():
+		return stCrashed
+	}
+	return stOK
 }
 
-// handle serves one decoded request frame; it runs concurrently.
+// handle serves one request frame: records until end of body, decoded
+// into a pooled batch, then one substrate call and its reply. It runs
+// concurrently.
 func (s *NodeServer) handle(op byte, req, resp []byte) (byte, []byte) {
-	if int(op) < len(s.ops) && opNames[op] != "" {
-		s.ops[op].Add(1)
-	} else {
+	if int(op) >= len(nodeOps) || nodeOps[op].name == "" {
 		s.badOps.Add(1)
+		return stBadRequest, resp
 	}
+	s.ops[op].Add(1)
+	b := newNodeBatch()
+	defer b.release()
 	d := netwire.NewDec(req)
+	for d.Len() > 0 {
+		st := s.record(op, &d, b)
+		switch {
+		case d.Err() != nil:
+			return stBadRequest, resp[:0]
+		case nodeOps[op].status:
+			resp = append(resp, st)
+		case st == stBadRequest:
+			return stBadRequest, resp[:0]
+		}
+	}
+	return stOK, s.apply(op, b, resp)
+}
+
+// record decodes one record of op into b and returns the process's word
+// on it (see admit). Only what is admitted is staged; opProbe, a read of
+// one record, is answered here.
+func (s *NodeServer) record(op byte, d *netwire.Dec, b *nodeBatch) byte {
+	switch op {
+	case opPost:
+		node, e := decodePosting(d)
+		st := s.admit(node)
+		if st == stOK { // a crashed rendezvous node drops postings
+			b.fl.keys = append(b.fl.keys, rowKey{req: int32(len(b.fl.posts)), node: node})
+			b.fl.posts = append(b.fl.posts, e)
+		}
+		return st
+	case opQuery, opQueryAll:
+		req := int32(len(b.fl.reqs))
+		b.fl.reqs = append(b.fl.reqs, LocateReq{Port: core.Port(d.String())})
+		for cnt := d.Uvarint(); cnt > 0 && d.Err() == nil; cnt-- {
+			node := graph.NodeID(d.Uvarint())
+			st := s.admit(node)
+			if st == stBadRequest {
+				return st
+			}
+			if b.up = append(b.up, st == stOK); st == stOK { // crashed nodes do not answer
+				b.fl.keys = append(b.fl.keys, rowKey{req: req, node: node})
+			}
+		}
+		return stOK
+	case opProbe:
+		port, addr, id := d.Bytes(), graph.NodeID(d.Uvarint()), d.Uvarint()
+		st := s.admit(addr)
+		if st == stOK && s.sub.probe(core.Port(port), addr, id) != probeHit {
+			st = stNotFound
+		}
+		return st
+	case opRegister:
+		r := decodeLiveRec(d)
+		st := s.admit(r.node)
+		if st == stOK {
+			b.regs = append(b.regs, r)
+		}
+		return st
+	case opDeregister:
+		b.regs = append(b.regs, liveReg{id: d.Uvarint(), node: noNode})
+		return stOK
+	case opCrash, opRestore:
+		node := graph.NodeID(d.Uvarint())
+		b.nodes = append(b.nodes, node)
+		return s.admit(node)
+	case opExpire:
+		r := decodeRowID(d)
+		b.rows = append(b.rows, r)
+		return s.admit(r.node)
+	case opSnapshot, opDigest:
+		lo, hi := int(d.Uvarint()), int(d.Uvarint())
+		if lo < s.lo || hi > s.hi || hi <= lo {
+			return stBadRequest
+		}
+		b.ranges = append(b.ranges, [2]int{lo, hi})
+		return stOK
+	case opCorrupt: // a backdoor, not a message: crash marks are not consulted
+		node, e := decodePosting(d)
+		b.inject = append(b.inject, corruptOp{node: node, e: e})
+		return s.admit(node)
+	case opArm:
+		f := decodeForgeOp(d)
+		b.lies = append(b.lies, f)
+		return s.admit(f.node)
+	}
+	return stBadRequest // opHello takes no records
+}
+
+// apply makes op's substrate call on the decoded batch and appends the
+// reply.
+func (s *NodeServer) apply(op byte, b *nodeBatch, resp []byte) []byte {
+	fl := &b.fl
 	switch op {
 	case opHello:
-		resp = netwire.AppendUvarint(resp, uint64(s.n))
-		resp = netwire.AppendUvarint(resp, uint64(s.lo))
-		resp = netwire.AppendUvarint(resp, uint64(s.hi))
-		return stOK, resp
+		for _, v := range [...]int{s.n, s.lo, s.hi} {
+			resp = netwire.AppendUvarint(resp, uint64(v))
+		}
 	case opPost:
-		return s.handlePost(&d, resp)
-	case opQuery:
-		return s.handleQueries(&d, resp, false)
-	case opQueryAll:
-		return s.handleQueries(&d, resp, true)
-	case opProbe:
-		return s.handleProbe(&d, resp)
-	case opRegister:
-		return s.handleRegister(&d, resp)
-	case opDeregister:
-		id := d.Uvarint()
-		if d.Err() != nil {
-			return stBadRequest, resp
-		}
-		s.mu.Lock()
-		delete(s.live, id)
-		s.mu.Unlock()
-		return stOK, resp
-	case opCrash:
-		return s.handleCrash(&d, resp, true)
-	case opRestore:
-		return s.handleCrash(&d, resp, false)
-	case opExpire:
-		return s.handleExpire(&d, resp)
-	case opSnapshot:
-		return s.handleSnapshot(&d, resp)
-	case opDigest:
-		return s.handleDigest(&d, resp)
-	case opCorrupt:
-		return s.handleCorrupt(&d, resp)
-	case opArm:
-		return s.handleArm(&d, resp)
-	default:
-		return stBadRequest, resp
-	}
-}
-
-// handleDigest answers opDigest: per-node xor digests over the active
-// cached entries of an owned node range — the cheap row summary the
-// coordinator's anti-entropy round compares against ground truth before
-// deciding whether a full opSnapshot dump is worth pulling.
-func (s *NodeServer) handleDigest(d *netwire.Dec, resp []byte) (byte, []byte) {
-	lo, hi := int(d.Uvarint()), int(d.Uvarint())
-	if d.Err() != nil || lo < s.lo || hi > s.hi || hi <= lo {
-		return stBadRequest, resp
-	}
-	digests := make([]uint64, hi-lo)
-	for _, ne := range s.store.DumpRange(lo, hi) {
-		if ne.E.Active {
-			digests[int(ne.Node)-lo] ^= postingDigest(ne.E.Port, ne.E.ServerID, ne.E.Addr)
-		}
-	}
-	for _, dg := range digests {
-		resp = netwire.AppendUvarint(resp, dg)
-	}
-	return stOK, resp
-}
-
-// handleCorrupt applies opCorrupt's adversarial state mutations: kind 0
-// drops a cached posting by identity, kind 1 force-injects a raw entry
-// through Store.Inject, bypassing the timestamp merge rule. Crash marks
-// are ignored on purpose — corruption is a backdoor, not a protocol
-// message — and nothing is charged.
-func (s *NodeServer) handleCorrupt(d *netwire.Dec, resp []byte) (byte, []byte) {
-	for d.Len() > 0 {
-		switch d.Byte() {
-		case 0:
-			node := graph.NodeID(d.Uvarint())
-			port := core.Port(d.String())
-			id := d.Uvarint()
-			if d.Err() != nil || !s.owned(node) {
-				return stBadRequest, resp
-			}
-			s.store.Drop(node, port, id)
-		case 1:
-			node := graph.NodeID(d.Uvarint())
-			e := decodeEntry(d)
-			if d.Err() != nil || !s.owned(node) {
-				return stBadRequest, resp
-			}
-			s.store.Inject(node, e)
-		default:
-			return stBadRequest, resp
-		}
-	}
-	return stOK, resp
-}
-
-// armedTable returns the installed lie table, or a nil table when
-// disarmed (nil-safe for lookups).
-func (s *NodeServer) armedTable() forgeTable {
-	p := s.armed.Load()
-	if p == nil {
-		return nil
-	}
-	return *p
-}
-
-// handleArm installs opArm's answer-forging plan, replacing the
-// previous one; an empty body disarms. Like opCorrupt it is a chaos
-// backdoor and charges nothing.
-func (s *NodeServer) handleArm(d *netwire.Dec, resp []byte) (byte, []byte) {
-	if d.Len() == 0 {
-		s.armed.Store(nil)
-		return stOK, resp
-	}
-	ft := make(forgeTable)
-	for d.Len() > 0 {
-		node := graph.NodeID(d.Uvarint())
-		port := core.Port(d.String())
-		silent := d.Byte() == 1
-		var e core.Entry
-		if !silent {
-			e = decodeEntry(d)
-		}
-		if d.Err() != nil || !s.owned(node) {
-			return stBadRequest, resp
-		}
-		byPort := ft[node]
-		if byPort == nil {
-			byPort = make(map[core.Port]forgeRec, 4)
-			ft[node] = byPort
-		}
-		byPort[port] = forgeRec{silent: silent, e: e}
-	}
-	s.armed.Store(&ft)
-	return stOK, resp
-}
-
-// handleExpire drops cached postings by (node, port, serverID) — the
-// local garbage collection of a retired epoch (see opExpire).
-func (s *NodeServer) handleExpire(d *netwire.Dec, resp []byte) (byte, []byte) {
-	for d.Len() > 0 {
-		node := graph.NodeID(d.Uvarint())
-		port := core.Port(d.String())
-		id := d.Uvarint()
-		if d.Err() != nil || !s.owned(node) {
-			return stBadRequest, resp
-		}
-		s.store.Drop(node, port, id)
-	}
-	return stOK, resp
-}
-
-// handleSnapshot dumps the owned state for a node range — the donor
-// side of a partition transfer (see opSnapshot).
-func (s *NodeServer) handleSnapshot(d *netwire.Dec, resp []byte) (byte, []byte) {
-	lo, hi := int(d.Uvarint()), int(d.Uvarint())
-	if d.Err() != nil || lo < s.lo || hi > s.hi || hi <= lo {
-		return stBadRequest, resp
-	}
-	dump := s.store.DumpRange(lo, hi)
-	resp = netwire.AppendUvarint(resp, uint64(len(dump)))
-	for _, ne := range dump {
-		resp = netwire.AppendUvarint(resp, uint64(ne.Node))
-		resp = appendEntry(resp, ne.E)
-	}
-	var lives []byte
-	count := 0
-	s.mu.Lock()
-	for id, rec := range s.live {
-		if int(rec.node) >= lo && int(rec.node) < hi {
-			lives = appendLiveRec(lives, id, rec.port, rec.node)
-			count++
-		}
-	}
-	s.mu.Unlock()
-	resp = append(netwire.AppendUvarint(resp, uint64(count)), lives...)
-	var crashed []graph.NodeID
-	for v := lo; v < hi; v++ {
-		if s.crashed[v].Load() {
-			crashed = append(crashed, graph.NodeID(v))
-		}
-	}
-	resp = netwire.AppendUvarint(resp, uint64(len(crashed)))
-	for _, v := range crashed {
-		resp = netwire.AppendUvarint(resp, uint64(v))
-	}
-	return stOK, resp
-}
-
-func (s *NodeServer) handlePost(d *netwire.Dec, resp []byte) (byte, []byte) {
-	for d.Len() > 0 {
-		node := graph.NodeID(d.Uvarint())
-		e := decodeEntry(d)
-		if d.Err() != nil {
-			return stBadRequest, resp
-		}
-		if !s.owned(node) {
-			return stBadRequest, resp
-		}
-		if s.crashed[node].Load() {
-			continue // a crashed rendezvous node drops postings
-		}
-		s.store.Put(node, e)
-	}
-	return stOK, resp
-}
-
-// handleQueries answers opQuery and opQueryAll: a sequence of (port,
-// nodeCount, nodes...) sub-requests until end of body — replicated batch
-// floods pack many per frame — each node answered with a flag and, when
-// set, its freshest entry, or under all with (count, entries...). It
-// resolves each sub-request's port once (Store.Rows) and then indexes
-// its rows per node, so a flood's √n reads cost one port lookup on the
-// shard process too.
-func (s *NodeServer) handleQueries(d *netwire.Dec, resp []byte, all bool) (byte, []byte) {
-	var buf [8]core.Entry
-	ft := s.armedTable()
-	for d.Len() > 0 {
-		port := core.Port(d.String())
-		cnt := int(d.Uvarint())
-		rows := s.store.Rows(port)
-		for i := 0; i < cnt; i++ {
-			node := graph.NodeID(d.Uvarint())
-			if d.Err() != nil || !s.owned(node) {
-				return stBadRequest, resp
-			}
-			// Crashed nodes do not answer and misses are silent (§1.5). A
-			// lying node never consults its store: its whole answer is
-			// the one forged entry, or nothing under selective silence —
-			// indistinguishable from a miss on the wire.
-			entries := buf[:0]
-			if !s.crashed[node].Load() {
-				if rec, armed := ft.lieFor(node, port); armed {
-					if !rec.silent {
-						entries = append(entries, rec.e)
-					}
-				} else if all {
-					entries = rows.slot(node).appendActive(entries)
-				} else if e, ok := rows.Get(node); ok {
-					entries = append(entries, e)
+		s.sub.post(fl.posts, fl.keys)
+	case opQuery, opQueryAll:
+		if op == opQueryAll {
+			s.sub.readAll(fl)
+		} else {
+			fl.ans = slices.Grow(fl.ans[:0], len(fl.keys))[:len(fl.keys)]
+			clear(fl.ans)
+			s.sub.readFreshest(fl)
+			for i, a := range fl.ans {
+				if a.ok {
+					fl.all = append(fl.all, keyedEntry{key: int32(i), e: a.e})
 				}
 			}
-			if all {
-				resp = netwire.AppendUvarint(resp, uint64(len(entries)))
-			} else {
-				resp = append(resp, byte(len(entries))) // flag: 0 or 1
+		}
+		// fl.all is in key order: each node that is up takes the next key
+		// and the entries filed under it; misses and crashed nodes are
+		// silent (§1.5).
+		key, rest := int32(0), fl.all
+		for _, up := range b.up {
+			n := 0
+			if up {
+				for n < len(rest) && rest[n].key == key {
+					n++
+				}
+				key++
 			}
-			for _, e := range entries {
-				resp = appendEntry(resp, e)
+			resp = netwire.AppendUvarint(resp, uint64(n))
+			for _, ke := range rest[:n] {
+				resp = appendEntry(resp, ke.e)
+			}
+			rest = rest[n:]
+		}
+	case opRegister:
+		_ = s.sub.register(b.regs) // the in-process table refuses nothing
+	case opDeregister:
+		for _, r := range b.regs {
+			s.sub.deregister(r.id, r.node)
+		}
+	case opCrash:
+		for _, v := range b.nodes {
+			s.crashed[v].Store(true)
+			s.sub.crash(v)
+		}
+	case opRestore:
+		for _, v := range b.nodes {
+			s.crashed[v].Store(false)
+			s.sub.restore(v)
+		}
+	case opExpire:
+		s.sub.expire(b.rows)
+	case opSnapshot:
+		for _, r := range b.ranges {
+			resp = s.appendSnapshot(resp, r[0], r[1])
+		}
+	case opDigest:
+		dg := make([]uint64, s.n)
+		s.sub.digests(dg, make([]bool, s.n))
+		for _, r := range b.ranges {
+			for _, x := range dg[r[0]:r[1]] {
+				resp = netwire.AppendUvarint(resp, x)
 			}
 		}
-		if d.Err() != nil {
-			return stBadRequest, resp
-		}
+	case opCorrupt:
+		_ = s.sub.corrupt(b.inject) // in-process, nothing to fail
+	case opArm:
+		_ = s.sub.arm(b.lies)
 	}
-	return stOK, resp
+	return resp
 }
 
-// handleProbe answers opProbe: one status byte per (port, addr, id)
-// record, from the live table under one lock for the whole frame.
-func (s *NodeServer) handleProbe(d *netwire.Dec, resp []byte) (byte, []byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for d.Len() > 0 {
-		port := d.Bytes() // compared in place; no copy out of the frame
-		addr := graph.NodeID(d.Uvarint())
-		rec, ok := s.live[d.Uvarint()]
-		switch {
-		case d.Err() != nil:
-			return stBadRequest, resp
-		case !s.owned(addr):
-			resp = append(resp, stBadRequest)
-		case s.crashed[addr].Load():
-			resp = append(resp, stCrashed)
-		case ok && string(rec.port) == string(port) && rec.node == addr:
-			resp = append(resp, stOK)
-		default:
-			resp = append(resp, stNotFound)
+// appendSnapshot appends the state of [lo, hi) as opSnapshot's three
+// sections, each the body of the frame that replays it.
+func (s *NodeServer) appendSnapshot(resp []byte, lo, hi int) []byte {
+	buf := netwire.GetBuf()
+	defer netwire.PutBuf(buf)
+	sec := *buf
+	for _, ne := range s.sub.store.DumpRange(lo, hi) {
+		sec = appendPosting(sec, ne.Node, ne.E)
+	}
+	resp = netwire.AppendBytes(resp, sec)
+	sec = sec[:0]
+	for _, r := range s.sub.liveIn(lo, hi) {
+		sec = appendLiveRec(sec, r.id, r.port, r.node)
+	}
+	resp = netwire.AppendBytes(resp, sec)
+	sec = sec[:0]
+	for v := lo; v < hi; v++ {
+		if s.crashed[v].Load() {
+			sec = netwire.AppendUvarint(sec, uint64(v))
 		}
 	}
-	return stOK, resp
-}
-
-// handleRegister answers opRegister: one status byte per (id, port,
-// node) record, the accepted ones recorded under one lock for the whole
-// frame; a refused record changes nothing. A body that stops mid-record
-// is refused as a frame from there on — the sender treats a refused
-// frame like any refused record and withdraws its whole batch.
-func (s *NodeServer) handleRegister(d *netwire.Dec, resp []byte) (byte, []byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for d.Len() > 0 {
-		id := d.Uvarint()
-		port := core.Port(d.String())
-		node := graph.NodeID(d.Uvarint())
-		switch {
-		case d.Err() != nil:
-			return stBadRequest, resp
-		case !s.owned(node):
-			resp = append(resp, stBadRequest)
-		case s.crashed[node].Load():
-			resp = append(resp, stCrashed)
-		default:
-			s.live[id] = liveRec{port: port, node: node}
-			resp = append(resp, stOK)
-		}
-	}
-	return stOK, resp
-}
-
-func (s *NodeServer) handleCrash(d *netwire.Dec, resp []byte, down bool) (byte, []byte) {
-	node := graph.NodeID(d.Uvarint())
-	if d.Err() != nil || !s.owned(node) {
-		return stBadRequest, resp
-	}
-	s.crashed[node].Store(down)
-	if down {
-		s.store.ClearNode(node)
-	}
-	return stOK, resp
+	*buf = sec
+	return netwire.AppendBytes(resp, sec)
 }

@@ -1,100 +1,123 @@
 package cluster
 
 import (
+	"sync"
+
 	"matchmake/internal/core"
 	"matchmake/internal/graph"
 	"matchmake/internal/netwire"
 )
 
-// The node protocol: every request body is a sequence of varint-coded
-// fields (see internal/netwire for the frame and codec layer). A node
-// process serves a contiguous range of graph nodes; the client-side
-// NetTransport fans each match-making operation out to the processes
-// owning the involved nodes and keeps the paper's pass accounting
-// locally, so the wire layer moves state but never charges costs.
+// The node protocol. A node process serves a contiguous range [lo, hi) of
+// graph nodes; the client-side NetTransport fans each match-making
+// operation out to the processes owning the involved nodes and keeps the
+// paper's pass accounting locally, so the wire moves state and never
+// charges costs (see internal/netwire for the frame and field layer).
+//
+// One grammar: every request body is a sequence of records, all of one
+// kind, until the end of the body — a lone operation is a sequence of
+// one, an empty body a sequence of none. The process decodes the records
+// into its substrate's batch argument, calls the substrate once, and
+// encodes what came back (NodeServer.handle). A body that stops inside a
+// record, or a record naming a node the process does not own, refuses
+// the frame with stBadRequest and changes nothing — except on the two
+// opcodes marked "status", whose reply is one status byte per record: a
+// refused record there (stBadRequest: node not owned; stCrashed: node
+// marked down) is not applied and does not stop its neighbours.
+//
+//	opcode        record                      reply, per record
+//	opHello       —                           (n, lo, hi), once
+//	opPost        posting = node, entry       —; a crashed node drops it (§1.5)
+//	opQuery       port, count, count × node   per node: 0, or 1 + freshest entry
+//	opQueryAll    port, count, count × node   per node: count, count × entry
+//	opProbe       port, addr, serverID        status: stOK lives there, stNotFound
+//	opRegister    live = serverID, port, node status: stOK recorded
+//	opDeregister  serverID                    —
+//	opCrash       node                        —; clears the node's volatile rows
+//	opRestore     node                        —; the rows stay lost
+//	opExpire      node, port, serverID        —; the row is dropped where it lies
+//	opSnapshot    lo, hi                      three length-prefixed sections
+//	opDigest      lo, hi                      hi−lo digests, one per node
+//	opCorrupt     posting                     —; force-placed, no §2.1 merge
+//	opArm         node, port, silent, entry?  —; the body is the process's whole plan
+//
+// A crashed node answers opQuery/opQueryAll with 0 — silence. opQuery's
+// flag is opQueryAll's count, so one decoder reads both. opSnapshot's
+// sections are the partition's postings (tombstones included), liveness
+// records and crash marks, each already the body of the frame that
+// replays it — opPost, opRegister, opCrash — so a transfer forwards them
+// undecoded. opDigest's digest is the xor of postingDigest over a node's
+// active rows. opExpire, opDigest and opSnapshot are local decisions and
+// maintenance metadata in the paper's model (§5) and are never charged;
+// opExpire also carries the drops of a corruption plan, opCorrupt its
+// injections, and opArm (empty body: disarm) the Byzantine lies — chaos
+// backdoors, not protocol messages.
 const (
-	// opHello returns (n, lo, hi): the graph size the process was built
-	// for and the node range it owns. The transport handshakes every
-	// process with it and refuses mismatched layouts.
 	opHello byte = iota + 1
-	// opPost merges postings into the receiver's store: a sequence of
-	// (targetNode, entry) items until end of body. Items for crashed or
-	// foreign nodes are dropped, matching the fast path's silent skip of
-	// crashed rendezvous nodes.
 	opPost
-	// opQuery reads rendezvous caches: a sequence of sub-requests
-	// (port, nodeCount, nodes...). The response answers node by node in
-	// request order: flag byte 0 (miss — silent, as in §1.5) or 1
-	// followed by the freshest entry.
 	opQuery
-	// opQueryAll is opQuery returning every active entry per node:
-	// response is per node (count, entries...).
 	opQueryAll
-	// opProbe asks the owner of hinted addresses whether each (serverID,
-	// port) still lives at its addr: a sequence of (port, addr, serverID)
-	// records until end of body — the concurrent probes the coordinator
-	// coalesced for this process; a lone probe is a sequence of one. The
-	// response body answers record by record with one status byte: stOK,
-	// stNotFound (live node, negative answer), stCrashed (the address is
-	// down — no answer) or stBadRequest (addr not owned here).
 	opProbe
-	// opRegister records server instances in the owner's live table, the
-	// table opProbe answers from: a sequence of (serverID, port, node)
-	// records until end of body — a batch's registrations homed at this
-	// process, or a rescale chunk's; a lone registration is a sequence of
-	// one. The response body answers record by record with one status
-	// byte: stOK (recorded), stCrashed (the node is down; not recorded) or
-	// stBadRequest (node not owned here; not recorded). opSnapshot dumps
-	// liveness records in the same form, so a transfer replays them as is.
 	opRegister
-	// opDeregister removes a server instance from the live table.
 	opDeregister
-	// opCrash marks an owned node failed: postings and queries for it
-	// are dropped and its volatile store is cleared.
 	opCrash
-	// opRestore brings an owned node back (volatile cache stays lost).
 	opRestore
-	// opExpire drops cached postings by identity: a sequence of
-	// (targetNode, port, serverID) triples until end of body. It is the
-	// epoch garbage collection of the elastic membership protocol —
-	// postings belonging only to a retired epoch expire where they lie.
-	// In the paper's model this is each node's local decision, so the
-	// operation charges no message passes (the wire is the vehicle, as
-	// everywhere else in this protocol).
 	opExpire
-	// opSnapshot dumps the owned partition state for a node range
-	// (request: lo, hi): postings including tombstones as (count, then
-	// node+entry each), liveness records as (count, then
-	// id+port+node each), and crash marks as (count, then node each).
-	// It is the donor side of a coordinator-driven partition transfer
-	// when the cluster rescales across a different process set.
 	opSnapshot
-	// opDigest returns the anti-entropy posting digests for a node range
-	// (request: lo, hi): hi−lo uvarints, one per node, each the xor of
-	// postingDigest over the node's active cached entries (tombstones
-	// excluded). Digest exchange is §5 maintenance metadata, so — like
-	// opExpire — it charges no message passes; only the repair traffic a
-	// mismatch triggers is charged, at its real multicast cost.
 	opDigest
-	// opCorrupt is the adversarial state-corruption injector: a sequence
-	// of ops until end of body, each a kind byte followed by its operands
-	// — 0 drops a cached posting (targetNode, port, serverID), 1 force-
-	// injects a raw entry (targetNode, entry) bypassing the §2.1
-	// timestamp merge rule. A fault-injection backdoor for chaos testing
-	// only; it models silent state corruption, not a protocol message,
-	// and charges nothing.
 	opCorrupt
-	// opArm installs (or, with an empty body, removes) the Byzantine
-	// answer-forging plan on a node process: a sequence of records until
-	// end of body, each (targetNode, port, silent byte, then — unless
-	// silent — the forged entry). An armed node answers opQuery/
-	// opQueryAll floods for that port with the forged entry (or not at
-	// all) instead of consulting its store. Like opCorrupt it is a chaos
-	// backdoor, not a protocol message, and charges nothing; each opArm
-	// replaces the process's whole plan, so arming ships one frame to
-	// every process (empty for processes with no lying nodes).
 	opArm
 )
+
+// nodeOps is the grammar's table: per opcode, its stable metric label
+// and whether its reply is one status byte per record.
+var nodeOps = [opArm + 1]struct {
+	name   string
+	status bool
+}{
+	opHello:      {name: "hello"},
+	opPost:       {name: "post"},
+	opQuery:      {name: "query"},
+	opQueryAll:   {name: "query_all"},
+	opProbe:      {name: "probe", status: true},
+	opRegister:   {name: "register", status: true},
+	opDeregister: {name: "deregister"},
+	opCrash:      {name: "crash"},
+	opRestore:    {name: "restore"},
+	opExpire:     {name: "expire"},
+	opSnapshot:   {name: "snapshot"},
+	opDigest:     {name: "digest"},
+	opCorrupt:    {name: "corrupt"},
+	opArm:        {name: "arm"},
+}
+
+// nodeBatch is what one request body decodes into on a node process:
+// the batch arguments of the substrate call its opcode makes. Pooled, so
+// a steady stream of floods allocates nothing.
+type nodeBatch struct {
+	fl     flood          // opPost: posts, keys; opQuery, opQueryAll: reqs, keys → ans, all
+	up     []bool         // opQuery, opQueryAll: per queried node, whether it is up to answer
+	regs   []liveReg      // opRegister, opDeregister
+	rows   []rowID        // opExpire
+	nodes  []graph.NodeID // opCrash, opRestore
+	ranges [][2]int       // opSnapshot, opDigest
+	inject []corruptOp    // opCorrupt
+	lies   []forgeOp      // opArm
+}
+
+var nodeBatches = sync.Pool{New: func() any { return new(nodeBatch) }}
+
+// newNodeBatch returns an empty batch from the pool; release returns it.
+func newNodeBatch() *nodeBatch {
+	b := nodeBatches.Get().(*nodeBatch)
+	fl := &b.fl
+	fl.reqs, fl.keys, fl.posts, fl.all = fl.reqs[:0], fl.keys[:0], fl.posts[:0], fl.all[:0]
+	b.up, b.regs, b.rows, b.nodes = b.up[:0], b.regs[:0], b.rows[:0], b.nodes[:0]
+	b.ranges, b.inject, b.lies = b.ranges[:0], b.inject[:0], b.lies[:0]
+	return b
+}
+
+func (b *nodeBatch) release() { nodeBatches.Put(b) }
 
 // Response status bytes.
 const (
@@ -116,12 +139,56 @@ func appendEntry(b []byte, e core.Entry) []byte {
 	return append(b, 0)
 }
 
-// appendLiveRec appends one liveness record in the form opRegister
-// takes and opSnapshot dumps.
+// appendPosting and decodePosting are the posting record of opPost,
+// opCorrupt and opSnapshot's first section: the node that caches e.
+func appendPosting(b []byte, node graph.NodeID, e core.Entry) []byte {
+	return appendEntry(netwire.AppendUvarint(b, uint64(node)), e)
+}
+
+func decodePosting(d *netwire.Dec) (graph.NodeID, core.Entry) {
+	return graph.NodeID(d.Uvarint()), decodeEntry(d)
+}
+
+// appendLiveRec and decodeLiveRec are the liveness record of opRegister
+// and opSnapshot's second section.
 func appendLiveRec(b []byte, id uint64, port core.Port, node graph.NodeID) []byte {
 	b = netwire.AppendUvarint(b, id)
 	b = netwire.AppendString(b, string(port))
 	return netwire.AppendUvarint(b, uint64(node))
+}
+
+func decodeLiveRec(d *netwire.Dec) liveReg {
+	return liveReg{id: d.Uvarint(), port: core.Port(d.String()), node: graph.NodeID(d.Uvarint()), from: noNode}
+}
+
+// appendRowID and decodeRowID are opExpire's record.
+func appendRowID(b []byte, r rowID) []byte {
+	b = netwire.AppendUvarint(b, uint64(r.node))
+	b = netwire.AppendString(b, string(r.port))
+	return netwire.AppendUvarint(b, r.id)
+}
+
+func decodeRowID(d *netwire.Dec) rowID {
+	return rowID{node: graph.NodeID(d.Uvarint()), port: core.Port(d.String()), id: d.Uvarint()}
+}
+
+// appendForgeOp and decodeForgeOp are opArm's record; a silent lie
+// carries no entry.
+func appendForgeOp(b []byte, op forgeOp) []byte {
+	b = netwire.AppendUvarint(b, uint64(op.node))
+	b = netwire.AppendString(b, string(op.port))
+	if op.rec.silent {
+		return append(b, 1)
+	}
+	return appendEntry(append(b, 0), op.rec.e)
+}
+
+func decodeForgeOp(d *netwire.Dec) forgeOp {
+	op := forgeOp{node: graph.NodeID(d.Uvarint()), port: core.Port(d.String())}
+	if op.rec.silent = d.Byte() == 1; !op.rec.silent {
+		op.rec.e = decodeEntry(d)
+	}
+	return op
 }
 
 // decodeEntry consumes one wire-form entry from d.

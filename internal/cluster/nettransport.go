@@ -276,6 +276,16 @@ type procScratch struct {
 	err  error            // call error
 }
 
+// status reads record j's byte off a per-record-status reply (opProbe,
+// opRegister). A frame that failed, or a reply that stops short of the
+// record, refuses it.
+func (s *procScratch) status(j int) byte {
+	if s.err != nil || j >= len(s.resp) {
+		return stBadRequest
+	}
+	return s.resp[j]
+}
+
 // getScratch readies a pooled scratch for a fan-out over procs processes.
 func (ws *wireSubstrate) getScratch(procs int) *netScratch {
 	sc := ws.scratch.Get().(*netScratch)
@@ -394,7 +404,7 @@ func (ws *wireSubstrate) post(entries []core.Entry, rows []rowKey) {
 	sc := ws.getScratch(len(ps.pools))
 	for _, r := range rows {
 		s := &sc.procs[ps.ownerOf[r.node]]
-		s.req = appendEntry(netwire.AppendUvarint(s.req, uint64(r.node)), entries[r.req])
+		s.req = appendPosting(s.req, r.node, entries[r.req])
 	}
 	ws.fanout(ps, sc, opPost)
 	ws.scratch.Put(sc)
@@ -427,11 +437,12 @@ func (ws *wireSubstrate) query(ps *procSet, sc *netScratch, fl *flood, op byte) 
 	ws.fanout(ps, sc, op)
 }
 
-// readFreshest travels as opQuery (one flag+freshest answer per node)
+// readFreshest travels as opQuery (at most the freshest row per node)
 // when unscoped and as opQueryAll when scoped — the node processes are
 // family- and epoch-agnostic, so a scoped flood must see every
 // candidate row per node and reduce them to the family's freshest
-// itself. A dead process's nodes are silent misses.
+// itself; opQuery's reply is the same form with counts of 0 or 1. A dead
+// process's nodes are silent misses.
 func (ws *wireSubstrate) readFreshest(fl *flood) {
 	ps := ws.procs.Load()
 	sc := ws.getScratch(len(ps.pools))
@@ -446,21 +457,12 @@ func (ws *wireSubstrate) readFreshest(fl *flood) {
 		}
 		d := netwire.NewDec(sc.procs[p].resp)
 		for _, i := range sc.procs[p].kidx {
-			k := fl.keys[i]
 			// The queried port is reused for the entries' port strings
 			// (decodeEntryFor) so the hot path decodes without copying
 			// out of the frame buffer.
-			port := fl.reqs[k.req].Port
-			if op == opQuery {
-				if d.Byte() == 1 {
-					fl.ans[i].e = decodeEntryFor(&d, port)
-					fl.ans[i].ok = d.Err() == nil
-				}
-				continue
-			}
-			a := &fl.ans[i]
+			k, a := fl.keys[i], &fl.ans[i]
 			for cnt := int(d.Uvarint()); cnt > 0; cnt-- {
-				e := decodeEntryFor(&d, port)
+				e := decodeEntryFor(&d, fl.reqs[k.req].Port)
 				if d.Err() != nil {
 					a.ok = false
 					break
@@ -520,8 +522,8 @@ func (ws *wireSubstrate) probe(port core.Port, addr graph.NodeID, id uint64) pro
 // flushProbes executes one batch of probes: one opProbe frame per
 // owning process, a (port, addr, id) record per probe, answered by one
 // status byte each. A frame that cannot be delivered — or comes back
-// short — is silence for every probe in it, and fanout reports the
-// process down once.
+// short — is silence for every probe it leaves unanswered, and fanout
+// reports the process down once.
 func (ws *wireSubstrate) flushProbes(batch []*coalOp) {
 	ps := ws.procs.Load()
 	sc := ws.getScratch(len(ps.pools))
@@ -536,14 +538,14 @@ func (ws *wireSubstrate) flushProbes(batch []*coalOp) {
 	for p := range ps.pools {
 		s := &sc.procs[p]
 		for j, i := range s.kidx {
-			ans := probeSilent
-			if s.err == nil && j < len(s.resp) && s.resp[j] != stCrashed {
-				ans = probeMiss
-				if s.resp[j] == stOK {
-					ans = probeHit
-				}
+			switch s.status(j) {
+			case stOK:
+				batch[i].ans = probeHit
+			case stNotFound:
+				batch[i].ans = probeMiss
+			default: // crashed there, or no answer came back
+				batch[i].ans = probeSilent
 			}
-			batch[i].ans = ans
 		}
 	}
 	ws.scratch.Put(sc)
@@ -572,11 +574,8 @@ func (ws *wireSubstrate) register(recs []liveReg) error {
 	for p := range ps.pools {
 		s := &sc.procs[p]
 		for j, i := range s.kidx {
-			st := stBadRequest // a reply that stops short refuses the rest
-			if j < len(s.resp) {
-				st = s.resp[j]
-			}
-			if int(i) >= first || (s.err == nil && st == stOK) {
+			st := s.status(j)
+			if int(i) >= first || st == stOK {
 				continue
 			}
 			first = int(i)
@@ -618,10 +617,8 @@ func (ws *wireSubstrate) expire(rows []rowID) {
 	ps := ws.procs.Load()
 	sc := ws.getScratch(len(ps.pools))
 	for _, r := range rows {
-		p := ps.ownerOf[r.node]
-		sc.procs[p].req = netwire.AppendUvarint(sc.procs[p].req, uint64(r.node))
-		sc.procs[p].req = netwire.AppendString(sc.procs[p].req, string(r.port))
-		sc.procs[p].req = netwire.AppendUvarint(sc.procs[p].req, r.id)
+		s := &sc.procs[ps.ownerOf[r.node]]
+		s.req = appendRowID(s.req, r)
 	}
 	ws.fanout(ps, sc, opExpire)
 	ws.scratch.Put(sc)
@@ -659,13 +656,14 @@ func (ws *wireSubstrate) dump(nodes []graph.NodeID) map[graph.NodeID][]core.Entr
 		if err != nil || st != stOK {
 			continue
 		}
-		d := netwire.NewDec(body)
-		entries := make([]core.Entry, 0, int(d.Uvarint()))
-		for i := cap(entries); i > 0; i-- {
-			_ = d.Uvarint() // node, always v
-			entries = append(entries, decodeEntry(&d))
+		sections := netwire.NewDec(body)
+		d := netwire.NewDec(sections.Bytes()) // the postings; the other sections are not rows
+		var entries []core.Entry
+		for d.Len() > 0 {
+			_, e := decodePosting(&d) // node, always v
+			entries = append(entries, e)
 		}
-		if d.Err() == nil {
+		if sections.Err() == nil && d.Err() == nil {
 			out[v] = entries
 		}
 	}
@@ -677,65 +675,51 @@ func rangeReq(lo, hi int) []byte {
 	return netwire.AppendUvarint(netwire.AppendUvarint(nil, uint64(lo)), uint64(hi))
 }
 
-// perProc sends each non-nil body of reqs to its process as op and
-// returns the first delivery error.
-func (ws *wireSubstrate) perProc(ps *procSet, op byte, reqs [][]byte) error {
-	var firstErr error
-	for p, req := range reqs {
-		if req == nil {
-			continue
-		}
-		if _, _, err := ws.callProc(ps, p, op, req, nil); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
-// corrupt ships the plan to the owning node processes as opCorrupt
-// frames — drops by identity, raw injections bypassing the merge rule.
-func (ws *wireSubstrate) corrupt(plan []corruptOp) error {
+// corrupt ships the plan in plan order — two ops may name one row —
+// each run of drops as opExpire frames, each run of raw injections as
+// opCorrupt frames, and returns the first refusal or delivery error.
+func (ws *wireSubstrate) corrupt(plan []corruptOp) (err error) {
 	ps := ws.procs.Load()
-	reqs := make([][]byte, len(ps.pools))
-	for _, op := range plan {
-		b := reqs[ps.ownerOf[op.node]]
-		if op.drop {
-			b = append(b, 0)
-			b = netwire.AppendUvarint(b, uint64(op.node))
-			b = netwire.AppendString(b, string(op.port))
-			b = netwire.AppendUvarint(b, op.id)
-		} else {
-			b = append(b, 1)
-			b = netwire.AppendUvarint(b, uint64(op.node))
-			b = appendEntry(b, op.e)
+	for lo, hi := 0, 0; lo < len(plan); lo = hi {
+		sc, op := ws.getScratch(len(ps.pools)), opCorrupt
+		if plan[lo].drop {
+			op = opExpire
 		}
-		reqs[ps.ownerOf[op.node]] = b
+		for hi = lo; hi < len(plan) && plan[hi].drop == plan[lo].drop; hi++ {
+			c := plan[hi]
+			s := &sc.procs[ps.ownerOf[c.node]]
+			if c.drop {
+				s.req = appendRowID(s.req, rowID{node: c.node, port: c.port, id: c.id})
+			} else {
+				s.req = appendPosting(s.req, c.node, c.e)
+			}
+		}
+		ws.fanout(ps, sc, op)
+		for p := range ps.pools {
+			if err == nil {
+				err = sc.procs[p].err
+			}
+		}
+		ws.scratch.Put(sc)
 	}
-	return ws.perProc(ps, opCorrupt, reqs)
+	return err
 }
 
 // arm ships one opArm frame to EVERY process — the frame replaces a
 // process's whole plan, so processes with no lying nodes get an empty
 // body that clears any stale plan from a previous arm.
-func (ws *wireSubstrate) arm(plan []forgeOp) error {
+func (ws *wireSubstrate) arm(plan []forgeOp) (err error) {
 	ps := ws.procs.Load()
 	reqs := make([][]byte, len(ps.pools))
-	for p := range reqs {
-		reqs[p] = []byte{}
-	}
 	for _, op := range plan {
-		b := reqs[ps.ownerOf[op.node]]
-		b = netwire.AppendUvarint(b, uint64(op.node))
-		b = netwire.AppendString(b, string(op.port))
-		if op.rec.silent {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-			b = appendEntry(b, op.rec.e)
-		}
-		reqs[ps.ownerOf[op.node]] = b
+		reqs[ps.ownerOf[op.node]] = appendForgeOp(reqs[ps.ownerOf[op.node]], op)
 	}
-	return ws.perProc(ps, opArm, reqs)
+	for p, req := range reqs {
+		if _, _, e := ws.callProc(ps, p, opArm, req, nil); e != nil && err == nil {
+			err = e
+		}
+	}
+	return err
 }
 
 // procSet is one immutable node-process partition of a NetTransport:
@@ -913,7 +897,9 @@ func transferPartitions(old, nps *procSet) (lost [][2]int) {
 // transferChunk snapshots [lo, hi) from old process p and replays it
 // onto new process q: postings first, then liveness records, then
 // crash marks (whose handler clears the crashed nodes' just-copied
-// stores, matching the volatile-loss semantics).
+// stores, matching the volatile-loss semantics). Each section of the
+// snapshot is already its replay frame's body, so a chunk is one frame
+// out and at most three in, whatever it holds.
 func transferChunk(old *procSet, p int, nps *procSet, q, lo, hi int) error {
 	st, body, err := old.pools[p].Call(opSnapshot, rangeReq(lo, hi), nil)
 	if err != nil {
@@ -922,63 +908,33 @@ func transferChunk(old *procSet, p int, nps *procSet, q, lo, hi int) error {
 	if st != stOK {
 		return fmt.Errorf("cluster: snapshot [%d,%d) from %s: status %d", lo, hi, old.addrs[p], st)
 	}
-	// replay sends one frame to q; a transport failure wraps its cause,
-	// a delivered frame the process refused names the status instead.
-	replay := func(what string, op byte, req []byte) ([]byte, error) {
-		st, resp, err := nps.pools[q].Call(op, req, nil)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: replay %s onto %s: %w", what, nps.addrs[q], err)
-		}
-		if st != stOK {
-			return nil, fmt.Errorf("cluster: replay %s onto %s: status %d", what, nps.addrs[q], st)
-		}
-		return resp, nil
-	}
 	d := netwire.NewDec(body)
-	short := func() error {
+	sections := [...]struct {
+		what string
+		op   byte
+		body []byte
+	}{{"postings", opPost, d.Bytes()}, {"liveness", opRegister, d.Bytes()}, {"crash marks", opCrash, d.Bytes()}}
+	if d.Err() != nil {
 		return fmt.Errorf("cluster: snapshot [%d,%d) from %s: %w", lo, hi, old.addrs[p], d.Err())
 	}
-	var post []byte
-	for i := int(d.Uvarint()); i > 0; i-- {
-		node := d.Uvarint()
-		e := decodeEntry(&d)
-		if d.Err() != nil {
-			return short()
+	for _, sec := range sections {
+		if len(sec.body) == 0 {
+			continue
 		}
-		post = appendEntry(netwire.AppendUvarint(post, node), e)
-	}
-	if len(post) > 0 {
-		if _, err := replay("postings", opPost, post); err != nil {
-			return err
-		}
-	}
-	// The liveness records are dumped in opRegister's record form, so the
-	// chunk's whole section is replayed as it came, in one frame. A record
-	// for a node q holds crashed is refused there, as it would have been
-	// by a live register; any other refusal fails the chunk.
-	lives, from := int(d.Uvarint()), len(body)-d.Len()
-	for i := lives; i > 0; i-- {
-		_, _, _ = d.Uvarint(), d.Bytes(), d.Uvarint()
-	}
-	if d.Err() != nil {
-		return short()
-	}
-	if lives > 0 {
-		sts, err := replay("liveness", opRegister, body[from:len(body)-d.Len()])
+		// A transport failure wraps its cause; a delivered frame the
+		// process refused names the status instead.
+		st, sts, err := nps.pools[q].Call(sec.op, sec.body, nil)
 		if err != nil {
-			return err
+			return fmt.Errorf("cluster: replay %s onto %s: %w", sec.what, nps.addrs[q], err)
 		}
+		if st != stOK {
+			return fmt.Errorf("cluster: replay %s onto %s: status %d", sec.what, nps.addrs[q], st)
+		}
+		// A liveness record for a node q holds crashed is refused there, as
+		// it would have been by a live register; any other refusal fails the
+		// chunk. The other replies carry no statuses.
 		if i := slices.IndexFunc(sts, func(st byte) bool { return st != stOK && st != stCrashed }); i >= 0 {
-			return fmt.Errorf("cluster: replay liveness onto %s: record %d: status %d", nps.addrs[q], i, sts[i])
-		}
-	}
-	for i := int(d.Uvarint()); i > 0; i-- {
-		node := d.Uvarint()
-		if d.Err() != nil {
-			return short()
-		}
-		if _, err := replay("crash marks", opCrash, netwire.AppendUvarint(nil, node)); err != nil {
-			return err
+			return fmt.Errorf("cluster: replay %s onto %s: record %d: status %d", sec.what, nps.addrs[q], i, sts[i])
 		}
 	}
 	return nil

@@ -4,12 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 
 	"matchmake/internal/cluster"
 	"matchmake/internal/core"
 	"matchmake/internal/graph"
+	"matchmake/internal/netwire"
 	"matchmake/internal/rendezvous"
 	"matchmake/internal/sim"
 	"matchmake/internal/topology"
@@ -189,5 +191,48 @@ func TestPostBatchRefusedLeavesNothing(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPeerCountsSizeNothing holds the edge's two decoders that read an
+// element count off the wire to the bytes that came with it: a
+// locate-batch naming a million ports it does not carry is refused before
+// anything is sized by the claim, and an events reply from a corrupt
+// gateway claiming 2^62 events is a named error, not a makeslice panic.
+func TestPeerCountsSizeNothing(t *testing.T) {
+	gw := newTestGateway(t, memTransport(t, 16), DevTenant("tok")).gw
+	body := netwire.AppendUvarint(netwire.AppendString(nil, "tok"), 7) // client
+	body = netwire.AppendString(netwire.AppendUvarint(body, 1<<20), "printer")
+	handler := gw.WireHandler()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	st, msg := handler(GopLocateBatch, body, nil)
+	runtime.ReadMemStats(&after)
+	if st != GsBadRequest {
+		t.Errorf("locate-batch claiming 2^20 ports over one: status %d %q, want GsBadRequest", st, msg)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("refusing a %d-byte locate-batch allocated %d bytes: the claimed count sized something", len(body), grew)
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	corrupt := netwire.NewServer(ln, func(op byte, _, resp []byte) (byte, []byte) {
+		if op == GopEvents {
+			return GsOK, netwire.AppendUvarint(netwire.AppendUvarint(resp, 9), 1<<62) // seq, count
+		}
+		return handler(op, netwire.AppendString(nil, "tok"), resp) // an honest hello
+	})
+	go corrupt.Serve()
+	defer corrupt.Close()
+	gt, err := DialTransport(ln.Addr().String(), "tok", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gt.Close()
+	if evs, _, err := gt.Events(0, 0); err == nil || !strings.Contains(err.Error(), "bad events response") {
+		t.Errorf("events reply claiming 2^62 events: %d events, err %v; want the bad-response error", len(evs), err)
 	}
 }

@@ -97,24 +97,11 @@ func (t *ClientTransport) N() int { return t.n }
 // whose Deregister round-trips; Repost and Migrate are not exposed by
 // the edge and fail with ErrUnsupported.
 func (t *ClientTransport) Register(port core.Port, node graph.NodeID) (cluster.ServerRef, error) {
-	buf := netwire.GetBuf()
-	defer netwire.PutBuf(buf)
-	req := netwire.AppendString((*buf)[:0], t.token)
-	req = netwire.AppendString(req, string(port))
-	req = netwire.AppendUvarint(req, uint64(node))
-	st, body, err := t.call(GopRegister, req, nil)
+	refs, err := t.PostBatch([]cluster.Registration{{Port: port, Node: node}})
 	if err != nil {
 		return nil, err
 	}
-	if st != GsOK {
-		return nil, statusErr(st, body)
-	}
-	d := netwire.NewDec(body)
-	id := d.Uvarint()
-	if d.Err() != nil {
-		return nil, fmt.Errorf("gate: bad register response")
-	}
-	return &clientRef{t: t, id: id, port: port, node: node}, nil
+	return refs[0], nil
 }
 
 // clientRef is a registration made over the wire; the gateway holds
@@ -369,6 +356,9 @@ func (t *ClientTransport) Events(after uint64, max int) ([]WatchEvent, uint64, e
 	d := netwire.NewDec(body)
 	seq := d.Uvarint()
 	k := d.Uvarint()
+	if k > uint64(d.Len()) { // an event is at least eight bytes
+		return nil, 0, errors.New("gate: bad events response")
+	}
 	evs := make([]WatchEvent, 0, k)
 	for i := uint64(0); i < k && d.Err() == nil; i++ {
 		evs = append(evs, WatchEvent{

@@ -56,9 +56,12 @@ func FuzzGateWire(f *testing.F) {
 
 	tok := netwire.AppendString(nil, "tok")
 	f.Add(GopHello, append([]byte(nil), tok...))
+	// The retired single-register opcode, with the body an old client
+	// would send: refused, not served as whatever sits there now.
+	const retiredRegister = GopHello + 1
 	reg := netwire.AppendString(tok, "scanner")
 	reg = netwire.AppendUvarint(reg, 5)
-	f.Add(GopRegister, reg)
+	f.Add(retiredRegister, reg)
 	loc := netwire.AppendUvarint(append([]byte(nil), tok...), 7)
 	loc = netwire.AppendString(loc, "printer")
 	f.Add(GopLocate, loc)
@@ -96,6 +99,9 @@ func FuzzGateWire(f *testing.F) {
 		case GsOK, GsNotFound, GsDenied, GsShed, GsBadRequest, GsError:
 		default:
 			t.Fatalf("op %#x: undefined status %d", op, st)
+		}
+		if op == retiredRegister && st != GsBadRequest && st != GsDenied {
+			t.Fatalf("retired opcode %#x answered status %d, want a refusal", op, st)
 		}
 		if st != GsOK {
 			return

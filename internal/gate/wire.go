@@ -20,7 +20,6 @@ import (
 // Body layouts (all integers uvarint, all strings length-prefixed):
 //
 //	hello        req [token]                                  resp [n][transport name][hub seq]
-//	register     req [token][port][node]                      resp [id]
 //	post-batch   req [token][k] k×([port][node])              resp [k] k×[id]
 //	deregister   req [token][id]                              resp (empty)
 //	locate       req [token][client][port]                    resp entry
@@ -33,13 +32,15 @@ import (
 //
 // Non-OK statuses carry the error message as the raw body.
 
-// Gate protocol opcodes (disjoint from the node protocol's 1..11).
+// Gate protocol opcodes (disjoint from the node protocol's 1..14).
 const (
 	// GopHello authenticates and returns cluster shape: node count,
 	// backing transport name, and the watch hub's current sequence.
 	GopHello byte = 0x21 + iota
-	// GopRegister announces a server on a tenant-local port.
-	GopRegister
+	// 0x22 was GopRegister, a GopPostBatch of one with a layout of its
+	// own. The number stays unused, so a client that still sends it is
+	// refused (GsBadRequest) rather than served some other operation.
+	_
 	// GopDeregister tombstones a registration by gateway id.
 	GopDeregister
 	// GopLocate resolves one tenant-local port from a client node.
@@ -97,17 +98,6 @@ func (g *Gateway) WireHandler() netwire.Handler {
 			resp = netwire.AppendString(resp, g.c.Transport().Name())
 			resp = netwire.AppendUvarint(resp, g.hub.Seq())
 			return GsOK, resp
-		case GopRegister:
-			port := d.String()
-			node := d.Uvarint()
-			if d.Err() != nil {
-				return GsBadRequest, append(resp, "bad register body"...)
-			}
-			id, err := g.register(tn, core.Port(port), graph.NodeID(node))
-			if err != nil {
-				return wireErr(err, resp)
-			}
-			return GsOK, netwire.AppendUvarint(resp, id)
 		case GopPostBatch:
 			k := d.Uvarint()
 			// A record is at least two bytes, so k is bounded by the body.
@@ -153,7 +143,8 @@ func (g *Gateway) WireHandler() netwire.Handler {
 		case GopLocateBatch:
 			client := d.Uvarint()
 			k := d.Uvarint()
-			if d.Err() != nil || k == 0 || k > 1<<20 {
+			// A port is at least one byte, so k is bounded by the body.
+			if d.Err() != nil || k == 0 || k > uint64(d.Len()) {
 				return GsBadRequest, append(resp, "bad locate-batch body"...)
 			}
 			reqs := make([]cluster.LocateReq, 0, k)

@@ -26,8 +26,21 @@ var mdLink = regexp.MustCompile(`\[[^\]]*\]\(([^)\s]+)\)`)
 // TestMarkdownLinks fails for every relative markdown link whose target
 // file does not exist, and for every anchored link whose target file
 // has no heading slugging to the anchor. External (http/https/mailto)
-// links are not fetched.
+// links are not fetched. It also holds the workflow that runs it to the
+// one YAML rule its step names have broken: a plain scalar may not
+// contain ": ", so a `- name:` that does must be quoted — unquoted, the
+// file does not parse and no job of it runs.
 func TestMarkdownLinks(t *testing.T) {
+	ci, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, line := range strings.Split(string(ci), "\n") {
+		name, ok := strings.CutPrefix(strings.TrimSpace(line), "- name: ")
+		if ok && !strings.HasPrefix(name, `"`) && !strings.HasPrefix(name, "'") && strings.Contains(name, ": ") {
+			t.Errorf("ci.yml:%d: unquoted step name contains \": \" — the workflow does not parse; quote it:\n\t%s", i+1, name)
+		}
+	}
 	for _, file := range linkcheckFiles(t) {
 		body, err := os.ReadFile(file)
 		if err != nil {
