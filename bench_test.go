@@ -66,7 +66,7 @@ func benchLocate(b *testing.B, g *graph.Graph, strat rendezvous.Strategy) {
 		b.Fatal(err)
 	}
 	defer net.Close()
-	sys, err := core.NewSystem(net, strat, core.Options{LocateTimeout: 2 * time.Second})
+	sys, err := core.NewSystem(net, strat, core.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -334,8 +334,7 @@ func BenchmarkClusterLocate(b *testing.B) {
 	})
 
 	runSim := func(b *testing.B, opts cluster.Options, prime bool) {
-		tr, err := cluster.NewSimTransport(topology.Complete(n), rendezvous.Checkerboard(n),
-			core.Options{LocateTimeout: 2 * time.Second, CollectWindow: time.Millisecond})
+		tr, err := cluster.NewSimTransport(topology.Complete(n), rendezvous.Checkerboard(n), core.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

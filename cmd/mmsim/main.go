@@ -17,7 +17,6 @@ import (
 	"math"
 	"math/rand/v2"
 	"os"
-	"time"
 
 	"matchmake/internal/core"
 	"matchmake/internal/graph"
@@ -64,7 +63,7 @@ func run(args []string) error {
 		return err
 	}
 	defer net.Close()
-	sys, err := core.NewSystem(net, strat, core.Options{LocateTimeout: 500 * time.Millisecond})
+	sys, err := core.NewSystem(net, strat, core.Options{})
 	if err != nil {
 		return err
 	}

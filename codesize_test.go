@@ -19,8 +19,10 @@ import (
 // process a frame codec over the in-process substrate — one record
 // grammar on the node wire, row hosting written once — which took back
 // the two raises before it (5 080 → 5 135 for per-record statuses and
-// staged multicasts, → 5 143 for caller-affine lanes).
-const clusterCodeLineCeiling = 5059
+// staged multicasts, → 5 143 for caller-affine lanes) — less the two
+// lines the PR that took the clock out of the reference engine removed
+// (SimTransport.Network(), the per-index hash seed).
+const clusterCodeLineCeiling = 5057
 
 // clusterConstructorCeiling is the committed ceiling on exported
 // `func New*` declarations in internal/cluster's non-test files: the
@@ -34,9 +36,10 @@ const clusterConstructorCeiling = 9
 // the non-test code lines of what surrounds the cluster's own packages —
 // every cmd/ binary plus internal/sweep and its subpackages (3 372 before
 // loadrun.Config's field table became the one declaration of the run
-// description). Same rule as above: lower it when the shell shrinks,
-// raise it only with the reason in the PR that does.
-const shellCodeLineCeiling = 3116
+// description, 3 116 before the simulator's two timeout rows left it).
+// Same rule as above: lower it when the shell shrinks, raise it only with
+// the reason in the PR that does.
+const shellCodeLineCeiling = 3113
 
 // codeLines counts the non-blank, non-comment lines of a Go file the
 // way the ROADMAP's one-liner does — a line counts unless it is empty or

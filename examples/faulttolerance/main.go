@@ -8,7 +8,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"time"
 
 	"matchmake/internal/core"
 	"matchmake/internal/graph"
@@ -35,9 +34,7 @@ func run() error {
 		return err
 	}
 	defer net.Close()
-	sys, err := core.NewSystem(net, strat, core.Options{
-		LocateTimeout: 300 * time.Millisecond,
-	})
+	sys, err := core.NewSystem(net, strat, core.Options{})
 	if err != nil {
 		return err
 	}
@@ -74,10 +71,7 @@ func run() error {
 		return err
 	}
 	defer net2.Close()
-	hs, err := hashlocate.New(net2, hashlocate.Options{
-		MaxRehash:   2,
-		CallTimeout: 300 * time.Millisecond,
-	})
+	hs, err := hashlocate.New(net2, hashlocate.Options{MaxRehash: 2})
 	if err != nil {
 		return err
 	}

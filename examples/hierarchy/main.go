@@ -9,7 +9,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"time"
 
 	"matchmake/internal/core"
 	"matchmake/internal/graph"
@@ -36,9 +35,7 @@ func run() error {
 		return err
 	}
 	defer net.Close()
-	sys, err := core.NewSystem(net, strategy.HierarchyGateways(h), core.Options{
-		LocateTimeout: 500 * time.Millisecond,
-	})
+	sys, err := core.NewSystem(net, strategy.HierarchyGateways(h), core.Options{})
 	if err != nil {
 		return err
 	}

@@ -41,23 +41,15 @@ import (
 // contribute, so legitimate deregistration and migration tombstones are
 // invisible to reconciliation.
 func postingDigest(port core.Port, serverID uint64, addr graph.NodeID) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(port); i++ {
-		h ^= uint64(port[i])
-		h *= prime64
-	}
+	h := portHash(port)
 	for i := 0; i < 8; i++ {
 		h ^= (serverID >> (8 * i)) & 0xff
-		h *= prime64
+		h *= fnvPrime64
 	}
 	a := uint64(addr)
 	for i := 0; i < 8; i++ {
 		h ^= (a >> (8 * i)) & 0xff
-		h *= prime64
+		h *= fnvPrime64
 	}
 	return h
 }

@@ -88,7 +88,7 @@ func TestRowDiff(t *testing.T) {
 func TestAntiEntropyConvergence(t *testing.T) {
 	for _, tc := range equivalenceCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			simT, err := NewSimTransport(tc.g, tc.strat, fastOpts)
+			simT, err := NewSimTransport(tc.g, tc.strat, core.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -121,7 +121,6 @@ func TestAntiEntropyConvergence(t *testing.T) {
 				}
 				simRefs[sc.port], memRefs[sc.port] = r1, r2
 			}
-			simT.Network().Drain()
 
 			alphaNode := graph.NodeID(n / 3)
 			betaNode := graph.NodeID(n - 1)
@@ -190,7 +189,6 @@ func TestAntiEntropyConvergence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				simT.Network().Drain()
 				mr, err := memT.ReconcileRound()
 				if err != nil {
 					t.Fatal(err)
@@ -251,7 +249,6 @@ func TestAntiEntropyConvergence(t *testing.T) {
 				for _, sc := range script {
 					simBefore, memBefore := simT.Passes(), memT.Passes()
 					e1, err1 := simT.Locate(client, sc.port)
-					simT.Network().Drain()
 					e2, err2 := memT.Locate(client, sc.port)
 					if err1 != nil || err2 != nil {
 						t.Fatalf("post-repair locate %q from %d: sim err=%v mem err=%v",
@@ -283,7 +280,7 @@ func TestAntiEntropyConvergence(t *testing.T) {
 func TestAntiEntropyCorruptEquivalence(t *testing.T) {
 	for _, tc := range equivalenceCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			simT, err := NewSimTransport(tc.g, tc.strat, fastOpts)
+			simT, err := NewSimTransport(tc.g, tc.strat, core.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -303,7 +300,6 @@ func TestAntiEntropyCorruptEquivalence(t *testing.T) {
 			if _, err := simT.PostBatch(regs); err != nil {
 				t.Fatal(err)
 			}
-			simT.Network().Drain()
 			if _, err := memT.PostBatch(regs); err != nil {
 				t.Fatal(err)
 			}
@@ -334,7 +330,6 @@ func TestAntiEntropyCorruptEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					simT.Network().Drain()
 					mr, err := memT.ReconcileRound()
 					if err != nil {
 						t.Fatal(err)
@@ -355,7 +350,6 @@ func TestAntiEntropyCorruptEquivalence(t *testing.T) {
 					client := graph.NodeID(c)
 					for _, r := range regs {
 						e1, err1 := simT.Locate(client, r.Port)
-						simT.Network().Drain()
 						e2, err2 := memT.Locate(client, r.Port)
 						if err1 != nil || err2 != nil {
 							t.Fatalf("seed %d: locate %q from %d: sim err=%v mem err=%v",

@@ -9,9 +9,9 @@ import (
 // simulated replies. The engine forger hook (installed once at
 // construction, see newSimTransport) reads the atomic lie table, so an
 // armed rendezvous node suppresses or forges its reply inside
-// core.System.HandleMessage — the forged entry then competes in the
-// client's collection window and pays real reply hops, exactly like an
-// honest answer.
+// core.System.HandleMessage — the forged entry then competes with the
+// flood's other replies at the client and pays real reply hops, exactly
+// like an honest answer.
 
 var _ ByzantineTransport = (*SimTransport)(nil)
 

@@ -152,7 +152,7 @@ func TestByzantineVoteSimMemEquivalence(t *testing.T) {
 	rp := mkReplicated(t, n, r)
 	for class, name := range forgeClasses {
 		t.Run(name, func(t *testing.T) {
-			simT, err := NewLayoutSimTransport(g, fixedOf(t, rp), repOpts)
+			simT, err := NewLayoutSimTransport(g, fixedOf(t, rp), core.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -165,7 +165,6 @@ func TestByzantineVoteSimMemEquivalence(t *testing.T) {
 			if _, err := simT.PostBatch(byzRegs); err != nil {
 				t.Fatal(err)
 			}
-			simT.Network().Drain()
 			if _, err := memT.PostBatch(byzRegs); err != nil {
 				t.Fatal(err)
 			}
@@ -192,7 +191,6 @@ func TestByzantineVoteSimMemEquivalence(t *testing.T) {
 				for _, reg := range byzRegs {
 					simBefore, memBefore := simT.Passes(), memT.Passes()
 					e1, err1 := simC.Locate(client, reg.Port)
-					simT.Network().Drain()
 					e2, err2 := memC.Locate(client, reg.Port)
 					if err1 != nil || err2 != nil {
 						t.Fatalf("class %s: locate %q from %d: sim err=%v mem err=%v", name, reg.Port, client, err1, err2)
@@ -214,6 +212,57 @@ func TestByzantineVoteSimMemEquivalence(t *testing.T) {
 			if ms.VotedLocates != mm.VotedLocates || ms.VoteConflicts != mm.VoteConflicts {
 				t.Fatalf("class %s: vote metrics diverge: sim voted=%d conflicts=%d, mem voted=%d conflicts=%d",
 					name, ms.VotedLocates, ms.VoteConflicts, mm.VotedLocates, mm.VoteConflicts)
+			}
+		})
+	}
+}
+
+// TestByzantineFloodAttribution is the layer under the vote: one flood
+// of one family, under every forgery class, returns the same entry from
+// the same rendezvous node on the simulator and on the fast path, run
+// after run. On the simulator that makes a lie's reply part of the
+// locate's own message count: a forged reply sent past the count (through
+// the network, not through the query it answers) would race the locate's
+// return and surface here as a miss.
+func TestByzantineFloodAttribution(t *testing.T) {
+	const n, r = 36, 3
+	g := topology.Complete(n)
+	rp := mkReplicated(t, n, r)
+	for class, name := range forgeClasses {
+		t.Run(name, func(t *testing.T) {
+			opts := ArmOptions{Seed: 1985, Liars: 1, Classes: []ForgeClass{class}}
+			type transport interface {
+				Transport
+				ByzantineTransport
+			}
+			armed := func(tr transport, err error) transport {
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { tr.Close() })
+				if _, err := tr.PostBatch(byzRegs); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := tr.Arm(opts); err != nil {
+					t.Fatal(err)
+				}
+				return tr
+			}
+			memT := armed(NewLayoutMemTransport(g, fixedOf(t, rp), 0))
+			for run := 0; run < 5; run++ {
+				simT := armed(NewLayoutSimTransport(g, fixedOf(t, rp), core.Options{}))
+				for cl := 0; cl < n; cl++ {
+					for _, reg := range byzRegs {
+						for k := 0; k < r; k++ {
+							e1, from1, err1 := simT.LocateReplicaAt(graph.NodeID(cl), reg.Port, k)
+							e2, from2, err2 := memT.LocateReplicaAt(graph.NodeID(cl), reg.Port, k)
+							if (err1 == nil) != (err2 == nil) || e1.Addr != e2.Addr || e1.ServerID != e2.ServerID || from1 != from2 {
+								t.Fatalf("run %d: family %d flood for %q from %d: sim %+v from %d (%v), mem %+v from %d (%v)",
+									run, k, reg.Port, cl, e1, from1, err1, e2, from2, err2)
+							}
+						}
+					}
+				}
 			}
 		})
 	}

@@ -387,8 +387,7 @@ func (c *Cluster) Register(port core.Port, node graph.NodeID) (ServerRef, error)
 // which may predate the caller's own call — e.g. a locate retried
 // immediately after a Register returned can re-join a stale flight and
 // still miss. Callers that need post-write visibility should disable
-// coalescing or retry after the flight's duration (one locate timeout
-// on the sim transport).
+// coalescing or retry after the flight's duration.
 func (c *Cluster) Locate(client graph.NodeID, port core.Port) (core.Entry, error) {
 	stripe, ok := c.enter()
 	if !ok {

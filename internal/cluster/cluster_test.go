@@ -328,7 +328,7 @@ func TestMemTransportCrashedOriginParity(t *testing.T) {
 // finish (or fail cleanly with ErrClosed), never panic into the closing
 // network.
 func TestClusterCloseDuringLocates(t *testing.T) {
-	tr, err := NewSimTransport(topology.Complete(16), rendezvous.Checkerboard(16), fastOpts)
+	tr, err := NewSimTransport(topology.Complete(16), rendezvous.Checkerboard(16), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +359,7 @@ func TestClusterCloseDuringLocates(t *testing.T) {
 }
 
 func TestClusterSimTransport(t *testing.T) {
-	tr, err := NewSimTransport(topology.Complete(16), rendezvous.Checkerboard(16), fastOpts)
+	tr, err := NewSimTransport(topology.Complete(16), rendezvous.Checkerboard(16), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -155,7 +155,7 @@ func newCoordinator(g *graph.Graph, lay Layout) (*coordinator, error) {
 		routing: routing,
 		elastic: lay.Elastic,
 		byPort:  make(map[core.Port]map[uint64]*server),
-		gens:    newGenIndex(),
+		gens:    new(genIndex),
 		crashed: make([]atomic.Bool, n),
 	}
 	c.table.Store(t)
@@ -548,7 +548,7 @@ func (c *coordinator) querySet(f family, what string, client graph.NodeID, port 
 // Locate implements Transport: it charges the query multicast flood,
 // reads every live rendezvous node's cache, charges each hit's reply
 // path, and returns the freshest active entry — the same winner the
-// engine's collect-window logic converges to. On a replicated transport
+// engine picks among all of a flood's replies. On a replicated transport
 // a rendezvous miss — crashed meeting nodes, a killed node process —
 // falls through the replica families in order, each attempt charged its
 // own flood.

@@ -3,7 +3,6 @@ package cluster
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"matchmake/internal/core"
 	"matchmake/internal/graph"
@@ -11,12 +10,6 @@ import (
 	"matchmake/internal/strategy"
 	"matchmake/internal/topology"
 )
-
-// elasticOpts keeps the simulator's locate timeout short: during a
-// dual-epoch phase a miss of the new epoch's families costs one
-// timeout before the old epoch is tried, exactly like a replica
-// fallthrough.
-var elasticOpts = core.Options{LocateTimeout: 500 * time.Millisecond, CollectWindow: 2 * time.Millisecond}
 
 // mkEpoch builds epoch seq over a universe of n nodes with the first
 // active of them serving a checkerboard, replicated r-fold.
@@ -34,7 +27,7 @@ func mkEpoch(t *testing.T, seq uint64, universe, active, r int) *strategy.Epoch 
 func elasticPair(t *testing.T, universe int, initial *strategy.Epoch) (*SimTransport, *MemTransport) {
 	t.Helper()
 	g := topology.Complete(universe)
-	simT, err := NewLayoutSimTransport(g, elasticOf(initial), elasticOpts)
+	simT, err := NewLayoutSimTransport(g, elasticOf(initial), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +49,6 @@ func checkElasticLocates(t *testing.T, stage string, simT *SimTransport, memT *M
 		for port := range servers {
 			simBefore, memBefore := simT.Passes(), memT.Passes()
 			e1, err1 := simT.Locate(client, port)
-			simT.Network().Drain()
 			e2, err2 := memT.Locate(client, port)
 			if (err1 == nil) != (err2 == nil) {
 				t.Fatalf("%s: locate %q from %d: sim err=%v mem err=%v", stage, port, client, err1, err2)
@@ -88,7 +80,6 @@ func TestElasticSimMemEquivalence(t *testing.T) {
 		if _, err := simT.Register(port, node); err != nil {
 			t.Fatal(err)
 		}
-		simT.Network().Drain()
 		if _, err := memT.Register(port, node); err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +105,6 @@ func TestElasticSimMemEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	simT.Network().Drain()
 	memMoved, err := memT.Resize(ep2)
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +133,6 @@ func TestElasticSimMemEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	simT.Network().Drain()
 	memRef, err := memT.Register("delta", 40)
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +167,6 @@ func TestElasticSimMemEquivalence(t *testing.T) {
 	if err := simRef.Migrate(20); err != nil {
 		t.Fatal(err)
 	}
-	simT.Network().Drain()
 	if err := memRef.Migrate(20); err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +180,6 @@ func TestElasticSimMemEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	simT.Network().Drain()
 	memMoved, err = memT.Resize(ep3)
 	if err != nil {
 		t.Fatal(err)
@@ -224,7 +211,6 @@ func TestElasticSimMemEquivalence(t *testing.T) {
 	if err := simRef.Deregister(); err != nil {
 		t.Fatal(err)
 	}
-	simT.Network().Drain()
 	if err := memRef.Deregister(); err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +239,6 @@ func TestElasticReplicatedResizeEquivalence(t *testing.T) {
 		if _, err := simT.Register(port, node); err != nil {
 			t.Fatal(err)
 		}
-		simT.Network().Drain()
 		if _, err := memT.Register(port, node); err != nil {
 			t.Fatal(err)
 		}
@@ -264,7 +249,6 @@ func TestElasticReplicatedResizeEquivalence(t *testing.T) {
 	if _, err := simT.Resize(ep2); err != nil {
 		t.Fatal(err)
 	}
-	simT.Network().Drain()
 	if _, err := memT.Resize(ep2); err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +278,6 @@ func TestElasticReplicatedResizeEquivalence(t *testing.T) {
 	}
 	simBefore, memBefore := simT.Passes(), memT.Passes()
 	e1, err1 := simT.Locate(client, "alpha")
-	simT.Network().Drain()
 	e2, err2 := memT.Locate(client, "alpha")
 	if err1 != nil || err2 != nil {
 		t.Fatalf("crashed-rendezvous locate: sim err=%v mem err=%v", err1, err2)

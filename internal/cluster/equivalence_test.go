@@ -3,7 +3,6 @@ package cluster
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"matchmake/internal/core"
 	"matchmake/internal/graph"
@@ -11,10 +10,6 @@ import (
 	"matchmake/internal/strategy"
 	"matchmake/internal/topology"
 )
-
-// fastOpts keeps the simulator's collect window short so equivalence
-// runs stay quick.
-var fastOpts = core.Options{LocateTimeout: 2 * time.Second, CollectWindow: 2 * time.Millisecond}
 
 // eqCase is one topology/strategy pair checked for transport agreement.
 type eqCase struct {
@@ -43,7 +38,7 @@ func equivalenceCases(t *testing.T) []eqCase {
 func TestTransportEquivalence(t *testing.T) {
 	for _, tc := range equivalenceCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			simT, err := NewSimTransport(tc.g, tc.strat, fastOpts)
+			simT, err := NewSimTransport(tc.g, tc.strat, core.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -75,7 +70,6 @@ func TestTransportEquivalence(t *testing.T) {
 				}
 				simRefs[sc.port], memRefs[sc.port] = r1, r2
 			}
-			simT.Network().Drain()
 
 			checkLocates := func(stage string) {
 				t.Helper()
@@ -84,7 +78,6 @@ func TestTransportEquivalence(t *testing.T) {
 					for _, sc := range script {
 						simBefore, memBefore := simT.Passes(), memT.Passes()
 						e1, err1 := simT.Locate(client, sc.port)
-						simT.Network().Drain()
 						e2, err2 := memT.Locate(client, sc.port)
 						if (err1 == nil) != (err2 == nil) {
 							t.Fatalf("%s: locate %q from %d: sim err=%v mem err=%v",
@@ -113,7 +106,6 @@ func TestTransportEquivalence(t *testing.T) {
 			if err := simRefs["alpha"].Migrate(to); err != nil {
 				t.Fatal(err)
 			}
-			simT.Network().Drain()
 			if err := memRefs["alpha"].Migrate(to); err != nil {
 				t.Fatal(err)
 			}
@@ -126,7 +118,6 @@ func TestTransportEquivalence(t *testing.T) {
 			if err := simRefs["beta"].Deregister(); err != nil {
 				t.Fatal(err)
 			}
-			simT.Network().Drain()
 			if err := memRefs["beta"].Deregister(); err != nil {
 				t.Fatal(err)
 			}
@@ -143,7 +134,7 @@ func TestTransportEquivalence(t *testing.T) {
 func TestTransportEquivalenceProbe(t *testing.T) {
 	for _, tc := range equivalenceCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			simT, err := NewSimTransport(tc.g, tc.strat, fastOpts)
+			simT, err := NewSimTransport(tc.g, tc.strat, core.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -162,14 +153,12 @@ func TestTransportEquivalenceProbe(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			simT.Network().Drain()
 
 			client := graph.NodeID(1)
 			simE, err := simT.Locate(client, "alpha")
 			if err != nil {
 				t.Fatal(err)
 			}
-			simT.Network().Drain()
 			memE, err := memT.Locate(client, "alpha")
 			if err != nil {
 				t.Fatal(err)
@@ -205,7 +194,6 @@ func TestTransportEquivalenceProbe(t *testing.T) {
 			if err := simRef.Migrate(to); err != nil {
 				t.Fatal(err)
 			}
-			simT.Network().Drain()
 			if err := memRef.Migrate(to); err != nil {
 				t.Fatal(err)
 			}
@@ -229,7 +217,7 @@ func TestTransportEquivalenceProbe(t *testing.T) {
 func TestTransportEquivalenceBatch(t *testing.T) {
 	for _, tc := range equivalenceCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			simT, err := NewSimTransport(tc.g, tc.strat, fastOpts)
+			simT, err := NewSimTransport(tc.g, tc.strat, core.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -248,7 +236,6 @@ func TestTransportEquivalenceBatch(t *testing.T) {
 			if _, err := simT.PostBatch(regs); err != nil {
 				t.Fatal(err)
 			}
-			simT.Network().Drain()
 			if _, err := memT.PostBatch(regs); err != nil {
 				t.Fatal(err)
 			}
@@ -268,7 +255,6 @@ func TestTransportEquivalenceBatch(t *testing.T) {
 			simT.ResetPasses()
 			memT.ResetPasses()
 			simT.LocateBatch(reqs, simRes)
-			simT.Network().Drain()
 			memT.LocateBatch(reqs, memRes)
 			if simT.Passes() != memT.Passes() {
 				t.Fatalf("LocateBatch: sim charged %d passes, mem %d", simT.Passes(), memT.Passes())
@@ -293,7 +279,7 @@ func TestTransportEquivalenceBatch(t *testing.T) {
 func TestTransportEquivalenceRegisterCost(t *testing.T) {
 	for _, tc := range equivalenceCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			simT, err := NewSimTransport(tc.g, tc.strat, fastOpts)
+			simT, err := NewSimTransport(tc.g, tc.strat, core.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -308,7 +294,6 @@ func TestTransportEquivalenceRegisterCost(t *testing.T) {
 				if _, err := simT.Register("cost", graph.NodeID(v)); err != nil {
 					t.Fatal(err)
 				}
-				simT.Network().Drain()
 				if _, err := memT.Register("cost", graph.NodeID(v)); err != nil {
 					t.Fatal(err)
 				}

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"hash/maphash"
 	"sync/atomic"
 
 	"matchmake/internal/core"
@@ -9,8 +8,27 @@ import (
 
 // genShards is the size of every transport's generation index. Sharding
 // by port hash keeps bumps and reads contention-free; a hash collision
-// merely invalidates an unrelated port's hints early, which is safe.
+// merely invalidates an unrelated port's hints early, which is safe. The
+// hash is fixed (portHash), not seeded per index: which ports collide —
+// and so how many hinted locates a Migrate turns into floods — is then a
+// function of the workload, identical on every transport and every run,
+// which is what lets hinted pass totals be compared sim = mem = net.
 const genShards = 256
+
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// portHash is FNV-1a over the port's bytes.
+func portHash(port core.Port) uint64 {
+	h := uint64(fnvOffset64)
+	for i := 0; i < len(port); i++ {
+		h ^= uint64(port[i])
+		h *= fnvPrime64
+	}
+	return h
+}
 
 // genIndex is the sharded hint-invalidation index every transport
 // maintains: one generation counter per port-hash shard. Registrations,
@@ -20,16 +38,11 @@ const genShards = 256
 // and are only probed while it still matches, so stale hints fail fast
 // without spending a single message pass.
 type genIndex struct {
-	seed   maphash.Seed
 	shards [genShards]atomic.Uint64
 }
 
-func newGenIndex() *genIndex {
-	return &genIndex{seed: maphash.MakeSeed()}
-}
-
 func (g *genIndex) idx(port core.Port) int {
-	return int(maphash.String(g.seed, string(port)) % genShards)
+	return int(portHash(port) % genShards)
 }
 
 // gen returns port's current generation.

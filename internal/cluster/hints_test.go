@@ -323,3 +323,40 @@ func TestHintHitZeroAllocs(t *testing.T) {
 		t.Fatalf("hint-hit locate allocates %.1f objects/op, want 0", allocs)
 	}
 }
+
+// TestGenIndexDeterministic pins the property hinted sim = mem = net
+// pass totals rest on: the port → slot map is one fixed function, so
+// every transport's index invalidates the same hash-collision siblings.
+func TestGenIndexDeterministic(t *testing.T) {
+	var a, b genIndex
+	// Walk ports until two share a slot; both indexes must agree on
+	// every port walked.
+	owner := map[int]core.Port{}
+	var p1, p2, p3 core.Port
+	for i := 0; p2 == ""; i++ {
+		p := core.Port(fmt.Sprintf("svc-%05d", i))
+		if a.idx(p) != b.idx(p) || a.slot(p) != &a.shards[b.idx(p)] {
+			t.Fatalf("port %q: slot %d on one index, %d on the other", p, a.idx(p), b.idx(p))
+		}
+		if first, taken := owner[a.idx(p)]; taken {
+			p1, p2 = first, p
+		}
+		owner[a.idx(p)] = p
+	}
+	for slot, p := range owner {
+		if slot != a.idx(p1) {
+			p3 = p
+			break
+		}
+	}
+	a.bump(p1)
+	if a.gen(p2) != 1 {
+		t.Fatalf("%q and %q share slot %d, but bumping one left the other at generation %d", p1, p2, a.idx(p1), a.gen(p2))
+	}
+	if a.gen(p3) != 0 {
+		t.Fatalf("bumping %q moved %q, which is in slot %d, not %d", p1, p3, a.idx(p3), a.idx(p1))
+	}
+	if b.gen(p1) != 0 {
+		t.Fatal("two indexes share state")
+	}
+}

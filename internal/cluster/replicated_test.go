@@ -3,7 +3,6 @@ package cluster
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"matchmake/internal/core"
 	"matchmake/internal/graph"
@@ -11,12 +10,6 @@ import (
 	"matchmake/internal/strategy"
 	"matchmake/internal/topology"
 )
-
-// repOpts keeps the simulator's locate timeout short: a replica
-// fallthrough on the sim costs one full timeout per silent family, and
-// with inline handlers a live rendezvous answers before Multicast
-// returns, so a short timeout only ever delays true misses.
-var repOpts = core.Options{LocateTimeout: 500 * time.Millisecond, CollectWindow: 2 * time.Millisecond}
 
 // mkReplicated builds the r-fold replicated checkerboard over n nodes.
 func mkReplicated(t *testing.T, n, r int) *strategy.Replicated {
@@ -96,7 +89,7 @@ func TestReplicatedSimMemEquivalence(t *testing.T) {
 	n := 36
 	g := topology.Complete(n)
 	rp := mkReplicated(t, n, 2)
-	simT, err := NewLayoutSimTransport(g, fixedOf(t, rp), repOpts)
+	simT, err := NewLayoutSimTransport(g, fixedOf(t, rp), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +105,6 @@ func TestReplicatedSimMemEquivalence(t *testing.T) {
 		if _, err := simT.Register(port, node); err != nil {
 			t.Fatal(err)
 		}
-		simT.Network().Drain()
 		if _, err := memT.Register(port, node); err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +123,6 @@ func TestReplicatedSimMemEquivalence(t *testing.T) {
 			for port := range servers {
 				simBefore, memBefore := simT.Passes(), memT.Passes()
 				e1, err1 := simT.Locate(client, port)
-				simT.Network().Drain()
 				e2, err2 := memT.Locate(client, port)
 				if err1 != nil || err2 != nil {
 					t.Fatalf("%s: locate %q from %d: sim err=%v mem err=%v", stage, port, client, err1, err2)
@@ -391,7 +382,7 @@ func TestReplicatedTransportErrors(t *testing.T) {
 	if _, err := NewLayoutMemTransport(topology.Complete(9), Layout{}, 0); err == nil {
 		t.Fatal("nil Replicated accepted by mem")
 	}
-	if _, err := NewLayoutSimTransport(topology.Complete(9), Layout{}, repOpts); err == nil {
+	if _, err := NewLayoutSimTransport(topology.Complete(9), Layout{}, core.Options{}); err == nil {
 		t.Fatal("nil Replicated accepted by sim")
 	}
 	rp := mkReplicated(t, 9, 2)

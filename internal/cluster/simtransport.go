@@ -90,8 +90,9 @@ var _ ReplicatedTransport = (*SimTransport)(nil)
 var _ ElasticTransport = (*SimTransport)(nil)
 
 // NewSimTransport builds a fresh simulator network over g and installs
-// the core engine with strat. opts tune the engine's locate timeout and
-// collect window; the zero value picks the engine defaults.
+// the core engine with strat and opts. Every operation returns once the
+// simulated messages it caused have been handled, so the transport is as
+// synchronous as mem and net.
 func NewSimTransport(g *graph.Graph, strat rendezvous.Strategy, opts core.Options) (*SimTransport, error) {
 	return newSimTransport(g, rendezvous.Precompute(strat), nil, opts)
 }
@@ -123,9 +124,8 @@ func NewLayoutSimTransport(g *graph.Graph, lay Layout, opts core.Options) (*SimT
 // locate floods replica 0's query set, falling through family by family
 // — each attempt a real simulated flood with its hops counted by the
 // network, so the fast paths' fallthrough charges are checked against
-// the genuine article. Note a fallthrough attempt on the simulator
-// costs a full locate timeout before the next family is tried; keep
-// opts.LocateTimeout short in fault studies.
+// the genuine article. A family that misses ends as soon as its flood's
+// messages have been handled, so fallthrough costs passes, not time.
 func newReplicatedSimTransport(g *graph.Graph, rp *strategy.Replicated, opts core.Options) (*SimTransport, error) {
 	// The engine's own strategy: union posts, replica-0 queries. The
 	// higher replica floods go through LocateVia with explicit targets.
@@ -209,7 +209,7 @@ func newSimTransport(g *graph.Graph, strat rendezvous.Strategy, rp *strategy.Rep
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	net.SetInlineHandlers(true)
-	t := &SimTransport{net: net, sys: sys, gens: newGenIndex(), rp: rp}
+	t := &SimTransport{net: net, sys: sys, gens: new(genIndex), rp: rp}
 	// The lying hook is installed once, here, and steered through the
 	// atomic lie table — Arm/Disarm swap the table under live traffic
 	// without racing the engine's handlers.
@@ -248,9 +248,6 @@ func (t *SimTransport) N() int { return t.net.Graph().N() }
 
 // System exposes the underlying engine (for tests and fault injection).
 func (t *SimTransport) System() *core.System { return t.sys }
-
-// Network exposes the underlying simulator network.
-func (t *SimTransport) Network() *sim.Network { return t.net }
 
 // simServer adapts core.Server to ServerRef.
 type simServer struct {
@@ -341,7 +338,7 @@ func (t *SimTransport) LocateReplica(client graph.NodeID, port core.Port, replic
 // own strategy) and whether the family belongs to a retiring epoch. An
 // empty epoch-family flood — retired family, or a client outside the
 // family's membership — short-circuits to a rendezvous miss without
-// simulating a vacuous flood (which would cost a full locate timeout).
+// simulating a vacuous flood.
 func (t *SimTransport) replicaTargets(client graph.NodeID, port core.Port, replica int) ([]graph.NodeID, bool, error) {
 	if es := t.elastic.Load(); es != nil {
 		if !t.net.Graph().Valid(client) {
@@ -430,8 +427,8 @@ func (t *SimTransport) DualEpochLocates() int64 { return t.dualLocates.Load() }
 // epochs' families, and every live server re-posts exactly the delta
 // the remap added via a real multicast whose hops the network counts —
 // the same charges the fast paths compute from the routing tables.
-// Resize does not synchronize with in-flight traffic; quiesce (Drain)
-// first when pinning pass accounting.
+// Resize does not synchronize with in-flight traffic; let concurrent
+// callers return first when pinning pass accounting.
 func (t *SimTransport) Resize(next *strategy.Epoch) (int, error) {
 	if t.elastic.Load() == nil {
 		return 0, ErrNotElastic

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"matchmake/internal/graph"
 	"matchmake/internal/rendezvous"
@@ -138,10 +137,7 @@ func TestSystemConcurrentPostDeregisterLocate(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer net.Close()
-	sys, err := NewSystem(net, rendezvous.Checkerboard(n), Options{
-		LocateTimeout: 500 * time.Millisecond,
-		CollectWindow: time.Millisecond,
-	})
+	sys, err := NewSystem(net, rendezvous.Checkerboard(n), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"matchmake/internal/graph"
 	"matchmake/internal/rendezvous"
@@ -44,7 +43,8 @@ type Entry struct {
 
 // Errors returned by the engine.
 var (
-	// ErrNotFound reports a locate that received no reply in time.
+	// ErrNotFound reports a locate whose flood ended with no rendezvous
+	// node answering with a live entry, or a probe answered negatively.
 	ErrNotFound = errors.New("core: service not found")
 	// ErrServerGone reports an operation on a deregistered server.
 	ErrServerGone = errors.New("core: server deregistered")
@@ -52,34 +52,16 @@ var (
 
 // Options configure a System.
 type Options struct {
-	// LocateTimeout bounds how long a locate waits for the first reply.
-	// Zero means 2s.
-	LocateTimeout time.Duration
-	// CollectWindow is how long a locate keeps collecting additional
-	// replies after the first one, to pick the freshest address when a
-	// migrated server's stale postings still linger. Zero means 5ms.
-	CollectWindow time.Duration
 	// CacheCapacity bounds each node cache (0 = unbounded, the paper's
 	// §2.1 assumption 3). When full, the stalest entry is discarded,
 	// which degrades Shotgun Locate toward Lighthouse Locate.
 	CacheCapacity int
 }
 
-func (o Options) withDefaults() Options {
-	if o.LocateTimeout <= 0 {
-		o.LocateTimeout = 2 * time.Second
-	}
-	if o.CollectWindow <= 0 {
-		o.CollectWindow = 5 * time.Millisecond
-	}
-	return o
-}
-
 // System is a running distributed name server over a network and a
 // strategy.
 type System struct {
-	net  *sim.Network
-	opts Options
+	net *sim.Network
 
 	// stratMu guards strat, which the elastic serving layer swaps at an
 	// epoch transition (SetStrategy); everything deriving posting or
@@ -94,8 +76,10 @@ type System struct {
 	serverID atomic.Uint64 // server instance identifiers
 	reqID    atomic.Uint64 // locate request identifiers
 
+	// pending collects, per flood in progress, the replies delivered at
+	// the client's node so far.
 	mu      sync.Mutex
-	pending map[uint64]chan replyMsg
+	pending map[uint64][]replyMsg
 
 	// srvMu guards servers, the live registration table probes consult:
 	// a probe delivered at node v answers from the registrations whose
@@ -171,13 +155,12 @@ func NewSystem(net *sim.Network, strat rendezvous.Strategy, opts Options) (*Syst
 	s := &System{
 		net:     net,
 		strat:   strat,
-		opts:    opts.withDefaults(),
 		caches:  make([]*cache, n),
-		pending: make(map[uint64]chan replyMsg),
+		pending: make(map[uint64][]replyMsg),
 		servers: make(map[uint64]*Server),
 	}
 	for v := 0; v < n; v++ {
-		s.caches[v] = newCache(s.opts.CacheCapacity)
+		s.caches[v] = newCache(opts.CacheCapacity)
 		if err := net.SetHandler(graph.NodeID(v), s.HandleMessage); err != nil {
 			return nil, fmt.Errorf("core: install handler: %w", err)
 		}
@@ -205,7 +188,7 @@ func (s *System) HandleMessage(self graph.NodeID, msg sim.Message) {
 					return
 				}
 				s.repliesSent.Add(1)
-				_ = s.net.Send(self, m.client, replyMsg{reqID: m.reqID, entry: fe, from: self})
+				_ = msg.Send(m.client, replyMsg{reqID: m.reqID, entry: fe, from: self})
 				return
 			}
 		}
@@ -215,7 +198,7 @@ func (s *System) HandleMessage(self graph.NodeID, msg sim.Message) {
 					continue // not this family's rendezvous for that posting
 				}
 				s.repliesSent.Add(1)
-				_ = s.net.Send(self, m.client, replyMsg{reqID: m.reqID, entry: entry, from: self})
+				_ = msg.Send(m.client, replyMsg{reqID: m.reqID, entry: entry, from: self})
 			}
 			return
 		}
@@ -224,19 +207,15 @@ func (s *System) HandleMessage(self graph.NodeID, msg sim.Message) {
 			return // misses are silent, as in §1.5
 		}
 		s.repliesSent.Add(1)
-		// Reply failures (crashed client, broken route) surface as locate
-		// timeouts at the client; nothing to handle here.
-		_ = s.net.Send(self, m.client, replyMsg{reqID: m.reqID, entry: entry, from: self})
+		// Reply failures (crashed client, broken route) surface as one
+		// reply fewer at the client; nothing to handle here.
+		_ = msg.Send(m.client, replyMsg{reqID: m.reqID, entry: entry, from: self})
 	case replyMsg:
 		s.mu.Lock()
-		ch := s.pending[m.reqID]
-		s.mu.Unlock()
-		if ch != nil {
-			select {
-			case ch <- m:
-			default:
-			}
+		if rs, ok := s.pending[m.reqID]; ok {
+			s.pending[m.reqID] = append(rs, m)
 		}
+		s.mu.Unlock()
 	case probeMsg:
 		if !msg.CanReply() {
 			return
@@ -346,8 +325,7 @@ func (s *System) Probe(client graph.NodeID, e Entry) (Entry, error) {
 	if !s.net.Graph().Valid(e.Addr) {
 		return Entry{}, fmt.Errorf("core: probe at %d: %w", e.Addr, graph.ErrNodeRange)
 	}
-	v, err := s.net.Call(client, e.Addr,
-		probeMsg{port: e.Port, serverID: e.ServerID, time: e.Time}, s.opts.LocateTimeout)
+	v, err := s.net.Call(client, e.Addr, probeMsg{port: e.Port, serverID: e.ServerID, time: e.Time})
 	if err != nil {
 		return Entry{}, fmt.Errorf("core: probe %q at %d: %w", e.Port, e.Addr, err)
 	}
@@ -403,12 +381,11 @@ func (s *System) postVia(srv *Server, node graph.NodeID, active bool, targets []
 		Time:     s.clock.Add(1),
 		Active:   active,
 	}
-	reached, err := s.net.Multicast(node, targets, postMsg{entry: entry})
+	reached, err := s.net.Flood(node, targets, postMsg{entry: entry})
 	s.postsSent.Add(int64(reached))
 	if err != nil {
 		return fmt.Errorf("core: post %q from %d: %w", srv.port, node, err)
 	}
-	s.net.Drain()
 	return nil
 }
 
@@ -514,18 +491,44 @@ type LocateResult struct {
 	// QueriesSent is the number of rendezvous nodes addressed (#Q
 	// reached).
 	QueriesSent int
-	// Replies is the number of rendezvous answers received in the
-	// collection window.
+	// Replies is the number of rendezvous answers the flood produced —
+	// exact: every reply has been delivered before the locate returns.
 	Replies int
 }
 
 // Locate finds the address of a server for port from client node j: it
-// multicasts a query along a spanning tree to every node of Q(j) and
-// waits for rendezvous replies, keeping the freshest entry seen within
-// the collection window (stale postings of migrated servers lose by
-// timestamp). It returns ErrNotFound if no rendezvous answers in time.
+// multicasts a query along a spanning tree to every node of Q(j) and,
+// once every query and reply of that flood has been handled, keeps the
+// freshest entry among all the replies (stale postings of migrated
+// servers lose by timestamp). It returns ErrNotFound if no rendezvous
+// answers with a live entry.
 func (s *System) Locate(client graph.NodeID, port Port) (LocateResult, error) {
 	return s.LocateVia(client, port, nil, 0)
+}
+
+// flood multicasts q from client to targets (nil means the strategy's
+// Q(client)) as one network request and returns how many nodes it
+// reached and every reply it caused: misses are silent (§1.5), so the
+// flood is over when its own messages have been handled, not when a
+// clock says so.
+func (s *System) flood(client graph.NodeID, targets []graph.NodeID, q queryMsg) (int, []replyMsg, error) {
+	if !s.net.Graph().Valid(client) {
+		return 0, nil, graph.ErrNodeRange
+	}
+	if targets == nil {
+		targets = s.strategy().Query(client)
+	}
+	q.client, q.reqID = client, s.reqID.Add(1)
+	s.mu.Lock()
+	s.pending[q.reqID] = []replyMsg{}
+	s.mu.Unlock()
+	reached, err := s.net.Flood(client, targets, q)
+	s.queriesSent.Add(int64(reached))
+	s.mu.Lock()
+	replies := s.pending[q.reqID]
+	delete(s.pending, q.reqID)
+	s.mu.Unlock()
+	return reached, replies, err
 }
 
 // LocateVia is Locate with an explicit query set and replica family:
@@ -537,72 +540,32 @@ func (s *System) Locate(client graph.NodeID, port Port) (LocateResult, error) {
 // the network charging that flood's real multicast and reply hops, so a
 // fallthrough locate pays exactly one flood per replica tried.
 func (s *System) LocateVia(client graph.NodeID, port Port, targets []graph.NodeID, family int) (LocateResult, error) {
-	if !s.net.Graph().Valid(client) {
-		return LocateResult{}, fmt.Errorf("core: locate from %d: %w", client, graph.ErrNodeRange)
-	}
-	id := s.reqID.Add(1)
-	ch := make(chan replyMsg, s.strategy().N())
-	s.mu.Lock()
-	s.pending[id] = ch
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		delete(s.pending, id)
-		s.mu.Unlock()
-	}()
-
-	if targets == nil {
-		targets = s.strategy().Query(client)
-	}
-	reached, err := s.net.Multicast(client, targets, queryMsg{port: port, client: client, reqID: id, family: family})
-	s.queriesSent.Add(int64(reached))
+	reached, replies, err := s.flood(client, targets, queryMsg{port: port, family: family})
 	if err != nil {
 		return LocateResult{}, fmt.Errorf("core: locate %q from %d: %w", port, client, err)
 	}
-
-	var (
-		best    Entry
-		from    graph.NodeID
-		replies int
-	)
-	select {
-	case r := <-ch:
-		best, from, replies = r.entry, r.from, 1
-	case <-time.After(s.opts.LocateTimeout):
-		return LocateResult{QueriesSent: reached}, fmt.Errorf("locate %q from %d: %w", port, client, ErrNotFound)
-	}
-	// Collect stragglers briefly and keep the freshest active entry.
-	window := time.After(s.opts.CollectWindow)
-collect:
-	for {
-		select {
-		case r := <-ch:
-			replies++
-			if r.entry.Time > best.Time {
-				best, from = r.entry, r.from
-			}
-		case <-window:
-			break collect
+	res := LocateResult{QueriesSent: reached, Replies: len(replies)}
+	var best replyMsg
+	for i, r := range replies {
+		// Equal timestamps are one posting seen at several rendezvous
+		// nodes; the lowest node wins so the result is a function of the
+		// history, not of delivery order.
+		if i == 0 || r.entry.Time > best.entry.Time || r.entry.Time == best.entry.Time && r.from < best.from {
+			best = r
 		}
 	}
-	if !best.Active {
-		return LocateResult{QueriesSent: reached, Replies: replies},
-			fmt.Errorf("locate %q from %d: %w", port, client, ErrNotFound)
+	if !best.entry.Active {
+		return res, fmt.Errorf("locate %q from %d: %w", port, client, ErrNotFound)
 	}
-	return LocateResult{
-		Addr:        best.Addr,
-		Entry:       best,
-		From:        from,
-		QueriesSent: reached,
-		Replies:     replies,
-	}, nil
+	res.Addr, res.Entry, res.From = best.entry.Addr, best.entry, best.from
+	return res, nil
 }
 
 // LocateAll finds every live server instance for port visible from
 // client node j: it queries Q(j) once and collects all distinct server
-// instances that answer within the locate timeout plus one collection
-// window. A service "may be offered by more than one server process"
-// (§1.3); LocateAll surfaces all of them so the client can choose.
+// instances that answer. A service "may be offered by more than one
+// server process" (§1.3); LocateAll surfaces all of them so the client
+// can choose.
 func (s *System) LocateAll(client graph.NodeID, port Port) ([]Entry, error) {
 	return s.LocateAllVia(client, port, nil, 0)
 }
@@ -611,46 +574,14 @@ func (s *System) LocateAll(client graph.NodeID, port Port) ([]Entry, error) {
 // strategy's Q(client)) and replica family — the replica-fallthrough
 // primitive for locate-all, mirroring LocateVia.
 func (s *System) LocateAllVia(client graph.NodeID, port Port, targets []graph.NodeID, family int) ([]Entry, error) {
-	if !s.net.Graph().Valid(client) {
-		return nil, fmt.Errorf("core: locate-all from %d: %w", client, graph.ErrNodeRange)
-	}
-	id := s.reqID.Add(1)
-	ch := make(chan replyMsg, s.strategy().N()*4)
-	s.mu.Lock()
-	s.pending[id] = ch
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		delete(s.pending, id)
-		s.mu.Unlock()
-	}()
-
-	if targets == nil {
-		targets = s.strategy().Query(client)
-	}
-	reached, err := s.net.Multicast(client, targets, queryMsg{port: port, client: client, reqID: id, all: true, family: family})
-	s.queriesSent.Add(int64(reached))
+	_, replies, err := s.flood(client, targets, queryMsg{port: port, all: true, family: family})
 	if err != nil {
 		return nil, fmt.Errorf("core: locate-all %q from %d: %w", port, client, err)
 	}
-
 	freshest := make(map[uint64]Entry) // by server instance
-	select {
-	case r := <-ch:
-		freshest[r.entry.ServerID] = r.entry
-	case <-time.After(s.opts.LocateTimeout):
-		return nil, fmt.Errorf("locate-all %q from %d: %w", port, client, ErrNotFound)
-	}
-	window := time.After(s.opts.CollectWindow)
-collect:
-	for {
-		select {
-		case r := <-ch:
-			if cur, ok := freshest[r.entry.ServerID]; !ok || r.entry.Time > cur.Time {
-				freshest[r.entry.ServerID] = r.entry
-			}
-		case <-window:
-			break collect
+	for _, r := range replies {
+		if cur, ok := freshest[r.entry.ServerID]; !ok || r.entry.Time > cur.Time {
+			freshest[r.entry.ServerID] = r.entry
 		}
 	}
 	var out []Entry

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"matchmake/internal/graph"
 	"matchmake/internal/rendezvous"
@@ -11,9 +10,6 @@ import (
 	"matchmake/internal/strategy"
 	"matchmake/internal/topology"
 )
-
-// fastOpts keeps not-found locates quick in tests.
-var fastOpts = Options{LocateTimeout: 150 * time.Millisecond, CollectWindow: 30 * time.Millisecond}
 
 func newGridSystem(t *testing.T, rows, cols int) (*System, *topology.Grid) {
 	t.Helper()
@@ -26,7 +22,7 @@ func newGridSystem(t *testing.T, rows, cols int) (*System, *topology.Grid) {
 		t.Fatalf("sim.New: %v", err)
 	}
 	t.Cleanup(net.Close)
-	sys, err := NewSystem(net, strategy.Manhattan(gr), fastOpts)
+	sys, err := NewSystem(net, strategy.Manhattan(gr), Options{})
 	if err != nil {
 		t.Fatalf("NewSystem: %v", err)
 	}
@@ -40,7 +36,7 @@ func newCompleteSystem(t *testing.T, n int, strat rendezvous.Strategy) *System {
 		t.Fatalf("sim.New: %v", err)
 	}
 	t.Cleanup(net.Close)
-	sys, err := NewSystem(net, strat, fastOpts)
+	sys, err := NewSystem(net, strat, Options{})
 	if err != nil {
 		t.Fatalf("NewSystem: %v", err)
 	}
@@ -103,7 +99,7 @@ func TestNewSystemSizeMismatch(t *testing.T) {
 		t.Fatalf("sim.New: %v", err)
 	}
 	defer net.Close()
-	if _, err := NewSystem(net, rendezvous.Checkerboard(9), fastOpts); err == nil {
+	if _, err := NewSystem(net, rendezvous.Checkerboard(9), Options{}); err == nil {
 		t.Fatal("size mismatch should fail")
 	}
 }
@@ -181,6 +177,53 @@ func TestMigrateSupersedesStaleAddress(t *testing.T) {
 		}
 		if res.Addr != newHome {
 			t.Fatalf("Addr = %d, want %d (fresh address)", res.Addr, newHome)
+		}
+	}
+}
+
+// TestStalePostingsNeverWin: with a migrated server's stale postings
+// still live at its old rendezvous nodes (the old host was down, so no
+// tombstone went out), every locate sees both generations and answers
+// with the new address — the freshest of all the replies, not of the
+// ones that beat a clock — and Replies is exactly the number of queried
+// nodes that hold an entry.
+func TestStalePostingsNeverWin(t *testing.T) {
+	sys, gr := newGridSystem(t, 4, 4)
+	oldHome, newHome := gr.At(0, 0), gr.At(3, 3)
+	srv, err := sys.RegisterServer("fileserver", oldHome)
+	if err != nil {
+		t.Fatalf("RegisterServer: %v", err)
+	}
+	if err := sys.Network().Crash(oldHome); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Migrate(newHome); err != nil {
+		t.Fatalf("Migrate: %v", err)
+	}
+	if err := sys.Network().Restore(oldHome); err != nil {
+		t.Fatal(err)
+	}
+	holders := func(client graph.NodeID) (n int) {
+		for _, v := range sys.Strategy().Query(client) {
+			for _, e := range sys.CacheEntries(v) {
+				if e.Port == "fileserver" && e.Active {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	for i := 0; i < 1000; i++ {
+		client := graph.NodeID(i % 16)
+		res, err := sys.Locate(client, "fileserver")
+		if err != nil {
+			t.Fatalf("locate %d from %d: %v", i, client, err)
+		}
+		if res.Addr != newHome {
+			t.Fatalf("locate %d from %d: Addr = %d, want the new address %d", i, client, res.Addr, newHome)
+		}
+		if want := holders(client); res.Replies != want || want != 2 {
+			t.Fatalf("locate %d from %d: Replies = %d, %d queried nodes hold an entry (want 2: one stale, one fresh)", i, client, res.Replies, want)
 		}
 	}
 }
@@ -324,9 +367,7 @@ func TestCacheCapacityEviction(t *testing.T) {
 		t.Fatalf("sim.New: %v", err)
 	}
 	t.Cleanup(net.Close)
-	opts := fastOpts
-	opts.CacheCapacity = 2
-	sys, err := NewSystem(net, strat, opts)
+	sys, err := NewSystem(net, strat, Options{CacheCapacity: 2})
 	if err != nil {
 		t.Fatalf("NewSystem: %v", err)
 	}
@@ -360,7 +401,7 @@ func TestLocateOnDecompositionStrategy(t *testing.T) {
 		t.Fatalf("sim.New: %v", err)
 	}
 	t.Cleanup(net.Close)
-	sys, err := NewSystem(net, d.Strategy(), fastOpts)
+	sys, err := NewSystem(net, d.Strategy(), Options{})
 	if err != nil {
 		t.Fatalf("NewSystem: %v", err)
 	}
@@ -392,7 +433,7 @@ func TestLocateOnHypercube(t *testing.T) {
 		t.Fatalf("sim.New: %v", err)
 	}
 	t.Cleanup(net.Close)
-	sys, err := NewSystem(net, s, fastOpts)
+	sys, err := NewSystem(net, s, Options{})
 	if err != nil {
 		t.Fatalf("NewSystem: %v", err)
 	}

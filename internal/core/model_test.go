@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"testing"
-	"time"
 
 	"matchmake/internal/graph"
 	"matchmake/internal/rendezvous"
@@ -40,10 +39,7 @@ func TestModelRandomOperationSequences(t *testing.T) {
 				t.Fatalf("sim.New: %v", err)
 			}
 			defer net.Close()
-			sys, err := NewSystem(net, strategy.Manhattan(gr), Options{
-				LocateTimeout: 200 * time.Millisecond,
-				CollectWindow: 40 * time.Millisecond,
-			})
+			sys, err := NewSystem(net, strategy.Manhattan(gr), Options{})
 			if err != nil {
 				t.Fatalf("NewSystem: %v", err)
 			}
@@ -160,7 +156,7 @@ func TestLocateNearestPrefersClosest(t *testing.T) {
 	}
 	t.Cleanup(net.Close)
 	// Sweep posts everywhere, so every node sees both instances.
-	sys, err := NewSystem(net, rendezvous.Sweep(9), fastOpts)
+	sys, err := NewSystem(net, rendezvous.Sweep(9), Options{})
 	if err != nil {
 		t.Fatalf("NewSystem: %v", err)
 	}

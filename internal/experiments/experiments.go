@@ -15,9 +15,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
-
-	"matchmake/internal/core"
 )
 
 // Table is one regenerated table or figure series.
@@ -123,15 +120,6 @@ func itoa(v int) string { return strconv.Itoa(v) }
 func f2(v float64) string { return strconv.FormatFloat(v, 'f', 2, 64) }
 
 func f3(v float64) string { return strconv.FormatFloat(v, 'f', 3, 64) }
-
-// fastOpts keeps simulator-driven experiments snappy: a locate that finds
-// nothing gives up quickly instead of waiting out a long timeout.
-func fastOpts() core.Options {
-	return core.Options{
-		LocateTimeout: 300 * time.Millisecond,
-		CollectWindow: 10 * time.Millisecond,
-	}
-}
 
 // sortedKeys returns the keys of an int-keyed map in ascending order.
 func sortedKeys(m map[int]int) []int {

@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand/v2"
 	"sort"
-	"time"
 
 	"matchmake/internal/cluster"
 	"matchmake/internal/core"
@@ -336,7 +335,7 @@ func E13Hash() ([]Table, error) {
 		return nil, err
 	}
 	defer netS.Close()
-	sys, err := core.NewSystem(netS, rendezvous.Checkerboard(n), fastOpts())
+	sys, err := core.NewSystem(netS, rendezvous.Checkerboard(n), core.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -389,7 +388,7 @@ func neighborhoodTable() (Table, error) {
 		return t, err
 	}
 	defer net.Close()
-	nb, err := hashlocate.NewNeighborhood(net, h, 300*time.Millisecond)
+	nb, err := hashlocate.NewNeighborhood(net, h)
 	if err != nil {
 		return t, err
 	}
@@ -519,7 +518,7 @@ func simulateCrashLocate(n int, strat rendezvous.Strategy, server, client graph.
 		return false
 	}
 	defer net.Close()
-	sys, err := core.NewSystem(net, strat, fastOpts())
+	sys, err := core.NewSystem(net, strat, core.Options{})
 	if err != nil {
 		return false
 	}
@@ -543,7 +542,7 @@ func randomCrashRate(n int, strat rendezvous.Strategy, f, samples int) (float64,
 		return 0, err
 	}
 	defer net.Close()
-	sys, err := core.NewSystem(net, strat, fastOpts())
+	sys, err := core.NewSystem(net, strat, core.Options{})
 	if err != nil {
 		return 0, err
 	}
@@ -862,7 +861,7 @@ func E18Families() ([]Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		sys, err := core.NewSystem(net, strat, fastOpts())
+		sys, err := core.NewSystem(net, strat, core.Options{})
 		if err != nil {
 			net.Close()
 			return nil, err

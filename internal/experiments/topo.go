@@ -23,7 +23,7 @@ func measuredLocate(g *graph.Graph, strat rendezvous.Strategy, pairs [][2]graph.
 		return 0, 0, 0, err
 	}
 	defer net.Close()
-	sys, err := core.NewSystem(net, strat, fastOpts())
+	sys, err := core.NewSystem(net, strat, core.Options{})
 	if err != nil {
 		return 0, 0, 0, err
 	}

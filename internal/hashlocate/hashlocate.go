@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sync"
-	"time"
 
 	"matchmake/internal/core"
 	"matchmake/internal/graph"
@@ -42,8 +41,6 @@ type Options struct {
 	// post tries when rendezvous nodes are down (the second measure).
 	// Zero disables rehashing.
 	MaxRehash int
-	// CallTimeout bounds each rendezvous query. Zero means 2s.
-	CallTimeout time.Duration
 }
 
 func (o Options) withDefaults() Options {
@@ -52,9 +49,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxRehash < 0 {
 		o.MaxRehash = 0
-	}
-	if o.CallTimeout <= 0 {
-		o.CallTimeout = 2 * time.Second
 	}
 	return o
 }
@@ -119,7 +113,7 @@ func (s *System) handle(self graph.NodeID, msg sim.Message) {
 		s.mu.Lock()
 		e, ok := s.caches[self][m.port]
 		s.mu.Unlock()
-		// Reply errors surface as caller timeouts.
+		// A failed reply surfaces at the caller as sim.ErrNoReply.
 		_ = msg.Reply(queryReply{entry: e, found: ok && e.Active})
 	}
 }
@@ -208,7 +202,7 @@ func (s *System) Locate(client graph.NodeID, port core.Port) (LocateResult, erro
 	for attempt := 0; attempt <= s.opts.MaxRehash; attempt++ {
 		for _, v := range s.Rendezvous(port, attempt) {
 			queried++
-			raw, err := s.net.Call(client, v, queryMsg{port: port}, s.opts.CallTimeout)
+			raw, err := s.net.Call(client, v, queryMsg{port: port})
 			if err != nil {
 				continue // node down or unreachable: try the next replica
 			}

@@ -4,15 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 
 	"matchmake/internal/core"
 	"matchmake/internal/graph"
 	"matchmake/internal/sim"
 	"matchmake/internal/topology"
 )
-
-var fastOpts = Options{CallTimeout: 150 * time.Millisecond}
 
 func newSystem(t *testing.T, n int, opts Options) *System {
 	t.Helper()
@@ -21,9 +18,6 @@ func newSystem(t *testing.T, n int, opts Options) *System {
 		t.Fatalf("sim.New: %v", err)
 	}
 	t.Cleanup(net.Close)
-	if opts.CallTimeout == 0 {
-		opts.CallTimeout = fastOpts.CallTimeout
-	}
 	s, err := New(net, opts)
 	if err != nil {
 		t.Fatalf("New: %v", err)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sync"
-	"time"
 
 	"matchmake/internal/core"
 	"matchmake/internal/graph"
@@ -28,8 +27,6 @@ type Neighborhood struct {
 	net  *sim.Network
 	hier *topology.Hierarchy
 
-	callTimeout time.Duration
-
 	mu     sync.Mutex
 	caches []map[core.Port]core.Entry
 	clock  uint64
@@ -43,18 +40,14 @@ type Scope int
 var ErrBadScope = errors.New("hashlocate: scope out of range")
 
 // NewNeighborhood installs the handlers over a hierarchy's network.
-func NewNeighborhood(net *sim.Network, hier *topology.Hierarchy, callTimeout time.Duration) (*Neighborhood, error) {
+func NewNeighborhood(net *sim.Network, hier *topology.Hierarchy) (*Neighborhood, error) {
 	if net.Graph().N() != hier.N() {
 		return nil, fmt.Errorf("hashlocate: network size %d != hierarchy size %d", net.Graph().N(), hier.N())
 	}
-	if callTimeout <= 0 {
-		callTimeout = 2 * time.Second
-	}
 	nb := &Neighborhood{
-		net:         net,
-		hier:        hier,
-		callTimeout: callTimeout,
-		caches:      make([]map[core.Port]core.Entry, hier.N()),
+		net:    net,
+		hier:   hier,
+		caches: make([]map[core.Port]core.Entry, hier.N()),
 	}
 	for v := 0; v < hier.N(); v++ {
 		nb.caches[v] = make(map[core.Port]core.Entry)
@@ -154,7 +147,7 @@ func (nb *Neighborhood) Locate(client graph.NodeID, port core.Port) (LocateLevel
 			return LocateLevels{}, err
 		}
 		queried++
-		raw, err := nb.net.Call(client, rv, queryMsg{port: port}, nb.callTimeout)
+		raw, err := nb.net.Call(client, rv, queryMsg{port: port})
 		if err != nil {
 			continue // rendezvous down; try the wider neighborhood
 		}

@@ -3,7 +3,6 @@ package hashlocate
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"matchmake/internal/graph"
 	"matchmake/internal/sim"
@@ -21,7 +20,7 @@ func newNeighborhood(t *testing.T, fanouts ...int) (*Neighborhood, *topology.Hie
 		t.Fatalf("sim.New: %v", err)
 	}
 	t.Cleanup(net.Close)
-	nb, err := NewNeighborhood(net, h, 200*time.Millisecond)
+	nb, err := NewNeighborhood(net, h)
 	if err != nil {
 		t.Fatalf("NewNeighborhood: %v", err)
 	}
@@ -121,7 +120,7 @@ func TestNeighborhoodSizeMismatch(t *testing.T) {
 		t.Fatalf("sim.New: %v", err)
 	}
 	defer net.Close()
-	if _, err := NewNeighborhood(net, h, 0); err == nil {
+	if _, err := NewNeighborhood(net, h); err == nil {
 		t.Fatal("size mismatch should fail")
 	}
 }

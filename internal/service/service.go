@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"matchmake/internal/core"
 	"matchmake/internal/graph"
@@ -60,10 +59,8 @@ type Registry struct {
 	mu        sync.Mutex
 	processes map[graph.NodeID]map[core.Port]*Process
 
-	// CallTimeout bounds each request round trip; InvokeRetries is how
-	// many times Invoke re-locates and retries after a failed attempt
-	// ("the query server can retry the request").
-	CallTimeout   time.Duration
+	// InvokeRetries is how many times Invoke re-locates and retries after
+	// a failed attempt ("the query server can retry the request").
 	InvokeRetries int
 }
 
@@ -73,7 +70,6 @@ func NewRegistry(sys *core.System) (*Registry, error) {
 		sys:           sys,
 		net:           sys.Network(),
 		processes:     make(map[graph.NodeID]map[core.Port]*Process),
-		CallTimeout:   2 * time.Second,
 		InvokeRetries: 1,
 	}
 	n := r.net.Graph().N()
@@ -211,7 +207,7 @@ func (r *Registry) Invoke(client graph.NodeID, port core.Port, method string, bo
 			lastErr = err
 			continue
 		}
-		raw, err := r.net.Call(client, loc.Addr, Request{Port: port, Method: method, Body: body}, r.CallTimeout)
+		raw, err := r.net.Call(client, loc.Addr, Request{Port: port, Method: method, Body: body})
 		if err != nil {
 			lastErr = err
 			continue
@@ -245,7 +241,7 @@ func (r *Registry) InvokeNearest(client graph.NodeID, port core.Port, method str
 			lastErr = err
 			continue
 		}
-		raw, err := r.net.Call(client, loc.Addr, Request{Port: port, Method: method, Body: body}, r.CallTimeout)
+		raw, err := r.net.Call(client, loc.Addr, Request{Port: port, Method: method, Body: body})
 		if err != nil {
 			lastErr = err
 			continue

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 
 	"matchmake/internal/core"
 	"matchmake/internal/graph"
@@ -14,8 +13,6 @@ import (
 	"matchmake/internal/topology"
 )
 
-var fastOpts = core.Options{LocateTimeout: 150 * time.Millisecond, CollectWindow: 20 * time.Millisecond}
-
 func newRegistry(t *testing.T, n int) *Registry {
 	t.Helper()
 	net, err := sim.New(topology.Complete(n))
@@ -23,7 +20,7 @@ func newRegistry(t *testing.T, n int) *Registry {
 		t.Fatalf("sim.New: %v", err)
 	}
 	t.Cleanup(net.Close)
-	sys, err := core.NewSystem(net, rendezvous.Checkerboard(n), fastOpts)
+	sys, err := core.NewSystem(net, rendezvous.Checkerboard(n), core.Options{})
 	if err != nil {
 		t.Fatalf("NewSystem: %v", err)
 	}
@@ -31,7 +28,6 @@ func newRegistry(t *testing.T, n int) *Registry {
 	if err != nil {
 		t.Fatalf("NewRegistry: %v", err)
 	}
-	r.CallTimeout = 300 * time.Millisecond
 	return r
 }
 
@@ -225,7 +221,7 @@ func TestServiceOnGridStrategy(t *testing.T) {
 		t.Fatalf("sim.New: %v", err)
 	}
 	t.Cleanup(net.Close)
-	sys, err := core.NewSystem(net, strategy.Manhattan(gr), fastOpts)
+	sys, err := core.NewSystem(net, strategy.Manhattan(gr), core.Options{})
 	if err != nil {
 		t.Fatalf("NewSystem: %v", err)
 	}
@@ -233,7 +229,6 @@ func TestServiceOnGridStrategy(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewRegistry: %v", err)
 	}
-	r.CallTimeout = 300 * time.Millisecond
 	if _, err := r.Serve("printer", gr.At(1, 1), echoHandler); err != nil {
 		t.Fatalf("Serve: %v", err)
 	}

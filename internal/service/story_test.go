@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 
 	"matchmake/internal/core"
 	"matchmake/internal/graph"
@@ -25,10 +24,7 @@ func TestCateringServiceStory(t *testing.T) {
 		t.Fatalf("sim.New: %v", err)
 	}
 	t.Cleanup(net.Close)
-	sys, err := core.NewSystem(net, rendezvous.Checkerboard(n), core.Options{
-		LocateTimeout: 200 * time.Millisecond,
-		CollectWindow: 30 * time.Millisecond,
-	})
+	sys, err := core.NewSystem(net, rendezvous.Checkerboard(n), core.Options{})
 	if err != nil {
 		t.Fatalf("NewSystem: %v", err)
 	}
@@ -36,7 +32,6 @@ func TestCateringServiceStory(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewRegistry: %v", err)
 	}
-	r.CallTimeout = 400 * time.Millisecond
 	r.InvokeRetries = 2
 
 	// The car rental outfit.
@@ -123,7 +118,7 @@ func TestInvokeNearestPicksLocalInstance(t *testing.T) {
 		t.Fatalf("sim.New: %v", err)
 	}
 	t.Cleanup(net.Close)
-	sys, err := core.NewSystem(net, rendezvous.Sweep(11), fastOpts)
+	sys, err := core.NewSystem(net, rendezvous.Sweep(11), core.Options{})
 	if err != nil {
 		t.Fatalf("NewSystem: %v", err)
 	}
@@ -131,7 +126,6 @@ func TestInvokeNearestPicksLocalInstance(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewRegistry: %v", err)
 	}
-	r.CallTimeout = 400 * time.Millisecond
 	if _, err := r.Serve("mirror", 0, func(string, any) (any, error) { return "west", nil }); err != nil {
 		t.Fatalf("Serve west: %v", err)
 	}

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"matchmake/internal/graph"
 )
@@ -28,8 +27,9 @@ var (
 	ErrNoRoute = errors.New("sim: no route")
 	// ErrClosed reports use of a closed network.
 	ErrClosed = errors.New("sim: network closed")
-	// ErrTimeout reports an expired Call.
-	ErrTimeout = errors.New("sim: call timed out")
+	// ErrNoReply reports a Call whose remote handler returned without
+	// replying.
+	ErrNoReply = errors.New("sim: no reply")
 )
 
 // Message is a delivered network message.
@@ -39,6 +39,7 @@ type Message struct {
 	Payload any
 
 	reply chan any // non-nil for Call requests
+	req   *count   // the originator's request this message belongs to, or nil
 	net   *Network
 }
 
@@ -58,9 +59,16 @@ func (m *Message) Reply(payload any) error {
 	select {
 	case m.reply <- payload:
 	default:
-		// Caller already timed out; drop silently like a real network.
+		// A Call takes one reply; a second is dropped.
 	}
 	return nil
+}
+
+// Send routes a one-way message from the node handling m to to, as part
+// of the request m belongs to: the originator waiting on that request
+// (Call, Flood) also waits for this message and whatever it causes.
+func (m *Message) Send(to graph.NodeID, payload any) error {
+	return m.net.send(m.To, to, payload, m.req)
 }
 
 // Handler processes messages delivered to a node. By default each
@@ -74,6 +82,13 @@ func (m *Message) Reply(payload any) error {
 // its own network — revokes the may-block allowance: there, handlers
 // run on the node's delivery loop and must never wait for a message
 // delivered to their own node.
+//
+// The simulator has no clock: an originator (Call, Flood) learns that its
+// request is over by counting the request's messages in at delivery and
+// out when their handler returns. The count relies on one rule: whatever
+// a handler sends because of msg, it sends before returning and through
+// msg — msg.Reply, msg.Send — never later from a goroutine it leaves
+// behind, and never through the Network, whose sends belong to no request.
 type Handler func(self graph.NodeID, msg Message)
 
 // Network is a running simulation over a fixed graph. Create with New,
@@ -90,37 +105,69 @@ type Network struct {
 	messages atomic.Int64 // total messages injected
 	dropped  atomic.Int64 // messages lost to crashes / no route
 
-	// inflight counts undelivered or in-handler messages. It is a
-	// cond-guarded counter rather than a WaitGroup because senders keep
-	// injecting messages while other goroutines Drain: a WaitGroup
-	// forbids Add racing Wait across zero, a condition variable does
-	// not. Drain therefore means "the network was quiescent at some
-	// instant", which is all a concurrent serving layer can ask for.
-	inflightMu   sync.Mutex
-	inflightCond *sync.Cond
-	inflightN    int
+	// inflight counts every undelivered or in-handler message; Drain and
+	// Close wait on it. A request's own count (Message.req) is the same
+	// counter scoped to the messages one Call or Flood caused.
+	inflight *count
 
 	closed atomic.Bool
 	inline atomic.Bool
 	wg     sync.WaitGroup
 }
 
-func (n *Network) inflightAdd(delta int) {
-	n.inflightMu.Lock()
-	n.inflightN += delta
-	if n.inflightN == 0 {
-		n.inflightCond.Broadcast()
+// count is a counter of undelivered or in-handler messages that can be
+// waited on for zero. It is cond-guarded rather than a WaitGroup because
+// senders keep adding while other goroutines wait: a WaitGroup forbids
+// Add racing Wait across zero, a condition variable does not. A nil
+// *count counts nothing.
+type count struct {
+	mu   sync.Mutex
+	cond *sync.Cond
+	n    int
+}
+
+func newCount() *count {
+	c := &count{}
+	c.cond = sync.NewCond(&c.mu)
+	return c
+}
+
+func (c *count) add(delta int) {
+	if c == nil {
+		return
 	}
-	n.inflightMu.Unlock()
+	c.mu.Lock()
+	c.n += delta
+	if c.n == 0 {
+		c.cond.Broadcast()
+	}
+	c.mu.Unlock()
+}
+
+// wait blocks until the count passes through zero.
+func (c *count) wait() {
+	c.mu.Lock()
+	for c.n > 0 {
+		c.cond.Wait()
+	}
+	c.mu.Unlock()
+}
+
+// handled counts msg out of the network and out of its request: its
+// handler has returned, or it was consumed unhandled.
+func (n *Network) handled(msg Message) {
+	msg.req.add(-1)
+	n.inflight.add(-1)
 }
 
 type node struct {
 	id      graph.NodeID
 	handler atomic.Pointer[Handler]
 
-	mu    sync.Mutex
-	queue []Message
-	wake  chan struct{}
+	mu      sync.Mutex
+	queue   []Message
+	stopped bool // the delivery loop has exited; deliver drops
+	wake    chan struct{}
 }
 
 // New builds a network over g with precomputed routing tables.
@@ -130,11 +177,11 @@ func New(g *graph.Graph) (*Network, error) {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
 	n := &Network{
-		g:       g,
-		nodes:   make([]*node, g.N()),
-		crashed: make([]atomic.Bool, g.N()),
+		g:        g,
+		nodes:    make([]*node, g.N()),
+		crashed:  make([]atomic.Bool, g.N()),
+		inflight: newCount(),
 	}
-	n.inflightCond = sync.NewCond(&n.inflightMu)
 	n.routing.Store(routing)
 	for i := range n.nodes {
 		nd := &node{id: graph.NodeID(i), wake: make(chan struct{}, 1)}
@@ -150,10 +197,12 @@ func (n *Network) runNode(nd *node) {
 	for {
 		nd.mu.Lock()
 		for len(nd.queue) == 0 {
-			nd.mu.Unlock()
 			if n.closed.Load() {
+				nd.stopped = true
+				nd.mu.Unlock()
 				return
 			}
+			nd.mu.Unlock()
 			<-nd.wake
 			nd.mu.Lock()
 		}
@@ -164,7 +213,7 @@ func (n *Network) runNode(nd *node) {
 		if h := nd.handler.Load(); h != nil && !n.crashed[nd.id].Load() {
 			if n.inline.Load() {
 				(*h)(nd.id, msg)
-				n.inflightAdd(-1)
+				n.handled(msg)
 				continue
 			}
 			// Run the handler in its own goroutine so a handler that
@@ -172,20 +221,21 @@ func (n *Network) runNode(nd *node) {
 			// delivery loop and deadlock its own replies.
 			go func() {
 				(*h)(nd.id, msg)
-				n.inflightAdd(-1)
+				n.handled(msg)
 			}()
 			continue
 		}
-		n.inflightAdd(-1)
+		n.handled(msg)
 	}
 }
 
 // Close stops all node goroutines after in-flight messages drain. The
 // wake channels are nudged, never closed, so a send racing Close gets
-// ErrClosed (or is processed) rather than panicking; each node loop
-// re-checks the closed flag before blocking again. Senders should still
-// quiesce before Close for deterministic delivery of their last
-// messages.
+// ErrClosed, is processed, or is consumed unhandled by a node whose loop
+// has exited — it never panics and never leaves a request waiting; each
+// node loop re-checks the closed flag before blocking again. Senders
+// should still quiesce before Close for deterministic delivery of their
+// last messages.
 func (n *Network) Close() {
 	if n.closed.Swap(true) {
 		return
@@ -329,11 +379,19 @@ func (n *Network) traverse(u, v graph.NodeID) (int, error) {
 	return taken, nil
 }
 
-// deliver enqueues msg at its destination node.
+// deliver enqueues msg at its destination node and counts it in. A node
+// whose loop has exited (Close) consumes it unhandled, so no request
+// waits on a message nobody will dequeue.
 func (n *Network) deliver(msg Message) {
 	nd := n.nodes[msg.To]
-	n.inflightAdd(1)
+	n.inflight.add(1)
+	msg.req.add(1)
 	nd.mu.Lock()
+	if nd.stopped {
+		nd.mu.Unlock()
+		n.handled(msg)
+		return
+	}
 	nd.queue = append(nd.queue, msg)
 	nd.mu.Unlock()
 	select {
@@ -343,8 +401,13 @@ func (n *Network) deliver(msg Message) {
 }
 
 // Send routes a one-way message from from to to, counting one pass per
-// hop. Delivery is asynchronous; use Drain to wait for quiescence.
+// hop. Delivery is asynchronous and belongs to no request; a handler
+// sending on behalf of the message it is handling uses Message.Send.
 func (n *Network) Send(from, to graph.NodeID, payload any) error {
+	return n.send(from, to, payload, nil)
+}
+
+func (n *Network) send(from, to graph.NodeID, payload any, req *count) error {
 	if n.closed.Load() {
 		return ErrClosed
 	}
@@ -355,7 +418,7 @@ func (n *Network) Send(from, to graph.NodeID, payload any) error {
 	if _, err := n.traverse(from, to); err != nil {
 		return err
 	}
-	n.deliver(Message{From: from, To: to, Payload: payload, net: n})
+	n.deliver(Message{From: from, To: to, Payload: payload, req: req, net: n})
 	return nil
 }
 
@@ -363,8 +426,24 @@ func (n *Network) Send(from, to graph.NodeID, payload any) error {
 // the union of shortest paths (a spanning-tree broadcast), paying one pass
 // per tree edge — the paper's cheap way to address a whole row, subcube or
 // line. Unreachable or crash-blocked targets are skipped and counted in
-// Dropped; the number of targets actually reached is returned.
+// Dropped; the number of targets actually reached is returned. Delivery
+// is asynchronous; Flood is the multicast that waits.
 func (n *Network) Multicast(from graph.NodeID, targets []graph.NodeID, payload any) (int, error) {
+	return n.multicast(from, targets, payload, nil)
+}
+
+// Flood is Multicast as a request: it returns once every message the
+// multicast caused — the deliveries and, transitively, whatever their
+// handlers sent through them — has been handled. It waits for exactly
+// those messages, never for other callers' traffic as Drain would.
+func (n *Network) Flood(from graph.NodeID, targets []graph.NodeID, payload any) (int, error) {
+	req := newCount()
+	reached, err := n.multicast(from, targets, payload, req)
+	req.wait()
+	return reached, err
+}
+
+func (n *Network) multicast(from graph.NodeID, targets []graph.NodeID, payload any, req *count) (int, error) {
 	if n.closed.Load() {
 		return 0, ErrClosed
 	}
@@ -406,16 +485,17 @@ func (n *Network) Multicast(from graph.NodeID, targets []graph.NodeID, payload a
 		if !ok {
 			continue
 		}
-		n.deliver(Message{From: from, To: t, Payload: payload, net: n})
+		n.deliver(Message{From: from, To: t, Payload: payload, req: req, net: n})
 		reached++
 	}
 	return reached, nil
 }
 
-// Call routes a request to to and blocks for a reply (sent by the remote
-// handler via Message.Reply) or the timeout. Request and reply hops are
-// both counted.
-func (n *Network) Call(from, to graph.NodeID, payload any, timeout time.Duration) (any, error) {
+// Call routes a request to to and returns the reply the remote handler
+// sent via Message.Reply, or ErrNoReply the instant that handler has
+// returned without one (or the message was consumed by a node that
+// crashed after it was routed). Request and reply hops are both counted.
+func (n *Network) Call(from, to graph.NodeID, payload any) (any, error) {
 	if n.closed.Load() {
 		return nil, ErrClosed
 	}
@@ -427,24 +507,22 @@ func (n *Network) Call(from, to graph.NodeID, payload any, timeout time.Duration
 		return nil, err
 	}
 	reply := make(chan any, 1)
-	n.deliver(Message{From: from, To: to, Payload: payload, reply: reply, net: n})
+	req := newCount()
+	n.deliver(Message{From: from, To: to, Payload: payload, reply: reply, req: req, net: n})
+	req.wait()
 	select {
 	case v := <-reply:
 		return v, nil
-	case <-time.After(timeout):
-		return nil, fmt.Errorf("sim: call %d->%d: %w", from, to, ErrTimeout)
+	default:
+		return nil, fmt.Errorf("sim: call %d->%d: %w", from, to, ErrNoReply)
 	}
 }
 
 // Drain blocks until every delivered message has been processed — i.e.
-// until the network passes through a quiescent instant. Messages
-// injected by other goroutines while Drain waits extend the wait; the
-// guarantee is quiescence at some moment, not a happens-before fence
-// against concurrent senders.
-func (n *Network) Drain() {
-	n.inflightMu.Lock()
-	for n.inflightN > 0 {
-		n.inflightCond.Wait()
-	}
-	n.inflightMu.Unlock()
-}
+// until the whole network passes through a quiescent instant. Requests
+// (Call, Flood) wait for their own messages and do not need it; it is for
+// callers of the fire-and-forget Send and Multicast. Messages injected by
+// other goroutines while Drain waits extend the wait; the guarantee is
+// quiescence at some moment, not a happens-before fence against
+// concurrent senders.
+func (n *Network) Drain() { n.inflight.wait() }

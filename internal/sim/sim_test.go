@@ -5,13 +5,10 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"matchmake/internal/graph"
 	"matchmake/internal/topology"
 )
-
-const callTimeout = 5 * time.Second
 
 func lineNet(t *testing.T, n int) *Network {
 	t.Helper()
@@ -238,7 +235,7 @@ func TestCallRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SetHandler: %v", err)
 	}
-	got, err := net.Call(0, 3, "ping", callTimeout)
+	got, err := net.Call(0, 3, "ping")
 	if err != nil {
 		t.Fatalf("Call: %v", err)
 	}
@@ -251,15 +248,17 @@ func TestCallRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCallTimeout(t *testing.T) {
+func TestCallNoReply(t *testing.T) {
 	net := lineNet(t, 3)
-	// Handler never replies.
+	// A handler that returns without replying is an immediate named
+	// error, as is a node with no handler at all.
 	if err := net.SetHandler(2, func(graph.NodeID, Message) {}); err != nil {
 		t.Fatalf("SetHandler: %v", err)
 	}
-	_, err := net.Call(0, 2, "ping", 20*time.Millisecond)
-	if !errors.Is(err, ErrTimeout) {
-		t.Fatalf("err = %v, want ErrTimeout", err)
+	for _, to := range []graph.NodeID{2, 1} {
+		if _, err := net.Call(0, to, "ping"); !errors.Is(err, ErrNoReply) {
+			t.Fatalf("call to %d: err = %v, want ErrNoReply", to, err)
+		}
 	}
 }
 
@@ -336,7 +335,7 @@ func TestClosedNetworkRejectsSends(t *testing.T) {
 	if err := net.Send(0, 2, "x"); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed", err)
 	}
-	if _, err := net.Call(0, 2, "x", callTimeout); !errors.Is(err, ErrClosed) {
+	if _, err := net.Call(0, 2, "x"); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed", err)
 	}
 	if _, err := net.Multicast(0, []graph.NodeID{2}, "x"); !errors.Is(err, ErrClosed) {

@@ -71,13 +71,11 @@ type Config struct {
 	HotRefresh  time.Duration `flag:"hot-refresh" def:"250ms" usage:"weighted: reclassification period"`
 	HotAlpha    float64       `flag:"hot-alpha" def:"16" usage:"weighted: assumed locate:post frequency ratio (sets the hot query size √(n/α))"`
 
-	Shards     int           `flag:"shards" usage:"cluster shards (0 = GOMAXPROCS)"`
-	Workers    int           `flag:"workers" usage:"workers per shard (0 = default)"`
-	Queue      int           `flag:"queue" usage:"per-shard async queue depth (0 = default)"`
-	NoCoalesce bool          `flag:"no-coalesce" usage:"disable locate coalescing"`
-	Seed       int64         `flag:"seed" def:"1" usage:"workload RNG seed"`
-	LocateTO   time.Duration `flag:"locate-timeout" def:"250ms" usage:"sim transport: locate timeout"`
-	CollectWin time.Duration `flag:"collect-window" def:"1ms" usage:"sim transport: reply collection window"`
+	Shards     int   `flag:"shards" usage:"cluster shards (0 = GOMAXPROCS)"`
+	Workers    int   `flag:"workers" usage:"workers per shard (0 = default)"`
+	Queue      int   `flag:"queue" usage:"per-shard async queue depth (0 = default)"`
+	NoCoalesce bool  `flag:"no-coalesce" usage:"disable locate coalescing"`
+	Seed       int64 `flag:"seed" def:"1" usage:"workload RNG seed"`
 }
 
 // rows calls f with every field's flag name, tags and address, in

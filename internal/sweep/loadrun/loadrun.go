@@ -387,7 +387,7 @@ func BuildTransport(cfg Config, g *graph.Graph, strat rendezvous.Strategy) (clus
 	case "mem":
 		return cluster.NewLayoutMemTransport(g, lay, 0)
 	case "sim":
-		return cluster.NewLayoutSimTransport(g, lay, core.Options{LocateTimeout: cfg.LocateTO, CollectWindow: cfg.CollectWin})
+		return cluster.NewLayoutSimTransport(g, lay, core.Options{})
 	case "net":
 		if cfg.Addrs == "" {
 			return nil, fmt.Errorf("-transport net needs -addrs (boot a cluster with `mmctl up` or mmnode)")

@@ -12,11 +12,12 @@ import (
 
 // goldenFlags is mmload's flag set as name=default, captured from
 // `mmload -h` before loadrun.Config's table declared it (42 flags),
-// plus the one row added since.
+// plus the one row added since, less the simulator's two timeout rows
+// (-locate-timeout, -collect-window), deleted with its clock.
 var goldenFlags = strings.Fields(`
-	addrs= batch=0 byzantine-rate=0 churn=0s collect-window=1ms concurrency=8 corrupt-rate=0
+	addrs= batch=0 byzantine-rate=0 churn=0s concurrency=8 corrupt-rate=0
 	duration=2s gate-addr= gate-token=dev hints=false hot=2 hot-alpha=16 hot-refresh=250ms
-	kill-rate=0 liars=1 locate-timeout=250ms net-coalesce=true net-conns=0 net-stripes=0
+	kill-rate=0 liars=1 net-coalesce=true net-conns=0 net-stripes=0
 	no-coalesce=false nodes=64 ports=16 queue=0 rate=0 reconcile-interval=0s repair=0s replicas=1
 	resize-interval=0s resize-to=0 seed=1 shards=0 state= strategy=checkerboard topology=complete
 	transport=mem vote-quorum=0 watch-state=0s weighted=false workers=0 workload=zipf zipf-s=1.2 zipf-v=1`)
