@@ -21,8 +21,13 @@ import (
 // the two raises before it (5 080 → 5 135 for per-record statuses and
 // staged multicasts, → 5 143 for caller-affine lanes) — less the two
 // lines the PR that took the clock out of the reference engine removed
-// (SimTransport.Network(), the per-index hash seed).
-const clusterCodeLineCeiling = 5057
+// (SimTransport.Network(), the per-index hash seed). It rose by 20 when
+// in-process locates stopped sharing floods: 7 for the capability (the
+// inProcess interface, its one-line method on MemTransport and on
+// SimTransport, the two lines with which New folds it into
+// DisableCoalescing) and 13 for the node batch's bounded port intern
+// table (the ports field, maxInternedPorts, nodeBatch.port).
+const clusterCodeLineCeiling = 5077
 
 // clusterConstructorCeiling is the committed ceiling on exported
 // `func New*` declarations in internal/cluster's non-test files: the

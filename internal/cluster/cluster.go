@@ -20,8 +20,8 @@ import (
 type Options struct {
 	// Shards is the number of Submit shards (rounded up to a power of
 	// two). Each shard is a bounded queue and the worker pool draining
-	// it; synchronous locates never touch one (their coalescing table is
-	// striped on its own, see flightTable).
+	// it; synchronous locates never touch one (on transports that share
+	// floods their flight table is striped on its own, see flightTable).
 	// Zero picks GOMAXPROCS rounded up to a power of two.
 	Shards int
 	// WorkersPerShard is the number of worker goroutines draining each
@@ -30,8 +30,11 @@ type Options struct {
 	// QueueDepth bounds each shard's async queue; submissions beyond it
 	// are shed with ErrOverload. Zero means 1024.
 	QueueDepth int
-	// Coalesce merges concurrent locates for the same (client, port)
-	// into one underlying query flood. Disabled by DisableCoalescing.
+	// DisableCoalescing stops concurrent locates for the same (client,
+	// port) from sharing one query flood, so every locate runs its own.
+	// It only matters on transports whose floods leave the process
+	// (NetTransport, the gate's client transport): in-process transports
+	// (MemTransport, SimTransport) never share, whatever it says.
 	DisableCoalescing bool
 	// Hints enables the per-client address hint cache: a successful
 	// locate caches the resolved entry under the transport's current
@@ -91,9 +94,10 @@ func (o Options) withDefaults() Options {
 }
 
 // Cluster is the serving layer over a Transport: concurrent locates for
-// the same (client, port) coalesce into one query flood, asynchronous
-// submissions are sharded by port onto worker pools, and every operation
-// feeds the live metrics.
+// the same (client, port) coalesce into one query flood when that flood
+// leaves the process (in-process transports charge every locate its
+// own), asynchronous submissions are sharded by port onto worker pools,
+// and every operation feeds the live metrics.
 type Cluster struct {
 	// inflight leads the struct so its cacheline-padded stripes stay
 	// line-aligned. With closed it is the close gate: every public
@@ -287,6 +291,10 @@ func New(tr Transport, opts Options) *Cluster {
 			es.SetEventSink(c.opts.OnEvent)
 		}
 	}
+	// Sharing only pays where a flood waits on another process; an
+	// in-process flood is CPU, so each locate runs (and is charged) its own.
+	_, local := tr.(inProcess)
+	c.opts.DisableCoalescing = c.opts.DisableCoalescing || local
 	c.metrics.start(tr)
 	c.batchScratch.New = func() any { return &clusterScratch{} }
 	if c.opts.Hints {
@@ -376,18 +384,22 @@ func (c *Cluster) Register(port core.Port, node graph.NodeID) (ServerRef, error)
 	return ref, err
 }
 
-// Locate resolves port from client synchronously. Concurrent locates
-// for the same (client, port) share one underlying query flood (unless
-// coalescing is disabled): the first caller becomes the flight leader
-// and executes the query; later callers wait on the leader's result.
-// Every caller is counted and timed in the metrics.
+// Locate resolves port from client synchronously. On a transport whose
+// floods leave the process, concurrent locates for the same (client,
+// port) share one underlying query flood (unless coalescing is
+// disabled): the first caller becomes the flight leader and executes the
+// query; later callers wait on the leader's result. On an in-process
+// transport (MemTransport, SimTransport) every locate runs and is
+// charged its own flood. Every caller is counted and timed in the
+// metrics.
 //
-// Coalescing weakens read-your-writes: a caller that joins an already
+// Sharing weakens read-your-writes: a caller that joins an already
 // in-flight query receives a result sampled when that flight started,
 // which may predate the caller's own call — e.g. a locate retried
 // immediately after a Register returned can re-join a stale flight and
-// still miss. Callers that need post-write visibility should disable
-// coalescing or retry after the flight's duration.
+// still miss. Callers that need post-write visibility over the wire
+// should disable coalescing or retry after the flight's duration; an
+// in-process locate always starts its own flood after the call.
 func (c *Cluster) Locate(client graph.NodeID, port core.Port) (core.Entry, error) {
 	stripe, ok := c.enter()
 	if !ok {

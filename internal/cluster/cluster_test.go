@@ -13,6 +13,7 @@ import (
 	"matchmake/internal/graph"
 	"matchmake/internal/rendezvous"
 	"matchmake/internal/sim"
+	"matchmake/internal/strategy"
 	"matchmake/internal/topology"
 )
 
@@ -161,6 +162,95 @@ func TestClusterCoalescing(t *testing.T) {
 }
 
 const coalesceFollowers = 7
+
+// TestInProcessLocatesChargePerCall pins the in-process transports'
+// contract: a locate never shares a flood, so eight callers hammering
+// the same four (client, port) pairs are charged exactly the sum of
+// their calls' single-locate costs — on mem and on sim alike — and
+// nothing is counted as coalesced. A wrapper that embeds *MemTransport
+// stays in-process; an interface-typed wrapper (blockingTransport)
+// hides the capability and keeps sharing.
+func TestInProcessLocatesChargePerCall(t *testing.T) {
+	const (
+		workers = 8
+		rounds  = 200
+	)
+	gr, err := topology.NewGrid(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	strat := strategy.Manhattan(gr)
+	pairs := []LocateReq{{Client: 0, Port: "svc-a"}, {Client: 5, Port: "svc-b"}, {Client: 10, Port: "svc-c"}, {Client: 15, Port: "svc-a"}}
+	homes := map[core.Port]graph.NodeID{"svc-a": 3, "svc-b": 12, "svc-c": 6}
+
+	run := func(tr Transport) int64 {
+		c := New(tr, Options{})
+		defer c.Close()
+		for port, node := range homes {
+			if _, err := c.Register(port, node); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var sum int64
+		for _, p := range pairs {
+			tr.ResetPasses()
+			if e, err := c.Locate(p.Client, p.Port); err != nil || e.Addr != homes[p.Port] {
+				t.Fatalf("%s: locate %+v = %+v, %v", tr.Name(), p, e, err)
+			}
+			sum += tr.Passes()
+		}
+		tr.ResetPasses()
+		c.ResetMetrics()
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < rounds; i++ {
+					p := pairs[(w+i)%len(pairs)]
+					if e, err := c.Locate(p.Client, p.Port); err != nil || e.Addr != homes[p.Port] {
+						t.Errorf("%s: locate %+v = %+v, %v", tr.Name(), p, e, err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if want := workers * rounds * sum / int64(len(pairs)); tr.Passes() != want {
+			t.Errorf("%s: %d concurrent locates charged %d passes; their single-locate costs add up to %d", tr.Name(), workers*rounds, tr.Passes(), want)
+		}
+		if m := c.Metrics(); m.Coalesced != 0 {
+			t.Errorf("%s: Coalesced = %d; an in-process locate never shares", tr.Name(), m.Coalesced)
+		}
+		return tr.Passes()
+	}
+	memT, err := NewMemTransport(gr.G, strat, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	simT, err := NewSimTransport(gr.G, strat, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, s := run(memT), run(simT); m != s {
+		t.Errorf("mem charged %d passes, sim %d for the same calls", m, s)
+	}
+
+	wrapped, err := NewMemTransport(gr.G, strat, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := New(struct{ *MemTransport }{wrapped}, Options{})
+	defer c.Close()
+	if !c.opts.DisableCoalescing {
+		t.Error("a struct embedding *MemTransport shares floods; want it in-process")
+	}
+	bc := New(&blockingTransport{Transport: wrapped, gate: make(chan struct{})}, Options{})
+	defer bc.Close()
+	if bc.opts.DisableCoalescing {
+		t.Error("blockingTransport over mem does not share floods; an interface-typed wrapper must hide the capability")
+	}
+}
 
 func TestClusterSubmit(t *testing.T) {
 	c := newMemCluster(t, 32, Options{Shards: 4, WorkersPerShard: 2})

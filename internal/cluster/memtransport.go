@@ -46,6 +46,8 @@ func NewLayoutMemTransport(g *graph.Graph, lay Layout, shards int) (*MemTranspor
 // Store exposes the backing rendezvous cache (for tests and reports).
 func (t *MemTransport) Store() *Store { return t.mem.store }
 
+func (t *MemTransport) inProcess() {}
+
 // memSubstrate is the in-process substrate: rows in a port-major Store,
 // liveness records in a copy-on-write table, armed lies in an atomically
 // swapped table consulted on every read.

@@ -156,8 +156,9 @@ type MetricsSnapshot struct {
 	// Errors the failed ones; NotFound the errors that were rendezvous
 	// misses (no replica family answered) as opposed to a crashed or
 	// invalid caller; Coalesced the callers served by another caller's
-	// flight; Posts the registrations; Shed the submissions rejected
-	// with ErrOverload.
+	// flight (always 0 on MemTransport and SimTransport, which never
+	// share a flood); Posts the registrations; Shed the submissions
+	// rejected with ErrOverload.
 	Locates   int64
 	Errors    int64
 	NotFound  int64

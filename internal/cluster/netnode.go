@@ -209,7 +209,7 @@ func (s *NodeServer) record(op byte, d *netwire.Dec, b *nodeBatch) byte {
 		return st
 	case opQuery, opQueryAll:
 		req := int32(len(b.fl.reqs))
-		b.fl.reqs = append(b.fl.reqs, LocateReq{Port: core.Port(d.String())})
+		b.fl.reqs = append(b.fl.reqs, LocateReq{Port: b.port(d.Bytes())})
 		for cnt := d.Uvarint(); cnt > 0 && d.Err() == nil; cnt-- {
 			node := graph.NodeID(d.Uvarint())
 			st := s.admit(node)

@@ -103,9 +103,33 @@ type nodeBatch struct {
 	ranges [][2]int       // opSnapshot, opDigest
 	inject []corruptOp    // opCorrupt
 	lies   []forgeOp      // opArm
+
+	// ports interns the ports opQuery and opQueryAll records name; it
+	// outlives the frame with the pooled batch (see port).
+	ports map[string]core.Port
 }
 
-var nodeBatches = sync.Pool{New: func() any { return new(nodeBatch) }}
+// maxInternedPorts bounds a batch's port intern table. A peer naming a
+// new port in every frame empties the table each time it reaches this
+// size: what a peer sends sizes nothing.
+const maxInternedPorts = 1024
+
+// port returns the port the wire bytes p spell, as the string an earlier
+// frame on this batch already copied out, so a flood of a known port
+// decodes without allocating.
+func (b *nodeBatch) port(p []byte) core.Port {
+	if port, ok := b.ports[string(p)]; ok {
+		return port
+	}
+	if len(b.ports) >= maxInternedPorts {
+		clear(b.ports)
+	}
+	port := core.Port(p)
+	b.ports[string(port)] = port
+	return port
+}
+
+var nodeBatches = sync.Pool{New: func() any { return &nodeBatch{ports: make(map[string]core.Port)} }}
 
 // newNodeBatch returns an empty batch from the pool; release returns it.
 func newNodeBatch() *nodeBatch {

@@ -394,3 +394,32 @@ func TestReplicatedTransportErrors(t *testing.T) {
 		t.Fatalf("out-of-range replica: %v; want a range error", err)
 	}
 }
+
+// resizingFamilies is a replicated transport caught by a resize between
+// two floods of one locate: it serves one family until the first flood
+// and two after it, and only the second — the old epoch's, which a
+// published resize puts behind the new epoch's still-empty ones — holds
+// the posting.
+type resizingFamilies struct{ tried []int }
+
+func (f *resizingFamilies) Replicas() int { return min(len(f.tried)+1, 2) }
+
+func (f *resizingFamilies) LocateReplica(_ graph.NodeID, port core.Port, k int) (core.Entry, error) {
+	f.tried = append(f.tried, k)
+	if k == 1 {
+		return core.Entry{Port: port, Addr: 4, Active: true}, nil
+	}
+	return core.Entry{}, core.ErrNotFound
+}
+
+// TestFallthroughRecountsFamilies pins the fallthrough against a resize
+// published mid-locate: the miss on the new epoch's family falls through
+// to the old epoch's, which the locate did not know of when it started,
+// instead of ending the locate not-found.
+func TestFallthroughRecountsFamilies(t *testing.T) {
+	f := &resizingFamilies{}
+	e, k, err := locateFallthrough(f, 0, "svc", 0)
+	if err != nil || k != 1 || e.Addr != 4 || len(f.tried) != 2 {
+		t.Fatalf("locate = %+v from family %d, %v after floods of families %v; want address 4 from family 1 after [0 1]", e, k, err, f.tried)
+	}
+}

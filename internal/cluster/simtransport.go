@@ -386,6 +386,8 @@ func (t *SimTransport) Gen(port core.Port) uint64 { return t.gens.gen(port) }
 
 func (t *SimTransport) genSlot(port core.Port) *atomic.Uint64 { return t.gens.slot(port) }
 
+func (t *SimTransport) inProcess() {}
+
 // LocateAll implements Transport, with the same replica fallthrough as
 // Locate.
 func (t *SimTransport) LocateAll(client graph.NodeID, port core.Port) ([]core.Entry, error) {

@@ -3,9 +3,10 @@
 // meet in the middle) behind a Transport interface and adds what a
 // serving system needs on top of a correct engine — sharded request
 // dispatch with per-shard worker pools, coalescing of concurrent locates
-// for the same (client, port), a read-mostly concurrent rendezvous cache,
-// and live metrics (throughput, latency quantiles, message passes per
-// locate).
+// for the same (client, port) whose flood leaves the process (an
+// in-process locate is charged its own flood, so its price depends on
+// the calls alone), a read-mostly concurrent rendezvous cache, and live
+// metrics (throughput, latency quantiles, message passes per locate).
 //
 // Three transports are provided, from two implementations of the
 // model. SimTransport runs the existing internal/core engine over the
@@ -177,7 +178,10 @@ func locateFallthrough(rt ReplicatedTransport, client graph.NodeID, port core.Po
 		e   core.Entry
 		err error
 	)
-	for a := 0; a < r; a++ {
+	// Families are counted again after each miss: a resize published
+	// mid-locate puts the new epoch's families, still being filled, ahead
+	// of the old epoch's, and a miss there must reach those too.
+	for a := 0; a < r; a, r = a+1, max(r, rt.Replicas()) {
 		k := (start + a) % r
 		e, err = rt.LocateReplica(client, port, k)
 		if err == nil || !errors.Is(err, core.ErrNotFound) {
@@ -219,6 +223,16 @@ type HotReclassifier interface {
 // still has the method, but every call would fail).
 type hotCapable interface {
 	canReclassify() bool
+}
+
+// inProcess is implemented by transports whose floods never leave the
+// process (MemTransport, SimTransport): a locate there is CPU, not a
+// wait, so the cluster never shares one between callers and every
+// locate is charged its own flood. Struct embedding promotes it (a
+// wrapper around *MemTransport stays in-process); an interface-typed
+// wrapper hides it.
+type inProcess interface {
+	inProcess()
 }
 
 // reclassifiable reports whether tr can actually serve SetHotPorts.

@@ -56,7 +56,7 @@ func WriteClusterMetrics(w io.Writer, s cluster.MetricsSnapshot) {
 	promSimple(w, "mm_cluster_locates_total", "counter", "Completed locate calls, including failures.", float64(s.Locates))
 	promSimple(w, "mm_cluster_errors_total", "counter", "Failed locate calls.", float64(s.Errors))
 	promSimple(w, "mm_cluster_not_found_total", "counter", "Locate failures that were rendezvous misses.", float64(s.NotFound))
-	promSimple(w, "mm_cluster_coalesced_total", "counter", "Locates served by another caller's in-flight request.", float64(s.Coalesced))
+	promSimple(w, "mm_cluster_coalesced_total", "counter", "Locates served by another caller's in-flight request (always 0 on the in-process mem and sim transports).", float64(s.Coalesced))
 	promSimple(w, "mm_cluster_posts_total", "counter", "Server registrations posted.", float64(s.Posts))
 	promSimple(w, "mm_cluster_shed_total", "counter", "Submissions rejected by cluster overload control.", float64(s.Shed))
 	promSimple(w, "mm_cluster_hint_hits_total", "counter", "Locates answered by a probe-confirmed address hint.", float64(s.HintHits))

@@ -74,7 +74,7 @@ type Config struct {
 	Shards     int   `flag:"shards" usage:"cluster shards (0 = GOMAXPROCS)"`
 	Workers    int   `flag:"workers" usage:"workers per shard (0 = default)"`
 	Queue      int   `flag:"queue" usage:"per-shard async queue depth (0 = default)"`
-	NoCoalesce bool  `flag:"no-coalesce" usage:"disable locate coalescing"`
+	NoCoalesce bool  `flag:"no-coalesce" usage:"net/gate transports: give every locate its own flood (mem and sim never share one)"`
 	Seed       int64 `flag:"seed" def:"1" usage:"workload RNG seed"`
 }
 
