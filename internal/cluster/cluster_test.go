@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,88 +13,31 @@ import (
 	"matchmake/internal/core"
 	"matchmake/internal/graph"
 	"matchmake/internal/rendezvous"
-	"matchmake/internal/sim"
 	"matchmake/internal/strategy"
 	"matchmake/internal/topology"
 )
 
-func newMemCluster(t *testing.T, n int, opts Options) *Cluster {
-	t.Helper()
-	tr, err := NewMemTransport(topology.Complete(n), rendezvous.Checkerboard(n), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := New(tr, opts)
-	t.Cleanup(func() { c.Close() })
-	return c
-}
-
+// TestClusterRegisterLocate: a cluster resolves a port from every
+// client, misses an unknown one and follows a migration, counting it all.
 func TestClusterRegisterLocate(t *testing.T) {
-	c := newMemCluster(t, 16, Options{})
-	srv, err := c.Register("svc", 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for client := graph.NodeID(0); client < 16; client++ {
-		e, err := c.Locate(client, "svc")
-		if err != nil {
-			t.Fatalf("locate from %d: %v", client, err)
-		}
-		if e.Addr != 5 {
-			t.Fatalf("locate from %d = %d; want 5", client, e.Addr)
-		}
-	}
-	if _, err := c.Locate(0, "nope"); !errors.Is(err, core.ErrNotFound) {
-		t.Fatalf("locate missing port: %v; want ErrNotFound", err)
-	}
-
-	// Migrate and relocate: the fresher posting must win everywhere.
-	if err := srv.Migrate(11); err != nil {
-		t.Fatal(err)
-	}
-	for client := graph.NodeID(0); client < 16; client++ {
-		e, err := c.Locate(client, "svc")
-		if err != nil || e.Addr != 11 {
-			t.Fatalf("post-migrate locate from %d = %v, %v; want 11", client, e, err)
-		}
-	}
-
-	m := c.Metrics()
-	if m.Locates < 32 || m.Posts != 1 {
-		t.Fatalf("metrics = %+v; want ≥32 locates, 1 post", m)
-	}
-	if m.PassesPerLocate <= 0 {
-		t.Fatalf("PassesPerLocate = %v; want > 0", m.PassesPerLocate)
+	r := runHistory(t, "world complete 16\ncolumns model mem+cluster\nregister svc 5\nlocate 0-15 svc,nope\nmigrate svc 11\nlocate 0-15 svc")
+	if m := r.cols[1].cl.Metrics(); m.Locates != 48 || m.Posts != 1 || m.PassesPerLocate <= 0 {
+		t.Fatalf("metrics = %+v; want 48 locates, 1 post", m)
 	}
 }
 
+// TestClusterConcurrentLocates: eight concurrent sweeps at a time, one
+// per port, answer as the model does, every locate counted.
 func TestClusterConcurrentLocates(t *testing.T) {
-	c := newMemCluster(t, 64, Options{})
-	for p := 0; p < 8; p++ {
-		if _, err := c.Register(core.Port(fmt.Sprintf("svc-%d", p)), graph.NodeID(p*7)); err != nil {
-			t.Fatal(err)
-		}
+	var b strings.Builder
+	for p := range 8 {
+		fmt.Fprintf(&b, "register svc-%d %d\n", p, p*7)
 	}
-	var wg sync.WaitGroup
-	var failures atomic.Int64
-	for w := 0; w < 16; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				port := core.Port(fmt.Sprintf("svc-%d", (w+i)%8))
-				if _, err := c.Locate(graph.NodeID((w*31+i)%64), port); err != nil {
-					failures.Add(1)
-				}
-			}
-		}(w)
+	for i := range 64 {
+		fmt.Fprintf(&b, "%slocate 0-63 svc-%d\n", map[bool]string{true: "& "}[i%8 > 0], i%8)
 	}
-	wg.Wait()
-	if n := failures.Load(); n != 0 {
-		t.Fatalf("%d concurrent locates failed", n)
-	}
-	if m := c.Metrics(); m.Locates != 16*500 {
-		t.Fatalf("metrics.Locates = %d; want %d", m.Locates, 16*500)
+	if r := runHistory(t, "world complete 64\ncolumns model mem+cluster\n"+b.String()); r.cols[1].cl.Metrics().Locates != 8*8*64 {
+		t.Fatalf("metrics.Locates = %d; want %d", r.cols[1].cl.Metrics().Locates, 8*8*64)
 	}
 }
 
@@ -253,7 +197,7 @@ func TestInProcessLocatesChargePerCall(t *testing.T) {
 }
 
 func TestClusterSubmit(t *testing.T) {
-	c := newMemCluster(t, 32, Options{Shards: 4, WorkersPerShard: 2})
+	c, _ := newMemCluster(t, 32, Options{Shards: 4, WorkersPerShard: 2})
 	if _, err := c.Register("svc", 9); err != nil {
 		t.Fatal(err)
 	}
@@ -336,81 +280,39 @@ func TestClusterClose(t *testing.T) {
 	}
 }
 
+// TestClusterChurnCrashRestore: a crash drops a node's cache, a repost
+// heals it, and a port re-registered elsewhere resolves there.
 func TestClusterChurnCrashRestore(t *testing.T) {
-	c := newMemCluster(t, 36, Options{})
-	tr := c.Transport()
-	srv, err := c.Register("svc", 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Crash a rendezvous node: locates that relied on it must still
-	// succeed through the surviving rendezvous set or fail cleanly.
-	if err := tr.Crash(7); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Restore(7); err != nil {
-		t.Fatal(err)
-	}
-	// The crash dropped node 7's cache; a repost heals it.
-	if err := srv.Repost(); err != nil {
-		t.Fatal(err)
-	}
-	for client := graph.NodeID(0); client < 36; client += 5 {
-		if e, err := c.Locate(client, "svc"); err != nil || e.Addr != 7 {
-			t.Fatalf("post-heal locate from %d = %v, %v", client, e, err)
-		}
-	}
-	// Full churn cycle: deregister, re-register elsewhere.
-	if err := srv.Deregister(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Register("svc", 20); err != nil {
-		t.Fatal(err)
-	}
-	for client := graph.NodeID(0); client < 36; client += 5 {
-		if e, err := c.Locate(client, "svc"); err != nil || e.Addr != 20 {
-			t.Fatalf("post-churn locate from %d = %v, %v; want 20", client, e, err)
-		}
-	}
+	runHistory(t, `
+world complete 36
+columns model mem+cluster
+register svc 7
+crash 7
+restore 7
+repost svc
+locate 0-35/5 svc
+deregister svc
+register svc 20
+locate 0-35/5 svc`)
 }
 
+// TestMemTransportCrashedOriginParity: as on the simulator, a crashed
+// client cannot query, a crashed origin cannot register, and a server
+// migrates away from a crashed host — the fresh posting wins even though
+// the tombstone could not be sent.
 func TestMemTransportCrashedOriginParity(t *testing.T) {
-	memT, err := NewMemTransport(topology.Complete(16), rendezvous.Checkerboard(16), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := memT.Register("svc", 3); err != nil {
-		t.Fatal(err)
-	}
-	if err := memT.Crash(5); err != nil {
-		t.Fatal(err)
-	}
-	// A crashed client cannot query, as on the simulator.
-	if _, err := memT.Locate(5, "svc"); !errors.Is(err, sim.ErrCrashed) {
-		t.Fatalf("locate from crashed node: %v; want ErrCrashed", err)
-	}
-	if _, err := memT.LocateAll(5, "svc"); !errors.Is(err, sim.ErrCrashed) {
-		t.Fatalf("locate-all from crashed node: %v; want ErrCrashed", err)
-	}
-	// A crashed origin cannot register.
-	if _, err := memT.Register("svc2", 5); !errors.Is(err, sim.ErrCrashed) {
-		t.Fatalf("register at crashed node: %v; want ErrCrashed", err)
-	}
-	// Migration away from a crashed host still succeeds: the fresh
-	// posting wins even though the tombstone could not be sent.
-	srv, err := memT.Register("mover", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := memT.Crash(2); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Migrate(9); err != nil {
-		t.Fatalf("migrate from crashed host: %v", err)
-	}
-	if e, err := memT.Locate(0, "mover"); err != nil || e.Addr != 9 {
-		t.Fatalf("post-migrate locate = %v, %v; want addr 9", e, err)
-	}
+	runHistory(t, `
+world complete 16
+columns model sim mem
+register svc 3
+crash 5
+locate 5 svc
+locate-all 5 svc
+register svc2 5
+register mover 2
+crash 2
+migrate mover 9
+locate 0 mover`)
 }
 
 // TestClusterCloseDuringLocates closes the cluster while synchronous
@@ -448,35 +350,12 @@ func TestClusterCloseDuringLocates(t *testing.T) {
 	wg.Wait()
 }
 
+// TestClusterSimTransport: a cluster over the simulator serves
+// concurrent sweeps as the model answers, and charges passes.
 func TestClusterSimTransport(t *testing.T) {
-	tr, err := NewSimTransport(topology.Complete(16), rendezvous.Checkerboard(16), core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := New(tr, Options{})
-	defer c.Close()
-	if _, err := c.Register("svc", 5); err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	var failures atomic.Int64
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 20; i++ {
-				e, err := c.Locate(graph.NodeID((w+i)%16), "svc")
-				if err != nil || e.Addr != 5 {
-					failures.Add(1)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if n := failures.Load(); n != 0 {
-		t.Fatalf("%d locates failed over the sim transport", n)
-	}
-	if m := c.Metrics(); m.Passes == 0 {
+	sweeps := "locate 0-15 a\n& locate 0-15 b\n& locate 0-15 c\n& locate 0-15 d\n"
+	r := runHistory(t, "world complete 16\ncolumns model sim+cluster\npost-batch a@5 b@5 c@9 d@12\n"+sweeps+sweeps)
+	if m := r.cols[1].cl.Metrics(); m.Passes == 0 {
 		t.Fatal("sim transport charged no passes")
 	}
 }

@@ -32,10 +32,11 @@ import (
 // node drops postings and does not answer); unlike the simulator,
 // in-flight traffic is not charged partial paths through crashed
 // interior nodes — the one place the accounting can diverge from
-// SimTransport (see equivalence_test.go). Timestamps and server ids are
-// allocated here, so all registrations, migrations and crash events of
-// a cluster must flow through one coordinator for the freshest-entry
-// tie-break to stay globally ordered.
+// SimTransport, which generated histories avoid by crashing nodes only
+// on complete graphs, whose paths have no interior. Timestamps and
+// server ids are allocated here, so all registrations, migrations and
+// crash events of a cluster must flow through one coordinator for the
+// freshest-entry tie-break to stay globally ordered.
 //
 // Lock order, outermost first:
 //
@@ -743,7 +744,7 @@ func (c *coordinator) charge(n int64) {
 // LocateAll implements Transport, falling through the replica families
 // like Locate when no rendezvous node of a family answers.
 func (c *coordinator) LocateAll(client graph.NodeID, port core.Port) ([]core.Entry, error) {
-	return locateAllFallthrough(c.Replicas(), func(k int) ([]core.Entry, error) {
+	return locateAll(c, func(k int) ([]core.Entry, error) {
 		return c.locateAllReplica(client, port, k)
 	})
 }
@@ -1041,7 +1042,8 @@ func (s *server) Node() graph.NodeID {
 }
 
 // Repost implements ServerRef: a fresh posting multicast, charged at
-// the posting-set cost.
+// the posting-set cost. The fresher posting can make this server the
+// port's freshest winner over another, so the port's hints re-resolve.
 func (s *server) Repost() error {
 	s.c.lifeMu.RLock()
 	defer s.c.lifeMu.RUnlock()
@@ -1051,6 +1053,7 @@ func (s *server) Repost() error {
 	if gone {
 		return core.ErrServerGone
 	}
+	defer s.c.gens.bump(s.port)
 	return s.c.post(s, node, true)
 }
 

@@ -8,101 +8,10 @@ import (
 	"testing"
 	"time"
 
-	"matchmake/internal/core"
-	"matchmake/internal/graph"
 	"matchmake/internal/netwire"
 	"matchmake/internal/rendezvous"
-	"matchmake/internal/strategy"
 	"matchmake/internal/topology"
 )
-
-// TestNetElasticResizeEquivalence drives an epoch transition over a
-// real 3-process loopback cluster side by side with the elastic
-// in-process transport: identical answers and identical pass charges
-// before, during and after the dual-epoch migration, and a migration
-// counter equal on both sides to the remap's minimal-movement
-// prediction.
-func TestNetElasticResizeEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns real processes")
-	}
-	const universe = 48
-	g := topology.Complete(universe)
-	ep1 := mkEpoch(t, 1, universe, 36, 1)
-	addrs, _ := spawnNetCluster(t, universe, 3)
-	memT, err := NewLayoutMemTransport(g, elasticOf(ep1), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	netT, err := NewLayoutNetTransport(g, elasticOf(ep1), addrs, NetOptions{CallTimeout: 10 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { netT.Close() })
-
-	servers := map[core.Port]graph.NodeID{"alpha": 12, "beta": 35, "gamma": 0}
-	var homes []graph.NodeID
-	for port, node := range servers {
-		if _, err := memT.Register(port, node); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := netT.Register(port, node); err != nil {
-			t.Fatal(err)
-		}
-		homes = append(homes, node)
-	}
-	checkMemNet := func(stage string, clients int) {
-		t.Helper()
-		for c := 0; c < clients; c += 3 {
-			client := graph.NodeID(c)
-			for port := range servers {
-				memBefore, netBefore := memT.Passes(), netT.Passes()
-				e1, err1 := memT.Locate(client, port)
-				e2, err2 := netT.Locate(client, port)
-				if (err1 == nil) != (err2 == nil) {
-					t.Fatalf("%s: locate %q from %d: mem err=%v net err=%v", stage, port, client, err1, err2)
-				}
-				if err1 == nil && (e1.Addr != e2.Addr || e1.ServerID != e2.ServerID) {
-					t.Fatalf("%s: locate %q from %d: mem %+v != net %+v", stage, port, client, e1, e2)
-				}
-				if mc, nc := memT.Passes()-memBefore, netT.Passes()-netBefore; mc != nc {
-					t.Fatalf("%s: locate %q from %d: mem charged %d passes, net %d", stage, port, client, mc, nc)
-				}
-			}
-		}
-	}
-	checkMemNet("epoch1", 36)
-
-	ep2 := mkEpoch(t, 2, universe, 48, 1)
-	rm, err := strategy.NewRemap(ep1, ep2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := rm.MovedPosts(homes)
-	memBefore, netBefore := memT.Passes(), netT.Passes()
-	memMoved, err := memT.Resize(ep2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	netMoved, err := netT.Resize(ep2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if memMoved != want || netMoved != want {
-		t.Fatalf("moved postings: mem %d, net %d, remap predicts %d", memMoved, netMoved, want)
-	}
-	if mc, nc := memT.Passes()-memBefore, netT.Passes()-netBefore; mc != nc {
-		t.Fatalf("resize migration: mem charged %d passes, net %d", mc, nc)
-	}
-	checkMemNet("dual", 48)
-	if err := memT.FinishResize(); err != nil {
-		t.Fatal(err)
-	}
-	if err := netT.FinishResize(); err != nil {
-		t.Fatal(err)
-	}
-	checkMemNet("epoch2", 48)
-}
 
 // TestNetRescale353 is the live 3→5→3 process resize: a replicated
 // (r = 2) socket transport re-partitions the same node space across 5
@@ -115,93 +24,41 @@ func TestNetRescale353(t *testing.T) {
 		t.Skip("spawns real processes")
 	}
 	const n = 60
-	g := topology.Complete(n)
-	rp, err := strategy.NewReplicated(rendezvous.Checkerboard(n), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g, lay := topology.Complete(n), fixedOf(t, mkReplicated(t, n, 2))
 	addrs3, _ := spawnNetCluster(t, n, 3)
-	memT, err := NewLayoutMemTransport(g, fixedOf(t, rp), 0)
+	memT, err := NewLayoutMemTransport(g, lay, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	netT, err := NewLayoutNetTransport(g, fixedOf(t, rp), addrs3, NetOptions{CallTimeout: 10 * time.Second})
+	netT, err := NewLayoutNetTransport(g, lay, addrs3, NetOptions{CallTimeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { netT.Close() })
+	const sweep = "locate 0-59/4 alpha,beta,gamma"
+	r := runHistory(t, "world complete 60 r=2\npost-batch alpha@7 beta@29 gamma@51\n"+sweep,
+		frontColumn("mem", memT, "", false), frontColumn("net", netT, "", true))
+	everyFound(t, r)
 
-	regs := []Registration{
-		{Port: "alpha", Node: 7},
-		{Port: "beta", Node: 29},
-		{Port: "gamma", Node: 51},
-	}
-	if _, err := memT.PostBatch(regs); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := netT.PostBatch(regs); err != nil {
-		t.Fatal(err)
-	}
-	checkAnswers := func(stage string) {
-		t.Helper()
-		for c := 0; c < n; c += 4 {
-			client := graph.NodeID(c)
-			for _, r := range regs {
-				e1, err1 := memT.Locate(client, r.Port)
-				e2, err2 := netT.Locate(client, r.Port)
-				if err1 != nil || err2 != nil {
-					t.Fatalf("%s: locate %q from %d: mem err=%v net err=%v", stage, r.Port, client, err1, err2)
-				}
-				if e1.Addr != e2.Addr || e1.ServerID != e2.ServerID {
-					t.Fatalf("%s: locate %q from %d: mem %+v != net %+v", stage, r.Port, client, e1, e2)
-				}
-			}
-		}
-	}
-	checkAnswers("3-procs")
-	if got := netT.Procs(); got != 3 {
-		t.Fatalf("Procs() = %d, want 3", got)
-	}
-
-	// Grow the process set: 3 → 5, clean handoff.
+	// Grow the process set 3 → 5, then shrink back 5 → 3 with one donor
+	// killed -9 mid-migration: its partition data is gone, the transfer of
+	// those chunks fails, and the repair path plus the r = 2 fallthrough
+	// keep every locate succeeding.
 	addrs5, cmds5 := spawnNetCluster(t, n, 5)
-	if err := netT.Rescale(addrs5); err != nil {
-		t.Fatal(err)
+	if err := netT.Rescale(addrs5); err != nil || netT.Procs() != 5 {
+		t.Fatalf("rescale to 5: %v, %d processes", err, netT.Procs())
 	}
-	if got := netT.Procs(); got != 5 {
-		t.Fatalf("Procs() after rescale = %d, want 5", got)
-	}
-	checkAnswers("5-procs")
-
-	// Shrink back 5 → 3 with one donor killed -9 mid-migration: its
-	// partition data is gone, the transfer of those chunks fails, and
-	// the repair path (registration mirror re-posts) plus the r = 2
-	// fallthrough keep every locate succeeding.
+	r.more(sweep)
+	everyFound(t, r)
 	addrs3b, _ := spawnNetCluster(t, n, 3)
-	victim := cmds5[2]
-	if err := victim.Process.Signal(syscall.SIGKILL); err != nil {
+	if err := cmds5[2].Process.Signal(syscall.SIGKILL); err != nil {
 		t.Fatal(err)
 	}
-	victim.Wait()
-	if err := netT.Rescale(addrs3b); err != nil {
-		t.Fatal(err)
+	cmds5[2].Wait()
+	if err := netT.Rescale(addrs3b); err != nil || netT.Procs() != 3 {
+		t.Fatalf("rescale back to 3: %v, %d processes", err, netT.Procs())
 	}
-	if got := netT.Procs(); got != 3 {
-		t.Fatalf("Procs() after second rescale = %d, want 3", got)
-	}
-	checkAnswers("3-procs-after-kill")
-
-	// Lifecycle still works against the rescaled cluster.
-	ref, err := netT.Register("delta", 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := netT.Locate(2, "delta"); err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.Deregister(); err != nil {
-		t.Fatal(err)
-	}
+	r.more(sweep + "\nregister delta 13\nlocate 2 delta\nderegister delta")
+	everyFound(t, r)
 }
 
 // TestTransferChunkErrors pins what a failed partition replay reports:

@@ -3,7 +3,9 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"os/exec"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -14,274 +16,82 @@ import (
 	"matchmake/internal/graph"
 	"matchmake/internal/rendezvous"
 	"matchmake/internal/sim"
-	"matchmake/internal/strategy"
 	"matchmake/internal/topology"
 )
 
-// locStep is one scheduled locate of a concurrent coalescing workload.
-type locStep struct {
-	client graph.NodeID
-	port   core.Port
-}
-
-// coalSchedule builds a deterministic mixed workload: every client
-// cycles the registered ports plus a never-registered one, so the
-// schedule exercises hits, replica fallthrough and not-found paths.
-func coalSchedule(n, rounds int, ports []core.Port) []locStep {
-	var sched []locStep
-	for r := 0; r < rounds; r++ {
-		for c := 0; c < n; c++ {
-			p := ports[(c+r)%len(ports)]
-			sched = append(sched, locStep{client: graph.NodeID(c), port: p})
-		}
-	}
-	return sched
-}
-
-// runCoalWorkload replays sched against tr with 8 concurrent workers
-// (enough overlap for the coalescer to form real batches) and returns
-// per-step answers plus the total pass charge of the run.
-func runCoalWorkload(t *testing.T, tr Transport, sched []locStep) ([]core.Entry, []string, int64) {
+// killShard kill -9s the node process cmd and waits until tr has
+// observed its death: a probe into its range fails without an answer.
+func killShard(t *testing.T, tr Transport, cmd *exec.Cmd, probe core.Entry) {
 	t.Helper()
-	entries := make([]core.Entry, len(sched))
-	errs := make([]string, len(sched))
-	tr.ResetPasses()
-	const workers = 8
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(sched); i += workers {
-				e, err := tr.Locate(sched[i].client, sched[i].port)
-				entries[i] = e
-				if err != nil {
-					errs[i] = err.Error()
-				}
-			}
-		}(w)
+	if err := cmd.Process.Signal(syscall.SIGKILL); err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
-	return entries, errs, tr.Passes()
-}
-
-// compareCoalRuns pins a coalesced run to its uncoalesced reference:
-// identical per-step answers (entry identity and error text) and the
-// exact same total pass charge.
-func compareCoalRuns(t *testing.T, stage string, sched []locStep,
-	refE []core.Entry, refErr []string, refPasses int64,
-	gotE []core.Entry, gotErr []string, gotPasses int64) {
-	t.Helper()
-	for i := range sched {
-		if refErr[i] != gotErr[i] {
-			t.Fatalf("%s: step %d (client %d port %q): uncoalesced err=%q coalesced err=%q",
-				stage, i, sched[i].client, sched[i].port, refErr[i], gotErr[i])
+	cmd.Wait()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		if _, err := tr.Probe(0, probe); err != nil {
+			return
 		}
-		if refE[i].Addr != gotE[i].Addr || refE[i].ServerID != gotE[i].ServerID || refE[i].Active != gotE[i].Active {
-			t.Fatalf("%s: step %d (client %d port %q): uncoalesced %+v != coalesced %+v",
-				stage, i, sched[i].client, sched[i].port, refE[i], gotE[i])
+		if time.Now().After(deadline) {
+			t.Fatal("probe into killed process kept succeeding")
 		}
-	}
-	if refPasses != gotPasses {
-		t.Fatalf("%s: uncoalesced charged %d passes, coalesced %d (must be exact)", stage, refPasses, gotPasses)
 	}
 }
 
 // TestNetCoalescedEquivalence pins the wire coalescers' contract: a
 // concurrent workload through them returns exactly the answers and
-// charges exactly the passes of the same workload with coalescing
-// disabled — including a kill -9'd node shard under r=2 fallthrough, a
-// mid-resize dual-epoch elastic cluster, and a hinted cluster (probes
-// and floods both coalesced) through migrate churn and a kill -9.
+// charges exactly the passes of the same workload uncoalesced — mid-
+// resize against the model and the fast path, and over real processes
+// with a kill -9'd node shard under r = 2 fallthrough, bare and behind a
+// hinted cluster (probes and floods both coalesced) through migrate
+// churn.
 func TestNetCoalescedEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns real processes")
-	}
 	const n, procs = 24, 3
-	g := topology.Complete(n)
-	ports := []core.Port{"alpha", "beta", "gamma", "nope"}
-	// Server homes sit in all three shard ranges and inside the
-	// mid-resize test's epoch-1 membership (active 18).
-	servers := map[core.Port]graph.NodeID{"alpha": 2, "beta": 13, "gamma": 17}
-
-	// newKilledRepl boots an r=2 replicated cluster with its middle
-	// shard kill -9'd and quiesced, so replica-0 floods into the dead
-	// range must fall through to replica 1.
-	newKilledRepl := func(t *testing.T, opts NetOptions) *NetTransport {
-		t.Helper()
-		rp, err := strategy.NewReplicated(rendezvous.Checkerboard(n), 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs, cmds := spawnNetCluster(t, n, procs)
-		netT, err := NewLayoutNetTransport(g, fixedOf(t, rp), addrs, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { netT.Close() })
-		for _, port := range ports[:3] {
-			if _, err := netT.Register(port, servers[port]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		lo, _ := PartitionRange(n, procs, 1)
-		if err := cmds[1].Process.Signal(syscall.SIGKILL); err != nil {
-			t.Fatal(err)
-		}
-		cmds[1].Wait()
-		probe := core.Entry{Port: "alpha", Addr: graph.NodeID(lo + 1), ServerID: 99, Time: 1, Active: true}
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			if _, err := netT.Probe(0, probe); err != nil {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatal("probe into killed process kept succeeding")
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-		return netT
-	}
-
-	t.Run("killed-shard", func(t *testing.T) {
-		sched := coalSchedule(n, 6, ports)
-		ref := newKilledRepl(t, NetOptions{CallTimeout: 10 * time.Second, DisableCoalescing: true})
-		refE, refErr, refPasses := runCoalWorkload(t, ref, sched)
-
-		coal := newKilledRepl(t, NetOptions{CallTimeout: 10 * time.Second})
-		gotE, gotErr, gotPasses := runCoalWorkload(t, coal, sched)
-		compareCoalRuns(t, "killed-shard", sched, refE, refErr, refPasses, gotE, gotErr, gotPasses)
-	})
-
+	// Homes sit in all three shard ranges and inside the mid-resize
+	// epoch-1 membership. A round locates every (client, port) pair once,
+	// one goroutine per port, so the coalescers share frames between them.
+	const regs = "register alpha 2\nregister beta 13\nregister gamma 17\n"
+	const round = "locate 0-23 alpha\n& locate 0-23 beta\n& locate 0-23 gamma\n& locate 0-23 nope\n"
 	t.Run("mid-resize", func(t *testing.T) {
-		// An elastic cluster frozen mid-transition: epoch 1 (18 active)
-		// resized toward epoch 2 (24 active) with FinishResize withheld,
-		// so every locate runs the dual-epoch query union.
-		newDual := func(t *testing.T, opts NetOptions) *NetTransport {
-			t.Helper()
-			ep1 := mkEpoch(t, 1, n, 18, 1)
-			addrs, _ := spawnNetCluster(t, n, procs)
-			netT, err := NewLayoutNetTransport(g, elasticOf(ep1), addrs, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { netT.Close() })
-			for _, port := range ports[:3] {
-				if _, err := netT.Register(port, servers[port]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if _, err := netT.Resize(mkEpoch(t, 2, n, 24, 1)); err != nil {
-				t.Fatal(err)
-			}
-			return netT
-		}
-		sched := coalSchedule(n, 6, ports)
-		ref := newDual(t, NetOptions{CallTimeout: 10 * time.Second, DisableCoalescing: true})
-		refE, refErr, refPasses := runCoalWorkload(t, ref, sched)
-		coal := newDual(t, NetOptions{CallTimeout: 10 * time.Second})
-		gotE, gotErr, gotPasses := runCoalWorkload(t, coal, sched)
-		compareCoalRuns(t, "mid-resize", sched, refE, refErr, refPasses, gotE, gotErr, gotPasses)
+		runHistory(t, "world complete 24 active=18\ncolumns model mem net\n"+regs+"resize 2 24 1\n"+strings.Repeat(round, 3))
 	})
-
-	t.Run("hinted-churn", func(t *testing.T) {
-		// The full serving stack with hints on, r=2: every round locates
-		// each (client, port) pair once from 8 workers, so a pair's hint
-		// state — and with it the round's total charge — depends only on
-		// the rounds before it, never on which calls shared a frame.
-		// Between rounds a server migrates (its hints go stale), then the
-		// middle shard is kill -9'd under the cached addresses: probes at
-		// beta's home fall into the dead process (one-way charge), the
-		// fallback floods fall through to replica 1.
-		run := func(t *testing.T, opts NetOptions) (netT *NetTransport, trace []string, passes []int64, m MetricsSnapshot) {
-			t.Helper()
-			rp, err := strategy.NewReplicated(rendezvous.Checkerboard(n), 2)
+	// pair builds a coalesced and an uncoalesced column over two spawned
+	// r = 2 clusters, registers the servers and kills both middle shards.
+	pair := func(t *testing.T, mods, before string, dead core.Entry) (*runner, *column) {
+		if testing.Short() {
+			t.Skip("spawns real processes")
+		}
+		var cols []*column
+		var cmds [][]*exec.Cmd
+		for _, off := range []bool{false, true} {
+			addrs, c := spawnNetCluster(t, n, procs)
+			tr, err := NewLayoutNetTransport(topology.Complete(n), fixedOf(t, mkReplicated(t, n, 2)), addrs,
+				NetOptions{CallTimeout: 10 * time.Second, DisableCoalescing: off})
 			if err != nil {
 				t.Fatal(err)
 			}
-			addrs, cmds := spawnNetCluster(t, n, procs)
-			if netT, err = NewLayoutNetTransport(g, fixedOf(t, rp), addrs, opts); err != nil {
-				t.Fatal(err)
-			}
-			c := New(netT, Options{Hints: true})
-			t.Cleanup(func() { c.Close() })
-			refs := map[core.Port]ServerRef{}
-			for _, port := range ports[:3] {
-				if refs[port], err = c.Register(port, servers[port]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			round := func() {
-				sched := coalSchedule(n, len(ports), ports)
-				out := make([]string, len(sched))
-				before := netT.Passes()
-				const workers = 8
-				var wg sync.WaitGroup
-				for w := 0; w < workers; w++ {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
-						for i := w; i < len(sched); i += workers {
-							e, err := c.Locate(sched[i].client, sched[i].port)
-							out[i] = fmt.Sprintf("%d %s: %d#%d %v", sched[i].client, sched[i].port, e.Addr, e.ServerID, err)
-						}
-					}(w)
-				}
-				wg.Wait()
-				trace = append(trace, out...)
-				passes = append(passes, netT.Passes()-before)
-			}
-			round() // floods; fills every hint
-			round() // probes
-			if err := refs["alpha"].Migrate(5); err != nil {
-				t.Fatal(err)
-			}
-			round() // alpha re-floods, the rest probe
-			round() // probes
-			if err := cmds[1].Process.Signal(syscall.SIGKILL); err != nil {
-				t.Fatal(err)
-			}
-			cmds[1].Wait()
-			dead := core.Entry{Port: "beta", Addr: servers["beta"], ServerID: 99, Time: 1, Active: true}
-			for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
-				if _, err := netT.Probe(0, dead); err != nil {
-					break
-				}
-				if time.Now().After(deadline) {
-					t.Fatal("probe into killed process kept succeeding")
-				}
-			}
-			round() // every generation bumped: floods, replica-0 misses fall through
-			round() // probes; beta's fall into the dead process, then re-flood
-			round() // beta's hints are dead: floods; the rest probe
-			if err := refs["gamma"].Migrate(20); err != nil {
-				t.Fatal(err)
-			}
-			round()
-			return netT, trace, passes, c.Metrics()
+			cols, cmds = append(cols, frontColumn(fmt.Sprintf("net(uncoalesced=%v)", off), tr, mods, true)), append(cmds, c)
 		}
-		_, refTrace, refPasses, refM := run(t, NetOptions{CallTimeout: 10 * time.Second, DisableCoalescing: true})
-		coal, gotTrace, gotPasses, gotM := run(t, NetOptions{CallTimeout: 10 * time.Second})
-		for i := range refTrace {
-			if refTrace[i] != gotTrace[i] {
-				t.Fatalf("call %d: uncoalesced %q, coalesced %q", i, refTrace[i], gotTrace[i])
-			}
+		r := runHistory(t, "world complete 24 r=2\n"+regs+before, cols...)
+		for i, c := range cols {
+			killShard(t, c.tr, cmds[i][1], dead)
 		}
-		for r := range refPasses {
-			if refPasses[r] != gotPasses[r] {
-				t.Errorf("round %d: uncoalesced charged %d passes, coalesced %d (must be exact)", r, refPasses[r], gotPasses[r])
-			}
+		return r, cols[0]
+	}
+	t.Run("killed-shard", func(t *testing.T) {
+		lo, _ := PartitionRange(n, procs, 1)
+		r, _ := pair(t, "", "", core.Entry{Port: "alpha", Addr: graph.NodeID(lo + 1), ServerID: 99, Time: 1, Active: true})
+		r.more(strings.Repeat(round, 6))
+	})
+	t.Run("hinted-churn", func(t *testing.T) {
+		// Probes at beta's home fall into the dead process (one-way
+		// charge), the fallback floods fall through to replica 1.
+		r, coal := pair(t, "hints", round+round+"migrate alpha 5\n"+round+round, core.Entry{Port: "beta", Addr: 13, ServerID: 99, Time: 1, Active: true})
+		r.more(round + round + round + "migrate gamma 20\n" + round)
+		if m := coal.cl.Metrics(); m.HintHits == 0 || m.HintProbeFails == 0 || m.ReplicaFallthroughs == 0 {
+			t.Errorf("workload missed a path it is here for: %+v", m)
 		}
-		if refM.HintHits != gotM.HintHits || refM.HintProbeFails != gotM.HintProbeFails || refM.HintStale != gotM.HintStale {
-			t.Errorf("hint path diverged: uncoalesced %d hits %d probe fails %d stale, coalesced %d/%d/%d",
-				refM.HintHits, refM.HintProbeFails, refM.HintStale, gotM.HintHits, gotM.HintProbeFails, gotM.HintStale)
-		}
-		if refM.HintHits == 0 || refM.HintProbeFails == 0 || refM.ReplicaFallthroughs == 0 {
-			t.Errorf("workload missed a path it is here for: %d hint hits, %d probe fails, %d fallthroughs",
-				refM.HintHits, refM.HintProbeFails, refM.ReplicaFallthroughs)
-		}
-		if fl, pr := coal.coal.shared.Load(), coal.wire.coal.shared.Load(); fl == 0 || pr == 0 {
-			t.Errorf("coalesced run shared %d floods and %d probe flushes: nothing was compared", fl, pr)
+		if nt := coal.tr.(*NetTransport); nt.coal.shared.Load() == 0 || nt.wire.coal.shared.Load() == 0 {
+			t.Errorf("coalesced run shared %d floods and %d probe flushes: nothing was compared", nt.coal.shared.Load(), nt.wire.coal.shared.Load())
 		}
 	})
 }

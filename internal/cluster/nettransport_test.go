@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
 	"os"
 	"os/exec"
@@ -57,422 +56,51 @@ func runTestNodeWorker() {
 // fault injection). Processes are killed at test cleanup.
 func spawnNetCluster(t *testing.T, n, procs int) ([]string, []*exec.Cmd) {
 	t.Helper()
-	exe, err := os.Executable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	addrs := make([]string, procs)
-	cmds := make([]*exec.Cmd, procs)
-	for i := 0; i < procs; i++ {
+	addrs, cmds := make([]string, procs), make([]*exec.Cmd, procs)
+	for i := range procs {
 		lo, hi := PartitionRange(n, procs, i)
-		cmd := exec.Command(exe)
-		cmd.Env = append(os.Environ(),
-			"MM_NET_NODE=1",
-			fmt.Sprintf("MM_NET_N=%d", n),
-			fmt.Sprintf("MM_NET_LO=%d", lo),
-			fmt.Sprintf("MM_NET_HI=%d", hi),
-		)
-		cmd.Stderr = os.Stderr
-		out, err := cmd.StdoutPipe()
-		if err != nil {
-			t.Fatal(err)
+		if cmds[i], addrs[i] = spawnWorker(t, n, lo, hi, ""); addrs[i] == "" {
+			t.Fatalf("worker %d printed no ADDR line", i)
 		}
-		if err := cmd.Start(); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() {
-			cmd.Process.Kill()
-			cmd.Wait()
-		})
-		sc := bufio.NewScanner(out)
-		if !sc.Scan() {
-			t.Fatalf("worker %d: no ADDR line (err=%v)", i, sc.Err())
-		}
-		line := sc.Text()
-		if !strings.HasPrefix(line, "ADDR ") {
-			t.Fatalf("worker %d: unexpected line %q", i, line)
-		}
-		addrs[i] = strings.TrimPrefix(line, "ADDR ")
-		cmds[i] = cmd
-		go func() { // drain any further output so the child never blocks
-			for sc.Scan() {
-			}
-		}()
 	}
 	return addrs, cmds
 }
 
-// netEqCase builds a mem/net transport pair over a freshly spawned
-// 3-process cluster for one topology/strategy case.
-func netEqCase(t *testing.T, tc eqCase, procs int) (*MemTransport, *NetTransport) {
+// spawnWorker starts a node-server worker for nodes [lo, hi) of n on
+// listen ("" picks a free loopback port) and returns it with the address
+// it printed, "" when it printed none. It is killed at test cleanup.
+func spawnWorker(t *testing.T, n, lo, hi int, listen string) (*exec.Cmd, string) {
 	t.Helper()
-	addrs, _ := spawnNetCluster(t, tc.g.N(), procs)
-	memT, err := NewMemTransport(tc.g, tc.strat, 0)
+	exe, err := os.Executable()
 	if err != nil {
 		t.Fatal(err)
 	}
-	netT, err := NewNetTransport(tc.g, tc.strat, addrs, NetOptions{CallTimeout: 10 * time.Second})
+	cmd := exec.Command(exe)
+	cmd.Env = append(os.Environ(), "MM_NET_NODE=1", fmt.Sprintf("MM_NET_N=%d", n),
+		fmt.Sprintf("MM_NET_LO=%d", lo), fmt.Sprintf("MM_NET_HI=%d", hi), "MM_NET_ADDR="+listen)
+	cmd.Stderr = os.Stderr
+	out, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { netT.Close() })
-	return memT, netT
-}
-
-// TestNetTransportEquivalence drives the same scripted workload through
-// a 3-process socket cluster and the in-process fast path and demands
-// identical results and identical message-pass accounting, operation by
-// operation — registration, steady locates, migration, deregistration.
-func TestNetTransportEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("process cluster: skipped in -short")
-	}
-	for _, tc := range equivalenceCases(t) {
-		t.Run(tc.name, func(t *testing.T) {
-			memT, netT := netEqCase(t, tc, 3)
-			n := tc.g.N()
-			script := []struct {
-				port   core.Port
-				server graph.NodeID
-			}{
-				{"alpha", graph.NodeID(n / 3)},
-				{"beta", graph.NodeID(n - 1)},
-				{"gamma", 0},
-			}
-			memRefs := make(map[core.Port]ServerRef)
-			netRefs := make(map[core.Port]ServerRef)
-			for _, sc := range script {
-				memBefore, netBefore := memT.Passes(), netT.Passes()
-				r1, err := memT.Register(sc.port, sc.server)
-				if err != nil {
-					t.Fatal(err)
-				}
-				r2, err := netT.Register(sc.port, sc.server)
-				if err != nil {
-					t.Fatal(err)
-				}
-				memRefs[sc.port], netRefs[sc.port] = r1, r2
-				if mc, nc := memT.Passes()-memBefore, netT.Passes()-netBefore; mc != nc {
-					t.Fatalf("register %q: mem charged %d passes, net %d", sc.port, mc, nc)
-				}
-			}
-
-			checkLocates := func(stage string) {
-				t.Helper()
-				for c := 0; c < n; c += 3 {
-					client := graph.NodeID(c)
-					for _, sc := range script {
-						memBefore, netBefore := memT.Passes(), netT.Passes()
-						e1, err1 := memT.Locate(client, sc.port)
-						e2, err2 := netT.Locate(client, sc.port)
-						if (err1 == nil) != (err2 == nil) {
-							t.Fatalf("%s: locate %q from %d: mem err=%v net err=%v",
-								stage, sc.port, client, err1, err2)
-						}
-						if err1 == nil && (e1.Addr != e2.Addr || e1.ServerID != e2.ServerID) {
-							t.Fatalf("%s: locate %q from %d: mem %+v != net %+v",
-								stage, sc.port, client, e1, e2)
-						}
-						if mc, nc := memT.Passes()-memBefore, netT.Passes()-netBefore; mc != nc {
-							t.Fatalf("%s: locate %q from %d: mem charged %d passes, net %d",
-								stage, sc.port, client, mc, nc)
-						}
-					}
-				}
-			}
-			checkLocates("steady")
-
-			to := graph.NodeID(n / 2)
-			memBefore, netBefore := memT.Passes(), netT.Passes()
-			if err := memRefs["alpha"].Migrate(to); err != nil {
-				t.Fatal(err)
-			}
-			if err := netRefs["alpha"].Migrate(to); err != nil {
-				t.Fatal(err)
-			}
-			if mc, nc := memT.Passes()-memBefore, netT.Passes()-netBefore; mc != nc {
-				t.Fatalf("migrate: mem charged %d passes, net %d", mc, nc)
-			}
-			checkLocates("post-migrate")
-
-			if err := memRefs["beta"].Deregister(); err != nil {
-				t.Fatal(err)
-			}
-			if err := netRefs["beta"].Deregister(); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := netT.Locate(1, "beta"); !errors.Is(err, core.ErrNotFound) {
-				t.Fatalf("net locate after deregister: %v; want ErrNotFound", err)
-			}
-			checkLocates("post-deregister")
-		})
-	}
-}
-
-// TestNetTransportEquivalenceProbe pins the probe path: identical
-// outcomes and the exact 2×Dist (answered) / 1×Dist (crashed address)
-// charges on both backends, including after migration and crash.
-func TestNetTransportEquivalenceProbe(t *testing.T) {
-	if testing.Short() {
-		t.Skip("process cluster: skipped in -short")
-	}
-	tc := equivalenceCases(t)[1] // grid-manhattan: nontrivial distances
-	memT, netT := netEqCase(t, tc, 3)
-	n := tc.g.N()
-	server := graph.NodeID(n / 3)
-	memRef, err := memT.Register("alpha", server)
-	if err != nil {
+	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	netRef, err := netT.Register("alpha", server)
-	if err != nil {
-		t.Fatal(err)
+	t.Cleanup(func() {
+		cmd.Process.Kill()
+		cmd.Wait()
+	})
+	sc := bufio.NewScanner(out)
+	sc.Scan()
+	addr, ok := strings.CutPrefix(sc.Text(), "ADDR ")
+	if !ok {
+		return cmd, ""
 	}
-	client := graph.NodeID(1)
-	memE, err := memT.Locate(client, "alpha")
-	if err != nil {
-		t.Fatal(err)
-	}
-	netE, err := netT.Locate(client, "alpha")
-	if err != nil {
-		t.Fatal(err)
-	}
-	routing, err := graph.NewRouting(tc.g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for c := 0; c < n; c += 4 {
-		prober := graph.NodeID(c)
-		memBefore, netBefore := memT.Passes(), netT.Passes()
-		me, merr := memT.Probe(prober, memE)
-		ne, nerr := netT.Probe(prober, netE)
-		if merr != nil || nerr != nil {
-			t.Fatalf("probe from %d: mem err=%v net err=%v", c, merr, nerr)
+	go func() { // drain any further output so the child never blocks
+		for sc.Scan() {
 		}
-		if me.Addr != ne.Addr || me.ServerID != ne.ServerID {
-			t.Fatalf("probe from %d: mem %+v != net %+v", c, me, ne)
-		}
-		want := int64(2 * routing.Dist(prober, server))
-		if mc := memT.Passes() - memBefore; mc != want {
-			t.Fatalf("probe from %d: mem charged %d, want %d", c, mc, want)
-		}
-		if nc := netT.Passes() - netBefore; nc != want {
-			t.Fatalf("probe from %d: net charged %d, want %d", c, nc, want)
-		}
-	}
-
-	// Stale probes after migration: negative answer, same 2×Dist charge.
-	to := graph.NodeID(n - 1)
-	if err := memRef.Migrate(to); err != nil {
-		t.Fatal(err)
-	}
-	if err := netRef.Migrate(to); err != nil {
-		t.Fatal(err)
-	}
-	memBefore, netBefore := memT.Passes(), netT.Passes()
-	_, merr := memT.Probe(client, memE)
-	_, nerr := netT.Probe(client, netE)
-	if !errors.Is(merr, core.ErrNotFound) || !errors.Is(nerr, core.ErrNotFound) {
-		t.Fatalf("stale probe: mem err=%v net err=%v; want ErrNotFound", merr, nerr)
-	}
-	want := int64(2 * routing.Dist(client, server))
-	if mc, nc := memT.Passes()-memBefore, netT.Passes()-netBefore; mc != want || nc != want {
-		t.Fatalf("stale probe: mem charged %d, net %d, want %d", mc, nc, want)
-	}
-
-	// A crashed address swallows the request: 1×Dist on both.
-	if err := memT.Crash(to); err != nil {
-		t.Fatal(err)
-	}
-	if err := netT.Crash(to); err != nil {
-		t.Fatal(err)
-	}
-	// Cached postings at live rendezvous nodes still answer with the
-	// (now stale) address — detecting the crash is the probe's job.
-	staleMem, err1 := memT.Locate(client, "alpha")
-	staleNet, err2 := netT.Locate(client, "alpha")
-	if (err1 == nil) != (err2 == nil) || (err1 == nil && staleMem.Addr != staleNet.Addr) {
-		t.Fatalf("post-crash locate: mem %+v/%v net %+v/%v", staleMem, err1, staleNet, err2)
-	}
-	memE.Addr, netE.Addr = to, to
-	memBefore, netBefore = memT.Passes(), netT.Passes()
-	_, merr = memT.Probe(client, memE)
-	_, nerr = netT.Probe(client, netE)
-	if merr == nil || nerr == nil {
-		t.Fatalf("crashed probe: mem err=%v net err=%v; want errors", merr, nerr)
-	}
-	want = int64(routing.Dist(client, to))
-	if mc, nc := memT.Passes()-memBefore, netT.Passes()-netBefore; mc != want || nc != want {
-		t.Fatalf("crashed probe: mem charged %d, net %d, want %d", mc, nc, want)
-	}
-}
-
-// TestNetTransportEquivalenceBatch pushes identical PostBatch and
-// LocateBatch traffic through both backends: per-request answers and
-// total charges must match, as must the batched-vs-sequential totals.
-func TestNetTransportEquivalenceBatch(t *testing.T) {
-	if testing.Short() {
-		t.Skip("process cluster: skipped in -short")
-	}
-	for _, tc := range equivalenceCases(t) {
-		t.Run(tc.name, func(t *testing.T) {
-			memT, netT := netEqCase(t, tc, 3)
-			n := tc.g.N()
-			regs := []Registration{
-				{Port: "alpha", Node: graph.NodeID(n / 3)},
-				{Port: "beta", Node: graph.NodeID(n - 1)},
-			}
-			memT.ResetPasses()
-			netT.ResetPasses()
-			if _, err := memT.PostBatch(regs); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := netT.PostBatch(regs); err != nil {
-				t.Fatal(err)
-			}
-			if memT.Passes() != netT.Passes() {
-				t.Fatalf("PostBatch: mem charged %d passes, net %d", memT.Passes(), netT.Passes())
-			}
-
-			var reqs []LocateReq
-			for c := 0; c < n; c += 5 {
-				reqs = append(reqs,
-					LocateReq{Client: graph.NodeID(c), Port: "alpha"},
-					LocateReq{Client: graph.NodeID(c), Port: "beta"},
-					LocateReq{Client: graph.NodeID(c), Port: "nope"})
-			}
-			memRes := make([]LocateRes, len(reqs))
-			netRes := make([]LocateRes, len(reqs))
-			memT.ResetPasses()
-			netT.ResetPasses()
-			memT.LocateBatch(reqs, memRes)
-			netT.LocateBatch(reqs, netRes)
-			if memT.Passes() != netT.Passes() {
-				t.Fatalf("LocateBatch: mem charged %d passes, net %d", memT.Passes(), netT.Passes())
-			}
-			for i := range reqs {
-				if (memRes[i].Err == nil) != (netRes[i].Err == nil) {
-					t.Fatalf("req %d (%+v): mem err=%v net err=%v", i, reqs[i], memRes[i].Err, netRes[i].Err)
-				}
-				if memRes[i].Err == nil &&
-					(memRes[i].Entry.Addr != netRes[i].Entry.Addr ||
-						memRes[i].Entry.ServerID != netRes[i].Entry.ServerID) {
-					t.Fatalf("req %d (%+v): mem %+v != net %+v", i, reqs[i], memRes[i].Entry, netRes[i].Entry)
-				}
-			}
-		})
-	}
-}
-
-// TestNetTransportCrashEquivalence pins the endpoint crash model: after
-// crashing a rendezvous node on both backends, locate answers and
-// charges still agree (the crashed node's cache is lost and silent).
-func TestNetTransportCrashEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("process cluster: skipped in -short")
-	}
-	tc := equivalenceCases(t)[0]
-	memT, netT := netEqCase(t, tc, 3)
-	n := tc.g.N()
-	for _, port := range []core.Port{"alpha", "beta"} {
-		node := graph.NodeID(int(port[0]) % n)
-		if _, err := memT.Register(port, node); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := netT.Register(port, node); err != nil {
-			t.Fatal(err)
-		}
-	}
-	victim := graph.NodeID(2)
-	if err := memT.Crash(victim); err != nil {
-		t.Fatal(err)
-	}
-	if err := netT.Crash(victim); err != nil {
-		t.Fatal(err)
-	}
-	for c := 0; c < n; c += 2 {
-		client := graph.NodeID(c)
-		for _, port := range []core.Port{"alpha", "beta"} {
-			memBefore, netBefore := memT.Passes(), netT.Passes()
-			e1, err1 := memT.Locate(client, port)
-			e2, err2 := netT.Locate(client, port)
-			if (err1 == nil) != (err2 == nil) {
-				t.Fatalf("locate %q from %d after crash: mem err=%v net err=%v", port, client, err1, err2)
-			}
-			if err1 == nil && e1.Addr != e2.Addr {
-				t.Fatalf("locate %q from %d after crash: mem %+v != net %+v", port, client, e1, e2)
-			}
-			if mc, nc := memT.Passes()-memBefore, netT.Passes()-netBefore; mc != nc {
-				t.Fatalf("locate %q from %d after crash: mem charged %d, net %d", port, client, mc, nc)
-			}
-		}
-	}
-	// And after restore + re-register, both recover identically.
-	if err := memT.Restore(victim); err != nil {
-		t.Fatal(err)
-	}
-	if err := netT.Restore(victim); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := memT.Register("gamma", victim); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := netT.Register("gamma", victim); err != nil {
-		t.Fatal(err)
-	}
-	e1, err1 := memT.Locate(0, "gamma")
-	e2, err2 := netT.Locate(0, "gamma")
-	if err1 != nil || err2 != nil || e1.Addr != e2.Addr {
-		t.Fatalf("post-restore locate: mem %+v/%v net %+v/%v", e1, err1, e2, err2)
-	}
-}
-
-// TestNetTransportHintedCluster runs the full serving stack (hint
-// cache, coalescing, metrics) over the socket transport and checks
-// hinted answers equal unhinted ones, with probe traffic visibly
-// cheaper than floods.
-func TestNetTransportHintedCluster(t *testing.T) {
-	if testing.Short() {
-		t.Skip("process cluster: skipped in -short")
-	}
-	tc := equivalenceCases(t)[0]
-	addrs, _ := spawnNetCluster(t, tc.g.N(), 3)
-	netT, err := NewNetTransport(tc.g, tc.strat, addrs, NetOptions{CallTimeout: 10 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plainT, err := NewMemTransport(tc.g, tc.strat, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := New(netT, Options{Hints: true})
-	defer c.Close()
-	n := tc.g.N()
-	if _, err := c.Register("alpha", graph.NodeID(n/2)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := plainT.Register("alpha", graph.NodeID(n/2)); err != nil {
-		t.Fatal(err)
-	}
-	for round := 0; round < 3; round++ {
-		for cl := 0; cl < n; cl += 4 {
-			hinted, err := c.Locate(graph.NodeID(cl), "alpha")
-			if err != nil {
-				t.Fatal(err)
-			}
-			plain, err := plainT.Locate(graph.NodeID(cl), "alpha")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if hinted.Addr != plain.Addr || hinted.ServerID != plain.ServerID {
-				t.Fatalf("round %d client %d: hinted %+v != plain %+v", round, cl, hinted, plain)
-			}
-		}
-	}
-	m := c.Metrics()
-	if m.HintHits == 0 {
-		t.Fatalf("no hint hits over the net transport: %+v", m)
-	}
+	}()
+	return cmd, addr
 }
 
 // TestNetTransportKillDash9 is the fault-injection test: kill -9 one
@@ -484,18 +112,12 @@ func TestNetTransportKillDash9(t *testing.T) {
 	if testing.Short() {
 		t.Skip("process cluster: skipped in -short")
 	}
-	g := topology.Complete(36)
-	base := rendezvous.Checkerboard(36)
-	hot, err := strategy.PostHeavy(36, strategy.AlphaQuerySize(36, 16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := strategy.NewWeighted(base, hot)
+	g, lay, err := buildWorld([]string{"complete", "36", "weighted"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	addrs, cmds := spawnNetCluster(t, 36, 3)
-	netT, err := NewLayoutNetTransport(g, weightedOf(t, w), addrs, NetOptions{CallTimeout: 10 * time.Second})
+	netT, err := NewLayoutNetTransport(g, lay, addrs, NetOptions{CallTimeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -516,25 +138,10 @@ func TestNetTransportKillDash9(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	genBefore := netT.Gen("alive")
-	if err := cmds[1].Process.Signal(syscall.SIGKILL); err != nil {
-		t.Fatal(err)
-	}
-	cmds[1].Wait()
-
 	// Probing into the dead process fails without an answer and bumps
 	// every generation on first observation.
-	e := core.Entry{Port: "doomed", Addr: 15, ServerID: 1, Time: 1, Active: true}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, err := netT.Probe(0, e); err != nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("probe into killed process kept succeeding")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	genBefore := netT.Gen("alive")
+	killShard(t, netT, cmds[1], core.Entry{Port: "doomed", Addr: 15, ServerID: 1, Time: 1, Active: true})
 	if netT.Gen("alive") == genBefore {
 		t.Fatalf("hint generation did not bump after process death")
 	}
@@ -587,128 +194,42 @@ func TestNetReplicatedKillEquivalence(t *testing.T) {
 		t.Skip("process cluster: skipped in -short")
 	}
 	n, procs := 36, 3
-	g := topology.Complete(n)
-	rp, err := strategy.NewReplicated(rendezvous.Checkerboard(n), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g, lay := topology.Complete(n), fixedOf(t, mkReplicated(t, n, 2))
 	addrs, cmds := spawnNetCluster(t, n, procs)
-	memT, err := NewLayoutMemTransport(g, fixedOf(t, rp), 0)
+	memT, err := NewLayoutMemTransport(g, lay, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	netT, err := NewLayoutNetTransport(g, fixedOf(t, rp), addrs, NetOptions{CallTimeout: 10 * time.Second})
+	netT, err := NewLayoutNetTransport(g, lay, addrs, NetOptions{CallTimeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { netT.Close() })
+	r := runHistory(t, "world complete 36 r=2\nregister alpha 7\nregister beta 29", frontColumn("mem", memT, "", false), frontColumn("net", netT, "", true))
 
-	ports := map[core.Port]graph.NodeID{"alpha": 7, "beta": 29}
-	for port, node := range ports {
-		memBefore, netBefore := memT.Passes(), netT.Passes()
-		if _, err := memT.Register(port, node); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := netT.Register(port, node); err != nil {
-			t.Fatal(err)
-		}
-		if mc, nc := memT.Passes()-memBefore, netT.Passes()-netBefore; mc != nc {
-			t.Fatalf("register %q: mem charged %d (union post), net %d", port, mc, nc)
-		}
-	}
-
-	// Kill the middle process: nodes [12, 24) go dark.
 	lo, hi := PartitionRange(n, procs, 1)
-	if err := cmds[1].Process.Signal(syscall.SIGKILL); err != nil {
-		t.Fatal(err)
-	}
-	cmds[1].Wait()
-	// Wait until the transport has observed the death (a probe into the
-	// dead range fails without an answer).
-	probe := core.Entry{Port: "alpha", Addr: graph.NodeID(lo + 3), ServerID: 99, Time: 1, Active: true}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, err := netT.Probe(0, probe); err != nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("probe into killed process kept succeeding")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-
-	// Phase A — fail-silent: the wire knows nothing of the crash flags;
-	// the dead process's node range is silence. Mem models the same
-	// state with crash flags on that range. Answers and charges from
-	// every live client must match, and with r=2 every one succeeds.
-	for v := lo; v < hi; v++ {
-		if err := memT.Crash(graph.NodeID(v)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	memT.ResetPasses()
-	netT.ResetPasses()
-	sweep := func(stage string, skipDead bool) {
-		t.Helper()
-		for c := 0; c < n; c++ {
-			client := graph.NodeID(c)
-			if skipDead && c >= lo && c < hi {
-				continue
-			}
-			for port := range ports {
-				memBefore, netBefore := memT.Passes(), netT.Passes()
-				e1, err1 := memT.Locate(client, port)
-				e2, err2 := netT.Locate(client, port)
-				if (err1 == nil) != (err2 == nil) {
-					t.Fatalf("%s: locate %q from %d: mem err=%v net err=%v", stage, port, client, err1, err2)
-				}
-				if err1 == nil && (e1.Addr != e2.Addr || e1.ServerID != e2.ServerID) {
-					t.Fatalf("%s: locate %q from %d: mem %+v != net %+v", stage, port, client, e1, e2)
-				}
-				if err1 != nil && errors.Is(err1, core.ErrNotFound) {
-					t.Fatalf("%s: locate %q from %d failed despite r=2: %v", stage, port, client, err1)
-				}
-				if mc, nc := memT.Passes()-memBefore, netT.Passes()-netBefore; mc != nc {
-					t.Fatalf("%s: locate %q from %d: mem charged %d passes, net %d", stage, port, client, mc, nc)
-				}
+	killShard(t, netT, cmds[1], core.Entry{Port: "alpha", Addr: graph.NodeID(lo + 3), ServerID: 99, Time: 1, Active: true})
+	crash := func(tr Transport) {
+		for v := lo; v < hi; v++ {
+			if err := tr.Crash(graph.NodeID(v)); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}
-	sweep("fail-silent", true)
+	crash(memT) // Phase A: the dead range is silence on the wire, crash flags on mem.
+	r.more(fmt.Sprintf("locate 0-%d,%d-%d alpha,beta", lo-1, hi, n-1))
+	everyFound(t, r)
+	crash(netT) // Phase B: the same crash flags on both.
+	r.more("locate 0-35 alpha,beta")
+	everyFound(t, r)
+	r.more("locate-batch 0-35/2 alpha,nope")
+}
 
-	// Phase B — the same crash flags applied to both backends: crashed
-	// clients error identically, every live locate still succeeds, and
-	// the batched path agrees too.
-	for v := lo; v < hi; v++ {
-		if err := netT.Crash(graph.NodeID(v)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	memT.ResetPasses()
-	netT.ResetPasses()
-	sweep("crash-flagged", false)
-
-	var reqs []LocateReq
-	for c := 0; c < n; c += 2 {
-		reqs = append(reqs,
-			LocateReq{Client: graph.NodeID(c), Port: "alpha"},
-			LocateReq{Client: graph.NodeID(c), Port: "nope"})
-	}
-	memRes := make([]LocateRes, len(reqs))
-	netRes := make([]LocateRes, len(reqs))
-	memT.ResetPasses()
-	netT.ResetPasses()
-	memT.LocateBatch(reqs, memRes)
-	netT.LocateBatch(reqs, netRes)
-	if memT.Passes() != netT.Passes() {
-		t.Fatalf("failure-path LocateBatch: mem charged %d passes, net %d", memT.Passes(), netT.Passes())
-	}
-	for i := range reqs {
-		if (memRes[i].Err == nil) != (netRes[i].Err == nil) {
-			t.Fatalf("req %d (%+v): mem err=%v net err=%v", i, reqs[i], memRes[i].Err, netRes[i].Err)
-		}
-		if memRes[i].Err == nil && memRes[i].Entry.Addr != netRes[i].Entry.Addr {
-			t.Fatalf("req %d (%+v): mem %+v != net %+v", i, reqs[i], memRes[i].Entry, netRes[i].Entry)
+// everyFound fails t when a locate of r's last step missed.
+func everyFound(t *testing.T, r *runner) {
+	t.Helper()
+	for i, c := range r.last[0] {
+		if c.out == "not-found" {
+			t.Fatalf("%s: call %d missed", r.at, i)
 		}
 	}
 }
@@ -760,63 +281,26 @@ func TestNetReplicatedRepairLoop(t *testing.T) {
 
 	// Restart a worker on the same partition and address.
 	lo, hi := PartitionRange(n, procs, 1)
-	exe, err := os.Executable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var restarted *exec.Cmd
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		cmd := exec.Command(exe)
-		cmd.Env = append(os.Environ(),
-			"MM_NET_NODE=1",
-			fmt.Sprintf("MM_NET_N=%d", n),
-			fmt.Sprintf("MM_NET_LO=%d", lo),
-			fmt.Sprintf("MM_NET_HI=%d", hi),
-			"MM_NET_ADDR="+addrs[1],
-		)
-		cmd.Stderr = os.Stderr
-		out, err := cmd.StdoutPipe()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := cmd.Start(); err != nil {
-			t.Fatal(err)
-		}
-		sc := bufio.NewScanner(out)
-		if sc.Scan() && strings.HasPrefix(sc.Text(), "ADDR ") {
-			go func() {
-				for sc.Scan() {
-				}
-			}()
-			restarted = cmd
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(100 * time.Millisecond) {
+		if _, addr := spawnWorker(t, n, lo, hi, addrs[1]); addr != "" {
 			break
 		}
-		cmd.Process.Kill()
-		cmd.Wait()
 		if time.Now().After(deadline) {
 			t.Fatal("could not rebind worker to the old address")
 		}
-		time.Sleep(100 * time.Millisecond)
 	}
-	t.Cleanup(func() {
-		restarted.Process.Kill()
-		restarted.Wait()
-	})
 
 	// The repair loop must re-register the liveness record (probes into
 	// the recovered range answer positively again) and re-post, so the
 	// replica-0 rendezvous in the recovered range serves depth-0 floods
 	// again.
-	deadline = time.Now().Add(10 * time.Second)
-	for {
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(25 * time.Millisecond) {
 		if _, err := netT.Probe(0, e); err == nil {
 			break
 		}
 		if time.Now().After(deadline) {
 			t.Fatal("repair loop never restored the liveness record")
 		}
-		time.Sleep(25 * time.Millisecond)
 	}
 	rv := rendezvous.Intersect(rp.Base().Post(15), rp.Base().Query(2))
 	found := false
@@ -855,94 +339,4 @@ func TestNodeServerDrain(t *testing.T) {
 	if err := cmds[0].Wait(); err != nil {
 		t.Fatalf("SIGTERM'd worker exited non-zero: %v", err)
 	}
-}
-
-// TestNetTransportWeightedEquivalence pins the weighted mode across
-// the process boundary: promotion, hot locates, demotion and the
-// sticky union-posting rule must give identical answers and identical
-// pass charges on the weighted mem and net transports.
-func TestNetTransportWeightedEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("process cluster: skipped in -short")
-	}
-	g := topology.Complete(36)
-	base := rendezvous.Checkerboard(36)
-	mkWeighted := func() *strategy.Weighted {
-		hot, err := strategy.PostHeavy(36, strategy.AlphaQuerySize(36, 16))
-		if err != nil {
-			t.Fatal(err)
-		}
-		w, err := strategy.NewWeighted(base, hot)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return w
-	}
-	addrs, _ := spawnNetCluster(t, 36, 3)
-	memT, err := NewLayoutMemTransport(g, weightedOf(t, mkWeighted()), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	netT, err := NewLayoutNetTransport(g, weightedOf(t, mkWeighted()), addrs, NetOptions{CallTimeout: 10 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { netT.Close() })
-
-	for _, reg := range []struct {
-		port core.Port
-		node graph.NodeID
-	}{{"hot", 7}, {"cold", 29}} {
-		memBefore, netBefore := memT.Passes(), netT.Passes()
-		if _, err := memT.Register(reg.port, reg.node); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := netT.Register(reg.port, reg.node); err != nil {
-			t.Fatal(err)
-		}
-		if mc, nc := memT.Passes()-memBefore, netT.Passes()-netBefore; mc != nc {
-			t.Fatalf("register %q: mem charged %d, net %d", reg.port, mc, nc)
-		}
-	}
-
-	checkStage := func(stage string) {
-		t.Helper()
-		for c := 0; c < 36; c += 5 {
-			for _, port := range []core.Port{"hot", "cold"} {
-				memBefore, netBefore := memT.Passes(), netT.Passes()
-				e1, err1 := memT.Locate(graph.NodeID(c), port)
-				e2, err2 := netT.Locate(graph.NodeID(c), port)
-				if (err1 == nil) != (err2 == nil) || (err1 == nil && e1.Addr != e2.Addr) {
-					t.Fatalf("%s: locate %q from %d: mem %+v/%v net %+v/%v", stage, port, c, e1, err1, e2, err2)
-				}
-				if mc, nc := memT.Passes()-memBefore, netT.Passes()-netBefore; mc != nc {
-					t.Fatalf("%s: locate %q from %d: mem charged %d, net %d", stage, port, c, mc, nc)
-				}
-			}
-		}
-	}
-	checkStage("cold")
-
-	// Promote "hot" on both: union reposts then hot-split queries, at
-	// identical charges.
-	memBefore, netBefore := memT.Passes(), netT.Passes()
-	if err := memT.SetHotPorts([]core.Port{"hot"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := netT.SetHotPorts([]core.Port{"hot"}); err != nil {
-		t.Fatal(err)
-	}
-	if mc, nc := memT.Passes()-memBefore, netT.Passes()-netBefore; mc != nc {
-		t.Fatalf("promotion: mem charged %d, net %d", mc, nc)
-	}
-	checkStage("promoted")
-
-	// Demote: union ⊇ base keeps the port resolvable immediately.
-	if err := memT.SetHotPorts(nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := netT.SetHotPorts(nil); err != nil {
-		t.Fatal(err)
-	}
-	checkStage("demoted")
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 
@@ -12,13 +13,12 @@ import (
 	"matchmake/internal/graph"
 	"matchmake/internal/rendezvous"
 	"matchmake/internal/strategy"
-	"matchmake/internal/topology"
 )
 
 // loopbackServers serves an n-node cluster from procs in-process
 // NodeServers on ephemeral loopback ports and returns their addresses
 // in partition order, with the servers behind them.
-func loopbackServers(t *testing.T, n, procs int) ([]string, []*NodeServer) {
+func loopbackServers(t testing.TB, n, procs int) ([]string, []*NodeServer) {
 	t.Helper()
 	addrs, servers := make([]string, procs), make([]*NodeServer, procs)
 	for i := range addrs {
@@ -39,7 +39,7 @@ func loopbackServers(t *testing.T, n, procs int) ([]string, []*NodeServer) {
 }
 
 // loopbackNodes is loopbackServers for callers that only dial.
-func loopbackNodes(t *testing.T, n, procs int) []string {
+func loopbackNodes(t testing.TB, n, procs int) []string {
 	t.Helper()
 	addrs, _ := loopbackServers(t, n, procs)
 	return addrs
@@ -65,47 +65,18 @@ func TestRepostNeverResurrects(t *testing.T) {
 		churners = 4
 		opsEach  = 120
 	)
-	g := topology.Complete(universe)
-	weighted := func(t *testing.T) *strategy.Weighted {
-		hot, err := strategy.PostHeavy(universe, strategy.AlphaQuerySize(universe, 16))
-		if err != nil {
-			t.Fatal(err)
+	worlds := map[string]string{"weighted": "complete 36 weighted", "elastic": "complete 36 active=25 r=2"}
+	builds := map[string]func(t *testing.T) system{}
+	for _, kind := range []string{"mem", "net"} {
+		for mode, w := range worlds {
+			builds[kind+"/"+mode] = func(t *testing.T) system {
+				g, lay, err := buildWorld(strings.Fields(w))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return newColumn(t, g, lay, kind).tr
+			}
 		}
-		w, err := strategy.NewWeighted(rendezvous.Checkerboard(universe), hot)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return w
-	}
-	builds := map[string]func(t *testing.T) coordinated{
-		"mem/weighted": func(t *testing.T) coordinated {
-			tr, err := NewLayoutMemTransport(g, weightedOf(t, weighted(t)), 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return tr
-		},
-		"net/weighted": func(t *testing.T) coordinated {
-			tr, err := NewLayoutNetTransport(g, weightedOf(t, weighted(t)), loopbackNodes(t, universe, 3), NetOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return tr
-		},
-		"mem/elastic": func(t *testing.T) coordinated {
-			tr, err := NewLayoutMemTransport(g, elasticOf(mkEpoch(t, 1, universe, homes, 2)), 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return tr
-		},
-		"net/elastic": func(t *testing.T) coordinated {
-			tr, err := NewLayoutNetTransport(g, elasticOf(mkEpoch(t, 1, universe, homes, 2)), loopbackNodes(t, universe, 3), NetOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return tr
-		},
 	}
 	for name, build := range builds {
 		t.Run(name, func(t *testing.T) {

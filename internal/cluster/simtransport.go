@@ -255,54 +255,48 @@ type simServer struct {
 	t   *SimTransport
 }
 
-// Register implements Transport. On an elastic transport the node must
-// be a member of the serving epoch; the check is re-applied after the
-// engine registration so a racing shrink Resize cannot leave a live
-// server outside the membership (best effort — the simulator's Resize
-// additionally documents that callers quiesce traffic around it).
+// Register implements Transport: a batch of one.
 func (t *SimTransport) Register(port core.Port, node graph.NodeID) (ServerRef, error) {
-	if es := t.elastic.Load(); es != nil && !es.cur.Contains(node) {
-		return nil, errOutsideMembership(port, node, es.cur)
-	}
-	srv, err := t.sys.RegisterServer(port, node)
+	refs, err := t.PostBatch([]Registration{{Port: port, Node: node}})
 	if err != nil {
 		return nil, err
 	}
-	if es := t.elastic.Load(); es != nil && !es.cur.Contains(node) {
-		_ = srv.Deregister()
-		return nil, errOutsideMembership(port, node, es.cur)
-	}
-	t.gens.bump(port)
-	return simServer{srv: srv, t: t}, nil
+	return refs[0], nil
 }
 
 // PostBatch implements Transport. The simulator gains nothing from
 // batching — every posting is still a real multicast — so the batch is
-// the equivalent sequence of Registers; it is the reference semantics
-// the fast path's batched implementation is checked against.
+// the equivalent sequence of registrations; it is the reference semantics
+// the fast path's batched implementation is checked against. Inputs are
+// validated up front, so a refused registration allocates no server id.
 func (t *SimTransport) PostBatch(regs []Registration) ([]ServerRef, error) {
 	for _, r := range regs {
 		if !t.net.Graph().Valid(r.Node) {
 			return nil, fmt.Errorf("cluster: register at %d: %w", r.Node, graph.ErrNodeRange)
 		}
+		if es := t.elastic.Load(); es != nil && !es.cur.Contains(r.Node) {
+			return nil, errOutsideMembership(r.Port, r.Node, es.cur)
+		}
 		if t.net.Crashed(r.Node) {
 			return nil, fmt.Errorf("cluster: post %q from %d: %w", r.Port, r.Node, sim.ErrCrashed)
 		}
 	}
-	if es := t.elastic.Load(); es != nil {
-		for _, r := range regs {
-			if !es.cur.Contains(r.Node) {
-				return nil, errOutsideMembership(r.Port, r.Node, es.cur)
-			}
-		}
-	}
 	refs := make([]ServerRef, len(regs))
 	for i, r := range regs {
-		ref, err := t.Register(r.Port, r.Node)
+		srv, err := t.sys.RegisterServer(r.Port, r.Node)
 		if err != nil {
 			return refs[:i], err
 		}
-		refs[i] = ref
+		// Re-checked after the engine registration, so a racing shrink
+		// Resize cannot leave a live server outside the membership (best
+		// effort — the simulator's Resize documents that callers quiesce
+		// traffic around it).
+		if es := t.elastic.Load(); es != nil && !es.cur.Contains(r.Node) {
+			_ = srv.Deregister()
+			return refs[:i], errOutsideMembership(r.Port, r.Node, es.cur)
+		}
+		t.gens.bump(r.Port)
+		refs[i] = simServer{srv: srv, t: t}
 	}
 	return refs, nil
 }
@@ -340,10 +334,15 @@ func (t *SimTransport) LocateReplica(client graph.NodeID, port core.Port, replic
 // family's membership — short-circuits to a rendezvous miss without
 // simulating a vacuous flood.
 func (t *SimTransport) replicaTargets(client graph.NodeID, port core.Port, replica int) ([]graph.NodeID, bool, error) {
+	// The client is checked first, in the coordinator's order: a crashed
+	// client fails as such whatever family it names.
+	if !t.net.Graph().Valid(client) {
+		return nil, false, fmt.Errorf("cluster: locate from %d: %w", client, graph.ErrNodeRange)
+	}
+	if t.net.Crashed(client) {
+		return nil, false, fmt.Errorf("cluster: locate from %d: %w", client, sim.ErrCrashed)
+	}
 	if es := t.elastic.Load(); es != nil {
-		if !t.net.Graph().Valid(client) {
-			return nil, false, fmt.Errorf("cluster: locate from %d: %w", client, graph.ErrNodeRange)
-		}
 		ep, fam, ok := es.resolve(replica)
 		if !ok {
 			return nil, false, errRetiredReplica(port, client, replica)
@@ -391,7 +390,7 @@ func (t *SimTransport) inProcess() {}
 // LocateAll implements Transport, with the same replica fallthrough as
 // Locate.
 func (t *SimTransport) LocateAll(client graph.NodeID, port core.Port) ([]core.Entry, error) {
-	return locateAllFallthrough(t.Replicas(), func(k int) ([]core.Entry, error) {
+	return locateAll(t, func(k int) ([]core.Entry, error) {
 		targets, _, err := t.replicaTargets(client, port, k)
 		if err != nil {
 			return nil, err
@@ -555,8 +554,12 @@ func (s simServer) Port() core.Port { return s.srv.Port() }
 // Node implements ServerRef.
 func (s simServer) Node() graph.NodeID { return s.srv.Node() }
 
-// Repost implements ServerRef.
-func (s simServer) Repost() error { return s.srv.Repost() }
+// Repost implements ServerRef; like a registration it can change the
+// port's freshest winner, so the port's hints re-resolve.
+func (s simServer) Repost() error {
+	s.t.gens.bump(s.srv.Port())
+	return s.srv.Repost()
+}
 
 // Migrate implements ServerRef. The move invalidates cached hints for
 // the port; on an elastic transport the destination must be a member

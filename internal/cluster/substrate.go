@@ -27,7 +27,8 @@ import (
 // memSubstrate one Store.Rows lookup, wireSubstrate one (port, nodes…)
 // sub-request per owning process — instead of once per row. A substrate
 // stays correct on an ungrouped list; it only pays a lookup per run.
-// TestSubstrateConformance asserts the rule on every list it sees.
+// Every history's mem and net columns assert the rule on every list
+// (groupedSubstrate, history_test.go).
 type substrate interface {
 	// kind names the substrate in transport names ("mem", "net").
 	kind() string

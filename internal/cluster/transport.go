@@ -40,10 +40,10 @@
 // additionally re-partitioning the node space across a different
 // process set live (NetTransport.Rescale). All transports agree on both results and
 // costs on a healthy network, on the crash fallthrough path and across
-// epoch transitions; see equivalence_test.go, replicated_test.go,
-// elastic_test.go, substrate_conformance_test.go and
-// nettransport_test.go, and docs/PAPER_MAP.md for the paper-to-code
-// concordance.
+// epoch transitions: one history runner (history_test.go) drives them
+// side by side against a map-based reference model (model_test.go), on
+// the suites of equivalence_test.go and on seeded generated histories;
+// see docs/PAPER_MAP.md for the paper-to-code concordance.
 package cluster
 
 import (
@@ -99,9 +99,9 @@ type Transport interface {
 	// address fails without an answer.
 	Probe(client graph.NodeID, e core.Entry) (core.Entry, error)
 	// Gen returns the current invalidation generation of port's shard
-	// in the transport's generation index. Registrations, migrations
-	// and deregistrations bump the port's shard; a crash bumps every
-	// shard. A cached hint is only worth probing while its recorded
+	// in the transport's generation index. Registrations, reposts,
+	// migrations and deregistrations bump the port's shard; a crash bumps
+	// every shard. A cached hint is only worth probing while its recorded
 	// generation still matches.
 	Gen(port core.Port) uint64
 	// LocateAll returns every live server instance for port visible
@@ -164,8 +164,8 @@ type ReplicatedTransport interface {
 }
 
 // locateFallthrough is the deterministic replica-fallthrough loop shared
-// by every replicated transport's Locate: families are tried in order
-// from start (wrapping), stopping at the first answer. Only a rendezvous
+// by every replicated transport's Locate and LocateAll: families are
+// tried in order from start (wrapping), stopping at the first answer. Only a rendezvous
 // miss (core.ErrNotFound) falls through; any other failure — crashed
 // client, invalid node — aborts immediately. It returns the replica that
 // answered alongside the result.
@@ -191,22 +191,22 @@ func locateFallthrough(rt ReplicatedTransport, client graph.NodeID, port core.Po
 	return e, start, err
 }
 
-// locateAllFallthrough is locateFallthrough's locate-all twin, shared
-// by every replicated transport's LocateAll: attempt(k) floods replica
-// k's query set, and only a rendezvous miss (core.ErrNotFound) falls
-// through to the next family.
-func locateAllFallthrough(replicas int, attempt func(k int) ([]core.Entry, error)) ([]core.Entry, error) {
-	var (
-		out []core.Entry
-		err error
-	)
-	for k := 0; k < replicas; k++ {
-		out, err = attempt(k)
-		if err == nil || !errors.Is(err, core.ErrNotFound) {
-			return out, err
-		}
-	}
+// locateAll runs a locate-all through locateFallthrough's loop, so it
+// recounts the families after a miss as a locate does: each family's
+// attempt is flood(k), whose answer is kept.
+func locateAll(rt ReplicatedTransport, flood func(k int) ([]core.Entry, error)) (out []core.Entry, err error) {
+	_, _, err = locateFallthrough(allFamilies{rt, func(k int) (err error) { out, err = flood(k); return err }}, 0, "", 0)
 	return out, err
+}
+
+// allFamilies is rt with each family's flood replaced by attempt.
+type allFamilies struct {
+	ReplicatedTransport
+	attempt func(k int) error
+}
+
+func (a allFamilies) LocateReplica(_ graph.NodeID, _ core.Port, k int) (core.Entry, error) {
+	return core.Entry{}, a.attempt(k)
 }
 
 // HotReclassifier is implemented by transports that support the

@@ -9,21 +9,16 @@ import (
 	"matchmake/internal/core"
 	"matchmake/internal/graph"
 	"matchmake/internal/rendezvous"
-	"matchmake/internal/strategy"
 	"matchmake/internal/topology"
 )
 
 func newWeightedTransport(t *testing.T, n int) *MemTransport {
 	t.Helper()
-	hot, err := strategy.PostHeavy(n, strategy.AlphaQuerySize(n, 16))
+	g, lay, err := buildWorld([]string{"complete", fmt.Sprint(n), "weighted"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := strategy.NewWeighted(rendezvous.Checkerboard(n), hot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := NewLayoutMemTransport(topology.Complete(n), weightedOf(t, w), 0)
+	tr, err := NewLayoutMemTransport(g, lay, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,116 +27,45 @@ func newWeightedTransport(t *testing.T, n int) *MemTransport {
 
 // TestWeightedPromotion checks the (M3′) trade end to end: promoting a
 // hot port reposts its servers under the union sets, keeps every answer
-// identical, and makes its locates strictly cheaper than under the
-// balanced base strategy.
+// the model's, and makes its locates strictly cheaper than under the
+// balanced base strategy while the cold port's cost stays put.
 func TestWeightedPromotion(t *testing.T) {
-	const n = 64
-	tr := newWeightedTransport(t, n)
-	if _, err := tr.Register("hot", 9); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tr.Register("cold", 21); err != nil {
-		t.Fatal(err)
-	}
-
-	costOf := func(port core.Port) int64 {
-		var total int64
-		for c := 0; c < n; c++ {
-			before := tr.Passes()
-			e, err := tr.Locate(graph.NodeID(c), port)
-			if err != nil {
-				t.Fatalf("locate %q from %d: %v", port, c, err)
-			}
-			wantAddr := graph.NodeID(9)
-			if port == "cold" {
-				wantAddr = 21
-			}
-			if e.Addr != wantAddr {
-				t.Fatalf("locate %q from %d returned %d, want %d", port, c, e.Addr, wantAddr)
-			}
-			total += tr.Passes() - before
+	r := runHistory(t, "world complete 64 weighted\ncolumns model mem\nregister hot 9\nregister cold 21")
+	cost := func(port string) (sum int64) {
+		r.more("locate 0-63 " + port)
+		for _, c := range r.last[1] {
+			sum += c.cost
 		}
-		return total
+		return sum
 	}
-
-	baseHot := costOf("hot")
-	baseCold := costOf("cold")
-	if err := tr.SetHotPorts([]core.Port{"hot"}); err != nil {
-		t.Fatal(err)
-	}
-	weightedHot := costOf("hot")
-	weightedCold := costOf("cold")
-
-	if weightedHot >= baseHot {
-		t.Fatalf("hot port cost %d after promotion, %d before; want strictly cheaper", weightedHot, baseHot)
-	}
-	if weightedCold != baseCold {
-		t.Fatalf("cold port cost changed: %d before, %d after", baseCold, weightedCold)
+	baseHot, baseCold := cost("hot"), cost("cold")
+	r.more("set-hot-ports hot")
+	if hot, cold := cost("hot"), cost("cold"); hot >= baseHot || cold != baseCold {
+		t.Fatalf("hot port cost %d after promotion, %d before; cold port %d after, %d before", hot, baseHot, cold, baseCold)
 	}
 }
 
 // TestWeightedChurnAfterDemotion checks the sticky-union tombstone
 // protocol: a port that was hot keeps posting (and tombstoning) the
 // union sets after demotion, so no query set can see a stale active
-// entry of a deregistered or migrated server.
+// entry of a migrated or deregistered server.
 func TestWeightedChurnAfterDemotion(t *testing.T) {
-	const n = 64
-	tr := newWeightedTransport(t, n)
-	ref, err := tr.Register("svc", 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.SetHotPorts([]core.Port{"svc"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.SetHotPorts(nil); err != nil { // demote
-		t.Fatal(err)
-	}
-	if err := ref.Migrate(33); err != nil {
-		t.Fatal(err)
-	}
-	for c := 0; c < n; c += 3 {
-		e, err := tr.Locate(graph.NodeID(c), "svc")
-		if err != nil {
-			t.Fatalf("locate from %d: %v", c, err)
-		}
-		if e.Addr != 33 {
-			t.Fatalf("locate from %d returned stale address %d, want 33", c, e.Addr)
-		}
-	}
-	if err := ref.Deregister(); err != nil {
-		t.Fatal(err)
-	}
-	for c := 0; c < n; c += 3 {
-		if _, err := tr.Locate(graph.NodeID(c), "svc"); err == nil {
-			t.Fatalf("locate from %d still resolves a deregistered server", c)
-		}
-	}
+	runHistory(t, `
+world complete 64 weighted
+columns model mem
+register svc 9
+set-hot-ports svc
+set-hot-ports
+migrate svc 33
+locate 0-63/3 svc
+deregister svc
+locate 0-63/3 svc`)
 }
 
 // TestWeightedRegisterDuringHot checks that a server registered while
 // its port is already hot posts the union sets immediately.
 func TestWeightedRegisterDuringHot(t *testing.T) {
-	const n = 64
-	tr := newWeightedTransport(t, n)
-	if _, err := tr.Register("svc", 3); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.SetHotPorts([]core.Port{"svc"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tr.Register("svc", 40); err != nil {
-		t.Fatal(err)
-	}
-	for c := 0; c < n; c += 7 {
-		e, err := tr.Locate(graph.NodeID(c), "svc")
-		if err != nil {
-			t.Fatalf("locate from %d: %v", c, err)
-		}
-		if e.Addr != 40 {
-			t.Fatalf("locate from %d returned %d, want the fresher 40", c, e.Addr)
-		}
-	}
+	runHistory(t, "world complete 64 weighted\ncolumns model mem\nregister svc 3\nset-hot-ports svc\nregister svc 40\nlocate 0-63/7 svc")
 }
 
 // TestWeightedClusterLoop wires popularity counting and the
