@@ -474,21 +474,24 @@ func cmdDemo(args []string, out io.Writer) error {
 	}
 	defer procctl.Teardown(ps, 10*time.Second)
 	for _, p := range ps {
-		fmt.Fprintf(out, "demo: worker %d (pid %d) serves nodes [%d,%d) at %s\n", p.Index, p.Pid, p.Lo, p.Hi, p.Addr)
+		fmt.Fprintf(out, "demo: worker %d (pid %d) serves wire slots [%d,%d) at %s\n", p.Index, p.Pid, p.Lo, p.Hi, p.Addr)
 	}
-	g := topology.Complete(*nodes)
-	tr, err := cluster.NewNetTransport(g, rendezvous.Checkerboard(*nodes), procctl.Addrs(ps),
-		loadrun.Defaults().NetOptions())
+	lay, err := cluster.FixedLayout(*nodes, rendezvous.Checkerboard(*nodes), 1)
+	if err != nil {
+		return err
+	}
+	tr, err := cluster.NewLayoutNetTransport(topology.Complete(*nodes), lay, procctl.Addrs(ps), loadrun.Defaults().NetOptions())
 	if err != nil {
 		return err
 	}
 	defer tr.Close()
 
-	mid := graph.NodeID((ps[1].Lo + ps[1].Hi) / 2)
+	// The node the transport places in worker 1's middle wire slot.
+	mid := lay.Epoch.QueryOrder()[(ps[1].Lo+ps[1].Hi)/2]
 	if _, err := tr.Register("printer", mid); err != nil {
 		return err
 	}
-	if _, err := tr.Register("mail", 3); err != nil {
+	if _, err := tr.Register("mail", 0); err != nil {
 		return err
 	}
 	e, err := tr.Locate(0, "printer")
@@ -498,7 +501,7 @@ func cmdDemo(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "demo: located \"printer\" at node %d (%d passes charged so far)\n", e.Addr, tr.Passes())
 
 	gen := tr.Gen("mail")
-	fmt.Fprintf(out, "demo: kill -9 worker 1 (pid %d) — nodes [%d,%d) go dark\n", ps[1].Pid, ps[1].Lo, ps[1].Hi)
+	fmt.Fprintf(out, "demo: kill -9 worker 1 (pid %d) — wire slots [%d,%d) go dark\n", ps[1].Pid, ps[1].Lo, ps[1].Hi)
 	ps[1].Kill(syscall.SIGKILL)
 	ps[1].Wait()
 	if _, err := tr.Probe(0, e); err != nil {

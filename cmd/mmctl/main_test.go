@@ -45,7 +45,7 @@ func TestDemoSmoke(t *testing.T) {
 	if err := run([]string{"demo"}, &out); err != nil {
 		t.Fatalf("demo: %v\n%s", err, out.String())
 	}
-	for _, want := range []string{"kill -9 worker 1", "still resolves", "hint generation bumped"} {
+	for _, want := range []string{"kill -9 worker 1", "probe of the cached \"printer\" address fails", "still resolves", "hint generation bumped"} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("demo output missing %q:\n%s", want, out.String())
 		}

@@ -1,21 +1,22 @@
 // Command mmnode serves one node-shard of a NetTransport cluster: the
 // rendezvous caches and live-server table for a contiguous range of
-// graph nodes, spoken over the internal/netwire TCP protocol. Start
-// one mmnode per process (or machine), hand the address list to
-// cluster.NewNetTransport (or `mmload -transport net -addrs ...`), and
-// the socket backend gives the same answers and the same message-pass
-// accounting as the in-process transports.
+// wire slots (graph nodes in the transport's placement), spoken over
+// the internal/netwire TCP protocol. Start one mmnode per process (or
+// machine), hand the address list to cluster.NewNetTransport (or
+// `mmload -transport net -addrs ...`), and the socket backend gives the
+// same answers and the same message-pass accounting as the in-process
+// transports.
 //
-// The node range is given either explicitly (-lo/-hi) or as a slot in
-// the standard partition (-procs/-index, the layout cmd/mmctl spawns
-// and cluster.PartitionRange defines). On startup the process prints
-// one machine-readable line, "ADDR host:port", so orchestrators can
-// collect addresses from ephemeral ports. SIGTERM (and SIGINT) drain
-// gracefully: stop accepting, finish in-flight requests, exit 0.
+// The wire slot range is given either explicitly (-lo/-hi) or as a
+// slot in the standard partition (-procs/-index, the layout cmd/mmctl
+// spawns and cluster.PartitionRange defines). On startup the process
+// prints one machine-readable line, "ADDR host:port", so orchestrators
+// can collect addresses from ephemeral ports. SIGTERM (and SIGINT)
+// drain gracefully: stop accepting, finish in-flight requests, exit 0.
 //
 // Usage:
 //
-//	mmnode -nodes 36 -procs 3 -index 1            # serve nodes [12,24)
+//	mmnode -nodes 36 -procs 3 -index 1            # serve wire slots [12,24)
 //	mmnode -nodes 36 -lo 12 -hi 24 -listen :7701  # the same, pinned port
 //	mmnode -nodes 36 -procs 3 -index 1 -metrics 127.0.0.1:0
 //	                                              # + Prometheus /metrics
@@ -115,6 +116,6 @@ func nodeRange(nodes, procs, index, lo, hi int) (int, int, error) {
 		}
 		return l, h, nil
 	default:
-		return 0, 0, fmt.Errorf("give a node range: -procs/-index or -lo/-hi")
+		return 0, 0, fmt.Errorf("give a wire slot range: -procs/-index or -lo/-hi")
 	}
 }

@@ -33,15 +33,25 @@ import (
 // fell to 4 658 when the simulator became a third substrate under the
 // one coordinator and its copy of the coordinator (SimTransport's own
 // elastic phases, fallthrough, reconciliation and arming) was deleted.
-const clusterCodeLineCeiling = 4658
+// It rose by 22 to 4 680 when the wire numbered nodes in query-local
+// order so a locate floods one node process: the wire substrate's slot
+// map (its two fields and their fill, at, hosts) and the translation at
+// every record it encodes, digest it scatters and repair range it tests.
+const clusterCodeLineCeiling = 4680
 
 // clusterTestLineCeiling is the committed ceiling on internal/cluster's
 // test lines, raw (`cat internal/cluster/*_test.go
 // internal/cluster/testdata/histories/* | wc -l`): history files count,
 // because moving a script into a data file is not a reduction. It stands
 // at the measured count of the PR that made every transport comparison
-// a history on one runner over a reference model (7 750 before).
-const clusterTestLineCeiling = 5953
+// a history on one runner over a reference model (7 750 before). The
+// tests stood at 5 950 when the wire numbered nodes in query-local
+// order, which added 107 lines: TestQueryLocalPlacement (frames per
+// locate and per post, digests and dumps by slot, the r = 2 identity,
+// two transports from one layout), the tests that name process state
+// by wire slot, and the reason TestCoalescerFillsBatches floods spawned
+// node processes.
+const clusterTestLineCeiling = 6057
 
 // clusterConstructorCeiling is the committed ceiling on exported
 // `func New*` declarations in internal/cluster's non-test files: the
@@ -56,10 +66,12 @@ const clusterConstructorCeiling = 9
 // every cmd/ binary plus internal/sweep and its subpackages (3 372 before
 // loadrun.Config's field table became the one declaration of the run
 // description, 3 116 before the simulator's two timeout rows left it, 3 113
-// before the simulator's weighted-mode refusal left loadrun).
+// before the simulator's weighted-mode refusal left loadrun, 3 110 before
+// mmctl demo built its layout to register "printer" on a node worker 1
+// hosts under the query-local wire placement).
 // Same rule as above: lower it when the shell shrinks, raise it only with
 // the reason in the PR that does.
-const shellCodeLineCeiling = 3110
+const shellCodeLineCeiling = 3112
 
 // codeLines counts the non-blank, non-comment lines of a Go file the
 // way the ROADMAP's one-liner does — a line counts unless it is empty or

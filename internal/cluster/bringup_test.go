@@ -4,6 +4,7 @@ import (
 	"errors"
 	"maps"
 	"net"
+	"slices"
 	"testing"
 
 	"matchmake/internal/core"
@@ -172,8 +173,9 @@ func TestWriteFrames(t *testing.T) {
 	}
 
 	// Back onto one process: its partition is filled by two chunks, 12
-	// liveness records between them and three crashed nodes in the second.
-	for _, v := range []graph.NodeID{12, 13, 14} {
+	// liveness records between them and three crashed nodes in the second
+	// (wire slots 12–14).
+	for _, v := range tr.wire.node[12:15] {
 		if err := tr.Crash(v); err != nil {
 			t.Fatal(err)
 		}
@@ -195,9 +197,9 @@ func TestWriteFrames(t *testing.T) {
 	if ids := liveIDs(one); len(ids) != servers {
 		t.Errorf("%d liveness records after the second rescale, want %d", len(ids), servers)
 	}
-	for v := range one[0].crashed {
-		if got, want := one[0].crashed[v].Load(), v >= 12 && v <= 14; got != want {
-			t.Errorf("node %d crashed = %v on the new process, want %v", v, got, want)
+	for s := range one[0].crashed {
+		if got, want := one[0].crashed[s].Load(), s >= 12 && s <= 14; got != want {
+			t.Errorf("node %d (wire slot %d) crashed = %v on the new process, want %v", tr.wire.node[s], s, got, want)
 		}
 	}
 }
@@ -227,5 +229,99 @@ func TestDumpCorruptSnapshot(t *testing.T) {
 	defer tr.Close()
 	if rows := tr.wire.dump([]graph.NodeID{3}); len(rows) != 0 {
 		t.Errorf("dump of a node whose snapshot is corrupt = %v, want the node absent", rows)
+	}
+}
+
+// TestQueryLocalPlacement pins the wire placement. At r = 1 every
+// client's family-0 query set lies in one node process, so an
+// uncoalesced locate is one request frame, while a posting row still
+// reaches both processes it spans; two transports built from one layout
+// place alike, so one registers and the other locates. At r = 2 the
+// order stays the identity, which keeps the two families' meeting nodes
+// for every pair in different processes.
+func TestQueryLocalPlacement(t *testing.T) {
+	const n = 64
+	g := topology.Complete(n)
+	lay, err := FixedLayout(n, rendezvous.Checkerboard(n), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs, srv := loopbackServers(t, n, 2)
+	tr, err := NewLayoutNetTransport(g, lay, addrs, NetOptions{DisableCoalescing: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	procOf := func(tr *NetTransport, v graph.NodeID) int {
+		_, p := tr.wire.at(tr.wire.procs.Load(), v)
+		return p
+	}
+	for j := range n {
+		q := lay.Epoch.QuerySet(graph.NodeID(j), 0)
+		r := tr.wire.procs.Load().ranges[procOf(tr, q[0])]
+		for _, v := range q {
+			// The repair paths select a process's nodes through hosts.
+			if procOf(tr, v) != procOf(tr, q[0]) || !tr.wire.hosts(r[0], r[1])(v) {
+				t.Fatalf("client %d's query set %v spans two processes", j, q)
+			}
+		}
+	}
+	posts := func() int64 { return srv[0].OpCounts()["post"] + srv[1].OpCounts()["post"] }
+	before := posts()
+	if _, err := tr.Register("svc", 5); err != nil {
+		t.Fatal(err)
+	}
+	if got := posts() - before; got != 2 {
+		t.Errorf("a Register sent %d opPost frames, want 2", got)
+	}
+	// Digests come back slot by slot and dumps go out by slot: both land
+	// on the posting row of node 5.
+	row := lay.Epoch.PostSet(5)
+	dg, readable := make([]uint64, n), make([]bool, n)
+	tr.wire.digests(dg, readable)
+	rows := tr.wire.dump(row)
+	for v := range graph.NodeID(n) {
+		if in := slices.Contains(row, v); !readable[v] || (dg[v] != 0) != in || in && len(rows[v]) != 1 {
+			t.Errorf("node %d: digest %x, dumped %v; want a posting iff it is in %v", v, dg[v], rows[v], row)
+		}
+	}
+	wire := tr.WireStats()
+	if _, err := tr.Locate(40, "svc"); err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.WireStats().Sub(wire).FramesSent; got != 1 {
+		t.Errorf("an uncoalesced locate sent %d request frames, want 1", got)
+	}
+	other, err := NewLayoutNetTransport(g, lay, addrs, NetOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
+	if e, err := other.Locate(63, "svc"); err != nil || e.Addr != 5 {
+		t.Errorf("the second transport located %+v, %v; want the first's server at 5", e, err)
+	}
+
+	rlay := fixedOf(t, mkReplicated(t, n, 2))
+	rt, err := NewLayoutNetTransport(g, rlay, loopbackNodes(t, n, 2), NetOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	if !slices.IsSorted(rt.wire.node) { // a sorted permutation is the identity
+		t.Fatalf("r = 2 places nodes in wire order %v, want the identity", rt.wire.node)
+	}
+	rp := rlay.Epoch.Replicated()
+	for i := range graph.NodeID(n) {
+		for j := range graph.NodeID(n) {
+			family := map[int]int{} // process → the family meeting there
+			for k := range 2 {
+				for _, v := range rendezvous.Intersect(rp.Replica(k).Post(i), rp.Replica(k).Query(j)) {
+					if f, ok := family[procOf(rt, v)]; ok && f != k {
+						t.Fatalf("pair (%d, %d): families %d and %d meet in process %d", i, j, f, k, procOf(rt, v))
+					}
+					family[procOf(rt, v)] = k
+				}
+			}
+		}
 	}
 }

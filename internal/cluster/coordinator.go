@@ -937,17 +937,17 @@ func (c *coordinator) FinishResize() error {
 	return nil
 }
 
-// repairRange rebuilds the lost rows of node range [lo, hi) from the
-// registration table: liveness records for servers homed in the range,
-// then a fresh posting multicast for every live server whose posting
-// set reaches into it, charged like any other posting (the paper's §5
-// "services regularly poll their rendezvous nodes" maintenance). It
-// serves a substrate whose process for the range restarted empty, or
-// died while donating the range to a rescale. Every hint generation is
-// bumped afterwards so cached addresses re-resolve against the repaired
-// rows. The caller holds lifeMu.
-func (c *coordinator) repairRange(lo, hi int) {
-	in := func(v graph.NodeID) bool { return int(v) >= lo && int(v) < hi }
+// repairRange rebuilds the lost rows of the nodes for which in reports
+// true (the nodes of one wire slot range) from the registration table:
+// liveness records for servers homed there, then a fresh posting
+// multicast for every live server whose posting set reaches them,
+// charged like any other posting (the paper's §5 "services regularly
+// poll their rendezvous nodes" maintenance). It serves a substrate
+// whose process for the range restarted empty, or died while donating
+// the range to a rescale. Every hint generation is bumped afterwards so
+// cached addresses re-resolve against the repaired rows. The caller
+// holds lifeMu.
+func (c *coordinator) repairRange(in func(graph.NodeID) bool) {
 	for _, ls := range c.liveServers() {
 		srv := ls.srv
 		_, _ = c.repostLocked(srv, noNode, func(node graph.NodeID) []graph.NodeID {
@@ -971,20 +971,22 @@ func (c *coordinator) repairRange(lo, hi int) {
 }
 
 // repairRecovered is the wire substrate's repair-loop callback: the
-// process owning [lo, hi) answers again after an observed death, empty.
-func (c *coordinator) repairRecovered(lo, hi int) {
+// process owning wire slots [lo, hi), the nodes for which in reports
+// true, answers again after an observed death, empty.
+func (c *coordinator) repairRecovered(lo, hi int, in func(graph.NodeID) bool) {
 	// Fence the repair's re-posts like any lifecycle write so they
 	// cannot vanish into a mid-rescale snapshot.
 	c.lifeMu.RLock()
-	c.repairRange(lo, hi)
+	c.repairRange(in)
 	c.lifeMu.RUnlock()
 	c.events.emit(Event{Type: EvProcUp, Lo: lo, Hi: hi})
 }
 
 // procDown is the wire substrate's health callback: the process owning
-// [lo, hi) failed a call after a healthy period. It may have hosted
-// servers of any port, so every hint generation is bumped and cached
-// addresses re-resolve by flooding instead of probing a black hole.
+// wire slots [lo, hi) failed a call after a healthy period. It may have
+// hosted servers of any port, so every hint generation is bumped and
+// cached addresses re-resolve by flooding instead of probing a black
+// hole.
 func (c *coordinator) procDown(lo, hi int) {
 	c.gens.bumpAll()
 	c.events.emit(Event{Type: EvProcDown, Lo: lo, Hi: hi})

@@ -28,13 +28,13 @@ const (
 	// EvRestore reports a crashed node brought back (Node).
 	EvRestore
 	// EvProcDown reports a node-shard process observed dead on the
-	// socket transport; [Lo, Hi) is the node range it owned. This is
+	// socket transport; [Lo, Hi) is the wire slot range it owned. This is
 	// the kill -9 signal: the first failed call against the process
 	// raises it, before any repair has run.
 	EvProcDown
 	// EvProcUp reports a node-shard process answering again after a
 	// detected death, with its range's lost state re-posted by the
-	// repair loop; [Lo, Hi) is the recovered node range.
+	// repair loop; [Lo, Hi) is the recovered wire slot range.
 	EvProcUp
 	// EvEpoch reports an elastic-membership transition: a new epoch
 	// (sequence number Epoch) became the serving epoch.
@@ -78,8 +78,8 @@ type Event struct {
 	Port core.Port
 	// Node is the server's home node, or the crashed/restored node.
 	Node graph.NodeID
-	// Lo and Hi bound the node range [Lo, Hi) of a dead or recovered
-	// node-shard process.
+	// Lo and Hi bound the wire slot range [Lo, Hi) of a dead or
+	// recovered node-shard process.
 	Lo, Hi int
 	// Epoch is the serving epoch's sequence number (epoch events).
 	Epoch uint64

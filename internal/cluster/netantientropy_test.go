@@ -80,7 +80,7 @@ func TestNetDualEpochRepairConsistent(t *testing.T) {
 	// middle process, under the same lifeMu fence.
 	ps := netT.wire.procs.Load()
 	netT.lifeMu.RLock()
-	netT.repairRange(ps.ranges[1][0], ps.ranges[1][1])
+	netT.repairRange(netT.wire.hosts(ps.ranges[1][0], ps.ranges[1][1]))
 	netT.lifeMu.RUnlock()
 	r.more("reconcile")
 	quiet("dual phase after repairRange")

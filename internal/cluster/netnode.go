@@ -17,7 +17,7 @@ import (
 
 // NodeServer hosts one node-shard of a NetTransport cluster as a
 // network service: a memSubstrate — the rows, the live-server table and
-// the armed lies of a contiguous range [lo, hi) of graph nodes, the very
+// the armed lies of a contiguous wire slot range [lo, hi), the very
 // code MemTransport runs — behind the node protocol's frame codec (see
 // netproto.go), served over internal/netwire. What the process adds is
 // what only a process has: the check that a record names a node it owns,
@@ -61,7 +61,10 @@ func (s *NodeServer) OpCounts() map[string]int64 {
 	return out
 }
 
-// Range returns the owned node range [lo, hi) and the cluster size n.
+// Range returns the owned wire slot range [lo, hi) and the cluster size
+// n. A slot is a node id as the wire spells it; the transport that dials
+// the process decides which graph node each slot is, so the server never
+// interprets one beyond this range check and its crash marks.
 func (s *NodeServer) Range() (lo, hi, n int) { return s.lo, s.hi, s.n }
 
 // NewNodeServer builds a node server owning [lo, hi) of an n-node
@@ -128,7 +131,7 @@ func (s *NodeServer) ServeUntilTerm() error {
 // RunNodeWorker is the whole body of a spawned node-server worker
 // process: listen on listenAddr, announce the bound address as an
 // "ADDR host:port" line on out (orchestrators scan for it to collect
-// ephemeral ports), serve the node range [lo, hi) of an n-node
+// ephemeral ports), serve the wire slot range [lo, hi) of an n-node
 // cluster, and drain gracefully on SIGTERM before returning.
 func RunNodeWorker(n, lo, hi int, listenAddr string, out io.Writer) error {
 	return RunNodeWorkerWithReady(n, lo, hi, listenAddr, out, nil)
@@ -152,7 +155,7 @@ func RunNodeWorkerWithReady(n, lo, hi int, listenAddr string, out io.Writer, rea
 		ready(srv)
 	}
 	fmt.Fprintf(out, "ADDR %s\n", ln.Addr())
-	fmt.Fprintf(out, "serving nodes [%d,%d) of %d\n", lo, hi, n)
+	fmt.Fprintf(out, "serving wire slots [%d,%d) of %d\n", lo, hi, n)
 	return srv.ServeUntilTerm()
 }
 

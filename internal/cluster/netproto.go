@@ -9,10 +9,13 @@ import (
 )
 
 // The node protocol. A node process serves a contiguous range [lo, hi) of
-// graph nodes; the client-side NetTransport fans each match-making
-// operation out to the processes owning the involved nodes and keeps the
-// paper's pass accounting locally, so the wire moves state and never
-// charges costs (see internal/netwire for the frame and field layer).
+// wire slots: graph nodes numbered in the transport's placement, so
+// every node, addr and range a record below names is a slot, while an
+// entry's Addr stays a graph node, data the process never reads. The
+// client-side NetTransport fans each match-making operation out to the
+// processes owning the involved nodes and keeps the paper's pass
+// accounting locally, so the wire moves state and never charges costs
+// (see internal/netwire for the frame and field layer).
 //
 // One grammar: every request body is a sequence of records, all of one
 // kind, until the end of the body — a lone operation is a sequence of
@@ -247,10 +250,11 @@ func decodeEntryFor(d *netwire.Dec, port core.Port) core.Entry {
 	}
 }
 
-// PartitionRange returns the contiguous node range [lo, hi) that
+// PartitionRange returns the contiguous wire slot range [lo, hi) that
 // process i of procs owns in an n-node cluster — the node-shard layout
 // cmd/mmctl spawns and NewNetTransport verifies against each process's
-// opHello answer.
+// opHello answer. Which graph nodes the slots hold is the transport's
+// placement (strategy.Epoch.QueryOrder).
 func PartitionRange(n, procs, i int) (lo, hi int) {
 	return i * n / procs, (i + 1) * n / procs
 }

@@ -15,20 +15,26 @@ import (
 )
 
 // NetTransport is the socket backend: the coordinator over node
-// processes. The cluster's graph nodes are partitioned into contiguous
-// ranges, each range hosted by its own OS process (a NodeServer,
-// usually cmd/mmnode) reached over TCP with the internal/netwire
-// protocol. Rows and liveness records live in the node processes; the
-// wire substrate fans every row operation out to the owning processes
-// over pooled, pipelined connections, and the coordinator keeps the
-// paper's cost accounting locally — the same code MemTransport runs, so
-// the two backends give identical answers and identical pass counts on
-// a healthy cluster (pinned, operation by operation, by the net
+// processes. The cluster's graph nodes are numbered in wire slots, the
+// layout's query-local order (strategy.Epoch.QueryOrder), and the slots
+// are partitioned into contiguous ranges, each range hosted by its own
+// OS process (a NodeServer, usually cmd/mmnode) reached over TCP with
+// the internal/netwire protocol. At r = 1 each client's query set is one
+// block of slots, so a locate floods the one process hosting it (two
+// when a range boundary cuts the block) while a posting reaches every
+// process its posting set spans. Two transports over the same processes
+// must be built from the same layout to place nodes alike. Rows and
+// liveness records live in the node processes; the wire substrate fans
+// every row operation out to the owning processes over pooled,
+// pipelined connections, and the coordinator keeps the paper's cost
+// accounting locally — the same code MemTransport runs, so the two
+// backends give identical answers and identical pass counts on a
+// healthy cluster (pinned, operation by operation, by the net
 // equivalence tests).
 //
 // Partial failure is fail-silent, matching the crash model of the
 // in-memory path: a node process that dies (kill -9, crash, network
-// loss) makes its whole node range behave like crashed nodes — its
+// loss) makes every node it hosts behave like a crashed node — its
 // postings drop, its rendezvous caches stop answering (silent misses,
 // §1.5), and probes into it fail without an answer. The first observed
 // process death bumps every hint generation, so cached addresses
@@ -45,7 +51,7 @@ type NetTransport struct {
 
 // NewNetTransport connects to a running node-process cluster at addrs
 // (one address per process, in partition order) and verifies via the
-// hello handshake that the processes cover the n nodes of g in
+// hello handshake that the processes cover the n wire slots of g in
 // contiguous ranges. It serves strat at full, fixed membership; the
 // strategy's universe must match the graph.
 func NewNetTransport(g *graph.Graph, strat rendezvous.Strategy, addrs []string, opts NetOptions) (*NetTransport, error) {
@@ -74,7 +80,7 @@ func NewLayoutNetTransport(g *graph.Graph, lay Layout, addrs []string, opts NetO
 	if err != nil {
 		return nil, err
 	}
-	ws, err := dialWireSubstrate(addrs, g.N(), opts, c.procDown)
+	ws, err := dialWireSubstrate(addrs, lay.Epoch.QueryOrder(), opts, c.procDown)
 	if err != nil {
 		return nil, err
 	}
@@ -146,7 +152,7 @@ func (t *NetTransport) Rescale(newAddrs []string) error {
 	lost := transferPartitions(old, nps)
 	ws.procs.Store(nps)
 	for _, r := range lost {
-		t.repairRange(r[0], r[1])
+		t.repairRange(ws.hosts(r[0], r[1]))
 	}
 	t.lifeMu.Unlock()
 	t.gens.bumpAll()
@@ -174,7 +180,7 @@ type NetOptions struct {
 	// process observed dead answers again (it was restarted with its
 	// volatile stores lost), every live registration is re-posted and
 	// re-registered so the replication factor — and probe liveness — of
-	// the recovered node range is restored. Repair traffic is charged
+	// the recovered process's nodes is restored. Repair traffic is charged
 	// like any other posting (the paper's §5 "services regularly poll
 	// their rendezvous nodes" maintenance), so leave it zero (disabled)
 	// when pinning pass-accounting equivalence against another
@@ -217,8 +223,14 @@ type wireSubstrate struct {
 	rescaleMu sync.Mutex
 	opts      NetOptions
 
+	// slot numbers the graph's nodes on the wire (node → slot) and node
+	// is its inverse, the layout's QueryOrder: every process range,
+	// record, snapshot and digest is in slots, so a process hosts whole
+	// query sets (see at).
+	slot, node []graph.NodeID
+
 	// down reports the first failed call against a process after a
-	// healthy period, with the node range it owned.
+	// healthy period, with the wire slot range it owned.
 	down func(lo, hi int)
 
 	// Repair loop state (see startRepair), stopped by close.
@@ -237,11 +249,16 @@ type wireSubstrate struct {
 	scratch sync.Pool // *netScratch
 }
 
-// dialWireSubstrate connects to the node processes (see dialProcSet).
-func dialWireSubstrate(addrs []string, n int, opts NetOptions, down func(lo, hi int)) (*wireSubstrate, error) {
+// dialWireSubstrate connects to the node processes (see dialProcSet),
+// placing node order[s] at wire slot s.
+func dialWireSubstrate(addrs []string, order []graph.NodeID, opts NetOptions, down func(lo, hi int)) (*wireSubstrate, error) {
 	ws := &wireSubstrate{opts: opts, down: down, stopRepair: make(chan struct{})}
+	ws.slot, ws.node = make([]graph.NodeID, len(order)), order
+	for s, v := range order {
+		ws.slot[v] = graph.NodeID(s)
+	}
 	ws.scratch.New = func() any { return &netScratch{} }
-	ps, err := dialProcSet(addrs, n, opts, &ws.wire)
+	ps, err := dialProcSet(addrs, len(order), opts, &ws.wire)
 	if err != nil {
 		return nil, err
 	}
@@ -250,6 +267,18 @@ func dialWireSubstrate(addrs []string, n int, opts NetOptions, down func(lo, hi 
 }
 
 func (ws *wireSubstrate) kind() string { return "net" }
+
+// at returns node v's wire slot and the process of ps hosting it: the
+// one place a node id becomes a wire id.
+func (ws *wireSubstrate) at(ps *procSet, v graph.NodeID) (graph.NodeID, int) {
+	s := ws.slot[v]
+	return s, ps.ownerOf[s]
+}
+
+// hosts reports whether a node sits in wire slots [lo, hi).
+func (ws *wireSubstrate) hosts(lo, hi int) func(graph.NodeID) bool {
+	return func(v graph.NodeID) bool { return int(ws.slot[v]) >= lo && int(ws.slot[v]) < hi }
+}
 
 // close stops the repair loop and closes the connection pools. The node
 // processes keep running — their lifecycle belongs to cmd/mmctl (or
@@ -328,11 +357,11 @@ func (ws *wireSubstrate) noteProcDown(ps *procSet, p int) {
 // hellos each node process (detecting deaths that no foreground traffic
 // has tripped over yet), and when a process that was observed dead
 // answers again — a restart, with the rows and liveness records of its
-// node range lost — it calls repair with that range, which re-registers
-// every live server homed in it and re-posts every live server whose
-// posting set touches it, restoring the replication factor the crash
-// ate.
-func (ws *wireSubstrate) startRepair(interval time.Duration, repair func(lo, hi int)) {
+// slot range lost — it calls repair with that range and the nodes it
+// hosts, which re-registers every live server homed there and re-posts
+// every live server whose posting set touches them, restoring the
+// replication factor the crash ate.
+func (ws *wireSubstrate) startRepair(interval time.Duration, repair func(lo, hi int, in func(graph.NodeID) bool)) {
 	ws.repairWG.Add(1)
 	go func() {
 		defer ws.repairWG.Done()
@@ -351,8 +380,8 @@ func (ws *wireSubstrate) startRepair(interval time.Duration, repair func(lo, hi 
 				// The hello both probes health and, via callProc, flips
 				// the down/needRepair marks on a state change.
 				_, _, err := ws.callProc(ps, p, opHello, nil, nil)
-				if err == nil && ps.needRepair[p].Swap(false) {
-					repair(ps.ranges[p][0], ps.ranges[p][1])
+				if lo, hi := ps.ranges[p][0], ps.ranges[p][1]; err == nil && ps.needRepair[p].Swap(false) {
+					repair(lo, hi, ws.hosts(lo, hi))
 				}
 			}
 		}
@@ -403,8 +432,9 @@ func (ws *wireSubstrate) post(entries []core.Entry, rows []rowKey) {
 	ps := ws.procs.Load()
 	sc := ws.getScratch(len(ps.pools))
 	for _, r := range rows {
-		s := &sc.procs[ps.ownerOf[r.node]]
-		s.req = appendPosting(s.req, r.node, entries[r.req])
+		w, p := ws.at(ps, r.node)
+		s := &sc.procs[p]
+		s.req = appendPosting(s.req, w, entries[r.req])
 	}
 	ws.fanout(ps, sc, opPost)
 	ws.scratch.Put(sc)
@@ -420,7 +450,7 @@ func (ws *wireSubstrate) query(ps *procSet, sc *netScratch, fl *flood, op byte) 
 			req := fl.keys[lo].req
 			start := len(s.kidx)
 			for hi = lo; hi < len(fl.keys) && fl.keys[hi].req == req; hi++ {
-				if ps.ownerOf[fl.keys[hi].node] == p {
+				if _, q := ws.at(ps, fl.keys[hi].node); q == p {
 					s.kidx = append(s.kidx, int32(hi))
 				}
 			}
@@ -430,7 +460,8 @@ func (ws *wireSubstrate) query(ps *procSet, sc *netScratch, fl *flood, op byte) 
 			s.req = netwire.AppendString(s.req, string(fl.reqs[req].Port))
 			s.req = netwire.AppendUvarint(s.req, uint64(len(s.kidx)-start))
 			for _, i := range s.kidx[start:] {
-				s.req = netwire.AppendUvarint(s.req, uint64(fl.keys[i].node))
+				w, _ := ws.at(ps, fl.keys[i].node)
+				s.req = netwire.AppendUvarint(s.req, uint64(w))
 			}
 		}
 	}
@@ -528,10 +559,11 @@ func (ws *wireSubstrate) flushProbes(batch []*coalOp) {
 	ps := ws.procs.Load()
 	sc := ws.getScratch(len(ps.pools))
 	for i, op := range batch {
-		s := &sc.procs[ps.ownerOf[op.node]]
+		w, p := ws.at(ps, op.node)
+		s := &sc.procs[p]
 		s.kidx = append(s.kidx, int32(i))
 		s.req = netwire.AppendString(s.req, string(op.port))
-		s.req = netwire.AppendUvarint(s.req, uint64(op.node))
+		s.req = netwire.AppendUvarint(s.req, uint64(w))
 		s.req = netwire.AppendUvarint(s.req, op.id)
 	}
 	ws.fanout(ps, sc, opProbe)
@@ -561,12 +593,13 @@ func (ws *wireSubstrate) register(recs []liveReg) error {
 	sc := ws.getScratch(len(ps.pools))
 	defer ws.scratch.Put(sc)
 	for i, r := range recs {
-		if r.from != noNode && ps.ownerOf[r.from] != ps.ownerOf[r.node] {
+		w, p := ws.at(ps, r.node)
+		if r.from != noNode && ps.ownerOf[ws.slot[r.from]] != p {
 			ws.deregister(r.id, r.from)
 		}
-		s := &sc.procs[ps.ownerOf[r.node]]
+		s := &sc.procs[p]
 		s.kidx = append(s.kidx, int32(i))
-		s.req = appendLiveRec(s.req, r.id, r.port, r.node)
+		s.req = appendLiveRec(s.req, r.id, r.port, w)
 	}
 	ws.fanout(ps, sc, opRegister)
 	var err error
@@ -598,7 +631,8 @@ func (ws *wireSubstrate) deregister(id uint64, node graph.NodeID) {
 	defer netwire.PutBuf(buf)
 	req := netwire.AppendUvarint(*buf, id)
 	*buf = req
-	_, _, _ = ws.callProc(ps, ps.ownerOf[node], opDeregister, req, nil)
+	_, p := ws.at(ps, node)
+	_, _, _ = ws.callProc(ps, p, opDeregister, req, nil)
 }
 
 // crash and restore deliver the mark to node's owner, which clears the
@@ -610,23 +644,25 @@ func (ws *wireSubstrate) restore(node graph.NodeID) { ws.mark(node, opRestore) }
 
 func (ws *wireSubstrate) mark(node graph.NodeID, op byte) {
 	ps := ws.procs.Load()
-	_, _, _ = ws.callProc(ps, ps.ownerOf[node], op, netwire.AppendUvarint(nil, uint64(node)), nil)
+	w, p := ws.at(ps, node)
+	_, _, _ = ws.callProc(ps, p, op, netwire.AppendUvarint(nil, uint64(w)), nil)
 }
 
 func (ws *wireSubstrate) expire(rows []rowID) {
 	ps := ws.procs.Load()
 	sc := ws.getScratch(len(ps.pools))
 	for _, r := range rows {
-		s := &sc.procs[ps.ownerOf[r.node]]
-		s.req = appendRowID(s.req, r)
+		var p int
+		r.node, p = ws.at(ps, r.node)
+		sc.procs[p].req = appendRowID(sc.procs[p].req, r)
 	}
 	ws.fanout(ps, sc, opExpire)
 	ws.scratch.Put(sc)
 }
 
 // digests is one opDigest per live node process, summarizing every
-// owned row in a single round trip; a dead process is a crashed range
-// the repair loop handles, so its nodes stay unread.
+// owned row in a single round trip, slot by slot; a dead process is a
+// crashed range the repair loop handles, so its nodes stay unread.
 func (ws *wireSubstrate) digests(dg []uint64, ok []bool) {
 	ps := ws.procs.Load()
 	for p := range ps.pools {
@@ -639,7 +675,7 @@ func (ws *wireSubstrate) digests(dg []uint64, ok []bool) {
 			continue
 		}
 		d := netwire.NewDec(body)
-		for v := lo; v < hi; v++ {
+		for _, v := range ws.node[lo:hi] {
 			dg[v] = d.Uvarint()
 			ok[v] = d.Err() == nil
 		}
@@ -652,7 +688,8 @@ func (ws *wireSubstrate) dump(nodes []graph.NodeID) map[graph.NodeID][]core.Entr
 	ps := ws.procs.Load()
 	out := make(map[graph.NodeID][]core.Entry, len(nodes))
 	for _, v := range nodes {
-		st, body, err := ws.callProc(ps, ps.ownerOf[v], opSnapshot, rangeReq(int(v), int(v)+1), nil)
+		w, p := ws.at(ps, v)
+		st, body, err := ws.callProc(ps, p, opSnapshot, rangeReq(int(w), int(w)+1), nil)
 		if err != nil || st != stOK {
 			continue
 		}
@@ -687,11 +724,12 @@ func (ws *wireSubstrate) corrupt(plan []corruptOp) (err error) {
 		}
 		for hi = lo; hi < len(plan) && plan[hi].drop == plan[lo].drop; hi++ {
 			c := plan[hi]
-			s := &sc.procs[ps.ownerOf[c.node]]
+			w, p := ws.at(ps, c.node)
+			s := &sc.procs[p]
 			if c.drop {
-				s.req = appendRowID(s.req, rowID{node: c.node, port: c.port, id: c.id})
+				s.req = appendRowID(s.req, rowID{node: w, port: c.port, id: c.id})
 			} else {
-				s.req = appendPosting(s.req, c.node, c.e)
+				s.req = appendPosting(s.req, w, c.e)
 			}
 		}
 		ws.fanout(ps, sc, op)
@@ -712,7 +750,9 @@ func (ws *wireSubstrate) arm(plan []forgeOp) (err error) {
 	ps := ws.procs.Load()
 	reqs := make([][]byte, len(ps.pools))
 	for _, op := range plan {
-		reqs[ps.ownerOf[op.node]] = appendForgeOp(reqs[ps.ownerOf[op.node]], op)
+		var p int
+		op.node, p = ws.at(ps, op.node)
+		reqs[p] = appendForgeOp(reqs[p], op)
 	}
 	for p, req := range reqs {
 		if _, _, e := ws.callProc(ps, p, opArm, req, nil); e != nil && err == nil {
@@ -723,7 +763,7 @@ func (ws *wireSubstrate) arm(plan []forgeOp) (err error) {
 }
 
 // procSet is one immutable node-process partition of a NetTransport:
-// the dialed connection pools, the node→process ownership derived from
+// the dialed connection pools, the slot→process ownership derived from
 // the hello handshake, and the per-process health marks. Rescale swaps
 // the whole set atomically; operations capture one snapshot and use it
 // throughout, so a concurrent repartition can at worst make their
@@ -732,8 +772,8 @@ func (ws *wireSubstrate) arm(plan []forgeOp) (err error) {
 type procSet struct {
 	addrs      []string
 	pools      []*netwire.Pool
-	ownerOf    []int         // node -> owning process index
-	ranges     [][2]int      // process index -> owned [lo, hi)
+	ownerOf    []int         // wire slot -> owning process index
+	ranges     [][2]int      // process index -> owned wire slots [lo, hi)
 	downP      []atomic.Bool // observed-dead processes (sticky until a call succeeds)
 	needRepair []atomic.Bool // process observed dead since its last repair
 }
@@ -778,7 +818,8 @@ func (ps *procSet) own(i, lo, hi, next int) error {
 }
 
 // dialProcSet dials pools for addrs and verifies via the hello
-// handshake that the processes cover the n nodes in contiguous ranges.
+// handshake that the processes cover the n wire slots in contiguous
+// ranges.
 // On any failure every pool is closed.
 func dialProcSet(addrs []string, n int, opts NetOptions, ctr *netwire.Counters) (*procSet, error) {
 	if len(addrs) == 0 {
@@ -799,7 +840,7 @@ func (ps *procSet) close() {
 	}
 }
 
-// handshake hellos every node process and builds the node→process
+// handshake hellos every node process and builds the slot→process
 // ownership table, demanding contiguous ranges that cover [0, n).
 func (ps *procSet) handshake(n int) error {
 	next := 0
@@ -831,7 +872,7 @@ func (ps *procSet) handshake(n int) error {
 }
 
 // DonorProc names one old-set process for TransferPartitions: its
-// address and the node range [Lo, Hi) it owned. The range comes from
+// address and the wire slot range [Lo, Hi) it owned. The range comes from
 // the caller's records (mmctl's state file) rather than a hello
 // handshake, so a donor that is already dead still has a well-defined
 // range to report as lost.
@@ -846,7 +887,7 @@ type DonorProc struct {
 // standalone by orchestrators (mmctl scale) before they drain the old
 // workers. It moves state, not match-making traffic, so nothing is
 // charged. Unreachable donors are tolerated — including donors dead
-// before the transfer starts: the node ranges whose state could not
+// before the transfer starts: the wire slot ranges whose state could not
 // be copied are returned, for the consuming transports' repair loops
 // to rebuild by re-posting.
 func TransferPartitions(old []DonorProc, newAddrs []string, n int, opts NetOptions) ([][2]int, error) {

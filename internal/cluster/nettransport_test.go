@@ -123,8 +123,10 @@ func TestNetTransportKillDash9(t *testing.T) {
 	}
 	defer netT.Close()
 
-	// Two services: one whose server node lives on the doomed middle
-	// process ([12,24)), one on the surviving first process.
+	// Two services, both homed on the doomed middle process: it hosts
+	// wire slots [12,24), query columns 2 and 3, so nodes 15 and 3. A
+	// locate reads rows, not liveness records, so "alive" keeps
+	// resolving from the surviving processes; "doomed" is probed.
 	if _, err := netT.Register("doomed", 15); err != nil {
 		t.Fatal(err)
 	}

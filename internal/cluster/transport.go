@@ -17,7 +17,7 @@
 // fallthrough, migration, repair — and the substrate only holds rows: in
 // a sharded in-memory store; in OS processes (NodeServer, usually
 // cmd/mmnode) speaking a compact length-prefixed binary protocol over TCP
-// (internal/netwire) — kill -9 a process and its node range fails
+// (internal/netwire) — kill -9 a process and the nodes it hosts fail
 // silently, like crashed nodes in the paper's model; or behind the
 // internal/sim store-and-forward network, where every posting, read and
 // probe is a message routed hop by hop and the network's own hop count

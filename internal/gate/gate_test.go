@@ -519,7 +519,9 @@ func TestWatchDeliversProcDownAfterKill9(t *testing.T) {
 	}
 
 	// kill -9 the last node-shard process, then keep the gateway busy
-	// with locates so the transport's down-detection trips.
+	// with locates so the transport's down-detection trips. A locate
+	// floods only the processes hosting its client's query set, so the
+	// clients are the last four, whose query columns reach the victim.
 	victim := procs - 1
 	lo, hi := cluster.PartitionRange(n, procs, victim)
 	if err := cmds[victim].Process.Kill(); err != nil {
@@ -534,7 +536,7 @@ func TestWatchDeliversProcDownAfterKill9(t *testing.T) {
 			default:
 			}
 			for p := 0; p < 4; p++ {
-				_, _ = gt.Locate(graph.NodeID(p%n), core.Port(fmt.Sprintf("svc-%d", p)))
+				_, _ = gt.Locate(graph.NodeID(n-1-p), core.Port(fmt.Sprintf("svc-%d", p)))
 			}
 		}
 	}()

@@ -135,8 +135,8 @@ func (g *Gateway) writeMetrics(w io.Writer) {
 }
 
 // NodeMetricsHandler serves a node-shard worker's counters in
-// Prometheus text form: per-opcode request counts and the node range
-// the process owns. Mount it on mmnode's -metrics listener.
+// Prometheus text form: per-opcode request counts and the wire slot
+// range the process owns. Mount it on mmnode's -metrics listener.
 func NodeMetricsHandler(srv *cluster.NodeServer) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

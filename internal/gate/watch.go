@@ -15,7 +15,7 @@ import (
 // delivered only to the owning tenant; infrastructure events (crash,
 // restore, proc-down, proc-up, epoch) are broadcast to every tenant —
 // a kill -9'd node-shard process shows up on every watcher as a
-// proc-down with the node range it served.
+// proc-down with the wire slot range it served.
 type WatchEvent struct {
 	// Seq is the hub-wide sequence number; gaps on a single watch
 	// stream mean events were dropped (slow consumer) or scoped to
@@ -29,8 +29,8 @@ type WatchEvent struct {
 	// Node is the node involved (server's node, or the crashed/restored
 	// node).
 	Node int64 `json:"node"`
-	// Lo and Hi delimit the node range [Lo, Hi) of a proc-down/proc-up
-	// event.
+	// Lo and Hi delimit the wire slot range [Lo, Hi) of a
+	// proc-down/proc-up event.
 	Lo int `json:"lo"`
 	Hi int `json:"hi"`
 	// Epoch is the new epoch number of an epoch event.

@@ -139,6 +139,38 @@ func (ep *Epoch) QuerySet(j graph.NodeID, family int) []graph.NodeID {
 	return ep.base.Query(j)
 }
 
+// QueryOrder numbers the universe's nodes so that each client's
+// family-0 query set sits in as few contiguous blocks as it can — the
+// order a wire transport lays node processes out in, so a locate flood
+// reaches one process rather than every process its query set spans. It
+// walks the clients in id order and appends each node of a client's
+// query set the first time that node appears; nodes no query set names
+// follow in id order. For a checkerboard that is column-major order. A
+// replicated epoch keeps the identity order, the same walk with no
+// clients: its families stay independent only across contiguous id
+// ranges no wider than n/r (see Replicated), and a query-local order
+// would put every family's meeting node for a pair into one block. The
+// result is a permutation of [0, Universe()) and a pure function of the
+// epoch's geometry.
+func (ep *Epoch) QueryOrder() []graph.NodeID {
+	order, seen := make([]graph.NodeID, 0, ep.universe), make([]bool, ep.universe)
+	add := func(v graph.NodeID) {
+		if !seen[v] {
+			seen[v] = true
+			order = append(order, v)
+		}
+	}
+	for j := 0; ep.rp == nil && j < ep.Active(); j++ {
+		for _, v := range ep.base.Query(graph.NodeID(j)) {
+			add(v)
+		}
+	}
+	for v := range ep.universe {
+		add(graph.NodeID(v))
+	}
+	return order
+}
+
 // InPost reports whether v belongs to family k's posting set of a
 // server at node i — the family-scoping predicate of epoch-versioned
 // reads: a family-k query flood of this epoch only accepts an entry

@@ -182,3 +182,51 @@ func TestRemapUnionPostsForReplicatedEpochs(t *testing.T) {
 		}
 	}
 }
+
+// TestQueryOrder pins the wire placement's order: a permutation of the
+// universe; column-major on a checkerboard, so each client's query
+// column is one contiguous block; members before the idle tail on an
+// elastic epoch; and the identity at r > 1.
+func TestQueryOrder(t *testing.T) {
+	ep, err := NewEpoch(1, 64, rendezvous.Checkerboard(64), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	order := ep.QueryOrder()
+	for s, v := range order {
+		if want := graph.NodeID(s%8*8 + s/8); v != want {
+			t.Fatalf("slot %d holds node %d, want %d (column-major)", s, v, want)
+		}
+	}
+	slot := make(map[graph.NodeID]int, len(order))
+	for s, v := range order {
+		slot[v] = s
+	}
+	for j := range 64 {
+		q := ep.QuerySet(graph.NodeID(j), 0)
+		lo, hi := 64, -1
+		for _, v := range q {
+			lo, hi = min(lo, slot[v]), max(hi, slot[v])
+		}
+		if hi-lo+1 != len(q) {
+			t.Fatalf("client %d's query set spans slots [%d,%d], not one block of %d", j, lo, hi, len(q))
+		}
+	}
+	el, err := NewEpoch(1, 40, rendezvous.Checkerboard(36), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	order = el.QueryOrder()
+	if len(order) != 40 || order[1] != 6 || order[35] != 35 || order[39] != 39 {
+		t.Fatalf("elastic order = %v, want the 36 members column-major, then 36..39", order)
+	}
+	rp, err := NewEpoch(1, 64, rendezvous.Checkerboard(64), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s, v := range rp.QueryOrder() {
+		if int(v) != s {
+			t.Fatalf("replicated order moves node %d to slot %d, want the identity", v, s)
+		}
+	}
+}

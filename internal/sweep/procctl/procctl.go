@@ -31,7 +31,7 @@ import (
 type Proc struct {
 	// Index is the worker's slot in the standard partition; Pid its
 	// process id; Addr the TCP address it announced; Lo and Hi the
-	// owned node range [Lo, Hi).
+	// owned wire slot range [Lo, Hi).
 	Index int    `json:"index"`
 	Pid   int    `json:"pid"`
 	Addr  string `json:"addr"`
