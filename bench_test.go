@@ -61,33 +61,29 @@ func BenchmarkE18Families(b *testing.B)      { benchExperiment(b, "E18") }
 // paper's cost measure (message passes) per operation.
 
 func benchLocate(b *testing.B, g *graph.Graph, strat rendezvous.Strategy) {
-	net, err := sim.New(g)
+	tr, err := cluster.NewSimTransport(g, strat)
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer net.Close()
-	sys, err := core.NewSystem(net, strat, core.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
+	defer tr.Close()
 	server := graph.NodeID(g.N() / 3)
-	if _, err := sys.RegisterServer("bench", server); err != nil {
+	if _, err := tr.Register("bench", server); err != nil {
 		b.Fatal(err)
 	}
 	clients := make([]graph.NodeID, 16)
 	for i := range clients {
 		clients[i] = graph.NodeID((i * 7919) % g.N())
 	}
-	net.ResetCounters()
+	before := tr.Hops()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.Locate(clients[i%len(clients)], "bench"); err != nil {
+		if _, err := tr.Locate(clients[i%len(clients)], "bench"); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(net.Hops())/float64(b.N), "hops/op")
+	b.ReportMetric(float64(tr.Hops()-before)/float64(b.N), "hops/op")
 	b.ReportMetric(2*math.Sqrt(float64(g.N())), "2√n")
 }
 
@@ -617,20 +613,16 @@ func BenchmarkAblationPostMulticastVsUnicast(b *testing.B) {
 func BenchmarkAblationRedundancy(b *testing.B) {
 	for _, r := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("r=%d", r), func(b *testing.B) {
-			net, err := sim.New(topology.Complete(64))
+			tr, err := cluster.NewSimTransport(topology.Complete(64), rendezvous.RedundantCheckerboard(64, r))
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer net.Close()
-			sys, err := core.NewSystem(net, rendezvous.RedundantCheckerboard(64, r), core.Options{})
+			defer tr.Close()
+			srv, err := tr.Register("bench", 9)
 			if err != nil {
 				b.Fatal(err)
 			}
-			srv, err := sys.RegisterServer("bench", 9)
-			if err != nil {
-				b.Fatal(err)
-			}
-			net.ResetCounters()
+			before := tr.Hops()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := srv.Repost(); err != nil {
@@ -638,7 +630,7 @@ func BenchmarkAblationRedundancy(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			b.ReportMetric(float64(net.Hops())/float64(b.N), "hops/op")
+			b.ReportMetric(float64(tr.Hops()-before)/float64(b.N), "hops/op")
 		})
 	}
 }

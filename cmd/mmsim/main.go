@@ -18,10 +18,10 @@ import (
 	"math/rand/v2"
 	"os"
 
+	"matchmake/internal/cluster"
 	"matchmake/internal/core"
 	"matchmake/internal/graph"
 	"matchmake/internal/rendezvous"
-	"matchmake/internal/sim"
 	"matchmake/internal/stats"
 	"matchmake/internal/strategy"
 	"matchmake/internal/topology"
@@ -44,7 +44,7 @@ func run(args []string) error {
 		n       = fs.Int("n", 64, "node count (ring/complete/random)")
 		servers = fs.Int("servers", 3, "number of servers to register")
 		locates = fs.Int("locates", 50, "number of client locates")
-		crash   = fs.Int("crash", 0, "random nodes to crash before locating")
+		crash   = fs.Int("crash", 0, "random nodes to crash before locating (a crashed node loses its cache and stops answering; routes through it still deliver)")
 		seed    = fs.Uint64("seed", 1, "random seed")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -58,30 +58,26 @@ func run(args []string) error {
 	fmt.Printf("network %s: %d nodes, %d edges; strategy %s\n",
 		g.Name(), g.N(), g.M(), strat.Name())
 
-	net, err := sim.New(g)
+	tr, err := cluster.NewSimTransport(g, strat)
 	if err != nil {
 		return err
 	}
-	defer net.Close()
-	sys, err := core.NewSystem(net, strat, core.Options{})
-	if err != nil {
-		return err
-	}
+	defer tr.Close()
 
 	rng := rand.New(rand.NewPCG(*seed, *seed^0xa54ff53a5f1d36f1))
 	for i := 0; i < *servers; i++ {
 		node := graph.NodeID(rng.IntN(g.N()))
 		port := core.Port(fmt.Sprintf("svc-%d", i))
-		net.ResetCounters()
-		if _, err := sys.RegisterServer(port, node); err != nil {
+		before := tr.Hops()
+		if _, err := tr.Register(port, node); err != nil {
 			return fmt.Errorf("register %s: %w", port, err)
 		}
-		fmt.Printf("  server %-7s at node %-4d post hops %d\n", port, node, net.Hops())
+		fmt.Printf("  server %-7s at node %-4d post hops %d\n", port, node, tr.Hops()-before)
 	}
 
 	for c := 0; c < *crash; c++ {
 		v := graph.NodeID(rng.IntN(g.N()))
-		if err := net.Crash(v); err != nil {
+		if err := tr.Crash(v); err != nil {
 			return err
 		}
 		fmt.Printf("  crashed node %d\n", v)
@@ -90,22 +86,25 @@ func run(args []string) error {
 	var hops []float64
 	found := 0
 	for i := 0; i < *locates; i++ {
+		// A crashed client's locate fails: it counts as attempted, not
+		// found.
 		client := graph.NodeID(rng.IntN(g.N()))
-		if net.Crashed(client) {
-			continue
-		}
 		port := core.Port(fmt.Sprintf("svc-%d", rng.IntN(*servers)))
-		net.ResetCounters()
-		if _, err := sys.Locate(client, port); err == nil {
+		before := tr.Hops()
+		if _, err := tr.Locate(client, port); err == nil {
 			found++
-			hops = append(hops, float64(net.Hops()))
+			hops = append(hops, float64(tr.Hops()-before))
 		}
 	}
 	sum := stats.Summarize(hops)
 	fmt.Printf("locates: %d attempted, %d found\n", *locates, found)
 	fmt.Printf("hops/locate: mean %.1f  p50 %.1f  p95 %.1f  max %.0f  (2√n = %.1f)\n",
 		sum.Mean, sum.P50, sum.P95, sum.Max, 2*math.Sqrt(float64(g.N())))
-	fmt.Printf("max cache: %d entries\n", stats.MaxInts(sys.CacheSizes()))
+	maxCache := 0
+	for v := range g.N() {
+		maxCache = max(maxCache, tr.Store().NodeSize(graph.NodeID(v)))
+	}
+	fmt.Printf("max cache: %d entries\n", maxCache)
 	return nil
 }
 

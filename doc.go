@@ -18,15 +18,17 @@
 //   - internal/graph, internal/topology, internal/sim — substrates
 //   - internal/rendezvous — §2 theory (strategies, matrix, bounds)
 //   - internal/strategy — §3 topology-aware P/Q functions
-//   - internal/core — Shotgun Locate (the paper's main contribution)
+//   - internal/core — the names Shotgun Locate's layers share (ports,
+//     postings, errors); the engine itself is internal/cluster's
+//     coordinator, which the experiments run over the simulator
 //   - internal/hashlocate, internal/lighthouse — §5 and §4 variants
 //   - internal/service — the Amoeba-style service model of §1.3
-//   - internal/cluster — sharded match-making service layer: a Transport
-//     seam with the paper-exact simulator on one side and, on the other,
-//     one coordinator (the model and its pass accounting, written once)
-//     over a row substrate — an in-process sharded store (MemTransport)
-//     or a real-socket multi-process cluster of NodeServer processes
-//     (NetTransport) — probe-validated address hints with a
+//   - internal/cluster — Shotgun Locate (the paper's main contribution)
+//     and the sharded match-making service layer: one coordinator (the
+//     model and its pass accounting, written once) over a row substrate
+//     — the hop-by-hop simulator (SimTransport), an in-process sharded
+//     store (MemTransport) or a real-socket multi-process cluster of
+//     NodeServer processes (NetTransport) — probe-validated address hints with a
 //     generation-based invalidation protocol, batched locate/post
 //     operations, a frequency-weighted hot-port strategy (E16/M3′
 //     live), r-fold replicated rendezvous with crash-tolerant replica

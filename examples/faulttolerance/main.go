@@ -9,7 +9,7 @@ import (
 	"fmt"
 	"log"
 
-	"matchmake/internal/core"
+	"matchmake/internal/cluster"
 	"matchmake/internal/graph"
 	"matchmake/internal/hashlocate"
 	"matchmake/internal/rendezvous"
@@ -29,19 +29,15 @@ func run() error {
 		r = 3 // tolerate f = 2 crashed rendezvous nodes
 	)
 	strat := rendezvous.RedundantCheckerboard(n, r)
-	net, err := sim.New(topology.Complete(n))
+	tr, err := cluster.NewSimTransport(topology.Complete(n), strat)
 	if err != nil {
 		return err
 	}
-	defer net.Close()
-	sys, err := core.NewSystem(net, strat, core.Options{})
-	if err != nil {
-		return err
-	}
+	defer tr.Close()
 
 	server := graph.NodeID(9)
 	client := graph.NodeID(54)
-	if _, err := sys.RegisterServer("ledger", server); err != nil {
+	if _, err := tr.Register("ledger", server); err != nil {
 		return err
 	}
 	meet := rendezvous.Intersect(strat.Post(server), strat.Query(client))
@@ -49,17 +45,17 @@ func run() error {
 		server, client, meet, r)
 
 	for i, victim := range meet {
-		res, err := sys.Locate(client, "ledger")
+		e, err := tr.Locate(client, "ledger")
 		if err != nil {
 			fmt.Printf("with %d/%d rendezvous crashed: locate FAILED (%v)\n", i, r, err)
 			break
 		}
-		fmt.Printf("with %d/%d rendezvous crashed: located at node %d\n", i, r, res.Addr)
-		if err := net.Crash(victim); err != nil {
+		fmt.Printf("with %d/%d rendezvous crashed: located at node %d\n", i, r, e.Addr)
+		if err := tr.Crash(victim); err != nil {
 			return err
 		}
 	}
-	if _, err := sys.Locate(client, "ledger"); err != nil {
+	if _, err := tr.Locate(client, "ledger"); err != nil {
 		fmt.Printf("all %d rendezvous crashed: locate fails, as §2.4 predicts\n", r)
 	}
 

@@ -10,8 +10,8 @@ import (
 	"log"
 	"math"
 
-	"matchmake/internal/core"
-	"matchmake/internal/sim"
+	"matchmake/internal/cluster"
+	"matchmake/internal/graph"
 	"matchmake/internal/strategy"
 	"matchmake/internal/topology"
 )
@@ -28,18 +28,14 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	net, err := sim.New(gr.G)
+	tr, err := cluster.NewSimTransport(gr.G, strategy.Manhattan(gr))
 	if err != nil {
 		return err
 	}
-	defer net.Close()
-	sys, err := core.NewSystem(net, strategy.Manhattan(gr), core.Options{})
-	if err != nil {
-		return err
-	}
+	defer tr.Close()
 
 	// The print server lives at (3, 7); its availability travels its row.
-	printServer, err := sys.RegisterServer("printer", gr.At(3, 7))
+	printServer, err := tr.Register("printer", gr.At(3, 7))
 	if err != nil {
 		return err
 	}
@@ -48,14 +44,14 @@ func run() error {
 	clients := [][2]int{{0, 0}, {11, 3}, {6, 10}}
 	for _, rc := range clients {
 		client := gr.At(rc[0], rc[1])
-		net.ResetCounters()
-		res, err := sys.Locate(client, "printer")
+		before := tr.Hops()
+		e, err := tr.Locate(client, "printer")
 		if err != nil {
 			return err
 		}
-		r, c := gr.RowCol(res.Addr)
+		r, c := gr.RowCol(e.Addr)
 		fmt.Printf("client (%2d,%2d): server at (%d,%d), rendezvous at crossing (3,%d); %2d hops (2√n = %.0f)\n",
-			rc[0], rc[1], r, c, rc[1], net.Hops(), 2*math.Sqrt(float64(side*side)))
+			rc[0], rc[1], r, c, rc[1], tr.Hops()-before, 2*math.Sqrt(float64(side*side)))
 	}
 
 	// The printer moves three times; every client keeps finding the
@@ -64,21 +60,19 @@ func run() error {
 		if err := printServer.Migrate(gr.At(move[0], move[1])); err != nil {
 			return err
 		}
-		res, err := sys.Locate(gr.At(11, 3), "printer")
+		e, err := tr.Locate(gr.At(11, 3), "printer")
 		if err != nil {
 			return err
 		}
-		r, c := gr.RowCol(res.Addr)
+		r, c := gr.RowCol(e.Addr)
 		fmt.Printf("after move to (%d,%d): located at (%d,%d)\n", move[0], move[1], r, c)
 	}
 
 	// Cache accounting: every node stores at most O(√n) entries (§3.1
 	// says caches of size O(q)).
 	maxCache := 0
-	for _, sz := range sys.CacheSizes() {
-		if sz > maxCache {
-			maxCache = sz
-		}
+	for v := range gr.G.N() {
+		maxCache = max(maxCache, tr.Store().NodeSize(graph.NodeID(v)))
 	}
 	fmt.Printf("largest cache after all traffic: %d entries (row length %d)\n", maxCache, side)
 	return nil

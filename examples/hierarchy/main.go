@@ -10,10 +10,8 @@ import (
 	"fmt"
 	"log"
 
-	"matchmake/internal/core"
 	"matchmake/internal/graph"
 	"matchmake/internal/service"
-	"matchmake/internal/sim"
 	"matchmake/internal/strategy"
 	"matchmake/internal/topology"
 )
@@ -30,19 +28,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	net, err := sim.New(h.G)
+	reg, err := service.NewRegistry(h.G, strategy.HierarchyGateways(h))
 	if err != nil {
 		return err
 	}
-	defer net.Close()
-	sys, err := core.NewSystem(net, strategy.HierarchyGateways(h), core.Options{})
-	if err != nil {
-		return err
-	}
-	reg, err := service.NewRegistry(sys)
-	if err != nil {
-		return err
-	}
+	defer reg.Close()
 	reg.InvokeRetries = 3
 
 	// Database service: a primary and a standby on different campuses.
@@ -80,7 +70,7 @@ func run() error {
 	// The primary database host crashes. The query server detects the
 	// failure, re-locates the service and reaches the standby: the error
 	// never reaches the human client.
-	if err := net.Crash(primary.Node()); err != nil {
+	if err := reg.Crash(primary.Node()); err != nil {
 		return err
 	}
 	fmt.Printf("crashed database primary at node %d\n", primary.Node())

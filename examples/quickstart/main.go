@@ -9,10 +9,9 @@ import (
 	"log"
 	"math"
 
-	"matchmake/internal/core"
+	"matchmake/internal/cluster"
 	"matchmake/internal/graph"
 	"matchmake/internal/rendezvous"
-	"matchmake/internal/sim"
 	"matchmake/internal/topology"
 )
 
@@ -26,23 +25,18 @@ func run() error {
 	const n = 64
 	// 1. A network: 64 processors, fully connected (the paper's
 	// topology-free setting).
-	net, err := sim.New(topology.Complete(n))
-	if err != nil {
-		return err
-	}
-	defer net.Close()
-
 	// 2. A strategy: the truly distributed checkerboard — every node
 	// serves as rendezvous for an equal share of (server, client) pairs
 	// and a match costs about 2√n messages.
 	strat := rendezvous.Checkerboard(n)
-	sys, err := core.NewSystem(net, strat, core.Options{})
+	tr, err := cluster.NewSimTransport(topology.Complete(n), strat)
 	if err != nil {
 		return err
 	}
+	defer tr.Close()
 
 	// 3. A server announces itself: (port, address) is posted at P(addr).
-	server, err := sys.RegisterServer("catering", 17)
+	server, err := tr.Register("catering", 17)
 	if err != nil {
 		return err
 	}
@@ -51,13 +45,13 @@ func run() error {
 
 	// 4. Clients locate the service by querying Q(client).
 	for _, client := range []graph.NodeID{3, 30, 60} {
-		net.ResetCounters()
-		res, err := sys.Locate(client, "catering")
+		before := tr.Hops()
+		e, err := tr.Locate(client, "catering")
 		if err != nil {
 			return err
 		}
 		fmt.Printf("client %-2d found it at node %d  (queried %d nodes, %d hops; 2√n = %.0f)\n",
-			client, res.Addr, res.QueriesSent, net.Hops(), 2*math.Sqrt(n))
+			client, e.Addr, len(strat.Query(client)), tr.Hops()-before, 2*math.Sqrt(n))
 	}
 
 	// 5. The server migrates; fresh postings supersede the stale address
@@ -65,10 +59,10 @@ func run() error {
 	if err := server.Migrate(42); err != nil {
 		return err
 	}
-	res, err := sys.Locate(3, "catering")
+	e, err := tr.Locate(3, "catering")
 	if err != nil {
 		return err
 	}
-	fmt.Printf("after migration, client 3 found it at node %d\n", res.Addr)
+	fmt.Printf("after migration, client 3 found it at node %d\n", e.Addr)
 	return nil
 }

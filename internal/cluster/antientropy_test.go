@@ -134,10 +134,7 @@ locate 0-35/3 alpha,beta,gamma`)
 // TestAntiEntropyBackgroundLoop checks the StartReconcile loop heals
 // corruption without explicit rounds and that Close stops it cleanly.
 func TestAntiEntropyBackgroundLoop(t *testing.T) {
-	memT, err := NewMemTransport(topology.Complete(16), rendezvous.Checkerboard(16), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	memT := must(NewMemTransport(topology.Complete(16), rendezvous.Checkerboard(16), 0))
 	defer memT.Close()
 	ref, err := memT.Register("alpha", 5)
 	if err != nil {

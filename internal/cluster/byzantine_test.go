@@ -151,10 +151,7 @@ func TestByzantineQuarantineLifecycle(t *testing.T) {
 // non-Byzantine or unreplicated transports.
 func TestByzantineVoteQuorumClamp(t *testing.T) {
 	const n = 36
-	tr, err := NewLayoutMemTransport(topology.Complete(n), fixedOf(t, mkReplicated(t, n, 2)), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := must(NewLayoutMemTransport(topology.Complete(n), fixedOf(t, mkReplicated(t, n, 2)), 0))
 	defer tr.Close()
 	if _, err := tr.PostBatch(byzRegs); err != nil {
 		t.Fatal(err)
@@ -169,10 +166,7 @@ func TestByzantineVoteQuorumClamp(t *testing.T) {
 	}
 
 	// Unreplicated: VoteQuorum is inert, locates run the plain path.
-	plain, err := NewMemTransport(topology.Complete(n), rendezvous.Checkerboard(n), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := must(NewMemTransport(topology.Complete(n), rendezvous.Checkerboard(n), 0))
 	defer plain.Close()
 	if _, err := plain.PostBatch(byzRegs); err != nil {
 		t.Fatal(err)

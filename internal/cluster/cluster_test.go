@@ -56,10 +56,7 @@ func (b *blockingTransport) Locate(client graph.NodeID, port core.Port) (core.En
 }
 
 func TestClusterCoalescing(t *testing.T) {
-	tr, err := NewMemTransport(topology.Complete(16), rendezvous.Checkerboard(16), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := must(NewMemTransport(topology.Complete(16), rendezvous.Checkerboard(16), 0))
 	bt := &blockingTransport{Transport: tr, gate: make(chan struct{})}
 	c := New(bt, Options{})
 	defer c.Close()
@@ -119,10 +116,7 @@ func TestInProcessLocatesChargePerCall(t *testing.T) {
 		workers = 8
 		rounds  = 200
 	)
-	gr, err := topology.NewGrid(4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	gr := must(topology.NewGrid(4, 4))
 	strat := strategy.Manhattan(gr)
 	pairs := []LocateReq{{Client: 0, Port: "svc-a"}, {Client: 5, Port: "svc-b"}, {Client: 10, Port: "svc-c"}, {Client: 15, Port: "svc-a"}}
 	homes := map[core.Port]graph.NodeID{"svc-a": 3, "svc-b": 12, "svc-c": 6}
@@ -168,22 +162,13 @@ func TestInProcessLocatesChargePerCall(t *testing.T) {
 		}
 		return tr.Passes()
 	}
-	memT, err := NewMemTransport(gr.G, strat, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	simT, err := NewSimTransport(gr.G, strat)
-	if err != nil {
-		t.Fatal(err)
-	}
+	memT := must(NewMemTransport(gr.G, strat, 0))
+	simT := must(NewSimTransport(gr.G, strat))
 	if m, s := run(memT), run(simT); m != s {
 		t.Errorf("mem charged %d passes, sim %d for the same calls", m, s)
 	}
 
-	wrapped, err := NewMemTransport(gr.G, strat, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wrapped := must(NewMemTransport(gr.G, strat, 0))
 	c := New(struct{ *MemTransport }{wrapped}, Options{})
 	defer c.Close()
 	if !c.opts.DisableCoalescing {
@@ -227,10 +212,7 @@ func TestClusterSubmit(t *testing.T) {
 }
 
 func TestClusterOverloadSheds(t *testing.T) {
-	tr, err := NewMemTransport(topology.Complete(16), rendezvous.Checkerboard(16), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := must(NewMemTransport(topology.Complete(16), rendezvous.Checkerboard(16), 0))
 	bt := &blockingTransport{Transport: tr, gate: make(chan struct{})}
 	c := New(bt, Options{Shards: 1, WorkersPerShard: 1, QueueDepth: 2, DisableCoalescing: true})
 	defer c.Close()
@@ -255,10 +237,7 @@ func TestClusterOverloadSheds(t *testing.T) {
 }
 
 func TestClusterClose(t *testing.T) {
-	tr, err := NewMemTransport(topology.Complete(16), rendezvous.Checkerboard(16), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := must(NewMemTransport(topology.Complete(16), rendezvous.Checkerboard(16), 0))
 	c := New(tr, Options{})
 	if _, err := c.Register("svc", 3); err != nil {
 		t.Fatal(err)
@@ -320,10 +299,7 @@ locate 0 mover`)
 // finish (or fail cleanly with ErrClosed), never panic into the closing
 // network.
 func TestClusterCloseDuringLocates(t *testing.T) {
-	tr, err := NewSimTransport(topology.Complete(16), rendezvous.Checkerboard(16))
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := must(NewSimTransport(topology.Complete(16), rendezvous.Checkerboard(16)))
 	c := New(tr, Options{})
 	if _, err := c.Register("svc", 5); err != nil {
 		t.Fatal(err)
@@ -357,6 +333,22 @@ func TestClusterSimTransport(t *testing.T) {
 	r := runHistory(t, "world complete 16\ncolumns model sim+cluster\npost-batch a@5 b@5 c@9 d@12\n"+sweeps+sweeps)
 	if m := r.cols[1].cl.Metrics(); m.Passes == 0 {
 		t.Fatal("sim transport charged no passes")
+	}
+	// §3.1's exact counts on a 5×5 Manhattan grid: a post floods its row
+	// (q−1 = 4 hops); a locate floods the client's column (p−1 = 4) and
+	// the crossing replies (2), each charge carried hop for hop.
+	gr := must(topology.NewGrid(5, 5))
+	tr := must(NewSimTransport(gr.G, strategy.Manhattan(gr)))
+	defer tr.Close()
+	for i, op := range []func() error{
+		func() error { _, err := tr.Register("s", gr.At(2, 2)); return err },
+		func() error { _, err := tr.Locate(gr.At(4, 0), "s"); return err },
+	} {
+		tr.ResetPasses()
+		hops := tr.Hops()
+		if err := op(); err != nil || tr.Passes() != []int64{4, 6}[i] || tr.Hops()-hops != tr.Passes() {
+			t.Errorf("op %d: charged %d passes, carried %d hops, %v; want %d", i, tr.Passes(), tr.Hops()-hops, err, []int64{4, 6}[i])
+		}
 	}
 }
 
@@ -470,10 +462,7 @@ func TestClusterCloseRacesCallers(t *testing.T) {
 		rounds = 40
 	}
 	for round := 0; round < rounds; round++ {
-		tr, err := NewMemTransport(topology.Complete(16), rendezvous.Checkerboard(16), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		tr := must(NewMemTransport(topology.Complete(16), rendezvous.Checkerboard(16), 0))
 		c := New(&closeWatchTransport{Transport: tr, t: t}, Options{Shards: 2, QueueDepth: 8})
 		if _, err := c.Register("svc", 5); err != nil {
 			t.Fatal(err)
@@ -552,10 +541,7 @@ func TestClusterCloseRacesCallers(t *testing.T) {
 // callers of one pair behind a blocked transport still share one flood.
 func TestFlightTableCollisionAndSharing(t *testing.T) {
 	const h = 7
-	tr, err := NewMemTransport(topology.Complete(16), rendezvous.Checkerboard(16), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := must(NewMemTransport(topology.Complete(16), rendezvous.Checkerboard(16), 0))
 	bt := &blockingTransport{Transport: tr, gate: make(chan struct{})}
 	c := New(bt, Options{})
 	defer c.Close()

@@ -553,8 +553,8 @@ func (c *coordinator) querySet(f family, what string, client graph.NodeID, port 
 
 // Locate implements Transport: it charges the query multicast flood,
 // reads every live rendezvous node's cache, charges each hit's reply
-// path, and returns the freshest active entry — the same winner the
-// engine picks among all of a flood's replies. On a replicated transport
+// path, and returns the freshest active entry among all of the flood's
+// answers (§1.5: the freshest posting wins). On a replicated transport
 // a rendezvous miss — crashed meeting nodes, a killed node process —
 // falls through the replica families in order, each attempt charged its
 // own flood.
@@ -1066,8 +1066,8 @@ func (s *server) Repost() error {
 // Migrate implements ServerRef: the liveness record moves first (so
 // probes at the old address answer negatively), then one multicast
 // carries the tombstone to the old posting set (the stale address must
-// lose) and a fresher posting to the new one. As in the engine, a
-// crashed old host cannot tombstone, but the fresh posting's newer
+// lose) and a fresher posting to the new one. A crashed old host
+// cannot tombstone, but the fresh posting's newer
 // timestamp still wins wherever both are seen. The port's hint
 // generation is bumped so cached addresses re-resolve.
 func (s *server) Migrate(to graph.NodeID) error {

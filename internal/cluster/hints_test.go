@@ -11,10 +11,7 @@ import (
 
 func newMemCluster(t *testing.T, n int, opts Options) (*Cluster, *MemTransport) {
 	t.Helper()
-	tr, err := NewMemTransport(topology.Complete(n), rendezvous.Checkerboard(n), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := must(NewMemTransport(topology.Complete(n), rendezvous.Checkerboard(n), 0))
 	c := New(tr, opts)
 	t.Cleanup(func() { c.Close() })
 	return c, tr

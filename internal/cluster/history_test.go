@@ -175,23 +175,40 @@ func atoi(tok string) int {
 }
 
 // buildWorld turns a world line into its graph and layout.
-func buildWorld(tok []string) (*graph.Graph, Layout, error) {
+func buildWorld(tok []string) (g *graph.Graph, lay Layout, err error) {
 	if len(tok) < 2 {
-		return nil, Layout{}, fmt.Errorf("world %v: want complete N or grid W H", tok)
+		return nil, Layout{}, fmt.Errorf("world %v: want complete N, grid W H or a §3 world", tok)
 	}
-	var (
-		g    *graph.Graph
-		base rendezvous.Strategy
-		opts = tok[2:]
-	)
-	if tok[0] == "grid" && len(tok) > 2 {
-		gr, err := topology.NewGrid(atoi(tok[1]), atoi(tok[2]))
-		if err != nil {
-			return nil, Layout{}, err
+	defer func() {
+		if p := recover(); p != nil {
+			g, err = nil, fmt.Errorf("world %v: %v", tok, p)
 		}
+	}()
+	var base rendezvous.Strategy
+	opts, k := tok[2:], atoi(tok[1])
+	switch tok[0] { // the §3 topologies with their strategies
+	case "grid":
+		gr := must(topology.NewGrid(k, atoi(tok[2])))
 		g, base, opts = gr.G, strategy.Manhattan(gr), tok[3:]
-	} else {
-		g = topology.Complete(atoi(tok[1]))
+	case "hypercube":
+		h := must(topology.NewHypercube(k))
+		g, base = h.G, must(strategy.HalfCube(h))
+	case "ccc":
+		c := must(topology.NewCCC(k))
+		g, base = c.G, strategy.CCCSplit(c)
+	case "plane":
+		p := must(topology.NewPlane(k))
+		g, base = p.G, strategy.PlaneLines(p)
+	case "hierarchy":
+		h := must(topology.NewHierarchy(k, k, k))
+		g, base = h.G, strategy.HierarchyGateways(h)
+	case "random":
+		g = must(topology.RandomConnected(k, k/2, 1))
+		base = must(strategy.NewDecomposition(g)).Strategy()
+	case "ring":
+		g, base = must(topology.Ring(k)), rendezvous.Checkerboard(k)
+	default:
+		g = topology.Complete(k)
 	}
 	r, active, elastic, weighted := 1, g.N(), false, false
 	for _, o := range opts {
@@ -213,19 +230,20 @@ func buildWorld(tok []string) (*graph.Graph, Layout, error) {
 		base = rendezvous.Checkerboard(active)
 	}
 	if weighted {
-		hot, err := strategy.PostHeavy(g.N(), strategy.AlphaQuerySize(g.N(), 16))
-		if err != nil {
-			return nil, Layout{}, err
-		}
-		w, err := strategy.NewWeighted(base, hot)
-		if err != nil {
-			return nil, Layout{}, err
-		}
-		lay, err := WeightedLayout(w)
+		hot := must(strategy.PostHeavy(g.N(), strategy.AlphaQuerySize(g.N(), 16)))
+		lay, err := WeightedLayout(must(strategy.NewWeighted(base, hot)))
 		return g, lay, err
 	}
 	ep, err := strategy.NewEpoch(1, g.N(), base, r)
 	return g, Layout{Epoch: ep, Elastic: elastic}, err
+}
+
+// must returns v, panicking on err: for setup that cannot fail.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }
 
 // system is what the runner drives: every transport, and the model.
@@ -506,7 +524,7 @@ func (r *runner) group(steps []step) {
 		got[ci] = make([][]call, len(steps))
 		before, hops := c.tr.Passes(), int64(0)
 		if st, ok := c.tr.(*SimTransport); ok {
-			hops = st.hops()
+			hops = st.Hops()
 		}
 		var wg sync.WaitGroup
 		fails := make([]any, len(steps))
@@ -530,7 +548,7 @@ func (r *runner) group(steps []step) {
 		}
 		sums[ci] = c.tr.Passes() - before
 		if st, ok := c.tr.(*SimTransport); ok {
-			if hops = st.hops() - hops; hops > sums[ci] || quiet && hops != sums[ci] {
+			if hops = st.Hops() - hops; hops > sums[ci] || quiet && hops != sums[ci] {
 				r.failf("%s charged %d passes, its network carried %d", c.name, sums[ci], hops)
 			}
 		}

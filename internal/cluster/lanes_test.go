@@ -30,14 +30,8 @@ func TestLaneAccountingExact(t *testing.T) {
 		clientsPer = 4
 	)
 	newCluster := func() (*Cluster, *MemTransport) {
-		gr, err := topology.NewGrid(8, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr, err := NewMemTransport(gr.G, strategy.Manhattan(gr), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		gr := must(topology.NewGrid(8, 8))
+		tr := must(NewMemTransport(gr.G, strategy.Manhattan(gr), 0))
 		return New(tr, Options{Hints: true, Shards: 2}), tr
 	}
 	conc, concTr := newCluster()

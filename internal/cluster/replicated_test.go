@@ -17,10 +17,7 @@ import (
 // mkReplicated builds the r-fold replicated checkerboard over n nodes.
 func mkReplicated(t *testing.T, n, r int) *strategy.Replicated {
 	t.Helper()
-	rp, err := strategy.NewReplicated(rendezvous.Checkerboard(n), r)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rp := must(strategy.NewReplicated(rendezvous.Checkerboard(n), r))
 	return rp
 }
 
@@ -28,10 +25,7 @@ func mkReplicated(t *testing.T, n, r int) *strategy.Replicated {
 // membership, rp.Replicas()-fold.
 func fixedOf(t testing.TB, rp *strategy.Replicated) Layout {
 	t.Helper()
-	lay, err := FixedLayout(rp.N(), rp.Base(), rp.Replicas())
-	if err != nil {
-		t.Fatal(err)
-	}
+	lay := must(FixedLayout(rp.N(), rp.Base(), rp.Replicas()))
 	return lay
 }
 
@@ -89,10 +83,7 @@ func TestReplicatedTransportErrors(t *testing.T) {
 		t.Fatal("nil Replicated accepted by sim")
 	}
 	rp := mkReplicated(t, 9, 2)
-	memT, err := NewLayoutMemTransport(topology.Complete(9), fixedOf(t, rp), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	memT := must(NewLayoutMemTransport(topology.Complete(9), fixedOf(t, rp), 0))
 	if _, err := memT.LocateReplica(0, "x", 2); err == nil || errors.Is(err, core.ErrNotFound) {
 		t.Fatalf("out-of-range replica: %v; want a range error", err)
 	}

@@ -64,8 +64,11 @@ func NewLayoutSimTransport(g *graph.Graph, lay Layout) (*SimTransport, error) {
 
 func (t *SimTransport) inProcess() {}
 
-// hops is the network's own count of the message passes taken so far.
-func (t *SimTransport) hops() int64 { return t.sim.net.Hops() }
+// Hops is the network's own count of the message passes taken so far.
+func (t *SimTransport) Hops() int64 { return t.sim.net.Hops() }
+
+// Store returns the node caches the simulated messages read and write.
+func (t *SimTransport) Store() *Store { return t.sim.store }
 
 // simSubstrate keeps its rows and liveness records in an embedded
 // memSubstrate, but reaches them only through the network: a post is a

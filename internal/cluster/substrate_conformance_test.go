@@ -21,14 +21,8 @@ import (
 func TestSubstrateConformance(t *testing.T) {
 	const n = 36
 	g := topology.Complete(n)
-	rp, err := strategy.NewReplicated(rendezvous.Checkerboard(n), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	memT, err := NewLayoutMemTransport(g, fixedOf(t, rp), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rp := must(strategy.NewReplicated(rendezvous.Checkerboard(n), 2))
+	memT := must(NewLayoutMemTransport(g, fixedOf(t, rp), 0))
 	defer memT.Close()
 	netT, err := NewLayoutNetTransport(g, fixedOf(t, rp), loopbackNodes(t, n, 3), NetOptions{})
 	if err != nil {

@@ -18,10 +18,7 @@ func newWeightedTransport(t *testing.T, n int) *MemTransport {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := NewLayoutMemTransport(g, lay, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := must(NewLayoutMemTransport(g, lay, 0))
 	return tr
 }
 
@@ -122,10 +119,7 @@ func TestWeightedClusterLoop(t *testing.T) {
 // plain MemTransport has the SetHotPorts method but no weighted
 // strategy, so ReclassifyHot must error rather than tick in vain.
 func TestReclassifyWithoutWeighted(t *testing.T) {
-	tr, err := NewMemTransport(topology.Complete(16), rendezvous.Checkerboard(16), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := must(NewMemTransport(topology.Complete(16), rendezvous.Checkerboard(16), 0))
 	c := New(tr, Options{HotPorts: 1, HotRefresh: time.Hour})
 	defer c.Close()
 	if err := c.ReclassifyHot(); err == nil {

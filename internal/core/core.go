@@ -1,25 +1,16 @@
-// Package core implements Shotgun Locate, the paper's primary
-// contribution: a distributed name server in which a server process with
-// port π at address A posts (π, A) at the nodes P(A), a client at address
-// B queries the nodes Q(B), and the nodes in P(A) ∩ Q(B) — the rendezvous
-// nodes — answer with the server's address.
-//
-// The engine runs over the message-passing simulator (internal/sim) with
-// any rendezvous.Strategy, maintains the per-node caches of §2.1
-// (timestamped entries, superseded by fresher posts, tombstoned on
-// deregistration), and supports the dynamic behaviours of §1.3: server
-// migration, crashes and re-registration.
+// Package core is the vocabulary of Shotgun Locate, the paper's primary
+// contribution: a server process with port π at address A posts (π, A)
+// at the nodes P(A), a client at address B queries the nodes Q(B), and
+// the nodes in P(A) ∩ Q(B) — the rendezvous nodes — answer with the
+// server's address. The engine that does it is the serving coordinator
+// in internal/cluster, over the simulator, in process or over sockets;
+// this package holds only the names every layer shares.
 package core
 
 import (
 	"errors"
-	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"matchmake/internal/graph"
-	"matchmake/internal/rendezvous"
-	"matchmake/internal/sim"
 )
 
 // Port uniquely names a service (§1.3: "a port uniquely names a service";
@@ -41,7 +32,7 @@ type Entry struct {
 	Active bool
 }
 
-// Errors returned by the engine.
+// Errors shared by every layer.
 var (
 	// ErrNotFound reports a locate whose flood ended with no rendezvous
 	// node answering with a live entry, or a probe answered negatively.
@@ -49,495 +40,3 @@ var (
 	// ErrServerGone reports an operation on a deregistered server.
 	ErrServerGone = errors.New("core: server deregistered")
 )
-
-// Options configure a System.
-type Options struct {
-	// CacheCapacity bounds each node cache (0 = unbounded, the paper's
-	// §2.1 assumption 3). When full, the stalest entry is discarded,
-	// which degrades Shotgun Locate toward Lighthouse Locate.
-	CacheCapacity int
-}
-
-// System is a running distributed name server over a network and a
-// strategy.
-type System struct {
-	net    *sim.Network
-	strat  rendezvous.Strategy
-	caches []*cache
-
-	clock    atomic.Uint64 // logical time for postings
-	serverID atomic.Uint64 // server instance identifiers
-	reqID    atomic.Uint64 // locate request identifiers
-
-	// pending collects, per flood in progress, the replies delivered at
-	// the client's node so far.
-	mu      sync.Mutex
-	pending map[uint64][]replyMsg
-
-	// srvMu guards servers, the live registration table probes consult:
-	// a probe delivered at node v answers from the registrations whose
-	// current address is v, the way a real host knows its own processes.
-	srvMu   sync.Mutex
-	servers map[uint64]*Server
-
-	postsSent   atomic.Int64 // posting messages addressed (Σ #P reached)
-	queriesSent atomic.Int64 // query messages addressed (Σ #Q reached)
-	repliesSent atomic.Int64 // rendezvous replies sent
-}
-
-// message payloads exchanged through the simulator.
-type (
-	postMsg struct {
-		entry Entry
-	}
-	queryMsg struct {
-		port   Port
-		client graph.NodeID
-		reqID  uint64
-		// all asks for every live instance, not just the freshest.
-		all bool
-	}
-	replyMsg struct {
-		reqID uint64
-		entry Entry
-		from  graph.NodeID // the rendezvous node that answered
-	}
-	// probeMsg asks the receiving node whether the server instance
-	// (port, serverID) currently resides there; it travels as a direct
-	// request/reply call, so a probe costs 2×Dist(client, addr) passes.
-	probeMsg struct {
-		port     Port
-		serverID uint64
-		// time echoes the prober's cached posting timestamp back in the
-		// confirmation, so a hint hit does not fabricate freshness.
-		time uint64
-	}
-	probeReply struct {
-		entry Entry
-		ok    bool
-	}
-)
-
-// NewSystem installs the name-server handlers on every node of net.
-// The strategy's universe must match the network size.
-func NewSystem(net *sim.Network, strat rendezvous.Strategy, opts Options) (*System, error) {
-	n := net.Graph().N()
-	if strat.N() != n {
-		return nil, fmt.Errorf("core: strategy universe %d != network size %d", strat.N(), n)
-	}
-	s := &System{
-		net:     net,
-		strat:   strat,
-		caches:  make([]*cache, n),
-		pending: make(map[uint64][]replyMsg),
-		servers: make(map[uint64]*Server),
-	}
-	for v := 0; v < n; v++ {
-		s.caches[v] = newCache(opts.CacheCapacity)
-		if err := net.SetHandler(graph.NodeID(v), s.HandleMessage); err != nil {
-			return nil, fmt.Errorf("core: install handler: %w", err)
-		}
-	}
-	return s, nil
-}
-
-// HandleMessage processes one delivered name-server message at a node.
-// It is exported so higher layers (e.g. the service model) can wrap the
-// per-node handler and delegate name-server traffic back to the system.
-func (s *System) HandleMessage(self graph.NodeID, msg sim.Message) {
-	switch m := msg.Payload.(type) {
-	case postMsg:
-		s.caches[self].put(m.entry)
-	case queryMsg:
-		if m.all {
-			for _, entry := range s.caches[self].getAll(m.port) {
-				s.repliesSent.Add(1)
-				_ = msg.Send(m.client, replyMsg{reqID: m.reqID, entry: entry, from: self})
-			}
-			return
-		}
-		entry, ok := s.caches[self].get(m.port)
-		if !ok {
-			return // misses are silent, as in §1.5
-		}
-		s.repliesSent.Add(1)
-		// Reply failures (crashed client, broken route) surface as one
-		// reply fewer at the client; nothing to handle here.
-		_ = msg.Send(m.client, replyMsg{reqID: m.reqID, entry: entry, from: self})
-	case replyMsg:
-		s.mu.Lock()
-		if rs, ok := s.pending[m.reqID]; ok {
-			s.pending[m.reqID] = append(rs, m)
-		}
-		s.mu.Unlock()
-	case probeMsg:
-		if !msg.CanReply() {
-			return
-		}
-		entry, ok := s.probeLocal(self, m)
-		_ = msg.Reply(probeReply{entry: entry, ok: ok})
-	}
-}
-
-// probeLocal answers a probe from the registration table: hit iff the
-// probed server instance is live and its current address is this node.
-func (s *System) probeLocal(self graph.NodeID, m probeMsg) (Entry, bool) {
-	s.srvMu.Lock()
-	srv := s.servers[m.serverID]
-	s.srvMu.Unlock()
-	if srv == nil || srv.port != m.port {
-		return Entry{}, false
-	}
-	srv.mu.Lock()
-	node, gone := srv.node, srv.gone
-	srv.mu.Unlock()
-	if gone || node != self {
-		return Entry{}, false
-	}
-	return Entry{Port: m.port, Addr: self, ServerID: m.serverID, Time: m.time, Active: true}, true
-}
-
-// Probe validates a previously located entry with one direct
-// request/reply to its address — the hint-validation message of the
-// serving layer's address cache. On a hit it returns a confirmed entry;
-// a live node that no longer hosts the instance answers negatively
-// (ErrNotFound), and a crashed or unreachable address fails with the
-// network's error. Cost: 2×Dist(client, e.Addr) passes on a hit or
-// negative answer, against a full P∩Q flood for a locate.
-func (s *System) Probe(client graph.NodeID, e Entry) (Entry, error) {
-	if !s.net.Graph().Valid(client) {
-		return Entry{}, fmt.Errorf("core: probe from %d: %w", client, graph.ErrNodeRange)
-	}
-	if !s.net.Graph().Valid(e.Addr) {
-		return Entry{}, fmt.Errorf("core: probe at %d: %w", e.Addr, graph.ErrNodeRange)
-	}
-	v, err := s.net.Call(client, e.Addr, probeMsg{port: e.Port, serverID: e.ServerID, time: e.Time})
-	if err != nil {
-		return Entry{}, fmt.Errorf("core: probe %q at %d: %w", e.Port, e.Addr, err)
-	}
-	r, ok := v.(probeReply)
-	if !ok || !r.ok {
-		return Entry{}, fmt.Errorf("core: probe %q at %d: %w", e.Port, e.Addr, ErrNotFound)
-	}
-	return r.entry, nil
-}
-
-// Server is a registered server process handle.
-type Server struct {
-	sys  *System
-	port Port
-	id   uint64
-
-	mu   sync.Mutex
-	node graph.NodeID
-	gone bool
-}
-
-// RegisterServer announces a server process for port at node: it posts
-// (port, address) to every node of P(node) along a spanning-tree
-// multicast, as the Server's Algorithm of §1.5 prescribes.
-func (s *System) RegisterServer(port Port, node graph.NodeID) (*Server, error) {
-	if !s.net.Graph().Valid(node) {
-		return nil, fmt.Errorf("core: register at %d: %w", node, graph.ErrNodeRange)
-	}
-	srv := &Server{sys: s, port: port, id: s.serverID.Add(1), node: node}
-	if err := s.post(srv, node, true); err != nil {
-		return nil, err
-	}
-	s.srvMu.Lock()
-	s.servers[srv.id] = srv
-	s.srvMu.Unlock()
-	return srv, nil
-}
-
-// post sends a posting (or tombstone) for srv from-and-about node to
-// P(node). The multicast is real; the network counts its hops.
-func (s *System) post(srv *Server, node graph.NodeID, active bool) error {
-	entry := Entry{
-		Port:     srv.port,
-		Addr:     node,
-		ServerID: srv.id,
-		Time:     s.clock.Add(1),
-		Active:   active,
-	}
-	reached, err := s.net.Flood(node, s.strat.Post(node), postMsg{entry: entry})
-	s.postsSent.Add(int64(reached))
-	if err != nil {
-		return fmt.Errorf("core: post %q from %d: %w", srv.port, node, err)
-	}
-	return nil
-}
-
-// Port returns the server's port.
-func (srv *Server) Port() Port { return srv.port }
-
-// ID returns the server's instance identifier — the ServerID its cached
-// entries carry.
-func (srv *Server) ID() uint64 { return srv.id }
-
-// Node returns the server's current address.
-func (srv *Server) Node() graph.NodeID {
-	srv.mu.Lock()
-	defer srv.mu.Unlock()
-	return srv.node
-}
-
-// Repost refreshes the server's posting (e.g. after rendezvous caches
-// were lost to a crash); it is how servers "regularly poll their
-// rendezvous nodes" in practice.
-func (srv *Server) Repost() error {
-	srv.mu.Lock()
-	node, gone := srv.node, srv.gone
-	srv.mu.Unlock()
-	if gone {
-		return ErrServerGone
-	}
-	return srv.sys.post(srv, node, true)
-}
-
-// Migrate moves the server process to a new node (§1.3: destroy at one
-// host, recreate at another). The fresh posting carries a newer timestamp
-// than any stale entry left at the old rendezvous nodes, and an explicit
-// tombstone is posted from the old address so its rendezvous nodes stop
-// answering for it.
-func (srv *Server) Migrate(to graph.NodeID) error {
-	if !srv.sys.net.Graph().Valid(to) {
-		return fmt.Errorf("core: migrate to %d: %w", to, graph.ErrNodeRange)
-	}
-	srv.mu.Lock()
-	if srv.gone {
-		srv.mu.Unlock()
-		return ErrServerGone
-	}
-	from := srv.node
-	srv.node = to
-	srv.mu.Unlock()
-
-	// Tombstone first (stale address must lose), then announce the new
-	// address with a fresher timestamp.
-	if err := srv.sys.post(srv, from, false); err != nil {
-		// The old host may already be crashed; the fresh posting's newer
-		// timestamp still wins wherever both are seen.
-		if err2 := srv.sys.post(srv, to, true); err2 != nil {
-			return errors.Join(err, err2)
-		}
-		return nil
-	}
-	return srv.sys.post(srv, to, true)
-}
-
-// Deregister removes the server: tombstones are posted to its rendezvous
-// nodes and further operations fail with ErrServerGone.
-func (srv *Server) Deregister() error {
-	srv.mu.Lock()
-	if srv.gone {
-		srv.mu.Unlock()
-		return ErrServerGone
-	}
-	srv.gone = true
-	node := srv.node
-	srv.mu.Unlock()
-	srv.sys.srvMu.Lock()
-	delete(srv.sys.servers, srv.id)
-	srv.sys.srvMu.Unlock()
-	return srv.sys.post(srv, node, false)
-}
-
-// LocateResult reports a successful locate.
-type LocateResult struct {
-	// Addr is the located server address.
-	Addr graph.NodeID
-	// Entry is the full winning cache entry.
-	Entry Entry
-	// QueriesSent is the number of rendezvous nodes addressed (#Q
-	// reached).
-	QueriesSent int
-	// Replies is the number of rendezvous answers the flood produced —
-	// exact: every reply has been delivered before the locate returns.
-	Replies int
-}
-
-// Locate finds the address of a server for port from client node j: it
-// multicasts a query along a spanning tree to every node of Q(j) and,
-// once every query and reply of that flood has been handled, keeps the
-// freshest entry among all the replies (stale postings of migrated
-// servers lose by timestamp). It returns ErrNotFound if no rendezvous
-// answers with a live entry.
-func (s *System) Locate(client graph.NodeID, port Port) (LocateResult, error) {
-	reached, replies, err := s.flood(client, queryMsg{port: port})
-	if err != nil {
-		return LocateResult{}, fmt.Errorf("core: locate %q from %d: %w", port, client, err)
-	}
-	res := LocateResult{QueriesSent: reached, Replies: len(replies)}
-	var best replyMsg
-	for i, r := range replies {
-		// Equal timestamps are one posting seen at several rendezvous
-		// nodes; the lowest node wins so the result is a function of the
-		// history, not of delivery order.
-		if i == 0 || r.entry.Time > best.entry.Time || r.entry.Time == best.entry.Time && r.from < best.from {
-			best = r
-		}
-	}
-	if !best.entry.Active {
-		return res, fmt.Errorf("locate %q from %d: %w", port, client, ErrNotFound)
-	}
-	res.Addr, res.Entry = best.entry.Addr, best.entry
-	return res, nil
-}
-
-// flood multicasts q from client to Q(client) as one network request and
-// returns how many nodes it reached and every reply it caused: misses
-// are silent (§1.5), so the flood is over when its own messages have
-// been handled, not when a clock says so.
-func (s *System) flood(client graph.NodeID, q queryMsg) (int, []replyMsg, error) {
-	if !s.net.Graph().Valid(client) {
-		return 0, nil, graph.ErrNodeRange
-	}
-	q.client, q.reqID = client, s.reqID.Add(1)
-	s.mu.Lock()
-	s.pending[q.reqID] = []replyMsg{}
-	s.mu.Unlock()
-	reached, err := s.net.Flood(client, s.strat.Query(client), q)
-	s.queriesSent.Add(int64(reached))
-	s.mu.Lock()
-	replies := s.pending[q.reqID]
-	delete(s.pending, q.reqID)
-	s.mu.Unlock()
-	return reached, replies, err
-}
-
-// LocateAll finds every live server instance for port visible from
-// client node j: it queries Q(j) once and collects all distinct server
-// instances that answer. A service "may be offered by more than one
-// server process" (§1.3); LocateAll surfaces all of them so the client
-// can choose.
-func (s *System) LocateAll(client graph.NodeID, port Port) ([]Entry, error) {
-	_, replies, err := s.flood(client, queryMsg{port: port, all: true})
-	if err != nil {
-		return nil, fmt.Errorf("core: locate-all %q from %d: %w", port, client, err)
-	}
-	freshest := make(map[uint64]Entry) // by server instance
-	for _, r := range replies {
-		if cur, ok := freshest[r.entry.ServerID]; !ok || r.entry.Time > cur.Time {
-			freshest[r.entry.ServerID] = r.entry
-		}
-	}
-	var out []Entry
-	for _, e := range freshest {
-		if e.Active {
-			out = append(out, e)
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("locate-all %q from %d: %w", port, client, ErrNotFound)
-	}
-	return out, nil
-}
-
-// LocateNearest locates all live servers for port and returns the one
-// with the smallest hop distance from the client — the locality
-// preference that §3.5's "nearly every service will be a local service"
-// model wants.
-func (s *System) LocateNearest(client graph.NodeID, port Port) (LocateResult, error) {
-	entries, err := s.LocateAll(client, port)
-	if err != nil {
-		return LocateResult{}, err
-	}
-	routing := s.net.Routing()
-	best := entries[0]
-	bestDist := routing.Dist(client, best.Addr)
-	for _, e := range entries[1:] {
-		if d := routing.Dist(client, e.Addr); d >= 0 && (bestDist < 0 || d < bestDist) {
-			best, bestDist = e, d
-		}
-	}
-	return LocateResult{Addr: best.Addr, Entry: best, Replies: len(entries)}, nil
-}
-
-// PollRendezvous checks how many of the server's rendezvous nodes are
-// alive and still hold its live posting — the "services regularly poll
-// their rendezvous nodes to see if they are still alive" maintenance of
-// §5. It returns (live postings, total rendezvous nodes).
-func (srv *Server) PollRendezvous() (live, total int) {
-	srv.mu.Lock()
-	node, gone, id := srv.node, srv.gone, srv.id
-	srv.mu.Unlock()
-	if gone {
-		return 0, 0
-	}
-	s := srv.sys
-	targets := s.strat.Post(node)
-	for _, v := range targets {
-		total++
-		if s.net.Crashed(v) {
-			continue
-		}
-		if e, ok := s.caches[v].get(srv.port); ok && e.Active && e.ServerID == id {
-			live++
-		}
-	}
-	return live, total
-}
-
-// MaintainRendezvous polls the rendezvous nodes and reposts when fewer
-// than minLive of them still hold the server's posting, returning
-// whether a repost happened. Callers run it periodically to self-heal
-// after rendezvous reboots.
-func (srv *Server) MaintainRendezvous(minLive int) (bool, error) {
-	live, total := srv.PollRendezvous()
-	if total == 0 {
-		return false, ErrServerGone
-	}
-	if live >= minLive {
-		return false, nil
-	}
-	if err := srv.Repost(); err != nil {
-		return false, err
-	}
-	return true, nil
-}
-
-// Strategy returns the strategy the system runs.
-func (s *System) Strategy() rendezvous.Strategy { return s.strat }
-
-// Network returns the underlying simulator network.
-func (s *System) Network() *sim.Network { return s.net }
-
-// CacheSize returns the number of live entries cached at node v.
-func (s *System) CacheSize(v graph.NodeID) int {
-	if !s.net.Graph().Valid(v) {
-		return 0
-	}
-	return s.caches[v].size()
-}
-
-// CacheSizes returns the cache sizes of all nodes, the storage measure of
-// the paper's analyses.
-func (s *System) CacheSizes() []int {
-	out := make([]int, len(s.caches))
-	for v := range s.caches {
-		out[v] = s.caches[v].size()
-	}
-	return out
-}
-
-// ClearCache drops all entries cached at node v, modelling the loss of
-// volatile state when the node crashes and later reboots.
-func (s *System) ClearCache(v graph.NodeID) {
-	if s.net.Graph().Valid(v) {
-		s.caches[v].clear()
-	}
-}
-
-// Counters returns the logical message counts (posts, queries, replies)
-// accumulated so far; transport-level hops live on the Network.
-func (s *System) Counters() (posts, queries, replies int64) {
-	return s.postsSent.Load(), s.queriesSent.Load(), s.repliesSent.Load()
-}
-
-// ResetCounters zeroes the logical counters.
-func (s *System) ResetCounters() {
-	s.postsSent.Store(0)
-	s.queriesSent.Store(0)
-	s.repliesSent.Store(0)
-}

@@ -330,31 +330,28 @@ func E13Hash() ([]Table, error) {
 	crash.Rows = append(crash.Rows, row)
 
 	// Shotgun: crash the same count of nodes (1) and sample clients.
-	netS, err := sim.New(topology.Complete(n))
+	strat := rendezvous.Checkerboard(n)
+	tr, err := cluster.NewSimTransport(topology.Complete(n), strat)
 	if err != nil {
 		return nil, err
 	}
-	defer netS.Close()
-	sys, err := core.NewSystem(netS, rendezvous.Checkerboard(n), core.Options{})
-	if err != nil {
-		return nil, err
-	}
-	if _, err := sys.RegisterServer("svc", 3); err != nil {
+	defer tr.Close()
+	if _, err := tr.Register("svc", 3); err != nil {
 		return nil, err
 	}
 	// Crash one of the server's posting row nodes.
-	postRow := sys.Strategy().Post(3)
-	if err := netS.Crash(postRow[0]); err != nil {
+	victim := strat.Post(3)[0]
+	if err := tr.Crash(victim); err != nil {
 		return nil, err
 	}
 	ok := 0
 	const samples = 40
 	for i := 0; i < samples; i++ {
 		client := graph.NodeID(rng.IntN(n))
-		if netS.Crashed(client) {
+		if client == victim {
 			continue
 		}
-		if _, err := sys.Locate(client, "svc"); err == nil {
+		if _, err := tr.Locate(client, "svc"); err == nil {
 			ok++
 		}
 	}
@@ -513,62 +510,54 @@ func E14Robustness() ([]Table, error) {
 // simulateCrashLocate reports whether a locate succeeds after crashing
 // the given rendezvous nodes.
 func simulateCrashLocate(n int, strat rendezvous.Strategy, server, client graph.NodeID, crash []graph.NodeID) bool {
-	net, err := sim.New(topology.Complete(n))
+	tr, err := cluster.NewSimTransport(topology.Complete(n), strat)
 	if err != nil {
 		return false
 	}
-	defer net.Close()
-	sys, err := core.NewSystem(net, strat, core.Options{})
-	if err != nil {
-		return false
-	}
-	if _, err := sys.RegisterServer("svc", server); err != nil {
+	defer tr.Close()
+	if _, err := tr.Register("svc", server); err != nil {
 		return false
 	}
 	for _, v := range crash {
-		if err := net.Crash(v); err != nil {
+		if err := tr.Crash(v); err != nil {
 			return false
 		}
 	}
-	_, err = sys.Locate(client, "svc")
+	_, err = tr.Locate(client, "svc")
 	return err == nil
 }
 
 // randomCrashRate measures locate success with f random non-endpoint
 // crashes.
 func randomCrashRate(n int, strat rendezvous.Strategy, f, samples int) (float64, error) {
-	net, err := sim.New(topology.Complete(n))
+	tr, err := cluster.NewSimTransport(topology.Complete(n), strat)
 	if err != nil {
 		return 0, err
 	}
-	defer net.Close()
-	sys, err := core.NewSystem(net, strat, core.Options{})
-	if err != nil {
-		return 0, err
-	}
+	defer tr.Close()
 	server := graph.NodeID(9)
-	if _, err := sys.RegisterServer("svc", server); err != nil {
+	if _, err := tr.Register("svc", server); err != nil {
 		return 0, err
 	}
 	rng := rand.New(rand.NewPCG(14, uint64(f)))
-	crashed := 0
-	for crashed < f {
+	crashed := map[graph.NodeID]bool{}
+	for len(crashed) < f {
 		v := graph.NodeID(rng.IntN(n))
-		if v != server && !net.Crashed(v) {
-			if err := net.Crash(v); err != nil {
+		if v != server && !crashed[v] {
+			if err := tr.Crash(v); err != nil {
 				return 0, err
 			}
-			crashed++
+			crashed[v] = true
 		}
 	}
 	ok, tried := 0, 0
 	for i := 0; i < samples; i++ {
 		client := graph.NodeID(rng.IntN(n))
-		if net.Crashed(client) {
+		if crashed[client] {
 			continue
 		}
 		tried++
-		if _, err := sys.Locate(client, "svc"); err == nil {
+		if _, err := tr.Locate(client, "svc"); err == nil {
 			ok++
 		}
 	}
@@ -576,6 +565,64 @@ func randomCrashRate(n int, strat rendezvous.Strategy, f, samples int) (float64,
 		return 0, errors.New("no live clients sampled")
 	}
 	return float64(ok) / float64(tried), nil
+}
+
+// e18Row measures one rendezvous family on the serving coordinator:
+// post and mean locate hops, each held to its charge, the total cache
+// footprint, and locate success after one crash.
+func e18Row(strat rendezvous.Strategy, rng *rand.Rand) ([]string, error) {
+	n := strat.N()
+	tr, err := cluster.NewSimTransport(topology.Complete(n), strat)
+	if err != nil {
+		return nil, err
+	}
+	defer tr.Close()
+	server := graph.NodeID(9)
+	postHops, err := hopsOf(tr, "svc", func() error { _, err := tr.Register("svc", server); return err })
+	if err != nil {
+		return nil, err
+	}
+	var locHops []float64
+	for i := 0; i < 20; i++ {
+		client := graph.NodeID(rng.IntN(n))
+		h, err := hopsOf(tr, "svc", func() error { _, err := tr.Locate(client, "svc"); return err })
+		if err != nil {
+			return nil, err
+		}
+		locHops = append(locHops, h)
+	}
+	cacheTotal := 0
+	for v := range n {
+		cacheTotal += tr.Store().NodeSize(graph.NodeID(v))
+	}
+	// Crash one random rendezvous-capable node (not the server); for the
+	// centralized strategy the only meaningful victim is the name server
+	// itself.
+	victim := graph.NodeID(1 + rng.IntN(n-1))
+	for victim == server {
+		victim = graph.NodeID(1 + rng.IntN(n-1))
+	}
+	if strat.Name() == rendezvous.Central(n, 0).Name() {
+		victim = 0
+	}
+	if err := tr.Crash(victim); err != nil {
+		return nil, err
+	}
+	ok, tried := 0, 0
+	for i := 0; i < 8; i++ {
+		client := graph.NodeID(rng.IntN(n))
+		if client == victim {
+			continue
+		}
+		tried++
+		if _, err := tr.Locate(client, "svc"); err == nil {
+			ok++
+		}
+	}
+	return []string{
+		strat.Name(), f2(postHops), f2(stats.Summarize(locHops).Mean),
+		itoa(cacheTotal), f3(float64(ok) / float64(tried)),
+	}, nil
 }
 
 // E15Ring reproduces §2.3.5: on rings no match-making beats Ω(n), while
@@ -857,66 +904,11 @@ func E18Families() ([]Table, error) {
 	}
 	rng := rand.New(rand.NewPCG(18, 18))
 	for _, strat := range families {
-		net, err := sim.New(topology.Complete(n))
+		row, err := e18Row(strat, rng)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%s: %w", strat.Name(), err)
 		}
-		sys, err := core.NewSystem(net, strat, core.Options{})
-		if err != nil {
-			net.Close()
-			return nil, err
-		}
-		server := graph.NodeID(9)
-		net.ResetCounters()
-		if _, err := sys.RegisterServer("svc", server); err != nil {
-			net.Close()
-			return nil, err
-		}
-		postHops := float64(net.Hops())
-		var locHops []float64
-		for i := 0; i < 20; i++ {
-			net.ResetCounters()
-			client := graph.NodeID(rng.IntN(n))
-			if _, err := sys.Locate(client, "svc"); err != nil {
-				net.Close()
-				return nil, fmt.Errorf("%s: %w", strat.Name(), err)
-			}
-			locHops = append(locHops, float64(net.Hops()))
-		}
-		cacheTotal := 0
-		for _, sz := range sys.CacheSizes() {
-			cacheTotal += sz
-		}
-		// Crash one random rendezvous-capable node (not the server); for
-		// the centralized strategy the only meaningful victim is the name
-		// server itself.
-		victim := graph.NodeID(1 + rng.IntN(n-1))
-		for victim == server {
-			victim = graph.NodeID(1 + rng.IntN(n-1))
-		}
-		if strat.Name() == rendezvous.Central(n, 0).Name() {
-			victim = 0
-		}
-		if err := net.Crash(victim); err != nil {
-			net.Close()
-			return nil, err
-		}
-		ok, tried := 0, 0
-		for i := 0; i < 8; i++ {
-			client := graph.NodeID(rng.IntN(n))
-			if net.Crashed(client) {
-				continue
-			}
-			tried++
-			if _, err := sys.Locate(client, "svc"); err == nil {
-				ok++
-			}
-		}
-		t.Rows = append(t.Rows, []string{
-			strat.Name(), f2(postHops), f2(stats.Summarize(locHops).Mean),
-			itoa(cacheTotal), f3(float64(ok) / float64(tried)),
-		})
-		net.Close()
+		t.Rows = append(t.Rows, row)
 	}
 
 	// Hash family.

@@ -5,44 +5,55 @@ import (
 	"math"
 	"math/rand/v2"
 
+	"matchmake/internal/cluster"
 	"matchmake/internal/core"
 	"matchmake/internal/graph"
 	"matchmake/internal/rendezvous"
-	"matchmake/internal/sim"
 	"matchmake/internal/stats"
 	"matchmake/internal/strategy"
 	"matchmake/internal/topology"
 )
 
-// measuredLocate runs register+locate pairs over the simulator and
-// returns the mean post hops, mean locate hops (query flood + reply) and
-// the largest cache that built up.
+// measuredLocate runs register+locate pairs over the serving
+// coordinator on the simulator and returns the mean post hops, mean
+// locate hops (query flood + reply) and the largest cache that built up.
 func measuredLocate(g *graph.Graph, strat rendezvous.Strategy, pairs [][2]graph.NodeID) (post, locate float64, maxCache int, err error) {
-	net, err := sim.New(g)
+	tr, err := cluster.NewSimTransport(g, strat)
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	defer net.Close()
-	sys, err := core.NewSystem(net, strat, core.Options{})
-	if err != nil {
-		return 0, 0, 0, err
-	}
+	defer tr.Close()
 	var postHops, locateHops []float64
 	for k, pair := range pairs {
 		port := core.Port(fmt.Sprintf("svc-%d", k))
-		net.ResetCounters()
-		if _, err := sys.RegisterServer(port, pair[0]); err != nil {
+		h, err := hopsOf(tr, port, func() error { _, err := tr.Register(port, pair[0]); return err })
+		if err != nil {
 			return 0, 0, 0, err
 		}
-		postHops = append(postHops, float64(net.Hops()))
-		net.ResetCounters()
-		if _, err := sys.Locate(pair[1], port); err != nil {
+		postHops = append(postHops, h)
+		if h, err = hopsOf(tr, port, func() error { _, err := tr.Locate(pair[1], port); return err }); err != nil {
 			return 0, 0, 0, fmt.Errorf("locate %s: %w", port, err)
 		}
-		locateHops = append(locateHops, float64(net.Hops()))
+		locateHops = append(locateHops, h)
 	}
-	return stats.Summarize(postHops).Mean, stats.Summarize(locateHops).Mean,
-		stats.MaxInts(sys.CacheSizes()), nil
+	for v := range g.N() {
+		maxCache = max(maxCache, tr.Store().NodeSize(graph.NodeID(v)))
+	}
+	return stats.Summarize(postHops).Mean, stats.Summarize(locateHops).Mean, maxCache, nil
+}
+
+// hopsOf runs one operation on port and returns the message passes the
+// network carried for it, which must equal the coordinator's charge.
+func hopsOf(tr *cluster.SimTransport, port core.Port, op func() error) (float64, error) {
+	tr.ResetPasses()
+	before := tr.Hops()
+	if err := op(); err != nil {
+		return 0, err
+	}
+	if hops, charge := tr.Hops()-before, tr.Passes(); hops != charge {
+		return 0, fmt.Errorf("%s: charged %d passes, the network carried %d", port, charge, hops)
+	}
+	return float64(tr.Passes()), nil
 }
 
 // samplePairs draws k random (server, client) pairs on an n-node

@@ -1,5 +1,6 @@
 // Package service implements the paper's service model (§1.3) on top of
-// the distributed name server: services are identified by ports and
+// the distributed name server, the serving coordinator over the
+// simulator (cluster.SimTransport): services are identified by ports and
 // handled by one or more server processes that accept request messages,
 // carry out work and send back replies; clients locate a service through
 // match-making and then send it requests. Server processes can migrate,
@@ -13,8 +14,10 @@ import (
 	"fmt"
 	"sync"
 
+	"matchmake/internal/cluster"
 	"matchmake/internal/core"
 	"matchmake/internal/graph"
+	"matchmake/internal/rendezvous"
 	"matchmake/internal/sim"
 )
 
@@ -49,11 +52,12 @@ type response struct {
 	err  string
 }
 
-// Registry runs the service layer over a name-server System: it wraps
-// every node's message handler so that service requests dispatch to the
-// local server processes and everything else flows to the name server.
+// Registry runs the service layer over two simulated networks on one
+// graph: match-making runs on a SimTransport's, and requests and replies
+// travel on the registry's own, whose handlers dispatch them to the
+// local server processes. Its hop count is the request traffic alone.
 type Registry struct {
-	sys *core.System
+	tr  *cluster.SimTransport
 	net *sim.Network
 
 	mu        sync.Mutex
@@ -64,31 +68,48 @@ type Registry struct {
 	InvokeRetries int
 }
 
-// NewRegistry wraps the system's per-node handlers with service dispatch.
-func NewRegistry(sys *core.System) (*Registry, error) {
+// NewRegistry builds the name server for strat and the request network
+// over g.
+func NewRegistry(g *graph.Graph, strat rendezvous.Strategy) (*Registry, error) {
+	tr, err := cluster.NewSimTransport(g, strat)
+	if err != nil {
+		return nil, fmt.Errorf("service: %w", err)
+	}
+	net, err := sim.New(g)
+	if err != nil {
+		tr.Close()
+		return nil, fmt.Errorf("service: %w", err)
+	}
 	r := &Registry{
-		sys:           sys,
-		net:           sys.Network(),
+		tr:            tr,
+		net:           net,
 		processes:     make(map[graph.NodeID]map[core.Port]*Process),
 		InvokeRetries: 1,
 	}
-	n := r.net.Graph().N()
-	for v := 0; v < n; v++ {
-		node := graph.NodeID(v)
-		if err := r.net.SetHandler(node, r.handle); err != nil {
+	for v := range g.N() {
+		if err := net.SetHandler(graph.NodeID(v), r.handle); err != nil {
+			r.Close()
 			return nil, fmt.Errorf("service: install handler: %w", err)
 		}
 	}
 	return r, nil
 }
 
+// Crash crashes node on both networks: its cached postings are lost and
+// its processes stop answering requests.
+func (r *Registry) Crash(node graph.NodeID) error {
+	return errors.Join(r.tr.Crash(node), r.net.Crash(node))
+}
+
+// Close stops both networks.
+func (r *Registry) Close() {
+	r.tr.Close()
+	r.net.Close()
+}
+
 func (r *Registry) handle(self graph.NodeID, msg sim.Message) {
 	req, ok := msg.Payload.(Request)
-	if !ok {
-		r.sys.HandleMessage(self, msg)
-		return
-	}
-	if !msg.CanReply() {
+	if !ok || !msg.CanReply() {
 		return
 	}
 	r.mu.Lock()
@@ -110,7 +131,7 @@ func (r *Registry) handle(self graph.NodeID, msg sim.Message) {
 // Process is a running server process.
 type Process struct {
 	reg     *Registry
-	srv     *core.Server
+	srv     cluster.ServerRef
 	port    core.Port
 	handler Handler
 
@@ -126,7 +147,7 @@ func (r *Registry) Serve(port core.Port, node graph.NodeID, h Handler) (*Process
 	if h == nil {
 		return nil, fmt.Errorf("service: nil handler for %q", port)
 	}
-	srv, err := r.sys.RegisterServer(port, node)
+	srv, err := r.tr.Register(port, node)
 	if err != nil {
 		return nil, fmt.Errorf("service: serve %q: %w", port, err)
 	}
@@ -200,33 +221,10 @@ func (p *Process) Migrate(to graph.NodeID) error {
 // as the callee runs on a different node (a node's handler is
 // single-threaded, so a synchronous self-call would deadlock).
 func (r *Registry) Invoke(client graph.NodeID, port core.Port, method string, body any) (any, error) {
-	var lastErr error
-	for attempt := 0; attempt <= r.InvokeRetries; attempt++ {
-		loc, err := r.sys.Locate(client, port)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		raw, err := r.net.Call(client, loc.Addr, Request{Port: port, Method: method, Body: body})
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		rep, ok := raw.(response)
-		if !ok {
-			lastErr = fmt.Errorf("service: unexpected reply %T", raw)
-			continue
-		}
-		if rep.err != "" {
-			lastErr = fmt.Errorf("service: %q %s: %s", port, method, rep.err)
-			continue
-		}
-		return rep.body, nil
-	}
-	if lastErr == nil {
-		lastErr = errors.New("no attempt made")
-	}
-	return nil, fmt.Errorf("invoke %q from %d: %w: %w", port, client, ErrNoService, lastErr)
+	return r.invoke("invoke", client, port, method, body, func() (graph.NodeID, error) {
+		e, err := r.tr.Locate(client, port)
+		return e.Addr, err
+	})
 }
 
 // InvokeNearest behaves like Invoke but, when several equivalent server
@@ -234,14 +232,39 @@ func (r *Registry) Invoke(client graph.NodeID, port core.Port, method string, bo
 // closest to the client in hop distance — the locality preference of
 // §3.5's "nearly every service will be a local service".
 func (r *Registry) InvokeNearest(client graph.NodeID, port core.Port, method string, body any) (any, error) {
+	return r.invoke("invoke-nearest", client, port, method, body, func() (graph.NodeID, error) {
+		return r.nearest(client, port)
+	})
+}
+
+// nearest locates every live instance of port and returns the address
+// closest to client.
+func (r *Registry) nearest(client graph.NodeID, port core.Port) (graph.NodeID, error) {
+	entries, err := r.tr.LocateAll(client, port)
+	if err != nil {
+		return 0, err
+	}
+	routing := r.net.Routing()
+	best, bestDist := entries[0].Addr, routing.Dist(client, entries[0].Addr)
+	for _, e := range entries[1:] {
+		if d := routing.Dist(client, e.Addr); d >= 0 && (bestDist < 0 || d < bestDist) {
+			best, bestDist = e.Addr, d
+		}
+	}
+	return best, nil
+}
+
+// invoke is the attempt loop of Invoke and InvokeNearest; locate picks
+// each attempt's address.
+func (r *Registry) invoke(what string, client graph.NodeID, port core.Port, method string, body any, locate func() (graph.NodeID, error)) (any, error) {
 	var lastErr error
 	for attempt := 0; attempt <= r.InvokeRetries; attempt++ {
-		loc, err := r.sys.LocateNearest(client, port)
+		addr, err := locate()
 		if err != nil {
 			lastErr = err
 			continue
 		}
-		raw, err := r.net.Call(client, loc.Addr, Request{Port: port, Method: method, Body: body})
+		raw, err := r.net.Call(client, addr, Request{Port: port, Method: method, Body: body})
 		if err != nil {
 			lastErr = err
 			continue
@@ -260,8 +283,5 @@ func (r *Registry) InvokeNearest(client graph.NodeID, port core.Port, method str
 	if lastErr == nil {
 		lastErr = errors.New("no attempt made")
 	}
-	return nil, fmt.Errorf("invoke-nearest %q from %d: %w: %w", port, client, ErrNoService, lastErr)
+	return nil, fmt.Errorf("%s %q from %d: %w: %w", what, port, client, ErrNoService, lastErr)
 }
-
-// System returns the underlying name-server system.
-func (r *Registry) System() *core.System { return r.sys }

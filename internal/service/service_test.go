@@ -8,26 +8,17 @@ import (
 	"matchmake/internal/core"
 	"matchmake/internal/graph"
 	"matchmake/internal/rendezvous"
-	"matchmake/internal/sim"
 	"matchmake/internal/strategy"
 	"matchmake/internal/topology"
 )
 
 func newRegistry(t *testing.T, n int) *Registry {
 	t.Helper()
-	net, err := sim.New(topology.Complete(n))
-	if err != nil {
-		t.Fatalf("sim.New: %v", err)
-	}
-	t.Cleanup(net.Close)
-	sys, err := core.NewSystem(net, rendezvous.Checkerboard(n), core.Options{})
-	if err != nil {
-		t.Fatalf("NewSystem: %v", err)
-	}
-	r, err := NewRegistry(sys)
+	r, err := NewRegistry(topology.Complete(n), rendezvous.Checkerboard(n))
 	if err != nil {
 		t.Fatalf("NewRegistry: %v", err)
 	}
+	t.Cleanup(r.Close)
 	return r
 }
 
@@ -187,7 +178,7 @@ func TestHierarchyRecoversFromDatabaseCrash(t *testing.T) {
 		t.Fatalf("Serve query: %v", err)
 	}
 	// Crash the primary database host.
-	if err := r.System().Network().Crash(db1.Node()); err != nil {
+	if err := r.Crash(db1.Node()); err != nil {
 		t.Fatalf("Crash: %v", err)
 	}
 	r.InvokeRetries = 3
@@ -216,19 +207,11 @@ func TestServiceOnGridStrategy(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewGrid: %v", err)
 	}
-	net, err := sim.New(gr.G)
-	if err != nil {
-		t.Fatalf("sim.New: %v", err)
-	}
-	t.Cleanup(net.Close)
-	sys, err := core.NewSystem(net, strategy.Manhattan(gr), core.Options{})
-	if err != nil {
-		t.Fatalf("NewSystem: %v", err)
-	}
-	r, err := NewRegistry(sys)
+	r, err := NewRegistry(gr.G, strategy.Manhattan(gr))
 	if err != nil {
 		t.Fatalf("NewRegistry: %v", err)
 	}
+	t.Cleanup(r.Close)
 	if _, err := r.Serve("printer", gr.At(1, 1), echoHandler); err != nil {
 		t.Fatalf("Serve: %v", err)
 	}

@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"testing"
 
-	"matchmake/internal/core"
 	"matchmake/internal/graph"
 	"matchmake/internal/rendezvous"
-	"matchmake/internal/sim"
 	"matchmake/internal/topology"
 )
 
@@ -19,19 +17,11 @@ import (
 // one appears — and match-making keeps finding the current addresses.
 func TestCateringServiceStory(t *testing.T) {
 	const n = 49 // Silicon Valley, 49 houses, fully connected phone lines
-	net, err := sim.New(topology.Complete(n))
-	if err != nil {
-		t.Fatalf("sim.New: %v", err)
-	}
-	t.Cleanup(net.Close)
-	sys, err := core.NewSystem(net, rendezvous.Checkerboard(n), core.Options{})
-	if err != nil {
-		t.Fatalf("NewSystem: %v", err)
-	}
-	r, err := NewRegistry(sys)
+	r, err := NewRegistry(topology.Complete(n), rendezvous.Checkerboard(n))
 	if err != nil {
 		t.Fatalf("NewRegistry: %v", err)
 	}
+	t.Cleanup(r.Close)
 	r.InvokeRetries = 2
 
 	// The car rental outfit.
@@ -97,7 +87,7 @@ func TestCateringServiceStory(t *testing.T) {
 
 	// If every caterer in town folds, you finally get an error — the
 	// irrecoverable case the human has to cope with.
-	res, err := sys.LocateAll(yourHome, "catering")
+	res, err := r.tr.LocateAll(yourHome, "catering")
 	if err != nil {
 		t.Fatalf("LocateAll: %v", err)
 	}
@@ -113,19 +103,11 @@ func TestInvokeNearestPicksLocalInstance(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Line: %v", err)
 	}
-	net, err := sim.New(g)
-	if err != nil {
-		t.Fatalf("sim.New: %v", err)
-	}
-	t.Cleanup(net.Close)
-	sys, err := core.NewSystem(net, rendezvous.Sweep(11), core.Options{})
-	if err != nil {
-		t.Fatalf("NewSystem: %v", err)
-	}
-	r, err := NewRegistry(sys)
+	r, err := NewRegistry(g, rendezvous.Sweep(11))
 	if err != nil {
 		t.Fatalf("NewRegistry: %v", err)
 	}
+	t.Cleanup(r.Close)
 	if _, err := r.Serve("mirror", 0, func(string, any) (any, error) { return "west", nil }); err != nil {
 		t.Fatalf("Serve west: %v", err)
 	}
