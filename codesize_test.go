@@ -39,8 +39,13 @@ import (
 // every record it encodes, digest it scatters and repair range it tests.
 // It rose by 1 to 4 681 for SimTransport.Store, the accessor MemTransport
 // already has, through which the reproduction reads cache sizes once
-// core's second Shotgun Locate engine was deleted.
-const clusterCodeLineCeiling = 4681
+// core's second Shotgun Locate engine was deleted. It rose by 21 to
+// 4 702 when the coordinator began serving Hash Locate (§5) and the
+// private hash engine in internal/hashlocate (182 code lines) was
+// deleted: Layout.Hash and its refusal of elastic and weighted layouts,
+// the coordinator's hash field, the hash branches of postSets, querySet
+// and readScope, and treeCost for sets chosen per operation.
+const clusterCodeLineCeiling = 4702
 
 // clusterTestLineCeiling is the committed ceiling on internal/cluster's
 // test lines, raw (`cat internal/cluster/*_test.go
@@ -56,8 +61,16 @@ const clusterCodeLineCeiling = 4681
 // node processes. It fell to 6 023 when the history worlds took the §3
 // topologies and TestClusterSimTransport the §3.1 exact hop counts,
 // paid for by must() in place of t.Fatal boilerplate around setup
-// constructors that cannot fail.
-const clusterTestLineCeiling = 6023
+// constructors that cannot fail. It rose by 19 to 6 042 when the
+// coordinator began serving Hash Locate: TestFinishResizeFencesWrites
+// (the scripted race behind the elastic resurrection, with its held
+// substrate), the hash inputs of TestClusterSimTransport's exact-count
+// table and its hash history on every column, the hash= world option,
+// two hash worlds and the model's hash sets — 80 lines, net of must()
+// around 24 more setup calls that cannot fail (registrations on mem and
+// sim, in-process transports, node servers without a listener, layouts
+// and epochs).
+const clusterTestLineCeiling = 6042
 
 // clusterConstructorCeiling is the committed ceiling on exported
 // `func New*` declarations in internal/cluster's non-test files: the

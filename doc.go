@@ -17,14 +17,17 @@
 //
 //   - internal/graph, internal/topology, internal/sim — substrates
 //   - internal/rendezvous — §2 theory (strategies, matrix, bounds)
-//   - internal/strategy — §3 topology-aware P/Q functions
+//   - internal/strategy — §3 topology-aware P/Q functions, and §5's
+//     port hash (HashSet)
 //   - internal/core — the names Shotgun Locate's layers share (ports,
 //     postings, errors); the engine itself is internal/cluster's
 //     coordinator, which the experiments run over the simulator
-//   - internal/hashlocate, internal/lighthouse — §5 and §4 variants
+//   - internal/hashlocate, internal/lighthouse — §5's neighborhood
+//     hashing and §4's Lighthouse Locate
 //   - internal/service — the Amoeba-style service model of §1.3
-//   - internal/cluster — Shotgun Locate (the paper's main contribution)
-//     and the sharded match-making service layer: one coordinator (the
+//   - internal/cluster — Shotgun Locate (the paper's main contribution),
+//     Hash Locate (a Layout with Hash set) and the sharded match-making
+//     service layer: one coordinator (the
 //     model and its pass accounting, written once) over a row substrate
 //     — the hop-by-hop simulator (SimTransport), an in-process sharded
 //     store (MemTransport) or a real-socket multi-process cluster of

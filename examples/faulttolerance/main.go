@@ -11,9 +11,8 @@ import (
 
 	"matchmake/internal/cluster"
 	"matchmake/internal/graph"
-	"matchmake/internal/hashlocate"
 	"matchmake/internal/rendezvous"
-	"matchmake/internal/sim"
+	"matchmake/internal/strategy"
 	"matchmake/internal/topology"
 )
 
@@ -61,38 +60,37 @@ func run() error {
 
 	// Hash Locate on a fresh network: one crash on the single rendezvous
 	// node removes the service network-wide; a rehashing client/server
-	// pair agrees on a backup address and recovers.
-	net2, err := sim.New(topology.Complete(n))
+	// pair agrees on a backup address and recovers. The server posts to
+	// every rehash attempt's address up front, and a client tries them in
+	// order.
+	const attempts = 3
+	lay, err := cluster.FixedLayout(n, rendezvous.Central(n, 0), attempts)
 	if err != nil {
 		return err
 	}
-	defer net2.Close()
-	hs, err := hashlocate.New(net2, hashlocate.Options{MaxRehash: 2})
+	lay.Hash = 1
+	hs, err := cluster.NewLayoutSimTransport(topology.Complete(n), lay)
 	if err != nil {
 		return err
 	}
-	primary := hs.Rendezvous("ledger", 0)
+	defer hs.Close()
+	primary := strategy.HashSet("ledger", 0, 1, n)
 	srv := graph.NodeID(0)
 	for srv == primary[0] {
 		srv++
 	}
-	if _, err := hs.Post("ledger", srv); err != nil {
+	if _, err := hs.Register("ledger", srv); err != nil {
 		return err
 	}
 	fmt.Printf("\nhash locate: rendezvous of %q is node %v\n", "ledger", primary)
-	if err := net2.Crash(primary[0]); err != nil {
+	if err := hs.Crash(primary[0]); err != nil {
 		return err
 	}
-	// The server polls its rendezvous, notices the crash, re-posts (the
-	// post rehashes onto the backup address).
-	if _, err := hs.Post("ledger", srv); err != nil {
-		return err
+	for k := range attempts {
+		if e, err := hs.LocateReplica(20, "ledger", k); err == nil {
+			fmt.Printf("after crash + rehash: located at node %d (rehash attempts: %d)\n", e.Addr, k)
+			return nil
+		}
 	}
-	res, err := hs.Locate(20, "ledger")
-	if err != nil {
-		return err
-	}
-	fmt.Printf("after crash + rehash: located at node %d (rehash attempts: %d)\n",
-		res.Addr, res.Rehashes)
-	return nil
+	return fmt.Errorf("ledger lost on every rehash attempt")
 }

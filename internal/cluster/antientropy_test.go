@@ -136,10 +136,7 @@ locate 0-35/3 alpha,beta,gamma`)
 func TestAntiEntropyBackgroundLoop(t *testing.T) {
 	memT := must(NewMemTransport(topology.Complete(16), rendezvous.Checkerboard(16), 0))
 	defer memT.Close()
-	ref, err := memT.Register("alpha", 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := must(memT.Register("alpha", 5))
 	id := ref.(*server).id
 
 	memT.StartReconcile(time.Millisecond)

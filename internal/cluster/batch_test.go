@@ -35,10 +35,7 @@ func TestLocateBatchConcurrent(t *testing.T) {
 	refs := make([]ServerRef, 8)
 	for p := range names {
 		names[p] = core.Port(fmt.Sprintf("svc-%04d", p))
-		ref, err := c.Register(names[p], graph.NodeID(p*7))
-		if err != nil {
-			t.Fatal(err)
-		}
+		ref := must(c.Register(names[p], graph.NodeID(p*7)))
 		refs[p] = ref
 	}
 	var wg sync.WaitGroup

@@ -242,10 +242,7 @@ func TestDumpCorruptSnapshot(t *testing.T) {
 func TestQueryLocalPlacement(t *testing.T) {
 	const n = 64
 	g := topology.Complete(n)
-	lay, err := FixedLayout(n, rendezvous.Checkerboard(n), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lay := must(FixedLayout(n, rendezvous.Checkerboard(n), 1))
 	addrs, srv := loopbackServers(t, n, 2)
 	tr, err := NewLayoutNetTransport(g, lay, addrs, NetOptions{DisableCoalescing: true})
 	if err != nil {

@@ -153,9 +153,7 @@ func TestByzantineVoteQuorumClamp(t *testing.T) {
 	const n = 36
 	tr := must(NewLayoutMemTransport(topology.Complete(n), fixedOf(t, mkReplicated(t, n, 2)), 0))
 	defer tr.Close()
-	if _, err := tr.PostBatch(byzRegs); err != nil {
-		t.Fatal(err)
-	}
+	must(tr.PostBatch(byzRegs))
 	c := New(tr, Options{VoteQuorum: 99})
 	defer c.Close()
 	if _, err := c.Locate(3, "alpha"); err != nil {
@@ -168,9 +166,7 @@ func TestByzantineVoteQuorumClamp(t *testing.T) {
 	// Unreplicated: VoteQuorum is inert, locates run the plain path.
 	plain := must(NewMemTransport(topology.Complete(n), rendezvous.Checkerboard(n), 0))
 	defer plain.Close()
-	if _, err := plain.PostBatch(byzRegs); err != nil {
-		t.Fatal(err)
-	}
+	must(plain.PostBatch(byzRegs))
 	pc := New(plain, Options{VoteQuorum: 3})
 	defer pc.Close()
 	if _, err := pc.Locate(3, "alpha"); err != nil {

@@ -60,9 +60,7 @@ func TestClusterCoalescing(t *testing.T) {
 	bt := &blockingTransport{Transport: tr, gate: make(chan struct{})}
 	c := New(bt, Options{})
 	defer c.Close()
-	if _, err := c.Register("svc", 3); err != nil {
-		t.Fatal(err)
-	}
+	must(c.Register("svc", 3))
 
 	// Leader first: its flight is registered before it blocks inside the
 	// transport, so every locate started while it is blocked coalesces.
@@ -125,9 +123,7 @@ func TestInProcessLocatesChargePerCall(t *testing.T) {
 		c := New(tr, Options{})
 		defer c.Close()
 		for port, node := range homes {
-			if _, err := c.Register(port, node); err != nil {
-				t.Fatal(err)
-			}
+			must(c.Register(port, node))
 		}
 		var sum int64
 		for _, p := range pairs {
@@ -183,9 +179,7 @@ func TestInProcessLocatesChargePerCall(t *testing.T) {
 
 func TestClusterSubmit(t *testing.T) {
 	c, _ := newMemCluster(t, 32, Options{Shards: 4, WorkersPerShard: 2})
-	if _, err := c.Register("svc", 9); err != nil {
-		t.Fatal(err)
-	}
+	must(c.Register("svc", 9))
 	const jobs = 200
 	var done sync.WaitGroup
 	var bad atomic.Int64
@@ -216,9 +210,7 @@ func TestClusterOverloadSheds(t *testing.T) {
 	bt := &blockingTransport{Transport: tr, gate: make(chan struct{})}
 	c := New(bt, Options{Shards: 1, WorkersPerShard: 1, QueueDepth: 2, DisableCoalescing: true})
 	defer c.Close()
-	if _, err := c.Register("svc", 3); err != nil {
-		t.Fatal(err)
-	}
+	must(c.Register("svc", 3))
 	// One task occupies the worker (blocked at the gate); fill the queue
 	// and then some — the excess must shed, not block.
 	shed := 0
@@ -239,9 +231,7 @@ func TestClusterOverloadSheds(t *testing.T) {
 func TestClusterClose(t *testing.T) {
 	tr := must(NewMemTransport(topology.Complete(16), rendezvous.Checkerboard(16), 0))
 	c := New(tr, Options{})
-	if _, err := c.Register("svc", 3); err != nil {
-		t.Fatal(err)
-	}
+	must(c.Register("svc", 3))
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -301,9 +291,7 @@ locate 0 mover`)
 func TestClusterCloseDuringLocates(t *testing.T) {
 	tr := must(NewSimTransport(topology.Complete(16), rendezvous.Checkerboard(16)))
 	c := New(tr, Options{})
-	if _, err := c.Register("svc", 5); err != nil {
-		t.Fatal(err)
-	}
+	must(c.Register("svc", 5))
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -334,20 +322,31 @@ func TestClusterSimTransport(t *testing.T) {
 	if m := r.cols[1].cl.Metrics(); m.Passes == 0 {
 		t.Fatal("sim transport charged no passes")
 	}
+	// Hash Locate on every column: with "s"'s primary address (10) down, attempt 1 answers.
+	t.Run("hash", func(t *testing.T) {
+		runHistory(t, "world complete 16 hash=1 r=3\ncolumns model sim mem net\nregister s 5\ncrash 10\nlocate 0-15 s\nlocate-replica 1 0-15 s\nderegister s\nlocate 0-15 s")
+	})
 	// §3.1's exact counts on a 5×5 Manhattan grid: a post floods its row
 	// (q−1 = 4 hops); a locate floods the client's column (p−1 = 4) and
-	// the crossing replies (2), each charge carried hop for hop.
+	// the crossing replies (2). §5's on a complete graph: hash locate
+	// posts one message to "s"'s one address (node 10) and a locate is
+	// query + reply. Each charge is carried hop for hop.
 	gr := must(topology.NewGrid(5, 5))
-	tr := must(NewSimTransport(gr.G, strategy.Manhattan(gr)))
-	defer tr.Close()
-	for i, op := range []func() error{
-		func() error { _, err := tr.Register("s", gr.At(2, 2)); return err },
-		func() error { _, err := tr.Locate(gr.At(4, 0), "s"); return err },
-	} {
+	lay := must(FixedLayout(16, rendezvous.Central(16, 0), 1))
+	lay.Hash = 1
+	grid, hash := must(NewSimTransport(gr.G, strategy.Manhattan(gr))), must(NewLayoutSimTransport(topology.Complete(16), lay))
+	defer grid.Close()
+	defer hash.Close()
+	for i, tr := range []*SimTransport{grid, grid, hash, hash} {
 		tr.ResetPasses()
-		hops := tr.Hops()
-		if err := op(); err != nil || tr.Passes() != []int64{4, 6}[i] || tr.Hops()-hops != tr.Passes() {
-			t.Errorf("op %d: charged %d passes, carried %d hops, %v; want %d", i, tr.Passes(), tr.Hops()-hops, err, []int64{4, 6}[i])
+		hops, err := tr.Hops(), error(nil)
+		if i%2 == 0 {
+			_, err = tr.Register("s", []graph.NodeID{gr.At(2, 2), 3}[i/2])
+		} else {
+			_, err = tr.Locate([]graph.NodeID{gr.At(4, 0), 9}[i/2], "s")
+		}
+		if want := []int64{4, 6, 1, 2}[i]; err != nil || tr.Passes() != want || tr.Hops()-hops != tr.Passes() {
+			t.Errorf("op %d: charged %d passes, carried %d hops, %v; want %d", i, tr.Passes(), tr.Hops()-hops, err, want)
 		}
 	}
 }
@@ -464,9 +463,7 @@ func TestClusterCloseRacesCallers(t *testing.T) {
 	for round := 0; round < rounds; round++ {
 		tr := must(NewMemTransport(topology.Complete(16), rendezvous.Checkerboard(16), 0))
 		c := New(&closeWatchTransport{Transport: tr, t: t}, Options{Shards: 2, QueueDepth: 8})
-		if _, err := c.Register("svc", 5); err != nil {
-			t.Fatal(err)
-		}
+		must(c.Register("svc", 5))
 		var (
 			wg                 sync.WaitGroup
 			calls              atomic.Int64
@@ -546,9 +543,7 @@ func TestFlightTableCollisionAndSharing(t *testing.T) {
 	c := New(bt, Options{})
 	defer c.Close()
 	for port, node := range map[core.Port]graph.NodeID{"svc-a": 3, "svc-b": 9} {
-		if _, err := c.Register(port, node); err != nil {
-			t.Fatal(err)
-		}
+		must(c.Register(port, node))
 	}
 	waitFor := func(what string, cond func() bool) {
 		t.Helper()

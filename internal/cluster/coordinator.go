@@ -49,6 +49,8 @@ import (
 // transfer and the process-set swap: no write can land on an old
 // process after its partition was snapshotted and silently vanish from
 // the new set (a lost tombstone would resurrect a deregistered server).
+// FinishResize holds it exclusively too, so no write posted to both
+// epochs' sets lands after the retiring epoch's rows were expired.
 // Reads — locates, probes — take no lock: a read racing a swap at worst
 // misses transiently, which fallthrough and hint re-resolution absorb.
 // resizeMu serializes the Resize/FinishResize state machine and
@@ -81,14 +83,19 @@ type coordinator struct {
 	// dual-epoch migration. Every transport mode reads it the same way.
 	table atomic.Pointer[setTable]
 
-	// elastic is the one construction fact the modes still differ by:
-	// whether the membership may change (Layout.Elastic). It is read in
-	// five places and no others — the "-elastic" name suffix, Elastic and
-	// Epoch, the ErrNotElastic admission of Resize and FinishResize,
-	// readScope (a fixed r = 1 flood stays unscoped), and querySet (an
-	// out-of-range replica is a hard error on a fixed transport, a
-	// retired family's silent miss on an elastic one).
+	// elastic and hash are the two construction facts the modes still
+	// differ by. elastic is whether the membership may change
+	// (Layout.Elastic). It is read in five places and no others — the
+	// "-elastic" name suffix, Elastic and Epoch, the ErrNotElastic
+	// admission of Resize and FinishResize, readScope (a fixed r = 1
+	// flood stays unscoped), and querySet (an out-of-range replica is a
+	// hard error on a fixed transport, a retired family's silent miss on
+	// an elastic one).
 	elastic bool
+	// hash is Layout.Hash, the addresses per port under hash locate (0 =
+	// off), read only by the three seams that pick sets: postSets,
+	// querySet and readScope.
+	hash int
 
 	resizeMu    sync.Mutex
 	migrated    atomic.Int64
@@ -156,6 +163,7 @@ func newCoordinator(g *graph.Graph, lay Layout) (*coordinator, error) {
 		g:       g,
 		routing: routing,
 		elastic: lay.Elastic,
+		hash:    lay.Hash,
 		byPort:  make(map[core.Port]map[uint64]*server),
 		gens:    new(genIndex),
 		crashed: make([]atomic.Bool, n),
@@ -207,16 +215,34 @@ func (c *coordinator) HotPorts() []core.Port { return c.table.Load().hot.ports()
 
 // postSets returns the posting targets and multicast cost for srv
 // posting from node: the table's sets (widened to both epochs' union
-// during a migration), or under the weighted overlay the union sets
-// once srv's port is hot — sticky: postedHot is set the first time the
-// union sets are chosen and never cleared.
+// during a migration), under hash locate the union of every rehash
+// attempt's addresses of srv's port, or under the weighted overlay the
+// union sets once srv's port is hot — sticky: postedHot is set the
+// first time the union sets are chosen and never cleared.
 func (c *coordinator) postSets(srv *server, node graph.NodeID) ([]graph.NodeID, int64) {
 	t := c.table.Load()
+	if c.hash > 0 {
+		var set []graph.NodeID
+		for k := range t.replicas() {
+			set = unionIDs(set, strategy.HashSet(srv.port, k, c.hash, c.g.N()))
+		}
+		return set, c.treeCost(node, set)
+	}
 	if h := t.hot; h != nil && (srv.postedHot.Load() || h.isHot(srv.port)) {
 		srv.postedHot.Store(true)
 		return h.post[node], h.postCost[node]
 	}
 	return t.postFor(node)
+}
+
+// treeCost is the multicast-tree cost from node to a set chosen per
+// operation (hash locate's), where there is no precomputed table entry.
+// node is valid, and every node reaches every other: the set table of a
+// strategy that matches every pair cannot be built on a disconnected
+// graph.
+func (c *coordinator) treeCost(node graph.NodeID, set []graph.NodeID) int64 {
+	d, _ := c.routing.MulticastCost(node, set)
+	return int64(d)
 }
 
 // server is the coordinator's ServerRef: one live registration, the
@@ -516,9 +542,11 @@ func (c *coordinator) family(replica int) family {
 // families, nil when they are unscoped. Reads are scoped iff the
 // membership is elastic or there is more than one family: a fixed r = 1
 // transport has a single rendezvous channel, every row a node holds
-// belongs to it, and its floods stay the unscoped wire op.
+// belongs to it, and its floods stay the unscoped wire op. Hash locate
+// is never scoped: a server posts to every rehash attempt's addresses,
+// so every family of a port holds the same entries.
 func (c *coordinator) readScope(ep *strategy.Epoch) familyGeometry {
-	if c.elastic || ep.Replicas() > 1 {
+	if (c.elastic || ep.Replicas() > 1) && c.hash == 0 {
 		return ep
 	}
 	return nil
@@ -540,6 +568,10 @@ func (c *coordinator) querySet(f family, what string, client graph.NodeID, port 
 			return nil, 0, errRetiredReplica(port, client, replica)
 		}
 		return nil, 0, fmt.Errorf("cluster: replica %d out of [0,%d)", replica, f.t.replicas())
+	}
+	if c.hash > 0 {
+		set := strategy.HashSet(port, f.k, c.hash, c.g.N())
+		return set, c.treeCost(client, set), nil
 	}
 	if h := f.t.hot; h.isHot(port) {
 		return h.query[client], h.queryCost[client], nil
@@ -911,13 +943,17 @@ func (c *coordinator) Resize(next *strategy.Epoch) (int, error) {
 // FinishResize implements ElasticTransport: the dual-epoch phase ends —
 // new locates stop falling through to the old epoch — and every live
 // server's postings at old-epoch-only rendezvous nodes expire in place,
-// a local garbage collection that costs no message passes.
+// a local garbage collection that costs no message passes. It holds
+// lifeMu exclusively: a write that read the dual-epoch posting sets must
+// land before the expiry, or its Active rows would outlive it at
+// old-epoch-only nodes that no later tombstone reaches, and an epoch
+// that readmits those nodes would answer with a gone server.
 func (c *coordinator) FinishResize() error {
 	if !c.elastic {
 		return ErrNotElastic
 	}
-	c.lifeMu.RLock()
-	defer c.lifeMu.RUnlock()
+	c.lifeMu.Lock()
+	defer c.lifeMu.Unlock()
 	c.resizeMu.Lock()
 	defer c.resizeMu.Unlock()
 	cur := c.table.Load()

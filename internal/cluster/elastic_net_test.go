@@ -26,10 +26,7 @@ func TestNetRescale353(t *testing.T) {
 	const n = 60
 	g, lay := topology.Complete(n), fixedOf(t, mkReplicated(t, n, 2))
 	addrs3, _ := spawnNetCluster(t, n, 3)
-	memT, err := NewLayoutMemTransport(g, lay, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	memT := must(NewLayoutMemTransport(g, lay, 0))
 	netT, err := NewLayoutNetTransport(g, lay, addrs3, NetOptions{CallTimeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)

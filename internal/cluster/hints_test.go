@@ -92,9 +92,7 @@ func TestHintCacheDeadSlot(t *testing.T) {
 // locate path allocates nothing.
 func TestHintHitZeroAllocs(t *testing.T) {
 	c, _ := newMemCluster(t, 64, Options{Hints: true})
-	if _, err := c.Register("svc", 9); err != nil {
-		t.Fatal(err)
-	}
+	must(c.Register("svc", 9))
 	if _, err := c.Locate(2, "svc"); err != nil {
 		t.Fatal(err) // prime the hint
 	}

@@ -23,6 +23,7 @@ var genWorlds = []struct {
 	{"complete 16", 16, 1}, {"grid 4 4", 16, 1}, {"complete 36 r=2", 36, 2}, {"complete 36 r=3", 36, 3},
 	{"complete 24 active=16", 24, 1}, {"complete 24 active=16 r=2", 24, 2}, {"complete 36 weighted", 36, 1},
 	{"hypercube 4", 16, 1}, {"ccc 3", 24, 1}, {"plane 3", 13, 1}, {"hierarchy 3", 27, 1}, {"random 20", 20, 1}, {"ring 12", 12, 1},
+	{"complete 16 hash=1 r=3", 16, 3}, {"complete 16 hash=3", 16, 1},
 }
 
 // genHistory is the seeded random history: a world, its columns and

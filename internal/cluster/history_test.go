@@ -24,7 +24,7 @@ import (
 // runs concurrently with the steps before it; the steps of such a group
 // touch pairwise-distinct ports. The text form round-trips:
 //
-//	world complete 36 r=2           # or: world grid 6 6; options r=K active=M elastic weighted
+//	world complete 36 r=2           # or: world grid 6 6; options r=K active=M elastic weighted hash=A
 //	columns model sim mem net+hints # kind[/elastic][+hints][+vote][+cluster]
 //	register alpha 7
 //	locate 0-35/3 alpha,beta        # clients: n, a-b, a-b/step, comma lists
@@ -210,7 +210,7 @@ func buildWorld(tok []string) (g *graph.Graph, lay Layout, err error) {
 	default:
 		g = topology.Complete(k)
 	}
-	r, active, elastic, weighted := 1, g.N(), false, false
+	r, active, hash, elastic, weighted := 1, g.N(), 0, false, false
 	for _, o := range opts {
 		k, v, _ := strings.Cut(o, "=")
 		switch k {
@@ -222,6 +222,8 @@ func buildWorld(tok []string) (g *graph.Graph, lay Layout, err error) {
 			elastic = true
 		case "weighted":
 			weighted = true
+		case "hash":
+			hash = atoi(v)
 		default:
 			return nil, Layout{}, fmt.Errorf("world option %q", o)
 		}
@@ -235,7 +237,7 @@ func buildWorld(tok []string) (g *graph.Graph, lay Layout, err error) {
 		return g, lay, err
 	}
 	ep, err := strategy.NewEpoch(1, g.N(), base, r)
-	return g, Layout{Epoch: ep, Elastic: elastic}, err
+	return g, Layout{Epoch: ep, Elastic: elastic, Hash: hash}, err
 }
 
 // must returns v, panicking on err: for setup that cannot fail.

@@ -31,6 +31,15 @@ type Layout struct {
 	// contract from Epoch onwards. A fixed transport answers them with
 	// ErrNotElastic.
 	Elastic bool
+	// Hash, when positive, serves Hash Locate (§5) in place of the
+	// epoch's strategy: every port is hashed onto Hash addresses
+	// (strategy.HashSet), a server posts to them and a client queries
+	// them. The epoch's replica families become the rehash attempts —
+	// family k is attempt k, a server posts to every attempt's addresses
+	// up front and a locate falls through them in order — so r = 1 is
+	// the fragile plain scheme. It needs a fixed membership and no
+	// weighted overlay.
+	Hash int
 }
 
 // FixedLayout is the layout of strat over an n-node graph at full,
@@ -68,6 +77,9 @@ func (l Layout) check(n int) error {
 	}
 	if l.Weighted != nil && (l.Elastic || l.Epoch.Replicas() > 1 || l.Weighted.N() != n) {
 		return fmt.Errorf("cluster: the weighted mode needs a fixed, unreplicated epoch of its own %d-node base", l.Weighted.N())
+	}
+	if l.Hash < 0 || l.Hash > 0 && (l.Elastic || l.Weighted != nil) {
+		return fmt.Errorf("cluster: hash locate (%d addresses per port) needs a positive count, a fixed membership and no weighted overlay", l.Hash)
 	}
 	return nil
 }

@@ -15,7 +15,8 @@ import (
 // against: the paper's rows as plain maps, behind the transport API so
 // the runner drives it like any column. A posting lands at every live
 // node of P(origin), read from the layout's strategy.Epoch (widened to
-// both epochs' union mid-resize, to base ∪ hot for a promoted port); a
+// both epochs' union mid-resize, to base ∪ hot for a promoted port, to
+// strategy.HashSet of every rehash attempt under hash locate); a
 // locate reads the live nodes of Qₖ(client), family by family, keeping
 // the freshest active row a node holds as a member of Pₖ(row's origin)
 // when reads are family-scoped. It knows registrations, tombstones,
@@ -23,7 +24,7 @@ import (
 // package's own deterministic planners — corruption, repair and
 // armed lies. It models no routing and charges nothing.
 type model struct {
-	n         int
+	n, hash   int
 	cur, prev *strategy.Epoch
 	rm        *strategy.Remap
 	elastic   bool
@@ -56,7 +57,7 @@ type modelServer struct {
 var errRefused = errors.New("refused")
 
 func newModel(n int, lay Layout) *model {
-	m := &model{n: n, cur: lay.Epoch, elastic: lay.Elastic, w: lay.Weighted, hot: map[core.Port]bool{},
+	m := &model{n: n, hash: lay.Hash, cur: lay.Epoch, elastic: lay.Elastic, w: lay.Weighted, hot: map[core.Port]bool{},
 		crashed: make([]bool, n), rows: make([]map[modelKey]core.Entry, n)}
 	for v := range m.rows {
 		m.rows[v] = map[modelKey]core.Entry{}
@@ -66,13 +67,19 @@ func newModel(n int, lay Layout) *model {
 
 // scope is the geometry reads are family-scoped by, nil when unscoped.
 func (m *model) scope() familyGeometry {
-	if m.elastic || m.cur.Replicas() > 1 {
+	if m.hash == 0 && (m.elastic || m.cur.Replicas() > 1) {
 		return m.cur
 	}
 	return nil
 }
 
-func (m *model) postSet(s *modelServer, node graph.NodeID) []graph.NodeID {
+func (m *model) postSet(s *modelServer, node graph.NodeID) (set []graph.NodeID) {
+	if m.hash > 0 { // every rehash attempt's addresses
+		for k := range m.cur.Replicas() {
+			set = unionIDs(set, strategy.HashSet(s.port, k, m.hash, m.n))
+		}
+		return set
+	}
 	if m.w != nil && (s.hot || m.hot[s.port]) {
 		s.hot = true
 		return m.w.UnionPost(node)
@@ -247,6 +254,8 @@ func (m *model) flood(client graph.NodeID, port core.Port, k int) (answers []cor
 	targets := ep.QuerySet(client, fam)
 	if m.w != nil && m.hot[port] {
 		targets = m.w.Hot().Query(client)
+	} else if m.hash > 0 {
+		targets = strategy.HashSet(port, fam, m.hash, m.n)
 	}
 	for _, v := range targets {
 		if m.crashed[v] {

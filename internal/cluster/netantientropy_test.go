@@ -22,10 +22,7 @@ func TestNetCorruptionChaos(t *testing.T) {
 	const n = 60
 	g, lay := topology.Complete(n), fixedOf(t, mkReplicated(t, n, 2))
 	addrs, _ := spawnNetCluster(t, n, 3)
-	memT, err := NewLayoutMemTransport(g, lay, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	memT := must(NewLayoutMemTransport(g, lay, 0))
 	netT, err := NewLayoutNetTransport(g, lay, addrs, NetOptions{CallTimeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
@@ -55,12 +52,9 @@ func TestNetDualEpochRepairConsistent(t *testing.T) {
 		t.Skip("spawns real processes")
 	}
 	const universe = 48
-	g, lay := topology.Complete(universe), elasticOf(mkEpoch(t, 1, universe, 36, 1))
+	g, lay := topology.Complete(universe), elasticOf(mkEpoch(1, universe, 36, 1))
 	addrs, _ := spawnNetCluster(t, universe, 3)
-	memT, err := NewLayoutMemTransport(g, lay, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	memT := must(NewLayoutMemTransport(g, lay, 0))
 	netT, err := NewLayoutNetTransport(g, lay, addrs, NetOptions{CallTimeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)

@@ -104,10 +104,7 @@ func FuzzNodeHandle(f *testing.F) {
 	f.Add(byte(0), []byte{})
 
 	f.Fuzz(func(t *testing.T, op byte, body []byte) {
-		s, err := NewNodeServer(fuzzN, fuzzLo, fuzzHi, nil) // never served: no listener needed
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := must(NewNodeServer(fuzzN, fuzzLo, fuzzHi, nil)) // never served: no listener needed
 		if st, _ := s.handle(opCrash, netwire.AppendUvarint(nil, fuzzDown), nil); st != stOK {
 			t.Fatalf("crash %d: status %d", fuzzDown, st)
 		}
@@ -180,10 +177,7 @@ func FuzzNodeHandle(f *testing.F) {
 // naming the 8 posting nodes (8 hits), an opProbe of one record that
 // hits, and an opPost re-posting the 8 postings.
 func handleFrames(tb testing.TB) (s *NodeServer, query, probe, post []byte) {
-	s, err := NewNodeServer(16, 0, 16, nil)
-	if err != nil {
-		tb.Fatal(err)
-	}
+	s = must(NewNodeServer(16, 0, 16, nil))
 	e := core.Entry{Port: "svc", Addr: 6, ServerID: 9, Time: 3, Active: true}
 	query = netwire.AppendUvarint(netwire.AppendString(nil, "svc"), 8)
 	for v := range 8 {

@@ -198,10 +198,7 @@ func TestNetReplicatedKillEquivalence(t *testing.T) {
 	n, procs := 36, 3
 	g, lay := topology.Complete(n), fixedOf(t, mkReplicated(t, n, 2))
 	addrs, cmds := spawnNetCluster(t, n, procs)
-	memT, err := NewLayoutMemTransport(g, lay, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	memT := must(NewLayoutMemTransport(g, lay, 0))
 	netT, err := NewLayoutNetTransport(g, lay, addrs, NetOptions{CallTimeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
@@ -248,10 +245,7 @@ func TestNetReplicatedRepairLoop(t *testing.T) {
 	}
 	n, procs := 36, 3
 	g := topology.Complete(n)
-	rp, err := strategy.NewReplicated(rendezvous.Checkerboard(n), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rp := must(strategy.NewReplicated(rendezvous.Checkerboard(n), 2))
 	addrs, cmds := spawnNetCluster(t, n, procs)
 	netT, err := NewLayoutNetTransport(g, fixedOf(t, rp), addrs, NetOptions{
 		CallTimeout:    10 * time.Second,

@@ -76,9 +76,7 @@ func TestWeightedClusterLoop(t *testing.T) {
 	names := make([]core.Port, 4)
 	for p := range names {
 		names[p] = core.Port(fmt.Sprintf("svc-%04d", p))
-		if _, err := c.Register(names[p], graph.NodeID(p*11)); err != nil {
-			t.Fatal(err)
-		}
+		must(c.Register(names[p], graph.NodeID(p*11)))
 	}
 	c.ResetMetrics()
 	// Skewed traffic: svc-0000 dominates.
@@ -139,9 +137,7 @@ func TestWeightedConcurrentReclassify(t *testing.T) {
 	names := make([]core.Port, 6)
 	for p := range names {
 		names[p] = core.Port(fmt.Sprintf("svc-%04d", p))
-		if _, err := tr.Register(names[p], graph.NodeID(p*9)); err != nil {
-			t.Fatal(err)
-		}
+		must(tr.Register(names[p], graph.NodeID(p*9)))
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {

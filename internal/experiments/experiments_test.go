@@ -299,25 +299,27 @@ func TestE13HashCheaperButFragile(t *testing.T) {
 	cost := tables[0]
 	hashCost := cellFloat(t, cost, 0, 2)
 	shotgunCost := cellFloat(t, cost, 1, 2)
-	if hashCost != 2 {
-		t.Fatalf("hash locate cost = %.2f hops, want 2", hashCost)
+	if hashPost := cell(t, cost, 0, 1); hashCost != 2 || hashPost != "1.00" {
+		t.Fatalf("hash post = %s messages, locate = %.2f hops, want 1.00 and 2", hashPost, hashCost)
 	}
 	if shotgunCost <= hashCost {
 		t.Fatalf("shotgun cost %.2f should exceed hash %.2f", shotgunCost, hashCost)
 	}
+	if total := cell(t, tables[1], 0, 0); total != "1000" {
+		t.Fatalf("hash load table holds %s entries, want one per port, 1000", total)
+	}
 	crash := tables[2]
-	var h1, shotgun float64 = -1, -1
+	survival := make(map[string]string)
 	for r := range crash.Rows {
-		switch cell(t, crash, r, 0) {
-		case "hash r=1":
-			h1 = cellFloat(t, crash, r, 1)
-		case "shotgun 2√n":
-			shotgun = cellFloat(t, crash, r, 1)
+		survival[cell(t, crash, r, 0)] = cell(t, crash, r, 1)
+	}
+	// One crash kills the plain scheme; either §5 mitigation survives it.
+	for name, want := range map[string]string{"hash r=1": "0.000", "hash r=3": "1.000", "hash rehash": "1.000"} {
+		if survival[name] != want {
+			t.Errorf("%s survives a rendezvous crash at %s, want %s", name, survival[name], want)
 		}
 	}
-	if h1 != 0 {
-		t.Fatalf("unreplicated hash survived a rendezvous crash: %.2f", h1)
-	}
+	shotgun, _ := strconv.ParseFloat(survival["shotgun 2√n"], 64)
 	if shotgun < 0.5 {
 		t.Fatalf("shotgun survival %.2f, want most pairs alive", shotgun)
 	}
@@ -409,5 +411,10 @@ func TestE18FamiliesShape(t *testing.T) {
 	// Broadcast survives any single non-server crash.
 	if byName["broadcast"][4] != "1.000" {
 		t.Fatalf("broadcast survival = %s, want 1.000", byName["broadcast"][4])
+	}
+	// Hash: one post message, query + reply, one cached entry, and dead
+	// with its one rendezvous node (§5).
+	if hash := strings.Join(byName["hash"][1:], " "); hash != "1.00 2.00 1 0.000" {
+		t.Fatalf("hash row = %s, want 1.00 2.00 1 0.000", hash)
 	}
 }

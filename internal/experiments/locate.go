@@ -241,28 +241,24 @@ func E13Hash() ([]Table, error) {
 		},
 	}
 	// Hash side.
-	netH, err := sim.New(topology.Complete(n))
+	hs, err := hashTransport(n, 1, 1)
 	if err != nil {
 		return nil, err
 	}
-	defer netH.Close()
-	hs, err := hashlocate.New(netH, hashlocate.Options{})
+	defer hs.Close()
+	hashPostHops, err := hopsOf(hs, "svc", func() error { _, err := hs.Register("svc", 3); return err })
 	if err != nil {
 		return nil, err
 	}
-	netH.ResetCounters()
-	if _, err := hs.Post("svc", 3); err != nil {
-		return nil, err
-	}
-	hashPostHops := float64(netH.Hops())
 	var hops []float64
 	rng := rand.New(rand.NewPCG(13, 31))
 	for i := 0; i < 30; i++ {
-		netH.ResetCounters()
-		if _, err := hs.Locate(graph.NodeID(rng.IntN(n)), "svc"); err != nil {
+		client := graph.NodeID(rng.IntN(n))
+		h, err := hopsOf(hs, "svc", func() error { _, err := hs.Locate(client, "svc"); return err })
+		if err != nil {
 			return nil, err
 		}
-		hops = append(hops, float64(netH.Hops()))
+		hops = append(hops, h)
 	}
 	cost.Rows = append(cost.Rows, []string{"hash", f2(hashPostHops), f2(stats.Summarize(hops).Mean)})
 
@@ -282,21 +278,17 @@ func E13Hash() ([]Table, error) {
 			"total entries", "mean per node", "max per node",
 		},
 	}
-	netL, err := sim.New(topology.Complete(n))
+	hl, err := hashTransport(n, 1, 1)
 	if err != nil {
 		return nil, err
 	}
-	defer netL.Close()
-	hl, err := hashlocate.New(netL, hashlocate.Options{})
-	if err != nil {
-		return nil, err
-	}
+	defer hl.Close()
 	for i := 0; i < 1000; i++ {
-		if _, err := hl.Post(core.Port(fmt.Sprintf("p%d", i)), graph.NodeID(i%n)); err != nil {
+		if _, err := hl.Register(core.Port(fmt.Sprintf("p%d", i)), graph.NodeID(i%n)); err != nil {
 			return nil, err
 		}
 	}
-	sizes := hl.CacheSizes()
+	sizes := cacheSizes(hl)
 	total := 0
 	for _, s := range sizes {
 		total += s
@@ -313,21 +305,18 @@ func E13Hash() ([]Table, error) {
 			"method", "locate success after crash",
 		},
 	}
-	row, err := hashCrashRow("hash r=1", hashlocate.Options{}, n)
-	if err != nil {
-		return nil, err
+	// "hash r=3" hashes a port onto three addresses; "hash rehash" onto
+	// one, with two backup attempts.
+	for _, h := range []struct {
+		name            string
+		addrs, attempts int
+	}{{"hash r=1", 1, 1}, {"hash r=3", 3, 1}, {"hash rehash", 1, 3}} {
+		row, err := hashCrashRow(h.name, h.addrs, h.attempts, n)
+		if err != nil {
+			return nil, err
+		}
+		crash.Rows = append(crash.Rows, row)
 	}
-	crash.Rows = append(crash.Rows, row)
-	row, err = hashCrashRow("hash r=3", hashlocate.Options{Replicas: 3}, n)
-	if err != nil {
-		return nil, err
-	}
-	crash.Rows = append(crash.Rows, row)
-	row, err = hashCrashRow("hash rehash", hashlocate.Options{MaxRehash: 2}, n)
-	if err != nil {
-		return nil, err
-	}
-	crash.Rows = append(crash.Rows, row)
 
 	// Shotgun: crash the same count of nodes (1) and sample clients.
 	strat := rendezvous.Checkerboard(n)
@@ -419,38 +408,53 @@ func neighborhoodTable() (Table, error) {
 	return t, nil
 }
 
-func hashCrashRow(name string, opts hashlocate.Options, n int) ([]string, error) {
-	net, err := sim.New(topology.Complete(n))
+// hashTransport serves Hash Locate on the complete n-node network: a
+// port hashed onto addrs addresses, tried in attempts rehash attempts.
+// The epoch's strategy is never read under hash; Central is the
+// cheapest to build.
+func hashTransport(n, addrs, attempts int) (*cluster.SimTransport, error) {
+	lay, err := cluster.FixedLayout(n, rendezvous.Central(n, 0), attempts)
 	if err != nil {
 		return nil, err
 	}
-	defer net.Close()
-	hs, err := hashlocate.New(net, opts)
+	lay.Hash = addrs
+	return cluster.NewLayoutSimTransport(topology.Complete(n), lay)
+}
+
+// cacheSizes is the number of entries each node of tr caches.
+func cacheSizes(tr *cluster.SimTransport) []int {
+	sizes := make([]int, tr.N())
+	for v := range sizes {
+		sizes[v] = tr.Store().NodeSize(graph.NodeID(v))
+	}
+	return sizes
+}
+
+// hashCrashRow is locate success after the first address of a port's
+// primary hash set crashed. The server posted to every rehash attempt's
+// addresses up front, so no re-post is needed to recover.
+func hashCrashRow(name string, addrs, attempts, n int) ([]string, error) {
+	hs, err := hashTransport(n, addrs, attempts)
 	if err != nil {
 		return nil, err
 	}
-	primary := hs.Rendezvous("svc", 0)
+	defer hs.Close()
+	primary := strategy.HashSet("svc", 0, addrs, n)
 	server := graph.NodeID(0)
 	for isIn(primary, server) {
 		server++
 	}
-	if _, err := hs.Post("svc", server); err != nil {
+	if _, err := hs.Register("svc", server); err != nil {
 		return nil, err
 	}
-	if err := net.Crash(primary[0]); err != nil {
+	if err := hs.Crash(primary[0]); err != nil {
 		return nil, err
-	}
-	// After the crash the server re-posts, exercising rehash if enabled.
-	if opts.MaxRehash > 0 {
-		if _, err := hs.Post("svc", server); err != nil {
-			return nil, err
-		}
 	}
 	ok, samples := 0, 40
 	rng := rand.New(rand.NewPCG(5, 5))
 	for i := 0; i < samples; i++ {
 		client := graph.NodeID(rng.IntN(n))
-		if net.Crashed(client) || client == server {
+		if client == primary[0] || client == server {
 			continue
 		}
 		if _, err := hs.Locate(client, "svc"); err == nil {
@@ -912,46 +916,40 @@ func E18Families() ([]Table, error) {
 	}
 
 	// Hash family.
-	net, err := sim.New(topology.Complete(n))
+	hs, err := hashTransport(n, 1, 1)
 	if err != nil {
 		return nil, err
 	}
-	defer net.Close()
-	hs, err := hashlocate.New(net, hashlocate.Options{})
-	if err != nil {
-		return nil, err
-	}
-	primary := hs.Rendezvous("svc", 0)
+	defer hs.Close()
+	primary := strategy.HashSet("svc", 0, 1, n)
 	server := graph.NodeID(9)
 	for isIn(primary, server) {
 		server++
 	}
-	net.ResetCounters()
-	if _, err := hs.Post("svc", server); err != nil {
+	postHops, err := hopsOf(hs, "svc", func() error { _, err := hs.Register("svc", server); return err })
+	if err != nil {
 		return nil, err
 	}
-	postHops := float64(net.Hops())
 	var locHops []float64
 	for i := 0; i < 20; i++ {
-		net.ResetCounters()
 		client := graph.NodeID(rng.IntN(n))
-		if _, err := hs.Locate(client, "svc"); err != nil {
+		h, err := hopsOf(hs, "svc", func() error { _, err := hs.Locate(client, "svc"); return err })
+		if err != nil {
 			return nil, err
 		}
-		locHops = append(locHops, float64(net.Hops()))
+		locHops = append(locHops, h)
 	}
-	sizes := hs.CacheSizes()
 	cacheTotal := 0
-	for _, sz := range sizes {
+	for _, sz := range cacheSizes(hs) {
 		cacheTotal += sz
 	}
-	if err := net.Crash(primary[0]); err != nil {
+	if err := hs.Crash(primary[0]); err != nil {
 		return nil, err
 	}
 	ok, tried := 0, 0
 	for i := 0; i < 20; i++ {
 		client := graph.NodeID(rng.IntN(n))
-		if net.Crashed(client) {
+		if client == primary[0] {
 			continue
 		}
 		tried++

@@ -1,261 +1,252 @@
-package hashlocate
+// Plain Hash Locate (§5, P = Q : Π → 2^U) is served by the cluster
+// coordinator: a cluster.Layout with Hash set, over strategy.HashSet.
+// These tests pin its §5 behaviour beside the neighborhood
+// generalization this package implements.
+package hashlocate_test
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
+	"matchmake/internal/cluster"
 	"matchmake/internal/core"
 	"matchmake/internal/graph"
-	"matchmake/internal/sim"
+	"matchmake/internal/rendezvous"
+	"matchmake/internal/strategy"
 	"matchmake/internal/topology"
 )
 
-func newSystem(t *testing.T, n int, opts Options) *System {
+// newHash serves Hash Locate on the complete n-node network: each port
+// hashed onto addrs addresses, tried in attempts rehash attempts.
+func newHash(t *testing.T, n, addrs, attempts int) *cluster.SimTransport {
 	t.Helper()
-	net, err := sim.New(topology.Complete(n))
+	lay, err := cluster.FixedLayout(n, rendezvous.Central(n, 0), attempts)
 	if err != nil {
-		t.Fatalf("sim.New: %v", err)
+		t.Fatal(err)
 	}
-	t.Cleanup(net.Close)
-	s, err := New(net, opts)
+	lay.Hash = addrs
+	tr, err := cluster.NewLayoutSimTransport(topology.Complete(n), lay)
 	if err != nil {
-		t.Fatalf("New: %v", err)
+		t.Fatal(err)
 	}
-	return s
+	t.Cleanup(func() { tr.Close() })
+	return tr
+}
+
+func register(t *testing.T, tr *cluster.SimTransport, port core.Port, node graph.NodeID) cluster.ServerRef {
+	t.Helper()
+	ref, err := tr.Register(port, node)
+	if err != nil {
+		t.Fatalf("Register %q at %d: %v", port, node, err)
+	}
+	return ref
+}
+
+// outside returns the first node from v on, cyclically, in none of sets.
+func outside(n int, v graph.NodeID, sets ...[]graph.NodeID) graph.NodeID {
+	v %= graph.NodeID(n)
+	for slices.ContainsFunc(sets, func(s []graph.NodeID) bool { return slices.Contains(s, v) }) {
+		v = (v + 1) % graph.NodeID(n)
+	}
+	return v
 }
 
 func TestPostAndLocate(t *testing.T) {
-	s := newSystem(t, 32, Options{})
-	if _, err := s.Post("mail", 7); err != nil {
-		t.Fatalf("Post: %v", err)
-	}
-	res, err := s.Locate(21, "mail")
-	if err != nil {
-		t.Fatalf("Locate: %v", err)
-	}
-	if res.Addr != 7 {
-		t.Fatalf("Addr = %d, want 7", res.Addr)
-	}
-	if res.Queried != 1 || res.Rehashes != 0 {
-		t.Fatalf("Queried=%d Rehashes=%d, want 1,0", res.Queried, res.Rehashes)
+	tr := newHash(t, 32, 1, 1)
+	register(t, tr, "mail", 7)
+	e, err := tr.Locate(21, "mail")
+	if err != nil || e.Addr != 7 {
+		t.Fatalf("Locate = %+v, %v; want the server at 7", e, err)
 	}
 }
 
 func TestMatchCostIsTwoMessages(t *testing.T) {
 	// §5: "clients and servers need only use one network node each in
-	// every match-making" — on a complete network one locate costs 2
-	// hops (query + reply).
-	s := newSystem(t, 64, Options{})
-	if _, err := s.Post("db", 3); err != nil {
-		t.Fatalf("Post: %v", err)
-	}
-	net := s.Network()
-	net.ResetCounters()
-	if _, err := s.Locate(40, "db"); err != nil {
-		t.Fatalf("Locate: %v", err)
-	}
-	if got := net.Hops(); got != 2 {
-		t.Fatalf("locate hops = %d, want 2", got)
+	// every match-making" — on a complete network a post is one message
+	// and a locate two (query + reply), each carried hop for hop.
+	tr := newHash(t, 64, 1, 1)
+	rv := strategy.HashSet("db", 0, 1, 64)
+	server := outside(64, 3, rv)
+	client := outside(64, server+1, rv, []graph.NodeID{server})
+	for i, op := range []func() error{
+		func() error { _, err := tr.Register("db", server); return err },
+		func() error { _, err := tr.Locate(client, "db"); return err },
+	} {
+		tr.ResetPasses()
+		hops := tr.Hops()
+		if err := op(); err != nil || tr.Passes() != int64(i+1) || tr.Hops()-hops != tr.Passes() {
+			t.Fatalf("op %d: charged %d passes, carried %d hops, %v; want %d", i, tr.Passes(), tr.Hops()-hops, err, i+1)
+		}
 	}
 }
 
 func TestLocateNotFound(t *testing.T) {
-	s := newSystem(t, 16, Options{})
-	if _, err := s.Locate(3, "ghost"); !errors.Is(err, ErrNotFound) {
+	tr := newHash(t, 16, 1, 1)
+	if _, err := tr.Locate(3, "ghost"); !errors.Is(err, core.ErrNotFound) {
 		t.Fatalf("err = %v, want ErrNotFound", err)
 	}
 }
 
 func TestUnpost(t *testing.T) {
-	s := newSystem(t, 16, Options{})
-	if _, err := s.Post("svc", 2); err != nil {
-		t.Fatalf("Post: %v", err)
+	tr := newHash(t, 16, 1, 1)
+	if err := register(t, tr, "svc", 2).Deregister(); err != nil {
+		t.Fatalf("Deregister: %v", err)
 	}
-	if err := s.Unpost("svc", 2); err != nil {
-		t.Fatalf("Unpost: %v", err)
-	}
-	if _, err := s.Locate(9, "svc"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("err = %v, want ErrNotFound after unpost", err)
+	if _, err := tr.Locate(9, "svc"); !errors.Is(err, core.ErrNotFound) {
+		t.Fatalf("err = %v, want ErrNotFound after deregistration", err)
 	}
 }
 
 func TestCrashKillsServiceWithoutReplication(t *testing.T) {
 	// The §5 fragility: crash the single rendezvous node and the service
 	// is gone from the whole network.
-	s := newSystem(t, 32, Options{})
-	rv := s.Rendezvous("svc", 0)
-	if len(rv) != 1 {
-		t.Fatalf("rendezvous = %v, want 1 node", rv)
+	tr := newHash(t, 32, 1, 1)
+	rv := strategy.HashSet("svc", 0, 1, 32)
+	register(t, tr, "svc", (rv[0]+1)%32)
+	if err := tr.Crash(rv[0]); err != nil {
+		t.Fatal(err)
 	}
-	server := (rv[0] + 1) % 32
-	client := (rv[0] + 2) % 32
-	if _, err := s.Post("svc", server); err != nil {
-		t.Fatalf("Post: %v", err)
-	}
-	if err := s.Network().Crash(rv[0]); err != nil {
-		t.Fatalf("Crash: %v", err)
-	}
-	if _, err := s.Locate(client, "svc"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("err = %v, want ErrNotFound after rendezvous crash", err)
+	for client := range graph.NodeID(32) {
+		if _, err := tr.Locate(client, "svc"); client != rv[0] && !errors.Is(err, core.ErrNotFound) {
+			t.Fatalf("locate from %d: err = %v, want ErrNotFound after the rendezvous crash", client, err)
+		}
 	}
 }
 
 func TestReplicationSurvivesCrash(t *testing.T) {
-	// First §5 mitigation: hash onto several addresses.
-	s := newSystem(t, 32, Options{Replicas: 3})
-	rv := s.Rendezvous("svc", 0)
-	if len(rv) != 3 {
-		t.Fatalf("rendezvous = %v, want 3 nodes", rv)
+	// First §5 mitigation: hash onto several addresses. One flood reaches
+	// all three; the two live ones answer.
+	tr := newHash(t, 32, 3, 1)
+	rv := strategy.HashSet("svc", 0, 3, 32)
+	server := outside(32, 0, rv)
+	client := outside(32, server+1, rv)
+	register(t, tr, "svc", server)
+	if err := tr.Crash(rv[0]); err != nil {
+		t.Fatal(err)
 	}
-	server := freeNode(rv, 32)
-	client := (server + 1) % 32
-	for contains(rv, client) {
-		client = (client + 1) % 32
+	tr.ResetPasses()
+	e, err := tr.Locate(client, "svc")
+	if err != nil || e.Addr != server {
+		t.Fatalf("Locate = %+v, %v; want the server at %d", e, err, server)
 	}
-	if _, err := s.Post("svc", server); err != nil {
-		t.Fatalf("Post: %v", err)
-	}
-	if err := s.Network().Crash(rv[0]); err != nil {
-		t.Fatalf("Crash: %v", err)
-	}
-	res, err := s.Locate(client, "svc")
-	if err != nil {
-		t.Fatalf("Locate: %v", err)
-	}
-	if res.Addr != server {
-		t.Fatalf("Addr = %d, want %d", res.Addr, server)
-	}
-	if res.Queried != 2 {
-		t.Fatalf("Queried = %d, want 2 (first replica dead)", res.Queried)
+	if got := tr.Passes(); got != 5 {
+		t.Fatalf("locate charged %d passes, want 5 (a flood to 3 addresses, 2 replies)", got)
 	}
 }
 
 func TestRehashRecovery(t *testing.T) {
-	// Second §5 mitigation: when the primary rendezvous is down, server
-	// and client rehash onto the same backup address.
-	s := newSystem(t, 32, Options{MaxRehash: 2})
-	primary := s.Rendezvous("svc", 0)
-	if err := s.Network().Crash(primary[0]); err != nil {
-		t.Fatalf("Crash: %v", err)
+	// Second §5 mitigation: when the primary rendezvous is down, client
+	// and server meet at the backup address of rehash attempt 1. The
+	// server posted there when it registered.
+	tr := newHash(t, 32, 1, 3)
+	primary := strategy.HashSet("svc", 0, 1, 32)
+	backup := strategy.HashSet("svc", 1, 1, 32)
+	if err := tr.Crash(primary[0]); err != nil {
+		t.Fatal(err)
 	}
-	server := (primary[0] + 1) % 32
-	client := (primary[0] + 2) % 32
-	if _, err := s.Post("svc", server); err != nil {
-		t.Fatalf("Post with rehash: %v", err)
+	server := outside(32, primary[0]+1, primary, backup)
+	client := outside(32, server+1, primary, backup)
+	register(t, tr, "svc", server)
+	if _, err := tr.LocateReplica(client, "svc", 0); !errors.Is(err, core.ErrNotFound) {
+		t.Fatalf("attempt 0: err = %v, want ErrNotFound at the crashed primary", err)
 	}
-	res, err := s.Locate(client, "svc")
-	if err != nil {
-		t.Fatalf("Locate with rehash: %v", err)
+	if e, err := tr.LocateReplica(client, "svc", 1); err != nil || e.Addr != server {
+		t.Fatalf("attempt 1 = %+v, %v; want the server at %d", e, err, server)
 	}
-	if res.Addr != server || res.Rehashes != 1 {
-		t.Fatalf("Addr=%d Rehashes=%d, want %d,1", res.Addr, res.Rehashes, server)
+	if e, err := tr.Locate(client, "svc"); err != nil || e.Addr != server {
+		t.Fatalf("Locate = %+v, %v; want the server at %d", e, err, server)
 	}
 }
 
 func TestPostAllRendezvousDown(t *testing.T) {
-	s := newSystem(t, 8, Options{})
-	rv := s.Rendezvous("svc", 0)
-	if err := s.Network().Crash(rv[0]); err != nil {
-		t.Fatalf("Crash: %v", err)
+	// A server posts without polling its rendezvous nodes: with every
+	// one of them down the post is accepted and charged its one message,
+	// which the network drops, and the port stays unlocatable.
+	tr := newHash(t, 8, 1, 1)
+	rv := strategy.HashSet("svc", 0, 1, 8)
+	if err := tr.Crash(rv[0]); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := s.Post("svc", (rv[0]+1)%8); err == nil {
-		t.Fatal("post should fail with all rendezvous nodes down")
+	tr.ResetPasses()
+	hops := tr.Hops()
+	register(t, tr, "svc", (rv[0]+1)%8)
+	if tr.Passes() != 1 || tr.Hops() != hops {
+		t.Fatalf("post charged %d passes and carried %d hops, want 1 and 0", tr.Passes(), tr.Hops()-hops)
+	}
+	if _, err := tr.Locate((rv[0]+2)%8, "svc"); !errors.Is(err, core.ErrNotFound) {
+		t.Fatalf("err = %v, want ErrNotFound", err)
 	}
 }
 
 func TestLoadDistribution(t *testing.T) {
 	// A well-chosen hash spreads many ports over the nodes: no node
 	// should hold a large fraction of all entries.
-	s := newSystem(t, 64, Options{})
-	for i := 0; i < 256; i++ {
-		port := corePort(i)
-		if _, err := s.Post(port, graph.NodeID(i%64)); err != nil {
-			t.Fatalf("Post %q: %v", port, err)
-		}
+	tr := newHash(t, 64, 1, 1)
+	for i := range 256 {
+		register(t, tr, core.Port(fmt.Sprintf("port-%d", i)), graph.NodeID(i%64))
 	}
-	sizes := s.CacheSizes()
 	total, maxSize := 0, 0
-	for _, sz := range sizes {
-		total += sz
-		if sz > maxSize {
-			maxSize = sz
-		}
+	for v := range graph.NodeID(64) {
+		sz := tr.Store().NodeSize(v)
+		total, maxSize = total+sz, max(maxSize, sz)
 	}
-	if total != 256 {
-		t.Fatalf("total entries = %d, want 256", total)
-	}
-	if maxSize > 20 {
-		t.Fatalf("max node load = %d, want ≤ 20 (mean 4)", maxSize)
+	if total != 256 || maxSize > 20 {
+		t.Fatalf("%d entries, at most %d on a node; want 256 and ≤ 20 (mean 4)", total, maxSize)
 	}
 }
 
 func TestClearCache(t *testing.T) {
-	s := newSystem(t, 16, Options{})
-	if _, err := s.Post("svc", 2); err != nil {
-		t.Fatalf("Post: %v", err)
+	// A rebooted rendezvous node has lost its entries: a crash drops its
+	// cache, and restoring it brings nothing back.
+	tr := newHash(t, 16, 1, 1)
+	register(t, tr, "svc", 2)
+	rv := strategy.HashSet("svc", 0, 1, 16)
+	if err := tr.Crash(rv[0]); err != nil {
+		t.Fatal(err)
 	}
-	rv := s.Rendezvous("svc", 0)
-	s.ClearCache(rv[0])
-	if _, err := s.Locate(9, "svc"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("err = %v, want ErrNotFound after cache clear", err)
+	if err := tr.Restore(rv[0]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tr.Locate(9, "svc"); !errors.Is(err, core.ErrNotFound) {
+		t.Fatalf("err = %v, want ErrNotFound after the reboot", err)
 	}
 }
 
 func TestInvalidNodes(t *testing.T) {
-	s := newSystem(t, 8, Options{})
-	if _, err := s.Post("svc", 99); !errors.Is(err, graph.ErrNodeRange) {
-		t.Fatalf("Post err = %v, want ErrNodeRange", err)
+	tr := newHash(t, 8, 1, 1)
+	if _, err := tr.Register("svc", 99); !errors.Is(err, graph.ErrNodeRange) {
+		t.Fatalf("Register err = %v, want ErrNodeRange", err)
 	}
-	if _, err := s.Locate(99, "svc"); !errors.Is(err, graph.ErrNodeRange) {
+	if _, err := tr.Locate(99, "svc"); !errors.Is(err, graph.ErrNodeRange) {
 		t.Fatalf("Locate err = %v, want ErrNodeRange", err)
 	}
 }
 
 func TestRendezvousDeterministic(t *testing.T) {
-	s := newSystem(t, 32, Options{Replicas: 4})
-	a := s.Rendezvous("some-port", 1)
-	b := s.Rendezvous("some-port", 1)
-	if len(a) != 4 || len(b) != 4 {
-		t.Fatalf("rendezvous sizes = %d,%d, want 4,4", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("rendezvous must be deterministic")
+	// A posting lands exactly at the port's hash sets of every rehash
+	// attempt, and nowhere else.
+	tr := newHash(t, 32, 4, 2)
+	register(t, tr, "some-port", 0)
+	want := append(strategy.HashSet("some-port", 0, 4, 32), strategy.HashSet("some-port", 1, 4, 32)...)
+	for v := range graph.NodeID(32) {
+		if held := tr.Store().NodeSize(v) == 1; held != slices.Contains(want, v) {
+			t.Fatalf("node %d holds the posting: %v; the hash sets are %v", v, held, want)
 		}
-	}
-	// Distinct attempts should (almost always) differ.
-	c := s.Rendezvous("some-port", 2)
-	same := true
-	for i := range a {
-		if a[i] != c[i] {
-			same = false
-		}
-	}
-	if same {
-		t.Fatal("rehash attempt produced identical rendezvous set")
 	}
 }
 
-func corePort(i int) core.Port {
-	return core.Port(fmt.Sprintf("port-%d", i))
-}
-
-// freeNode returns a node identifier not in used.
-func freeNode(used []graph.NodeID, n int) graph.NodeID {
-	for v := 0; v < n; v++ {
-		if !contains(used, graph.NodeID(v)) {
-			return graph.NodeID(v)
+func TestHashLayoutRefusals(t *testing.T) {
+	// Hash Locate is served at a fixed membership with no weighted
+	// overlay, and a port needs at least one address.
+	lay, err := cluster.FixedLayout(16, rendezvous.Checkerboard(16), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []cluster.Layout{{Epoch: lay.Epoch, Hash: 1, Elastic: true}, {Epoch: lay.Epoch, Hash: -1}} {
+		if _, err := cluster.NewLayoutSimTransport(topology.Complete(16), bad); err == nil {
+			t.Errorf("layout %+v was accepted", bad)
 		}
 	}
-	return 0
-}
-
-func contains(s []graph.NodeID, v graph.NodeID) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }

@@ -1,3 +1,12 @@
+// Package hashlocate implements the neighborhood generalization of
+// Hash Locate from Section 5 of the paper, P, Q : U × Π → 2^U: a port
+// hashes onto one rendezvous node in every cluster of a hierarchy, and
+// a service is posted only up to its visibility scope.
+//
+// Plain Hash Locate, P = Q : Π → 2^U, is not here: the serving
+// coordinator runs it (cluster.Layout.Hash over strategy.HashSet). A
+// neighborhood posting set depends on a per-service scope that a
+// registration does not carry, so this engine stays on its own.
 package hashlocate
 
 import (
@@ -32,12 +41,30 @@ type Neighborhood struct {
 	clock  uint64
 }
 
+type (
+	postMsg struct {
+		entry core.Entry
+	}
+	queryMsg struct {
+		port core.Port
+	}
+	queryReply struct {
+		entry core.Entry
+		found bool
+	}
+)
+
 // Scope is a service visibility level: 1 = local cluster only, up to
 // Levels() = the whole network (a "truly global" service).
 type Scope int
 
-// ErrBadScope reports a scope outside [1, Levels()].
-var ErrBadScope = errors.New("hashlocate: scope out of range")
+// Errors returned by the engine.
+var (
+	// ErrBadScope reports a scope outside [1, Levels()].
+	ErrBadScope = errors.New("hashlocate: scope out of range")
+	// ErrNotFound reports a locate that climbed every level in vain.
+	ErrNotFound = errors.New("hashlocate: service not found")
+)
 
 // NewNeighborhood installs the handlers over a hierarchy's network.
 func NewNeighborhood(net *sim.Network, hier *topology.Hierarchy) (*Neighborhood, error) {

@@ -2,8 +2,10 @@ package hashlocate
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
+	"matchmake/internal/core"
 	"matchmake/internal/graph"
 	"matchmake/internal/sim"
 	"matchmake/internal/topology"
@@ -175,4 +177,8 @@ func TestNeighborhoodLoadSpreadsByLevel(t *testing.T) {
 	if load[h.Levels()] >= total {
 		t.Fatalf("all %d entries at the top level; load = %v", total, load)
 	}
+}
+
+func corePort(i int) core.Port {
+	return core.Port(fmt.Sprintf("port-%d", i))
 }

@@ -3,10 +3,13 @@
 // mesh slices, hypercube (ε-)splits, cube-connected-cycles tuning,
 // projective-plane lines, hierarchical gateway posting, tree path-to-root
 // and the generic √n-decomposition method for arbitrary connected
-// networks.
+// networks — plus the membership epochs and replica families the serving
+// layer runs them in, and HashSet, the port hash of Section 5's Hash
+// Locate.
 //
 // Every constructor returns a rendezvous.Strategy, so the theory package
-// can analyze it and the core engine can run it over the simulator.
+// can analyze it and internal/cluster's coordinator can serve it, over
+// the simulator or any other transport.
 package strategy
 
 import (

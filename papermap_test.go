@@ -16,12 +16,12 @@ var paperMapRef = regexp.MustCompile("`([\\w./-]+\\.go)(?::([\\w.]+))?`")
 
 // TestPaperMapRefs keeps the paper-to-code concordance and the design
 // docs honest: every `path/file.go:Symbol` reference in
-// docs/PAPER_MAP.md, DESIGN.md and README.md must name an existing file
-// — a path as written, or a bare file name exactly one file in the repo
-// has — that declares the symbol: a top-level func, type, var or const
-// (or a method of any receiver) for a bare name, a method of that
-// receiver for Type.Method. A refactor that moves code fails here until
-// the docs follow.
+// docs/PAPER_MAP.md, docs/OPERATIONS.md, DESIGN.md and README.md must
+// name an existing file — a path as written, or a bare file name
+// exactly one file in the repo has — that declares the symbol: a
+// top-level func, type, var or const (or a method of any receiver) for a
+// bare name, a method of that receiver for Type.Method. A refactor that
+// moves code fails here until the docs follow.
 func TestPaperMapRefs(t *testing.T) {
 	byName := make(map[string][]string) // file name -> repo paths
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -39,7 +39,7 @@ func TestPaperMapRefs(t *testing.T) {
 		t.Fatal(err)
 	}
 	sources := make(map[string]string)
-	for _, doc := range []string{"docs/PAPER_MAP.md", "DESIGN.md", "README.md"} {
+	for _, doc := range []string{"docs/PAPER_MAP.md", "docs/OPERATIONS.md", "DESIGN.md", "README.md"} {
 		body, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
