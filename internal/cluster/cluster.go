@@ -119,6 +119,7 @@ type Cluster struct {
 	opts  Options
 	seed  maphash.Seed
 
+	pool     sync.Once   // starts queues on the first Submit
 	queues   []chan task // one Submit queue per shard, picked by port hash
 	hints    *hintCache  // nil unless Options.Hints
 	genSlots genSlotter  // non-nil when the transport exposes generation slots
@@ -304,6 +305,17 @@ func New(tr Transport, opts Options) *Cluster {
 	if c.opts.HotPorts > 0 {
 		c.pop = newPopularity()
 	}
+	if c.pop != nil && c.opts.HotRefresh > 0 && reclassifiable(tr) {
+		c.wg.Add(1)
+		go c.runHotLoop()
+	}
+	return c
+}
+
+// startPool starts the Submit queues and their workers; the first
+// Submit runs it, so a cluster that is never handed an asynchronous
+// locate starts neither.
+func (c *Cluster) startPool() {
 	c.queues = make([]chan task, c.opts.Shards)
 	for i := range c.queues {
 		c.queues[i] = make(chan task, c.opts.QueueDepth)
@@ -312,11 +324,6 @@ func New(tr Transport, opts Options) *Cluster {
 			go c.runWorker(c.queues[i])
 		}
 	}
-	if c.pop != nil && c.opts.HotRefresh > 0 && reclassifiable(tr) {
-		c.wg.Add(1)
-		go c.runHotLoop()
-	}
-	return c
 }
 
 // runHotLoop periodically re-derives the hot-port set from the live
@@ -605,6 +612,7 @@ func (c *Cluster) Submit(client graph.NodeID, port core.Port, cb func(core.Entry
 		return ErrClosed
 	}
 	defer c.exit(stripe)
+	c.pool.Do(c.startPool)
 	queue := c.queues[maphash.String(c.seed, string(port))&uint64(len(c.queues)-1)]
 	select {
 	case queue <- task{client: client, port: port, cb: cb}:
@@ -821,6 +829,7 @@ func (c *Cluster) Close() error {
 		<-c.drained
 	}
 	close(c.stopHot)
+	c.pool.Do(func() {}) // no pool after Close; orders the read of queues after any start
 	for _, queue := range c.queues {
 		close(queue)
 	}

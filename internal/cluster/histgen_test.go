@@ -10,9 +10,9 @@ import (
 	"testing"
 )
 
-// historySeeds is the number of generated histories every test run
-// replays: FuzzHistories' seed corpus. CI fuzzes past them.
-const historySeeds = 8
+// historySeeds, FuzzHistories' seed corpus, covers every genWorlds world
+// (a history's world is its seed modulo their count). CI fuzzes past them.
+const historySeeds = 16
 
 // genWorlds are the worlds generated histories run in, with their node
 // count and replication factor.
@@ -31,7 +31,7 @@ var genWorlds = []struct {
 // history adds a net column, which costs loopback round trips.
 func genHistory(seed uint64) *history {
 	rng := rand.New(rand.NewPCG(seed, 1985))
-	w := genWorlds[rng.IntN(len(genWorlds))]
+	w := genWorlds[seed%uint64(len(genWorlds))]
 	elastic, weighted := strings.Contains(w.world, "active"), strings.Contains(w.world, "weighted")
 	cols := "model mem sim"
 	if seed%8 == 0 {

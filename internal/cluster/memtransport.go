@@ -100,13 +100,9 @@ func (m *memSubstrate) post(entries []core.Entry, rows []rowKey) {
 	for lo, hi := 0, 0; lo < len(rows); lo = hi {
 		hi = requestRun(rows, lo)
 		e := entries[rows[lo].req]
-		rs := m.store.Rows(e.Port)
+		rs := m.store.rowsWith(e.Port, rows[lo:hi])
 		for _, k := range rows[lo:hi] {
-			sl := rs.slot(k.node)
-			if sl == nil {
-				sl = m.store.slotCreate(k.node, e.Port) // the row's first posting
-			}
-			sl.merge(e)
+			rs.slot(k.node).merge(e)
 		}
 	}
 }

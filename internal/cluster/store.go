@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"cmp"
 	"hash/maphash"
 	"maps"
 	"slices"
@@ -142,32 +143,43 @@ func (rs PortRows) slot(node graph.NodeID) *storeSlot {
 	return nil
 }
 
-// slotCreate returns node's slot for port, creating the port's rows and
-// the slot when this is their first posting.
-func (s *Store) slotCreate(node graph.NodeID, port core.Port) *storeSlot {
-	if sl := s.Rows(port).slot(node); sl != nil {
-		return sl
+// rowsWith returns port's rows with a row at the node of every key,
+// creating the missing ones — and the port's rows, on its first posting
+// — in one copy-on-write step: one clone of the rows, and one
+// allocation for all the new slots. A post creates its port's rows with
+// it; Put and Inject are a batch of one.
+func (s *Store) rowsWith(port core.Port, keys []rowKey) PortRows {
+	rs := s.Rows(port)
+	if !slices.ContainsFunc(keys, func(k rowKey) bool { return rs.slot(k.node) == nil }) {
+		return rs
 	}
 	sh := s.shard(port)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	ports := *sh.ports.Load()
 	r := ports[port]
-	if r == nil {
+	var cur PortRows
+	if r != nil {
+		cur = *r.slots.Load()
+	} else {
 		r = &portRows{}
-		r.slots.Store(&PortRows{})
-		next := maps.Clone(ports)
-		next[port] = r
-		sh.ports.Store(&next)
 	}
-	cur := *r.slots.Load()
-	i, ok := cur.find(node)
-	if !ok {
-		next := append(make(PortRows, 0, len(cur)+1), cur[:i]...)
-		cur = append(append(next, nodeSlot{node: node, sl: &storeSlot{}}), cur[i:]...)
-		r.slots.Store(&cur)
+	slots := make([]storeSlot, len(keys))
+	next := append(make(PortRows, 0, len(cur)+len(keys)), cur...)
+	for i, k := range keys {
+		if cur.slot(k.node) == nil {
+			next = append(next, nodeSlot{node: k.node, sl: &slots[i]})
+		}
 	}
-	return cur[i].sl
+	slices.SortFunc(next, func(a, b nodeSlot) int { return cmp.Compare(a.node, b.node) })
+	next = slices.CompactFunc(next, func(a, b nodeSlot) bool { return a.node == b.node })
+	r.slots.Store(&next)
+	if ports[port] == nil {
+		grown := maps.Clone(ports)
+		grown[port] = r
+		sh.ports.Store(&grown)
+	}
+	return next
 }
 
 // readFreshestIn scans the slot (a nil slot holds nothing) for the
@@ -233,7 +245,7 @@ func (sl *storeSlot) merge(e core.Entry) {
 // loop on the slot's immutable slice, so concurrent posts for the same
 // port serialize without a lock.
 func (s *Store) Put(node graph.NodeID, e core.Entry) {
-	s.slotCreate(node, e.Port).merge(e)
+	s.rowsWith(e.Port, []rowKey{{node: node}}).slot(node).merge(e)
 }
 
 // mergeEntry returns a fresh slice with e merged in, or nil when e is
@@ -357,7 +369,7 @@ func (s *Store) Drop(node graph.NodeID, port core.Port, serverID uint64) {
 // it models a rendezvous node whose state silently went wrong, which is
 // exactly what the merge rule would otherwise prevent.
 func (s *Store) Inject(node graph.NodeID, e core.Entry) {
-	sl := s.slotCreate(node, e.Port)
+	sl := s.rowsWith(e.Port, []rowKey{{node: node}}).slot(node)
 	for {
 		curp := sl.entries.Load()
 		var cur []core.Entry

@@ -49,6 +49,34 @@ func New(n int) *Graph {
 	return &Graph{adj: make([][]NodeID, n)}
 }
 
+// Complete returns the complete graph on n nodes: every adjacency list is
+// [0..n-1] \ {v} in ascending order, the lists that adding every edge
+// {u, v}, u < v, in lexicographic order builds, written directly into one
+// backing array instead, with no HasEdge scan — O(n²) work rather than
+// O(n³).
+func Complete(n int) *Graph {
+	g := New(n)
+	if n < 2 {
+		return g
+	}
+	d := n - 1
+	all := make([]NodeID, n*d)
+	for v := range g.adj {
+		// Capped at its own length, so a later AddEdge reallocates this
+		// list instead of writing into the next one.
+		l := all[v*d : (v+1)*d : (v+1)*d]
+		for i := range l {
+			l[i] = NodeID(i)
+			if i >= v {
+				l[i]++
+			}
+		}
+		g.adj[v] = l
+	}
+	g.edges = n * d / 2
+	return g
+}
+
 // Name returns the descriptive name attached with SetName, or "".
 func (g *Graph) Name() string { return g.name }
 
@@ -153,18 +181,34 @@ func (g *Graph) BFS(src NodeID) (dist []int, parent []NodeID, err error) {
 		return nil, nil, fmt.Errorf("bfs from %d: %w", src, ErrNodeRange)
 	}
 	n := g.N()
-	dist = make([]int, n)
+	d32 := make([]int32, n)
 	parent = make([]NodeID, n)
-	for i := range dist {
-		dist[i] = -1
+	for i := range parent {
 		parent[i] = -1
 	}
+	g.bfs(src, d32, parent, make([]NodeID, 0, n))
+	dist = make([]int, n)
+	for i, d := range d32 {
+		dist[i] = int(d)
+	}
+	return dist, parent, nil
+}
+
+// bfs is the one breadth-first search. It writes every node's hop
+// distance from src into dist (-1 if unreachable) and every reached
+// node's parent — the first visited node adjacent to it — into parent,
+// leaving the other entries of parent as they were, and returns the
+// reached nodes in visit order, reusing queue's storage. It stops
+// scanning adjacency lists once every node is reached: on the complete
+// graph that is after src's own list, O(n) rather than O(n²).
+func (g *Graph) bfs(src NodeID, dist []int32, parent, queue []NodeID) []NodeID {
+	for i := range dist {
+		dist[i] = -1
+	}
 	dist[src] = 0
-	queue := make([]NodeID, 0, n)
-	queue = append(queue, src)
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
+	queue = append(queue[:0], src)
+	for head := 0; head < len(queue) && len(queue) < len(dist); head++ {
+		v := queue[head]
 		for _, w := range g.adj[v] {
 			if dist[w] < 0 {
 				dist[w] = dist[v] + 1
@@ -173,7 +217,7 @@ func (g *Graph) BFS(src NodeID) (dist []int, parent []NodeID, err error) {
 			}
 		}
 	}
-	return dist, parent, nil
+	return queue
 }
 
 // Connected reports whether the graph is connected. The empty graph and

@@ -1,78 +1,68 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Routing holds all-pairs next-hop routing tables for a graph, the "table
 // containing the names of all other nodes together with the minimum cost to
 // reach them and the neighbor at which the minimum cost path starts" that
 // Section 3 of the paper assumes every node keeps.
 //
-// Tables are built with one BFS per node, O(n·m) time and O(n²) space;
-// adequate for simulation-scale networks.
+// Tables are built with one BFS per node, each stopping once every node is
+// reached — O(n·m) time in general, O(n²) on the complete graph — into two
+// flat n×n tables, O(n²) space in two allocations.
 type Routing struct {
-	next [][]NodeID // next[u][v] = first hop on a shortest u→v path, -1 if none
-	dist [][]int    // dist[u][v] = hop distance, -1 if unreachable
+	n    int
+	next []int32 // next[u*n+v] = first hop on a shortest u→v path, -1 if none
+	dist []int32 // dist[u*n+v] = hop distance, -1 if unreachable
 }
 
 // NewRouting computes routing tables for g.
 func NewRouting(g *Graph) (*Routing, error) {
 	n := g.N()
-	r := &Routing{
-		next: make([][]NodeID, n),
-		dist: make([][]int, n),
-	}
+	r := &Routing{n: n, next: make([]int32, n*n), dist: make([]int32, n*n)}
+	parent, queue := make([]NodeID, n), make([]NodeID, 0, n)
 	for u := 0; u < n; u++ {
-		dist, parent, err := g.BFS(NodeID(u))
-		if err != nil {
-			return nil, fmt.Errorf("routing: %w", err)
+		next := r.next[u*n : (u+1)*n]
+		queue = g.bfs(NodeID(u), r.dist[u*n:(u+1)*n], parent, queue)
+		for v := range next {
+			next[v] = -1
 		}
-		r.dist[u] = dist
-		nh := make([]NodeID, n)
-		for v := 0; v < n; v++ {
-			nh[v] = firstHop(NodeID(u), NodeID(v), parent)
+		// The first hop toward v is v itself when u is its BFS parent, and
+		// its parent's first hop otherwise; a parent is visited before its
+		// children, so one pass in visit order fills the row.
+		next[u] = int32(u)
+		for _, v := range queue[1:] {
+			if p := parent[v]; p == NodeID(u) {
+				next[v] = int32(v)
+			} else {
+				next[v] = next[p]
+			}
 		}
-		r.next[u] = nh
 	}
 	return r, nil
 }
 
-// firstHop walks the BFS parent chain from v back toward u and returns the
-// neighbor of u on that path.
-func firstHop(u, v NodeID, parent []NodeID) NodeID {
-	if u == v {
-		return u
-	}
-	if parent[v] == -1 {
-		return -1
-	}
-	at := v
-	for parent[at] != u {
-		at = parent[at]
-		if at == -1 {
-			return -1
-		}
-	}
-	return at
-}
-
 // N returns the number of nodes covered by the tables.
-func (r *Routing) N() int { return len(r.next) }
+func (r *Routing) N() int { return r.n }
 
 // NextHop returns the neighbor of from on a shortest path to to, from
 // itself if from == to, and -1 if to is unreachable.
 func (r *Routing) NextHop(from, to NodeID) NodeID {
-	if int(from) >= len(r.next) || int(to) >= len(r.next) || from < 0 || to < 0 {
+	if uint(from) >= uint(r.n) || uint(to) >= uint(r.n) {
 		return -1
 	}
-	return r.next[from][to]
+	return NodeID(r.next[int(from)*r.n+int(to)])
 }
 
 // Dist returns the hop distance from from to to, or -1 if unreachable.
 func (r *Routing) Dist(from, to NodeID) int {
-	if int(from) >= len(r.dist) || int(to) >= len(r.dist) || from < 0 || to < 0 {
+	if uint(from) >= uint(r.n) || uint(to) >= uint(r.n) {
 		return -1
 	}
-	return r.dist[from][to]
+	return int(r.dist[int(from)*r.n+int(to)])
 }
 
 // Path materializes the shortest path from from to to, inclusive, by
@@ -121,27 +111,42 @@ func (r *Routing) PredecessorNeighbors(g *Graph, at, origin NodeID) []NodeID {
 // the number of edges in the Steiner approximation. This is the
 // "broadcast over spanning trees in these subgraphs" accounting of §2.3.5.
 func (r *Routing) MulticastCost(src NodeID, targets []NodeID) (int, error) {
-	if int(src) >= r.N() || src < 0 {
+	if uint(src) >= uint(r.n) {
 		return 0, fmt.Errorf("multicast from %d: %w", src, ErrNodeRange)
 	}
 	// Union of shortest paths from src to each target, counted as edges of
 	// the shortest-path tree: mark every node that lies on a path, then the
-	// cost is (#marked nodes) - 1 when following tree edges toward src.
-	onTree := make(map[NodeID]bool)
-	onTree[src] = true
+	// cost is the number of nodes marked besides src, following tree edges
+	// toward src. The marks are a pooled bitset, so a call allocates
+	// nothing.
+	words := (r.n + 63) / 64
+	bp := treeMarks.Get().(*[]uint64)
+	defer treeMarks.Put(bp)
+	if cap(*bp) < words {
+		*bp = make([]uint64, words)
+	}
+	on := (*bp)[:words]
+	clear(on)
+	on[src/64] |= 1 << (src % 64)
+	cost := 0
 	for _, t := range targets {
 		if r.Dist(src, t) < 0 {
 			return 0, fmt.Errorf("multicast %d->%d: %w", src, t, ErrDisconnected)
 		}
 		// Walk from src toward t; all intermediate nodes join the tree.
-		at := src
-		for at != t {
-			at = r.NextHop(at, t)
-			onTree[at] = true
+		for at := src; at != t; {
+			at = NodeID(r.next[int(at)*r.n+int(t)])
+			if bit := uint64(1) << (at % 64); on[at/64]&bit == 0 {
+				on[at/64] |= bit
+				cost++
+			}
 		}
 	}
-	return len(onTree) - 1, nil
+	return cost, nil
 }
+
+// treeMarks pools MulticastCost's node bitsets.
+var treeMarks = sync.Pool{New: func() any { return new([]uint64) }}
 
 // UnicastCost returns the total number of message passes needed to send one
 // point-to-point message from src to each target individually (no tree

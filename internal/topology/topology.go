@@ -22,13 +22,8 @@ import (
 // setting of the paper's lower bounds (§2.1: "assume that the network is a
 // complete graph").
 func Complete(n int) *graph.Graph {
-	g := graph.New(n)
+	g := graph.Complete(n)
 	g.SetName(fmt.Sprintf("complete-%d", n))
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			g.MustAddEdge(graph.NodeID(u), graph.NodeID(v))
-		}
-	}
 	return g
 }
 
