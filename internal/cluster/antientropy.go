@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -184,11 +185,11 @@ func buildCorruptPlan(opts CorruptOptions, regs []corruptReg, n int) []corruptOp
 			// Park the orphan at a node outside the posting set.
 			w := graph.NodeID(rng.Intn(n))
 			retry := 0
-			for contains(r.targets, w) && retry < 8 {
+			for slices.Contains(r.targets, w) && retry < 8 {
 				w = graph.NodeID(rng.Intn(n))
 				retry++
 			}
-			if contains(r.targets, w) {
+			if slices.Contains(r.targets, w) {
 				continue // tiny graph fully covered; try another victim
 			}
 			plan = append(plan, corruptOp{node: w, e: core.Entry{
@@ -205,15 +206,6 @@ func buildCorruptPlan(opts CorruptOptions, regs []corruptReg, n int) []corruptOp
 		}
 	}
 	return plan
-}
-
-func contains(s []graph.NodeID, v graph.NodeID) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
 
 // expectedRow is a node's ground-truth posting row keyed by (port,

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -104,7 +105,7 @@ locate 0-35/3 alpha,beta,gamma`)
 			const alpha, beta, alphaID, betaID = graph.NodeID(12), graph.NodeID(35), 1, 2
 			aT, bT := post(alpha), post(beta)
 			orphanAt := graph.NodeID(0)
-			for contains(bT, orphanAt) {
+			for slices.Contains(bT, orphanAt) {
 				orphanAt++
 			}
 			before := memT.Passes()
@@ -122,7 +123,7 @@ locate 0-35/3 alpha,beta,gamma`)
 				t.Fatal("the repair charged no passes")
 			}
 			for _, ne := range st.DumpRange(0, 36) {
-				if ne.E.Active && (ne.E.Port == "alpha" && ne.E.Addr != alpha || ne.E.Port == "beta" && !contains(bT, ne.Node) ||
+				if ne.E.Active && (ne.E.Port == "alpha" && ne.E.Addr != alpha || ne.E.Port == "beta" && !slices.Contains(bT, ne.Node) ||
 					ne.E.Port == "gamma" && ne.E.ServerID == alphaID) {
 					t.Fatalf("node %d still holds %+v after reconciliation", ne.Node, ne.E)
 				}

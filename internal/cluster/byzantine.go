@@ -190,7 +190,7 @@ func buildForgePlan(opts ArmOptions, regs []corruptReg, n int, in familyGeometry
 		eligible = append(eligible[:i], eligible[i+1:]...)
 		class := classes[rng.Intn(len(classes))]
 		for _, r := range regs {
-			if !contains(r.targets, v) {
+			if !slices.Contains(r.targets, v) {
 				continue
 			}
 			var rec forgeRec

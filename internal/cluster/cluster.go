@@ -1,11 +1,12 @@
 package cluster
 
 import (
+	"cmp"
 	"errors"
 	"hash/maphash"
 	"maps"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -202,17 +203,11 @@ func (p *popularity) top(k int) []core.Port {
 	for port, ctr := range snap {
 		all = append(all, pc{port: port, count: ctr.Load()})
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].count != all[j].count {
-			return all[i].count > all[j].count
-		}
-		return all[i].port < all[j].port
+	slices.SortFunc(all, func(a, b pc) int {
+		return cmp.Or(cmp.Compare(b.count, a.count), cmp.Compare(a.port, b.port))
 	})
-	if k > len(all) {
-		k = len(all)
-	}
-	out := make([]core.Port, k)
-	for i := 0; i < k; i++ {
+	out := make([]core.Port, min(k, len(all)))
+	for i := range out {
 		out[i] = all[i].port
 	}
 	return out

@@ -13,6 +13,7 @@ import (
 	"matchmake/internal/core"
 	"matchmake/internal/graph"
 	"matchmake/internal/rendezvous"
+	"matchmake/internal/stats"
 	"matchmake/internal/strategy"
 	"matchmake/internal/topology"
 )
@@ -23,6 +24,27 @@ func TestClusterRegisterLocate(t *testing.T) {
 	r := runHistory(t, "world complete 16\ncolumns model mem+cluster\nregister svc 5\nlocate 0-15 svc,nope\nmigrate svc 11\nlocate 0-15 svc")
 	if m := r.cols[1].cl.Metrics(); m.Locates != 48 || m.Posts != 1 || m.PassesPerLocate <= 0 {
 		t.Fatalf("metrics = %+v; want 48 locates, 1 post", m)
+	}
+}
+
+// TestClusterMetricsBeforeLocates: a cluster that has timed no locate
+// has no latency histogram yet, and its snapshot reads zero latency,
+// before and after a reset; 8 × 16 locates time at least one on some
+// lane, which installs it.
+func TestClusterMetricsBeforeLocates(t *testing.T) {
+	c := New(must(NewMemTransport(topology.Complete(4), rendezvous.Checkerboard(4), 0)), Options{})
+	defer c.Close()
+	for _, step := range []func(){func() {}, c.ResetMetrics} {
+		step()
+		if m := c.Metrics(); m.P50 != 0 || m.P99 != 0 || m.Max != 0 || c.metrics.latency.Load() != nil {
+			t.Fatalf("metrics = %+v; want zero latency and no histogram before any locate", m)
+		}
+	}
+	for range 8 * stats.CounterStripes {
+		c.Locate(0, "nope")
+	}
+	if m := c.Metrics(); c.metrics.latency.Load() == nil || m.Locates != 8*stats.CounterStripes {
+		t.Fatalf("metrics = %+v; want %d locates, some timed", m, 8*stats.CounterStripes)
 	}
 }
 

@@ -103,11 +103,11 @@ type coordinator struct {
 
 	lifeMu sync.RWMutex
 
-	// byPort is the live registration table: the ground truth repair,
-	// reconciliation, promotion and epoch migration re-post from. (The
-	// liveness records probes answer from are the substrate's.)
-	regMu  sync.Mutex
-	byPort map[core.Port]map[uint64]*server
+	// servers is the live registration table, by server id: the ground
+	// truth repair, reconciliation, promotion and epoch migration re-post
+	// from. (The liveness records probes answer from are the substrate's.)
+	regMu   sync.Mutex
+	servers map[uint64]*server
 
 	gens     *genIndex
 	crashed  []atomic.Bool
@@ -164,7 +164,7 @@ func newCoordinator(g *graph.Graph, lay Layout) (*coordinator, error) {
 		routing: routing,
 		elastic: lay.Elastic,
 		hash:    lay.Hash,
-		byPort:  make(map[core.Port]map[uint64]*server),
+		servers: make(map[uint64]*server),
 		gens:    new(genIndex),
 		crashed: make([]atomic.Bool, n),
 	}
@@ -261,34 +261,23 @@ type server struct {
 	gone bool
 }
 
-// newServer allocates a registration and publishes it in the table.
+// newServer fills in a registration and publishes it in the table.
 // Under regMu the class decision is linearized against SetHotPorts:
 // either srv reads the new classification here, or SetHotPorts finds
-// srv in byPort and reposts it.
-func (c *coordinator) newServer(port core.Port, node graph.NodeID) *server {
-	srv := &server{c: c, port: port, id: c.serverID.Add(1), node: node}
+// srv in the table and reposts it.
+func (c *coordinator) newServer(srv *server, port core.Port, node graph.NodeID) {
+	srv.c, srv.port, srv.id, srv.node = c, port, c.serverID.Add(1), node
 	c.regMu.Lock()
-	m := c.byPort[port]
-	if m == nil {
-		m = make(map[uint64]*server, 2)
-		c.byPort[port] = m
-	}
-	m[srv.id] = srv
+	c.servers[srv.id] = srv
 	if c.table.Load().hot.isHot(port) {
 		srv.postedHot.Store(true)
 	}
 	c.regMu.Unlock()
-	return srv
 }
 
 func (c *coordinator) dropServer(srv *server) {
 	c.regMu.Lock()
-	if m := c.byPort[srv.port]; m != nil {
-		delete(m, srv.id)
-		if len(m) == 0 {
-			delete(c.byPort, srv.port)
-		}
-	}
+	delete(c.servers, srv.id)
 	c.regMu.Unlock()
 }
 
@@ -305,14 +294,12 @@ type liveServer struct {
 // function of the history, not of map order; the caller holds regMu.
 func (c *coordinator) liveServersLocked() []liveServer {
 	var out []liveServer
-	for _, m := range c.byPort {
-		for _, srv := range m {
-			srv.mu.Lock()
-			node, gone := srv.node, srv.gone
-			srv.mu.Unlock()
-			if !gone {
-				out = append(out, liveServer{srv: srv, node: node})
-			}
+	for _, srv := range c.servers {
+		srv.mu.Lock()
+		node, gone := srv.node, srv.gone
+		srv.mu.Unlock()
+		if !gone {
+			out = append(out, liveServer{srv: srv, node: node})
 		}
 	}
 	slices.SortFunc(out, func(a, b liveServer) int { return cmp.Compare(a.srv.id, b.srv.id) })
@@ -367,18 +354,20 @@ func (c *coordinator) PostBatch(regs []Registration) ([]ServerRef, error) {
 	}
 	c.lifeMu.RLock()
 	defer c.lifeMu.RUnlock()
+	// The batch's servers are one allocation: a deregistered one stays
+	// allocated, at 64 bytes, until no ref of its batch is held.
 	refs := make([]ServerRef, len(regs))
-	servers := make([]*server, len(regs))
+	servers := make([]server, len(regs))
 	recs := make([]liveReg, len(regs))
 	for i, r := range regs {
-		servers[i] = c.newServer(r.Port, r.Node)
-		refs[i] = servers[i]
+		c.newServer(&servers[i], r.Port, r.Node)
+		refs[i] = &servers[i]
 		recs[i] = liveReg{id: servers[i].id, port: r.Port, node: r.Node, from: noNode}
 	}
 	undo := func(err error) ([]ServerRef, error) {
-		for _, srv := range servers {
-			c.dropServer(srv)
-			c.sub.deregister(srv.id, srv.node)
+		for i := range servers {
+			c.dropServer(&servers[i])
+			c.sub.deregister(servers[i].id, servers[i].node)
 		}
 		return nil, err
 	}
@@ -396,9 +385,13 @@ func (c *coordinator) PostBatch(regs []Registration) ([]ServerRef, error) {
 		}
 	}
 	fl := c.postFlood()
+	fl.posts = slices.Grow(fl.posts, len(regs))
 	for i, r := range regs {
-		targets, cost := c.postSets(servers[i], r.Node)
-		if err := c.stage(fl, servers[i], r.Node, true, targets, cost); err != nil {
+		targets, cost := c.postSets(&servers[i], r.Node)
+		if i == 0 { // posting sets are about one size
+			fl.keys = slices.Grow(fl.keys, len(regs)*len(targets))
+		}
+		if err := c.stage(fl, &servers[i], r.Node, true, targets, cost); err != nil {
 			c.floods.Put(fl) // the origin crashed since the check above
 			return undo(err)
 		}

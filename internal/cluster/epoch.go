@@ -3,7 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"matchmake/internal/core"
 	"matchmake/internal/graph"
@@ -109,16 +109,7 @@ func errOutsideMembership(port core.Port, node graph.NodeID, ep *strategy.Epoch)
 
 // unionIDs returns a ∪ b as a fresh sorted slice.
 func unionIDs(a, b []graph.NodeID) []graph.NodeID {
-	seen := make(map[graph.NodeID]bool, len(a)+len(b))
-	out := make([]graph.NodeID, 0, len(a)+len(b))
-	for _, s := range [][]graph.NodeID{a, b} {
-		for _, v := range s {
-			if !seen[v] {
-				seen[v] = true
-				out = append(out, v)
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	out := append(append(make([]graph.NodeID, 0, len(a)+len(b)), a...), b...)
+	slices.Sort(out)
+	return slices.Compact(out)
 }

@@ -96,13 +96,17 @@ func requestRun(keys []rowKey, lo int) int {
 	return hi
 }
 
+// post creates the batch's missing rows, then merges each run's entry
+// into its rows; every row of a run that holds nothing shares one list.
 func (m *memSubstrate) post(entries []core.Entry, rows []rowKey) {
+	m.store.addRows(entries, rows)
 	for lo, hi := 0, 0; lo < len(rows); lo = hi {
 		hi = requestRun(rows, lo)
 		e := entries[rows[lo].req]
-		rs := m.store.rowsWith(e.Port, rows[lo:hi])
+		rs := m.store.Rows(e.Port)
+		var list *[]core.Entry
 		for _, k := range rows[lo:hi] {
-			rs.slot(k.node).merge(e)
+			list = rs.slot(k.node).merge(e, list)
 		}
 	}
 }
@@ -160,19 +164,22 @@ func (m *memSubstrate) probe(_ graph.NodeID, port core.Port, addr graph.NodeID, 
 	return probeMiss
 }
 
-// register republishes a known instance's home in place and clones the
-// table once per batch for the new ones.
+// register republishes a known instance's home in place and, for the
+// new ones, clones the table and allocates their records once per batch.
 func (m *memSubstrate) register(recs []liveReg) error {
 	m.liveMu.Lock()
 	defer m.liveMu.Unlock()
-	next, cloned := *m.live.Load(), false
+	next, fresh := *m.live.Load(), []memLive(nil)
 	for _, r := range recs {
 		rec := next[r.id]
 		if rec == nil {
-			if !cloned {
-				next, cloned = maps.Clone(next), true
+			if fresh == nil {
+				grown := make(map[uint64]*memLive, len(next)+len(recs))
+				maps.Copy(grown, next)
+				next, fresh = grown, make([]memLive, len(recs))
 			}
-			rec = &memLive{port: r.port}
+			rec, fresh = &fresh[0], fresh[1:]
+			rec.port = r.port
 			next[r.id] = rec
 		}
 		rec.node.Store(int64(r.node))

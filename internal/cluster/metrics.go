@@ -18,9 +18,11 @@ type stripedHist struct {
 	stripes [histStripes]stats.LiveHist
 }
 
+// merged sums the stripes into a scratch histogram; a nil stripedHist —
+// a window that timed no locate yet — merges to an empty one.
 func (h *stripedHist) merged() *stats.LiveHist {
 	out := &stats.LiveHist{}
-	for i := range h.stripes {
+	for i := 0; h != nil && i < histStripes; i++ {
 		out.Merge(&h.stripes[i])
 	}
 	return out
@@ -69,6 +71,8 @@ type Metrics struct {
 	// place: the stripes must not be zeroed under writers, but a pointer
 	// swap may — in-flight observations land in whichever window's
 	// histogram they loaded, which is the most a live reset can promise.
+	// It is nil until the window's first timed locate (see hist), so a
+	// cluster that never locates never allocates its ~46 KB.
 	latency atomic.Pointer[stripedHist]
 
 	// epoch marks the start of the current measurement window; passes0
@@ -96,7 +100,7 @@ type Metrics struct {
 const latencySampleShift = 3
 
 func (m *Metrics) start(tr Transport) {
-	m.latency.Store(&stripedHist{})
+	m.latency.Store(nil)
 	m.epochNanos.Store(time.Now().UnixNano())
 	m.passes0.Store(tr.Passes())
 	if et, ok := tr.(ElasticTransport); ok && et.Elastic() {
@@ -130,7 +134,18 @@ func (m *Metrics) observeLocate(stripe int, begin time.Time, sampled bool, err e
 		}
 	}
 	if sampled {
-		m.latency.Load().stripes[stripe&(histStripes-1)].Observe(uint64(time.Since(begin)))
+		m.hist().stripes[stripe&(histStripes-1)].Observe(uint64(time.Since(begin)))
+	}
+}
+
+// hist returns the window's latency histogram, installing it with a CAS
+// from nil on the window's first timed locate.
+func (m *Metrics) hist() *stripedHist {
+	for {
+		if h := m.latency.Load(); h != nil {
+			return h
+		}
+		m.latency.CompareAndSwap(nil, &stripedHist{})
 	}
 }
 

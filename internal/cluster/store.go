@@ -98,23 +98,28 @@ func NewStore(n, shards int) *Store {
 		seed:   maphash.MakeSeed(),
 	}
 	for i := range s.shards {
-		s.shards[i].ports.Store(&map[core.Port]*portRows{})
+		s.shards[i].ports.Store(&noPorts)
 	}
 	return s
 }
 
+// noPorts is every shard's table until its first port: shared, because
+// a table is replaced, never mutated.
+var noPorts = map[core.Port]*portRows{}
+
 // NextTime returns a fresh logical posting timestamp.
 func (s *Store) NextTime() uint64 { return s.clock.Add(1) }
 
-func (s *Store) shard(port core.Port) *storeShard {
-	return &s.shards[maphash.String(s.seed, string(port))&s.mask]
+// shard returns the index of port's shard.
+func (s *Store) shard(port core.Port) uint64 {
+	return maphash.String(s.seed, string(port)) & s.mask
 }
 
 // Rows returns port's rows, empty when it has none: one hash to pick the
 // shard, one to find the port, no lock. A caller with several nodes to
 // visit for one port calls it once and indexes the snapshot per node.
 func (s *Store) Rows(port core.Port) PortRows {
-	if r := (*s.shard(port).ports.Load())[port]; r != nil {
+	if r := (*s.shards[s.shard(port)].ports.Load())[port]; r != nil {
 		return *r.slots.Load()
 	}
 	return nil
@@ -143,43 +148,86 @@ func (rs PortRows) slot(node graph.NodeID) *storeSlot {
 	return nil
 }
 
-// rowsWith returns port's rows with a row at the node of every key,
-// creating the missing ones — and the port's rows, on its first posting
-// — in one copy-on-write step: one clone of the rows, and one
-// allocation for all the new slots. A post creates its port's rows with
-// it; Put and Inject are a batch of one.
-func (s *Store) rowsWith(port core.Port, keys []rowKey) PortRows {
-	rs := s.Rows(port)
-	if !slices.ContainsFunc(keys, func(k rowKey) bool { return rs.slot(k.node) == nil }) {
-		return rs
-	}
-	sh := s.shard(port)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	ports := *sh.ports.Load()
-	r := ports[port]
-	var cur PortRows
-	if r != nil {
-		cur = *r.slots.Load()
-	} else {
-		r = &portRows{}
-	}
-	slots := make([]storeSlot, len(keys))
-	next := append(make(PortRows, 0, len(cur)+len(keys)), cur...)
-	for i, k := range keys {
-		if cur.slot(k.node) == nil {
-			next = append(next, nodeSlot{node: k.node, sl: &slots[i]})
+// runRows holds what a batch publishes for one request run that lacks
+// rows — the port's rows object when the port is new, the rows
+// snapshot, and, in the first run to add a port to its shard, the
+// shard's grown table — so that a batch allocates them together.
+type runRows struct {
+	r     portRows
+	rows  PortRows
+	ports map[core.Port]*portRows
+}
+
+// addRows creates every missing row of a post batch — a row at each
+// key's node for the port of its entry — per shard rather than per port:
+// under each touched shard's mutex, every run's port has its rows
+// rebuilt once and the shard's table is cloned once, and the batch's
+// new slots and rows are carved from one allocation each. A post makes
+// its rows with it; Put and Inject are a batch of one.
+func (s *Store) addRows(entries []core.Entry, keys []rowKey) {
+	// runs holds the runs that lack rows as shard<<32 | the run's first
+	// key, so that sorting them groups them by shard.
+	var buf [64]uint64
+	runs, nslots, nrows := buf[:0], 0, 0
+	for lo, hi := 0, 0; lo < len(keys); lo = hi {
+		hi = requestRun(keys, lo)
+		port := entries[keys[lo].req].Port
+		rs := s.Rows(port)
+		if slices.ContainsFunc(keys[lo:hi], func(k rowKey) bool { return rs.slot(k.node) == nil }) {
+			runs = append(runs, s.shard(port)<<32|uint64(lo))
+			nslots, nrows = nslots+hi-lo, nrows+len(rs)+hi-lo
 		}
 	}
-	slices.SortFunc(next, func(a, b nodeSlot) int { return cmp.Compare(a.node, b.node) })
-	next = slices.CompactFunc(next, func(a, b nodeSlot) bool { return a.node == b.node })
-	r.slots.Store(&next)
-	if ports[port] == nil {
-		grown := maps.Clone(ports)
-		grown[port] = r
-		sh.ports.Store(&grown)
+	if len(runs) == 0 {
+		return
 	}
-	return next
+	slices.Sort(runs)
+	made, slots, rows := make([]runRows, len(runs)), make([]storeSlot, nslots), make([]nodeSlot, nrows)
+	for lo, hi := 0, 0; lo < len(runs); lo = hi {
+		for hi = lo + 1; hi < len(runs) && runs[hi]>>32 == runs[lo]>>32; hi++ {
+		}
+		sh := &s.shards[runs[lo]>>32]
+		sh.mu.Lock()
+		ports := *sh.ports.Load()
+		var grown *map[core.Port]*portRows
+		for i := lo; i < hi; i++ {
+			first := int(uint32(runs[i]))
+			m, run, port := &made[i], keys[first:requestRun(keys, first)], entries[keys[first].req].Port
+			r := ports[port]
+			var cur PortRows
+			if r != nil {
+				cur = *r.slots.Load()
+			} else {
+				if grown == nil {
+					m.ports = make(map[core.Port]*portRows, len(ports)+hi-i)
+					maps.Copy(m.ports, ports)
+					ports, grown = m.ports, &m.ports
+				}
+				r = &m.r
+				ports[port] = r
+			}
+			// Rows that grew since the scan outrun the arena, and append
+			// allocates afresh.
+			n := min(len(cur)+len(run), len(rows))
+			next := append(rows[:0:n], cur...)
+			rows = rows[n:]
+			for j, k := range run {
+				if cur.slot(k.node) == nil {
+					next = append(next, nodeSlot{node: k.node, sl: &slots[j]})
+				}
+			}
+			slots = slots[len(run):]
+			if byNode := func(x, y nodeSlot) int { return cmp.Compare(x.node, y.node) }; !slices.IsSortedFunc(next, byNode) {
+				slices.SortFunc(next, byNode) // a port's first rows arrive in order
+			}
+			m.rows = slices.CompactFunc(next, func(x, y nodeSlot) bool { return x.node == y.node })
+			r.slots.Store(&m.rows)
+		}
+		if grown != nil {
+			sh.ports.Store(grown)
+		}
+		sh.mu.Unlock()
+	}
 }
 
 // readFreshestIn scans the slot (a nil slot holds nothing) for the
@@ -221,22 +269,47 @@ func fresher(e, than core.Entry) bool {
 	return e.Time > than.Time || e.Time == than.Time && e.ServerID < than.ServerID
 }
 
-// merge folds e into the slot with the copy-on-write CAS loop of Put.
-func (sl *storeSlot) merge(e core.Entry) {
-	for {
+// update is the one copy-on-write CAS loop behind every write to a
+// slot: next builds the slot's new list from the current one, or returns
+// nil to leave the slot as it is. No writer changes a list in place, so
+// one list may back many slots. A nil slot — no row, or one a crash
+// cleared since the write resolved it — holds nothing and takes nothing.
+func (sl *storeSlot) update(next func(cur []core.Entry) *[]core.Entry) {
+	for sl != nil {
 		curp := sl.entries.Load()
 		var cur []core.Entry
 		if curp != nil {
 			cur = *curp
 		}
-		next := mergeEntry(cur, e)
-		if next == nil {
-			return
-		}
-		if sl.entries.CompareAndSwap(curp, &next) {
+		if np := next(cur); np == nil || sl.entries.CompareAndSwap(curp, np) {
 			return
 		}
 	}
+}
+
+// merge folds e into the slot and returns list. A slot that holds
+// nothing takes list, the one-entry list of e, made here on first use: a
+// post hands the same list to every row of its run.
+func (sl *storeSlot) merge(e core.Entry, list *[]core.Entry) *[]core.Entry {
+	sl.update(func(cur []core.Entry) *[]core.Entry {
+		if len(cur) > 0 {
+			return mergeEntry(cur, e)
+		}
+		if list == nil {
+			one := &oneEntry{e: [1]core.Entry{e}}
+			one.list = one.e[:]
+			list = &one.list
+		}
+		return list
+	})
+	return list
+}
+
+// oneEntry is a one-entry list and the slice header a slot points to,
+// allocated together.
+type oneEntry struct {
+	list []core.Entry
+	e    [1]core.Entry
 }
 
 // Put merges a posting (or tombstone) into node's cache. Stale postings
@@ -245,26 +318,30 @@ func (sl *storeSlot) merge(e core.Entry) {
 // loop on the slot's immutable slice, so concurrent posts for the same
 // port serialize without a lock.
 func (s *Store) Put(node graph.NodeID, e core.Entry) {
-	s.rowsWith(e.Port, []rowKey{{node: node}}).slot(node).merge(e)
+	s.addRows([]core.Entry{e}, []rowKey{{node: node}})
+	s.Rows(e.Port).slot(node).merge(e, nil)
 }
 
-// mergeEntry returns a fresh slice with e merged in, or nil when e is
-// stale and the slice would be unchanged.
-func mergeEntry(cur []core.Entry, e core.Entry) []core.Entry {
-	for i, c := range cur {
-		if c.ServerID == e.ServerID {
-			if e.Time <= c.Time {
-				return nil
-			}
-			next := append([]core.Entry(nil), cur...)
-			next[i] = e
-			return next
-		}
+// mergeEntry returns a fresh list with e merged in, or nil when e is
+// stale and the list would be unchanged.
+func mergeEntry(cur []core.Entry, e core.Entry) *[]core.Entry {
+	i := indexOf(cur, e.ServerID)
+	if i >= 0 && e.Time <= cur[i].Time {
+		return nil
 	}
-	next := make([]core.Entry, 0, len(cur)+1)
-	next = append(next, cur...)
-	next = append(next, e)
-	return pruneTombstones(next)
+	next := append(make([]core.Entry, 0, len(cur)+1), cur...)
+	if i >= 0 {
+		next[i] = e
+	} else {
+		next = pruneTombstones(append(next, e))
+	}
+	return &next
+}
+
+// indexOf returns the position of server instance id's entry in cur, -1
+// when cur holds none.
+func indexOf(cur []core.Entry, id uint64) int {
+	return slices.IndexFunc(cur, func(e core.Entry) bool { return e.ServerID == id })
 }
 
 // pruneTombstones drops the stalest dead-instance tombstones when a slot
@@ -276,7 +353,7 @@ func pruneTombstones(entries []core.Entry) []core.Entry {
 			dead++
 		}
 	}
-	for dead > maxSlotTombstones {
+	for ; dead > maxSlotTombstones; dead-- {
 		victim := -1
 		for i, e := range entries {
 			if !e.Active && (victim < 0 || e.Time < entries[victim].Time) {
@@ -284,7 +361,6 @@ func pruneTombstones(entries []core.Entry) []core.Entry {
 			}
 		}
 		entries = append(entries[:victim], entries[victim+1:]...)
-		dead--
 	}
 	return entries
 }
@@ -333,33 +409,14 @@ func (sl *storeSlot) appendActive(buf []core.Entry) []core.Entry {
 // that belongs only to a retired epoch disappears by the node's own
 // decision, costing no message passes.
 func (s *Store) Drop(node graph.NodeID, port core.Port, serverID uint64) {
-	sl := s.Rows(port).slot(node)
-	if sl == nil {
-		return
-	}
-	for {
-		curp := sl.entries.Load()
-		if curp == nil {
-			return
+	s.Rows(port).slot(node).update(func(cur []core.Entry) *[]core.Entry {
+		i := indexOf(cur, serverID)
+		if i < 0 {
+			return nil
 		}
-		cur := *curp
-		idx := -1
-		for i, e := range cur {
-			if e.ServerID == serverID {
-				idx = i
-				break
-			}
-		}
-		if idx < 0 {
-			return
-		}
-		next := make([]core.Entry, 0, len(cur)-1)
-		next = append(next, cur[:idx]...)
-		next = append(next, cur[idx+1:]...)
-		if sl.entries.CompareAndSwap(curp, &next) {
-			return
-		}
-	}
+		next := slices.Delete(slices.Clone(cur), i, i+1)
+		return &next
+	})
 }
 
 // Inject force-places e in node's cache for e.Port, replacing any
@@ -369,30 +426,16 @@ func (s *Store) Drop(node graph.NodeID, port core.Port, serverID uint64) {
 // it models a rendezvous node whose state silently went wrong, which is
 // exactly what the merge rule would otherwise prevent.
 func (s *Store) Inject(node graph.NodeID, e core.Entry) {
-	sl := s.rowsWith(e.Port, []rowKey{{node: node}}).slot(node)
-	for {
-		curp := sl.entries.Load()
-		var cur []core.Entry
-		if curp != nil {
-			cur = *curp
-		}
-		next := make([]core.Entry, 0, len(cur)+1)
-		replaced := false
-		for _, c := range cur {
-			if c.ServerID == e.ServerID {
-				next = append(next, e)
-				replaced = true
-				continue
-			}
-			next = append(next, c)
-		}
-		if !replaced {
+	s.addRows([]core.Entry{e}, []rowKey{{node: node}})
+	s.Rows(e.Port).slot(node).update(func(cur []core.Entry) *[]core.Entry {
+		next := append(make([]core.Entry, 0, len(cur)+1), cur...)
+		if i := indexOf(cur, e.ServerID); i >= 0 {
+			next[i] = e
+		} else {
 			next = append(next, e)
 		}
-		if sl.entries.CompareAndSwap(curp, &next) {
-			return
-		}
-	}
+		return &next
+	})
 }
 
 // NodeEntry pairs a rendezvous node with one cached entry; it is the

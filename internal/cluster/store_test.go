@@ -144,7 +144,7 @@ func TestStoreClearNodeIsolation(t *testing.T) {
 			s.Put(6, core.Entry{Port: "epsilon", Addr: 6, ServerID: 5, Time: s.NextTime(), Active: false})
 			// The shard hash is seeded per store: rebuild in the rare case
 			// all five ports landed in one shard.
-			spans := make(map[*storeShard]bool)
+			spans := make(map[uint64]bool)
 			for _, p := range ports {
 				spans[s.shard(p)] = true
 			}
@@ -349,6 +349,98 @@ func TestStoreHammerAgainstReference(t *testing.T) {
 		}
 		if got := s.NodeSize(v); got != size {
 			t.Errorf("NodeSize(%d) = %d; reference says %d", v, got, size)
+		}
+	}
+}
+
+// TestStoreSharedList pins the one-list-per-post rule: a post to k fresh
+// rows hands all k slots the same list, and a later write to one row —
+// Drop, Inject, a tombstone, a re-post — gives that row a list of its
+// own, so the other k−1 rows still share and read the posting. A reader
+// scans every row throughout, for the race detector.
+func TestStoreSharedList(t *testing.T) {
+	const k, w = 16, graph.NodeID(5)
+	m := newMemSubstrate(k, 0)
+	e := core.Entry{Port: "p", Addr: 3, ServerID: 1, Time: 1, Active: true}
+	keys := make([]rowKey, k)
+	for v := range keys {
+		keys[v].node = graph.NodeID(v)
+	}
+	m.post([]core.Entry{e}, keys)
+	rs := m.store.Rows("p")
+	shared := rs.slot(0).entries.Load()
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for v := range graph.NodeID(k) {
+				rs.slot(v).readFreshestIn(scope{}, v)
+			}
+		}
+	}()
+	writes := []func(){
+		func() { m.store.Drop(w, "p", 1) },
+		func() { m.store.Inject(w, core.Entry{Port: "p", Addr: 9, ServerID: 1, Time: 1, Active: true}) },
+		func() { m.store.Put(w, core.Entry{Port: "p", Addr: 9, ServerID: 1, Time: 2}) },
+		func() { m.post([]core.Entry{{Port: "p", Addr: 7, ServerID: 2, Time: 3, Active: true}}, keys[w:w+1]) },
+	}
+	for i, write := range append([]func(){func() {}}, writes...) {
+		write()
+		for v := range graph.NodeID(k) {
+			got, ok := m.store.Get(v, "p")
+			if v != w && (rs.slot(v).entries.Load() != shared || !ok || got != e) {
+				t.Fatalf("after write %d to row %d, row %d reads %+v, %v from its own list; want %+v from the post's", i, w, v, got, ok, e)
+			}
+		}
+	}
+	close(stop)
+	<-done
+	if got, ok := m.store.Get(w, "p"); !ok || got.ServerID != 2 || got.Addr != 7 {
+		t.Fatalf("row %d reads %+v, %v; want the re-post of server 2 at 7", w, got, ok)
+	}
+}
+
+// TestStoreSharedListConcurrentBatches races post batches that create
+// rows in the same shards and ports, each writer skipping a quarter of
+// the ports so that later batches add ports to tables earlier ones
+// grew: every writer's entry must land in every row of its batch, and
+// nowhere else, whichever batch made the row.
+func TestStoreSharedListConcurrentBatches(t *testing.T) {
+	const writers, ports, n = 4, 24, 16
+	m := newMemSubstrate(n, 4)
+	posts := func(w, p int, v graph.NodeID) bool { return p%writers != w && (int(v)+p+w)%3 != 0 }
+	var wg sync.WaitGroup
+	for w := range writers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var entries []core.Entry
+			var keys []rowKey
+			for p := range ports {
+				entries = append(entries, core.Entry{Port: core.Port(fmt.Sprint("p", p)), ServerID: uint64(w + 1), Time: 1, Active: true})
+				for v := range graph.NodeID(n) {
+					if posts(w, p, v) {
+						keys = append(keys, rowKey{req: int32(p), node: v})
+					}
+				}
+			}
+			m.post(entries, keys)
+		}()
+	}
+	wg.Wait()
+	for w := range writers {
+		for p := range ports {
+			for v := range graph.NodeID(n) {
+				all := m.store.GetAll(v, core.Port(fmt.Sprint("p", p)))
+				if held := slices.ContainsFunc(all, func(e core.Entry) bool { return e.ServerID == uint64(w+1) }); held != posts(w, p, v) {
+					t.Fatalf("row (%d, p%d) holds writer %d's entry: %v; rows %v", v, p, w, held, all)
+				}
+			}
 		}
 	}
 }

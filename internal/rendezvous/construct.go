@@ -3,6 +3,7 @@ package rendezvous
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"matchmake/internal/graph"
 )
@@ -36,17 +37,17 @@ func Checkerboard(n int) Strategy {
 // blockNodes returns {(start + t·step) mod n : t < count}, deduplicated
 // and sorted.
 func blockNodes(start, step, count, n int) []graph.NodeID {
-	seen := make(map[graph.NodeID]bool, count)
-	out := make([]graph.NodeID, 0, count)
-	for t := 0; t < count; t++ {
-		v := graph.NodeID((start + t*step) % n)
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
+	out := make([]graph.NodeID, count)
+	for t := range out {
+		out[t] = graph.NodeID((start + t*step) % n)
 	}
-	sortIDs(out)
-	return out
+	return sortedSet(out)
+}
+
+// sortedSet sorts ids in place and drops the duplicates.
+func sortedSet(ids []graph.NodeID) []graph.NodeID {
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }
 
 // RedundantCheckerboard returns the §2.4 fault-tolerant variant of the
@@ -68,19 +69,12 @@ func RedundantCheckerboard(n, r int) Strategy {
 		StrategyName: fmt.Sprintf("checkerboard-%d-r%d", n, r),
 		Universe:     n,
 		PostFunc: func(i graph.NodeID) []graph.NodeID {
-			seen := make(map[graph.NodeID]bool, r*b)
 			out := make([]graph.NodeID, 0, r*b)
 			rb := rowBlock(i)
 			for t := 0; t < r; t++ {
-				for _, v := range blockNodes(((rb+t)%b)*b, 1, b, n) {
-					if !seen[v] {
-						seen[v] = true
-						out = append(out, v)
-					}
-				}
+				out = append(out, blockNodes(((rb+t)%b)*b, 1, b, n)...)
 			}
-			sortIDs(out)
-			return out
+			return sortedSet(out)
 		},
 		QueryFunc: func(j graph.NodeID) []graph.NodeID {
 			return blockNodes(colBlock(j), b, b, n)
@@ -135,7 +129,7 @@ func relabel(base []graph.NodeID, n, qa, qb int) []graph.NodeID {
 	for _, v := range base {
 		out = append(out, v+graph.NodeID(qa*n), v+graph.NodeID(qb*n))
 	}
-	sortIDs(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -162,22 +156,7 @@ func Union(a, b Strategy) (Strategy, error) {
 		return nil, fmt.Errorf("rendezvous: union universes differ: %d vs %d", a.N(), b.N())
 	}
 	merge := func(x, y []graph.NodeID) []graph.NodeID {
-		seen := make(map[graph.NodeID]bool, len(x)+len(y))
-		out := make([]graph.NodeID, 0, len(x)+len(y))
-		for _, v := range x {
-			if !seen[v] {
-				seen[v] = true
-				out = append(out, v)
-			}
-		}
-		for _, v := range y {
-			if !seen[v] {
-				seen[v] = true
-				out = append(out, v)
-			}
-		}
-		sortIDs(out)
-		return out
+		return sortedSet(append(append(make([]graph.NodeID, 0, len(x)+len(y)), x...), y...))
 	}
 	return Funcs{
 		StrategyName: a.Name() + "+" + b.Name(),

@@ -10,7 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
-	"sort"
+	"slices"
 
 	"matchmake/internal/graph"
 )
@@ -107,7 +107,7 @@ func Random(n, p, q int, seed uint64) Strategy {
 		for i := 0; i < k; i++ {
 			out[i] = graph.NodeID(perm[i])
 		}
-		sortIDs(out)
+		slices.Sort(out)
 		return out
 	}
 	return Funcs{
@@ -214,10 +214,6 @@ func Intersect(p, q []graph.NodeID) []graph.NodeID {
 			delete(inP, v) // tolerate duplicates in q
 		}
 	}
-	sortIDs(out)
+	slices.Sort(out)
 	return out
-}
-
-func sortIDs(s []graph.NodeID) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 }

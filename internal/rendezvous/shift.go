@@ -2,6 +2,7 @@ package rendezvous
 
 import (
 	"fmt"
+	"slices"
 
 	"matchmake/internal/graph"
 )
@@ -29,7 +30,7 @@ func Shift(s Strategy, by int) Strategy {
 		for i, v := range set {
 			out[i] = graph.NodeID((int(v) + by) % n)
 		}
-		sortIDs(out)
+		slices.Sort(out)
 		return out
 	}
 	return Funcs{
